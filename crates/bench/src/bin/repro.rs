@@ -7,9 +7,7 @@
 //! Artifacts: `--json FILE` writes the machine-readable artifact of the
 //! explicitly selected experiment — `parallel`, `pipeline`, `serve`, `slo`,
 //! or `fleet` — to FILE. Exactly one artifact experiment must be named on
-//! the command line; the artifact schemas are unchanged from the old
-//! per-experiment flags (`--bench-json` / `--serve-json` / `--slo-json`),
-//! which remain as deprecated aliases for one release.
+//! the command line; no artifact is written without `--json`.
 //!
 //! Serving layer: `repro serve [--sessions N] [--json FILE]` runs the
 //! multi-session load generator (sweeping fleet sizes unless `--sessions`
@@ -22,9 +20,8 @@
 //!
 //! Observability: `repro slo [--sessions N] [--json FILE]` renders the
 //! SLO dashboard for one fleet (default 8 sessions) — sketch quantiles,
-//! error budgets, burn-rate alerts, critical-path attribution — and writes
-//! `BENCH_slo.json` (the default path when the `slo` experiment is
-//! requested explicitly; `--json` overrides it).
+//! error budgets, burn-rate alerts, critical-path attribution — and
+//! optionally exports it as `BENCH_slo.json`.
 //!
 //! `repro lint [...]` runs the workspace static-analysis pass instead
 //! (see the `holoar-lint` crate); remaining arguments go to the linter.
@@ -47,8 +44,8 @@ fn main() {
     if raw.first().map(String::as_str) == Some("lint") {
         std::process::exit(holoar_lint::cli(&raw[1..]));
     }
-    // `repro perf-gate FILE` re-reads a BENCH_parallel.json artifact and
-    // enforces the hot-path floors (the CI perf smoke step).
+    // `repro perf-gate FILE...` re-reads BENCH_*.json artifacts and
+    // enforces their floors (the CI perf smoke steps).
     if raw.first().map(String::as_str) == Some("perf-gate") {
         std::process::exit(holoar_bench::perfgate::cli(&raw[1..]));
     }
@@ -57,11 +54,8 @@ fn main() {
     let mut ids: Vec<String> = Vec::new();
     let mut csv_path: Option<String> = None;
     let mut json_path: Option<String> = None;
-    let mut bench_json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
-    let mut serve_json_path: Option<String> = None;
-    let mut slo_json_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -73,15 +67,6 @@ fn main() {
                 json_path =
                     Some(args.next().unwrap_or_else(|| die("--json requires a file path")));
             }
-            "--bench-json" => {
-                eprintln!(
-                    "warning: --bench-json is deprecated; use `repro parallel --json FILE` \
-                     (or `repro pipeline --json FILE` for the staged-pipeline artifact)"
-                );
-                bench_json_path = Some(
-                    args.next().unwrap_or_else(|| die("--bench-json requires a file path")),
-                );
-            }
             "--trace-out" => {
                 trace_path = Some(
                     args.next().unwrap_or_else(|| die("--trace-out requires a file path")),
@@ -90,18 +75,6 @@ fn main() {
             "--metrics-json" => {
                 metrics_path = Some(
                     args.next().unwrap_or_else(|| die("--metrics-json requires a file path")),
-                );
-            }
-            "--serve-json" => {
-                eprintln!("warning: --serve-json is deprecated; use `repro serve --json FILE`");
-                serve_json_path = Some(
-                    args.next().unwrap_or_else(|| die("--serve-json requires a file path")),
-                );
-            }
-            "--slo-json" => {
-                eprintln!("warning: --slo-json is deprecated; use `repro slo --json FILE`");
-                slo_json_path = Some(
-                    args.next().unwrap_or_else(|| die("--slo-json requires a file path")),
                 );
             }
             "--sessions" => {
@@ -136,12 +109,9 @@ fn main() {
                      --csv writes the Fig 7/8 evaluation matrix as CSV to FILE\n\
                      --trace-out writes a Chrome-trace (Perfetto) span timeline to FILE\n\
                      --metrics-json writes the counters/gauges/histograms registry to FILE\n\
-                     --bench-json/--serve-json/--slo-json are deprecated aliases for \
-                     `parallel|pipeline --json` / `serve --json` / `slo --json`\n\
                      repro lint [--format json] runs the workspace static-analysis pass\n\
-                     repro perf-gate [FILE] [--serve FILE] [--pipeline FILE] [--fleet FILE] \
-                     [--f32-floor X] [--par-floor Y] [--min-workers N] enforces the floors \
-                     over the JSON artifacts\n\
+                     repro perf-gate FILE... enforces each BENCH_*.json artifact's floors \
+                     (rows chosen by the artifact's \"bench\" field)\n\
                      HOLOAR_TELEMETRY=off|summary|full selects the telemetry mode \
                      (either export flag implies full)",
                     experiments::ALL_EXPERIMENTS.join(" "),
@@ -149,6 +119,7 @@ fn main() {
                 );
                 return;
             }
+            other if other.starts_with('-') => die(&format!("unknown flag {other}; see --help")),
             other => ids.push(other.to_string()),
         }
     }
@@ -185,15 +156,6 @@ fn main() {
             )),
         }
     });
-    // "explicitly requested" means the user typed `slo`, not that it rode
-    // along in the `all` expansion — only the former writes BENCH_slo.json
-    // without an export flag.
-    let slo_explicit = ids.iter().any(|i| i == "slo");
-    // Deprecated `--bench-json` keeps its historical split: the
-    // staged-pipeline artifact when the user explicitly asked for the
-    // `pipeline` experiment (and not `parallel`), the parallel-engine
-    // timing cells otherwise.
-    let pipeline_bench = ids.iter().any(|i| i == "pipeline") && !ids.iter().any(|i| i == "parallel");
     if ids.is_empty() || ids.iter().any(|i| i == "all") {
         ids = experiments::ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
@@ -209,36 +171,6 @@ fn main() {
             die(&format!("cannot write {path}: {e}"));
         }
         eprintln!("wrote {what} to {path}");
-    }
-    if let Some(path) = bench_json_path {
-        let (json, what) = if pipeline_bench {
-            artifact("pipeline", &cfg)
-        } else {
-            artifact("parallel", &cfg)
-        };
-        if let Err(e) = std::fs::write(&path, json) {
-            die(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("wrote {what} to {path}");
-    }
-    if let Some(path) = serve_json_path {
-        let json = experiments::serve_bench_json(&cfg);
-        if let Err(e) = std::fs::write(&path, json) {
-            die(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("wrote serving sweep to {path}");
-    }
-    // An explicit `slo` run emits its artifact by default; `--json` (or the
-    // deprecated `--slo-json`) overrides the path.
-    let slo_json_path = slo_json_path.or_else(|| {
-        (slo_explicit && json_kind != Some("slo")).then(|| "BENCH_slo.json".to_string())
-    });
-    if let Some(path) = slo_json_path {
-        let json = experiments::slo_bench_json(&cfg);
-        if let Err(e) = std::fs::write(&path, json) {
-            die(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("wrote SLO dashboard artifact to {path}");
     }
     if let Some(path) = csv_path {
         let matrix = holoar_core::evaluation::evaluate_matrix(

@@ -1604,7 +1604,7 @@ pub fn serve(cfg: &ExperimentConfig) -> String {
          speedup is batched aggregate throughput over the per-plane sequential schedule; \
          ΔPSNR is the worst session's occupancy-weighted drift from its single-session \
          baseline; QoS counts focus-guided single-victim step-downs \
-         (export the sweep with --serve-json BENCH_serve.json)\n",
+         (export the sweep with --json BENCH_serve.json)\n",
         cfg.seed,
         cfg.frames,
         t.render(),
@@ -1675,7 +1675,7 @@ pub fn slo_measurements(cfg: &ExperimentConfig) -> (u32, holoar_serve::ServeRepo
 /// Observability study: the SLO dashboard for one serving fleet —
 /// per-session sketch quantiles, error budgets, burn-rate alerts,
 /// signal-annotated step-downs, and critical-path stage attribution
-/// (`repro slo`, exported with `--slo-json BENCH_slo.json`).
+/// (`repro slo`, exported with `repro slo --json BENCH_slo.json`).
 pub fn slo(cfg: &ExperimentConfig) -> String {
     let (sessions, report) = slo_measurements(cfg);
     let fleet = &report.slo;
@@ -2012,7 +2012,7 @@ pub fn fleet(cfg: &ExperimentConfig) -> String {
 
 /// The [`fleet`] study as a JSON artifact (`BENCH_fleet.json`),
 /// hand-serialized like the other artifacts. Byte-identical across reruns
-/// and `HOLOAR_THREADS` at a fixed seed; `repro perf-gate --fleet` enforces
+/// and `HOLOAR_THREADS` at a fixed seed; `repro perf-gate` enforces
 /// the scaling and kill-survival floors on it.
 pub fn fleet_bench_json(cfg: &ExperimentConfig) -> String {
     let m = fleet_measurements(cfg);
@@ -2200,7 +2200,7 @@ mod tests {
 
     #[test]
     fn pipeline_clears_the_perf_gate_floors() {
-        // The same floors `repro perf-gate --pipeline` enforces on the
+        // The same floors `repro perf-gate` enforces on the
         // checked-in artifact, validated here at the default budget.
         let m = pipeline_measurements(&ExperimentConfig::default());
         assert!(m.bit_identical, "staged report varies across worker counts");

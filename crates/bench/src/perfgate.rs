@@ -1,45 +1,157 @@
-//! CI perf-smoke gate over the `BENCH_*.json` artifacts (parallel, serve,
-//! pipeline, fleet).
+//! CI perf gate over the `BENCH_*.json` artifacts: one floor table, one
+//! evaluator.
 //!
-//! `repro parallel --bench-json` records one timing cell per (workload,
-//! worker count, precision) triple plus the f32 quality gate; `repro serve
-//! --serve-json` records the serving sweep. This module re-reads those
-//! artifacts and enforces the floors, so CI fails when a change regresses
-//! the fast path (or the serving acceptance row) rather than when someone
-//! happens to eyeball the numbers:
+//! Every artifact names its kind in a top-level `"bench"` field
+//! (`parallel`, `serve`, `pipeline`, `fleet`, `slo`); [`evaluate`] runs the
+//! [`FLOORS`] rows of that kind, so a new gate is a new row. Hard
+//! invariants (schema, the parallel cell grid, bit-identity, the f32
+//! quality gate, frame conservation) and the floors of the virtual-time
+//! artifacts hold on any host. Host timing floors (`host: true`: ≥1.3×
+//! single-thread from f32 and ≥2× parallel GSW at 7 workers, each times a
+//! 0.8 noise margin) apply only when `host_workers` ≥ 4 — a single-core
+//! container cannot show a parallel speedup, and a scalar narrow core
+//! measures f32 ≈ f64 — and are otherwise reported on one SKIPPED line.
 //!
-//! * **Hard invariants** — every cell bit-identical to its same-precision
-//!   single-worker twin, the f32 quality gate passing, and the fixed
-//!   worker/precision cell grid present. These hold on any host.
-//! * **Speedup floors** — the design targets (≥1.3× single-thread from
-//!   f32, ≥2× parallel GSW at 7 workers) multiplied by a generous noise
-//!   margin, and only enforced on hosts with enough cores to express them:
-//!   a single-core container cannot show a parallel speedup, and a scalar
-//!   narrow-core measures f32 ≈ f64 (the f32 win is a bandwidth/SIMD
-//!   effect). Skipped floors are reported as SKIPPED, never silently.
+//! Left sides and path bounds use a small selector syntax:
+//!
+//! * `a.b` — object keys;
+//! * `a[*]` — every element of array `a` (an empty array holds vacuously);
+//! * `a[k=v]` — the elements of `a` whose `k` is the number or string `v`
+//!   (dot-free);
+//! * `len(p)` — how many values `p` selects; `max(p)` — the largest of them;
+//! * `p + q` — the sum of single-valued paths;
+//! * `{x|y}` — one check per alternative (every combination of groups).
+//!
+//! A missing key, a filter matching nothing, a non-number under a numeric
+//! comparator, and NaN all FAIL the row.
 
 use holoar_telemetry::jsonlite::{self, Json};
+use Bound::{Const, Path};
+use Cmp::{Eq, Ge, Gt, IsTrue, Le, NonEmpty, Number};
 
-/// Floors and conditioning for [`evaluate`].
+/// Single-thread f32-over-f64 speedup target (fft2d 256x256 and GSW).
+const F32_FLOOR: f64 = 1.3;
+/// Parallel GSW speedup target at 7 workers.
+const PAR_FLOOR: f64 = 2.0;
+/// Fraction of a host timing floor actually enforced — margin for timer
+/// noise on shared runners.
+const NOISE_MARGIN: f64 = 0.8;
+/// `host_workers` needed before host timing floors apply.
+const MIN_HOST_WORKERS: f64 = 4.0;
+
+/// Right-hand side of a numeric comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GateConfig {
-    /// Design floor for the single-thread f32 speedup on the fft2d 256x256
-    /// and gsw cells (reference: f64 single-thread).
-    pub f32_floor: f64,
-    /// Design floor for the parallel GSW speedup at 7 workers.
-    pub par_floor: f64,
-    /// Fraction of each floor actually enforced — generous margin for CI
-    /// timer noise and shared runners.
-    pub noise_margin: f64,
-    /// Minimum `host_workers` before the speedup floors apply at all.
-    pub min_host_workers: usize,
+pub enum Bound {
+    /// A fixed floor or ceiling.
+    Const(f64),
+    /// Another single-valued path in the same artifact.
+    Path(&'static str),
 }
 
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig { f32_floor: 1.3, par_floor: 2.0, noise_margin: 0.8, min_host_workers: 4 }
-    }
+/// How every value the left side selects is tested.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cmp {
+    /// `>=` the bound.
+    Ge(Bound),
+    /// `>` the bound.
+    Gt(Bound),
+    /// `<=` the bound.
+    Le(Bound),
+    /// `==` the bound.
+    Eq(Bound),
+    /// The JSON literal `true`.
+    IsTrue,
+    /// A non-empty string, array or object.
+    NonEmpty,
+    /// Any number (schema fields).
+    Number,
 }
+
+/// One row of the gate: which artifact kind it applies to, what it checks,
+/// and whether it is a host timing floor.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Floor {
+    /// The artifact's `"bench"` value this row applies to.
+    pub bench: &'static str,
+    /// The gated metric, named in every report and failure line.
+    pub metric: &'static str,
+    /// Left side: a path, `len(…)`/`max(…)` of a path, or a sum of paths.
+    pub lhs: &'static str,
+    /// Comparator and bound.
+    pub cmp: Cmp,
+    /// Applies only when `host_workers >= 4` (SKIPPED otherwise).
+    pub host: bool,
+}
+
+const fn row(bench: &'static str, metric: &'static str, lhs: &'static str, cmp: Cmp) -> Floor {
+    Floor { bench, metric, lhs, cmp, host: false }
+}
+
+const fn host(bench: &'static str, metric: &'static str, lhs: &'static str, cmp: Cmp) -> Floor {
+    Floor { bench, metric, lhs, cmp, host: true }
+}
+
+/// Every perf-gate check, grouped by artifact kind.
+#[rustfmt::skip]
+pub const FLOORS: &[Floor] = &[
+    // BENCH_parallel.json (`repro parallel --json`): hard invariants, then host timing floors.
+    row("parallel", "host worker count recorded", "host_workers", Ge(Const(1.0))),
+    row("parallel", "cell schema", "cells[*].{workers|speedup}", Number),
+    row("parallel", "cell labels", "cells[*].{label|precision}", NonEmpty),
+    row("parallel", "f32 quality gate pass", "f32_quality_gate.pass", IsTrue),
+    row("parallel", "every cell bit-identical to its serial twin", "cells[*].bit_identical",
+        IsTrue),
+    row("parallel", "no missing cell in the workload x workers {1,2,7} x {f64,f32} grid",
+        "len(cells[label={fft2d 128x128|fft2d 256x256|gsw 48x48 8 planes}][workers={1|2|7}]\
+         [precision={f64|f32}])", Eq(Const(1.0))),
+    host("parallel", "f32 single-thread fft2d 256x256 speedup (1.3x floor, 0.8 noise margin)",
+        "cells[label=fft2d 256x256][workers=1][precision=f32].speedup",
+        Ge(Const(F32_FLOOR * NOISE_MARGIN))),
+    host("parallel", "f32 single-thread gsw 48x48 8 planes speedup (1.3x floor, 0.8 noise margin)",
+        "cells[label=gsw 48x48 8 planes][workers=1][precision=f32].speedup",
+        Ge(Const(F32_FLOOR * NOISE_MARGIN))),
+    host("parallel", "parallel gsw at 7 workers, best precision (2.0x floor, 0.8 noise margin)",
+        "max(cells[label=gsw 48x48 8 planes][workers=7].speedup)",
+        Ge(Const(PAR_FLOOR * NOISE_MARGIN))),
+    // BENCH_serve.json (`repro serve --json`): schema and the 8-session acceptance row.
+    row("serve", "sweep has rows", "sweep", NonEmpty),
+    row("serve", "sweep row schema", "sweep[*].{sessions|admitted|speedup|deadline_hit_rate\
+        |latency_p50_s|latency_p99_s|psnr_gap_db|launches_saved}", Number),
+    row("serve", "8-session acceptance row present", "len(sweep[sessions=8])", Eq(Const(1.0))),
+    row("serve", "8-session speedup", "sweep[sessions=8].speedup", Ge(Const(1.8))),
+    row("serve", "8-session deadline-hit rate", "sweep[sessions=8].deadline_hit_rate",
+        Ge(Const(0.95))),
+    row("serve", "8-session PSNR gap (dB)", "sweep[sessions=8].psnr_gap_db", Le(Const(0.5))),
+    // BENCH_pipeline.json (`repro pipeline --json`): staged executor vs lockstep loop.
+    row("pipeline", "staged block schema", "staged.{throughput_fps|mean_latency_s|latency_p50_s\
+        |latency_p99_s|fresh_frames|stale_frames|compute_drops|present_drops}", Number),
+    row("pipeline", "lockstep block schema",
+        "lockstep.{throughput_fps|latency_p99_s|sustained_p99_s}", Number),
+    row("pipeline", "staged report bit-identical across worker counts", "bit_identical", IsTrue),
+    row("pipeline", "presented frames (fresh + stale) == ingested frames",
+        "staged.fresh_frames + staged.stale_frames", Eq(Path("frames"))),
+    row("pipeline", "staged-over-lockstep speedup", "speedup", Ge(Const(1.15))),
+    row("pipeline", "sustained p99 ratio (staged / lockstep)", "p99_ratio", Le(Const(1.0))),
+    // BENCH_fleet.json (`repro fleet --json`): weak scaling and kill survival.
+    row("fleet", "sweep has rows", "sweep", NonEmpty),
+    row("fleet", "sweep row schema", "sweep[*].{devices|offered|admitted|aggregate_fps|scaling\
+        |hit_rate|latency_p50_s|latency_p99_s|migrations}", Number),
+    row("fleet", "4-device scaling row present", "len(sweep[devices=4])", Eq(Const(1.0))),
+    row("fleet", "4-device aggregate-throughput scaling (0.8 per device)",
+        "sweep[devices=4].scaling", Ge(Const(0.8 * 4.0))),
+    row("fleet", "kill-scenario deadline-hit rate", "kill.hit_rate", Ge(Const(0.90))),
+    row("fleet", "kill scenario exercised live migration (kill-forced migrations)",
+        "kill.kill_migrations", Ge(Const(1.0))),
+    // BENCH_slo.json (`repro slo --sessions 8 --json`): the SLO dashboard.
+    row("slo", "dashboard covers 8 sessions", "sessions", Eq(Const(8.0))),
+    row("slo", "one SLO record per session", "len(session_slo[*])", Eq(Path("sessions"))),
+    row("slo", "fleet p50 latency is positive", "fleet.latency_p50_s", Gt(Const(0.0))),
+    row("slo", "fleet p50 <= p99", "fleet.latency_p50_s", Le(Path("fleet.latency_p99_s"))),
+    row("slo", "fleet p99 <= p999", "fleet.latency_p99_s", Le(Path("fleet.latency_p999_s"))),
+    row("slo", "every session has a critical path", "session_slo[*].critical_path", NonEmpty),
+    row("slo", "every step-down carries its SLO signal", "session_slo[*].step_downs[*].signal",
+        NonEmpty),
+];
 
 /// What the gate concluded: hard failures (non-empty fails CI) plus a
 /// human-readable line-per-check report.
@@ -47,7 +159,7 @@ impl Default for GateConfig {
 pub struct GateOutcome {
     /// One entry per violated check; empty means the gate passes.
     pub failures: Vec<String>,
-    /// Line-per-check report (PASS / FAIL / SKIPPED with reasons).
+    /// Line-per-check report (pass / FAIL / SKIPPED with reasons).
     pub report: String,
 }
 
@@ -58,604 +170,225 @@ impl GateOutcome {
     }
 }
 
-/// The worker counts and precisions every artifact must carry (mirrors
-/// `experiments::BENCH_WORKERS` × both precisions).
-const REQUIRED_WORKERS: [usize; 3] = [1, 2, 7];
-const REQUIRED_PRECISIONS: [&str; 2] = ["f64", "f32"];
-
-/// One cell pulled out of the artifact.
-#[derive(Debug, Clone, PartialEq)]
-struct Cell {
-    label: String,
-    workers: usize,
-    precision: String,
-    speedup: f64,
-    bit_identical: bool,
-}
-
-/// Evaluates the gate over the text of a `BENCH_parallel.json` artifact.
+/// Runs the [`FLOORS`] rows of the artifact's own `"bench"` kind over its
+/// text.
 ///
 /// # Errors
 ///
-/// Returns a message when the artifact is unparseable or missing required
-/// fields — CI should treat that exactly like a failed gate.
-pub fn evaluate(json_text: &str, cfg: &GateConfig) -> Result<GateOutcome, String> {
+/// Returns a message when the text is not JSON, has no `"bench"` field, or
+/// names a kind no row applies to — CI treats that like a failed gate.
+pub fn evaluate(json_text: &str) -> Result<GateOutcome, String> {
     let doc = jsonlite::parse(json_text).map_err(|e| e.to_string())?;
-    if doc.get("bench").and_then(Json::as_str) != Some("parallel") {
-        return Err("artifact is not a parallel bench (missing \"bench\": \"parallel\")".into());
+    let kind = doc.get("bench").and_then(Json::as_str).ok_or("missing \"bench\" field")?;
+    if !FLOORS.iter().any(|f| f.bench == kind) {
+        return Err(format!("no perf-gate floors for bench kind \"{kind}\""));
     }
-    let host_workers = doc
-        .get("host_workers")
-        .and_then(Json::as_f64)
-        .ok_or("missing numeric \"host_workers\"")? as usize;
-    let gate_pass = doc
-        .get("f32_quality_gate")
-        .and_then(|g| g.get("pass"))
-        .and_then(|p| match p {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        })
-        .ok_or("missing \"f32_quality_gate\".\"pass\"")?;
-    let cells = parse_cells(&doc)?;
-
-    let mut failures = Vec::new();
-    let mut report = String::new();
-    let mut check = |line: String, failed: bool| {
-        report.push_str(if failed { "FAIL " } else { "pass " });
-        report.push_str(&line);
-        report.push('\n');
-        if failed {
-            failures.push(line);
+    let host_workers = doc.get("host_workers").and_then(Json::as_f64).unwrap_or(0.0);
+    let mut outcome = GateOutcome { failures: Vec::new(), report: String::new() };
+    let mut skipped = Vec::new();
+    for floor in FLOORS.iter().filter(|f| f.bench == kind) {
+        if floor.host && host_workers < MIN_HOST_WORKERS {
+            skipped.push(floor.metric);
+            continue;
         }
-    };
-
-    // Hard invariants: hold on any host.
-    check(format!("f32 quality gate pass = {gate_pass}"), !gate_pass);
-    for cell in &cells {
-        if !cell.bit_identical {
-            check(
-                format!(
-                    "cell {} workers={} {} is not bit-identical to its serial twin",
-                    cell.label, cell.workers, cell.precision
-                ),
-                true,
-            );
+        let checks: Vec<Result<String, String>> =
+            expand(floor.lhs).iter().map(|lhs| check(&doc, lhs, floor.cmp)).collect();
+        let failed: Vec<&String> = checks.iter().filter_map(|c| c.as_ref().err()).collect();
+        for why in &failed {
+            let line = format!("{}: {why}", floor.metric);
+            outcome.report.push_str(&format!("FAIL {line}\n"));
+            outcome.failures.push(line);
+        }
+        if failed.is_empty() {
+            let detail = match checks.as_slice() {
+                [Ok(one)] => one.clone(),
+                many => format!("{} checks hold", many.len()),
+            };
+            outcome.report.push_str(&format!("pass {}: {detail}\n", floor.metric));
         }
     }
-    let labels: Vec<&str> = {
-        let mut ls: Vec<&str> = cells.iter().map(|c| c.label.as_str()).collect();
-        ls.sort_unstable();
-        ls.dedup();
-        ls
-    };
-    for label in &labels {
-        for workers in REQUIRED_WORKERS {
-            for precision in REQUIRED_PRECISIONS {
-                let present = cells.iter().any(|c| {
-                    c.label == *label && c.workers == workers && c.precision == precision
-                });
-                if !present {
-                    check(
-                        format!("missing cell {label} workers={workers} {precision}"),
-                        true,
-                    );
-                }
-            }
-        }
-    }
-
-    // Speedup floors: conditioned on the host being able to express them.
-    let floors_apply = host_workers >= cfg.min_host_workers;
-    if !floors_apply {
-        report.push_str(&format!(
-            "SKIPPED speedup floors: host has {host_workers} worker(s), floors need >= {} \
-             (single-core hosts cannot express parallel or bandwidth wins)\n",
-            cfg.min_host_workers
+    if !skipped.is_empty() {
+        outcome.report.push_str(&format!(
+            "SKIPPED speedup floors: host has {host_workers} worker(s), floors need >= \
+             {MIN_HOST_WORKERS} (single-core hosts cannot express parallel or bandwidth \
+             wins): {}\n",
+            skipped.join("; ")
         ));
-    } else {
-        let f32_effective = cfg.f32_floor * cfg.noise_margin;
-        for label in ["fft2d 256x256", "gsw 48x48 8 planes"] {
-            match find(&cells, label, 1, "f32") {
-                Some(cell) => check(
-                    format!(
-                        "f32 single-thread {label}: {:.2}x >= {f32_effective:.2}x \
-                         (floor {:.2}x, noise margin {:.2})",
-                        cell.speedup, cfg.f32_floor, cfg.noise_margin
-                    ),
-                    cell.speedup < f32_effective,
-                ),
-                None => check(format!("missing f32 single-thread cell for {label}"), true),
-            }
-        }
-        let par_effective = cfg.par_floor * cfg.noise_margin;
-        // Either precision may carry the parallel win; gate the best.
-        let best = REQUIRED_PRECISIONS
-            .iter()
-            .filter_map(|p| find(&cells, "gsw 48x48 8 planes", 7, p))
-            .map(|c| c.speedup)
-            .fold(f64::NEG_INFINITY, f64::max);
-        if best.is_finite() {
-            check(
-                format!(
-                    "parallel gsw at 7 workers: {best:.2}x >= {par_effective:.2}x \
-                     (floor {:.2}x, noise margin {:.2})",
-                    cfg.par_floor, cfg.noise_margin
-                ),
-                best < par_effective,
-            );
-        } else {
-            check("missing gsw cell at 7 workers".to_string(), true);
-        }
     }
-
-    Ok(GateOutcome { failures, report })
+    Ok(outcome)
 }
 
-/// Floors for the serve artifact's 8-session acceptance row (the serving
-/// tentpole's design targets, enforced by [`evaluate_serve`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServeGateConfig {
-    /// Batched-over-sequential speedup floor at 8 sessions.
-    pub speedup_floor: f64,
-    /// Deadline-hit-rate floor at 8 sessions.
-    pub hit_floor: f64,
-    /// Ceiling on the worst session's PSNR drift from its single-session
-    /// baseline, dB.
-    pub psnr_gap_ceiling: f64,
-}
-
-impl Default for ServeGateConfig {
-    fn default() -> Self {
-        ServeGateConfig { speedup_floor: 1.8, hit_floor: 0.95, psnr_gap_ceiling: 0.5 }
+/// Expands the first `{x|y}` group of `path` into one path per alternative,
+/// recursively, so every combination of groups becomes its own check.
+fn expand(path: &str) -> Vec<String> {
+    match (path.find('{'), path.find('}')) {
+        (Some(open), Some(close)) if open < close => path[open + 1..close]
+            .split('|')
+            .flat_map(|alt| expand(&format!("{}{alt}{}", &path[..open], &path[close + 1..])))
+            .collect(),
+        _ => vec![path.to_string()],
     }
 }
 
-/// Fields every `BENCH_serve.json` sweep row must carry.
-const SERVE_ROW_FIELDS: [&str; 8] = [
-    "sessions",
-    "admitted",
-    "speedup",
-    "deadline_hit_rate",
-    "latency_p50_s",
-    "latency_p99_s",
-    "psnr_gap_db",
-    "launches_saved",
-];
-
-/// Evaluates the serve gate over the text of a `BENCH_serve.json`
-/// artifact: schema (every sweep row complete) plus the 8-session
-/// acceptance floors. The model is closed-form, so unlike the timing
-/// floors these hold on any host.
-///
-/// # Errors
-///
-/// Returns a message when the artifact is unparseable or not a serve
-/// bench — CI should treat that exactly like a failed gate.
-pub fn evaluate_serve(json_text: &str, cfg: &ServeGateConfig) -> Result<GateOutcome, String> {
-    let doc = jsonlite::parse(json_text).map_err(|e| e.to_string())?;
-    if doc.get("bench").and_then(Json::as_str) != Some("serve") {
-        return Err("artifact is not a serve bench (missing \"bench\": \"serve\")".into());
-    }
-    let rows = doc.get("sweep").and_then(Json::as_array).ok_or("missing \"sweep\" array")?;
-    if rows.is_empty() {
-        return Err("serve sweep is empty".into());
-    }
-
-    let mut failures = Vec::new();
-    let mut report = String::new();
-    let mut check = |line: String, failed: bool| {
-        report.push_str(if failed { "FAIL " } else { "pass " });
-        report.push_str(&line);
-        report.push('\n');
-        if failed {
-            failures.push(line);
-        }
+/// One expanded check: `Ok(summary)` when every selected value satisfies
+/// `cmp`, `Err(reason)` otherwise.
+fn check(doc: &Json, lhs: &str, cmp: Cmp) -> Result<String, String> {
+    let values = resolve(doc, lhs).map_err(|e| format!("{lhs}: {e}"))?;
+    let (op, bound) = match cmp {
+        Ge(b) => (">=", Some(b)),
+        Gt(b) => (">", Some(b)),
+        Le(b) => ("<=", Some(b)),
+        Eq(b) => ("==", Some(b)),
+        IsTrue => ("is true", None),
+        NonEmpty => ("is non-empty", None),
+        Number => ("is a number", None),
     };
-
-    let mut eight: Option<&Json> = None;
-    for (i, row) in rows.iter().enumerate() {
-        for field in SERVE_ROW_FIELDS {
-            if row.get(field).and_then(Json::as_f64).is_none() {
-                check(format!("sweep row {i} missing numeric \"{field}\""), true);
-            }
+    let (bound, want) = match bound {
+        Some(Const(c)) => (c, format!("{op} {}", show(&Json::Number(c)))),
+        Some(Path(p)) => {
+            let v = single(doc, p).map_err(|e| format!("bound {p}: {e}"))?;
+            (v, format!("{op} {p} ({})", show(&Json::Number(v))))
         }
-        if row.get("sessions").and_then(Json::as_f64) == Some(8.0) {
-            eight = Some(row);
-        }
-    }
-    check(format!("sweep carries {} row(s) with a complete schema", rows.len()), false);
-
-    match eight {
-        Some(row) => {
-            let num = |field: &str| row.get(field).and_then(Json::as_f64).unwrap_or(f64::NAN);
-            let speedup = num("speedup");
-            let hit = num("deadline_hit_rate");
-            let gap = num("psnr_gap_db");
-            // NaN must fail the floor, so the violation test is "not >="
-            // spelled NaN-explicitly (clippy rejects `!(a >= b)` on floats).
-            check(
-                format!("8-session speedup {speedup:.2}x >= {:.2}x", cfg.speedup_floor),
-                speedup.is_nan() || speedup < cfg.speedup_floor,
-            );
-            check(
-                format!("8-session deadline-hit rate {hit:.3} >= {:.3}", cfg.hit_floor),
-                hit.is_nan() || hit < cfg.hit_floor,
-            );
-            check(
-                format!("8-session PSNR gap {gap:.2} dB <= {:.2} dB", cfg.psnr_gap_ceiling),
-                gap.is_nan() || gap > cfg.psnr_gap_ceiling,
-            );
-        }
-        None => check("missing the 8-session acceptance row".to_string(), true),
-    }
-
-    Ok(GateOutcome { failures, report })
-}
-
-/// Floors for the staged-pipeline artifact (the staged-executor tentpole's
-/// design targets, enforced by [`evaluate_pipeline`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PipelineGateConfig {
-    /// Staged-over-lockstep throughput floor under the standard faulted
-    /// workload.
-    pub speedup_floor: f64,
-    /// Ceiling on `staged p99 / lockstep sustained p99` — the staged
-    /// sensor-to-photon tail must be no worse than the lockstep loop's
-    /// under the same sustained capture timeline.
-    pub p99_ratio_ceiling: f64,
-}
-
-impl Default for PipelineGateConfig {
-    fn default() -> Self {
-        PipelineGateConfig { speedup_floor: 1.15, p99_ratio_ceiling: 1.0 }
-    }
-}
-
-/// Numeric fields every `BENCH_pipeline.json` `staged` block must carry.
-const PIPELINE_STAGED_FIELDS: [&str; 8] = [
-    "throughput_fps",
-    "mean_latency_s",
-    "latency_p50_s",
-    "latency_p99_s",
-    "fresh_frames",
-    "stale_frames",
-    "compute_drops",
-    "present_drops",
-];
-
-/// Evaluates the pipeline gate over the text of a `BENCH_pipeline.json`
-/// artifact: schema, the bit-identity invariant across worker counts, the
-/// no-silent-gap invariant (every frame presents, fresh or stale), and the
-/// speedup / p99 floors. The executor runs on virtual time, so all of
-/// these hold on any host.
-///
-/// # Errors
-///
-/// Returns a message when the artifact is unparseable or not a pipeline
-/// bench — CI should treat that exactly like a failed gate.
-pub fn evaluate_pipeline(
-    json_text: &str,
-    cfg: &PipelineGateConfig,
-) -> Result<GateOutcome, String> {
-    let doc = jsonlite::parse(json_text).map_err(|e| e.to_string())?;
-    if doc.get("bench").and_then(Json::as_str) != Some("pipeline") {
-        return Err("artifact is not a pipeline bench (missing \"bench\": \"pipeline\")".into());
-    }
-    let staged = doc.get("staged").ok_or("missing \"staged\" block")?;
-    let lockstep = doc.get("lockstep").ok_or("missing \"lockstep\" block")?;
-
-    let mut failures = Vec::new();
-    let mut report = String::new();
-    let mut check = |line: String, failed: bool| {
-        report.push_str(if failed { "FAIL " } else { "pass " });
-        report.push_str(&line);
-        report.push('\n');
-        if failed {
-            failures.push(line);
-        }
+        None => (f64::NAN, op.to_string()),
     };
-
-    for field in PIPELINE_STAGED_FIELDS {
-        if staged.get(field).and_then(Json::as_f64).is_none() {
-            check(format!("staged block missing numeric \"{field}\""), true);
-        }
-    }
-    for field in ["throughput_fps", "latency_p99_s", "sustained_p99_s"] {
-        if lockstep.get(field).and_then(Json::as_f64).is_none() {
-            check(format!("lockstep block missing numeric \"{field}\""), true);
-        }
-    }
-
-    let bit_identical = match doc.get("bit_identical") {
-        Some(Json::Bool(b)) => *b,
-        _ => return Err("missing boolean \"bit_identical\"".into()),
-    };
-    check(
-        format!("staged report bit-identical across worker counts = {bit_identical}"),
-        !bit_identical,
-    );
-
-    // No silent gaps: every ingested frame presents, fresh or stale.
-    let num = |node: &Json, field: &str| node.get(field).and_then(Json::as_f64);
-    let frames = doc.get("frames").and_then(Json::as_f64).unwrap_or(f64::NAN);
-    let presented = num(staged, "fresh_frames").unwrap_or(f64::NAN)
-        + num(staged, "stale_frames").unwrap_or(f64::NAN);
-    check(
-        format!("presented frames {presented:.0} == ingested frames {frames:.0}"),
-        presented.is_nan() || frames.is_nan() || presented != frames,
-    );
-
-    let speedup = doc.get("speedup").and_then(Json::as_f64).unwrap_or(f64::NAN);
-    check(
-        format!("staged-over-lockstep speedup {speedup:.2}x >= {:.2}x", cfg.speedup_floor),
-        speedup.is_nan() || speedup < cfg.speedup_floor,
-    );
-    let ratio = doc.get("p99_ratio").and_then(Json::as_f64).unwrap_or(f64::NAN);
-    check(
-        format!(
-            "sustained p99 ratio (staged / lockstep) {ratio:.3} <= {:.3}",
-            cfg.p99_ratio_ceiling
-        ),
-        ratio.is_nan() || ratio > cfg.p99_ratio_ceiling,
-    );
-
-    Ok(GateOutcome { failures, report })
-}
-
-/// Floors for the fleet artifact (the K-device serving tentpole's design
-/// targets, enforced by [`evaluate_fleet`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetGateConfig {
-    /// Weak-scaling floor per device: the gated sweep row's aggregate
-    /// throughput must reach `scaling_per_device × devices` times the
-    /// 1-device row.
-    pub scaling_per_device: f64,
-    /// Which sweep row the scaling floor gates (device count).
-    pub scaling_devices: f64,
-    /// Deadline-hit-rate floor for the whole kill scenario — survival
-    /// through a mid-run device death, migrations included.
-    pub kill_hit_floor: f64,
-}
-
-impl Default for FleetGateConfig {
-    fn default() -> Self {
-        FleetGateConfig { scaling_per_device: 0.8, scaling_devices: 4.0, kill_hit_floor: 0.90 }
-    }
-}
-
-/// Numeric fields every `BENCH_fleet.json` sweep row must carry.
-const FLEET_ROW_FIELDS: [&str; 9] = [
-    "devices",
-    "offered",
-    "admitted",
-    "aggregate_fps",
-    "scaling",
-    "hit_rate",
-    "latency_p50_s",
-    "latency_p99_s",
-    "migrations",
-];
-
-/// Evaluates the fleet gate over the text of a `BENCH_fleet.json`
-/// artifact: schema (every sweep row complete, kill block present), the
-/// weak-scaling floor at the gated device count, and kill survival — the
-/// kill scenario must actually migrate sessions (otherwise the device died
-/// hosting nobody and proved nothing) while keeping the deadline-hit rate
-/// above the floor. Virtual-time model: holds on any host.
-///
-/// # Errors
-///
-/// Returns a message when the artifact is unparseable or not a fleet
-/// bench — CI should treat that exactly like a failed gate.
-pub fn evaluate_fleet(json_text: &str, cfg: &FleetGateConfig) -> Result<GateOutcome, String> {
-    let doc = jsonlite::parse(json_text).map_err(|e| e.to_string())?;
-    if doc.get("bench").and_then(Json::as_str) != Some("fleet") {
-        return Err("artifact is not a fleet bench (missing \"bench\": \"fleet\")".into());
-    }
-    let rows = doc.get("sweep").and_then(Json::as_array).ok_or("missing \"sweep\" array")?;
-    if rows.is_empty() {
-        return Err("fleet sweep is empty".into());
-    }
-    let kill = doc.get("kill").ok_or("missing \"kill\" block")?;
-
-    let mut failures = Vec::new();
-    let mut report = String::new();
-    let mut check = |line: String, failed: bool| {
-        report.push_str(if failed { "FAIL " } else { "pass " });
-        report.push_str(&line);
-        report.push('\n');
-        if failed {
-            failures.push(line);
-        }
-    };
-
-    let mut gated: Option<&Json> = None;
-    for (i, row) in rows.iter().enumerate() {
-        for field in FLEET_ROW_FIELDS {
-            if row.get(field).and_then(Json::as_f64).is_none() {
-                check(format!("sweep row {i} missing numeric \"{field}\""), true);
-            }
-        }
-        if row.get("devices").and_then(Json::as_f64) == Some(cfg.scaling_devices) {
-            gated = Some(row);
-        }
-    }
-    check(format!("sweep carries {} row(s) with a complete schema", rows.len()), false);
-
-    match gated {
-        Some(row) => {
-            let scaling = row.get("scaling").and_then(Json::as_f64).unwrap_or(f64::NAN);
-            let floor = cfg.scaling_per_device * cfg.scaling_devices;
-            // NaN must fail the floor, spelled NaN-explicitly.
-            check(
-                format!(
-                    "{}-device aggregate-throughput scaling {scaling:.2}x >= {floor:.2}x \
-                     ({:.2} per device)",
-                    cfg.scaling_devices, cfg.scaling_per_device
-                ),
-                scaling.is_nan() || scaling < floor,
-            );
-        }
-        None => check(
-            format!("missing the {}-device scaling row", cfg.scaling_devices),
-            true,
-        ),
-    }
-
-    let num = |field: &str| kill.get(field).and_then(Json::as_f64).unwrap_or(f64::NAN);
-    let hit = num("hit_rate");
-    check(
-        format!("kill-scenario deadline-hit rate {hit:.3} >= {:.3}", cfg.kill_hit_floor),
-        hit.is_nan() || hit < cfg.kill_hit_floor,
-    );
-    let kill_migrations = num("kill_migrations");
-    check(
-        format!("kill scenario exercised live migration ({kill_migrations:.0} kill-forced)"),
-        kill_migrations.is_nan() || kill_migrations < 1.0,
-    );
-
-    Ok(GateOutcome { failures, report })
-}
-
-fn find<'a>(cells: &'a [Cell], label: &str, workers: usize, precision: &str) -> Option<&'a Cell> {
-    cells
-        .iter()
-        .find(|c| c.label == label && c.workers == workers && c.precision == precision)
-}
-
-fn parse_cells(doc: &Json) -> Result<Vec<Cell>, String> {
-    let raw = doc.get("cells").and_then(Json::as_array).ok_or("missing \"cells\" array")?;
-    let mut cells = Vec::with_capacity(raw.len());
-    for (i, item) in raw.iter().enumerate() {
-        let field = |key: &str| format!("cell {i} missing \"{key}\"");
-        cells.push(Cell {
-            label: item
-                .get("label")
-                .and_then(Json::as_str)
-                .ok_or_else(|| field("label"))?
-                .to_string(),
-            workers: item.get("workers").and_then(Json::as_f64).ok_or_else(|| field("workers"))?
-                as usize,
-            precision: item
-                .get("precision")
-                .and_then(Json::as_str)
-                .ok_or_else(|| field("precision"))?
-                .to_string(),
-            speedup: item.get("speedup").and_then(Json::as_f64).ok_or_else(|| field("speedup"))?,
-            bit_identical: match item.get("bit_identical") {
-                Some(Json::Bool(b)) => *b,
-                _ => return Err(field("bit_identical")),
+    for (i, v) in values.iter().enumerate() {
+        let x = v.as_f64().unwrap_or(f64::NAN);
+        let holds = match cmp {
+            Ge(_) => x >= bound,
+            Gt(_) => x > bound,
+            Le(_) => x <= bound,
+            Eq(_) => x == bound,
+            IsTrue => matches!(v, Json::Bool(true)),
+            NonEmpty => match v {
+                Json::String(s) => !s.is_empty(),
+                Json::Array(a) => !a.is_empty(),
+                Json::Object(o) => !o.is_empty(),
+                _ => false,
             },
-        });
+            Number => v.as_f64().is_some(),
+        };
+        if !holds {
+            let at = if values.len() > 1 { format!(" #{i}") } else { String::new() };
+            return Err(format!("{lhs}{at} = {}, want {want}", show(v)));
+        }
     }
-    Ok(cells)
+    Ok(match values.as_slice() {
+        [v] => format!("{lhs} = {} {want}", show(v)),
+        many => format!("{lhs}: {} value(s) {want}", many.len()),
+    })
 }
 
-/// CLI driver for `repro perf-gate [FILE] [--serve FILE] [--pipeline FILE]
-/// [--fleet FILE] [--f32-floor X] [--par-floor Y] [--min-workers N]`: gates
-/// the parallel artifact (the positional path), the serve artifact
-/// (`--serve`), the staged-pipeline artifact (`--pipeline`), and/or the
-/// fleet artifact (`--fleet`), prints the reports and returns the process
-/// exit code. At least one artifact is required.
+/// Evaluates a left side — a path, `len(…)`, `max(…)` or a `+` sum — into
+/// the values it selects.
+fn resolve(doc: &Json, expr: &str) -> Result<Vec<Json>, String> {
+    if expr.contains(" + ") {
+        let sum = expr.split(" + ").map(|term| single(doc, term)).sum::<Result<f64, _>>()?;
+        return Ok(vec![Json::Number(sum)]);
+    }
+    if let Some(inner) = expr.strip_prefix("len(").and_then(|e| e.strip_suffix(')')) {
+        return Ok(vec![Json::Number(select(doc, inner)?.len() as f64)]);
+    }
+    if let Some(inner) = expr.strip_prefix("max(").and_then(|e| e.strip_suffix(')')) {
+        let numbers = select(doc, inner)?.into_iter().filter_map(Json::as_f64);
+        let best = numbers.fold(f64::NEG_INFINITY, f64::max);
+        return Ok(vec![Json::Number(best)]);
+    }
+    Ok(select(doc, expr)?.into_iter().cloned().collect())
+}
+
+/// A left side that must select exactly one number.
+fn single(doc: &Json, expr: &str) -> Result<f64, String> {
+    match resolve(doc, expr)?.as_slice() {
+        [v] => v.as_f64().ok_or_else(|| format!("{expr} = {}, not a number", show(v))),
+        many => Err(format!("{expr} selects {} values, want one", many.len())),
+    }
+}
+
+/// Walks a dotted path with `[*]` / `[k=v]` selectors from the root.
+fn select<'a>(doc: &'a Json, path: &str) -> Result<Vec<&'a Json>, String> {
+    let mut nodes = vec![doc];
+    for segment in path.split('.') {
+        let (key, selectors) = segment.split_once('[').unwrap_or((segment, ""));
+        nodes = nodes
+            .into_iter()
+            .map(|n| n.get(key).ok_or_else(|| format!("missing key \"{key}\"")))
+            .collect::<Result<_, _>>()?;
+        if selectors.is_empty() {
+            continue;
+        }
+        // Selectors step into the array's elements, then each one filters.
+        let arrays = nodes
+            .into_iter()
+            .map(|n| n.as_array().ok_or_else(|| format!("\"{key}\" is not an array")))
+            .collect::<Result<Vec<_>, _>>()?;
+        nodes = arrays.into_iter().flatten().collect();
+        for selector in selectors.trim_end_matches(']').split("][") {
+            nodes.retain(|item| selects(item, selector));
+            if nodes.is_empty() && selector != "*" {
+                return Err(format!("no \"{key}\" element matches [{selector}]"));
+            }
+        }
+    }
+    Ok(nodes)
+}
+
+/// Whether an array element passes a `*` or `k=v` selector.
+fn selects(item: &Json, selector: &str) -> bool {
+    let Some((key, want)) = selector.split_once('=') else {
+        return selector == "*";
+    };
+    match item.get(key) {
+        Some(Json::Number(n)) => want.parse::<f64>().is_ok_and(|w| w == *n),
+        Some(Json::String(s)) => s == want,
+        _ => false,
+    }
+}
+
+/// Short rendering of a selected value for report lines (numbers rounded
+/// to six decimals).
+fn show(v: &Json) -> String {
+    match v {
+        Json::Number(n) => format!("{}", (n * 1e6).round() / 1e6),
+        Json::Array(a) => format!("[{} element(s)]", a.len()),
+        other => other.render(),
+    }
+}
+
+/// CLI driver for `repro perf-gate FILE...`: gates each artifact by its own
+/// `"bench"` kind, prints the reports and returns the worst exit code.
 pub fn cli(args: &[String]) -> i32 {
-    let mut cfg = GateConfig::default();
-    let serve_cfg = ServeGateConfig::default();
-    let pipeline_cfg = PipelineGateConfig::default();
-    let fleet_cfg = FleetGateConfig::default();
-    let mut path: Option<&str> = None;
-    let mut serve_path: Option<&str> = None;
-    let mut pipeline_path: Option<&str> = None;
-    let mut fleet_path: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--f32-floor" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.f32_floor = v,
-                None => return usage("--f32-floor requires a number"),
-            },
-            "--par-floor" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.par_floor = v,
-                None => return usage("--par-floor requires a number"),
-            },
-            "--min-workers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.min_host_workers = v,
-                None => return usage("--min-workers requires an integer"),
-            },
-            "--serve" => match it.next() {
-                Some(v) => serve_path = Some(v.as_str()),
-                None => return usage("--serve requires an artifact path"),
-            },
-            "--pipeline" => match it.next() {
-                Some(v) => pipeline_path = Some(v.as_str()),
-                None => return usage("--pipeline requires an artifact path"),
-            },
-            "--fleet" => match it.next() {
-                Some(v) => fleet_path = Some(v.as_str()),
-                None => return usage("--fleet requires an artifact path"),
-            },
-            other if path.is_none() && !other.starts_with('-') => path = Some(other),
-            other => return usage(&format!("unknown argument {other}")),
-        }
+    match args.iter().find(|a| a.starts_with('-')) {
+        Some(flag) => usage(&format!("unknown argument {flag}")),
+        None if args.is_empty() => usage("missing artifact path"),
+        None => args.iter().map(|path| run_gate(path)).max().unwrap_or(2),
     }
-    if path.is_none() && serve_path.is_none() && pipeline_path.is_none() && fleet_path.is_none()
-    {
-        return usage("missing artifact path");
-    }
-    let mut code = 0;
-    if let Some(path) = path {
-        code = code.max(run_gate(path, |text| evaluate(text, &cfg)));
-    }
-    if let Some(path) = serve_path {
-        code = code.max(run_gate(path, |text| evaluate_serve(text, &serve_cfg)));
-    }
-    if let Some(path) = pipeline_path {
-        code = code.max(run_gate(path, |text| evaluate_pipeline(text, &pipeline_cfg)));
-    }
-    if let Some(path) = fleet_path {
-        code = code.max(run_gate(path, |text| evaluate_fleet(text, &fleet_cfg)));
-    }
-    code
 }
 
-/// Reads one artifact, runs `gate` over it, prints the outcome, and maps
-/// it to an exit code (0 pass, 1 gate failure, 2 unreadable/unparseable).
-fn run_gate<F>(path: &str, gate: F) -> i32
-where
-    F: FnOnce(&str) -> Result<GateOutcome, String>,
-{
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("perf-gate: cannot read {path}: {e}");
-            return 2;
+/// Reads one artifact, gates it, prints the outcome, and maps it to an exit
+/// code (0 pass, 1 gate failure, 2 unreadable/unparseable).
+fn run_gate(path: &str) -> i32 {
+    let gated = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| evaluate(&text).map_err(|e| format!("{path}: {e}")));
+    match gated {
+        Ok(outcome) if outcome.pass() => {
+            println!("{}perf-gate: PASS ({path})", outcome.report);
+            0
         }
-    };
-    match gate(&text) {
         Ok(outcome) => {
             print!("{}", outcome.report);
-            if outcome.pass() {
-                println!("perf-gate: PASS ({path})");
-                0
-            } else {
-                println!(
-                    "perf-gate: FAIL ({path}, {} violation(s))",
-                    outcome.failures.len()
-                );
-                1
-            }
+            println!("perf-gate: FAIL ({path}, {} violation(s))", outcome.failures.len());
+            1
         }
         Err(e) => {
-            eprintln!("perf-gate: {path}: {e}");
+            eprintln!("perf-gate: {e}");
             2
         }
     }
 }
 
 fn usage(msg: &str) -> i32 {
-    eprintln!(
-        "perf-gate: {msg}\nusage: repro perf-gate [FILE] [--serve FILE] [--pipeline FILE] \
-         [--fleet FILE] [--f32-floor X] [--par-floor Y] [--min-workers N]"
-    );
+    eprintln!("perf-gate: {msg}\nusage: repro perf-gate FILE...");
     2
 }
 
@@ -663,11 +396,28 @@ fn usage(msg: &str) -> i32 {
 mod tests {
     use super::*;
 
+    const WORKERS: [usize; 3] = [1, 2, 7];
+    const PRECISIONS: [&str; 2] = ["f64", "f32"];
+
+    fn run(json: &str) -> GateOutcome {
+        evaluate(json).expect("artifact must parse and name a known bench kind")
+    }
+
+    fn fails_on(json: &str, needle: &str) {
+        let outcome = run(json);
+        assert!(!outcome.pass(), "expected failure for {needle}");
+        assert!(
+            outcome.failures.iter().any(|f| f.contains(needle)),
+            "missing {needle} failure: {}",
+            outcome.report
+        );
+    }
+
     fn artifact(host_workers: usize, gsw7: f64, f32_one: f64, identical: bool) -> String {
         let mut cells = String::new();
         for label in ["fft2d 128x128", "fft2d 256x256", "gsw 48x48 8 planes"] {
-            for workers in REQUIRED_WORKERS {
-                for precision in REQUIRED_PRECISIONS {
+            for workers in WORKERS {
+                for precision in PRECISIONS {
                     let speedup = if label == "gsw 48x48 8 planes" && workers == 7 {
                         gsw7
                     } else if precision == "f32" && workers == 1 {
@@ -694,8 +444,7 @@ mod tests {
 
     #[test]
     fn healthy_artifact_on_a_big_host_passes() {
-        let outcome =
-            evaluate(&artifact(8, 3.0, 1.4, true), &GateConfig::default()).unwrap();
+        let outcome = run(&artifact(8, 3.0, 1.4, true));
         assert!(outcome.pass(), "{}", outcome.report);
         assert!(outcome.report.contains("parallel gsw at 7 workers"));
     }
@@ -704,42 +453,30 @@ mod tests {
     fn single_core_hosts_skip_the_speedup_floors() {
         // Speedups of 1.0 would fail the floors, but a 1-worker host skips
         // them — only the hard invariants apply.
-        let outcome =
-            evaluate(&artifact(1, 0.9, 0.9, true), &GateConfig::default()).unwrap();
+        let outcome = run(&artifact(1, 0.9, 0.9, true));
         assert!(outcome.pass(), "{}", outcome.report);
         assert!(outcome.report.contains("SKIPPED speedup floors"));
     }
 
     #[test]
     fn slow_parallel_gsw_fails_on_a_big_host() {
-        let outcome =
-            evaluate(&artifact(8, 1.1, 1.4, true), &GateConfig::default()).unwrap();
-        assert!(!outcome.pass());
-        assert!(outcome.failures.iter().any(|f| f.contains("parallel gsw")));
+        fails_on(&artifact(8, 1.1, 1.4, true), "parallel gsw");
     }
 
     #[test]
     fn slow_f32_fails_on_a_big_host() {
-        let outcome =
-            evaluate(&artifact(8, 3.0, 0.8, true), &GateConfig::default()).unwrap();
-        assert!(!outcome.pass());
-        assert!(outcome.failures.iter().any(|f| f.contains("f32 single-thread")));
+        fails_on(&artifact(8, 3.0, 0.8, true), "f32 single-thread");
     }
 
     #[test]
     fn broken_bit_identity_fails_everywhere() {
-        let outcome =
-            evaluate(&artifact(1, 3.0, 1.4, false), &GateConfig::default()).unwrap();
-        assert!(!outcome.pass());
-        assert!(outcome.failures.iter().any(|f| f.contains("bit-identical")));
+        fails_on(&artifact(1, 3.0, 1.4, false), "bit-identical");
     }
 
     #[test]
     fn failed_quality_gate_fails_everywhere() {
         let json = artifact(1, 3.0, 1.4, true).replace("\"pass\": true", "\"pass\": false");
-        let outcome = evaluate(&json, &GateConfig::default()).unwrap();
-        assert!(!outcome.pass());
-        assert!(outcome.failures.iter().any(|f| f.contains("quality gate")));
+        fails_on(&json, "quality gate");
     }
 
     #[test]
@@ -749,17 +486,14 @@ mod tests {
              \"cells\": [{\"label\": \"gsw 48x48 8 planes\", \"workers\": 1, \
              \"precision\": \"f64\", \"serial_ms\": 1.0, \"parallel_ms\": 1.0, \
              \"speedup\": 1.0, \"bit_identical\": true}]}";
-        let outcome = evaluate(thin, &GateConfig::default()).unwrap();
-        assert!(!outcome.pass());
-        assert!(outcome.failures.iter().any(|f| f.contains("missing cell")));
+        fails_on(thin, "missing cell");
     }
 
     #[test]
     fn real_artifact_round_trips_through_the_gate() {
         // The actual generator output must always clear the hard
         // invariants, whatever this host's speedups look like.
-        let json = crate::experiments::parallel_bench_json();
-        let outcome = evaluate(&json, &GateConfig::default()).unwrap();
+        let outcome = run(&crate::experiments::parallel_bench_json());
         for failure in &outcome.failures {
             assert!(
                 failure.contains("single-thread") || failure.contains("parallel gsw"),
@@ -770,12 +504,31 @@ mod tests {
 
     #[test]
     fn garbage_artifacts_are_errors_not_passes() {
-        assert!(evaluate("not json", &GateConfig::default()).is_err());
-        assert!(evaluate("{}", &GateConfig::default()).is_err());
-        assert!(
-            evaluate("{\"bench\": \"serve\"}", &GateConfig::default()).is_err(),
-            "wrong bench kind must not pass"
-        );
+        assert!(evaluate("not json").is_err());
+        assert!(evaluate("{}").is_err(), "an artifact must name its bench kind");
+        assert!(evaluate("{\"bench\": \"nope\"}").is_err(), "unknown bench kinds are errors");
+        // A kind with rows but none of the fields fails every row.
+        let outcome = run("{\"bench\": \"serve\"}");
+        assert!(!outcome.pass(), "an empty serve artifact must not pass");
+        for floor in FLOORS.iter().filter(|f| f.bench == "serve") {
+            assert!(
+                outcome.failures.iter().any(|f| f.starts_with(floor.metric)),
+                "{} did not fail: {}",
+                floor.metric,
+                outcome.report
+            );
+        }
+    }
+
+    #[test]
+    fn checked_in_parallel_artifact_clears_the_gate() {
+        // `BENCH_parallel.json` was recorded on a 1-worker host: every hard
+        // invariant passes and the three host timing floors are skipped on
+        // a single SKIPPED line.
+        let outcome = run(include_str!("../../../BENCH_parallel.json"));
+        assert!(outcome.pass(), "{}", outcome.report);
+        assert_eq!(outcome.report.matches("SKIPPED").count(), 1, "{}", outcome.report);
+        assert!(!outcome.report.contains("pass f32 single-thread"), "{}", outcome.report);
     }
 
     fn serve_artifact(speedup: f64, hit: f64, gap: f64) -> String {
@@ -800,8 +553,7 @@ mod tests {
 
     #[test]
     fn healthy_serve_artifact_passes() {
-        let outcome =
-            evaluate_serve(&serve_artifact(2.1, 0.99, 0.2), &ServeGateConfig::default()).unwrap();
+        let outcome = run(&serve_artifact(2.1, 0.99, 0.2));
         assert!(outcome.pass(), "{}", outcome.report);
         assert!(outcome.report.contains("8-session speedup"));
     }
@@ -813,34 +565,23 @@ mod tests {
             (2.1, 0.80, 0.2, "deadline-hit"),
             (2.1, 0.99, 1.5, "PSNR gap"),
         ] {
-            let outcome =
-                evaluate_serve(&serve_artifact(s, h, g), &ServeGateConfig::default()).unwrap();
-            assert!(!outcome.pass(), "expected failure for {needle}");
-            assert!(
-                outcome.failures.iter().any(|f| f.contains(needle)),
-                "missing {needle} failure: {}",
-                outcome.report
-            );
+            fails_on(&serve_artifact(s, h, g), needle);
         }
     }
 
     #[test]
     fn serve_artifact_without_the_acceptance_row_fails() {
         let json = serve_artifact(2.1, 0.99, 0.2).replace("\"sessions\": 8", "\"sessions\": 9");
-        let outcome = evaluate_serve(&json, &ServeGateConfig::default()).unwrap();
-        assert!(!outcome.pass());
-        assert!(outcome.failures.iter().any(|f| f.contains("8-session acceptance row")));
+        fails_on(&json, "8-session acceptance row");
     }
 
     #[test]
     fn serve_schema_holes_are_reported() {
         let json = serve_artifact(2.1, 0.99, 0.2).replace("\"launches_saved\": 50, ", "");
-        let outcome = evaluate_serve(&json, &ServeGateConfig::default()).unwrap();
-        assert!(!outcome.pass());
-        assert!(outcome.failures.iter().any(|f| f.contains("launches_saved")));
+        fails_on(&json, "launches_saved");
         assert!(
-            evaluate_serve("{\"bench\": \"parallel\"}", &ServeGateConfig::default()).is_err(),
-            "wrong bench kind must not pass"
+            !run("{\"bench\": \"serve\", \"sweep\": []}").pass(),
+            "an empty sweep must not pass"
         );
     }
 
@@ -853,8 +594,7 @@ mod tests {
             seed: 42,
             sessions: Some(8),
         };
-        let json = crate::experiments::serve_bench_json(&cfg);
-        let outcome = evaluate_serve(&json, &ServeGateConfig::default()).unwrap();
+        let outcome = run(&crate::experiments::serve_bench_json(&cfg));
         assert!(outcome.pass(), "{}", outcome.report);
     }
 
@@ -878,11 +618,7 @@ mod tests {
 
     #[test]
     fn healthy_pipeline_artifact_passes() {
-        let outcome = evaluate_pipeline(
-            &pipeline_artifact(1.35, 0.055, true, 3),
-            &PipelineGateConfig::default(),
-        )
-        .unwrap();
+        let outcome = run(&pipeline_artifact(1.35, 0.055, true, 3));
         assert!(outcome.pass(), "{}", outcome.report);
         assert!(outcome.report.contains("speedup"));
     }
@@ -894,17 +630,7 @@ mod tests {
             (1.35, 1.2, true, "p99 ratio"),
             (1.35, 0.055, false, "bit-identical"),
         ] {
-            let outcome = evaluate_pipeline(
-                &pipeline_artifact(s, r, identical, 0),
-                &PipelineGateConfig::default(),
-            )
-            .unwrap();
-            assert!(!outcome.pass(), "expected failure for {needle}");
-            assert!(
-                outcome.failures.iter().any(|f| f.contains(needle)),
-                "missing {needle} failure: {}",
-                outcome.report
-            );
+            fails_on(&pipeline_artifact(s, r, identical, 0), needle);
         }
     }
 
@@ -914,39 +640,32 @@ mod tests {
         // vanished without even a stale reprojection.
         let json = pipeline_artifact(1.35, 0.055, true, 0)
             .replace("\"fresh_frames\": 150", "\"fresh_frames\": 149");
-        let outcome = evaluate_pipeline(&json, &PipelineGateConfig::default()).unwrap();
-        assert!(!outcome.pass());
-        assert!(outcome.failures.iter().any(|f| f.contains("presented frames")));
+        fails_on(&json, "presented frames");
     }
 
     #[test]
     fn pipeline_schema_holes_are_reported() {
         let json =
             pipeline_artifact(1.35, 0.055, true, 0).replace("\"compute_drops\": 0, ", "");
-        let outcome = evaluate_pipeline(&json, &PipelineGateConfig::default()).unwrap();
-        assert!(!outcome.pass());
-        assert!(outcome.failures.iter().any(|f| f.contains("compute_drops")));
-        assert!(
-            evaluate_pipeline("{\"bench\": \"serve\"}", &PipelineGateConfig::default()).is_err(),
-            "wrong bench kind must not pass"
-        );
+        fails_on(&json, "compute_drops");
+        let empty = run("{\"bench\": \"pipeline\"}");
+        assert!(!empty.pass(), "an empty pipeline artifact must not pass");
     }
 
     #[test]
     fn generated_pipeline_artifact_round_trips_through_the_gate() {
         let cfg = crate::experiments::ExperimentConfig { frames: 30, seed: 42, sessions: None };
-        let json = crate::experiments::pipeline_bench_json(&cfg);
-        let outcome = evaluate_pipeline(&json, &PipelineGateConfig::default()).unwrap();
+        let outcome = run(&crate::experiments::pipeline_bench_json(&cfg));
         assert!(outcome.pass(), "{}", outcome.report);
     }
 
     #[test]
     fn checked_in_pipeline_artifact_clears_the_gate() {
         // `BENCH_pipeline.json` at the repo root is regenerated by `repro
-        // pipeline --bench-json BENCH_pipeline.json`; stale or hand-edited
-        // copies must not sneak past the floors.
+        // pipeline --json BENCH_pipeline.json`; stale or hand-edited copies
+        // must not sneak past the floors.
         let json = include_str!("../../../BENCH_pipeline.json");
-        let outcome = evaluate_pipeline(json, &PipelineGateConfig::default()).unwrap();
+        let outcome = run(json);
         assert!(outcome.pass(), "{}", outcome.report);
         // And it must match what this tree generates at the recorded
         // budget — a byte-level drift check against the generator.
@@ -955,7 +674,7 @@ mod tests {
             json,
             crate::experiments::pipeline_bench_json(&cfg),
             "BENCH_pipeline.json is stale; regenerate with \
-             `repro pipeline --bench-json BENCH_pipeline.json`"
+             `repro pipeline --json BENCH_pipeline.json`"
         );
     }
 
@@ -992,8 +711,7 @@ mod tests {
 
     #[test]
     fn healthy_fleet_artifact_passes() {
-        let outcome =
-            evaluate_fleet(&fleet_artifact(3.9, 0.93, 9), &FleetGateConfig::default()).unwrap();
+        let outcome = run(&fleet_artifact(3.9, 0.93, 9));
         assert!(outcome.pass(), "{}", outcome.report);
         assert!(outcome.report.contains("4-device aggregate-throughput scaling"));
         assert!(outcome.report.contains("kill-scenario deadline-hit"));
@@ -1006,39 +724,23 @@ mod tests {
             (3.9, 0.85, 9, "deadline-hit"),
             (3.9, 0.93, 0, "live migration"),
         ] {
-            let outcome = evaluate_fleet(
-                &fleet_artifact(scaling, hit, migrations),
-                &FleetGateConfig::default(),
-            )
-            .unwrap();
-            assert!(!outcome.pass(), "expected failure for {needle}");
-            assert!(
-                outcome.failures.iter().any(|f| f.contains(needle)),
-                "missing {needle} failure: {}",
-                outcome.report
-            );
+            fails_on(&fleet_artifact(scaling, hit, migrations), needle);
         }
     }
 
     #[test]
     fn fleet_schema_holes_are_reported() {
         let json = fleet_artifact(3.9, 0.93, 9).replace("\"hit_rate\": 0.97, ", "");
-        let outcome = evaluate_fleet(&json, &FleetGateConfig::default()).unwrap();
-        assert!(!outcome.pass());
-        assert!(outcome.failures.iter().any(|f| f.contains("hit_rate")));
-        assert!(
-            evaluate_fleet("{\"bench\": \"serve\"}", &FleetGateConfig::default()).is_err(),
-            "wrong bench kind must not pass"
-        );
+        fails_on(&json, "hit_rate");
+        assert!(!run("{\"bench\": \"fleet\"}").pass(), "an empty fleet artifact must not pass");
         let no_kill = fleet_artifact(3.9, 0.93, 9).replace("\"kill\":", "\"killed\":");
-        assert!(evaluate_fleet(&no_kill, &FleetGateConfig::default()).is_err());
+        fails_on(&no_kill, "missing key \"kill\"");
     }
 
     #[test]
     fn generated_fleet_artifact_round_trips_through_the_gate() {
         let cfg = crate::experiments::ExperimentConfig::default();
-        let json = crate::experiments::fleet_bench_json(&cfg);
-        let outcome = evaluate_fleet(&json, &FleetGateConfig::default()).unwrap();
+        let outcome = run(&crate::experiments::fleet_bench_json(&cfg));
         assert!(outcome.pass(), "{}", outcome.report);
     }
 
@@ -1048,7 +750,7 @@ mod tests {
         // fleet --json BENCH_fleet.json`; stale or hand-edited copies must
         // not sneak past the floors.
         let json = include_str!("../../../BENCH_fleet.json");
-        let outcome = evaluate_fleet(json, &FleetGateConfig::default()).unwrap();
+        let outcome = run(json);
         assert!(outcome.pass(), "{}", outcome.report);
         // And it must match what this tree generates at the recorded
         // budget — a byte-level drift check against the generator.
@@ -1063,10 +765,78 @@ mod tests {
     #[test]
     fn checked_in_serve_artifact_clears_the_gate() {
         // `BENCH_serve.json` at the repo root is regenerated by `repro
-        // serve --frames 120 --serve-json BENCH_serve.json`; stale or
-        // hand-edited copies must not sneak past the floors.
-        let json = include_str!("../../../BENCH_serve.json");
-        let outcome = evaluate_serve(json, &ServeGateConfig::default()).unwrap();
+        // serve --frames 120 --json BENCH_serve.json`; stale or hand-edited
+        // copies must not sneak past the floors.
+        let outcome = run(include_str!("../../../BENCH_serve.json"));
         assert!(outcome.pass(), "{}", outcome.report);
+    }
+
+    const SLO: &str = include_str!("../../../BENCH_slo.json");
+
+    #[test]
+    fn checked_in_slo_artifact_clears_the_gate() {
+        // `BENCH_slo.json` at the repo root is regenerated by `repro slo
+        // --sessions 8 --json BENCH_slo.json`.
+        let outcome = run(SLO);
+        assert!(outcome.pass(), "{}", outcome.report);
+        assert!(outcome.report.contains("fleet p50 <= p99"));
+    }
+
+    #[test]
+    fn slo_violations_fail() {
+        let p50 = "\"fleet\": {\"latency_p50_s\": 0.003660";
+        assert!(SLO.contains(p50), "fixture drifted; update the replacements below");
+        fails_on(&SLO.replacen(p50, "\"fleet\": {\"latency_p50_s\": 0.009", 1), "p50 <= p99");
+        fails_on(&SLO.replacen(p50, "\"fleet\": {\"latency_p50_s\": 0", 1), "p50 latency");
+        let seven = SLO.replacen("\"sessions\": 8", "\"sessions\": 7", 1);
+        fails_on(&seven, "covers 8 sessions");
+        fails_on(&seven, "one SLO record per session");
+        let no_path =
+            SLO.replacen("\"critical_path\": [{", "\"critical_path\": [], \"was\": [{", 1);
+        fails_on(&no_path, "critical path");
+    }
+
+    #[test]
+    fn slo_step_downs_must_name_their_signal() {
+        // The checked-in dashboard has no step-downs, so the signal row
+        // holds vacuously there; pin its path on a step-down that exists.
+        let with = |signal: &str| {
+            SLO.replacen(
+                "\"step_downs\": []",
+                &format!("\"step_downs\": [{{\"frame\": 3, \"signal\": \"{signal}\"}}]"),
+                1,
+            )
+        };
+        assert!(run(&with("slo-fast-burn")).pass());
+        fails_on(&with(""), "SLO signal");
+    }
+
+    #[test]
+    fn every_floor_resolves_on_its_checked_in_artifact() {
+        // A mistyped path must fail here rather than pass the gate: every
+        // row's left side and path bound select something on the artifact
+        // of its kind, host timing floors included.
+        let artifacts = [
+            ("parallel", include_str!("../../../BENCH_parallel.json")),
+            ("serve", include_str!("../../../BENCH_serve.json")),
+            ("pipeline", include_str!("../../../BENCH_pipeline.json")),
+            ("fleet", include_str!("../../../BENCH_fleet.json")),
+            ("slo", SLO),
+        ];
+        for floor in FLOORS {
+            let (_, text) = artifacts
+                .iter()
+                .find(|(kind, _)| *kind == floor.bench)
+                .unwrap_or_else(|| panic!("no checked-in artifact for {}", floor.bench));
+            let doc = jsonlite::parse(text).unwrap();
+            for lhs in expand(floor.lhs) {
+                if let Err(e) = resolve(&doc, &lhs) {
+                    panic!("{} ({lhs}) does not resolve: {e}", floor.metric);
+                }
+            }
+            if let Ge(Path(p)) | Gt(Path(p)) | Le(Path(p)) | Eq(Path(p)) = floor.cmp {
+                single(&doc, p).unwrap_or_else(|e| panic!("{} bound: {e}", floor.metric));
+            }
+        }
     }
 }

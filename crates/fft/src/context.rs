@@ -15,9 +15,7 @@
 //! sessions multiplexed onto that device share plan/transfer caches and a
 //! scratch arena; a unit test passes `ExecutionContext::serial()`; a bench
 //! passes `ExecutionContext::auto()`. The old `*_with(…, &Parallelism)`
-//! twins are gone — every entry point takes a context directly, and
-//! `holoar-lint`'s `deprecated-wrapper` rule keeps the legacy names from
-//! coming back.
+//! twins are gone — every entry point takes a context directly.
 //!
 //! # Examples
 //!

@@ -95,7 +95,6 @@ pub const RULE_IDS: &[&str] = &[
     "lock-order",
     "hot-loop-alloc",
     "telemetry-discipline",
-    "deprecated-wrapper",
     "unsafe-hygiene",
 ];
 

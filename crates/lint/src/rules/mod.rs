@@ -6,7 +6,6 @@ use crate::diag::Finding;
 use crate::model::WorkspaceModel;
 use crate::source::SourceFile;
 
-pub mod deprecated_wrapper;
 pub mod determinism;
 pub mod float_determinism;
 pub mod hot_loop_alloc;
@@ -43,7 +42,6 @@ pub fn all(registry_text: &str, registry_rel: &str) -> Vec<Box<dyn Rule>> {
         Box::new(lock_order::LockOrder),
         Box::new(hot_loop_alloc::HotLoopAlloc),
         Box::new(telemetry_discipline::TelemetryDiscipline::new(registry_text, registry_rel)),
-        Box::new(deprecated_wrapper::DeprecatedWrapper),
         Box::new(unsafe_hygiene::UnsafeHygiene::default()),
     ]
 }

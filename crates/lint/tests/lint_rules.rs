@@ -132,22 +132,6 @@ fn unregistered_slo_counter_trips_telemetry_discipline() {
 }
 
 #[test]
-fn deprecated_wrapper_flags_internal_calls_only() {
-    let src = include_str!("fixtures/deprecated_wrapper.rs");
-    let report = lint_one("crates/core/src/quality.rs", src);
-    let lines = lines_for(&report, "deprecated-wrapper");
-    assert!(lines.contains(&6), "object_psnr_with call not flagged: {lines:?}");
-    assert!(lines.contains(&7), "run_with call not flagged: {lines:?}");
-    assert!(!lines.contains(&10), "the wrapper's own definition wrongly flagged");
-    assert!(!lines.contains(&15), "prefixed identifier wrongly flagged");
-    assert!(!lines.contains(&16), "suffixed identifier wrongly flagged");
-    assert!(
-        lines.iter().all(|l| *l < 20),
-        "test code may keep exercising the wrappers: {lines:?}"
-    );
-}
-
-#[test]
 fn unsafe_hygiene_wants_safety_comments() {
     let src = include_str!("fixtures/unsafe_hygiene.rs");
     let report = lint_one("src/ptr.rs", src);

@@ -246,8 +246,9 @@ pub struct FleetReport {
     pub killed: Vec<(usize, u64)>,
     /// Most sessions live at once.
     pub peak_active: u32,
-    /// Ladder transitions with reason `Migration` across all sessions —
-    /// the property tests pin this equal to `migrations`.
+    /// Ladder transitions with reason `Migration`, read off each session's
+    /// controller when it departs, is orphaned or outlives the run — an
+    /// independent record the property tests pin equal to `migrations`.
     pub migration_transitions: u64,
     /// Per-device outcomes.
     pub per_device: Vec<DeviceReport>,
@@ -401,6 +402,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
             if let Some(s) = sessions.remove(&id) {
                 devices[s.device].est_load -= s.cost;
                 devices[s.device].hosted -= 1;
+                migration_transitions += count_migration_transitions(&s.ctl);
                 holoar_telemetry::counter_add("fleet.sessions.departed", 1);
             }
         }
@@ -451,7 +453,6 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
                                 s.cost = new_cost;
                                 s.just_migrated = true;
                                 s.ctl.record_migration(tick, SIG_DEVICE_KILL);
-                                migration_transitions += 1;
                             }
                             migration_events.push(MigrationRecord {
                                 tick,
@@ -732,7 +733,6 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
                 s.cost = new_cost;
                 s.just_migrated = true;
                 s.ctl.record_migration(tick, SIG_DEVICE_OVERLOAD);
-                migration_transitions += 1;
             }
             migration_events.push(MigrationRecord {
                 tick,
@@ -751,8 +751,10 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
         holoar_telemetry::gauge_set("fleet.sessions.active", sessions.len() as f64);
     }
 
-    // Sessions alive at run end contribute their migration transitions too
-    // (migrated-then-departed sessions were counted at the migration site).
+    // Migration transitions are read off each controller once, as its
+    // session leaves the books: departures and orphans above, survivors here.
+    migration_transitions +=
+        sessions.values().map(|s| count_migration_transitions(&s.ctl)).sum::<u64>();
     let wall = config.frames as f64 * DeviceSpec::edge().budget();
     let aggregate_fps = fresh as f64 / wall.max(f64::MIN_POSITIVE);
     holoar_telemetry::gauge_set("fleet.throughput_fps", aggregate_fps);

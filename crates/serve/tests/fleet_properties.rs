@@ -121,3 +121,39 @@ fn injector_driven_kills_latch_and_force_evacuation() {
     assert!(report.kill_migrations >= 1, "latched kills must evacuate sessions");
     assert!(report.presented > 0 && report.hit_rate > 0.0);
 }
+
+#[test]
+fn fleet_books_balance_across_seeds_and_kill_rates() {
+    // Two devices under injector-driven kills, from none through
+    // all-devices-dead (p = 1 kills both in the first window). Seed 4 at
+    // p = 0.5 orphans sessions that had already migrated — the case that
+    // once charged their migrations twice.
+    let mut all_dead = 0;
+    let mut orphaned_after_migrating = false;
+    for kill_probability in [0.0, 0.25, 0.5, 1.0] {
+        for seed in 0..8u64 {
+            let mut cfg = FleetConfig::sweep(2, 12, 96, seed);
+            cfg.kill_probability = kill_probability;
+            let r = run(&cfg);
+            let at = format!("seed {seed}, p = {kill_probability}");
+            assert_eq!(r.migrations, r.migration_transitions, "{at}: migration books differ");
+            assert_eq!(r.migrations, r.kill_migrations + r.overload_migrations, "{at}");
+            assert_eq!(r.offered, r.admitted + r.rejected as usize, "{at}: sessions lost");
+            assert_eq!(
+                r.presented,
+                r.per_device.iter().map(|d| d.presented).sum::<u64>(),
+                "{at}: per-device presented does not sum"
+            );
+            assert!(r.fresh <= r.presented, "{at}: more fresh than presented frames");
+            if kill_probability == 0.0 {
+                assert!(r.killed.is_empty() && r.orphaned == 0, "{at}: kills without a kill rate");
+            }
+            if r.killed.len() == r.devices {
+                all_dead += 1;
+            }
+            orphaned_after_migrating |= r.orphaned > 0 && r.kill_migrations > 0;
+        }
+    }
+    assert!(all_dead > 0, "the grid must reach all-devices-dead");
+    assert!(orphaned_after_migrating, "the grid must orphan sessions that had migrated");
+}
