@@ -1,8 +1,8 @@
 //! Serial vs parallel GSW synthesis across a 16-plane stack — the
 //! whole-frame fan-out path (a parallel `ExecutionContext` →
-//! `propagate_planes`). Output is bit-identical either way; the bench
-//! measures the wall-clock win from propagating independent depth planes
-//! concurrently.
+//! `propagate_sum` and `propagate_batch`). Output is bit-identical either
+//! way; the bench measures the wall-clock win from propagating independent
+//! depth planes concurrently.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use holoar_optics::{gsw, ExecutionContext, GswConfig, OpticalConfig, VirtualObject};

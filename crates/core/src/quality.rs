@@ -240,8 +240,8 @@ pub fn object_psnr_coherent(
 /// algorithm — adaptive weighted Gerchberg–Saxton — at both budgets and
 /// compares the phase-only holograms' reconstructions.
 ///
-/// Resolution is reduced (GSW costs `iterations × 2 × planes` propagations
-/// per hologram). Used by tests and the supplementary experiments; the
+/// Resolution is reduced (GSW costs `iterations × (2 × planes + 2)` 2-D
+/// transforms per hologram). Used by tests and the supplementary experiments; the
 /// headline Fig 10 path uses the faster direct method.
 ///
 /// # Panics

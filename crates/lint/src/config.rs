@@ -44,7 +44,7 @@ pub const HOT_ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/fft/src/fft2d.rs", "inverse_batch"),
     ("crates/optics/src/gsw.rs", "run"),
     ("crates/optics/src/gsw.rs", "run_batch"),
-    ("crates/optics/src/propagate.rs", "propagate_planes"),
+    ("crates/optics/src/propagate.rs", "propagate_sum"),
     ("crates/gpusim/src/sm.rs", "block_cost"),
     ("crates/pipeline/src/pipelined.rs", "run_pipelined"),
     ("crates/serve/src/engine.rs", "run_serve"),

@@ -96,11 +96,11 @@ pub fn depthmap_hologram(
 ///
 /// The forward compositing walk is inherently sequential (the occlusion mask
 /// carries across planes) and cheap, so it stays serial. Back-propagations
-/// are independent and fan out over the context's worker pool; the hologram
-/// accumulation is a floating-point reduction and stays serial in stack
-/// order, so the result is bit-identical for every worker count. All
-/// counters in [`HologramStats`] are unchanged — parallelism is an execution
-/// detail, not a change to the modeled work.
+/// are independent and fan out over the context's worker pool; their sum is
+/// taken in the spectral domain ([`Propagator::propagate_sum`]), serially in
+/// stack order, so the result is bit-identical for every worker count. All
+/// counters in [`HologramStats`] are unchanged — parallelism and the
+/// spectral sum are execution details, not changes to the modeled work.
 ///
 /// # Panics
 ///
@@ -155,10 +155,10 @@ pub fn hologram_from_planes(
         lit_fields.push(composited);
         lit_zs.push(-plane.z);
     }
-    // Independent back-propagations fan out; accumulation stays serial, in
-    // stack order.
-    for contribution in &prop.propagate_planes(&lit_fields, &lit_zs) {
-        hologram.accumulate(contribution);
+    // Independent back-propagations fan out and are summed in the spectral
+    // domain, serially in stack order, before one inverse transform.
+    if !lit_fields.is_empty() {
+        hologram.accumulate(&prop.propagate_sum(&lit_fields, &lit_zs));
     }
 
     let stats = HologramStats {

@@ -11,6 +11,15 @@
 //! projection at the hologram plane, and one `HP2DP` per plane (measure) —
 //! the same kernel structure Algorithm 1 exhibits, which is why the GPU
 //! model charges GSW as `iterations × (forward + backward)` plane sweeps.
+//!
+//! On the host, each sweep transforms each source once. The backward sweep
+//! sums the `DP2HP` products in the spectral domain and runs one inverse
+//! transform ([`Propagator::propagate_sum`]); the forward sweep transforms
+//! the hologram once and runs one inverse per plane
+//! ([`Propagator::propagate_batch`]). An iteration over `P` lit planes
+//! therefore costs `2P + 2` 2-D transforms instead of `4P`. The hologram
+//! differs from summing the spatial `DP2HP` results only by floating-point
+//! rounding.
 
 use crate::depthmap::PlaneStack;
 use crate::field::{Field, OpticalConfig};
@@ -49,8 +58,8 @@ pub struct GswResult {
 /// Runs adaptive weighted Gerchberg–Saxton over a plane stack.
 ///
 /// Per-plane field construction and both propagation sweeps fan out over the
-/// context's worker pool; every floating-point reduction (hologram
-/// accumulation, energy totals, weight statistics) stays serial in plane
+/// context's worker pool; every floating-point reduction (the spectral
+/// hologram sum, energy totals, weight statistics) stays serial in plane
 /// order, so the result is bit-identical for every worker count.
 ///
 /// # Examples
@@ -99,17 +108,20 @@ struct StackState {
     final_efficiency: f64,
 }
 
-/// Runs GSW over several plane stacks in lockstep, coalescing every stack's
-/// per-iteration propagation sweeps into shared batch calls.
+/// Runs GSW over several plane stacks in lockstep, sharing one propagator
+/// and one per-iteration field-construction fan-out across every stack.
 ///
 /// This is the cross-session batching primitive: when N sessions each need a
-/// hologram for the same frame tick, one `run_batch` call propagates all
-/// their depth planes together (amortizing FFT plans, transfer functions and
-/// fan-out overhead) instead of running N separate loops. Stacks may differ
-/// in shape and plane count.
+/// hologram for the same frame tick, one `run_batch` call builds all their
+/// depth-plane fields together and reuses one set of FFT plans and transfer
+/// functions, instead of running N separate loops. Each iteration then runs,
+/// per stack, one spectral back-propagation sum
+/// ([`Propagator::propagate_sum`]) and one shared-spectrum forward sweep
+/// ([`Propagator::propagate_batch`]). Stacks may differ in shape and plane
+/// count.
 ///
-/// Each stack's arithmetic is fully independent — field construction, the
-/// per-plane propagations and the serial per-stack reductions are exactly
+/// Each stack's arithmetic is fully independent — field construction, its
+/// own propagation calls and the serial per-stack reductions are exactly
 /// those of [`run`] — so `run_batch(&[a, b], …)` is bit-identical to
 /// `[run(a, …), run(b, …)]` for every worker count.
 ///
@@ -164,7 +176,7 @@ pub fn run_batch(
         })
         .collect();
 
-    // Flattened (stack, plane) job list, stack-major so each stack's results
+    // Flattened (stack, plane) job list, stack-major so each stack's fields
     // stay contiguous and in plane order.
     let jobs: Vec<(usize, usize)> = states
         .iter()
@@ -172,19 +184,12 @@ pub fn run_batch(
         .flat_map(|(s, st)| (0..st.zs.len()).map(move |p| (s, p)))
         .collect();
 
-    // Forward-propagation distances never change across iterations.
-    let fwd_zs: Vec<f64> = jobs.iter().map(|&(s, p)| states[s].zs[p]).collect();
-    // Per-iteration buffers, allocated once and reused: backward
-    // accumulators, forward input fields, and the per-plane
+    // Per-iteration buffers, allocated once and reused: one stack's lit
+    // planes and their back-propagation distances, and the per-plane
     // relative-amplitude scratch for the weight update.
-    let mut accs: Vec<Field> = states
-        .iter()
-        .map(|st| Field::zeros(st.rows, st.cols, optics))
-        .collect();
-    let mut fwd_fields: Vec<Field> = jobs
-        .iter()
-        .map(|&(s, _)| Field::zeros(states[s].rows, states[s].cols, optics))
-        .collect();
+    let max_planes = states.iter().map(|st| st.zs.len()).max().unwrap_or(0);
+    let mut lit_fields: Vec<Field> = Vec::with_capacity(max_planes);
+    let mut lit_zs: Vec<f64> = Vec::with_capacity(max_planes);
     let max_pixels = states.iter().map(|st| st.rows * st.cols).max().unwrap_or(0);
     let mut rels: Vec<(usize, f64)> = Vec::with_capacity(max_pixels);
 
@@ -192,8 +197,7 @@ pub fn run_batch(
         let _iter_span = holoar_telemetry::span_cat("optics.gsw.iteration", "optics");
         // Backward: superpose weighted targets on each hologram plane. The
         // per-plane fields only read targets/weights/phases, so construction
-        // fans out across every stack's planes at once; dark planes are
-        // skipped exactly like the serial loop.
+        // fans out across every stack's planes at once.
         let fields: Vec<Field> = par.map(&jobs, |&(s, p)| {
             let st = &states[s];
             let mut f = Field::zeros(st.rows, st.cols, optics);
@@ -205,46 +209,32 @@ pub fn run_batch(
             }
             f
         });
-        let mut lit_fields: Vec<Field> = Vec::with_capacity(fields.len());
-        let mut lit_zs: Vec<f64> = Vec::with_capacity(fields.len());
-        let mut lit_owner: Vec<usize> = Vec::with_capacity(fields.len());
-        for (f, &(s, p)) in fields.into_iter().zip(&jobs) {
-            if f.total_energy() > 0.0 {
-                lit_fields.push(f);
-                // `dp2hp` is propagation by `-z`.
-                lit_zs.push(-states[s].zs[p]);
-                lit_owner.push(s);
-            }
-        }
-        // One coalesced backward sweep over every stack's lit planes;
-        // accumulation stays serial, per stack, in plane order.
-        let contributions = prop.propagate_planes(&lit_fields, &lit_zs);
-        for acc in accs.iter_mut() {
-            acc.samples_mut().fill(Complex64::ZERO);
-        }
-        for (contribution, &owner) in contributions.iter().zip(&lit_owner) {
-            accs[owner].accumulate(contribution);
-        }
-        for (st, acc) in states.iter_mut().zip(accs.iter()) {
-            // Phase-only constraint (SLM projection).
-            st.hologram = acc.to_phase_only();
-        }
-
-        // Forward: measure achieved amplitudes on every stack's planes in
-        // one coalesced sweep; the measurement loop below is a reduction and
-        // stays serial, per stack, in plane order. Hologram samples are
-        // copied into the reused forward buffers instead of cloning fresh
-        // fields every iteration.
-        for (field, &(s, _)) in fwd_fields.iter_mut().zip(&jobs) {
-            field.samples_mut().copy_from_slice(states[s].hologram.samples());
-        }
-        let reconstructions = prop.propagate_planes(&fwd_fields, &fwd_zs);
-
-        let mut offset = 0;
+        // One spectral back-propagation sum per stack over its lit planes
+        // (dark planes contribute nothing and are skipped), then the
+        // phase-only constraint (SLM projection).
+        let mut fields = fields.into_iter();
         for st in states.iter_mut() {
-            let planes = st.zs.len();
-            let recon = &reconstructions[offset..offset + planes];
-            offset += planes;
+            lit_fields.clear();
+            lit_zs.clear();
+            for (f, &z) in fields.by_ref().take(st.zs.len()).zip(&st.zs) {
+                if f.total_energy() > 0.0 {
+                    lit_fields.push(f);
+                    // `dp2hp` is propagation by `-z`.
+                    lit_zs.push(-z);
+                }
+            }
+            st.hologram = if lit_fields.is_empty() {
+                Field::zeros(st.rows, st.cols, optics)
+            } else {
+                prop.propagate_sum(&lit_fields, &lit_zs).to_phase_only()
+            };
+        }
+
+        // Forward: measure achieved amplitudes on each stack's planes from
+        // one shared hologram spectrum; the measurement loop below is a
+        // reduction and stays serial, per stack, in plane order.
+        for st in states.iter_mut() {
+            let recon = prop.propagate_batch(&st.hologram, &st.zs);
             let mut achieved_min = f64::INFINITY;
             let mut achieved_max = 0.0f64;
             let mut on_target = 0.0;
@@ -444,6 +434,99 @@ mod tests {
                 );
                 assert_eq!(a.uniformity.to_bits(), b.uniformity.to_bits());
                 assert_eq!(a.efficiency.to_bits(), b.efficiency.to_bits());
+            }
+        }
+    }
+
+    /// Standard GSW with per-plane spatial propagation: one `propagate` per
+    /// lit plane summed in the spatial domain, and one `propagate` per plane
+    /// to measure. The reference the spectral sweeps are bounded against.
+    fn spatial_reference(
+        stack: &PlaneStack,
+        optics: OpticalConfig,
+        iterations: usize,
+    ) -> GswResult {
+        let mut prop = Propagator::new();
+        let (rows, cols) = (stack.plane(0).field.rows(), stack.plane(0).field.cols());
+        let pixels = rows * cols;
+        let targets: Vec<Vec<f64>> = stack.iter().map(|p| p.field.amplitude()).collect();
+        let mut weights: Vec<Vec<f64>> = targets
+            .iter()
+            .map(|t| t.iter().map(|&a| if a > 0.0 { 1.0 } else { 0.0 }).collect())
+            .collect();
+        let mut phases = vec![vec![0.0; pixels]; stack.len()];
+        let mut hologram = Field::zeros(rows, cols, optics);
+        let mut uniformity_trace = Vec::new();
+        let (mut uniformity, mut efficiency) = (0.0, 0.0);
+        for _ in 0..iterations {
+            let mut acc = Field::zeros(rows, cols, optics);
+            for (p, plane) in stack.iter().enumerate() {
+                let mut f = Field::zeros(rows, cols, optics);
+                for idx in 0..pixels {
+                    let a = targets[p][idx] * weights[p][idx];
+                    if a > 0.0 {
+                        f.samples_mut()[idx] = Complex64::from_polar(a, phases[p][idx]);
+                    }
+                }
+                if f.total_energy() > 0.0 {
+                    acc.accumulate(&prop.propagate(&f, -plane.z));
+                }
+            }
+            hologram = acc.to_phase_only();
+            let (mut lo, mut hi, mut on_target, mut total) = (f64::INFINITY, 0.0f64, 0.0, 0.0);
+            for (p, plane) in stack.iter().enumerate() {
+                let u = prop.propagate(&hologram, plane.z);
+                total += u.total_energy();
+                let mut rels = Vec::new();
+                for idx in 0..pixels {
+                    if targets[p][idx] > 0.0 {
+                        let v = u.samples()[idx];
+                        phases[p][idx] = v.arg();
+                        let rel = v.norm().max(1e-12) / targets[p][idx];
+                        lo = lo.min(rel);
+                        hi = hi.max(rel);
+                        rels.push((idx, rel));
+                        on_target += v.norm_sqr();
+                    }
+                }
+                if !rels.is_empty() {
+                    let mean = rels.iter().map(|&(_, r)| r).sum::<f64>() / rels.len() as f64;
+                    for &(idx, rel) in &rels {
+                        weights[p][idx] *= mean / rel;
+                    }
+                }
+            }
+            uniformity = if hi > 0.0 { 1.0 - (hi - lo) / (hi + lo) } else { 0.0 };
+            efficiency = if total > 0.0 { on_target / total } else { 0.0 };
+            uniformity_trace.push(uniformity);
+        }
+        GswResult { hologram, uniformity, efficiency, uniformity_trace }
+    }
+
+    #[test]
+    fn spectral_sweeps_track_the_spatial_reference() {
+        use crate::scene::VirtualObject;
+        let cfg = OpticalConfig::default();
+        let gsw_cfg = GswConfig::default();
+        for object in [VirtualObject::Dice, VirtualObject::Planet] {
+            let dm = object.render(64, 64, 0.006, 0.002);
+            for planes in [1usize, 2, 4, 8, 16] {
+                let stack = dm.slice(planes, cfg);
+                let got = run(&stack, cfg, gsw_cfg, &ctx());
+                let want = spatial_reference(&stack, cfg, gsw_cfg.iterations);
+                let at = format!("{} at {planes} planes", object.name());
+                let d_eff = (got.efficiency - want.efficiency).abs();
+                let d_uni = (got.uniformity - want.uniformity).abs();
+                let d_sample = got
+                    .hologram
+                    .samples()
+                    .iter()
+                    .zip(want.hologram.samples())
+                    .map(|(a, b)| (*a - *b).norm())
+                    .fold(0.0, f64::max);
+                assert!(d_eff <= 1e-6, "{at}: efficiency differs by {d_eff}");
+                assert!(d_uni <= 1e-5, "{at}: uniformity differs by {d_uni}");
+                assert!(d_sample <= 5e-3, "{at}: a hologram sample differs by {d_sample}");
             }
         }
     }

@@ -16,15 +16,27 @@
 //! A [`Propagator`] caches FFT plans and transfer functions behind shared
 //! thread-safe maps (clones of a propagator share one cache), because the
 //! hologram pipeline propagates dozens of planes of identical shape per
-//! frame. Independent planes can be propagated concurrently through the
-//! batch APIs ([`Propagator::propagate_batch`] /
-//! [`Propagator::propagate_planes`]); the batch results are bit-identical
-//! to the equivalent serial loop for every worker count.
+//! frame.
+//!
+//! The batch APIs transform each source field once. Per plane, the work is
+//! a spectrum product and, at most, one inverse transform:
+//!
+//! - [`Propagator::propagate_batch`] fans one field out to many distances
+//!   from a single forward spectrum (`n + 1` transforms for `n`
+//!   distances). Its results are bit-identical to the serial
+//!   [`Propagator::propagate`] loop.
+//! - [`Propagator::propagate_sum`] returns `Σᵢ propagate(fieldsᵢ, zsᵢ)` by
+//!   accumulating the spectrum products and running one inverse transform
+//!   (`n + 1` transforms for `n` fields). It is bit-identical for every
+//!   worker count and matches the spatial sum up to floating-point
+//!   rounding.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use holoar_fft::{Complex32, Complex64, ExecutionContext, Fft2d, Parallelism, Precision};
+use holoar_fft::{
+    Complex, Complex32, Complex64, ExecutionContext, Fft2d, Parallelism, Precision, Real,
+};
 
 use crate::field::{Field, OpticalConfig};
 
@@ -48,16 +60,6 @@ struct PropagatorCaches {
     transfer: TransferMap<Complex64>,
     ffts32: FftMap<f32>,
     transfer32: TransferMap<Complex32>,
-}
-
-/// A plane's prepared propagation inputs: the zero-distance identity, or a
-/// serial FFT twin plus the shared transfer function at the propagator's
-/// precision.
-#[derive(Debug)]
-enum PreparedPlane {
-    Identity,
-    Wide(Fft2d, Arc<Vec<Complex64>>),
-    Narrow(Fft2d<f32>, Arc<Vec<Complex32>>),
 }
 
 /// Angular-spectrum propagator with cached plans and transfer functions.
@@ -162,96 +164,127 @@ impl Propagator {
         }
         let _span = holoar_telemetry::span_cat("optics.propagate", "optics");
         match self.precision {
-            Precision::F64 => {
-                let fft = self.fft_for(field.rows(), field.cols());
-                let h = self.transfer_for(field.rows(), field.cols(), field.config(), z);
-                apply_transfer(field, &fft, &h)
-            }
-            Precision::F32 => {
-                let fft = self.fft32_for(field.rows(), field.cols());
-                let h = self.transfer32_for(field.rows(), field.cols(), field.config(), z);
-                apply_transfer32(field, &fft, &h)
-            }
+            Precision::F64 => self.propagate_at::<f64>(field, z),
+            Precision::F32 => self.propagate_at::<f32>(field, z),
         }
     }
 
     /// Propagates one field to many distances concurrently, returning the
     /// results in `zs` order.
     ///
-    /// Every output is bit-identical to the corresponding serial
-    /// [`Propagator::propagate`] call: transfer functions are built (and
-    /// cached) in `zs` order up front, and each plane then runs the exact
-    /// serial propagation code on its own worker.
+    /// The source is transformed once; each distance then multiplies a copy
+    /// of that spectrum by its transfer function and runs one inverse
+    /// transform on its own worker (`n + 1` transforms for `n` non-zero
+    /// distances). Every output is bit-identical to the corresponding serial
+    /// [`Propagator::propagate`] call, because the same input goes through
+    /// the same forward transform. Transfer functions are built (and cached)
+    /// in `zs` order up front, exactly as the serial loop would.
     ///
     /// # Panics
     ///
     /// Panics if any distance is not finite.
     pub fn propagate_batch(&mut self, field: &Field, zs: &[f64]) -> Vec<Field> {
         let _span = holoar_telemetry::span_cat("optics.propagate_batch", "optics");
-        let (rows, cols) = (field.rows(), field.cols());
-        // Warm both caches serially so insertion order (and therefore
-        // `cached_transfer_count`) matches the serial loop exactly.
-        let jobs: Vec<PreparedPlane> = zs
-            .iter()
-            .map(|&z| self.prepare(rows, cols, field.config(), z))
-            .collect();
-        self.par.map(&jobs, |prepared| match prepared {
-            PreparedPlane::Identity => field.clone(),
-            PreparedPlane::Wide(fft, h) => apply_transfer(field, fft, h),
-            PreparedPlane::Narrow(fft, h) => apply_transfer32(field, fft, h),
-        })
+        match self.precision {
+            Precision::F64 => self.batch_at::<f64>(field, zs),
+            Precision::F32 => self.batch_at::<f32>(field, zs),
+        }
     }
 
-    /// Propagates independent `(field, z)` pairs concurrently, returning
-    /// results in input order. Shapes may differ between pairs.
+    /// Sums independent propagations: `Σᵢ propagate(fields[i], zs[i])`.
     ///
-    /// Bit-identical to the serial loop, with the same cache-warming
-    /// guarantee as [`Propagator::propagate_batch`].
+    /// The sum is taken in the spectral domain. Each field's `FFT · H`
+    /// product fans out over the pool, the products are accumulated
+    /// serially in input order, and one inverse transform returns the sum
+    /// (`n + 1` transforms instead of `2n`). The result is bit-identical for
+    /// every worker count; it differs from summing the spatial
+    /// propagations only by floating-point rounding. The result carries the
+    /// first field's optical configuration; each term propagates with its
+    /// own.
     ///
     /// # Panics
     ///
-    /// Panics if `fields` and `zs` differ in length, or any distance is not
-    /// finite.
-    pub fn propagate_planes(&mut self, fields: &[Field], zs: &[f64]) -> Vec<Field> {
+    /// Panics if `fields` is empty, `fields` and `zs` differ in length, the
+    /// fields differ in shape, or any distance is not finite.
+    pub fn propagate_sum(&mut self, fields: &[Field], zs: &[f64]) -> Field {
         assert_eq!(fields.len(), zs.len(), "one distance per field");
-        let _span = holoar_telemetry::span_cat("optics.propagate_planes", "optics");
-        let jobs: Vec<(&Field, PreparedPlane)> = fields
+        assert!(!fields.is_empty(), "propagate_sum needs at least one field");
+        let _span = holoar_telemetry::span_cat("optics.propagate_sum", "optics");
+        match self.precision {
+            Precision::F64 => self.sum_at::<f64>(fields, zs),
+            Precision::F32 => self.sum_at::<f32>(fields, zs),
+        }
+    }
+
+    fn propagate_at<T: Scalar>(&self, field: &Field, z: f64) -> Field {
+        let (rows, cols) = (field.rows(), field.cols());
+        let fft = self.fft::<T>(rows, cols);
+        let h = T::transfer(self, rows, cols, field.config(), z);
+        let mut spectrum = spectrum_of(field, &fft);
+        multiply(&mut spectrum, &h);
+        field_from(spectrum, &fft, rows, cols, field.config())
+    }
+
+    fn batch_at<T: Scalar>(&self, field: &Field, zs: &[f64]) -> Vec<Field> {
+        let (rows, cols) = (field.rows(), field.cols());
+        // Warm the transfer cache serially so insertion order (and therefore
+        // `cached_transfer_count`) matches the serial loop exactly.
+        let transfers: Vec<Option<Transfer<T>>> =
+            zs.iter().map(|&z| self.transfer_at(rows, cols, field.config(), z)).collect();
+        let fft = self.fft::<T>(rows, cols);
+        let spectrum = if transfers.iter().any(Option::is_some) {
+            spectrum_of(field, &fft)
+        } else {
+            Vec::new()
+        };
+        // Fan out across distances, each on a serial transform.
+        let serial = fft.serial_equivalent();
+        self.par.map(&transfers, |h| match h {
+            None => field.clone(),
+            Some(h) => {
+                let mut product = spectrum.clone();
+                multiply(&mut product, h);
+                field_from(product, &serial, rows, cols, field.config())
+            }
+        })
+    }
+
+    fn sum_at<T: Scalar>(&self, fields: &[Field], zs: &[f64]) -> Field {
+        // Non-empty: checked by `propagate_sum`.
+        let (rows, cols, cfg) = fields
+            .first()
+            .map_or((0, 0, OpticalConfig::default()), |f| (f.rows(), f.cols(), f.config()));
+        let jobs: Vec<(&Field, Option<Transfer<T>>)> = fields
             .iter()
             .zip(zs)
             .map(|(field, &z)| {
-                (field, self.prepare(field.rows(), field.cols(), field.config(), z))
+                assert_eq!(
+                    (field.rows(), field.cols()),
+                    (rows, cols),
+                    "cannot sum fields of different shapes"
+                );
+                (field, self.transfer_at(rows, cols, field.config(), z))
             })
             .collect();
-        self.par.map(&jobs, |(field, prepared)| match prepared {
-            PreparedPlane::Identity => (*field).clone(),
-            PreparedPlane::Wide(fft, h) => apply_transfer(field, fft, h),
-            PreparedPlane::Narrow(fft, h) => apply_transfer32(field, fft, h),
-        })
-    }
-
-    /// Resolves one plane's propagation inputs at this propagator's
-    /// precision, warming the plan and transfer caches serially (so cache
-    /// insertion order matches the serial loop exactly). The returned FFT
-    /// twin is serial: batch entry points parallelize *across* planes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z` is not finite.
-    fn prepare(&self, rows: usize, cols: usize, cfg: OpticalConfig, z: f64) -> PreparedPlane {
-        assert!(z.is_finite(), "propagation distance must be finite");
-        if z == 0.0 {
-            return PreparedPlane::Identity;
+        let fft = self.fft::<T>(rows, cols);
+        let serial = fft.serial_equivalent();
+        let mut products = self
+            .par
+            .map(&jobs, |(field, h)| {
+                let mut spectrum = spectrum_of(field, &serial);
+                if let Some(h) = h {
+                    multiply(&mut spectrum, h);
+                }
+                spectrum
+            })
+            .into_iter();
+        let mut sum = products.next().unwrap_or_default();
+        for product in products {
+            for (s, p) in sum.iter_mut().zip(&product) {
+                *s += *p;
+            }
         }
-        match self.precision {
-            Precision::F64 => PreparedPlane::Wide(
-                self.fft_for(rows, cols).serial_equivalent(),
-                self.transfer_for(rows, cols, cfg, z),
-            ),
-            Precision::F32 => PreparedPlane::Narrow(
-                self.fft32_for(rows, cols).serial_equivalent(),
-                self.transfer32_for(rows, cols, cfg, z),
-            ),
-        }
+        field_from(sum, &fft, rows, cols, cfg)
     }
 
     /// `HP2DP` from Algorithm 1: hologram plane → the depth plane at distance
@@ -280,45 +313,72 @@ impl Propagator {
         holoar_fft::lock_unpoisoned(&self.transfer).len()
     }
 
-    /// The cached (or newly planned) FFT for a shape.
-    fn fft_for(&self, rows: usize, cols: usize) -> Fft2d {
-        match holoar_fft::lock_unpoisoned(&self.ffts).entry((rows, cols)) {
-            std::collections::hash_map::Entry::Occupied(hit) => {
-                holoar_telemetry::counter_add("optics.fft_cache.hit", 1);
-                hit.get().clone()
-            }
-            std::collections::hash_map::Entry::Vacant(miss) => {
-                holoar_telemetry::counter_add("optics.fft_cache.miss", 1);
-                miss.insert(Fft2d::with_parallelism(rows, cols, self.par.clone())).clone()
-            }
-        }
-    }
-
-    /// The cached (or newly planned) f32 FFT for a shape.
-    fn fft32_for(&self, rows: usize, cols: usize) -> Fft2d<f32> {
-        match holoar_fft::lock_unpoisoned(&self.ffts32).entry((rows, cols)) {
-            std::collections::hash_map::Entry::Occupied(hit) => {
-                holoar_telemetry::counter_add("optics.fft_cache.hit", 1);
-                hit.get().clone()
-            }
-            std::collections::hash_map::Entry::Vacant(miss) => {
-                holoar_telemetry::counter_add("optics.fft_cache.miss", 1);
-                miss.insert(Fft2d::with_parallelism(rows, cols, self.par.clone())).clone()
-            }
-        }
-    }
-
-    /// The cached (or newly built) transfer function for a shape/distance.
-    fn transfer_for(
+    /// The transfer function for one distance at precision `T` (warming
+    /// the caches), or `None` for the zero-distance identity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z` is not finite.
+    fn transfer_at<T: Scalar>(
         &self,
         rows: usize,
         cols: usize,
         cfg: OpticalConfig,
         z: f64,
-    ) -> Arc<Vec<Complex64>> {
+    ) -> Option<Transfer<T>> {
+        assert!(z.is_finite(), "propagation distance must be finite");
+        (z != 0.0).then(|| T::transfer(self, rows, cols, cfg, z))
+    }
+
+    /// The cached (or newly planned) FFT for a shape at precision `T`. It
+    /// fans out over this propagator's pool.
+    fn fft<T: Scalar>(&self, rows: usize, cols: usize) -> Fft2d<T> {
+        match holoar_fft::lock_unpoisoned(T::plans(self)).entry((rows, cols)) {
+            std::collections::hash_map::Entry::Occupied(hit) => {
+                holoar_telemetry::counter_add("optics.fft_cache.hit", 1);
+                hit.get().clone()
+            }
+            std::collections::hash_map::Entry::Vacant(miss) => {
+                holoar_telemetry::counter_add("optics.fft_cache.miss", 1);
+                miss.insert(Fft2d::with_parallelism(rows, cols, self.par.clone())).clone()
+            }
+        }
+    }
+}
+
+/// A cached transfer function at scalar precision `T`.
+type Transfer<T> = Arc<Vec<Complex<T>>>;
+
+/// The scalar precision a propagation hot loop runs at: which plan and
+/// transfer caches it reads.
+trait Scalar: Real {
+    /// This precision's shared FFT-plan map.
+    fn plans(prop: &Propagator) -> &FftMap<Self>;
+    /// The cached (or newly built) transfer function at this precision.
+    fn transfer(
+        prop: &Propagator,
+        rows: usize,
+        cols: usize,
+        cfg: OpticalConfig,
+        z: f64,
+    ) -> Transfer<Self>;
+}
+
+impl Scalar for f64 {
+    fn plans(prop: &Propagator) -> &FftMap<f64> {
+        &prop.ffts
+    }
+
+    fn transfer(
+        prop: &Propagator,
+        rows: usize,
+        cols: usize,
+        cfg: OpticalConfig,
+        z: f64,
+    ) -> Transfer<f64> {
         let key =
             (rows, cols, z.to_bits(), cfg.wavelength.to_bits(), cfg.pitch.to_bits());
-        match holoar_fft::lock_unpoisoned(&self.transfer).entry(key) {
+        match holoar_fft::lock_unpoisoned(&prop.transfer).entry(key) {
             std::collections::hash_map::Entry::Occupied(hit) => {
                 holoar_telemetry::counter_add("optics.transfer_cache.hit", 1);
                 hit.get().clone()
@@ -337,58 +397,71 @@ impl Propagator {
             }
         }
     }
+}
 
-    /// The cached f32 transfer function for a shape/distance, narrowed from
-    /// the cached f64 table (one trigonometry pass serves both precisions).
-    fn transfer32_for(
-        &self,
+impl Scalar for f32 {
+    fn plans(prop: &Propagator) -> &FftMap<f32> {
+        &prop.ffts32
+    }
+
+    /// Narrowed from the cached f64 table, so one trigonometry pass serves
+    /// both precisions.
+    fn transfer(
+        prop: &Propagator,
         rows: usize,
         cols: usize,
         cfg: OpticalConfig,
         z: f64,
-    ) -> Arc<Vec<Complex32>> {
+    ) -> Transfer<f32> {
         let key =
             (rows, cols, z.to_bits(), cfg.wavelength.to_bits(), cfg.pitch.to_bits());
-        if let Some(hit) = holoar_fft::lock_unpoisoned(&self.transfer32).get(&key) {
+        if let Some(hit) = holoar_fft::lock_unpoisoned(&prop.transfer32).get(&key) {
             holoar_telemetry::counter_add("optics.transfer_cache.hit", 1);
             return Arc::clone(hit);
         }
         holoar_telemetry::counter_add("optics.transfer_cache.miss", 1);
-        // Narrow outside the lock: transfer_for takes the f64 map's lock.
-        let wide = self.transfer_for(rows, cols, cfg, z);
+        // Narrow outside the lock: the f64 lookup takes the f64 map's lock.
+        let wide = f64::transfer(prop, rows, cols, cfg, z);
         let narrow = Arc::new(wide.iter().map(|t| t.to_c32()).collect::<Vec<Complex32>>());
-        holoar_fft::lock_unpoisoned(&self.transfer32)
+        holoar_fft::lock_unpoisoned(&prop.transfer32)
             .entry(key)
             .or_insert(narrow)
             .clone()
     }
 }
 
-/// The core propagation step: FFT → multiply by `H` → inverse FFT.
-fn apply_transfer(field: &Field, fft: &Fft2d, h: &[Complex64]) -> Field {
-    let mut spectrum = field.samples().to_vec();
+/// `FFT(field)` at precision `T`. Samples narrow on the way in (identity
+/// at `f64`); purely real inputs keep exact zero imaginary parts under
+/// narrowing, so the real-input FFT fast path still fires.
+fn spectrum_of<T: Scalar>(field: &Field, fft: &Fft2d<T>) -> Vec<Complex<T>> {
+    let mut spectrum: Vec<Complex<T>> = field
+        .samples()
+        .iter()
+        .map(|s| Complex::new(T::from_f64(s.re), T::from_f64(s.im)))
+        .collect();
     fft.forward(&mut spectrum);
-    for (s, t) in spectrum.iter_mut().zip(h) {
-        *s *= *t;
-    }
-    fft.inverse(&mut spectrum);
-    Field::from_data(field.rows(), field.cols(), field.config(), spectrum)
+    spectrum
 }
 
-/// [`apply_transfer`] with the transform and multiply in f32: samples narrow
-/// on the way in and widen on the way out, so the [`Field`] boundary stays
-/// `f64`. Purely real inputs keep exact zero imaginary parts under
-/// narrowing, so the real-input FFT fast path still fires.
-fn apply_transfer32(field: &Field, fft: &Fft2d<f32>, h: &[Complex32]) -> Field {
-    let mut spectrum: Vec<Complex32> =
-        field.samples().iter().map(|s| s.to_c32()).collect();
-    fft.forward(&mut spectrum);
+/// Multiplies a spectrum by a transfer function, sample by sample.
+fn multiply<T: Scalar>(spectrum: &mut [Complex<T>], h: &[Complex<T>]) {
     for (s, t) in spectrum.iter_mut().zip(h) {
         *s *= *t;
     }
+}
+
+/// `IFFT(spectrum)` widened back to an `f64` field, so the [`Field`]
+/// boundary stays `f64` at either precision.
+fn field_from<T: Scalar>(
+    mut spectrum: Vec<Complex<T>>,
+    fft: &Fft2d<T>,
+    rows: usize,
+    cols: usize,
+    cfg: OpticalConfig,
+) -> Field {
     fft.inverse(&mut spectrum);
-    let wide: Vec<Complex64> = spectrum.iter().map(|s| s.to_c64()).collect();
-    Field::from_data(field.rows(), field.cols(), field.config(), wide)
+    let wide = spectrum.into_iter().map(|s| Complex64::new(s.re.to_f64(), s.im.to_f64()));
+    Field::from_data(rows, cols, cfg, wide.collect())
 }
 
 /// Builds the (band-limited) angular-spectrum transfer function for a
@@ -572,17 +645,31 @@ mod tests {
     }
 
     #[test]
-    fn propagate_planes_handles_mixed_shapes() {
-        let small = point_source(8);
-        let large = point_source(16);
-        let fields = vec![small.clone(), large.clone(), small.clone()];
-        let zs = [0.001, 0.002, 0.0];
+    fn propagate_sum_returns_the_shared_shape() {
+        let (a, b) = (point_source(16), gaussian(16));
+        let zs = [0.001, 0.0];
         let mut p = Propagator::with_parallelism(Parallelism::new(2));
-        let out = p.propagate_planes(&fields, &zs);
+        let sum = p.propagate_sum(&[a.clone(), b.clone()], &zs);
+        assert_eq!((sum.rows(), sum.cols()), (16, 16));
         let mut serial = Propagator::new();
-        assert_eq!(out[0].samples(), serial.propagate(&small, 0.001).samples());
-        assert_eq!(out[1].samples(), serial.propagate(&large, 0.002).samples());
-        assert_eq!(out[2].samples(), small.samples());
+        let mut want = serial.propagate(&a, 0.001);
+        want.accumulate(&b);
+        for (x, y) in sum.samples().iter().zip(want.samples()) {
+            assert!((*x - *y).norm() < 1e-12, "{x} vs {y}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different shapes")]
+    fn propagate_sum_rejects_mixed_shapes() {
+        let fields = [point_source(8), point_source(16)];
+        Propagator::new().propagate_sum(&fields, &[0.001, 0.002]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one field")]
+    fn propagate_sum_rejects_an_empty_sum() {
+        Propagator::new().propagate_sum(&[], &[]);
     }
 
     #[test]

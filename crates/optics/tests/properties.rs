@@ -201,6 +201,49 @@ proptest! {
         }
     }
 
+    /// `propagate_sum` equals the spatial sum of serial propagations up to
+    /// rounding, and is bit-identical across worker counts, at both
+    /// precisions.
+    #[test]
+    fn propagate_sum_matches_the_spatial_sum(
+        fields in prop::collection::vec(arb_smooth_field(), 1..=5),
+        zs_um in prop::collection::vec(-4000.0f64..4000.0, 5),
+        narrow in any::<bool>(),
+    ) {
+        use holoar_fft::Precision;
+        let (precision, tol) =
+            if narrow { (Precision::F32, 1e-4) } else { (Precision::F64, 1e-9) };
+        let zs: Vec<f64> = zs_um.iter().take(fields.len()).map(|&um| um * 1e-6).collect();
+        let mut serial = Propagator::new().with_precision(precision);
+        let mut want = Field::zeros(32, 32, OpticalConfig::default());
+        for (field, &z) in fields.iter().zip(&zs) {
+            want.accumulate(&serial.propagate(field, z));
+        }
+        let sums: Vec<Field> = [1usize, 2, 7]
+            .iter()
+            .map(|&workers| {
+                Propagator::with_parallelism(Parallelism::new(workers))
+                    .with_precision(precision)
+                    .propagate_sum(&fields, &zs)
+            })
+            .collect();
+        let err: f64 = sums[0]
+            .samples()
+            .iter()
+            .zip(want.samples())
+            .map(|(a, b)| (*a - *b).norm_sqr())
+            .sum();
+        prop_assert!(
+            err.sqrt() <= tol * want.total_energy().sqrt(),
+            "‖sum − Σ propagate‖ = {} vs ‖Σ propagate‖ = {}",
+            err.sqrt(),
+            want.total_energy().sqrt()
+        );
+        for sum in &sums[1..] {
+            prop_assert_eq!(sum.samples(), sums[0].samples());
+        }
+    }
+
     /// Intra-FFT parallelism inside a single propagation is bit-identical
     /// for arbitrary (non-power-of-two included) shapes.
     #[test]

@@ -236,8 +236,9 @@ struct TickSession {
 ///
 /// # Errors
 ///
-/// Returns a description of the first invalid configuration field or
-/// internal model construction failure.
+/// Returns a description of the first invalid configuration field,
+/// internal model construction failure, or unbalanced book
+/// ([`ServeReport::check`]).
 pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeReport, String> {
     let _span = holoar_telemetry::span_cat("serve.run", "serve");
     config.validate()?;
@@ -639,7 +640,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
     holoar_telemetry::gauge_set("slo.window.queue_depth", fleet_slo.recent_queue_depth);
     holoar_telemetry::gauge_set("slo.window.occupancy", fleet_slo.recent_occupancy);
 
-    Ok(ServeReport {
+    let report = ServeReport {
         requested,
         admitted,
         frames: config.frames,
@@ -658,5 +659,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         merged_launches,
         launches_saved,
         slo: fleet_slo,
-    })
+    };
+    report.check()?;
+    Ok(report)
 }

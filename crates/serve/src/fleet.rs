@@ -218,6 +218,10 @@ pub struct FleetReport {
     pub rejected: u64,
     /// Sessions dropped because no live device remained to host them.
     pub orphaned: u64,
+    /// Admitted sessions that left on schedule before the run ended.
+    pub departed: u64,
+    /// Admitted sessions still hosted when the run ended.
+    pub active_at_end: u64,
     /// Ticks simulated.
     pub frames: u64,
     /// Session-frames presented (fresh or reprojected).
@@ -329,14 +333,66 @@ fn device_views(
         .collect()
 }
 
+impl FleetReport {
+    /// Checks the report's books: every offered session is admitted or
+    /// rejected, and every admitted one departed, was orphaned or is still
+    /// active; the per-device presented frames sum to the fleet's, and no
+    /// more of them are fresh than presented; and every migration is logged
+    /// once as an event, once as a ladder transition and once under its
+    /// cause (device kill or overload).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first invariant that does not hold, with both sides.
+    pub fn check(&self) -> Result<(), String> {
+        let per_device: u64 = self.per_device.iter().map(|d| d.presented).sum();
+        let books = [
+            (
+                "offered",
+                self.offered as u64,
+                "admitted + rejected",
+                self.admitted as u64 + self.rejected,
+            ),
+            (
+                "admitted",
+                self.admitted as u64,
+                "departed + orphaned + active at end",
+                self.departed + self.orphaned + self.active_at_end,
+            ),
+            ("presented", self.presented, "Σ per-device presented", per_device),
+            ("migrations", self.migrations, "migration events", self.migration_events.len() as u64),
+            ("migrations", self.migrations, "migration transitions", self.migration_transitions),
+            (
+                "migrations",
+                self.migrations,
+                "kill + overload migrations",
+                self.kill_migrations + self.overload_migrations,
+            ),
+        ];
+        for (name, value, parts, sum) in books {
+            if value != sum {
+                return Err(format!("fleet books: {name} = {value} but {parts} = {sum}"));
+            }
+        }
+        if self.fresh > self.presented {
+            return Err(format!(
+                "fleet books: {} fresh frames exceed {} presented",
+                self.fresh, self.presented
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Runs the fleet loop. Deterministic for a given configuration: the loop
 /// is sequential virtual-time over ordered state, so reports are
 /// bit-identical across reruns and worker counts.
 ///
 /// # Errors
 ///
-/// Returns a description of the first invalid configuration field or
-/// internal model construction failure.
+/// Returns a description of the first invalid configuration field,
+/// internal model construction failure, or unbalanced book
+/// ([`FleetReport::check`]).
 pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
     let _span = holoar_telemetry::span_cat("fleet.run", "fleet");
     config.validate()?;
@@ -375,6 +431,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
     let mut admitted = 0usize;
     let mut rejected = 0u64;
     let mut orphaned = 0u64;
+    let mut departed = 0u64;
     let mut reprobes = 0u64;
     let mut killed: Vec<(usize, u64)> = Vec::new();
     let mut migration_events: Vec<MigrationRecord> = Vec::new();
@@ -403,6 +460,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
                 devices[s.device].est_load -= s.cost;
                 devices[s.device].hosted -= 1;
                 migration_transitions += count_migration_transitions(&s.ctl);
+                departed += 1;
                 holoar_telemetry::counter_add("fleet.sessions.departed", 1);
             }
         }
@@ -779,12 +837,14 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
         })
         .collect();
 
-    Ok(FleetReport {
+    let report = FleetReport {
         devices: k,
         offered,
         admitted,
         rejected,
         orphaned,
+        departed,
+        active_at_end: sessions.len() as u64,
         frames: config.frames,
         presented,
         fresh,
@@ -802,7 +862,9 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
         migration_transitions,
         per_device,
         migration_events,
-    })
+    };
+    report.check()?;
+    Ok(report)
 }
 
 /// Migration-reason transitions recorded on one controller.
@@ -857,6 +919,22 @@ mod tests {
         // The dead device presents nothing after the kill.
         let dead = &report.per_device[0];
         assert_eq!(dead.killed_at, Some(20));
+    }
+
+    #[test]
+    fn check_catches_unbalanced_books() {
+        let config = FleetConfig { kill: Some((0, 20)), ..FleetConfig::sweep(3, 12, 60, 42) };
+        let report = run_fleet(&config).unwrap();
+        assert_eq!(report.check(), Ok(()));
+        let mut lost = report.clone();
+        lost.departed += 1;
+        assert!(lost.check().unwrap_err().contains("departed + orphaned"));
+        let mut unlogged = report.clone();
+        unlogged.migration_transitions += 1;
+        assert!(unlogged.check().unwrap_err().contains("migration transitions"));
+        let mut stale = report.clone();
+        stale.fresh = stale.presented + 1;
+        assert!(stale.check().unwrap_err().contains("fresh"));
     }
 
     #[test]

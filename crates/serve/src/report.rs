@@ -85,6 +85,40 @@ pub struct ServeReport {
     pub slo: FleetSlo,
 }
 
+impl ServeReport {
+    /// Checks the report's books: one report per admitted session, every
+    /// admitted session-tick either served or deferred
+    /// (`Σ served + Σ deferred = admitted × frames`), and no session hitting
+    /// its deadline on more frames than it served.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first invariant that does not hold, with both sides.
+    pub fn check(&self) -> Result<(), String> {
+        if self.sessions.len() != self.admitted {
+            return Err(format!(
+                "serve books: {} session reports for {} admitted",
+                self.sessions.len(),
+                self.admitted
+            ));
+        }
+        let accounted: u64 = self.sessions.iter().map(|s| s.served + s.deferred).sum();
+        let owed = self.admitted as u64 * self.frames;
+        if accounted != owed {
+            return Err(format!(
+                "serve books: Σ served + Σ deferred = {accounted} but admitted × frames = {owed}"
+            ));
+        }
+        if let Some(s) = self.sessions.iter().find(|s| s.deadline_hits > s.served) {
+            return Err(format!(
+                "serve books: session {} hit {} deadlines on {} served frames",
+                s.id, s.deadline_hits, s.served
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Nearest-rank percentile of a latency population (`q` in `[0, 1]`).
 /// Deterministic: total-order f64 sort, fixed rank rule. Returns 0.0 for an
 /// empty population.

@@ -124,36 +124,56 @@ fn injector_driven_kills_latch_and_force_evacuation() {
 
 #[test]
 fn fleet_books_balance_across_seeds_and_kill_rates() {
-    // Two devices under injector-driven kills, from none through
-    // all-devices-dead (p = 1 kills both in the first window). Seed 4 at
-    // p = 0.5 orphans sessions that had already migrated — the case that
-    // once charged their migrations twice.
+    // Injector-driven kills from none through all-devices-dead (p = 1 kills
+    // every device in the first window), over K = 1, 2 and 4 devices. Seed 4
+    // at p = 0.5 on two devices orphans sessions that had already migrated —
+    // the case that once charged their migrations twice.
     let mut all_dead = 0;
     let mut orphaned_after_migrating = false;
-    for kill_probability in [0.0, 0.25, 0.5, 1.0] {
-        for seed in 0..8u64 {
-            let mut cfg = FleetConfig::sweep(2, 12, 96, seed);
-            cfg.kill_probability = kill_probability;
-            let r = run(&cfg);
-            let at = format!("seed {seed}, p = {kill_probability}");
-            assert_eq!(r.migrations, r.migration_transitions, "{at}: migration books differ");
-            assert_eq!(r.migrations, r.kill_migrations + r.overload_migrations, "{at}");
-            assert_eq!(r.offered, r.admitted + r.rejected as usize, "{at}: sessions lost");
-            assert_eq!(
-                r.presented,
-                r.per_device.iter().map(|d| d.presented).sum::<u64>(),
-                "{at}: per-device presented does not sum"
-            );
-            assert!(r.fresh <= r.presented, "{at}: more fresh than presented frames");
-            if kill_probability == 0.0 {
-                assert!(r.killed.is_empty() && r.orphaned == 0, "{at}: kills without a kill rate");
+    for k in [1usize, 2, 4] {
+        for kill_probability in [0.0, 0.25, 0.5, 1.0] {
+            for seed in 0..8u64 {
+                let mut cfg = FleetConfig::sweep(k, 12, 96, seed);
+                cfg.kill_probability = kill_probability;
+                let r = run(&cfg);
+                let at = format!("K = {k}, seed {seed}, p = {kill_probability}");
+                r.check().unwrap_or_else(|e| panic!("{at}: {e}"));
+                if kill_probability == 0.0 {
+                    assert!(
+                        r.killed.is_empty() && r.orphaned == 0,
+                        "{at}: kills without a kill rate"
+                    );
+                }
+                if r.killed.len() == r.devices {
+                    all_dead += 1;
+                }
+                orphaned_after_migrating |= r.orphaned > 0 && r.kill_migrations > 0;
             }
-            if r.killed.len() == r.devices {
-                all_dead += 1;
-            }
-            orphaned_after_migrating |= r.orphaned > 0 && r.kill_migrations > 0;
         }
     }
     assert!(all_dead > 0, "the grid must reach all-devices-dead");
     assert!(orphaned_after_migrating, "the grid must orphan sessions that had migrated");
+}
+
+#[test]
+fn fleet_books_balance_at_the_failure_edges() {
+    // A kill at tick 0, before the first arrival. With one device this is
+    // the zero-admitted load: every arrival is rejected. (A live device
+    // always admits a session whose first frame only reprojects, so load
+    // alone cannot empty the books.) With two, the survivor hosts every
+    // admitted session.
+    for k in [1usize, 2] {
+        let cfg = FleetConfig { kill: Some((0, 0)), ..FleetConfig::sweep(k, 12, 48, 3) };
+        let r = run(&cfg);
+        r.check().unwrap_or_else(|e| panic!("K = {k}, kill at tick 0: {e}"));
+        assert_eq!(r.killed, vec![(0, 0)]);
+        assert_eq!(r.kill_migrations, 0, "nobody was hosted at tick 0");
+        if k == 1 {
+            assert_eq!((r.admitted, r.rejected), (0, 12), "a dead fleet admits nobody");
+            assert_eq!((r.departed, r.active_at_end, r.presented), (0, 0, 0));
+        } else {
+            assert!(r.admitted > 0);
+            assert_eq!(r.per_device[0].presented, 0, "the dead device presented frames");
+        }
+    }
 }

@@ -63,6 +63,14 @@ fn oversubscription_degrades_incrementally_never_in_lockstep() {
     let config = ServeConfig::fleet(DeviceSpec::edge(), SessionSpec::fleet(24, 7), 100);
     let ctx = ExecutionContext::serial();
     let report = run_serve(&config, &ctx).expect("fleet config is valid");
+    assert_eq!(report.check(), Ok(()));
+    // The books catch a lost session-tick and an impossible hit count.
+    let mut lost = report.clone();
+    lost.sessions[0].served -= 1;
+    assert!(lost.check().is_err_and(|e| e.contains("admitted × frames")), "{:?}", lost.check());
+    let mut impossible = report.clone();
+    impossible.sessions[0].deadline_hits = impossible.sessions[0].served + 1;
+    assert!(impossible.check().is_err_and(|e| e.contains("deadlines")));
     let qos_total: u64 = report.sessions.iter().map(|s| s.qos_step_downs).sum();
     assert!(qos_total > 0, "an oversubscribed fleet must trigger QoS step-downs");
     // One victim per tick: QoS can never have touched more sessions in one
@@ -178,6 +186,7 @@ proptest! {
         let a = run_serve(&config, &ctx).expect("fleet config is valid");
         let b = run_serve(&config, &ctx).expect("fleet config is valid");
         prop_assert_eq!(&a, &b);
+        prop_assert_eq!(a.check(), Ok(()));
         for s in &a.sessions {
             prop_assert_eq!(s.served + s.deferred, frames);
             prop_assert!(s.deadline_hits <= frames);
