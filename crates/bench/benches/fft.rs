@@ -1,5 +1,7 @@
 //! FFT substrate micro-benchmarks: the 2-D transforms every propagation
-//! performs, across power-of-two (radix-2) and awkward (Bluestein) sizes.
+//! performs, across power-of-two (radix-2), 2·3·5-smooth (mixed-radix: 40
+//! is the quality sampler's size, 480 an Objectron frame edge) and prime
+//! (Bluestein) sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use holoar_fft::{Complex64, Fft2d, FftPlanner};
@@ -7,7 +9,7 @@ use std::hint::black_box;
 
 fn bench_fft_1d(c: &mut Criterion) {
     let mut group = c.benchmark_group("fft_1d");
-    for n in [256usize, 512, 480, 1024] {
+    for n in [256usize, 512, 480, 509, 1024] {
         let plan = FftPlanner::new().plan(n);
         let signal: Vec<Complex64> =
             (0..n).map(|i| Complex64::new((i as f64).sin(), 0.0)).collect();
@@ -24,7 +26,7 @@ fn bench_fft_1d(c: &mut Criterion) {
 
 fn bench_fft_2d(c: &mut Criterion) {
     let mut group = c.benchmark_group("fft_2d");
-    for n in [64usize, 128, 256] {
+    for n in [40usize, 64, 128, 256, 480] {
         let fft = Fft2d::new(n, n);
         let field: Vec<Complex64> =
             (0..n * n).map(|i| Complex64::new((i as f64 * 0.1).cos(), 0.0)).collect();

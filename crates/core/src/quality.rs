@@ -660,12 +660,21 @@ mod tests {
 
     #[test]
     fn parallel_quality_is_bit_identical_to_serial() {
+        // QUALITY_RESOLUTION (40) runs every row and column transform on
+        // the mixed-radix path.
         let cfg = HoloArConfig::default();
         let o = obj(3, 0.6, 0.25);
-        let serial = object_psnr(&o, 8, &cfg, &ctx());
-        for workers in [2usize, 7] {
-            let par_ctx = ExecutionContext::with_workers(workers);
-            assert_eq!(object_psnr(&o, 8, &cfg, &par_ctx).to_bits(), serial.to_bits());
+        for (o, planes) in [(o, 8), (obj(1, 1.4, 0.4), 4), (obj(5, 0.3, 0.1), 2)] {
+            let serial = object_psnr(&o, planes, &cfg, &ctx());
+            assert!(serial.is_finite(), "{planes} planes: {serial}");
+            for workers in [1usize, 2, 7] {
+                let par_ctx = ExecutionContext::with_workers(workers);
+                assert_eq!(
+                    object_psnr(&o, planes, &cfg, &par_ctx).to_bits(),
+                    serial.to_bits(),
+                    "{planes} planes, {workers} workers"
+                );
+            }
         }
         let par_ctx = ExecutionContext::with_workers(3);
         assert_eq!(

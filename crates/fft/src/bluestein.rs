@@ -1,9 +1,11 @@
 //! Bluestein's chirp-z algorithm: FFT of arbitrary length via a
 //! power-of-two convolution.
 //!
-//! The depthmap resolutions in the AR datasets are not always powers of two
-//! (Objectron frames are 480×640, 1440×1920, …), so the planner falls back to
-//! this path whenever [`crate::radix2`] does not apply.
+//! The planner sends powers of two to [`crate::radix2`] and every other
+//! 2·3·5-smooth length — Objectron's 480×640 and 1440×1920 frames, the 40×40
+//! quality sampler — to [`crate::mixed_radix`]. This path is the fallback
+//! for the remaining lengths, those with a prime factor greater than 5
+//! (7, 14, 17, 509, …).
 //!
 //! The identity used: `nk = (n² + k² − (k−n)²) / 2`, which rewrites the DFT as
 //! a convolution of the chirp-premultiplied input with the conjugate chirp.
@@ -216,7 +218,7 @@ mod tests {
 
     #[test]
     fn f32_inverse_roundtrip() {
-        let n = 48; // the GSW plane size — the f32 path's hottest length
+        let n = 48; // planned as mixed-radix, but Bluestein must stay exact here
         let plan: BluesteinPlan<f32> = BluesteinPlan::new(n);
         let x: Vec<Complex32> = signal(n).iter().map(|z| z.to_c32()).collect();
         let mut buf = x.clone();

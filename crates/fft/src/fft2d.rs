@@ -22,7 +22,7 @@
 //! `A[k] = (Z[k] + conj(Z[n−k]))/2`, `B[k] = (Z[k] − conj(Z[n−k]))/(2i)`.
 //! Because the public entry point dispatches, the complex path and the real
 //! path agree bit-for-bit on real inputs by construction, and the packing
-//! works for any row length (radix-2 and Bluestein alike).
+//! works for any row length (radix-2, mixed-radix and Bluestein alike).
 
 use crate::complex::Complex;
 use crate::parallel::Parallelism;
@@ -528,12 +528,13 @@ mod tests {
 
     #[test]
     fn parallel_output_is_bit_identical_to_serial() {
-        for (rows, cols) in [(4usize, 4usize), (8, 6), (5, 7), (16, 16), (12, 20)] {
+        // 40×40 is the serving path's quality-sampler shape (mixed-radix).
+        for (rows, cols) in [(4usize, 4usize), (8, 6), (5, 7), (16, 16), (12, 20), (40, 40)] {
             let x = image(rows, cols);
             let mut serial = x.clone();
             let serial_fft = Fft2d::new(rows, cols);
             serial_fft.forward(&mut serial);
-            for workers in [2usize, 3, 7] {
+            for workers in [1usize, 2, 3, 7] {
                 let mut parallel = x.clone();
                 let fft = Fft2d::with_parallelism(rows, cols, Parallelism::new(workers));
                 fft.forward(&mut parallel);
@@ -548,8 +549,9 @@ mod tests {
 
     #[test]
     fn real_input_matches_reference_2d_dft() {
-        // Covers radix-2 and Bluestein row lengths, odd row counts (one
-        // unpaired trailing row) and single-row/column edge shapes.
+        // Covers radix-2, mixed-radix and Bluestein row lengths, odd row
+        // counts (one unpaired trailing row) and single-row/column edge
+        // shapes.
         for (rows, cols) in [(2usize, 2usize), (4, 8), (3, 5), (8, 3), (5, 7), (1, 6), (6, 1)] {
             let x = real_image(rows, cols);
             let mut fast = x.clone();
@@ -576,11 +578,11 @@ mod tests {
 
     #[test]
     fn real_path_is_bit_identical_across_worker_counts() {
-        for (rows, cols) in [(8usize, 6usize), (5, 7), (9, 16), (16, 16)] {
+        for (rows, cols) in [(8usize, 6usize), (5, 7), (9, 16), (16, 16), (40, 40)] {
             let x = real_image(rows, cols);
             let mut serial = x.clone();
             Fft2d::new(rows, cols).forward(&mut serial);
-            for workers in [2usize, 3, 7] {
+            for workers in [1usize, 2, 3, 7] {
                 let mut parallel = x.clone();
                 Fft2d::with_parallelism(rows, cols, Parallelism::new(workers))
                     .forward(&mut parallel);
@@ -611,8 +613,8 @@ mod tests {
 
     #[test]
     fn blocked_transpose_is_bit_identical_to_naive() {
-        // Shapes straddle the 32-element tile edge and include Bluestein
-        // (non-power-of-two) dimensions and degenerate single-row/column
+        // Shapes straddle the 32-element tile edge and include
+        // non-power-of-two dimensions and degenerate single-row/column
         // cases.
         for (rows, cols) in [
             (1usize, 1usize),

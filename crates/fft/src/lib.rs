@@ -12,7 +12,9 @@
 //!   selected via [`context::Precision`]),
 //! * [`dft`] — an `O(n²)` reference transform used as the test oracle,
 //! * [`FftPlanner`]/[`FftPlan`] — cached fast transforms (radix-2
-//!   Cooley–Tukey for powers of two, Bluestein chirp-z otherwise), with
+//!   Cooley–Tukey for powers of two, a self-sorting Stockham mixed-radix
+//!   plan with radix-4/2/3/5 butterflies for other 2·3·5-smooth lengths,
+//!   Bluestein chirp-z for lengths with a prime factor above 5), with
 //!   per-stage contiguous twiddle tables precomputed at plan time,
 //! * [`Fft2d`], [`fftshift`], [`ifftshift`] — separable 2-D transforms with
 //!   a cache-blocked transpose between passes and a packed real-input row
@@ -41,6 +43,7 @@ pub mod complex;
 pub mod context;
 pub mod dft;
 pub mod fft2d;
+pub mod mixed_radix;
 pub mod parallel;
 pub mod plan;
 pub mod radix2;
@@ -50,6 +53,7 @@ pub use bluestein::BluesteinPlan;
 pub use complex::{Complex, Complex32, Complex64};
 pub use context::{ExecutionContext, ExecutionContextBuilder, Precision};
 pub use fft2d::{fftshift, ifftshift, transpose_into, Fft2d};
+pub use mixed_radix::MixedRadixPlan;
 pub use parallel::{lock_unpoisoned, Parallelism, ScratchArena};
 pub use plan::{fft_forward, fft_inverse, global_cached_len_count, FftPlan, FftPlanner};
 pub use radix2::Radix2Plan;

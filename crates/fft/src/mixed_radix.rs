@@ -1,0 +1,459 @@
+//! Self-sorting Stockham FFT for 2·3·5-smooth lengths.
+//!
+//! Lengths `n = 2^a·3^b·5^c` that are not powers of two — the 40×40 quality
+//! sampler, 48-wide f32 planes, Objectron's 480×640 frames — would otherwise
+//! go through [`crate::bluestein`], which pays two power-of-two transforms of
+//! at least `2n − 1` points plus three chirp passes for every call. This plan
+//! factors `n` into radix-4, 2, 3 and 5 passes instead and runs each with a
+//! specialised butterfly.
+//!
+//! # Algorithm
+//!
+//! Each pass of radix `R` after a span of `l` points reads `R` inputs
+//! `n/R` apart, applies the twiddles `ω_{lR}^{r·k}` (`k = j mod l`) and a
+//! length-`R` DFT, and writes the outputs `l` apart into the other buffer
+//! (Stockham autosort). The output lands in natural order, so no
+//! bit-reversal pass is needed. The buffers ping-pong between the caller's
+//! slice and the thread-local workspace behind [`Real::with_conv_work`], so a
+//! transform allocates nothing once that workspace has grown to `n`.
+//!
+//! # Twiddle layout
+//!
+//! As in [`crate::radix2`], the plan stores **per-stage contiguous tables**
+//! (flattened into one buffer, in pass order), copied from one
+//! `f64`-evaluated master table `e^{-2πit/n}` and narrowed once. The `k = 0`
+//! twiddles are all `1` and are not stored: that butterfly skips the
+//! multiply. The inverse direction has its own pre-conjugated table and
+//! butterfly roots, so the hot loop carries no direction branch; the inverse
+//! applies the `1/n` normalization.
+
+use crate::complex::Complex;
+use crate::real::Real;
+
+/// Precomputed state for mixed-radix transforms of one fixed 5-smooth length.
+///
+/// The planner ([`crate::plan`]) sends powers of two to
+/// [`Radix2Plan`](crate::radix2::Radix2Plan) and every other 5-smooth length
+/// here. Generic over scalar precision; `MixedRadixPlan` in type positions
+/// defaults to the `f64` reference precision.
+#[derive(Debug, Clone)]
+pub struct MixedRadixPlan<T: Real = f64> {
+    n: usize,
+    /// Passes in execution order: radix 4 while it divides, then 2, 3, 5.
+    radices: Vec<Radix>,
+    fwd: Direction<T>,
+    inv: Direction<T>,
+}
+
+/// The butterfly sizes this plan factors lengths into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Radix {
+    Two,
+    Three,
+    Four,
+    Five,
+}
+
+impl Radix {
+    fn size(self) -> usize {
+        match self {
+            Radix::Two => 2,
+            Radix::Three => 3,
+            Radix::Four => 4,
+            Radix::Five => 5,
+        }
+    }
+}
+
+/// Everything one transform direction reads in its hot loop.
+#[derive(Debug, Clone)]
+struct Direction<T: Real> {
+    /// Per-stage twiddles, stages concatenated in pass order: the pass of
+    /// radix `R` after span `l` owns the `(l−1)·(R−1)` entries
+    /// `ω_{lR}^{r·k}` for `1 ≤ k < l`, `1 ≤ r < R`, `k`-major.
+    twiddles: Vec<Complex<T>>,
+    roots: Roots<T>,
+}
+
+/// The butterfly roots of one direction, `ω_R = e^{∓2πi/R}`.
+#[derive(Debug, Clone, Copy)]
+struct Roots<T: Real> {
+    /// `Im ω₄ = ∓1`: radix 4 rotates by `i·s4`.
+    s4: T,
+    w3: Complex<T>,
+    w5: Complex<T>,
+    /// `ω₅²`.
+    w5sq: Complex<T>,
+}
+
+/// `i·z`.
+#[inline(always)]
+fn mul_i<T: Real>(z: Complex<T>) -> Complex<T> {
+    Complex::new(-z.im, z.re)
+}
+
+impl<T: Real> Roots<T> {
+    fn forward() -> Self {
+        let tau = 2.0 * std::f64::consts::PI;
+        Roots {
+            s4: -T::ONE,
+            w3: Complex::cis_f64(-tau / 3.0),
+            w5: Complex::cis_f64(-tau / 5.0),
+            w5sq: Complex::cis_f64(-2.0 * tau / 5.0),
+        }
+    }
+
+    fn conj(self) -> Self {
+        Roots { s4: -self.s4, w3: self.w3.conj(), w5: self.w5.conj(), w5sq: self.w5sq.conj() }
+    }
+
+    #[inline(always)]
+    fn radix2([a, b]: [Complex<T>; 2]) -> [Complex<T>; 2] {
+        [a + b, a - b]
+    }
+
+    #[inline(always)]
+    fn radix3(&self, [a, b, c]: [Complex<T>; 3]) -> [Complex<T>; 3] {
+        let sum = b + c;
+        let t = a + sum.scale(self.w3.re);
+        let r = mul_i((b - c).scale(self.w3.im));
+        [a + sum, t + r, t - r]
+    }
+
+    #[inline(always)]
+    fn radix4(&self, [a, b, c, d]: [Complex<T>; 4]) -> [Complex<T>; 4] {
+        let (s0, d0) = (a + c, a - c);
+        let (s1, d1) = (b + d, b - d);
+        let r = mul_i(d1.scale(self.s4));
+        [s0 + s1, d0 + r, s0 - s1, d0 - r]
+    }
+
+    #[inline(always)]
+    fn radix5(&self, [x0, x1, x2, x3, x4]: [Complex<T>; 5]) -> [Complex<T>; 5] {
+        let (a1, b1) = (x1 + x4, x1 - x4);
+        let (a2, b2) = (x2 + x3, x2 - x3);
+        let (w1, w2) = (self.w5, self.w5sq);
+        let t1 = x0 + a1.scale(w1.re) + a2.scale(w2.re);
+        let t2 = x0 + a1.scale(w2.re) + a2.scale(w1.re);
+        let r1 = mul_i(b1.scale(w1.im) + b2.scale(w2.im));
+        let r2 = mul_i(b1.scale(w2.im) - b2.scale(w1.im));
+        [x0 + a1 + a2, t1 + r1, t2 + r2, t2 - r2, t1 - r1]
+    }
+}
+
+/// Splits `n` into passes, or `None` if `n` has a prime factor above 5.
+fn factor(mut n: usize) -> Option<Vec<Radix>> {
+    if n == 0 {
+        return None;
+    }
+    let mut radices = Vec::new();
+    for (radix, p) in [(Radix::Four, 4), (Radix::Two, 2), (Radix::Three, 3), (Radix::Five, 5)] {
+        while n.is_multiple_of(p) {
+            radices.push(radix);
+            n /= p;
+        }
+    }
+    (n == 1).then_some(radices)
+}
+
+impl<T: Real> MixedRadixPlan<T> {
+    /// Whether `n` is a non-zero `2^a·3^b·5^c`, i.e. whether
+    /// [`Self::new`] accepts it.
+    pub fn supports(n: usize) -> bool {
+        factor(n).is_some()
+    }
+
+    /// Builds a plan for length `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero or has a prime factor greater than 5.
+    pub fn new(n: usize) -> Self {
+        assert!(Self::supports(n), "mixed-radix plan requires a non-zero 2·3·5-smooth length, got {n}");
+        let radices = factor(n).unwrap_or_default();
+        // Master table in f64: e^{-2πit/n} for t < n. Stage tables copy
+        // entries r·k·n/(lR) < n, narrowed once, as in the radix-2 plan.
+        let mut master = Vec::with_capacity(n);
+        for t in 0..n {
+            master.push(Complex::<T>::cis_f64(-2.0 * std::f64::consts::PI * t as f64 / n as f64));
+        }
+        let mut fwd = Vec::new();
+        let mut l = 1;
+        for radix in &radices {
+            let r_max = radix.size();
+            let stride = n / (l * r_max);
+            for k in 1..l {
+                for r in 1..r_max {
+                    fwd.push(master[r * k * stride]);
+                }
+            }
+            l *= r_max;
+        }
+        let inv = fwd.iter().map(|w| w.conj()).collect();
+        let roots = Roots::forward();
+        MixedRadixPlan {
+            n,
+            radices,
+            fwd: Direction { twiddles: fwd, roots },
+            inv: Direction { twiddles: inv, roots: roots.conj() },
+        }
+    }
+
+    /// The transform length this plan was built for.
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Whether the plan length is zero (never true; kept for API symmetry).
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// Forward transform, in place. `buf.len()` must equal [`Self::len`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf.len() != self.len()`.
+    pub fn forward(&self, buf: &mut [Complex<T>]) {
+        self.run(buf, &self.fwd);
+    }
+
+    /// Inverse transform, in place, including the `1/n` normalization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf.len() != self.len()`.
+    pub fn inverse(&self, buf: &mut [Complex<T>]) {
+        self.run(buf, &self.inv);
+        let k = T::from_usize(self.n).recip();
+        for v in buf.iter_mut() {
+            *v = v.scale(k);
+        }
+    }
+
+    fn run(&self, buf: &mut [Complex<T>], dir: &Direction<T>) {
+        let n = self.n;
+        assert_eq!(buf.len(), n, "buffer length {} does not match plan length {n}", buf.len());
+        let roots = dir.roots;
+        // Nothing else borrows this workspace while a pass runs: the only
+        // other user is Bluestein, whose inner transform is radix-2.
+        T::with_conv_work(|work| {
+            if work.len() < n {
+                work.resize(n, Complex::ZERO);
+            }
+            let (mut src, mut dst) = (buf, &mut work[..n]);
+            let mut twiddles = dir.twiddles.as_slice();
+            let mut l = 1;
+            for &radix in &self.radices {
+                let (tw, rest) = twiddles.split_at((l - 1) * (radix.size() - 1));
+                twiddles = rest;
+                match radix {
+                    Radix::Two => pass(src, dst, l, tw, Roots::radix2),
+                    Radix::Three => pass(src, dst, l, tw, |x| roots.radix3(x)),
+                    Radix::Four => pass(src, dst, l, tw, |x| roots.radix4(x)),
+                    Radix::Five => pass(src, dst, l, tw, |x| roots.radix5(x)),
+                }
+                std::mem::swap(&mut src, &mut dst);
+                l *= radix.size();
+            }
+            // After an odd number of passes the result sits in the
+            // workspace (`src`) and `dst` is the caller's buffer.
+            if self.radices.len() % 2 == 1 {
+                dst.copy_from_slice(src);
+            }
+        });
+    }
+}
+
+/// One Stockham pass of radix `R` after span `l`: for every output block
+/// `q` and offset `k < l`, gathers `src[q·l + k + r·n/R]`, twiddles it,
+/// runs `butterfly`, and scatters the results to `dst[q·l·R + k + s·l]`.
+/// `tw` holds the `(l−1)·(R−1)` twiddles for `k ≥ 1`.
+#[inline(always)]
+fn pass<T: Real, const R: usize>(
+    src: &[Complex<T>],
+    dst: &mut [Complex<T>],
+    l: usize,
+    tw: &[Complex<T>],
+    butterfly: impl Fn([Complex<T>; R]) -> [Complex<T>; R],
+) {
+    let m = src.len() / R;
+    for (q, out) in dst.chunks_exact_mut(l * R).enumerate() {
+        let j = q * l;
+        // k = 0: every twiddle is 1.
+        let y = butterfly(std::array::from_fn(|r| src[j + r * m]));
+        for (s, v) in y.into_iter().enumerate() {
+            out[s * l] = v;
+        }
+        for (k, w) in (1..l).zip(tw.chunks_exact(R - 1)) {
+            let mut x: [Complex<T>; R] = std::array::from_fn(|r| src[j + k + r * m]);
+            for (v, w) in x.iter_mut().skip(1).zip(w) {
+                *v *= *w;
+            }
+            let y = butterfly(x);
+            for (s, v) in y.into_iter().enumerate() {
+                out[k + s * l] = v;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bluestein::BluesteinPlan;
+    use crate::complex::{Complex32, Complex64};
+    use crate::dft;
+
+    fn assert_close(a: &[Complex64], b: &[Complex64], tol: f64) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert!((*x - *y).norm() < tol, "{x} vs {y}");
+        }
+    }
+
+    fn signal(n: usize) -> Vec<Complex64> {
+        (0..n)
+            .map(|i| Complex64::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
+            .collect()
+    }
+
+    /// Every `2^a·3^b·5^c ≤ 512`, powers of two included.
+    fn smooth_lengths() -> Vec<usize> {
+        (1..=512).filter(|&n| MixedRadixPlan::<f64>::supports(n)).collect()
+    }
+
+    #[test]
+    fn factors_only_smooth_lengths() {
+        for n in [1usize, 2, 3, 4, 5, 6, 40, 48, 60, 480, 640, 1000] {
+            assert!(MixedRadixPlan::<f64>::supports(n), "{n}");
+        }
+        for n in [0usize, 7, 14, 17, 22, 509] {
+            assert!(!MixedRadixPlan::<f64>::supports(n), "{n}");
+        }
+        assert_eq!(factor(40), Some(vec![Radix::Four, Radix::Two, Radix::Five]));
+        assert_eq!(factor(1), Some(vec![]));
+        assert_eq!(smooth_lengths().len(), 68);
+    }
+
+    #[test]
+    fn forward_matches_reference_for_every_smooth_length() {
+        for n in smooth_lengths() {
+            let x = signal(n);
+            let mut fast = x.clone();
+            MixedRadixPlan::new(n).forward(&mut fast);
+            assert_close(&fast, &dft::forward(&x), 1e-9 * n as f64);
+        }
+    }
+
+    #[test]
+    fn inverse_matches_reference_for_every_smooth_length() {
+        for n in smooth_lengths() {
+            let x = signal(n);
+            let mut fast = x.clone();
+            MixedRadixPlan::new(n).inverse(&mut fast);
+            assert_close(&fast, &dft::inverse(&x), 1e-10);
+        }
+    }
+
+    #[test]
+    fn roundtrip_is_identity_for_every_smooth_length() {
+        for n in smooth_lengths() {
+            let plan = MixedRadixPlan::new(n);
+            let x = signal(n);
+            let mut buf = x.clone();
+            plan.forward(&mut buf);
+            plan.inverse(&mut buf);
+            assert_close(&buf, &x, 1e-10);
+        }
+    }
+
+    #[test]
+    fn f32_plan_tracks_f64_reference_for_every_smooth_length() {
+        for n in smooth_lengths() {
+            let x = signal(n);
+            let plan: MixedRadixPlan<f32> = MixedRadixPlan::new(n);
+            let mut fwd: Vec<Complex32> = x.iter().map(|z| z.to_c32()).collect();
+            plan.forward(&mut fwd);
+            for (a, b) in fwd.iter().zip(&dft::forward(&x)) {
+                assert!((a.to_c64() - *b).norm() < 1e-3 * n as f64, "n={n}: {a} vs {b}");
+            }
+            let mut inv: Vec<Complex32> = x.iter().map(|z| z.to_c32()).collect();
+            plan.inverse(&mut inv);
+            for (a, b) in inv.iter().zip(&dft::inverse(&x)) {
+                assert!((a.to_c64() - *b).norm() < 1e-4, "n={n}: {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn f32_roundtrip_is_near_identity_for_every_smooth_length() {
+        for n in smooth_lengths() {
+            let plan: MixedRadixPlan<f32> = MixedRadixPlan::new(n);
+            let x: Vec<Complex32> = signal(n).iter().map(|z| z.to_c32()).collect();
+            let mut buf = x.clone();
+            plan.forward(&mut buf);
+            plan.inverse(&mut buf);
+            for (a, b) in buf.iter().zip(&x) {
+                assert!((*a - *b).norm() < 1e-4, "n={n}: {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn agrees_with_bluestein_on_the_hot_lengths() {
+        for n in [40usize, 48, 480] {
+            let x = signal(n);
+            for invert in [false, true] {
+                let (mut mixed, mut chirp) = (x.clone(), x.clone());
+                if invert {
+                    MixedRadixPlan::new(n).inverse(&mut mixed);
+                    BluesteinPlan::new(n).inverse(&mut chirp);
+                } else {
+                    MixedRadixPlan::new(n).forward(&mut mixed);
+                    BluesteinPlan::new(n).forward(&mut chirp);
+                }
+                let err: f64 = mixed.iter().zip(&chirp).map(|(a, b)| (*a - *b).norm_sqr()).sum();
+                let scale: f64 = chirp.iter().map(|z| z.norm_sqr()).sum();
+                assert!((err / scale).sqrt() < 1e-12, "n={n} invert={invert}");
+            }
+        }
+    }
+
+    #[test]
+    fn plan_reuse_is_bit_identical() {
+        let plan = MixedRadixPlan::new(480);
+        let x = signal(480);
+        let (mut a, mut b) = (x.clone(), x);
+        plan.forward(&mut a);
+        plan.forward(&mut b);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn transforms_reuse_the_thread_workspace() {
+        let plan: MixedRadixPlan<f32> = MixedRadixPlan::new(60);
+        let mut buf = vec![Complex32::ONE; 60];
+        plan.forward(&mut buf);
+        let before = f32::with_conv_work(|w| (w.as_ptr() as usize, w.len()));
+        plan.forward(&mut buf);
+        plan.inverse(&mut buf);
+        let after = f32::with_conv_work(|w| (w.as_ptr() as usize, w.len()));
+        assert_eq!(before, after);
+        assert!(before.1 >= 60);
+    }
+
+    #[test]
+    #[should_panic(expected = "2·3·5-smooth")]
+    fn rejects_lengths_with_large_prime_factors() {
+        MixedRadixPlan::<f64>::new(14);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match plan length")]
+    fn rejects_wrong_buffer_length() {
+        let plan = MixedRadixPlan::new(12);
+        let mut buf = vec![Complex64::ZERO; 8];
+        plan.forward(&mut buf);
+    }
+}

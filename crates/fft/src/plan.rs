@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use crate::bluestein::BluesteinPlan;
 use crate::complex::Complex;
+use crate::mixed_radix::MixedRadixPlan;
 use crate::radix2::Radix2Plan;
 use crate::real::Real;
 
@@ -38,6 +39,7 @@ pub struct FftPlan<T: Real = f64> {
 #[derive(Debug)]
 enum Algo<T: Real> {
     Radix2(Radix2Plan<T>),
+    Mixed(MixedRadixPlan<T>),
     Bluestein(BluesteinPlan<T>),
 }
 
@@ -46,6 +48,7 @@ impl<T: Real> FftPlan<T> {
     pub fn len(&self) -> usize {
         match &*self.algo {
             Algo::Radix2(p) => p.len(),
+            Algo::Mixed(p) => p.len(),
             Algo::Bluestein(p) => p.len(),
         }
     }
@@ -63,6 +66,7 @@ impl<T: Real> FftPlan<T> {
     pub fn forward(&self, buf: &mut [Complex<T>]) {
         match &*self.algo {
             Algo::Radix2(p) => p.forward(buf),
+            Algo::Mixed(p) => p.forward(buf),
             Algo::Bluestein(p) => p.forward(buf),
         }
     }
@@ -75,6 +79,7 @@ impl<T: Real> FftPlan<T> {
     pub fn inverse(&self, buf: &mut [Complex<T>]) {
         match &*self.algo {
             Algo::Radix2(p) => p.inverse(buf),
+            Algo::Mixed(p) => p.inverse(buf),
             Algo::Bluestein(p) => p.inverse(buf),
         }
     }
@@ -88,10 +93,12 @@ impl<T: Real> FftPlan<T> {
 /// use holoar_fft::FftPlanner;
 ///
 /// let mut planner = FftPlanner::new();
-/// let a = planner.plan(480); // Bluestein path
+/// let a = planner.plan(480); // mixed-radix path (2^5·3·5)
 /// let b = planner.plan(512); // radix-2 path
+/// let c = planner.plan(509); // Bluestein path (prime)
 /// assert_eq!(a.len(), 480);
 /// assert_eq!(b.len(), 512);
+/// assert_eq!(c.len(), 509);
 /// # let mut buf = vec![holoar_fft::Complex64::ONE; 480];
 /// # a.forward(&mut buf);
 /// ```
@@ -149,6 +156,8 @@ fn global_plan<T: Real>(n: usize) -> FftPlan<T> {
             let _span = holoar_telemetry::span_cat("fft.plan.build", "fft");
             let algo = if n.is_power_of_two() {
                 Algo::Radix2(Radix2Plan::new(n))
+            } else if MixedRadixPlan::<T>::supports(n) {
+                Algo::Mixed(MixedRadixPlan::new(n))
             } else {
                 Algo::Bluestein(BluesteinPlan::new(n))
             };
@@ -216,6 +225,27 @@ mod tests {
             let slow = dft::forward(&x);
             for (a, b) in fast.iter().zip(&slow) {
                 assert!((*a - *b).norm() < 1e-6 * n as f64);
+            }
+        }
+    }
+
+    #[test]
+    fn lengths_dispatch_to_the_expected_algorithm() {
+        fn algo_name<T: Real>(n: usize) -> &'static str {
+            match &*FftPlanner::<T>::new().plan(n).algo {
+                Algo::Radix2(_) => "radix2",
+                Algo::Mixed(_) => "mixed",
+                Algo::Bluestein(_) => "bluestein",
+            }
+        }
+        for (lengths, want) in [
+            (&[64usize, 512][..], "radix2"),
+            (&[40, 48, 60, 480, 640], "mixed"),
+            (&[7, 14, 17, 509], "bluestein"),
+        ] {
+            for &n in lengths {
+                assert_eq!(algo_name::<f64>(n), want, "f64 n={n}");
+                assert_eq!(algo_name::<f32>(n), want, "f32 n={n}");
             }
         }
     }

@@ -10,7 +10,8 @@
 //!
 //! Besides arithmetic, the trait carries the three pieces of per-precision
 //! *plumbing* the generic code needs a home for: the process-wide plan
-//! cache, the Bluestein convolution workspace, and the scratch-arena pools —
+//! cache, the 1-D transform workspace (Bluestein's convolution buffer and
+//! the mixed-radix ping-pong buffer), and the scratch-arena pools —
 //! each precision gets its own instance so an f32 run never evicts or
 //! aliases f64 state.
 //!
@@ -93,8 +94,10 @@ pub trait Real:
     /// tables never alias one cache entry.
     fn global_plan_cache() -> &'static Mutex<HashMap<usize, FftPlan<Self>>>;
 
-    /// Runs `f` with this thread's Bluestein convolution workspace for this
-    /// precision (see [`crate::bluestein`]). Thread-local so shared plans
+    /// Runs `f` with this thread's 1-D transform workspace for this
+    /// precision: the convolution buffer of [`crate::bluestein`] and the
+    /// ping-pong buffer of [`crate::mixed_radix`]. Neither path calls the
+    /// other, so the borrow never re-enters. Thread-local so shared plans
     /// stay immutable across workers.
     fn with_conv_work<R>(f: impl FnOnce(&mut Vec<Complex<Self>>) -> R) -> R;
 

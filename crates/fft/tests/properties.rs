@@ -16,7 +16,7 @@ fn complex_vec(max_len: usize) -> impl Strategy<Value = Vec<Complex64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// FFT(inverse(x)) == x for arbitrary lengths (covers both algorithms).
+    /// FFT(inverse(x)) == x for arbitrary lengths (covers all three algorithms).
     #[test]
     fn roundtrip_is_identity(x in complex_vec(96)) {
         let plan = FftPlanner::new().plan(x.len());
@@ -133,10 +133,22 @@ proptest! {
 // reorganizations of the same arithmetic and data movement.
 // ---------------------------------------------------------------------------
 
+/// Lengths below 20 with a prime factor above 5: the only ones the planner
+/// still sends to Bluestein (every other length is radix-2 or mixed-radix).
+const BLUESTEIN_LENGTHS: [usize; 6] = [7, 11, 13, 14, 17, 19];
+
+/// Shapes up to 19×19 with at least one Bluestein dimension, so every case
+/// runs Bluestein on one axis; the other axis is drawn from `1..20` (radix-2,
+/// mixed-radix or Bluestein) and either axis may be the Bluestein one.
+fn dims() -> impl Strategy<Value = (usize, usize)> {
+    (prop::sample::select(BLUESTEIN_LENGTHS.to_vec()), 1usize..20, any::<bool>())
+        .prop_map(|(b, other, b_is_rows)| if b_is_rows { (b, other) } else { (other, b) })
+}
+
 fn real_shape_and_data() -> impl Strategy<Value = (usize, usize, Vec<Complex64>)> {
-    // Shapes up to 20×20 cover radix-2 and Bluestein row/column lengths and
-    // both parities of the row count (odd = one unpaired trailing row).
-    (1usize..20, 1usize..20).prop_flat_map(|(rows, cols)| {
+    // `dims` covers all three row/column algorithms and both parities of
+    // the row count (odd = one unpaired trailing row).
+    dims().prop_flat_map(|(rows, cols)| {
         prop::collection::vec(
             (-1e3f64..1e3).prop_map(|re| Complex64::new(re, 0.0)),
             rows * cols..=rows * cols,
@@ -193,7 +205,7 @@ proptest! {
     }
 
     /// The cache-blocked transpose is bit-identical to the naive nested
-    /// loop for every shape, including Bluestein (non-power-of-two) ones
+    /// loop for every shape, including non-power-of-two ones
     /// and shapes straddling the tile edge.
     #[test]
     fn blocked_transpose_matches_naive(rows in 1usize..70, cols in 1usize..70) {
@@ -215,11 +227,12 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Parallel execution: the fan-out must be a pure execution detail. Every
 // worker count (including over-subscribed ones) must produce bit-identical
-// buffers for every shape — radix-2 and Bluestein, forward and inverse.
+// buffers for every shape — radix-2, mixed-radix and Bluestein, forward and
+// inverse.
 // ---------------------------------------------------------------------------
 
 fn shape_and_data() -> impl Strategy<Value = (usize, usize, Vec<Complex64>)> {
-    (1usize..20, 1usize..20).prop_flat_map(|(rows, cols)| {
+    dims().prop_flat_map(|(rows, cols)| {
         prop::collection::vec(
             (-1e3f64..1e3, -1e3f64..1e3).prop_map(|(re, im)| Complex64::new(re, im)),
             rows * cols..=rows * cols,
@@ -232,7 +245,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Parallel 2-D FFT output is bit-identical to serial for any shape
-    /// (non-powers of two exercise the Bluestein path) and worker count.
+    /// and worker count. Every shape has a Bluestein axis (see [`dims`]);
+    /// the other axis reaches radix-2 and mixed-radix lengths.
     #[test]
     fn parallel_fft2d_is_bit_identical(
         (rows, cols, x) in shape_and_data(),

@@ -12,6 +12,7 @@ use std::path::PathBuf;
 pub const HOT_PATHS: &[&str] = &[
     "crates/fft/src/radix2.rs",
     "crates/fft/src/bluestein.rs",
+    "crates/fft/src/mixed_radix.rs",
     "crates/fft/src/fft2d.rs",
     "crates/fft/src/parallel.rs",
     "crates/fft/src/plan.rs",
