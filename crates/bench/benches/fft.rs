@@ -1,7 +1,7 @@
 //! FFT substrate micro-benchmarks: the 2-D transforms every propagation
-//! performs, across power-of-two (radix-2), 2·3·5-smooth (mixed-radix: 40
-//! is the quality sampler's size, 480 an Objectron frame edge) and prime
-//! (Bluestein) sizes.
+//! performs, across 2·3·5-smooth sizes (the mixed-radix plan: powers of two
+//! for hologram planes, 40 the quality sampler's size, 480 an Objectron
+//! frame edge) and prime (Bluestein) sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use holoar_fft::{Complex64, Fft2d, FftPlanner};

@@ -95,10 +95,12 @@ pub trait Real:
     fn global_plan_cache() -> &'static Mutex<HashMap<usize, FftPlan<Self>>>;
 
     /// Runs `f` with this thread's 1-D transform workspace for this
-    /// precision: the convolution buffer of [`crate::bluestein`] and the
-    /// ping-pong buffer of [`crate::mixed_radix`]. Neither path calls the
-    /// other, so the borrow never re-enters. Thread-local so shared plans
-    /// stay immutable across workers.
+    /// precision: the ping-pong buffer of [`crate::mixed_radix`], or for
+    /// [`crate::bluestein`] the convolution buffer followed by its inner
+    /// plan's ping-pong buffer. Bluestein borrows it once and hands the
+    /// second half to the inner plan explicitly, so the borrow never
+    /// re-enters. Thread-local so shared plans stay immutable across
+    /// workers.
     fn with_conv_work<R>(f: impl FnOnce(&mut Vec<Complex<Self>>) -> R) -> R;
 
     /// Checks a zeroed scratch buffer of `len` samples out of `arena`'s

@@ -134,12 +134,12 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Lengths below 20 with a prime factor above 5: the only ones the planner
-/// still sends to Bluestein (every other length is radix-2 or mixed-radix).
+/// still sends to Bluestein (every other length is mixed-radix).
 const BLUESTEIN_LENGTHS: [usize; 6] = [7, 11, 13, 14, 17, 19];
 
 /// Shapes up to 19×19 with at least one Bluestein dimension, so every case
-/// runs Bluestein on one axis; the other axis is drawn from `1..20` (radix-2,
-/// mixed-radix or Bluestein) and either axis may be the Bluestein one.
+/// runs Bluestein on one axis; the other axis is drawn from `1..20`
+/// (mixed-radix or Bluestein) and either axis may be the Bluestein one.
 fn dims() -> impl Strategy<Value = (usize, usize)> {
     (prop::sample::select(BLUESTEIN_LENGTHS.to_vec()), 1usize..20, any::<bool>())
         .prop_map(|(b, other, b_is_rows)| if b_is_rows { (b, other) } else { (other, b) })
@@ -227,8 +227,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Parallel execution: the fan-out must be a pure execution detail. Every
 // worker count (including over-subscribed ones) must produce bit-identical
-// buffers for every shape — radix-2, mixed-radix and Bluestein, forward and
-// inverse.
+// buffers for every shape — mixed-radix and Bluestein, forward and inverse.
 // ---------------------------------------------------------------------------
 
 fn shape_and_data() -> impl Strategy<Value = (usize, usize, Vec<Complex64>)> {
@@ -246,7 +245,7 @@ proptest! {
 
     /// Parallel 2-D FFT output is bit-identical to serial for any shape
     /// and worker count. Every shape has a Bluestein axis (see [`dims`]);
-    /// the other axis reaches radix-2 and mixed-radix lengths.
+    /// the other axis reaches power-of-two and other mixed-radix lengths.
     #[test]
     fn parallel_fft2d_is_bit_identical(
         (rows, cols, x) in shape_and_data(),

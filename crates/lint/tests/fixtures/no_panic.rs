@@ -1,6 +1,6 @@
 // Fixture: hot-path panic sources the `no-panic` rule must flag. This file
 // is never compiled; tests scan it under a hot-path rel like
-// `crates/fft/src/radix2.rs`.
+// `crates/fft/src/mixed_radix.rs`.
 pub fn hot(buf: &[f64], opt: Option<f64>) -> f64 {
     let first = buf[0];
     let last = buf[buf.len() - 1];

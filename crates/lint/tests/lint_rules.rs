@@ -32,7 +32,7 @@ fn lines_for(report: &Report, rule: &str) -> Vec<usize> {
 #[test]
 fn no_panic_fires_on_hot_path_fixture() {
     let src = include_str!("fixtures/no_panic.rs");
-    let report = lint_one("crates/fft/src/radix2.rs", src);
+    let report = lint_one("crates/fft/src/mixed_radix.rs", src);
     let lines = lines_for(&report, "no-panic");
     // buf[0], buf[buf.len() - 1], unwrap, expect, panic!, unreachable!.
     for expected in [5, 6, 7, 8, 10, 13] {
@@ -183,7 +183,7 @@ fn waivers_suppress_malformed_and_unknown_do_not() {
 #[test]
 fn baseline_suppresses_by_content_not_line_number() {
     let src = include_str!("fixtures/no_panic.rs");
-    let rel = "crates/fft/src/radix2.rs";
+    let rel = "crates/fft/src/mixed_radix.rs";
     let sources = vec![SourceFile::scan(rel, src)];
     let first = engine::lint_sources(&sources, &cfg(), REGISTRY, "");
     let active_before = first.counts().0;
@@ -206,7 +206,7 @@ fn baseline_suppresses_by_content_not_line_number() {
 #[test]
 fn malformed_baseline_entries_are_findings() {
     let report = lint_one_with_baseline(
-        "crates/fft/src/radix2.rs",
+        "crates/fft/src/mixed_radix.rs",
         "pub fn ok() {}\n",
         "# comment is fine\nno-panic only-two-fields\n",
     );
