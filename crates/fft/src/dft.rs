@@ -66,6 +66,14 @@ fn transform(input: &[Complex64], sign: f64) -> Vec<Complex64> {
     out
 }
 
+/// `‖a − b‖₂ / ‖b‖₂`, the rounding-level error measure of the oracle tests.
+#[cfg(test)]
+pub(crate) fn relative_l2(a: &[Complex64], b: &[Complex64]) -> f64 {
+    let err: f64 = a.iter().zip(b).map(|(x, y)| (*x - *y).norm_sqr()).sum();
+    let scale: f64 = b.iter().map(|z| z.norm_sqr()).sum();
+    (err / scale).sqrt()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
