@@ -135,7 +135,12 @@ impl<T: Real> Fft2d<T> {
     /// Panics if `buf.len() != rows * cols`.
     pub fn forward(&self, buf: &mut [Complex<T>]) {
         let _span = holoar_telemetry::span_cat("fft.fft2d.forward", "fft");
-        self.forward_detect(buf);
+        if is_all_real(buf) {
+            holoar_telemetry::counter_add("fft.fft2d.real_dispatch", 1);
+            self.run_real_forward(buf);
+        } else {
+            self.run(buf, true);
+        }
     }
 
     /// Forward 2-D FFT of a purely real field, in place.
@@ -164,73 +169,6 @@ impl<T: Real> Fft2d<T> {
     pub fn inverse(&self, buf: &mut [Complex<T>]) {
         let _span = holoar_telemetry::span_cat("fft.fft2d.inverse", "fft");
         self.run(buf, false);
-    }
-
-    /// Forward 2-D FFT over a batch of same-shaped buffers, in place.
-    ///
-    /// The fan-out is per buffer (each transformed by a serial plan), so the
-    /// result is bit-identical to calling [`Fft2d::forward`] on each buffer
-    /// in order, regardless of worker count. This is the entry point the
-    /// cross-session batcher coalesces same-sized plane work into.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any buffer's length differs from `rows * cols`.
-    pub fn forward_batch(&self, bufs: &mut [Vec<Complex<T>>]) {
-        let _span = holoar_telemetry::span_cat("fft.fft2d.forward_batch", "fft");
-        self.run_batch(bufs, true);
-    }
-
-    /// Inverse 2-D FFT over a batch of same-shaped buffers, in place.
-    ///
-    /// Bit-identical to calling [`Fft2d::inverse`] on each buffer in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any buffer's length differs from `rows * cols`.
-    pub fn inverse_batch(&self, bufs: &mut [Vec<Complex<T>>]) {
-        let _span = holoar_telemetry::span_cat("fft.fft2d.inverse_batch", "fft");
-        self.run_batch(bufs, false);
-    }
-
-    fn run_batch(&self, bufs: &mut [Vec<Complex<T>>], forward: bool) {
-        if bufs.is_empty() {
-            return;
-        }
-        if self.par.is_serial() || bufs.len() == 1 {
-            for buf in bufs.iter_mut() {
-                if forward {
-                    self.forward_detect(buf);
-                } else {
-                    self.run(buf, false);
-                }
-            }
-            return;
-        }
-        // Parallelize across buffers, not within one: each worker runs a
-        // serial transform per buffer, so the per-buffer arithmetic (and
-        // therefore the output) is independent of the worker count.
-        let plan = self.serial_equivalent();
-        self.par.for_each_chunk(bufs, 1, |_, span| {
-            for buf in span {
-                if forward {
-                    plan.forward_detect(buf);
-                } else {
-                    plan.run(buf, false);
-                }
-            }
-        });
-    }
-
-    /// Forward entry shared by [`Fft2d::forward`] and the batch path:
-    /// detects purely real inputs and takes the packed-row kernel for them.
-    fn forward_detect(&self, buf: &mut [Complex<T>]) {
-        if is_all_real(buf) {
-            holoar_telemetry::counter_add("fft.fft2d.real_dispatch", 1);
-            self.run_real_forward(buf);
-        } else {
-            self.run(buf, true);
-        }
     }
 
     fn check_shape(&self, buf: &[Complex<T>]) {
@@ -685,64 +623,6 @@ mod tests {
     #[should_panic(expected = "does not match shape")]
     fn wrong_buffer_shape_panics() {
         Fft2d::new(4, 4).forward(&mut vec![Complex64::ZERO; 15]);
-    }
-
-    #[test]
-    fn batch_matches_per_buffer_transforms() {
-        let (rows, cols) = (6, 5);
-        let serial = Fft2d::new(rows, cols);
-        let inputs: Vec<Vec<Complex64>> = (0..5)
-            .map(|i| {
-                image(rows, cols)
-                    .into_iter()
-                    .map(|z| z * Complex64::new(1.0 + i as f64, 0.0))
-                    .collect()
-            })
-            .collect();
-        let mut expected = inputs.clone();
-        for buf in &mut expected {
-            serial.forward(buf);
-        }
-        for workers in [1usize, 2, 7] {
-            let fft = Fft2d::with_parallelism(rows, cols, Parallelism::new(workers));
-            let mut batch = inputs.clone();
-            fft.forward_batch(&mut batch);
-            assert_eq!(batch, expected, "forward batch workers={workers}");
-            fft.inverse_batch(&mut batch);
-            let mut roundtrip = expected.clone();
-            for buf in &mut roundtrip {
-                serial.inverse(buf);
-            }
-            assert_eq!(batch, roundtrip, "inverse batch workers={workers}");
-        }
-    }
-
-    #[test]
-    fn batch_takes_the_real_path_per_buffer() {
-        // A batch mixing real and complex planes must agree with per-buffer
-        // forward() calls (which dispatch per input) at every worker count.
-        let (rows, cols) = (6, 5);
-        let inputs: Vec<Vec<Complex64>> = vec![
-            real_image(rows, cols),
-            image(rows, cols),
-            real_image(rows, cols),
-        ];
-        let serial = Fft2d::new(rows, cols);
-        let mut expected = inputs.clone();
-        for buf in &mut expected {
-            serial.forward(buf);
-        }
-        for workers in [1usize, 2, 7] {
-            let fft = Fft2d::with_parallelism(rows, cols, Parallelism::new(workers));
-            let mut batch = inputs.clone();
-            fft.forward_batch(&mut batch);
-            assert_eq!(batch, expected, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        Fft2d::<f64>::new(4, 4).forward_batch(&mut []);
     }
 
     #[test]

@@ -55,5 +55,5 @@ pub use context::{ExecutionContext, ExecutionContextBuilder, Precision};
 pub use fft2d::{fftshift, ifftshift, transpose_into, Fft2d};
 pub use mixed_radix::MixedRadixPlan;
 pub use parallel::{lock_unpoisoned, Parallelism, ScratchArena};
-pub use plan::{fft_forward, fft_inverse, global_cached_len_count, FftPlan, FftPlanner};
+pub use plan::{global_cached_len_count, FftPlan, FftPlanner};
 pub use real::Real;

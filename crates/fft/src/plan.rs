@@ -165,33 +165,6 @@ pub fn global_cached_len_count<T: Real>() -> usize {
     crate::parallel::lock_unpoisoned(T::global_plan_cache()).len()
 }
 
-/// One-shot forward FFT convenience for callers without a planner.
-///
-/// # Examples
-///
-/// ```
-/// use holoar_fft::{fft_forward, Complex64};
-/// let mut buf = vec![Complex64::ONE, Complex64::ZERO, Complex64::ZERO, Complex64::ZERO];
-/// fft_forward(&mut buf);
-/// assert!((buf[3] - Complex64::ONE).norm() < 1e-12);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `buf` is empty.
-pub fn fft_forward<T: Real>(buf: &mut [Complex<T>]) {
-    FftPlanner::new().plan(buf.len()).forward(buf);
-}
-
-/// One-shot inverse FFT convenience (with `1/n` normalization).
-///
-/// # Panics
-///
-/// Panics if `buf` is empty.
-pub fn fft_inverse<T: Real>(buf: &mut [Complex<T>]) {
-    FftPlanner::new().plan(buf.len()).inverse(buf);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,17 +218,6 @@ mod tests {
     #[should_panic(expected = "zero-length")]
     fn zero_length_plan_panics() {
         FftPlanner::<f64>::new().plan(0);
-    }
-
-    #[test]
-    fn oneshot_roundtrip() {
-        let x: Vec<Complex64> = (0..24).map(|i| Complex64::new(i as f64, -1.0)).collect();
-        let mut buf = x.clone();
-        fft_forward(&mut buf);
-        fft_inverse(&mut buf);
-        for (a, b) in buf.iter().zip(&x) {
-            assert!((*a - *b).norm() < 1e-9);
-        }
     }
 
     #[test]

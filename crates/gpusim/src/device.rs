@@ -2,7 +2,7 @@
 
 use crate::config::DeviceConfig;
 use crate::kernel::KernelDesc;
-use crate::sm::block_cost;
+use crate::sm::{block_cost, BlockCost};
 use crate::stats::KernelStats;
 
 /// Error constructing a [`Device`].
@@ -84,16 +84,9 @@ impl Device {
     /// [`KernelDesc::validate`] for a recoverable error).
     pub fn execute(&mut self, kernel: &KernelDesc) -> KernelStats {
         let cfg = &self.config;
-        // holoar-lint: allow(no-panic-transitive, reason = "documented contract for hand-built descriptors; every in-tree caller launches kernels from this crate's builders, which are valid by construction, and KernelDesc::validate is the recoverable path")
-        let cost = block_cost(kernel, cfg).unwrap_or_else(|e| panic!("{e}"));
+        let cost = expect_block_cost(kernel, cfg);
         let blocks_per_sm = kernel.grid_blocks.div_ceil(cfg.sm_count) as f64;
-        // Each launch pays a drain tail: the device idles while the last
-        // wave's stragglers finish before the end-of-kernel (inter-block)
-        // synchronization releases the host.
-        let drain_tail = 0.5 * cost.total_cycles();
-        let sm_cycles =
-            (blocks_per_sm * cost.total_cycles() + drain_tail) / cfg.kernel_efficiency;
-        let time = sm_cycles / cfg.clock_hz + cfg.launch_overhead;
+        let (sm_cycles, time) = launch_time(kernel, &cost, cfg);
 
         let busy = blocks_per_sm * cost.busy_cycles;
         let stalls = cost.exposed_stalls.scaled(blocks_per_sm);
@@ -124,6 +117,34 @@ impl Device {
     pub fn execute_all(&mut self, kernels: &[KernelDesc]) -> Vec<KernelStats> {
         kernels.iter().map(|k| self.execute(k)).collect()
     }
+}
+
+/// Modeled wall time of one launch of `kernel` on `config`, in seconds:
+/// the [`Device::execute`] time as a pure function, for callers that price
+/// work without keeping launch counters.
+///
+/// # Panics
+///
+/// Panics if the kernel is invalid.
+pub fn kernel_time(kernel: &KernelDesc, config: &DeviceConfig) -> f64 {
+    launch_time(kernel, &expect_block_cost(kernel, config), config).1
+}
+
+/// The block cost of a kernel this crate's builders produced.
+pub(crate) fn expect_block_cost(kernel: &KernelDesc, config: &DeviceConfig) -> BlockCost {
+    // holoar-lint: allow(no-panic-transitive, reason = "documented contract for hand-built descriptors; every in-tree caller prices kernels from this crate's builders, which are valid by construction, and KernelDesc::validate is the recoverable path")
+    block_cost(kernel, config).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Per-SM cycles and wall seconds of one launch: the most-loaded SM drains
+/// its blocks, then pays a drain tail — the device idles while the last
+/// wave's stragglers finish before the end-of-kernel (inter-block)
+/// synchronization releases the host.
+fn launch_time(kernel: &KernelDesc, cost: &BlockCost, cfg: &DeviceConfig) -> (f64, f64) {
+    let blocks_per_sm = kernel.grid_blocks.div_ceil(cfg.sm_count) as f64;
+    let drain_tail = 0.5 * cost.total_cycles();
+    let sm_cycles = (blocks_per_sm * cost.total_cycles() + drain_tail) / cfg.kernel_efficiency;
+    (sm_cycles, sm_cycles / cfg.clock_hz + cfg.launch_overhead)
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@
 //! Loads and Sync).
 
 use crate::calibration;
-use crate::device::Device;
+use crate::config::DeviceConfig;
+use crate::device::{kernel_time, Device};
 use crate::kernel::{InstructionMix, KernelDesc};
 use crate::power::{Activity, EnergyMeter, RailPower};
 use crate::stats::KernelStats;
@@ -45,8 +46,8 @@ impl Step {
 /// Panics if `pixels == 0`.
 pub fn propagation_kernel(step: Step, pixels: u64) -> KernelDesc {
     assert!(pixels > 0, "propagation kernel needs at least one pixel");
-    let block_threads = 256u32;
-    let grid_blocks = pixels.div_ceil(block_threads as u64).min(u32::MAX as u64) as u32;
+    let block_threads = PLANE_BLOCK_THREADS;
+    let grid_blocks = plane_grid_blocks(pixels);
     match step {
         Step::Forward => KernelDesc::new(
             step.kernel_name(),
@@ -86,6 +87,14 @@ pub fn propagation_kernel(step: Step, pixels: u64) -> KernelDesc {
         .with_imbalance(1.0)
         .with_dependency_factor(0.03),
     }
+}
+
+/// Threads per block of every propagation kernel.
+const PLANE_BLOCK_THREADS: u32 = 256;
+
+/// Grid size of one plane's propagation kernel over `pixels` samples.
+pub(crate) fn plane_grid_blocks(pixels: u64) -> u32 {
+    pixels.div_ceil(u64::from(PLANE_BLOCK_THREADS)).min(u64::from(u32::MAX)) as u32
 }
 
 /// One hologram computation request: the unit HoloAR's planner schedules per
@@ -141,6 +150,20 @@ impl HologramJob {
         }
         Ok(())
     }
+
+    /// Hologram samples each of the job's plane propagations touches: the
+    /// coverage share of the aperture, at least one.
+    pub(crate) fn covered_pixels(&self) -> u64 {
+        ((self.pixels as f64 * self.coverage).ceil() as u64).max(1)
+    }
+
+    /// Panics with the validation error of an invalid job.
+    pub(crate) fn expect_valid(&self) {
+        if let Err(e) = self.validate() {
+            // holoar-lint: allow(no-panic-transitive, reason = "documented contract for hand-built jobs; the serving and evaluation paths derive jobs from validated plans, and HologramJob::validate is the recoverable path")
+            panic!("invalid hologram job: {e}");
+        }
+    }
 }
 
 /// Statistics from running one [`HologramJob`] on the device.
@@ -176,11 +199,8 @@ impl HologramJobStats {
 /// Panics if the job is invalid (use [`HologramJob::validate`] for a
 /// recoverable error).
 pub fn job_kernels(job: &HologramJob) -> Vec<KernelDesc> {
-    if let Err(e) = job.validate() {
-        // holoar-lint: allow(no-panic-transitive, reason = "documented contract for hand-built jobs; the serving and evaluation paths derive jobs from validated plans, and HologramJob::validate is the recoverable path")
-        panic!("invalid hologram job: {e}");
-    }
-    let covered_pixels = ((job.pixels as f64 * job.coverage).ceil() as u64).max(1);
+    job.expect_valid();
+    let covered_pixels = job.covered_pixels();
     let mut kernels =
         Vec::with_capacity((job.gsw_iterations * job.plane_count * 2) as usize);
     for _ in 0..job.gsw_iterations {
@@ -204,10 +224,8 @@ pub fn job_kernels(job: &HologramJob) -> Vec<KernelDesc> {
 ///
 /// Panics if the job is invalid.
 pub fn fused_job_kernels(job: &HologramJob) -> Vec<KernelDesc> {
-    if let Err(e) = job.validate() {
-        panic!("invalid hologram job: {e}");
-    }
-    let covered_pixels = ((job.pixels as f64 * job.coverage).ceil() as u64).max(1);
+    job.expect_valid();
+    let covered_pixels = job.covered_pixels();
     let mut kernels = Vec::with_capacity((job.gsw_iterations * 2) as usize);
     for _ in 0..job.gsw_iterations {
         for step in [Step::Forward, Step::Backward] {
@@ -246,10 +264,7 @@ pub fn merged_session_kernels(jobs: &[HologramJob]) -> Vec<KernelDesc> {
         return Vec::new();
     };
     for job in &active {
-        if let Err(e) = job.validate() {
-            // holoar-lint: allow(no-panic-transitive, reason = "documented contract for hand-built jobs; the batcher only merges admission-validated session jobs, and HologramJob::validate is the recoverable path")
-            panic!("invalid hologram job: {e}");
-        }
+        job.expect_valid();
         assert_eq!(
             job.gsw_iterations, first.gsw_iterations,
             "cross-session batching requires lockstep GSW iterations"
@@ -260,14 +275,10 @@ pub fn merged_session_kernels(jobs: &[HologramJob]) -> Vec<KernelDesc> {
         for step in [Step::Forward, Step::Backward] {
             let mut grid_blocks = 0u32;
             for job in &active {
-                let covered = ((job.pixels as f64 * job.coverage).ceil() as u64).max(1);
-                let per_plane = propagation_kernel(step, covered);
-                grid_blocks = grid_blocks
-                    .saturating_add(per_plane.grid_blocks.saturating_mul(job.plane_count));
+                let per_plane = plane_grid_blocks(job.covered_pixels());
+                grid_blocks = grid_blocks.saturating_add(per_plane.saturating_mul(job.plane_count));
             }
-            let covered_first =
-                ((first.pixels as f64 * first.coverage).ceil() as u64).max(1);
-            let mut merged = propagation_kernel(step, covered_first);
+            let mut merged = propagation_kernel(step, first.covered_pixels());
             merged.name = format!("{}_xsession", step.kernel_name());
             merged.grid_blocks = grid_blocks.max(1);
             kernels.push(merged);
@@ -286,9 +297,7 @@ pub fn batch_block_shares(jobs: &[HologramJob]) -> Vec<f64> {
             if job.plane_count == 0 {
                 return 0;
             }
-            let covered = ((job.pixels as f64 * job.coverage).ceil() as u64).max(1);
-            let per_plane = propagation_kernel(Step::Forward, covered);
-            per_plane.grid_blocks as u64 * job.plane_count as u64
+            u64::from(plane_grid_blocks(job.covered_pixels())) * u64::from(job.plane_count)
         })
         .collect();
     let total: u64 = per_job.iter().sum();
@@ -349,6 +358,35 @@ pub fn run_job(device: &mut Device, job: &HologramJob) -> HologramJobStats {
     let mut meter = EnergyMeter::new();
     meter.accumulate(latency, rails);
     HologramJobStats { latency, rails, energy: meter.energy.total(), kernels: stats }
+}
+
+/// A job's solo latency on a device model: [`run_job`]'s `latency` as a
+/// pure function of the configuration. Prices two kernels (one forward,
+/// one backward plane) and adds their times in `run_job`'s launch order, so
+/// the sum is bit-identical to `run_job`'s.
+///
+/// # Panics
+///
+/// Panics if the job is invalid (non-zero planes with zero pixels/coverage).
+pub fn job_latency(config: &DeviceConfig, job: &HologramJob) -> f64 {
+    let _span = holoar_telemetry::span_cat("gpusim.price.job", "gpusim");
+    if job.plane_count == 0 {
+        return 0.0;
+    }
+    job.expect_valid();
+    let covered = job.covered_pixels();
+    let fwd = kernel_time(&propagation_kernel(Step::Forward, covered), config);
+    let bwd = kernel_time(&propagation_kernel(Step::Backward, covered), config);
+    let mut latency = 0.0;
+    for _ in 0..job.gsw_iterations {
+        for _ in 0..job.plane_count {
+            latency += fwd;
+        }
+        for _ in 0..job.plane_count {
+            latency += bwd;
+        }
+    }
+    latency
 }
 
 /// Latency of the forward and backward halves for one plane count — the

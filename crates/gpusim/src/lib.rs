@@ -49,4 +49,4 @@ pub use profiler::{KernelAggregate, Profiler};
 pub use spec::{DeviceSpec, EDGE_FRAME_BUDGET};
 pub use stats::{KernelStats, StallBreakdown, StallCategory};
 pub use telemetry_bridge::{bridge_profiler, GPU_TRACK};
-pub use timeline::{simulate, OccupancySample, StreamOp, Timeline};
+pub use timeline::{session_occupancy, simulate, OccupancySample, StreamOp, Timeline};

@@ -1,11 +1,13 @@
 //! Property tests for the GPU model: accounting identities and
 //! monotonicities that must hold for any kernel shape.
 
+use holoar_gpusim::device::kernel_time;
 use holoar_gpusim::gating::{gated_rails, run_job_gated, GatingPolicy};
-use holoar_gpusim::hologram_kernels::{run_job, HologramJob};
+use holoar_gpusim::hologram_kernels::{job_latency, run_job, HologramJob};
+use holoar_gpusim::timeline::{session_occupancy, session_stream_ops};
 use holoar_gpusim::{
-    Activity, Device, DeviceConfig, EnergyMeter, InstructionMix, KernelDesc, PowerConfig,
-    RailPower, StallCategory,
+    simulate, Activity, Device, DeviceConfig, EnergyMeter, InstructionMix, KernelDesc,
+    PowerConfig, RailPower, StallCategory,
 };
 use proptest::prelude::*;
 
@@ -149,5 +151,53 @@ proptest! {
         let t_small = small.execute(&kernel).time;
         let t_big = big.execute(&kernel).time;
         prop_assert!(t_big <= t_small + 1e-12);
+    }
+}
+
+/// A fleet of 1–11 session jobs: 0–24 planes, coverage in (0, 1], 1–5 GSW
+/// iterations, on one of three hologram sizes.
+fn arb_fleet() -> impl Strategy<Value = Vec<HologramJob>> {
+    let pixels = prop::sample::select(vec![16u64 * 16, 64 * 64, 96 * 96]);
+    let job = (pixels, 0u32..25, 0.0f64..1.0, 1u32..6)
+        .prop_map(|(pixels, plane_count, x, gsw_iterations)| HologramJob {
+            pixels,
+            plane_count,
+            coverage: 1.0 - x,
+            gsw_iterations,
+        });
+    prop::collection::vec(job, 1..12)
+}
+
+fn arb_sm_count() -> impl Strategy<Value = u32> {
+    prop::sample::select(vec![1u32, 4, 32])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The pure pricing functions reproduce the kernel-building paths bit
+    /// for bit: occupancy, solo-job latency and single-kernel time.
+    #[test]
+    fn session_occupancy_is_bit_identical(jobs in arb_fleet(), sm_count in arb_sm_count()) {
+        let cfg = DeviceConfig { sm_count, ..DeviceConfig::default() };
+        let reference = simulate(&session_stream_ops(&jobs), &cfg).mean_occupancy();
+        prop_assert_eq!(session_occupancy(&jobs, &cfg).to_bits(), reference.to_bits());
+    }
+
+    #[test]
+    fn job_latency_is_bit_identical(jobs in arb_fleet(), sm_count in arb_sm_count()) {
+        let cfg = DeviceConfig { sm_count, ..DeviceConfig::default() };
+        let mut device = Device::new(cfg).unwrap();
+        for job in &jobs {
+            let reference = run_job(&mut device, job).latency;
+            prop_assert_eq!(job_latency(&cfg, job).to_bits(), reference.to_bits());
+        }
+    }
+
+    #[test]
+    fn kernel_time_is_bit_identical(kernel in arb_kernel(), sm_count in arb_sm_count()) {
+        let cfg = DeviceConfig { sm_count, ..DeviceConfig::default() };
+        let reference = Device::new(cfg).unwrap().execute(&kernel).time;
+        prop_assert_eq!(kernel_time(&kernel, &cfg).to_bits(), reference.to_bits());
     }
 }

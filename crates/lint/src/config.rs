@@ -40,8 +40,6 @@ pub const HOT_ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/fft/src/fft2d.rs", "forward"),
     ("crates/fft/src/fft2d.rs", "forward_real"),
     ("crates/fft/src/fft2d.rs", "inverse"),
-    ("crates/fft/src/fft2d.rs", "forward_batch"),
-    ("crates/fft/src/fft2d.rs", "inverse_batch"),
     ("crates/optics/src/gsw.rs", "run"),
     ("crates/optics/src/gsw.rs", "run_batch"),
     ("crates/optics/src/propagate.rs", "propagate_sum"),

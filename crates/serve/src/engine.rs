@@ -24,9 +24,8 @@ use holoar_core::{
     ExecutionContext, GazeInput, HoloArConfig, Planner, PoseInput, Scheme, SensorSample,
 };
 use holoar_faults::FrameFaults;
-use holoar_gpusim::hologram_kernels::{merged_session_kernels, run_job};
-use holoar_gpusim::timeline::session_stream_ops;
-use holoar_gpusim::{calibration, simulate, Device, DeviceSpec, HologramJob};
+use holoar_gpusim::hologram_kernels::{job_latency, merged_session_kernels};
+use holoar_gpusim::{calibration, session_occupancy, Device, DeviceSpec, HologramJob};
 use holoar_pipeline::executor::{run_staged, StagedConfig};
 use holoar_pipeline::schedule::FrameLatencies;
 use holoar_sensors::angles::AngularPoint;
@@ -279,7 +278,6 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
     }
     let mut scheduler = FrameScheduler::new(admitted);
     let mut device = Device::new(device_cfg).map_err(|e| e.to_string())?;
-    let mut seq_device = Device::new(device_cfg).map_err(|e| e.to_string())?;
     let mut batched_time_total = 0.0;
     let mut sequential_time_total = 0.0;
     let mut occupancy_sum = 0.0;
@@ -365,11 +363,11 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         merged_launches += batch.kernels.len() as u64;
         launches_saved += batch.launches_saved();
         let tick_occupancy = if batch.has_work() {
-            let timeline = simulate(&session_stream_ops(&batch.jobs), &device_cfg);
-            occupancy_sum += timeline.mean_occupancy();
+            let occupancy = session_occupancy(&batch.jobs, &device_cfg);
+            occupancy_sum += occupancy;
             occupancy_ticks += 1;
-            holoar_telemetry::gauge_set("serve.tick.occupancy", timeline.mean_occupancy());
-            timeline.mean_occupancy()
+            holoar_telemetry::gauge_set("serve.tick.occupancy", occupancy);
+            occupancy
         } else {
             0.0
         };
@@ -380,7 +378,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         // independent per-plane pipelines time-slicing the device.
         for t in &ticks {
             if t.job.plane_count > 0 {
-                sequential_time_total += run_job(&mut seq_device, &t.job).latency;
+                sequential_time_total += job_latency(&device_cfg, &t.job);
             } else {
                 sequential_time_total += config.ladder.reproject_latency;
             }

@@ -36,8 +36,8 @@ use holoar_core::degrade::{
 };
 use holoar_core::{HoloArConfig, Planner, Scheme};
 use holoar_faults::{scenario, FaultInjector};
-use holoar_gpusim::hologram_kernels::run_job;
-use holoar_gpusim::{calibration, Device, DeviceSpec, HologramJob};
+use holoar_gpusim::hologram_kernels::job_latency;
+use holoar_gpusim::{calibration, DeviceConfig, DeviceSpec, HologramJob};
 use holoar_sensors::objectron::{Frame, FrameGenerator, VideoCategory};
 
 use crate::engine::{nominal_sample, session_job, SERVE_HOLOGRAM_PIXELS};
@@ -263,7 +263,7 @@ pub struct FleetReport {
 struct FleetDevice {
     spec: DeviceSpec,
     /// Nominal device model used to price probe jobs.
-    probe: Device,
+    probe: DeviceConfig,
     injector: Option<FaultInjector>,
     dead: bool,
     killed_at: Option<u64>,
@@ -300,11 +300,11 @@ struct FleetSession {
 
 /// Prices `job` on a device model: its solo run latency, or the
 /// reprojection cost for an empty job.
-fn price(probe: &mut Device, job: &HologramJob, ladder: &DegradationLadder) -> f64 {
+fn price(probe: &DeviceConfig, job: &HologramJob, ladder: &DegradationLadder) -> f64 {
     if job.plane_count == 0 {
         ladder.reproject_latency
     } else {
-        run_job(probe, job).latency
+        job_latency(probe, job)
     }
 }
 
@@ -411,7 +411,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
         };
         devices.push(FleetDevice {
             spec: *spec,
-            probe: Device::new(spec.config()).map_err(|e| e.to_string())?,
+            probe: spec.config(),
             injector,
             dead: false,
             killed_at: None,
@@ -500,7 +500,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
                             let new_cost = if devices[target].spec == devices[d].spec {
                                 cost
                             } else {
-                                price(&mut devices[target].probe, &job, &config.ladder)
+                                price(&devices[target].probe, &job, &config.ladder)
                             };
                             devices[target].est_load += new_cost;
                             devices[target].hosted += 1;
@@ -552,7 +552,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
             let sample = nominal_sample(&frame);
             let planned = Planner::new(config.base)?.plan_frame_with(&frame, &sample);
             let job = session_job(config.hologram_pixels, config.gsw_iterations, &planned);
-            let ref_cost = price(&mut devices[0].probe, &job, &config.ladder);
+            let ref_cost = price(&devices[0].probe, &job, &config.ladder);
             // Greedy admission: try devices best-first until one has
             // headroom; every candidate exhausted means rejection.
             let mut views = device_views(&devices, &sessions, plan.spec.video);
@@ -576,7 +576,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
             let cost = if devices[target].spec == devices[0].spec {
                 ref_cost
             } else {
-                price(&mut devices[target].probe, &job, &config.ladder)
+                price(&devices[target].probe, &job, &config.ladder)
             };
             devices[target].est_load += cost;
             devices[target].hosted += 1;
@@ -645,7 +645,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
             let sample = nominal_sample(&frame);
             let planned = Planner::new(config.base)?.plan_frame_with(&frame, &sample);
             let job = session_job(config.hologram_pixels, config.gsw_iterations, &planned);
-            let cost = price(&mut devices[device].probe, &job, &config.ladder);
+            let cost = price(&devices[device].probe, &job, &config.ladder);
             devices[device].est_load += cost - old_cost;
             if let Some(s) = sessions.get_mut(&id) {
                 s.job = job;
@@ -778,7 +778,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
             let new_cost = if devices[target].spec == devices[d].spec {
                 cost
             } else {
-                price(&mut devices[target].probe, &job, &config.ladder)
+                price(&devices[target].probe, &job, &config.ladder)
             };
             devices[d].est_load -= cost;
             devices[d].hosted -= 1;
