@@ -1696,7 +1696,7 @@ pub fn slo(cfg: &ExperimentConfig) -> String {
         fleet.error_budget_remaining * 100.0,
         fleet.fast_burn_events,
         fleet.slow_burn_events,
-        holoar_serve::SloConfig::default().fast_window,
+        holoar_serve::slo::FAST_WINDOW,
         pct(fleet.recent_hit_rate),
         fleet.recent_queue_depth,
         fleet.recent_occupancy,

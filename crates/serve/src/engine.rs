@@ -14,7 +14,7 @@
 //!    one victim (the least-focused session) is stepped down per tick, so
 //!    the fleet never degrades in lockstep.
 //! 3. **Deferral** — when the batch overruns the budget by more than
-//!    `defer_threshold`, sessions at the back of the scheduler's priority
+//!    [`DEFER_THRESHOLD`], sessions at the back of the scheduler's priority
 //!    order are deferred (stale reprojection) until the batch fits; aging
 //!    guarantees no session is deferred indefinitely.
 
@@ -24,8 +24,11 @@ use holoar_core::{
     ExecutionContext, GazeInput, HoloArConfig, Planner, PoseInput, Scheme, SensorSample,
 };
 use holoar_faults::FrameFaults;
+use holoar_gpusim::device::kernel_time;
 use holoar_gpusim::hologram_kernels::{job_latency, merged_session_kernels};
-use holoar_gpusim::{calibration, session_occupancy, Device, DeviceSpec, HologramJob};
+use holoar_gpusim::{
+    calibration, session_occupancy, DeviceConfig, DeviceSpec, HologramJob, KernelDesc,
+};
 use holoar_pipeline::executor::{run_staged, StagedConfig};
 use holoar_pipeline::schedule::FrameLatencies;
 use holoar_sensors::angles::AngularPoint;
@@ -41,8 +44,8 @@ use crate::report::{percentile, ServeReport, SessionReport};
 use crate::scheduler::FrameScheduler;
 use crate::session::{SessionSpec, SessionState};
 use crate::slo::{
-    self, FleetSlo, SloConfig, STAGE_BATCH, STAGE_FAULT_STRETCH, STAGE_OVERRUN,
-    STAGE_QUEUE_WAIT, STAGE_REPROJECT,
+    self, FleetSlo, STAGE_BATCH, STAGE_FAULT_STRETCH, STAGE_OVERRUN, STAGE_QUEUE_WAIT,
+    STAGE_REPROJECT,
 };
 
 /// Per-session hologram resolution for the serving experiments. Serving
@@ -54,6 +57,27 @@ pub const SERVE_HOLOGRAM_PIXELS: u64 = 64 * 64;
 /// Frame budget for served sessions: a 90 Hz AR display refresh (the
 /// [`DeviceSpec::edge`] deadline).
 pub const SERVE_FRAME_BUDGET: f64 = holoar_gpusim::EDGE_FRAME_BUDGET;
+
+/// Deferral trigger as a multiple of the frame budget.
+pub const DEFER_THRESHOLD: f64 = 1.5;
+
+/// Bound of each session's stale-backlog queue (and of the per-session
+/// staged executor's ingest → compute queue): how many ticks of owed fresh
+/// content a session tolerates before saturation forces a
+/// `"queue-saturated"` step-down.
+pub const SESSION_QUEUE: usize = 3;
+
+/// The full-quality planner configuration every session degrades from, in
+/// both serving loops.
+pub(crate) fn base_config() -> HoloArConfig {
+    HoloArConfig::for_scheme(Scheme::InterIntraHolo).without_reuse()
+}
+
+/// The degradation ladder each session on `device` instantiates: the
+/// default ladder at the device's frame budget.
+pub(crate) fn ladder_for(device: &DeviceSpec) -> DegradationLadder {
+    DegradationLadder { frame_budget: device.budget(), ..DegradationLadder::default() }
+}
 
 /// Configuration of one serving run.
 ///
@@ -72,57 +96,15 @@ pub struct ServeConfig {
     /// The shared device spec — model, standing slowdown and the per-tick
     /// deadline ([`DeviceSpec::budget`]).
     pub device: DeviceSpec,
-    /// Per-session hologram resolution.
-    pub hologram_pixels: u64,
-    /// Lockstep GSW iteration count (batching requirement).
-    pub gsw_iterations: u32,
-    /// Full-quality planner configuration each session degrades from.
-    pub base: HoloArConfig,
-    /// Degradation ladder instantiated per session.
-    pub ladder: DegradationLadder,
-    /// Admission headroom multiplier on the frame budget (> 1 trusts
-    /// degradation to absorb a bounded overload).
-    pub overload_factor: f64,
-    /// Deferral trigger as a multiple of the frame budget.
-    pub defer_threshold: f64,
-    /// Recovery-hold band as a fraction of the frame budget: while the
-    /// batch runs hotter than this, session step-ups are held so a
-    /// thundering herd of recoveries cannot push the fleet back over the
-    /// deadline it just shed its way under.
-    pub hold_margin: f64,
-    /// SLO parameters: deadline-hit objective, burn windows and thresholds,
-    /// sketch accuracy.
-    pub slo: SloConfig,
-    /// Bound of each session's stale-backlog queue (and of the per-session
-    /// staged executor's ingest → compute queue): how many ticks of owed
-    /// fresh content a session tolerates before saturation forces a
-    /// `"queue-saturated"` step-down.
-    pub session_queue: usize,
 }
 
 impl ServeConfig {
-    /// A serving run of the given session specs on the given device, at the
-    /// serving defaults. Heterogeneous session mixes are expressed by
-    /// passing explicit specs; the common uniform case is
+    /// A serving run of the given session specs on the given device.
+    /// Heterogeneous session mixes are expressed by passing explicit specs;
+    /// the common uniform case is
     /// `ServeConfig::fleet(DeviceSpec::edge(), SessionSpec::fleet(n, seed), frames)`.
     pub fn fleet(device: DeviceSpec, specs: Vec<SessionSpec>, frames: u64) -> Self {
-        ServeConfig {
-            specs,
-            frames,
-            device,
-            hologram_pixels: SERVE_HOLOGRAM_PIXELS,
-            gsw_iterations: calibration::GSW_ITERATIONS,
-            base: HoloArConfig::for_scheme(Scheme::InterIntraHolo).without_reuse(),
-            ladder: DegradationLadder {
-                frame_budget: device.budget(),
-                ..DegradationLadder::default()
-            },
-            overload_factor: 2.0,
-            defer_threshold: 1.5,
-            hold_margin: 0.85,
-            slo: SloConfig::default(),
-            session_queue: 3,
-        }
+        ServeConfig { specs, frames, device }
     }
 
     /// The per-tick deadline in seconds — the device spec's frame budget.
@@ -142,28 +124,7 @@ impl ServeConfig {
         if self.frames == 0 {
             return Err("serving needs at least one tick".into());
         }
-        if self.hologram_pixels == 0 {
-            return Err("sessions must cover at least one pixel".into());
-        }
-        if self.gsw_iterations == 0 {
-            return Err("GSW needs at least one iteration".into());
-        }
-        if !self.overload_factor.is_finite() || self.overload_factor < 1.0 {
-            return Err("overload factor must be at least 1".into());
-        }
-        if !self.defer_threshold.is_finite() || self.defer_threshold < 1.0 {
-            return Err("defer threshold must be at least 1".into());
-        }
-        if !(self.hold_margin > 0.0 && self.hold_margin <= 1.0) {
-            return Err("hold margin must be in (0, 1]".into());
-        }
-        if self.session_queue == 0 {
-            return Err("session queue bound must be at least 1".into());
-        }
-        self.slo.validate()?;
-        self.device.validate()?;
-        self.ladder.validate()?;
-        self.base.validate()
+        self.device.validate()
     }
 }
 
@@ -192,7 +153,7 @@ pub(crate) fn plan_focus(plan: &ComputePlan) -> f64 {
 
 /// Collapses a plan into the session's tick job: total computed planes at
 /// the plane-weighted mean coverage.
-pub(crate) fn session_job(pixels: u64, gsw_iterations: u32, plan: &ComputePlan) -> HologramJob {
+pub(crate) fn session_job(plan: &ComputePlan) -> HologramJob {
     let mut planes = 0u64;
     let mut weighted_coverage = 0.0;
     for item in plan.items.iter().filter(|it| it.needs_compute()) {
@@ -205,21 +166,28 @@ pub(crate) fn session_job(pixels: u64, gsw_iterations: u32, plan: &ComputePlan) 
         (weighted_coverage / planes as f64).clamp(f64::MIN_POSITIVE, 1.0)
     };
     HologramJob {
-        pixels,
+        pixels: SERVE_HOLOGRAM_PIXELS,
         plane_count: planes.min(u64::from(u32::MAX)) as u32,
         coverage,
-        gsw_iterations,
+        gsw_iterations: calibration::GSW_ITERATIONS,
     }
 }
 
 /// A no-work placeholder keeping batch indices aligned with sessions.
-pub(crate) fn idle_job(pixels: u64, gsw_iterations: u32) -> HologramJob {
-    HologramJob { pixels, plane_count: 0, coverage: 1.0, gsw_iterations }
+fn idle_job() -> HologramJob {
+    HologramJob {
+        pixels: SERVE_HOLOGRAM_PIXELS,
+        plane_count: 0,
+        coverage: 1.0,
+        gsw_iterations: calibration::GSW_ITERATIONS,
+    }
 }
 
-/// Sum of kernel wall times for one batch on `device`.
-pub(crate) fn batch_time(device: &mut Device, kernels: &[holoar_gpusim::KernelDesc]) -> f64 {
-    device.execute_all(kernels).iter().map(|s| s.time).sum()
+/// Sum of kernel wall times for one batch on the device model, in kernel
+/// order — bit-identical to executing the batch on a
+/// [`Device`](holoar_gpusim::Device).
+pub(crate) fn batch_time(device: &DeviceConfig, kernels: &[KernelDesc]) -> f64 {
+    kernels.iter().map(|k| kernel_time(k, device)).sum()
 }
 
 struct TickSession {
@@ -249,18 +217,17 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         let frame = FrameGenerator::new(spec.video, spec.seed)
             .next()
             .ok_or("frame generator must be infinite")?;
-        let sample = nominal_sample(&frame);
-        let plan = Planner::new(config.base)?.plan_frame_with(&frame, &sample);
-        probe_jobs.push(session_job(config.hologram_pixels, config.gsw_iterations, &plan));
+        probe_jobs.push(admission::probe_job(&frame)?);
     }
     let device_cfg = config.device.config();
-    let mut est_device = Device::new(device_cfg).map_err(|e| e.to_string())?;
+    let base = base_config();
+    let ladder = ladder_for(&config.device);
     let mut estimates = Vec::with_capacity(requested);
     for k in 1..=requested {
         let kernels = merged_session_kernels(&probe_jobs[..k]);
-        estimates.push(batch_time(&mut est_device, &kernels));
+        estimates.push(batch_time(&device_cfg, &kernels));
     }
-    let admitted = admission::admit_count(&estimates, config.frame_budget(), config.overload_factor);
+    let admitted = admission::admit_count(&estimates, config.frame_budget());
     holoar_telemetry::counter_add("serve.admission.admitted", admitted as u64);
     holoar_telemetry::counter_add("serve.admission.rejected", (requested - admitted) as u64);
     holoar_telemetry::gauge_set("serve.sessions.active", admitted as f64);
@@ -268,16 +235,9 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
     // -- state ------------------------------------------------------------
     let mut states = Vec::with_capacity(admitted);
     for spec in &config.specs[..admitted] {
-        states.push(SessionState::new(
-            *spec,
-            config.ladder,
-            config.slo,
-            config.frames,
-            config.session_queue,
-        )?);
+        states.push(SessionState::new(*spec, ladder, config.frames)?);
     }
     let mut scheduler = FrameScheduler::new(admitted);
-    let mut device = Device::new(device_cfg).map_err(|e| e.to_string())?;
     let mut batched_time_total = 0.0;
     let mut sequential_time_total = 0.0;
     let mut occupancy_sum = 0.0;
@@ -285,10 +245,9 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
     let mut merged_launches = 0u64;
     let mut launches_saved = 0u64;
     // Fleet-level sliding windows, keyed by tick index (replay-safe).
-    let mut hit_window = holoar_telemetry::SlidingWindow::new(config.slo.fast_window.max(1));
-    let mut queue_window = holoar_telemetry::SlidingWindow::new(config.slo.fast_window.max(1));
-    let mut occupancy_window =
-        holoar_telemetry::SlidingWindow::new(config.slo.fast_window.max(1));
+    let mut hit_window = holoar_telemetry::SlidingWindow::new(slo::FAST_WINDOW);
+    let mut queue_window = holoar_telemetry::SlidingWindow::new(slo::FAST_WINDOW);
+    let mut occupancy_window = holoar_telemetry::SlidingWindow::new(slo::FAST_WINDOW);
 
     // -- tick loop --------------------------------------------------------
     for tick in 0..config.frames {
@@ -306,14 +265,14 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
             let level = state.ctl.decide(tick);
             state.frames_at_level[level.index()] += 1;
             state.level_window.push(tick, level.index() as f64);
-            let (job, reprojecting) = match state.ctl.config_for(&config.base) {
+            let (job, reprojecting) = match state.ctl.config_for(&base) {
                 Some(level_cfg) => {
                     let plan = Planner::new(level_cfg)?.plan_frame_with(&frame, &sample);
                     state.observe_focus(plan_focus(&plan));
-                    (session_job(config.hologram_pixels, config.gsw_iterations, &plan), false)
+                    (session_job(&plan), false)
                 }
                 // LastGood: re-present the previous hologram, no fresh planes.
-                None => (idle_job(config.hologram_pixels, config.gsw_iterations), true),
+                None => (idle_job(), true),
             };
             ticks.push(TickSession { faults, job, reprojecting });
         }
@@ -324,17 +283,11 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         let mut deferred = vec![false; admitted];
         loop {
             let jobs: Vec<HologramJob> = (0..admitted)
-                .map(|i| {
-                    if deferred[i] {
-                        idle_job(config.hologram_pixels, config.gsw_iterations)
-                    } else {
-                        ticks[i].job
-                    }
-                })
+                .map(|i| if deferred[i] { idle_job() } else { ticks[i].job })
                 .collect();
             let kernels = merged_session_kernels(&jobs);
-            let estimate = batch_time(&mut est_device, &kernels);
-            if estimate <= config.frame_budget() * config.defer_threshold {
+            let estimate = batch_time(&device_cfg, &kernels);
+            if estimate <= config.frame_budget() * DEFER_THRESHOLD {
                 break;
             }
             let active: Vec<usize> = order
@@ -350,16 +303,10 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
 
         // Phase 3: batched execution on the shared device.
         let jobs: Vec<HologramJob> = (0..admitted)
-            .map(|i| {
-                if deferred[i] {
-                    idle_job(config.hologram_pixels, config.gsw_iterations)
-                } else {
-                    ticks[i].job
-                }
-            })
+            .map(|i| if deferred[i] { idle_job() } else { ticks[i].job })
             .collect();
         let batch = PlaneBatch::build(jobs);
-        let batch_latency = batch_time(&mut device, &batch.kernels);
+        let batch_latency = batch_time(&device_cfg, &batch.kernels);
         merged_launches += batch.kernels.len() as u64;
         launches_saved += batch.launches_saved();
         let tick_occupancy = if batch.has_work() {
@@ -380,10 +327,10 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
             if t.job.plane_count > 0 {
                 sequential_time_total += job_latency(&device_cfg, &t.job);
             } else {
-                sequential_time_total += config.ladder.reproject_latency;
+                sequential_time_total += ladder.reproject_latency;
             }
         }
-        batched_time_total += batch_latency.max(config.ladder.reproject_latency);
+        batched_time_total += batch_latency.max(ladder.reproject_latency);
 
         // Phase 4: per-session attribution and accounting.
         let mut tick_hits = 0u64;
@@ -399,7 +346,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
                 batch_latency + (slowdown - 1.0) * batch.shares[i] * batch_latency
                     + t.faults.stage_overrun
             } else {
-                config.ladder.reproject_latency
+                ladder.reproject_latency
             };
             // The controller sees only this session's attributed cost, so
             // one tenant's bad tick cannot stampede every ladder at once.
@@ -407,7 +354,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
                 let slowdown = 1.0 / (t.faults.clock_scale * t.faults.dram_scale);
                 batch.shares[i] * batch_latency * slowdown + t.faults.stage_overrun
             } else {
-                config.ladder.reproject_latency
+                ladder.reproject_latency
             };
             state.ctl.observe(tick, observed);
             // Stale-backlog queue: every tick without fresh content joins
@@ -457,7 +404,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
                 .filter(|&(_, seconds)| seconds > 0.0)
                 .collect()
             } else {
-                vec![(STAGE_REPROJECT, config.ladder.reproject_latency)]
+                vec![(STAGE_REPROJECT, ladder.reproject_latency)]
             };
             slo::record_frame_spans(
                 &mut state.profile,
@@ -470,37 +417,30 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         }
         hit_window.push(tick, tick_hits as f64 / admitted.max(1) as f64);
 
-        // Phase 5: QoS — an overloaded tick steps down exactly one victim,
-        // the least-focused session not already at the ladder floor, and
-        // holds everyone else's level: stepping up against a saturated
-        // device would outpace the one-victim-per-tick shedding.
-        if batch_latency > config.frame_budget() {
-            let focus: Vec<f64> = states.iter().map(|s| s.focus).collect();
-            let eligible: Vec<bool> = (0..admitted)
-                .map(|i| {
-                    !deferred[i]
-                        && !ticks[i].reprojecting
-                        && states[i].ctl.level() != DegradationLevel::LastGood
-                })
-                .collect();
-            let level: Vec<usize> = states.iter().map(|s| s.ctl.level().index()).collect();
-            let victim = qos::pick_victim(&focus, &level, &eligible);
-            for (i, state) in states.iter_mut().enumerate() {
-                if victim == Some(i) {
-                    state.ctl.request_step_down_with("qos-batch-overrun");
-                    state.qos_step_downs += 1;
-                    holoar_telemetry::counter_add("serve.qos.step_down", 1);
-                } else {
-                    state.ctl.hold_level();
-                }
-            }
-        } else if batch_latency > config.hold_margin * config.frame_budget() {
-            // Inside the hysteresis band: no shedding needed, but recoveries
-            // are held so the fleet settles just under the deadline instead
-            // of oscillating across it.
-            for state in states.iter_mut() {
-                state.ctl.hold_level();
-            }
+        // Phase 5: QoS — an overloaded tick steps down the least-focused
+        // session not already at the ladder floor.
+        let victim = qos::respond(
+            batch_latency,
+            config.frame_budget(),
+            &mut states,
+            |s| &mut s.ctl,
+            |states| {
+                let focus: Vec<f64> = states.iter().map(|s| s.focus).collect();
+                let eligible: Vec<bool> = (0..admitted)
+                    .map(|i| {
+                        !deferred[i]
+                            && !ticks[i].reprojecting
+                            && states[i].ctl.level() != DegradationLevel::LastGood
+                    })
+                    .collect();
+                let level: Vec<usize> = states.iter().map(|s| s.ctl.level().index()).collect();
+                qos::pick_victim(&focus, &level, &eligible)
+            },
+            "qos-batch-overrun",
+        );
+        if let Some(victim) = victim {
+            states[victim].qos_step_downs += 1;
+            holoar_telemetry::counter_add("serve.qos.step_down", 1);
         }
     }
 
@@ -535,7 +475,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
                 DegradationLevel::LastGood => DegradationLevel::FloorBeta,
                 other => other,
             };
-            let level_cfg = config.ladder.apply(probe_level, &config.base);
+            let level_cfg = ladder.apply(probe_level, &base);
             let plan = Planner::new(level_cfg)?.plan_frame_with(&frame, &sample);
             level_psnr[idx] = sampler.plan_psnr(&plan, &level_cfg, ctx);
         }
@@ -552,7 +492,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         // same queue bound the serving backlog uses. Virtual-time scheduling
         // keeps this bit-identical at any worker count.
         let staged_cfg = StagedConfig {
-            compute_queue: config.session_queue,
+            compute_queue: SESSION_QUEUE,
             ..StagedConfig::default()
         };
         let pipeline = run_staged(
@@ -600,7 +540,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
 
     // Fleet SLO: merge the per-session sketches (same α, so the merge is
     // exact) and pool the error budget over every session-frame.
-    let mut fleet_sketch = holoar_telemetry::QuantileSketch::new(config.slo.sketch_alpha);
+    let mut fleet_sketch = holoar_telemetry::QuantileSketch::new(slo::SKETCH_ALPHA);
     let mut slo_frames = 0u64;
     let mut slo_misses = 0u64;
     let mut fast_burn_events = 0u64;
@@ -617,11 +557,11 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
     let error_budget_remaining = if slo_frames == 0 {
         1.0
     } else {
-        1.0 - slo_misses as f64 / ((1.0 - config.slo.target) * slo_frames as f64)
+        1.0 - slo_misses as f64 / ((1.0 - slo::TARGET) * slo_frames as f64)
     };
     let fleet_slo = FleetSlo {
-        target: config.slo.target,
-        sketch_alpha: config.slo.sketch_alpha,
+        target: slo::TARGET,
+        sketch_alpha: slo::SKETCH_ALPHA,
         latency_p50: fleet_sketch.p50().unwrap_or(0.0),
         latency_p90: fleet_sketch.p90().unwrap_or(0.0),
         latency_p99: fleet_sketch.p99().unwrap_or(0.0),

@@ -78,5 +78,50 @@ pub use report::{percentile, ServeReport, SessionReport};
 pub use scheduler::FrameScheduler;
 pub use session::SessionSpec;
 pub use slo::{
-    record_frame_spans, BurnEvent, FleetSlo, SessionSlo, SloConfig, SloTracker, StageBreakdown,
+    record_frame_spans, BurnEvent, FleetSlo, SessionSlo, SloTracker, StageBreakdown,
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use holoar_gpusim::calibration::GSW_ITERATIONS;
+
+    /// The serving model's constants, checked once where a config
+    /// `validate` used to check them on every run.
+    #[test]
+    fn serving_constants_are_valid() {
+        engine::base_config().validate().unwrap();
+        engine::ladder_for(&DeviceSpec::edge()).validate().unwrap();
+        let checks = [
+            ("hologram pixels > 0", SERVE_HOLOGRAM_PIXELS > 0),
+            ("GSW iterations > 0", GSW_ITERATIONS > 0),
+            ("overload factor ≥ 1", admission::OVERLOAD_FACTOR >= 1.0),
+            ("defer threshold ≥ 1", engine::DEFER_THRESHOLD >= 1.0),
+            ("hold margin in (0, 1]", qos::HOLD_MARGIN > 0.0 && qos::HOLD_MARGIN <= 1.0),
+            ("session queue ≥ 1", engine::SESSION_QUEUE >= 1),
+            ("SLO target in (0, 1)", slo::TARGET > 0.0 && slo::TARGET < 1.0),
+            (
+                "SLO windows 0 < fast ≤ slow",
+                0 < slo::FAST_WINDOW && slo::FAST_WINDOW <= slo::SLOW_WINDOW,
+            ),
+            ("burn thresholds > 0", slo::FAST_BURN > 0.0 && slo::SLOW_BURN > 0.0),
+            ("sketch α in (0, 0.5)", slo::SKETCH_ALPHA > 0.0 && slo::SKETCH_ALPHA < 0.5),
+            ("re-probe cadence ≥ 1", fleet::REPROBE_EVERY >= 1),
+            (
+                "batch discount in (0, 1]",
+                fleet::BATCH_DISCOUNT > 0.0 && fleet::BATCH_DISCOUNT <= 1.0,
+            ),
+            (
+                "migrate factor ≥ overload factor",
+                migration::MIGRATE_FACTOR >= admission::OVERLOAD_FACTOR,
+            ),
+            ("migration cost ≥ 0", migration::MIGRATION_COST >= 0.0),
+            ("locality bonus ≥ 0", placement::LOCALITY_BONUS >= 0.0),
+            ("ramp fraction in (0, 1]", load::RAMP_FRACTION > 0.0 && load::RAMP_FRACTION <= 1.0),
+            ("lifetime fraction > 0", load::LIFETIME_FRACTION > 0.0),
+        ];
+        for (what, holds) in checks {
+            assert!(holds, "serving constant out of range: {what}");
+        }
+    }
+}

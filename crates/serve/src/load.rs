@@ -13,6 +13,16 @@ use holoar_sensors::rng::Rng;
 
 use crate::session::SessionSpec;
 
+/// Fraction of the run over which arrivals ramp in. The arrival density
+/// rises linearly across the ramp (the morning side of a diurnal curve):
+/// few sessions early, most near the ramp's end.
+pub const RAMP_FRACTION: f64 = 0.4;
+
+/// Mean session lifetime as a fraction of the run. Lifetimes are
+/// exponential, so some sessions leave mid-run (departures) and, at a mean
+/// of the full run length, most outlive it.
+pub const LIFETIME_FRACTION: f64 = 1.0;
+
 /// Shape of the offered load.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadConfig {
@@ -20,22 +30,14 @@ pub struct LoadConfig {
     pub sessions: u32,
     /// Master seed for session identity and the arrival/lifetime draws.
     pub seed: u64,
-    /// Fraction of the run over which arrivals ramp in, in `(0, 1]`. The
-    /// arrival density rises linearly across the ramp (the morning side of
-    /// a diurnal curve): few sessions early, most near the ramp's end.
-    pub ramp_fraction: f64,
-    /// Mean session lifetime as a fraction of the run (> 0); lifetimes are
-    /// exponential, so some sessions leave mid-run (departures) and some
-    /// outlive the run.
-    pub lifetime_fraction: f64,
 }
 
 impl LoadConfig {
-    /// The default diurnal load: arrivals ramp over the first 40% of the
-    /// run, mean lifetime is the full run length (most sessions stay, a
-    /// visible minority churns out).
+    /// The diurnal load of `sessions` sessions: arrivals ramp over the
+    /// first [`RAMP_FRACTION`] of the run, with a mean lifetime of
+    /// [`LIFETIME_FRACTION`] of it.
     pub fn diurnal(sessions: u32, seed: u64) -> Self {
-        LoadConfig { sessions, seed, ramp_fraction: 0.4, lifetime_fraction: 1.0 }
+        LoadConfig { sessions, seed }
     }
 
     /// Validates the configuration.
@@ -46,12 +48,6 @@ impl LoadConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.sessions == 0 {
             return Err("load needs at least one session".into());
-        }
-        if !(self.ramp_fraction > 0.0 && self.ramp_fraction <= 1.0) {
-            return Err("ramp fraction must be in (0, 1]".into());
-        }
-        if !(self.lifetime_fraction > 0.0 && self.lifetime_fraction.is_finite()) {
-            return Err("lifetime fraction must be positive".into());
         }
         Ok(())
     }
@@ -79,8 +75,8 @@ pub struct SessionPlan {
 pub fn schedule(config: &LoadConfig, frames: u64) -> Result<Vec<SessionPlan>, String> {
     config.validate()?;
     let specs = SessionSpec::fleet(config.sessions, config.seed);
-    let ramp_end = (frames as f64 * config.ramp_fraction).max(1.0);
-    let mean_life = (frames as f64 * config.lifetime_fraction).max(1.0);
+    let ramp_end = (frames as f64 * RAMP_FRACTION).max(1.0);
+    let mean_life = (frames as f64 * LIFETIME_FRACTION).max(1.0);
     let mut plans = Vec::with_capacity(specs.len());
     for spec in specs {
         // Per-session stream, salted independently of the sensor seed so
@@ -122,7 +118,7 @@ mod tests {
         let cfg = LoadConfig::diurnal(200, 7);
         let frames = 300u64;
         let plans = schedule(&cfg, frames).unwrap();
-        let ramp_end = (frames as f64 * cfg.ramp_fraction) as u64;
+        let ramp_end = (frames as f64 * RAMP_FRACTION) as u64;
         assert!(plans.iter().all(|p| p.arrive < ramp_end + 1));
         // Rising density: the second half of the ramp holds clearly more
         // arrivals than the first.
@@ -147,10 +143,6 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        assert!(schedule(&LoadConfig { sessions: 0, ..LoadConfig::diurnal(1, 1) }, 10).is_err());
-        let bad_ramp = LoadConfig { ramp_fraction: 0.0, ..LoadConfig::diurnal(4, 1) };
-        assert!(schedule(&bad_ramp, 10).is_err());
-        let bad_life = LoadConfig { lifetime_fraction: 0.0, ..LoadConfig::diurnal(4, 1) };
-        assert!(schedule(&bad_life, 10).is_err());
+        assert!(schedule(&LoadConfig::diurnal(0, 1), 10).is_err());
     }
 }

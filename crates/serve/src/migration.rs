@@ -3,11 +3,22 @@
 //! A migration moves a session's serving state to another device mid-run.
 //! It is never free: the fleet charges the state-transfer blackout twice —
 //! a fixed latency surcharge on the first frame served from the new host
-//! (`FleetConfig::migration_cost`), and a one-level degradation step
+//! ([`MIGRATION_COST`]), and a one-level degradation step
 //! recorded through
 //! [`DegradationController::record_migration`](holoar_core::DegradationController::record_migration),
 //! so every migration shows up as a signal-attributed transition in the
 //! session's ladder history as well as in the fleet's own event log.
+
+/// Overload-migration trigger: a device whose fresh load this tick exceeds
+/// `MIGRATE_FACTOR × budget` sheds its newest tenant (at most one per
+/// device per tick). Above the admission headroom
+/// ([`OVERLOAD_FACTOR`](crate::admission::OVERLOAD_FACTOR)), so admission
+/// keeps a working band.
+pub const MIGRATE_FACTOR: f64 = 2.5;
+
+/// State-transfer blackout charged to a migrated session's first frame on
+/// the new host, seconds.
+pub const MIGRATION_COST: f64 = 0.004;
 
 /// Signal attached to migrations forced by a device death.
 pub const SIG_DEVICE_KILL: &str = "device-kill";

@@ -1,12 +1,53 @@
 //! Per-session QoS policy for an overloaded device.
 //!
 //! When a tick's batched latency overruns the frame budget, the serving
-//! layer degrades **exactly one** session — the least-focused one (smallest
-//! fraction of its planned objects inside the region of focus), on the
-//! paper's premise that quality loss in the periphery is least perceptible.
-//! One victim per tick guarantees the fleet never degrades in lockstep: the
-//! overload is shed incrementally, and sessions the user is actually looking
-//! at are the last to lose quality.
+//! layer degrades **exactly one** session and holds every other session's
+//! level (`respond`); inside the hysteresis band just under the budget it
+//! only holds. One victim per tick guarantees a device never degrades in
+//! lockstep: the overload is shed incrementally. Which session is the
+//! victim is the loop's own policy — single-device serving sheds the
+//! least-focused session ([`pick_victim`]), on the paper's premise that
+//! quality loss in the periphery is least perceptible, so sessions the user
+//! is actually looking at are the last to lose quality.
+
+use holoar_core::DegradationController;
+
+/// Recovery-hold band as a fraction of the frame budget: while the batch
+/// runs hotter than this, session step-ups are held so a thundering herd of
+/// recoveries cannot push the device back over the deadline it just shed
+/// its way under.
+pub const HOLD_MARGIN: f64 = 0.85;
+
+/// Answers one device's tick `latency` against its `budget`. Past the
+/// budget, the tenant `pick_victim` names (an index into the collected
+/// `tenants`) steps down with `signal` and every other tenant holds its
+/// level: stepping up against a saturated device would outpace the
+/// one-victim-per-tick shedding. Inside `HOLD_MARGIN × budget` every tenant
+/// holds, so the device settles just under the deadline instead of
+/// oscillating across it. Cooler ticks leave the tenants alone. Returns
+/// the stepped-down victim's index.
+pub(crate) fn respond<'a, T: 'a>(
+    latency: f64,
+    budget: f64,
+    tenants: impl IntoIterator<Item = &'a mut T>,
+    ctl: impl Fn(&mut T) -> &mut DegradationController,
+    pick_victim: impl FnOnce(&[&'a mut T]) -> Option<usize>,
+    signal: &'static str,
+) -> Option<usize> {
+    if latency <= HOLD_MARGIN * budget {
+        return None;
+    }
+    let mut tenants: Vec<&mut T> = tenants.into_iter().collect();
+    let victim = if latency > budget { pick_victim(&tenants) } else { None };
+    for (i, tenant) in tenants.iter_mut().enumerate() {
+        if victim == Some(i) {
+            ctl(tenant).request_step_down_with(signal);
+        } else {
+            ctl(tenant).hold_level();
+        }
+    }
+    victim
+}
 
 /// Picks the QoS victim for an overloaded tick: the eligible session with
 /// the lowest focus score. Ties break toward the session already at the
@@ -39,6 +80,36 @@ pub fn pick_victim(focus: &[f64], level: &[usize], eligible: &[bool]) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use holoar_core::degrade::{DegradationLadder, DegradationLevel};
+
+    fn controllers(n: usize) -> Vec<DegradationController> {
+        (0..n).map(|_| DegradationController::new(DegradationLadder::default()).unwrap()).collect()
+    }
+
+    #[test]
+    fn an_overrun_steps_down_exactly_the_picked_victim() {
+        let mut ctls = controllers(3);
+        let budget = 0.011;
+        let victim = respond(budget * 1.2, budget, &mut ctls, |c| c, |_| Some(1), "test-overrun");
+        assert_eq!(victim, Some(1));
+        let levels: Vec<DegradationLevel> = ctls.iter_mut().map(|c| c.decide(0)).collect();
+        assert_eq!(levels[0], DegradationLevel::Full);
+        assert_ne!(levels[1], DegradationLevel::Full);
+        assert_eq!(levels[2], DegradationLevel::Full);
+        assert_eq!(ctls[1].transitions()[0].signal, "test-overrun");
+    }
+
+    #[test]
+    fn only_an_overrun_consults_the_victim_policy() {
+        let mut ctls = controllers(2);
+        let budget = 0.011;
+        for latency in [budget * 0.9, budget * 0.5] {
+            let victim =
+                respond(latency, budget, &mut ctls, |c| c, |_| unreachable!(), "test-overrun");
+            assert_eq!(victim, None);
+        }
+        assert!(ctls.iter_mut().all(|c| c.decide(0) == DegradationLevel::Full));
+    }
 
     #[test]
     fn picks_the_least_focused_eligible_session() {

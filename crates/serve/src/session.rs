@@ -11,7 +11,8 @@ use holoar_pipeline::queue::BoundedQueue;
 use holoar_sensors::objectron::{FrameGenerator, VideoCategory};
 use holoar_telemetry::{SlidingWindow, SpanRecord};
 
-use crate::slo::{SloConfig, SloTracker};
+use crate::engine::SESSION_QUEUE;
+use crate::slo::{self, SloTracker};
 
 /// Identity of one client session: which video it streams and the seed its
 /// sensor/fault randomness derives from.
@@ -77,13 +78,7 @@ pub(crate) struct SessionState {
 }
 
 impl SessionState {
-    pub fn new(
-        spec: SessionSpec,
-        ladder: DegradationLadder,
-        slo: SloConfig,
-        frames: u64,
-        queue_bound: usize,
-    ) -> Result<Self, String> {
+    pub fn new(spec: SessionSpec, ladder: DegradationLadder, frames: u64) -> Result<Self, String> {
         Ok(SessionState {
             spec,
             ctl: DegradationController::new(ladder)?,
@@ -96,11 +91,11 @@ impl SessionState {
             deadline_hits: 0,
             qos_step_downs: 0,
             latencies: Vec::with_capacity(frames as usize),
-            backlog: BoundedQueue::new(queue_bound.max(1)),
+            backlog: BoundedQueue::new(SESSION_QUEUE),
             queue_drops: 0,
-            slo: SloTracker::new(slo)?,
+            slo: SloTracker::new(),
             profile: Vec::with_capacity(frames as usize * 3),
-            level_window: SlidingWindow::new(slo.fast_window.max(1)),
+            level_window: SlidingWindow::new(slo::FAST_WINDOW),
         })
     }
 

@@ -40,62 +40,20 @@ pub const STAGE_OVERRUN: &str = "profile.stage.overrun";
 /// Stage: stale-hologram reprojection (deferred or last-good frames).
 pub const STAGE_REPROJECT: &str = "profile.stage.reproject";
 
-/// SLO parameters for one serving run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloConfig {
-    /// Deadline-hit objective in `(0, 1)`: the fraction of frames that must
-    /// meet the budget.
-    pub target: f64,
-    /// Fast (paging-speed) burn window, frames.
-    pub fast_window: usize,
-    /// Slow (sustained) burn window, frames.
-    pub slow_window: usize,
-    /// Fast-window burn-rate alert threshold (multiples of the budgeted
-    /// miss rate `1 − target`).
-    pub fast_burn: f64,
-    /// Slow-window burn-rate alert threshold.
-    pub slow_burn: f64,
-    /// Relative-error bound for the latency quantile sketches.
-    pub sketch_alpha: f64,
-}
-
-impl Default for SloConfig {
-    /// 95% deadline-hit objective, 16/64-frame windows, alerts at 4× and
-    /// 1.5× burn, 1% sketch accuracy.
-    fn default() -> Self {
-        SloConfig {
-            target: 0.95,
-            fast_window: 16,
-            slow_window: 64,
-            fast_burn: 4.0,
-            slow_burn: 1.5,
-            sketch_alpha: 0.01,
-        }
-    }
-}
-
-impl SloConfig {
-    /// Validates the SLO parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.target > 0.0 && self.target < 1.0) {
-            return Err("SLO target must be in (0, 1)".into());
-        }
-        if self.fast_window == 0 || self.slow_window < self.fast_window {
-            return Err("SLO windows must satisfy 0 < fast ≤ slow".into());
-        }
-        if !(self.fast_burn > 0.0 && self.slow_burn > 0.0) {
-            return Err("burn-rate thresholds must be positive".into());
-        }
-        if !(self.sketch_alpha > 0.0 && self.sketch_alpha < 0.5) {
-            return Err("sketch accuracy must be in (0, 0.5)".into());
-        }
-        Ok(())
-    }
-}
+/// Deadline-hit objective: the fraction of frames that must meet the
+/// budget.
+pub const TARGET: f64 = 0.95;
+/// Fast (paging-speed) burn window, frames.
+pub const FAST_WINDOW: usize = 16;
+/// Slow (sustained) burn window, frames.
+pub const SLOW_WINDOW: usize = 64;
+/// Fast-window burn-rate alert threshold (multiples of the budgeted miss
+/// rate `1 − TARGET`).
+pub const FAST_BURN: f64 = 4.0;
+/// Slow-window burn-rate alert threshold.
+pub const SLOW_BURN: f64 = 1.5;
+/// Relative-error bound for the latency quantile sketches.
+pub const SKETCH_ALPHA: f64 = 0.01;
 
 /// One edge-triggered burn-rate alert.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,7 +73,6 @@ pub struct BurnEvent {
 /// [`observe`](SloTracker::observe).
 #[derive(Debug, Clone)]
 pub struct SloTracker {
-    config: SloConfig,
     fast: SlidingWindow,
     slow: SlidingWindow,
     latency: QuantileSketch,
@@ -126,30 +83,25 @@ pub struct SloTracker {
     slow_alerting: bool,
 }
 
+impl Default for SloTracker {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl SloTracker {
     /// An empty tracker.
-    ///
-    /// # Errors
-    ///
-    /// Returns the configuration's validation error message.
-    pub fn new(config: SloConfig) -> Result<Self, String> {
-        config.validate()?;
-        Ok(SloTracker {
-            config,
-            fast: SlidingWindow::new(config.fast_window),
-            slow: SlidingWindow::new(config.slow_window),
-            latency: QuantileSketch::new(config.sketch_alpha),
+    pub fn new() -> Self {
+        SloTracker {
+            fast: SlidingWindow::new(FAST_WINDOW),
+            slow: SlidingWindow::new(SLOW_WINDOW),
+            latency: QuantileSketch::new(SKETCH_ALPHA),
             frames: 0,
             misses: 0,
             events: Vec::new(),
             fast_alerting: false,
             slow_alerting: false,
-        })
-    }
-
-    /// The tracker's configuration.
-    pub fn config(&self) -> &SloConfig {
-        &self.config
+        }
     }
 
     /// Feeds one frame outcome: whether it met the deadline and its
@@ -168,12 +120,10 @@ impl SloTracker {
 
         // Edge-triggered multi-window alerts. A window only speaks once it
         // is full — a cold window's miss rate is too noisy to page on.
-        let budgeted_miss = 1.0 - self.config.target;
-        let fast_burn = self.config.fast_burn;
-        let slow_burn = self.config.slow_burn;
+        let budgeted_miss = 1.0 - TARGET;
         for (window, threshold, alerting, name) in [
-            (&self.fast, fast_burn, &mut self.fast_alerting, "fast"),
-            (&self.slow, slow_burn, &mut self.slow_alerting, "slow"),
+            (&self.fast, FAST_BURN, &mut self.fast_alerting, "fast"),
+            (&self.slow, SLOW_BURN, &mut self.slow_alerting, "slow"),
         ] {
             if !window.is_full() {
                 continue;
@@ -218,7 +168,7 @@ impl SloTracker {
         if self.frames == 0 {
             return 1.0;
         }
-        1.0 - self.misses as f64 / ((1.0 - self.config.target) * self.frames as f64)
+        1.0 - self.misses as f64 / ((1.0 - TARGET) * self.frames as f64)
     }
 
     /// Every burn-rate alert recorded, in frame order.
@@ -421,7 +371,7 @@ mod tests {
     use super::*;
 
     fn tracker() -> SloTracker {
-        SloTracker::new(SloConfig::default()).unwrap()
+        SloTracker::new()
     }
 
     #[test]
@@ -458,7 +408,7 @@ mod tests {
         assert_eq!(fast.len(), 1, "sustained outage must page fast exactly once");
         assert_eq!(slow.len(), 1, "sustained outage must page slow exactly once");
         assert!(fast[0].frame < slow[0].frame, "the fast window pages first");
-        assert!(fast[0].burn_rate > t.config().fast_burn);
+        assert!(fast[0].burn_rate > FAST_BURN);
         // Recovery re-arms the alert; a second outage pages again.
         for frame in 160..260u64 {
             t.observe(frame, true, 0.01);
@@ -483,19 +433,6 @@ mod tests {
         // within its 1% relative-error bound of it.
         assert!((p50 - 0.005).abs() <= 0.005 * 0.01 + 1e-9, "p50 {p50}");
         assert!(p999 > p50);
-    }
-
-    #[test]
-    fn invalid_configs_are_rejected() {
-        for bad in [
-            SloConfig { target: 1.0, ..SloConfig::default() },
-            SloConfig { fast_window: 0, ..SloConfig::default() },
-            SloConfig { slow_window: 2, fast_window: 8, ..SloConfig::default() },
-            SloConfig { fast_burn: 0.0, ..SloConfig::default() },
-            SloConfig { sketch_alpha: 0.5, ..SloConfig::default() },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?} must be rejected");
-        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 
 use holoar_sensors::rng::Rng;
 use holoar_serve::{
-    run_fleet, schedule, FleetConfig, FleetReport, SIG_DEVICE_KILL, SIG_DEVICE_OVERLOAD,
+    run_fleet, schedule, DeviceSpec, FleetConfig, FleetReport, SIG_DEVICE_KILL,
+    SIG_DEVICE_OVERLOAD,
 };
 
 /// A small-but-busy fleet: 4 devices, 24 offered sessions, 60 ticks.
@@ -176,4 +177,34 @@ fn fleet_books_balance_at_the_failure_edges() {
             assert_eq!(r.per_device[0].presented, 0, "the dead device presented frames");
         }
     }
+}
+
+#[test]
+fn heterogeneous_fleets_reprice_across_specs() {
+    // The 32-SM edge device beside 8-, 16- and 4-SM siblings, the big one
+    // scheduled to die mid-run. Arrivals are priced on device 0's spec, so
+    // every session placed elsewhere is re-priced on arrival; with four
+    // distinct specs every migration, kill or overload, re-prices too.
+    let edge = DeviceSpec::edge();
+    let devices = vec![edge, edge.sm_count(8), edge.sm_count(16), edge.sm_count(4)];
+    let cfg = FleetConfig {
+        devices: devices.clone(),
+        kill: Some((0, 40)),
+        ..FleetConfig::sweep(4, 64, 80, 42)
+    };
+    let report = run(&cfg);
+    report.check().unwrap();
+    assert_eq!(report, run(&cfg), "a mixed fleet must replay exactly");
+    let sm_counts: Vec<u32> = report.per_device.iter().map(|d| d.sm_count).collect();
+    assert_eq!(sm_counts, [32, 8, 16, 4]);
+    assert!(
+        report.per_device[1..].iter().all(|d| d.peak_sessions > 0),
+        "every smaller device must host sessions"
+    );
+    assert!(report.kill_migrations >= 1, "the kill must evacuate onto smaller devices");
+    assert!(report.overload_migrations >= 1, "the mixed fleet must shed an overload");
+    assert!(
+        report.migration_events.iter().all(|m| devices[m.to] != devices[m.from]),
+        "every migration lands on a different spec"
+    );
 }
