@@ -2,14 +2,22 @@
 //! wave-optics code leans on.
 //!
 //! The 2-D transform is separable: FFT every row, then FFT every column.
-//! The column pass transposes through a scratch buffer (borrowed from the
-//! pool's [`ScratchArena`](crate::parallel::ScratchArena)) so the 1-D
-//! kernels always run on contiguous memory; the transpose itself runs in
-//! cache-sized tiles (see [`transpose_into`]) instead of walking one full
-//! strided column at a time. Both passes fan out over the transform's
-//! [`Parallelism`] handle — rows (and transposed columns) are independent,
-//! so the parallel result is bit-identical to the serial one regardless of
-//! worker count.
+//! The column pass splits the columns into strips, one per worker, whose
+//! boundaries depend only on `cols` and the worker count. For 2·3·5-smooth
+//! column lengths it does not transpose: each Stockham pass of the column
+//! plan runs over whole rows of a strip, so every column gets exactly the
+//! arithmetic the 1-D plan gives it. The first pass reads the caller's
+//! buffer, later passes ping-pong between two halves of the strip's slice
+//! of one scratch buffer (borrowed from the pool's
+//! [`ScratchArena`](crate::parallel::ScratchArena)), and one row-segment
+//! copy writes each strip back. Bluestein column lengths (a prime factor
+//! above 5; no serving path uses one) keep the transpose inside the same
+//! strip split: the strip is gathered transposed in cache-sized tiles (see
+//! [`transpose_into`]), each contiguous column runs the 1-D plan, and the
+//! strip is transposed back. Both passes fan out over the transform's
+//! [`Parallelism`] handle — rows and strips are independent, so the
+//! parallel result is bit-identical to the serial one regardless of worker
+//! count.
 //!
 //! # Real-input specialization
 //!
@@ -111,16 +119,16 @@ impl<T: Real> Fft2d<T> {
     }
 
     /// A copy of this transform that runs serially (shares the cached
-    /// plans). Used by callers that parallelize at a coarser granularity —
-    /// e.g. across depth planes — and must not oversubscribe with a nested
-    /// fan-out.
+    /// plans and the scratch arena). Used by callers that parallelize at a
+    /// coarser granularity — e.g. across depth planes — and must not
+    /// oversubscribe with a nested fan-out.
     pub fn serial_equivalent(&self) -> Fft2d<T> {
         Fft2d {
             rows: self.rows,
             cols: self.cols,
             row_plan: self.row_plan.clone(),
             col_plan: self.col_plan.clone(),
-            par: Parallelism::serial(),
+            par: self.par.serial_sharing_arena(),
         }
     }
 
@@ -230,36 +238,40 @@ impl<T: Real> Fft2d<T> {
         self.column_pass(buf, true);
     }
 
-    /// Column pass shared by every forward/inverse variant: blocked-gather
-    /// each span of columns into the transposed scratch buffer, transform
-    /// them contiguously, then blocked-scatter back. Both halves split the
-    /// work by whole columns (then whole rows), so workers never share an
-    /// output element.
+    /// Column pass shared by every forward/inverse variant. The columns
+    /// split into strips, one per worker, whose boundaries depend only on
+    /// `cols` and the worker count. Each strip owns a `2·rows·width` slice
+    /// of one scratch buffer: the column plan reads the strip straight out
+    /// of `buf` and leaves its transformed columns row-major in the first
+    /// half, using the second as ping-pong space. A second fan-out over
+    /// whole rows then copies each row's strip segments back, so workers
+    /// never share an output element.
     fn column_pass(&self, buf: &mut [Complex<T>], forward: bool) {
         let (rows, cols) = (self.rows, self.cols);
-        let mut transposed = T::arena_take(self.par.arena(), rows * cols);
+        let mut strips = T::arena_take(self.par.arena(), 2 * rows * cols);
         {
             let source: &[Complex<T>] = buf;
-            self.par.for_each_chunk(&mut transposed, rows, |offset, span| {
-                let first_col = offset / rows;
-                gather_transposed(source, rows, cols, first_col, span);
-                for column in span.chunks_exact_mut(rows) {
-                    if forward {
-                        self.col_plan.forward(column);
-                    } else {
-                        self.col_plan.inverse(column);
+            self.par.for_each_chunk(&mut strips, 2 * rows, |offset, strip| {
+                let first_col = offset / (2 * rows);
+                let (out, work) = strip.split_at_mut(strip.len() / 2);
+                self.col_plan.columns(&source[first_col..], cols, out, work, !forward);
+            });
+        }
+        {
+            let width = self.par.units_per_chunk(cols);
+            let source: &[Complex<T>] = &strips;
+            self.par.for_each_chunk(buf, cols, |offset, span| {
+                let first_row = offset / cols;
+                for (r, row) in (first_row..).zip(span.chunks_exact_mut(cols)) {
+                    let strips = source.chunks(2 * rows * width);
+                    for (segment, strip) in row.chunks_mut(width).zip(strips) {
+                        let w = segment.len();
+                        segment.copy_from_slice(&strip[r * w..][..w]);
                     }
                 }
             });
         }
-        {
-            let source: &[Complex<T>] = &transposed;
-            self.par.for_each_chunk(buf, cols, |offset, span| {
-                let first_row = offset / cols;
-                gather_transposed(source, cols, rows, first_row, span);
-            });
-        }
-        T::arena_give(self.par.arena(), transposed);
+        T::arena_give(self.par.arena(), strips);
     }
 }
 
@@ -304,17 +316,16 @@ pub fn transpose_into<T: Real>(
 ) {
     assert_eq!(source.len(), src_rows * src_cols, "source length does not match shape");
     assert_eq!(dst.len(), source.len(), "transpose destination length mismatch");
-    gather_transposed(source, src_rows, src_cols, 0, dst);
+    gather_transposed(source, src_rows, src_cols, dst);
 }
 
-/// The spanned tile-copy behind [`transpose_into`] and the column passes:
-/// transposes source columns `[first_col, first_col + span.len()/src_rows)`
-/// of the `src_rows × src_cols` matrix into the row-major `span`.
-fn gather_transposed<T: Real>(
+/// The tile-copy behind [`transpose_into`] and the Bluestein column strips:
+/// transposes the first `span.len() / src_rows` columns of the `src_rows`
+/// rows of `source` (row stride `src_cols`) into the row-major `span`.
+pub(crate) fn gather_transposed<T: Real>(
     source: &[Complex<T>],
     src_rows: usize,
     src_cols: usize,
-    first_col: usize,
     span: &mut [Complex<T>],
 ) {
     let span_cols = span.len() / src_rows;
@@ -326,9 +337,8 @@ fn gather_transposed<T: Real>(
             let c_end = (tile_c + TRANSPOSE_BLOCK).min(span_cols);
             for c in tile_c..c_end {
                 let dst_base = c * src_rows;
-                let src_col = first_col + c;
                 for r in tile_r..r_end {
-                    span[dst_base + r] = source[r * src_cols + src_col];
+                    span[dst_base + r] = source[r * src_cols + c];
                 }
             }
             tile_c = c_end;
@@ -604,8 +614,10 @@ mod tests {
         let x = image(8, 8);
         let mut a = x.clone();
         let mut b = x;
-        fft.forward(&mut a);
         serial.forward(&mut b);
+        // The twin's scratch is pooled in the parent's arena.
+        assert_eq!(fft.parallelism().arena().pooled(), 1);
+        fft.forward(&mut a);
         assert_eq!(a, b);
     }
 

@@ -17,9 +17,11 @@
 //!   convolution runs through that same plan, for lengths with a prime
 //!   factor above 5), with per-stage contiguous twiddle tables precomputed
 //!   at plan time,
-//! * [`Fft2d`], [`fftshift`], [`ifftshift`] — separable 2-D transforms with
-//!   a cache-blocked transpose between passes and a packed real-input row
-//!   kernel that [`Fft2d::forward`] auto-dispatches to on amplitude planes.
+//! * [`Fft2d`], [`fftshift`], [`ifftshift`] — separable 2-D transforms
+//!   whose column pass runs batched Stockham passes over column strips
+//!   (a cache-blocked transpose only for Bluestein column lengths), and a
+//!   packed real-input row kernel that [`Fft2d::forward`] auto-dispatches
+//!   to on amplitude planes.
 //!
 //! # Examples
 //!

@@ -18,6 +18,12 @@
 //! Bluestein, which already holds that workspace, passes its own half of it
 //! as the ping-pong buffer instead.
 //!
+//! The 2-D column pass runs the same passes batched over a strip of
+//! columns (`run_columns`): radix `R` after span `l` reads whole rows
+//! `j + k + r·m` and writes rows `q·l·R + k + s·l`, applying one set of
+//! twiddles to every column of the row. Each column therefore gets the
+//! same arithmetic as a 1-D transform of it, bit for bit.
+//!
 //! # Twiddle layout
 //!
 //! The plan stores **per-stage contiguous tables** (flattened into one
@@ -275,6 +281,68 @@ impl<T: Real> MixedRadixPlan<T> {
         }
     }
 
+    /// The batched form of [`Self::run`] behind the 2-D column pass:
+    /// transforms the `width = out.len() / n` columns of the row-major
+    /// `src`, whose row `i` is `src[i·stride..][..width]`, and writes them
+    /// row-major (`n × width`) into `out`. Each pass runs over whole rows
+    /// of the strip, so every column gets exactly the arithmetic `run`
+    /// gives one vector: the same twiddles and butterflies in the same
+    /// order, and the inverse's `1/n` folded into the last pass. The first
+    /// pass reads `src` and later passes ping-pong between `out` and `work`
+    /// (same length), starting in whichever buffer makes the last pass
+    /// land in `out`, so nothing is copied back.
+    pub(crate) fn run_columns(
+        &self,
+        src: &[Complex<T>],
+        stride: usize,
+        out: &mut [Complex<T>],
+        work: &mut [Complex<T>],
+        invert: bool,
+    ) {
+        let n = self.n;
+        let width = out.len() / n;
+        assert!(
+            width > 0 && out.len() == n * width && work.len() == out.len(),
+            "column strip of {} samples does not hold whole columns of length {n}",
+            out.len()
+        );
+        assert!(src.len() >= (n - 1) * stride + width, "column source is too short");
+        let Some(last) = self.radices.len().checked_sub(1) else {
+            // n = 1: the transform (and its 1/n) is the identity.
+            out.copy_from_slice(&src[..width]);
+            return;
+        };
+        let dir = if invert { &self.inv } else { &self.fwd };
+        let roots = dir.roots;
+        let inv_n = T::from_usize(n).recip();
+        let (mut dst, mut spare) = if last % 2 == 0 { (out, work) } else { (work, out) };
+        let mut twiddles = dir.twiddles.as_slice();
+        let mut l = 1;
+        for (i, &radix) in self.radices.iter().enumerate() {
+            let (tw, rest) = twiddles.split_at((l - 1) * (radix.size() - 1));
+            twiddles = rest;
+            let scale = (invert && i == last).then_some(inv_n);
+            let (from, step) = if i == 0 { (src, stride) } else { (&*spare, width) };
+            let to = &mut *dst;
+            match radix {
+                Radix::Two => {
+                    pass_columns(from, step, to, width, l, tw, scaled(scale, Roots::radix2))
+                }
+                Radix::Three => {
+                    pass_columns(from, step, to, width, l, tw, scaled(scale, |x| roots.radix3(x)))
+                }
+                Radix::Four => {
+                    pass_columns(from, step, to, width, l, tw, scaled(scale, |x| roots.radix4(x)))
+                }
+                Radix::Five => {
+                    pass_columns(from, step, to, width, l, tw, scaled(scale, |x| roots.radix5(x)))
+                }
+            }
+            std::mem::swap(&mut dst, &mut spare);
+            l *= radix.size();
+        }
+    }
+
     /// Number of Stockham passes; odd counts end with a copy back.
     #[cfg(test)]
     pub(crate) fn pass_count(&self) -> usize {
@@ -311,6 +379,67 @@ fn pass<T: Real, const R: usize>(
             for (s, v) in y.into_iter().enumerate() {
                 out[k + s * l] = v;
             }
+        }
+    }
+}
+
+/// [`pass`] over a strip of `width` columns: source row `i` is
+/// `src[i·stride..][..width]` and destination row `i` is
+/// `dst[i·width..][..width]`. The twiddles of a butterfly are shared by the
+/// whole row, so each `(q, k)` loads them once and runs the butterfly on
+/// every column.
+#[inline(always)]
+fn pass_columns<T: Real, const R: usize>(
+    src: &[Complex<T>],
+    stride: usize,
+    dst: &mut [Complex<T>],
+    width: usize,
+    l: usize,
+    tw: &[Complex<T>],
+    butterfly: impl Fn([Complex<T>; R]) -> [Complex<T>; R],
+) {
+    let m = dst.len() / width / R;
+    for (q, out) in dst.chunks_exact_mut(l * R * width).enumerate() {
+        let j = q * l;
+        // k = 0: every twiddle is 1.
+        let twiddles = std::iter::once(None).chain(tw.chunks_exact(R - 1).map(Some));
+        for (k, w) in twiddles.enumerate() {
+            let rows: [&[Complex<T>]; R] =
+                std::array::from_fn(|r| &src[(j + k + r * m) * stride..][..width]);
+            let mut rest = &mut *out;
+            let mut outs: [&mut [Complex<T>]; R] = std::array::from_fn(|_| {
+                let (block, tail) = std::mem::take(&mut rest).split_at_mut(l * width);
+                rest = tail;
+                &mut block[k * width..][..width]
+            });
+            for c in 0..width {
+                let mut x: [Complex<T>; R] = std::array::from_fn(|r| rows[r][c]);
+                if let Some(w) = w {
+                    for (v, w) in x.iter_mut().skip(1).zip(w) {
+                        *v *= *w;
+                    }
+                }
+                for (o, v) in outs.iter_mut().zip(butterfly(x)) {
+                    o[c] = v;
+                }
+            }
+        }
+    }
+}
+
+/// `butterfly` with every output multiplied by `scale` when it is set: the
+/// inverse's `1/n`, applied to the last pass's outputs exactly as
+/// [`MixedRadixPlan::run`] applies it after the last pass.
+#[inline(always)]
+fn scaled<T: Real, const R: usize>(
+    scale: Option<T>,
+    butterfly: impl Fn([Complex<T>; R]) -> [Complex<T>; R],
+) -> impl Fn([Complex<T>; R]) -> [Complex<T>; R] {
+    move |x| {
+        let y = butterfly(x);
+        match scale {
+            Some(k) => y.map(|v| v.scale(k)),
+            None => y,
         }
     }
 }

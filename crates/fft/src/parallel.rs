@@ -14,8 +14,11 @@
 //!    a [`ScratchArena`] that recycles them across calls.
 //! 3. **No new dependencies** — scoped threads only; threads live for one
 //!    fan-out, which keeps the implementation trivially correct (no queue,
-//!    no shutdown protocol) at the cost of ~10 µs spawn overhead per chunk,
-//!    negligible against the millisecond-scale FFT work it amortizes.
+//!    no shutdown protocol) at the cost of ~10 µs spawn overhead per chunk.
+//!    That is not negligible: a whole 2-D 40×40 transform takes about
+//!    25–40 µs on a 2-vCPU x86-64 host (`cargo bench --bench fft`), so
+//!    fanning out one small transform can cost more than it saves. A
+//!    parked pool with a grain threshold is ROADMAP item 2.
 //!
 //! Sizing: [`Parallelism::auto`] reads the `HOLOAR_THREADS` environment
 //! variable once per process, falling back to
@@ -165,6 +168,13 @@ impl Parallelism {
         Parallelism { workers: 1, arena: Arc::new(ScratchArena::new()) }
     }
 
+    /// A one-worker handle that shares this handle's arena: the serial
+    /// twin a worker runs nested transforms on, so their scratch buffers
+    /// recycle through the parent's pool instead of a fresh arena per call.
+    pub(crate) fn serial_sharing_arena(&self) -> Self {
+        Parallelism { workers: 1, arena: Arc::clone(&self.arena) }
+    }
+
     /// A handle with an explicit worker count (the programmatic override).
     ///
     /// # Panics
@@ -232,7 +242,7 @@ impl Parallelism {
             return;
         }
         let _span = holoar_telemetry::span_cat("fft.par.for_each_chunk", "fft");
-        let per_piece = units.div_ceil(pieces) * unit;
+        let per_piece = self.units_per_chunk(units) * unit;
         std::thread::scope(|scope| {
             let mut rest = data;
             let mut offset = 0;
@@ -245,6 +255,13 @@ impl Parallelism {
                 rest = tail;
             }
         });
+    }
+
+    /// Units per span when [`for_each_chunk`](Self::for_each_chunk) splits
+    /// `units` units (the last span may hold fewer). A function of `units`
+    /// and the worker count only.
+    pub(crate) fn units_per_chunk(&self, units: usize) -> usize {
+        units.div_ceil(self.workers.min(units).max(1))
     }
 
     /// Maps `f` over `items` on the worker pool, returning results in input

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use crate::bluestein::BluesteinPlan;
 use crate::complex::Complex;
+use crate::fft2d::gather_transposed;
 use crate::mixed_radix::MixedRadixPlan;
 use crate::real::Real;
 
@@ -76,6 +77,39 @@ impl<T: Real> FftPlan<T> {
         match &*self.algo {
             Algo::Mixed(p) => p.inverse(buf),
             Algo::Bluestein(p) => p.inverse(buf),
+        }
+    }
+
+    /// Transforms the `width = out.len() / len` columns of the row-major
+    /// `src`, whose row `i` is `src[i·stride..][..width]`, and writes them
+    /// row-major into `out`; `work` is scratch of the same length. Each
+    /// column's result is bit-identical to [`Self::forward`] /
+    /// [`Self::inverse`] on that column. Mixed-radix lengths run batched
+    /// passes over whole rows ([`MixedRadixPlan`]); Bluestein lengths gather
+    /// the strip transposed into `work`, transform each contiguous column
+    /// and transpose it back.
+    pub(crate) fn columns(
+        &self,
+        src: &[Complex<T>],
+        stride: usize,
+        out: &mut [Complex<T>],
+        work: &mut [Complex<T>],
+        invert: bool,
+    ) {
+        match &*self.algo {
+            Algo::Mixed(p) => p.run_columns(src, stride, out, work, invert),
+            Algo::Bluestein(p) => {
+                let n = p.len();
+                gather_transposed(src, n, stride, work);
+                for column in work.chunks_exact_mut(n) {
+                    if invert {
+                        p.inverse(column);
+                    } else {
+                        p.forward(column);
+                    }
+                }
+                gather_transposed(work, out.len() / n, n, out);
+            }
         }
     }
 }

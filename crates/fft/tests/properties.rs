@@ -2,7 +2,8 @@
 //! hold for every length and every input, fast path or slow path.
 
 use holoar_fft::{
-    dft, fftshift, ifftshift, transpose_into, Complex64, Fft2d, FftPlanner, Parallelism,
+    dft, fftshift, ifftshift, transpose_into, Complex, Complex64, Fft2d, FftPlanner, Parallelism,
+    Real,
 };
 use proptest::prelude::*;
 
@@ -307,4 +308,111 @@ proptest! {
             prop_assert!((*a - *b).norm() <= 1e-8 * scale * (rows * cols) as f64);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Column-pass oracle: the 2-D transform must equal, bit for bit, the 1-D
+// plan run on every column of a naively transposed copy of the row-pass
+// output. Unlike the worker-count comparisons above, this pins the column
+// pass's arithmetic, not only its schedule.
+// ---------------------------------------------------------------------------
+
+/// The row pass `Fft2d` runs before its column pass. Real inputs pack rows
+/// `2k` and `2k + 1` into one complex row and separate the two spectra with
+/// the Hermitian unpack; an odd trailing row is a plain complex transform.
+fn oracle_row_pass<T: Real>(x: &mut [Complex<T>], cols: usize, real: bool, invert: bool) {
+    let plan = FftPlanner::<T>::new().plan(cols);
+    let pairs = if real { x.len() / (2 * cols) } else { 0 };
+    let (packed_rows, rest) = x.split_at_mut(pairs * 2 * cols);
+    for pair in packed_rows.chunks_exact_mut(2 * cols) {
+        let (a, b) = pair.split_at_mut(cols);
+        let mut z: Vec<Complex<T>> =
+            a.iter().zip(b.iter()).map(|(p, q)| Complex::new(p.re, q.re)).collect();
+        plan.forward(&mut z);
+        a[0] = Complex::new(z[0].re, T::ZERO);
+        b[0] = Complex::new(z[0].im, T::ZERO);
+        for k in 1..cols {
+            let (zk, zj) = (z[k], z[cols - k]);
+            a[k] = Complex::new((zk.re + zj.re) * T::HALF, (zk.im - zj.im) * T::HALF);
+            b[k] = Complex::new((zk.im + zj.im) * T::HALF, (zj.re - zk.re) * T::HALF);
+        }
+    }
+    for row in rest.chunks_exact_mut(cols) {
+        if invert {
+            plan.inverse(row);
+        } else {
+            plan.forward(row);
+        }
+    }
+}
+
+/// The column pass as a naive transpose, a 1-D transform of every
+/// contiguous column, and a naive transpose back.
+fn oracle_column_pass<T: Real>(x: &mut [Complex<T>], rows: usize, cols: usize, invert: bool) {
+    let plan = FftPlanner::<T>::new().plan(rows);
+    let mut column = vec![Complex::<T>::ZERO; rows];
+    for c in 0..cols {
+        for (r, v) in column.iter_mut().enumerate() {
+            *v = x[r * cols + c];
+        }
+        if invert {
+            plan.inverse(&mut column);
+        } else {
+            plan.forward(&mut column);
+        }
+        for (r, v) in column.iter().enumerate() {
+            x[r * cols + c] = *v;
+        }
+    }
+}
+
+fn oracle_2d<T: Real>(
+    x: &[Complex<T>],
+    rows: usize,
+    cols: usize,
+    real: bool,
+    invert: bool,
+) -> Vec<Complex<T>> {
+    let mut out = x.to_vec();
+    oracle_row_pass(&mut out, cols, real, invert);
+    oracle_column_pass(&mut out, rows, cols, invert);
+    out
+}
+
+/// `Fft2d::{forward, forward_real, inverse}` against [`oracle_2d`] for one
+/// precision, over column lengths that reach every radix pass count and
+/// Bluestein (7, 17), widths that straddle the strip boundaries of 2, 3
+/// and 7 workers, and every one of those worker counts.
+fn check_column_oracle<T: Real>(precision: &str) {
+    let sample = |i: usize, phase: f64| T::from_f64((i as f64 * 0.37 + phase).sin() * 1e2);
+    for rows in [1usize, 2, 3, 5, 7, 17, 40, 48, 64] {
+        for cols in [1usize, 2, 3, 6, 7, 8, 13, 20, 64] {
+            let complex: Vec<Complex<T>> =
+                (0..rows * cols).map(|i| Complex::new(sample(i, 0.0), sample(i, 1.3))).collect();
+            let real: Vec<Complex<T>> =
+                (0..rows * cols).map(|i| Complex::new(sample(i, 0.4), T::ZERO)).collect();
+            let want_forward = oracle_2d(&complex, rows, cols, false, false);
+            let want_real = oracle_2d(&real, rows, cols, true, false);
+            let want_inverse = oracle_2d(&complex, rows, cols, false, true);
+            for workers in [1usize, 2, 3, 7] {
+                let fft = Fft2d::<T>::with_parallelism(rows, cols, Parallelism::new(workers));
+                let case = format!("{precision} {rows}x{cols} workers={workers}");
+                let mut got = complex.clone();
+                fft.forward(&mut got);
+                assert_eq!(got, want_forward, "forward {case}");
+                let mut got = real.clone();
+                fft.forward_real(&mut got);
+                assert_eq!(got, want_real, "forward_real {case}");
+                let mut got = complex.clone();
+                fft.inverse(&mut got);
+                assert_eq!(got, want_inverse, "inverse {case}");
+            }
+        }
+    }
+}
+
+#[test]
+fn column_pass_is_bit_identical_to_the_transposed_1d_oracle() {
+    check_column_oracle::<f64>("f64");
+    check_column_oracle::<f32>("f32");
 }
