@@ -938,7 +938,7 @@ pub fn parallel_bench_json() -> String {
 }
 
 /// End-to-end Inter-Intra-Holo run instrumented for the telemetry
-/// timeline: planner → executor → quality/view → pipelined QoS, with the
+/// timeline: planner → executor → quality/view → staged pipeline, with the
 /// simulated GPU kernel profile bridged onto the trace as its own track.
 ///
 /// This is the experiment the observability docs point at: run it under
@@ -1010,8 +1010,12 @@ pub fn inter_intra(cfg: &ExperimentConfig) -> String {
         });
     }
 
-    let report =
-        holoar_pipeline::run_pipelined(frames as u64, |i| latencies[i as usize], &ctx);
+    let report = holoar_pipeline::run_staged(
+        frames as u64,
+        &holoar_pipeline::StagedConfig::default(),
+        |i| latencies[i as usize],
+        &ctx,
+    );
     let bridged = holoar_gpusim::bridge_profiler(&profiler);
 
     let mut t = Table::new(["Quantity", "Value"]);
@@ -1023,8 +1027,12 @@ pub fn inter_intra(cfg: &ExperimentConfig) -> String {
     ]);
     t.row(["view luminance".to_string(), format!("{view_luminance:.2}")]);
     t.row(["throughput".to_string(), format!("{:.2} fps", report.throughput_fps)]);
-    t.row(["motion-to-photon".to_string(), format!("{:.1} ms", report.mean_latency * 1e3)]);
-    t.row(["bottleneck".to_string(), format!("{:?}", report.bottleneck)]);
+    t.row([
+        "fresh / stale frames".to_string(),
+        format!("{} / {}", report.fresh_frames, report.stale_frames),
+    ]);
+    t.row(["ingest-to-present".to_string(), format!("{:.1} ms", report.mean_latency * 1e3)]);
+    t.row(["bottleneck".to_string(), report.bottleneck.to_string()]);
     t.row(["GPU kernels bridged".to_string(), bridged.to_string()]);
     format!(
         "== supplementary: Inter-Intra-Holo end-to-end (telemetry showcase) ==\n{}\
@@ -1185,8 +1193,7 @@ pub fn faults(cfg: &ExperimentConfig) -> String {
     let workload = faulted_workload(cfg);
     let FaultedWorkload { latencies, hits_on, hits_off, level_frames, controller: ctl } =
         workload;
-    let pipelined =
-        holoar_pipeline::run_pipelined(cfg.frames, |i| latencies[i as usize], &ctx);
+    let worst = holoar_pipeline::run_loop(cfg.frames, |i| latencies[i as usize]).worst;
 
     // -- full-stack pass: add sensor dropouts and stage overruns ---------
     let storm = scenario::full_stack(cfg.seed).expect("preset scenario is valid");
@@ -1282,7 +1289,6 @@ pub fn faults(cfg: &ExperimentConfig) -> String {
         trans.push_str(&format!("  ... {} more\n", ctl.transitions().len() - 10));
     }
 
-    let worst = &pipelined.worst;
     format!(
         "== supplementary: graceful degradation under injected faults ==\n\
          scenario: GPU contention (2x SM slowdown + DRAM contention bursts), \
@@ -2208,6 +2214,22 @@ mod tests {
         assert!(m.p99_ratio <= 1.0 + 1e-9, "staged p99 worse than lockstep: {:.3}", m.p99_ratio);
         // Drop-oldest keeps presentation gap-free: every frame presents.
         assert_eq!(m.staged.fresh_frames + m.staged.stale_frames, m.frames);
+    }
+
+    #[test]
+    fn faults_worst_frame_follows_the_scene_cadence() {
+        // Scene reconstruction runs 1 frame in 3: the worst frame must not
+        // charge its 120 ms to a frame that never ran it. On this workload
+        // a fold over the raw latencies does, so the two figures differ.
+        let cfg = ExperimentConfig { frames: 150, seed: 11, sessions: None };
+        let latencies = faulted_workload(&cfg).latencies;
+        let worst = holoar_pipeline::run_loop(cfg.frames, |i| latencies[i as usize]).worst;
+        let mut raw = holoar_pipeline::StageWorst::default();
+        latencies.iter().for_each(|lat| raw.absorb(lat));
+        assert!(raw.total > worst.total, "raw {} vs cadenced {}", raw.total, worst.total);
+        let report = faults(&cfg);
+        let line = format!("| frame {}\n", ms(worst.total));
+        assert!(report.contains(&line), "faults should report {line:?}:\n{report}");
     }
 
     #[test]

@@ -64,7 +64,7 @@ fn trace_fixture_covers_every_instrumented_layer() {
         "optics.propagate_batch",
         "core.planner.plan_frame",
         "core.executor.execute_plan",
-        "pipeline.run_pipelined",
+        "pipeline.staged.run",
     ] {
         assert!(names.contains(name), "trace lacks span {name:?}");
     }

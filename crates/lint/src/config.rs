@@ -44,7 +44,7 @@ pub const HOT_ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/optics/src/gsw.rs", "run_batch"),
     ("crates/optics/src/propagate.rs", "propagate_sum"),
     ("crates/gpusim/src/sm.rs", "block_cost"),
-    ("crates/pipeline/src/pipelined.rs", "run_pipelined"),
+    ("crates/pipeline/src/executor.rs", "run_staged_trace"),
     ("crates/serve/src/engine.rs", "run_serve"),
 ];
 
@@ -55,7 +55,7 @@ pub const HOT_ENTRY_POINTS: &[(&str, &str)] = &[
 /// `// holoar-lint: frame-loop` marker comment.
 pub const FRAME_LOOP_FNS: &[(&str, &str)] = &[
     ("crates/optics/src/gsw.rs", "run_batch"),
-    ("crates/pipeline/src/pipelined.rs", "summarize"),
+    ("crates/pipeline/src/executor.rs", "simulate_staged"),
     ("crates/serve/src/batcher.rs", "merged_session_kernels"),
 ];
 

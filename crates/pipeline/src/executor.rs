@@ -87,8 +87,7 @@ pub struct StagedConfig {
     pub compute_queue: usize,
     /// Bound of the compute → present queue (holograms awaiting display).
     pub present_queue: usize,
-    /// Display-composition cost of a fresh frame, seconds (the
-    /// `display_compose` task of the frame graph).
+    /// Display-composition cost of a fresh frame, seconds.
     pub present_latency: f64,
     /// Cost of re-presenting the last good hologram for a dropped frame,
     /// seconds (mirrors `DegradationLadder::reproject_latency`).
@@ -96,8 +95,8 @@ pub struct StagedConfig {
 }
 
 impl Default for StagedConfig {
-    /// Two-deep queues, the frame graph's 4 ms display composition, the
-    /// degradation ladder's 1.5 ms reprojection.
+    /// Two-deep queues, 4 ms display composition, the degradation ladder's
+    /// 1.5 ms reprojection.
     fn default() -> Self {
         StagedConfig {
             compute_queue: 2,
@@ -267,7 +266,7 @@ pub fn run_staged_trace<F: Fn(u64) -> FrameLatencies + Sync>(
     // Parallel phase: evaluate every frame's stage latencies on the pool
     // (order-preserving map — bit-identical to a serial loop), then apply
     // the scene-reconstruction cadence the lockstep loop applies.
-    let latencies: Vec<FrameLatencies> = crate::pipelined::evaluate_frames(frames, &frame_fn, ctx)
+    let latencies: Vec<FrameLatencies> = evaluate_frames(frames, &frame_fn, ctx)
         .into_iter()
         .enumerate()
         .map(|(i, lat)| apply_scene_cadence(i as u64, lat))
@@ -278,6 +277,22 @@ pub fn run_staged_trace<F: Fn(u64) -> FrameLatencies + Sync>(
     holoar_telemetry::gauge_set("pipeline.queue.high_water", trace.report.max_compute_depth as f64);
     holoar_telemetry::counter_add("pipeline.staged.stale_frames", trace.report.stale_frames);
     trace
+}
+
+/// Evaluates `frame_fn` for every frame index, fanning out over `ctx`'s
+/// worker pool. The map is order-preserving — results land in frame-index
+/// order regardless of worker count — which is the parallel half of the
+/// staged executor's bit-identity contract.
+fn evaluate_frames<F: Fn(u64) -> FrameLatencies + Sync>(
+    frames: u64,
+    frame_fn: &F,
+    ctx: &ExecutionContext,
+) -> Vec<FrameLatencies> {
+    let indices: Vec<u64> = (0..frames).collect();
+    ctx.parallelism().map(&indices, |&i| {
+        let _frame_span = holoar_telemetry::span_cat("pipeline.frame_eval", "pipeline");
+        frame_fn(i)
+    })
 }
 
 /// Serial virtual-time discrete-event loop behind [`run_staged_trace`].
@@ -311,7 +326,9 @@ fn simulate_staged(config: &StagedConfig, latencies: &[FrameLatencies]) -> Stage
     let mut busy = [0.0f64; 3];
     busy[Stage::Ingest.index()] = ingest_done.last().copied().unwrap_or(0.0);
 
-    let mut events: BinaryHeap<Event> = BinaryHeap::new();
+    // At most one pending event per stage: ingest chains frame by frame, and
+    // compute and present each run one frame at a time.
+    let mut events: BinaryHeap<Event> = BinaryHeap::with_capacity(Stage::ALL.len());
     events.push(Event {
         time: ingest_done.first().copied().unwrap_or(0.0),
         rank: Event::RANK_INGEST_DONE,
@@ -333,6 +350,7 @@ fn simulate_staged(config: &StagedConfig, latencies: &[FrameLatencies]) -> Stage
                         rank: Event::RANK_COMPUTE_DONE,
                         frame: i,
                     });
+                // holoar-lint: allow(hot-loop-alloc, reason = "BoundedQueue::new pre-sizes its VecDeque to the bound and a full push pops first, so it never grows")
                 } else if let Some(dropped) = compute_q.push(i) {
                     ready[dropped as usize] = Some((t, false));
                 }
@@ -351,6 +369,7 @@ fn simulate_staged(config: &StagedConfig, latencies: &[FrameLatencies]) -> Stage
                 // Hand the hologram to present through its bounded queue; a
                 // displaced hologram expires — its frame presents stale.
                 ready[i as usize] = Some((t, true));
+                // holoar-lint: allow(hot-loop-alloc, reason = "BoundedQueue::new pre-sizes its VecDeque to the bound and a full push pops first, so it never grows")
                 if let Some(expired) = present_q.push(i) {
                     if let Some(entry) = ready.get_mut(expired as usize) {
                         if let Some((ready_at, fresh)) = entry.as_mut() {
@@ -525,16 +544,26 @@ mod tests {
     }
 
     #[test]
-    fn compute_bound_pipeline_is_bottlenecked_on_compute() {
-        let report = run_staged(
-            30,
-            &StagedConfig::default(),
-            |_| FrameLatencies { pose: 0.001, eye: 0.0, scene: 0.0, hologram: 0.030 },
-            &ctx(),
-        );
-        assert_eq!(report.bottleneck, Stage::Compute);
-        // Throughput approaches 1 / hologram once the pipeline fills.
-        assert!(report.throughput_fps > 0.8 / 0.030);
+    fn bottleneck_follows_the_slowest_stage() {
+        // (frame latencies, expected bottleneck, its per-frame cost).
+        let cases = [
+            // Compute-bound: throughput approaches 1 / hologram once the
+            // pipeline fills.
+            (
+                FrameLatencies { pose: 0.001, eye: 0.0, scene: 0.0, hologram: 0.030 },
+                Stage::Compute,
+                0.030,
+            ),
+            // An aggressively approximated hologram moves the bottleneck
+            // upstream: ingest (pose + eye + scene at its 1-in-3 cadence)
+            // now bounds throughput.
+            (lat(0.010), Stage::Ingest, 0.0138 + 0.0044 + 0.120 / 3.0),
+        ];
+        for (frame, bottleneck, cost) in cases {
+            let report = run_staged(30, &StagedConfig::default(), |_| frame, &ctx());
+            assert_eq!(report.bottleneck, bottleneck, "{frame:?}");
+            assert!(report.throughput_fps > 0.8 / cost, "{frame:?}: {}", report.throughput_fps);
+        }
     }
 
     #[test]

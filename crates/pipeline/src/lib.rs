@@ -2,11 +2,13 @@
 //!
 //! Covers the paper's pipeline-level analysis: Table 1's task deadlines
 //! ([`task`]), the Fig 2 measured-versus-ideal characterization
-//! ([`mod@characterize`]), a serial frame-loop scheduler with per-task cadences
-//! and QoS accounting ([`schedule`]), a pipelined (stage-overlapping)
-//! throughput model ([`pipelined`]), a staged producer–consumer executor
-//! with bounded drop-oldest queues ([`executor`], [`queue`]), and a
-//! battery-life model ([`battery`]).
+//! ([`mod@characterize`]) and a battery-life model ([`battery`]).
+//!
+//! Frames run under exactly two models, over the same cadence-applied
+//! per-frame latencies: the lockstep loop ([`schedule`], the paper's serial
+//! baseline, where stages add and QoS is accounted per frame) and the
+//! staged producer–consumer executor ([`executor`], where ingest, compute
+//! and present overlap through bounded drop-oldest queues, [`queue`]).
 //!
 //! # Examples
 //!
@@ -28,8 +30,6 @@
 pub mod battery;
 pub mod characterize;
 pub mod executor;
-pub mod graph;
-pub mod pipelined;
 pub mod queue;
 pub mod schedule;
 pub mod task;
@@ -39,8 +39,6 @@ pub use characterize::{characterize, TaskCharacterization};
 pub use executor::{
     run_staged, run_staged_trace, PresentedFrame, Stage, StagedConfig, StagedReport, StagedTrace,
 };
-pub use graph::{ar_frame_graph, schedule_frame, FrameSchedule, GraphTask, Resource};
-pub use pipelined::{run_pipelined, PipelinedReport};
 pub use queue::BoundedQueue;
 pub use schedule::{apply_scene_cadence, run_loop, FrameLatencies, QosReport, StageWorst};
 pub use task::TaskKind;

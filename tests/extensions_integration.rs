@@ -1,37 +1,13 @@
-//! Integration tests for the extension features: task-graph scheduling fed
-//! by real evaluation latencies, the event-driven timeline, the viewport
-//! compositor, trace replay determinism, and the motion/application guards.
+//! Integration tests for the extension features: the event-driven
+//! timeline, the viewport compositor, trace replay determinism, and the
+//! motion/application guards.
 
-use holoar::core::{evaluation, render_view, ExecutionContext, HoloArConfig, MotionGuard, Planner, Scheme};
+use holoar::core::{render_view, ExecutionContext, HoloArConfig, MotionGuard, Planner, Scheme};
 use holoar::gpusim::timeline::{plane_stream_ops, simulate};
 use holoar::gpusim::{Device, DeviceConfig};
-use holoar::pipeline::graph::{ar_frame_graph, schedule_frame};
 use holoar::sensors::angles::{deg, AngularPoint};
 use holoar::sensors::objectron::VideoCategory;
 use holoar::sensors::trace::SessionTrace;
-
-#[test]
-fn task_graph_fed_by_evaluation_latencies_shows_the_speedup() {
-    let mut device = Device::xavier();
-    let base =
-        evaluation::evaluate_video(&mut device, VideoCategory::Cup, Scheme::Baseline, 40, 5);
-    let holoar = evaluation::evaluate_video(
-        &mut device,
-        VideoCategory::Cup,
-        Scheme::InterIntraHolo,
-        40,
-        5,
-    );
-    // Feed each configuration's hologram share into the frame graph.
-    let hologram_share = |mean_latency: f64| (mean_latency - 0.0138 - 0.0044).max(0.001);
-    let slow = schedule_frame(&ar_frame_graph(hologram_share(base.mean_latency), false))
-        .expect("valid graph");
-    let fast = schedule_frame(&ar_frame_graph(hologram_share(holoar.mean_latency), false))
-        .expect("valid graph");
-    assert!(slow.makespan / fast.makespan > 1.8, "graph-level speedup should carry over");
-    // The GPU stays the dominant resource in both.
-    assert!(slow.utilization(holoar::pipeline::graph::Resource::Gpu) > 0.8);
-}
 
 #[test]
 fn timeline_makespan_is_consistent_with_closed_form_scale() {
