@@ -653,35 +653,31 @@ pub fn streams(_cfg: &ExperimentConfig) -> String {
     )
 }
 
-/// Worker counts every parallel-bench sweep records, at each precision.
-/// `BENCH_parallel.json` always carries one cell per (workload, worker
-/// count, precision) triple regardless of the host's core count, so CI can
-/// gate on fixed cells.
+/// Worker counts every parallel-bench sweep records. `BENCH_parallel.json`
+/// always carries one cell per (workload, worker count) pair regardless of
+/// the host's core count, so CI can gate on fixed cells.
 pub const BENCH_WORKERS: [usize; 3] = [1, 2, 7];
 
 /// One timing cell of the [`parallel`] experiment: a (workload, worker
-/// count, precision) configuration measured against the f64 single-thread
-/// reference.
+/// count) configuration measured against the single-thread reference.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParallelCell {
     /// What was measured (workload and size).
     pub label: String,
     /// Worker count the cell ran with (`Parallelism::new(workers)`).
     pub workers: usize,
-    /// Hot-loop scalar precision the cell ran at (`"f32"` / `"f64"`).
-    pub precision: &'static str,
-    /// Best-of-three f64 single-thread reference wall time, milliseconds
+    /// Best-of-three single-thread reference wall time, milliseconds
     /// (shared by every cell of the same workload).
     pub serial_ms: f64,
     /// Best-of-three wall time of this cell's configuration, milliseconds.
     pub parallel_ms: f64,
-    /// Whether the cell's output matched its same-precision single-worker
-    /// twin bit-for-bit (the determinism guarantee).
+    /// Whether the cell's output matched its single-worker twin
+    /// bit-for-bit (the determinism guarantee).
     pub bit_identical: bool,
 }
 
 impl ParallelCell {
-    /// Reference (f64 single-thread) time over this cell's time.
+    /// Reference (single-thread) time over this cell's time.
     pub fn speedup(&self) -> f64 {
         self.serial_ms / self.parallel_ms.max(f64::MIN_POSITIVE)
     }
@@ -700,11 +696,11 @@ fn best_of_three_ms<F: FnMut()>(mut f: F) -> f64 {
 }
 
 /// Measures the hot-path engine: the 2-D FFT and GSW synthesis at every
-/// [`BENCH_WORKERS`] worker count and both precisions, each against the f64
-/// single-thread reference, verifying same-precision bit-identity on every
-/// cell. Returns the host pool's worker count alongside the cells.
+/// [`BENCH_WORKERS`] worker count, each against the single-thread
+/// reference, verifying bit-identity on every cell. Returns the host pool's
+/// worker count alongside the cells.
 pub fn parallel_measurements() -> (usize, Vec<ParallelCell>) {
-    use holoar_fft::{Complex32, Complex64, Fft2d, Parallelism, Precision};
+    use holoar_fft::{Complex64, Fft2d, Parallelism};
     use holoar_optics::gsw;
     let host_workers = Parallelism::auto().workers();
     let mut cells = Vec::new();
@@ -713,7 +709,6 @@ pub fn parallel_measurements() -> (usize, Vec<ParallelCell>) {
         let data: Vec<Complex64> = (0..n * n)
             .map(|i| Complex64::new((i as f64 * 0.37).sin(), (i as f64 * 0.91).cos()))
             .collect();
-        let data32: Vec<Complex32> = data.iter().map(|z| z.to_c32()).collect();
         let serial_fft = Fft2d::new(n, n);
         let mut reference = data.clone();
         serial_fft.forward(&mut reference);
@@ -721,38 +716,19 @@ pub fn parallel_measurements() -> (usize, Vec<ParallelCell>) {
             let mut buf = data.clone();
             serial_fft.forward(&mut buf);
         });
-        let serial_fft32 = Fft2d::<f32>::new(n, n);
-        let mut reference32 = data32.clone();
-        serial_fft32.forward(&mut reference32);
         for workers in BENCH_WORKERS {
-            let pool = Parallelism::new(workers);
-            let fft = Fft2d::with_parallelism(n, n, pool.clone());
+            let fft = Fft2d::with_parallelism(n, n, Parallelism::new(workers));
             let mut out = data.clone();
             fft.forward(&mut out);
             cells.push(ParallelCell {
                 label: format!("fft2d {n}x{n}"),
                 workers,
-                precision: Precision::F64.as_str(),
                 serial_ms,
                 parallel_ms: best_of_three_ms(|| {
                     let mut buf = data.clone();
                     fft.forward(&mut buf);
                 }),
                 bit_identical: out == reference,
-            });
-            let fft32 = Fft2d::<f32>::with_parallelism(n, n, pool);
-            let mut out32 = data32.clone();
-            fft32.forward(&mut out32);
-            cells.push(ParallelCell {
-                label: format!("fft2d {n}x{n}"),
-                workers,
-                precision: Precision::F32.as_str(),
-                serial_ms,
-                parallel_ms: best_of_three_ms(|| {
-                    let mut buf = data32.clone();
-                    fft32.forward(&mut buf);
-                }),
-                bit_identical: out32 == reference32,
             });
         }
     }
@@ -761,105 +737,25 @@ pub fn parallel_measurements() -> (usize, Vec<ParallelCell>) {
     let gsw_cfg = holoar_optics::GswConfig { iterations: 2, adaptivity: 1.0 };
     let stack = VirtualObject::Dice.render(48, 48, 0.006, 0.002).slice(8, optics);
     let serial_ctx = ExecutionContext::serial();
-    gsw::run(&stack, optics, gsw_cfg, &serial_ctx); // warm the context caches
+    let reference = gsw::run(&stack, optics, gsw_cfg, &serial_ctx); // warms the context caches
     let serial_ms = best_of_three_ms(|| {
         gsw::run(&stack, optics, gsw_cfg, &serial_ctx);
     });
-    for precision in [Precision::F64, Precision::F32] {
-        let reference = gsw::run(
-            &stack,
-            optics,
-            gsw_cfg,
-            &ExecutionContext::builder().workers(1).precision(precision).build(),
-        );
-        for workers in BENCH_WORKERS {
-            let ctx = ExecutionContext::builder().workers(workers).precision(precision).build();
-            let result = gsw::run(&stack, optics, gsw_cfg, &ctx);
-            cells.push(ParallelCell {
-                label: "gsw 48x48 8 planes".to_string(),
-                workers,
-                precision: precision.as_str(),
-                serial_ms,
-                parallel_ms: best_of_three_ms(|| {
-                    gsw::run(&stack, optics, gsw_cfg, &ctx);
-                }),
-                bit_identical: result.hologram.samples() == reference.hologram.samples(),
-            });
-        }
+    for workers in BENCH_WORKERS {
+        let ctx = ExecutionContext::with_workers(workers);
+        let result = gsw::run(&stack, optics, gsw_cfg, &ctx);
+        cells.push(ParallelCell {
+            label: "gsw 48x48 8 planes".to_string(),
+            workers,
+            serial_ms,
+            parallel_ms: best_of_three_ms(|| {
+                gsw::run(&stack, optics, gsw_cfg, &ctx);
+            }),
+            bit_identical: result.hologram.samples() == reference.hologram.samples(),
+        });
     }
 
     (host_workers, cells)
-}
-
-/// Outcome of the f32 quality gate: occupancy-weighted PSNR of the f32
-/// reconstruction path against the f64 reference on the repro scenes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct F32QualityGate {
-    /// Occupancy-weighted mean PSNR (dB), capped at
-    /// [`holoar_serve::PSNR_CAP`].
-    pub psnr_db: f64,
-    /// Floor `psnr_db` must clear for the f32 path to count as
-    /// quality-transparent.
-    pub threshold_db: f64,
-}
-
-impl F32QualityGate {
-    /// Whether the f32 path clears the floor.
-    pub fn pass(&self) -> bool {
-        self.psnr_db >= self.threshold_db
-    }
-}
-
-/// Stated tolerance of the f32 path: its reconstructions must stay within
-/// 10 dB of the [`holoar_serve::PSNR_CAP`] transparency cap against the f64
-/// reference (i.e. ≥ 40 dB — comfortably past visually-lossless for the
-/// repro scenes, with margin for accumulation differences).
-pub const F32_GATE_THRESHOLD_DB: f64 = holoar_serve::PSNR_CAP - 10.0;
-
-/// Runs the f32 quality gate on the repro scenes: slices two virtual
-/// objects into 8-plane stacks, reconstructs the incoherent focal stack
-/// through the propagation hot path at both precisions, and compares
-/// per-distance intensity images with PSNR weighted by each source plane's
-/// lit-pixel occupancy (empty planes carry no weight).
-pub fn f32_quality_gate() -> F32QualityGate {
-    use holoar_fft::Precision;
-    let optics = OpticalConfig::default();
-    let mut weighted = 0.0;
-    let mut weight = 0.0;
-    for object in [VirtualObject::Dice, VirtualObject::Planet] {
-        let stack = object.render(48, 48, 0.006, 0.002).slice(8, optics);
-        let distances: Vec<f64> = stack.iter().map(|p| p.z).collect();
-        let mut wide = Propagator::new();
-        let mut narrow = wide.with_precision(Precision::F32);
-        let reference = reconstruct::incoherent_focal_stack(&stack, &distances, &mut wide);
-        let test = reconstruct::incoherent_focal_stack(&stack, &distances, &mut narrow);
-        for ((plane, r), t) in stack.iter().zip(&reference).zip(&test) {
-            if plane.lit_pixels == 0 {
-                continue;
-            }
-            weighted += intensity_psnr_capped(r, t) * plane.lit_pixels as f64;
-            weight += plane.lit_pixels as f64;
-        }
-    }
-    let psnr_db = if weight > 0.0 { weighted / weight } else { holoar_serve::PSNR_CAP };
-    F32QualityGate { psnr_db, threshold_db: F32_GATE_THRESHOLD_DB }
-}
-
-/// PSNR (dB) of `test` against `reference`, peak-referenced to the
-/// reference image and capped at [`holoar_serve::PSNR_CAP`] (the exact
-/// match would otherwise be infinite).
-fn intensity_psnr_capped(reference: &[f64], test: &[f64]) -> f64 {
-    let peak = reference.iter().cloned().fold(0.0f64, f64::max);
-    let mse = reference
-        .iter()
-        .zip(test)
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum::<f64>()
-        / reference.len().max(1) as f64;
-    if mse <= 0.0 || peak <= 0.0 {
-        return holoar_serve::PSNR_CAP;
-    }
-    (10.0 * (peak * peak / mse).log10()).min(holoar_serve::PSNR_CAP)
 }
 
 /// Tentpole self-check: the parallel FFT/propagation engine against its
@@ -867,12 +763,10 @@ fn intensity_psnr_capped(reference: &[f64], test: &[f64]) -> f64 {
 /// pool (`HOLOAR_THREADS` overrides the sizing).
 pub fn parallel(_cfg: &ExperimentConfig) -> String {
     let (host_workers, cells) = parallel_measurements();
-    let gate = f32_quality_gate();
     let mut t = Table::new([
         "Workload",
         "Workers",
-        "Precision",
-        "Ref f64 (ms)",
+        "Ref (ms)",
         "Cell (ms)",
         "Speedup",
         "Identical?",
@@ -881,7 +775,6 @@ pub fn parallel(_cfg: &ExperimentConfig) -> String {
         t.row([
             cell.label.clone(),
             cell.workers.to_string(),
-            cell.precision.to_string(),
             format!("{:.3}", cell.serial_ms),
             format!("{:.3}", cell.parallel_ms),
             format!("{:.2}x", cell.speedup()),
@@ -890,42 +783,29 @@ pub fn parallel(_cfg: &ExperimentConfig) -> String {
     }
     format!(
         "== supplementary: hot-path engine (host pool: {host_workers} workers) ==\n{}\
-         f32 quality gate: occupancy-weighted PSNR {:.1} dB vs the f64 reference \
-         (threshold {:.1} dB) — {}\n\
-         every cell is bit-identical to its same-precision single-worker twin by \
-         construction; multi-worker speedups track the host's core count\n",
+         every cell is bit-identical to its single-worker twin by construction; \
+         multi-worker speedups track the host's core count\n",
         t.render(),
-        gate.psnr_db,
-        gate.threshold_db,
-        if gate.pass() { "PASS" } else { "FAIL" },
     )
 }
 
 /// The [`parallel`] experiment's measurements as a JSON artifact
 /// (`BENCH_parallel.json`), hand-serialized to keep the workspace
-/// dependency-free.
+/// dependency-free. Every cell records the precision it ran at.
 pub fn parallel_bench_json() -> String {
     let (host_workers, cells) = parallel_measurements();
-    let gate = f32_quality_gate();
+    let precision = holoar_fft::Precision::F64;
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"parallel\",\n");
     out.push_str(&format!("  \"host_workers\": {host_workers},\n"));
-    out.push_str(&format!(
-        "  \"f32_quality_gate\": {{\"psnr_db\": {:.2}, \"threshold_db\": {:.2}, \
-         \"pass\": {}}},\n",
-        gate.psnr_db,
-        gate.threshold_db,
-        gate.pass(),
-    ));
     out.push_str("  \"cells\": [\n");
     for (i, cell) in cells.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"workers\": {}, \"precision\": \"{}\", \
+            "    {{\"label\": \"{}\", \"workers\": {}, \"precision\": \"{precision}\", \
              \"serial_ms\": {:.4}, \"parallel_ms\": {:.4}, \
              \"speedup\": {:.3}, \"bit_identical\": {}}}{}\n",
             cell.label,
             cell.workers,
-            cell.precision,
             cell.serial_ms,
             cell.parallel_ms,
             cell.speedup(),
@@ -2162,32 +2042,16 @@ mod tests {
         let json = parallel_bench_json();
         assert!(json.contains("\"bench\": \"parallel\""));
         assert!(json.contains("\"host_workers\""));
-        // Every (worker count, precision) cell is present regardless of the
-        // host's core count — CI gates on fixed cells.
+        // Every worker-count cell is present regardless of the host's core
+        // count — CI gates on fixed cells.
         for workers in BENCH_WORKERS {
-            for precision in ["f32", "f64"] {
-                assert!(
-                    json.contains(&format!(
-                        "\"workers\": {workers}, \"precision\": \"{precision}\""
-                    )),
-                    "missing cell workers={workers} precision={precision}"
-                );
-            }
+            assert!(
+                json.contains(&format!("\"workers\": {workers}, \"precision\": \"f64\"")),
+                "missing cell workers={workers}"
+            );
         }
-        assert!(json.contains("\"f32_quality_gate\""));
-        assert!(json.contains("\"pass\": true"), "f32 quality gate failed:\n{json}");
         assert!(json.contains("\"bit_identical\": true"));
         assert!(!json.contains("\"bit_identical\": false"));
-    }
-
-    #[test]
-    fn f32_quality_gate_clears_its_threshold_with_margin() {
-        let gate = f32_quality_gate();
-        assert!(gate.pass(), "gate at {:.1} dB vs {:.1} dB", gate.psnr_db, gate.threshold_db);
-        // The f32 propagation path should be far above the floor, not
-        // scraping it — a regression that halves the margin still passes
-        // the gate but deserves a look.
-        assert!(gate.psnr_db >= gate.threshold_db + 5.0, "thin margin: {:.1} dB", gate.psnr_db);
     }
 
     #[test]

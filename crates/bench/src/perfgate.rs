@@ -4,13 +4,12 @@
 //! Every artifact names its kind in a top-level `"bench"` field
 //! (`parallel`, `serve`, `pipeline`, `fleet`, `slo`); [`evaluate`] runs the
 //! [`FLOORS`] rows of that kind, so a new gate is a new row. Hard
-//! invariants (schema, the parallel cell grid, bit-identity, the f32
-//! quality gate, frame conservation) and the floors of the virtual-time
-//! artifacts hold on any host. Host timing floors (`host: true`: ≥1.3×
-//! single-thread from f32 and ≥2× parallel GSW at 7 workers, each times a
-//! 0.8 noise margin) apply only when `host_workers` ≥ 4 — a single-core
-//! container cannot show a parallel speedup, and a scalar narrow core
-//! measures f32 ≈ f64 — and are otherwise reported on one SKIPPED line.
+//! invariants (schema, the parallel cell grid, bit-identity, frame
+//! conservation) and the floors of the virtual-time artifacts hold on any
+//! host. Host timing floors (`host: true`: ≥2× parallel GSW at 7 workers,
+//! times a 0.8 noise margin) apply only when `host_workers` ≥ 4 — a
+//! single-core container cannot show a parallel speedup — and are
+//! otherwise reported on one SKIPPED line.
 //!
 //! Left sides and path bounds use a small selector syntax:
 //!
@@ -29,8 +28,6 @@ use holoar_telemetry::jsonlite::{self, Json};
 use Bound::{Const, Path};
 use Cmp::{Eq, Ge, Gt, IsTrue, Le, NonEmpty, Number};
 
-/// Single-thread f32-over-f64 speedup target (fft2d 256x256 and GSW).
-const F32_FLOOR: f64 = 1.3;
 /// Parallel GSW speedup target at 7 workers.
 const PAR_FLOOR: f64 = 2.0;
 /// Fraction of a host timing floor actually enforced — margin for timer
@@ -98,19 +95,12 @@ pub const FLOORS: &[Floor] = &[
     row("parallel", "host worker count recorded", "host_workers", Ge(Const(1.0))),
     row("parallel", "cell schema", "cells[*].{workers|speedup}", Number),
     row("parallel", "cell labels", "cells[*].{label|precision}", NonEmpty),
-    row("parallel", "f32 quality gate pass", "f32_quality_gate.pass", IsTrue),
     row("parallel", "every cell bit-identical to its serial twin", "cells[*].bit_identical",
         IsTrue),
-    row("parallel", "no missing cell in the workload x workers {1,2,7} x {f64,f32} grid",
-        "len(cells[label={fft2d 128x128|fft2d 256x256|gsw 48x48 8 planes}][workers={1|2|7}]\
-         [precision={f64|f32}])", Eq(Const(1.0))),
-    host("parallel", "f32 single-thread fft2d 256x256 speedup (1.3x floor, 0.8 noise margin)",
-        "cells[label=fft2d 256x256][workers=1][precision=f32].speedup",
-        Ge(Const(F32_FLOOR * NOISE_MARGIN))),
-    host("parallel", "f32 single-thread gsw 48x48 8 planes speedup (1.3x floor, 0.8 noise margin)",
-        "cells[label=gsw 48x48 8 planes][workers=1][precision=f32].speedup",
-        Ge(Const(F32_FLOOR * NOISE_MARGIN))),
-    host("parallel", "parallel gsw at 7 workers, best precision (2.0x floor, 0.8 noise margin)",
+    row("parallel", "no missing cell in the workload x workers {1,2,7} grid",
+        "len(cells[label={fft2d 128x128|fft2d 256x256|gsw 48x48 8 planes}][workers={1|2|7}])",
+        Eq(Const(1.0))),
+    host("parallel", "parallel gsw at 7 workers (2.0x floor, 0.8 noise margin)",
         "max(cells[label=gsw 48x48 8 planes][workers=7].speedup)",
         Ge(Const(PAR_FLOOR * NOISE_MARGIN))),
     // BENCH_serve.json (`repro serve --json`): schema and the 8-session acceptance row.
@@ -210,8 +200,7 @@ pub fn evaluate(json_text: &str) -> Result<GateOutcome, String> {
     if !skipped.is_empty() {
         outcome.report.push_str(&format!(
             "SKIPPED speedup floors: host has {host_workers} worker(s), floors need >= \
-             {MIN_HOST_WORKERS} (single-core hosts cannot express parallel or bandwidth \
-             wins): {}\n",
+             {MIN_HOST_WORKERS} (smaller hosts cannot express a parallel win): {}\n",
             skipped.join("; ")
         ));
     }
@@ -397,7 +386,6 @@ mod tests {
     use super::*;
 
     const WORKERS: [usize; 3] = [1, 2, 7];
-    const PRECISIONS: [&str; 2] = ["f64", "f32"];
 
     fn run(json: &str) -> GateOutcome {
         evaluate(json).expect("artifact must parse and name a known bench kind")
@@ -413,38 +401,30 @@ mod tests {
         );
     }
 
-    fn artifact(host_workers: usize, gsw7: f64, f32_one: f64, identical: bool) -> String {
+    fn artifact(host_workers: usize, gsw7: f64, identical: bool) -> String {
         let mut cells = String::new();
         for label in ["fft2d 128x128", "fft2d 256x256", "gsw 48x48 8 planes"] {
             for workers in WORKERS {
-                for precision in PRECISIONS {
-                    let speedup = if label == "gsw 48x48 8 planes" && workers == 7 {
-                        gsw7
-                    } else if precision == "f32" && workers == 1 {
-                        f32_one
-                    } else {
-                        1.0
-                    };
-                    cells.push_str(&format!(
-                        "{}{{\"label\": \"{label}\", \"workers\": {workers}, \
-                         \"precision\": \"{precision}\", \"serial_ms\": 1.0, \
-                         \"parallel_ms\": 1.0, \"speedup\": {speedup}, \
-                         \"bit_identical\": {identical}}}",
-                        if cells.is_empty() { "" } else { ",\n" },
-                    ));
-                }
+                let speedup =
+                    if label == "gsw 48x48 8 planes" && workers == 7 { gsw7 } else { 1.0 };
+                cells.push_str(&format!(
+                    "{}{{\"label\": \"{label}\", \"workers\": {workers}, \
+                     \"precision\": \"f64\", \"serial_ms\": 1.0, \
+                     \"parallel_ms\": 1.0, \"speedup\": {speedup}, \
+                     \"bit_identical\": {identical}}}",
+                    if cells.is_empty() { "" } else { ",\n" },
+                ));
             }
         }
         format!(
             "{{\"bench\": \"parallel\", \"host_workers\": {host_workers},\n\
-             \"f32_quality_gate\": {{\"psnr_db\": 50.0, \"threshold_db\": 40.0, \
-             \"pass\": true}},\n\"cells\": [{cells}]}}"
+             \"cells\": [{cells}]}}"
         )
     }
 
     #[test]
     fn healthy_artifact_on_a_big_host_passes() {
-        let outcome = run(&artifact(8, 3.0, 1.4, true));
+        let outcome = run(&artifact(8, 3.0, true));
         assert!(outcome.pass(), "{}", outcome.report);
         assert!(outcome.report.contains("parallel gsw at 7 workers"));
     }
@@ -453,36 +433,24 @@ mod tests {
     fn single_core_hosts_skip_the_speedup_floors() {
         // Speedups of 1.0 would fail the floors, but a 1-worker host skips
         // them — only the hard invariants apply.
-        let outcome = run(&artifact(1, 0.9, 0.9, true));
+        let outcome = run(&artifact(1, 0.9, true));
         assert!(outcome.pass(), "{}", outcome.report);
         assert!(outcome.report.contains("SKIPPED speedup floors"));
     }
 
     #[test]
     fn slow_parallel_gsw_fails_on_a_big_host() {
-        fails_on(&artifact(8, 1.1, 1.4, true), "parallel gsw");
-    }
-
-    #[test]
-    fn slow_f32_fails_on_a_big_host() {
-        fails_on(&artifact(8, 3.0, 0.8, true), "f32 single-thread");
+        fails_on(&artifact(8, 1.1, true), "parallel gsw");
     }
 
     #[test]
     fn broken_bit_identity_fails_everywhere() {
-        fails_on(&artifact(1, 3.0, 1.4, false), "bit-identical");
-    }
-
-    #[test]
-    fn failed_quality_gate_fails_everywhere() {
-        let json = artifact(1, 3.0, 1.4, true).replace("\"pass\": true", "\"pass\": false");
-        fails_on(&json, "quality gate");
+        fails_on(&artifact(1, 3.0, false), "bit-identical");
     }
 
     #[test]
     fn missing_cells_are_detected() {
         let thin = "{\"bench\": \"parallel\", \"host_workers\": 1,\n\
-             \"f32_quality_gate\": {\"psnr_db\": 50.0, \"threshold_db\": 40.0, \"pass\": true},\n\
              \"cells\": [{\"label\": \"gsw 48x48 8 planes\", \"workers\": 1, \
              \"precision\": \"f64\", \"serial_ms\": 1.0, \"parallel_ms\": 1.0, \
              \"speedup\": 1.0, \"bit_identical\": true}]}";
@@ -495,10 +463,7 @@ mod tests {
         // invariants, whatever this host's speedups look like.
         let outcome = run(&crate::experiments::parallel_bench_json());
         for failure in &outcome.failures {
-            assert!(
-                failure.contains("single-thread") || failure.contains("parallel gsw"),
-                "hard invariant violated: {failure}"
-            );
+            assert!(failure.contains("parallel gsw"), "hard invariant violated: {failure}");
         }
     }
 
@@ -522,13 +487,12 @@ mod tests {
 
     #[test]
     fn checked_in_parallel_artifact_clears_the_gate() {
-        // `BENCH_parallel.json` was recorded on a 1-worker host: every hard
-        // invariant passes and the three host timing floors are skipped on
-        // a single SKIPPED line.
+        // `BENCH_parallel.json` was recorded on a 2-worker host: every
+        // hard invariant passes and the host timing floor is skipped on a
+        // single SKIPPED line.
         let outcome = run(include_str!("../../../BENCH_parallel.json"));
         assert!(outcome.pass(), "{}", outcome.report);
         assert_eq!(outcome.report.matches("SKIPPED").count(), 1, "{}", outcome.report);
-        assert!(!outcome.report.contains("pass f32 single-thread"), "{}", outcome.report);
     }
 
     fn serve_artifact(speedup: f64, hit: f64, gap: f64) -> String {

@@ -10,27 +10,22 @@
 //! a convolution of the chirp-premultiplied input with the conjugate chirp.
 //! The convolution runs through a [`MixedRadixPlan`] of power-of-two length
 //! `m ≥ 2n − 1`.
-//!
-//! Generic over scalar precision; chirp angles are always evaluated in `f64`
-//! and narrowed (see [`crate::real`]), and the per-thread convolution
-//! workspace is per-precision so f32 and f64 transforms never share buffers.
 
-use crate::complex::Complex;
-use crate::mixed_radix::MixedRadixPlan;
-use crate::real::Real;
+use crate::complex::Complex64;
+use crate::mixed_radix::{with_work, MixedRadixPlan};
 
 /// Precomputed state for arbitrary-length transforms of one fixed size.
 #[derive(Debug, Clone)]
-pub struct BluesteinPlan<T: Real = f64> {
+pub struct BluesteinPlan {
     n: usize,
     /// Chirp `e^{-iπk²/n}` for the forward direction, `k < n`.
-    chirp: Vec<Complex<T>>,
+    chirp: Vec<Complex64>,
     /// FFT of the zero-padded conjugate chirp (forward direction).
-    kernel_fft: Vec<Complex<T>>,
-    inner: MixedRadixPlan<T>,
+    kernel_fft: Vec<Complex64>,
+    inner: MixedRadixPlan,
 }
 
-impl<T: Real> BluesteinPlan<T> {
+impl BluesteinPlan {
     /// Builds a plan for length `n`.
     ///
     /// # Panics
@@ -39,15 +34,15 @@ impl<T: Real> BluesteinPlan<T> {
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "bluestein plan requires a non-zero length");
         let m = (2 * n - 1).next_power_of_two();
-        let inner: MixedRadixPlan<T> = MixedRadixPlan::new(m);
+        let inner = MixedRadixPlan::new(m);
         let mut chirp = Vec::with_capacity(n);
         for k in 0..n {
             // Reduce k² mod 2n before converting to angle to avoid precision
             // loss for large n.
             let kk = (k * k) % (2 * n);
-            chirp.push(Complex::<T>::cis_f64(-std::f64::consts::PI * kk as f64 / n as f64));
+            chirp.push(Complex64::cis(-std::f64::consts::PI * kk as f64 / n as f64));
         }
-        let mut kernel = vec![Complex::<T>::ZERO; m];
+        let mut kernel = vec![Complex64::ZERO; m];
         if let (Some(k0), Some(c0)) = (kernel.first_mut(), chirp.first()) {
             *k0 = c0.conj();
         }
@@ -75,7 +70,7 @@ impl<T: Real> BluesteinPlan<T> {
     /// # Panics
     ///
     /// Panics if `buf.len() != self.len()`.
-    pub fn forward(&self, buf: &mut [Complex<T>]) {
+    pub fn forward(&self, buf: &mut [Complex64]) {
         assert_eq!(buf.len(), self.n, "buffer length {} does not match plan length {}", buf.len(), self.n);
         self.run(buf, false);
     }
@@ -88,12 +83,12 @@ impl<T: Real> BluesteinPlan<T> {
     /// # Panics
     ///
     /// Panics if `buf.len() != self.len()`.
-    pub fn inverse(&self, buf: &mut [Complex<T>]) {
+    pub fn inverse(&self, buf: &mut [Complex64]) {
         assert_eq!(buf.len(), self.n, "buffer length {} does not match plan length {}", buf.len(), self.n);
         self.run(buf, true);
     }
 
-    fn run(&self, buf: &mut [Complex<T>], invert: bool) {
+    fn run(&self, buf: &mut [Complex64], invert: bool) {
         let n = self.n;
         let m = self.inner.len();
         if invert {
@@ -104,15 +99,15 @@ impl<T: Real> BluesteinPlan<T> {
         // One borrow of the thread workspace, split in two: the first `m`
         // samples hold the convolution, the rest are the inner plan's
         // ping-pong buffer, so the inner transform never borrows it again.
-        T::with_conv_work(|work| {
+        with_work(|work| {
             if work.len() < 2 * m {
-                work.resize(2 * m, Complex::ZERO);
+                work.resize(2 * m, Complex64::ZERO);
             }
             let (conv, scratch) = work.split_at_mut(m);
             for k in 0..n {
                 conv[k] = buf[k] * self.chirp[k];
             }
-            conv[n..].fill(Complex::ZERO);
+            conv[n..].fill(Complex64::ZERO);
             self.inner.run(conv, scratch, false);
             for (w, k) in conv.iter_mut().zip(&self.kernel_fft) {
                 *w *= *k;
@@ -123,7 +118,7 @@ impl<T: Real> BluesteinPlan<T> {
             }
         });
         if invert {
-            let s = T::from_usize(n).recip();
+            let s = (n as f64).recip();
             for v in buf.iter_mut() {
                 *v = v.conj().scale(s);
             }
@@ -134,7 +129,6 @@ impl<T: Real> BluesteinPlan<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::{Complex32, Complex64};
     use crate::dft;
 
     fn assert_close(a: &[Complex64], b: &[Complex64], tol: f64) {
@@ -208,13 +202,13 @@ mod tests {
 
     #[test]
     fn transforms_reuse_the_thread_workspace() {
-        let plan: BluesteinPlan<f32> = BluesteinPlan::new(17);
-        let mut buf = vec![Complex32::ONE; 17];
+        let plan = BluesteinPlan::new(17);
+        let mut buf = vec![Complex64::ONE; 17];
         plan.forward(&mut buf);
-        let before = f32::with_conv_work(|w| (w.as_ptr() as usize, w.len()));
+        let before = with_work(|w| (w.as_ptr() as usize, w.len()));
         plan.forward(&mut buf);
         plan.inverse(&mut buf);
-        let after = f32::with_conv_work(|w| (w.as_ptr() as usize, w.len()));
+        let after = with_work(|w| (w.as_ptr() as usize, w.len()));
         assert_eq!(before, after);
         // The convolution buffer and the inner plan's ping-pong buffer.
         assert!(before.1 >= 2 * 64);
@@ -223,7 +217,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-zero length")]
     fn rejects_zero_length() {
-        BluesteinPlan::<f64>::new(0);
+        BluesteinPlan::new(0);
     }
 
     #[test]
@@ -233,34 +227,5 @@ mod tests {
         let mut fast = x.clone();
         BluesteinPlan::new(n).forward(&mut fast);
         assert_close(&fast, &dft::forward(&x), 1e-6);
-    }
-
-    #[test]
-    fn f32_plan_tracks_f64_reference_on_awkward_sizes() {
-        for n in [3usize, 17, 48, 101] {
-            let x = signal(n);
-            let mut narrow: Vec<Complex32> = x.iter().map(|z| z.to_c32()).collect();
-            BluesteinPlan::new(n).forward(&mut narrow);
-            let wide = dft::forward(&x);
-            for (a, b) in narrow.iter().zip(&wide) {
-                assert!(
-                    (a.to_c64() - *b).norm() < 2e-3 * (n as f64).max(1.0),
-                    "n={n}: {a} vs {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn f32_inverse_roundtrip() {
-        let n = 48; // planned as mixed-radix, but Bluestein must stay exact here
-        let plan: BluesteinPlan<f32> = BluesteinPlan::new(n);
-        let x: Vec<Complex32> = signal(n).iter().map(|z| z.to_c32()).collect();
-        let mut buf = x.clone();
-        plan.forward(&mut buf);
-        plan.inverse(&mut buf);
-        for (a, b) in buf.iter().zip(&x) {
-            assert!((*a - *b).norm() < 1e-3);
-        }
     }
 }

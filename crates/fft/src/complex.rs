@@ -3,29 +3,13 @@
 //! The workspace deliberately avoids external numeric crates, so this module
 //! provides the small slice of complex arithmetic the holographic pipeline
 //! needs: the four ring operations, conjugation, polar conversions and the
-//! complex exponential.
-//!
-//! [`Complex`] is generic over the scalar precision (see [`crate::real`]):
-//! [`Complex64`] is the bit-identity reference used across the workspace,
-//! [`Complex32`] backs the quality-gated f32 throughput path.
+//! complex exponential, all over `f64`.
 
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use crate::real::Real;
-
-/// A complex number generic over scalar precision. Defaults to `f64`, so
-/// `Complex` in type positions means the reference precision.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Complex<T: Real = f64> {
-    /// Real part.
-    pub re: T,
-    /// Imaginary part.
-    pub im: T,
-}
-
-/// A complex number with `f64` components — the workspace reference type.
+/// A complex number with `f64` components.
 ///
 /// # Examples
 ///
@@ -35,27 +19,21 @@ pub struct Complex<T: Real = f64> {
 /// let i = Complex64::I;
 /// assert_eq!(i * i, Complex64::new(-1.0, 0.0));
 /// ```
-pub type Complex64 = Complex<f64>;
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Complex64 {
+    /// Real part.
+    pub re: f64,
+    /// Imaginary part.
+    pub im: f64,
+}
 
-/// A complex number with `f32` components — the throughput path's type.
-///
-/// # Examples
-///
-/// ```
-/// use holoar_fft::Complex32;
-///
-/// let z = Complex32::new(3.0, -4.0);
-/// assert_eq!(z.norm(), 5.0);
-/// ```
-pub type Complex32 = Complex<f32>;
-
-impl<T: Real> Complex<T> {
+impl Complex64 {
     /// The additive identity, `0 + 0i`.
-    pub const ZERO: Complex<T> = Complex { re: T::ZERO, im: T::ZERO };
+    pub const ZERO: Complex64 = Complex64 { re: 0.0, im: 0.0 };
     /// The multiplicative identity, `1 + 0i`.
-    pub const ONE: Complex<T> = Complex { re: T::ONE, im: T::ZERO };
+    pub const ONE: Complex64 = Complex64 { re: 1.0, im: 0.0 };
     /// The imaginary unit, `0 + 1i`.
-    pub const I: Complex<T> = Complex { re: T::ZERO, im: T::ONE };
+    pub const I: Complex64 = Complex64 { re: 0.0, im: 1.0 };
 
     /// Creates a complex number from rectangular components.
     ///
@@ -67,8 +45,8 @@ impl<T: Real> Complex<T> {
     /// assert_eq!(z.norm(), 5.0);
     /// ```
     #[inline]
-    pub const fn new(re: T, im: T) -> Self {
-        Complex { re, im }
+    pub const fn new(re: f64, im: f64) -> Self {
+        Complex64 { re, im }
     }
 
     /// Creates a complex number from polar components `r·e^{iθ}`.
@@ -82,49 +60,39 @@ impl<T: Real> Complex<T> {
     /// assert!((z.im - 2.0).abs() < 1e-12);
     /// ```
     #[inline]
-    pub fn from_polar(r: T, theta: T) -> Self {
+    pub fn from_polar(r: f64, theta: f64) -> Self {
         let (s, c) = theta.sin_cos();
-        Complex { re: r * c, im: r * s }
+        Complex64 { re: r * c, im: r * s }
     }
 
     /// `e^{iθ}`: a unit-magnitude phasor. This is the workhorse of every
     /// propagation kernel in the optics crate.
     #[inline]
-    pub fn cis(theta: T) -> Self {
-        Self::from_polar(T::ONE, theta)
-    }
-
-    /// `e^{iθ}` with the angle supplied (and the trigonometry evaluated) in
-    /// `f64`, then narrowed. Plan construction funnels every twiddle/chirp
-    /// table through this so the f32 tables hold correctly rounded values
-    /// rather than values computed from already-rounded angles.
-    #[inline]
-    pub fn cis_f64(theta: f64) -> Self {
-        let (s, c) = theta.sin_cos();
-        Complex { re: T::from_f64(c), im: T::from_f64(s) }
+    pub fn cis(theta: f64) -> Self {
+        Self::from_polar(1.0, theta)
     }
 
     /// The complex conjugate.
     #[inline]
     pub fn conj(self) -> Self {
-        Complex { re: self.re, im: -self.im }
+        Complex64 { re: self.re, im: -self.im }
     }
 
     /// The modulus `|z|`.
     #[inline]
-    pub fn norm(self) -> T {
+    pub fn norm(self) -> f64 {
         self.re.hypot(self.im)
     }
 
     /// The squared modulus `|z|²` — the optical *intensity* of a field sample.
     #[inline]
-    pub fn norm_sqr(self) -> T {
+    pub fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
     /// The argument (phase angle) in `(-π, π]`.
     #[inline]
-    pub fn arg(self) -> T {
+    pub fn arg(self) -> f64 {
         self.im.atan2(self.re)
     }
 
@@ -145,8 +113,8 @@ impl<T: Real> Complex<T> {
 
     /// Scales by a real factor.
     #[inline]
-    pub fn scale(self, k: T) -> Self {
-        Complex { re: self.re * k, im: self.im * k }
+    pub fn scale(self, k: f64) -> Self {
+        Complex64 { re: self.re * k, im: self.im * k }
     }
 
     /// The multiplicative inverse `1/z`.
@@ -156,7 +124,7 @@ impl<T: Real> Complex<T> {
     #[inline]
     pub fn inv(self) -> Self {
         let d = self.norm_sqr();
-        Complex { re: self.re / d, im: -self.im / d }
+        Complex64 { re: self.re / d, im: -self.im / d }
     }
 
     /// Whether both components are finite.
@@ -166,32 +134,16 @@ impl<T: Real> Complex<T> {
     }
 }
 
-impl Complex64 {
-    /// Narrows both components to `f32`.
+impl From<f64> for Complex64 {
     #[inline]
-    pub fn to_c32(self) -> Complex32 {
-        Complex { re: self.re as f32, im: self.im as f32 }
+    fn from(re: f64) -> Self {
+        Complex64 { re, im: 0.0 }
     }
 }
 
-impl Complex32 {
-    /// Widens both components to `f64`.
-    #[inline]
-    pub fn to_c64(self) -> Complex64 {
-        Complex { re: f64::from(self.re), im: f64::from(self.im) }
-    }
-}
-
-impl<T: Real> From<T> for Complex<T> {
-    #[inline]
-    fn from(re: T) -> Self {
-        Complex { re, im: T::ZERO }
-    }
-}
-
-impl<T: Real> fmt::Display for Complex<T> {
+impl fmt::Display for Complex64 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.im >= T::ZERO {
+        if self.im >= 0.0 {
             write!(f, "{}+{}i", self.re, self.im)
         } else {
             write!(f, "{}{}i", self.re, self.im)
@@ -199,60 +151,60 @@ impl<T: Real> fmt::Display for Complex<T> {
     }
 }
 
-impl<T: Real> Add for Complex<T> {
-    type Output = Complex<T>;
+impl Add for Complex64 {
+    type Output = Complex64;
     #[inline]
-    fn add(self, rhs: Complex<T>) -> Complex<T> {
-        Complex { re: self.re + rhs.re, im: self.im + rhs.im }
+    fn add(self, rhs: Complex64) -> Complex64 {
+        Complex64 { re: self.re + rhs.re, im: self.im + rhs.im }
     }
 }
 
-impl<T: Real> AddAssign for Complex<T> {
+impl AddAssign for Complex64 {
     #[inline]
-    fn add_assign(&mut self, rhs: Complex<T>) {
+    fn add_assign(&mut self, rhs: Complex64) {
         self.re += rhs.re;
         self.im += rhs.im;
     }
 }
 
-impl<T: Real> Sub for Complex<T> {
-    type Output = Complex<T>;
+impl Sub for Complex64 {
+    type Output = Complex64;
     #[inline]
-    fn sub(self, rhs: Complex<T>) -> Complex<T> {
-        Complex { re: self.re - rhs.re, im: self.im - rhs.im }
+    fn sub(self, rhs: Complex64) -> Complex64 {
+        Complex64 { re: self.re - rhs.re, im: self.im - rhs.im }
     }
 }
 
-impl<T: Real> SubAssign for Complex<T> {
+impl SubAssign for Complex64 {
     #[inline]
-    fn sub_assign(&mut self, rhs: Complex<T>) {
+    fn sub_assign(&mut self, rhs: Complex64) {
         self.re -= rhs.re;
         self.im -= rhs.im;
     }
 }
 
-impl<T: Real> Mul for Complex<T> {
-    type Output = Complex<T>;
+impl Mul for Complex64 {
+    type Output = Complex64;
     #[inline]
-    fn mul(self, rhs: Complex<T>) -> Complex<T> {
-        Complex {
+    fn mul(self, rhs: Complex64) -> Complex64 {
+        Complex64 {
             re: self.re * rhs.re - self.im * rhs.im,
             im: self.re * rhs.im + self.im * rhs.re,
         }
     }
 }
 
-impl<T: Real> MulAssign for Complex<T> {
+impl MulAssign for Complex64 {
     #[inline]
-    fn mul_assign(&mut self, rhs: Complex<T>) {
+    fn mul_assign(&mut self, rhs: Complex64) {
         *self = *self * rhs;
     }
 }
 
-impl<T: Real> Mul<T> for Complex<T> {
-    type Output = Complex<T>;
+impl Mul<f64> for Complex64 {
+    type Output = Complex64;
     #[inline]
-    fn mul(self, rhs: T) -> Complex<T> {
+    fn mul(self, rhs: f64) -> Complex64 {
         self.scale(rhs)
     }
 }
@@ -265,49 +217,41 @@ impl Mul<Complex64> for f64 {
     }
 }
 
-impl Mul<Complex32> for f32 {
-    type Output = Complex32;
-    #[inline]
-    fn mul(self, rhs: Complex32) -> Complex32 {
-        rhs.scale(self)
-    }
-}
-
-impl<T: Real> Div for Complex<T> {
-    type Output = Complex<T>;
+impl Div for Complex64 {
+    type Output = Complex64;
     #[inline]
     #[allow(clippy::suspicious_arithmetic_impl)] // z/w computed as z·w⁻¹
-    fn div(self, rhs: Complex<T>) -> Complex<T> {
+    fn div(self, rhs: Complex64) -> Complex64 {
         self * rhs.inv()
     }
 }
 
-impl<T: Real> DivAssign for Complex<T> {
+impl DivAssign for Complex64 {
     #[inline]
-    fn div_assign(&mut self, rhs: Complex<T>) {
+    fn div_assign(&mut self, rhs: Complex64) {
         *self = *self / rhs;
     }
 }
 
-impl<T: Real> Div<T> for Complex<T> {
-    type Output = Complex<T>;
+impl Div<f64> for Complex64 {
+    type Output = Complex64;
     #[inline]
-    fn div(self, rhs: T) -> Complex<T> {
-        Complex { re: self.re / rhs, im: self.im / rhs }
+    fn div(self, rhs: f64) -> Complex64 {
+        Complex64 { re: self.re / rhs, im: self.im / rhs }
     }
 }
 
-impl<T: Real> Neg for Complex<T> {
-    type Output = Complex<T>;
+impl Neg for Complex64 {
+    type Output = Complex64;
     #[inline]
-    fn neg(self) -> Complex<T> {
-        Complex { re: -self.re, im: -self.im }
+    fn neg(self) -> Complex64 {
+        Complex64 { re: -self.re, im: -self.im }
     }
 }
 
-impl<T: Real> Sum for Complex<T> {
-    fn sum<I: Iterator<Item = Complex<T>>>(iter: I) -> Self {
-        iter.fold(Complex::ZERO, |a, b| a + b)
+impl Sum for Complex64 {
+    fn sum<I: Iterator<Item = Complex64>>(iter: I) -> Self {
+        iter.fold(Complex64::ZERO, |a, b| a + b)
     }
 }
 
@@ -402,33 +346,5 @@ mod tests {
     fn zero_inverse_is_not_finite() {
         assert!(!Complex64::ZERO.inv().is_finite());
         assert!(Complex64::ONE.is_finite());
-    }
-
-    #[test]
-    fn f32_instantiation_mirrors_f64_semantics() {
-        let a = Complex32::new(1.0, 2.0);
-        let b = Complex32::new(-3.0, 0.5);
-        assert_eq!(a * b, Complex32::new(-4.0, -5.5));
-        assert_eq!(Complex32::I * Complex32::I, -Complex32::ONE);
-        assert_eq!(2.0f32 * a, Complex32::new(2.0, 4.0));
-        assert_eq!(a * 2.0f32, Complex32::new(2.0, 4.0));
-        assert_eq!(a.to_string(), "1+2i");
-    }
-
-    #[test]
-    fn precision_conversions_roundtrip() {
-        let z = Complex64::new(0.125, -7.5); // exactly representable in f32
-        assert_eq!(z.to_c32().to_c64(), z);
-        let narrowed = Complex64::new(std::f64::consts::PI, 0.0).to_c32();
-        assert_eq!(narrowed.re, std::f32::consts::PI);
-    }
-
-    #[test]
-    fn cis_f64_narrows_correctly_rounded_values() {
-        let theta = 1.234_567_89_f64;
-        let reference = Complex64::cis(theta);
-        let narrowed: Complex32 = Complex::cis_f64(theta);
-        assert_eq!(narrowed.re, reference.re as f32);
-        assert_eq!(narrowed.im, reference.im as f32);
     }
 }

@@ -1,8 +1,8 @@
 //! The unified execution handle every compute entry point takes.
 //!
-//! PR 1 added parallelism, PR 2 telemetry, PR 4 degradation — and each
-//! widened the `run`/`run_with` API split. [`ExecutionContext`] collapses
-//! those axes back into one builder-constructed handle that bundles
+//! Parallelism, telemetry and degradation each once widened a
+//! `run`/`run_with` API split. [`ExecutionContext`] collapses those axes
+//! into one builder-constructed handle that bundles
 //!
 //! * the [`Parallelism`] pool (worker count + shared scratch arena),
 //! * the telemetry mode the caller intends for this work, and
@@ -16,6 +16,10 @@
 //! scratch arena; a unit test passes `ExecutionContext::serial()`; a bench
 //! passes `ExecutionContext::auto()`. The old `*_with(…, &Parallelism)`
 //! twins are gone — every entry point takes a context directly.
+//!
+//! Precision is not an axis: the whole stack computes in `f64`.
+//! [`Precision`] has that one value and [`ExecutionContext::precision`]
+//! returns it, so artifacts that record how a run was made can name it.
 //!
 //! # Examples
 //!
@@ -44,30 +48,19 @@ use crate::parallel::{lock_unpoisoned, Parallelism};
 /// inserted once and shared by every clone of the owning context.
 type SlotMap = HashMap<&'static str, Arc<dyn Any + Send + Sync>>;
 
-/// Scalar precision compute entry points should run their hot loops at.
-///
-/// [`Precision::F64`] is the bit-identity reference the repro experiments
-/// and tests pin; [`Precision::F32`] halves the working-set bytes through
-/// the FFT and GSW kernels and is gated by the quality experiment in
-/// `repro parallel` (occupancy-weighted PSNR within tolerance of the f64
-/// reference on the repro scenes). Public APIs keep `f64` fields at the
-/// boundary either way — precision is an internal compute policy, not a
-/// data-format change.
+/// Scalar precision of the compute stack. Every hot loop runs in `f64`, so
+/// this has one value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
-    /// 32-bit hot loops (throughput path; quality-gated).
-    F32,
-    /// 64-bit hot loops (reference; the default).
+    /// 64-bit hot loops.
     #[default]
     F64,
 }
 
 impl Precision {
-    /// Stable lower-case name (`"f32"` / `"f64"`), used in bench JSON and
-    /// log lines.
+    /// Stable lower-case name (`"f64"`), used in bench JSON and log lines.
     pub fn as_str(self) -> &'static str {
         match self {
-            Precision::F32 => "f32",
             Precision::F64 => "f64",
         }
     }
@@ -88,7 +81,6 @@ impl std::fmt::Display for Precision {
 pub struct ExecutionContext {
     par: Parallelism,
     telemetry: TelemetryMode,
-    precision: Precision,
     slots: Arc<Mutex<SlotMap>>,
 }
 
@@ -129,7 +121,6 @@ impl ExecutionContext {
         ExecutionContext {
             par,
             telemetry: holoar_telemetry::mode(),
-            precision: Precision::default(),
             slots: Arc::new(Mutex::new(HashMap::new())),
         }
     }
@@ -162,12 +153,10 @@ impl ExecutionContext {
         self.telemetry
     }
 
-    /// The scalar precision hot loops driven by this context should run at.
-    /// Defaults to [`Precision::F64`], the bit-identity reference; compute
-    /// entry points that have an f32 kernel (propagation, GSW) dispatch on
-    /// this value.
+    /// The scalar precision hot loops driven by this context run at:
+    /// always [`Precision::F64`].
     pub fn precision(&self) -> Precision {
-        self.precision
+        Precision::F64
     }
 
     /// Fetches the shared value stored under `key`, creating it with `init`
@@ -218,7 +207,6 @@ impl ExecutionContext {
 pub struct ExecutionContextBuilder {
     par: Option<Parallelism>,
     telemetry: Option<TelemetryMode>,
-    precision: Option<Precision>,
 }
 
 impl ExecutionContextBuilder {
@@ -245,10 +233,10 @@ impl ExecutionContextBuilder {
         self
     }
 
-    /// Selects the hot-loop scalar precision (defaults to
-    /// [`Precision::F64`]).
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = Some(precision);
+    /// Selects the hot-loop scalar precision. [`Precision`] has the one
+    /// value [`Precision::F64`], so this changes nothing; it accepts the
+    /// value a caller read back from [`ExecutionContext::precision`].
+    pub fn precision(self, _precision: Precision) -> Self {
         self
     }
 
@@ -257,9 +245,6 @@ impl ExecutionContextBuilder {
         let mut ctx = ExecutionContext::from_parallelism(self.par.unwrap_or_default());
         if let Some(mode) = self.telemetry {
             ctx.telemetry = mode;
-        }
-        if let Some(precision) = self.precision {
-            ctx.precision = precision;
         }
         ctx
     }
@@ -299,13 +284,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_selects_precision() {
-        let ctx = ExecutionContext::builder().precision(Precision::F32).build();
-        assert_eq!(ctx.precision(), Precision::F32);
-        assert_eq!(ctx.precision().as_str(), "f32");
+    fn precision_round_trips_through_the_builder() {
+        let ctx = ExecutionContext::builder().precision(Precision::F64).build();
+        assert_eq!(ctx.precision(), Precision::F64);
+        assert_eq!(ctx.precision().as_str(), "f64");
         assert_eq!(Precision::F64.to_string(), "f64");
-        // Clones carry the policy with them.
-        assert_eq!(ctx.clone().precision(), Precision::F32);
     }
 
     #[test]

@@ -32,22 +32,19 @@
 //! path agree bit-for-bit on real inputs by construction, and the packing
 //! works for any row length (mixed-radix and Bluestein alike).
 
-use crate::complex::Complex;
+use crate::complex::Complex64;
 use crate::parallel::Parallelism;
 use crate::plan::{FftPlan, FftPlanner};
-use crate::real::Real;
 
 /// Tile edge for the cache-blocked transpose: 32×32 complex tiles keep both
-/// the strided reads and the contiguous writes of a tile resident in L1 for
-/// either precision (32 KiB ≥ 32·32·16 B).
+/// the strided reads and the contiguous writes of a tile resident in L1
+/// (32 KiB ≥ 32·32·16 B).
 const TRANSPOSE_BLOCK: usize = 32;
 
 /// A planned 2-D FFT for a fixed `(rows, cols)` shape.
 ///
 /// [`Fft2d::new`] plans a serial transform; [`Fft2d::with_parallelism`]
 /// attaches a worker pool that the row and column passes fan out over.
-/// Generic over scalar precision (`Fft2d` in type positions defaults to the
-/// `f64` reference; `Fft2d<f32>` is the throughput path).
 ///
 /// # Examples
 ///
@@ -62,15 +59,15 @@ const TRANSPOSE_BLOCK: usize = 32;
 /// assert!(buf[1].norm() < 1e-9);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Fft2d<T: Real = f64> {
+pub struct Fft2d {
     rows: usize,
     cols: usize,
-    row_plan: FftPlan<T>,
-    col_plan: FftPlan<T>,
+    row_plan: FftPlan,
+    col_plan: FftPlan,
     par: Parallelism,
 }
 
-impl<T: Real> Fft2d<T> {
+impl Fft2d {
     /// Plans a serial transform for a `rows × cols` row-major buffer.
     ///
     /// # Panics
@@ -122,7 +119,7 @@ impl<T: Real> Fft2d<T> {
     /// plans and the scratch arena). Used by callers that parallelize at a
     /// coarser granularity — e.g. across depth planes — and must not
     /// oversubscribe with a nested fan-out.
-    pub fn serial_equivalent(&self) -> Fft2d<T> {
+    pub fn serial_equivalent(&self) -> Fft2d {
         Fft2d {
             rows: self.rows,
             cols: self.cols,
@@ -141,7 +138,7 @@ impl<T: Real> Fft2d<T> {
     /// # Panics
     ///
     /// Panics if `buf.len() != rows * cols`.
-    pub fn forward(&self, buf: &mut [Complex<T>]) {
+    pub fn forward(&self, buf: &mut [Complex64]) {
         let _span = holoar_telemetry::span_cat("fft.fft2d.forward", "fft");
         if is_all_real(buf) {
             holoar_telemetry::counter_add("fft.fft2d.real_dispatch", 1);
@@ -163,7 +160,7 @@ impl<T: Real> Fft2d<T> {
     ///
     /// Panics if `buf.len() != rows * cols` or any sample has a non-zero
     /// imaginary part.
-    pub fn forward_real(&self, buf: &mut [Complex<T>]) {
+    pub fn forward_real(&self, buf: &mut [Complex64]) {
         let _span = holoar_telemetry::span_cat("fft.fft2d.forward_real", "fft");
         assert!(is_all_real(buf), "forward_real requires a purely real input field");
         self.run_real_forward(buf);
@@ -174,12 +171,12 @@ impl<T: Real> Fft2d<T> {
     /// # Panics
     ///
     /// Panics if `buf.len() != rows * cols`.
-    pub fn inverse(&self, buf: &mut [Complex<T>]) {
+    pub fn inverse(&self, buf: &mut [Complex64]) {
         let _span = holoar_telemetry::span_cat("fft.fft2d.inverse", "fft");
         self.run(buf, false);
     }
 
-    fn check_shape(&self, buf: &[Complex<T>]) {
+    fn check_shape(&self, buf: &[Complex64]) {
         assert_eq!(
             buf.len(),
             self.rows * self.cols,
@@ -190,7 +187,7 @@ impl<T: Real> Fft2d<T> {
         );
     }
 
-    fn run(&self, buf: &mut [Complex<T>], forward: bool) {
+    fn run(&self, buf: &mut [Complex64], forward: bool) {
         self.check_shape(buf);
         let cols = self.cols;
         // Row pass: rows are independent; each worker transforms a
@@ -207,7 +204,7 @@ impl<T: Real> Fft2d<T> {
         self.column_pass(buf, forward);
     }
 
-    fn run_real_forward(&self, buf: &mut [Complex<T>]) {
+    fn run_real_forward(&self, buf: &mut [Complex64]) {
         self.check_shape(buf);
         let cols = self.cols;
         // Packed row pass: adjacent real rows a, b transform together as
@@ -218,16 +215,16 @@ impl<T: Real> Fft2d<T> {
         let (pairs, rest) = buf.split_at_mut(paired);
         if !pairs.is_empty() {
             self.par.for_each_chunk(pairs, 2 * cols, |_, span| {
-                let mut packed = T::arena_take(self.par.arena(), cols);
+                let mut packed = self.par.arena().take(cols);
                 for pair in span.chunks_exact_mut(2 * cols) {
                     let (a, b) = pair.split_at_mut(cols);
                     for ((p, za), zb) in packed.iter_mut().zip(a.iter()).zip(b.iter()) {
-                        *p = Complex::new(za.re, zb.re);
+                        *p = Complex64::new(za.re, zb.re);
                     }
                     self.row_plan.forward(&mut packed);
                     unpack_pair(&packed, a, b);
                 }
-                T::arena_give(self.par.arena(), packed);
+                self.par.arena().give(packed);
             });
         }
         // Odd trailing row: its imaginary parts are zero, so the plain
@@ -246,11 +243,11 @@ impl<T: Real> Fft2d<T> {
     /// half, using the second as ping-pong space. A second fan-out over
     /// whole rows then copies each row's strip segments back, so workers
     /// never share an output element.
-    fn column_pass(&self, buf: &mut [Complex<T>], forward: bool) {
+    fn column_pass(&self, buf: &mut [Complex64], forward: bool) {
         let (rows, cols) = (self.rows, self.cols);
-        let mut strips = T::arena_take(self.par.arena(), 2 * rows * cols);
+        let mut strips = self.par.arena().take(2 * rows * cols);
         {
-            let source: &[Complex<T>] = buf;
+            let source: &[Complex64] = buf;
             self.par.for_each_chunk(&mut strips, 2 * rows, |offset, strip| {
                 let first_col = offset / (2 * rows);
                 let (out, work) = strip.split_at_mut(strip.len() / 2);
@@ -259,7 +256,7 @@ impl<T: Real> Fft2d<T> {
         }
         {
             let width = self.par.units_per_chunk(cols);
-            let source: &[Complex<T>] = &strips;
+            let source: &[Complex64] = &strips;
             self.par.for_each_chunk(buf, cols, |offset, span| {
                 let first_row = offset / cols;
                 for (r, row) in (first_row..).zip(span.chunks_exact_mut(cols)) {
@@ -271,30 +268,30 @@ impl<T: Real> Fft2d<T> {
                 }
             });
         }
-        T::arena_give(self.par.arena(), strips);
+        self.par.arena().give(strips);
     }
 }
 
 /// Whether every sample's imaginary part is exactly zero (`±0.0`).
-fn is_all_real<T: Real>(buf: &[Complex<T>]) -> bool {
-    buf.iter().all(|z| z.im == T::ZERO)
+fn is_all_real(buf: &[Complex64]) -> bool {
+    buf.iter().all(|z| z.im == 0.0)
 }
 
 /// Separates the spectra of two real rows transformed as one packed complex
 /// row: `a ← DFT(re(z))`, `b ← DFT(im(z))` via the Hermitian identities.
-fn unpack_pair<T: Real>(packed: &[Complex<T>], a: &mut [Complex<T>], b: &mut [Complex<T>]) {
+fn unpack_pair(packed: &[Complex64], a: &mut [Complex64], b: &mut [Complex64]) {
     let n = packed.len();
     // k = 0 is self-conjugate: Z[0] = Â[0] + i·B̂[0] with both DCs real.
     if let (Some(z0), Some(a0), Some(b0)) = (packed.first(), a.first_mut(), b.first_mut()) {
-        *a0 = Complex::new(z0.re, T::ZERO);
-        *b0 = Complex::new(z0.im, T::ZERO);
+        *a0 = Complex64::new(z0.re, 0.0);
+        *b0 = Complex64::new(z0.im, 0.0);
     }
     for k in 1..n {
         let j = n - k;
         let zk = packed[k];
         let zj = packed[j];
-        a[k] = Complex::new((zk.re + zj.re) * T::HALF, (zk.im - zj.im) * T::HALF);
-        b[k] = Complex::new((zk.im + zj.im) * T::HALF, (zj.re - zk.re) * T::HALF);
+        a[k] = Complex64::new((zk.re + zj.re) * 0.5, (zk.im - zj.im) * 0.5);
+        b[k] = Complex64::new((zk.im + zj.im) * 0.5, (zj.re - zk.re) * 0.5);
     }
 }
 
@@ -308,11 +305,11 @@ fn unpack_pair<T: Real>(packed: &[Complex<T>], a: &mut [Complex<T>], b: &mut [Co
 ///
 /// Panics if `dst.len() != source.len()` or `source.len() != src_rows *
 /// src_cols`.
-pub fn transpose_into<T: Real>(
-    source: &[Complex<T>],
+pub fn transpose_into(
+    source: &[Complex64],
     src_rows: usize,
     src_cols: usize,
-    dst: &mut [Complex<T>],
+    dst: &mut [Complex64],
 ) {
     assert_eq!(source.len(), src_rows * src_cols, "source length does not match shape");
     assert_eq!(dst.len(), source.len(), "transpose destination length mismatch");
@@ -322,11 +319,11 @@ pub fn transpose_into<T: Real>(
 /// The tile-copy behind [`transpose_into`] and the Bluestein column strips:
 /// transposes the first `span.len() / src_rows` columns of the `src_rows`
 /// rows of `source` (row stride `src_cols`) into the row-major `span`.
-pub(crate) fn gather_transposed<T: Real>(
-    source: &[Complex<T>],
+pub(crate) fn gather_transposed(
+    source: &[Complex64],
     src_rows: usize,
     src_cols: usize,
-    span: &mut [Complex<T>],
+    span: &mut [Complex64],
 ) {
     let span_cols = span.len() / src_rows;
     let mut tile_r = 0;
@@ -355,7 +352,7 @@ pub(crate) fn gather_transposed<T: Real>(
 /// # Panics
 ///
 /// Panics if `buf.len() != rows * cols`.
-pub fn fftshift<T: Real>(buf: &mut [Complex<T>], rows: usize, cols: usize) {
+pub fn fftshift(buf: &mut [Complex64], rows: usize, cols: usize) {
     shift(buf, rows, cols, rows.div_ceil(2), cols.div_ceil(2));
 }
 
@@ -364,14 +361,14 @@ pub fn fftshift<T: Real>(buf: &mut [Complex<T>], rows: usize, cols: usize) {
 /// # Panics
 ///
 /// Panics if `buf.len() != rows * cols`.
-pub fn ifftshift<T: Real>(buf: &mut [Complex<T>], rows: usize, cols: usize) {
+pub fn ifftshift(buf: &mut [Complex64], rows: usize, cols: usize) {
     shift(buf, rows, cols, rows / 2, cols / 2);
 }
 
 /// Rotates rows up by `row_by` and columns left by `col_by`, entirely in
 /// place. Even dimensions take the half-swap fast path (a quadrant swap);
 /// odd dimensions fall back to slice rotation, which is also allocation-free.
-fn shift<T: Real>(buf: &mut [Complex<T>], rows: usize, cols: usize, row_by: usize, col_by: usize) {
+fn shift(buf: &mut [Complex64], rows: usize, cols: usize, row_by: usize, col_by: usize) {
     assert_eq!(buf.len(), rows * cols, "buffer length does not match shape");
     if rows == 0 || cols == 0 {
         return;
@@ -585,24 +582,6 @@ mod tests {
                 }
             }
             assert_eq!(blocked, naive, "shape {rows}x{cols}");
-        }
-    }
-
-    #[test]
-    fn f32_transform_tracks_f64_reference() {
-        let (rows, cols) = (12, 20);
-        let x = image(rows, cols);
-        let mut wide = x.clone();
-        Fft2d::new(rows, cols).forward(&mut wide);
-        let mut narrow: Vec<crate::complex::Complex32> = x.iter().map(|z| z.to_c32()).collect();
-        let fft32: Fft2d<f32> = Fft2d::new(rows, cols);
-        fft32.forward(&mut narrow);
-        for (w, n) in wide.iter().zip(&narrow) {
-            assert!((*w - n.to_c64()).norm() < 1e-3, "{w} vs {n}");
-        }
-        fft32.inverse(&mut narrow);
-        for (orig, n) in x.iter().zip(&narrow) {
-            assert!((*orig - n.to_c64()).norm() < 1e-4);
         }
     }
 

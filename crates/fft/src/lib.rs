@@ -6,10 +6,8 @@
 //! avoids external numeric dependencies, so this crate supplies everything the
 //! optics layer needs:
 //!
-//! * [`Complex64`]/[`Complex32`] — complex arithmetic over either scalar
-//!   precision (the [`Real`] trait abstracts `f32`/`f64`; `f64` is the
-//!   bit-identity reference, `f32` the quality-gated throughput path
-//!   selected via [`context::Precision`]),
+//! * [`Complex64`] — complex arithmetic over `f64`, the one precision the
+//!   whole stack computes in,
 //! * [`dft`] — an `O(n²)` reference transform used as the test oracle,
 //! * [`FftPlanner`]/[`FftPlan`] — cached fast transforms (a self-sorting
 //!   Stockham mixed-radix plan with radix-4/2/3/5 butterflies for every
@@ -49,13 +47,11 @@ pub mod fft2d;
 pub mod mixed_radix;
 pub mod parallel;
 pub mod plan;
-pub mod real;
 
 pub use bluestein::BluesteinPlan;
-pub use complex::{Complex, Complex32, Complex64};
+pub use complex::Complex64;
 pub use context::{ExecutionContext, ExecutionContextBuilder, Precision};
 pub use fft2d::{fftshift, ifftshift, transpose_into, Fft2d};
 pub use mixed_radix::MixedRadixPlan;
 pub use parallel::{lock_unpoisoned, Parallelism, ScratchArena};
-pub use plan::{global_cached_len_count, FftPlan, FftPlanner};
-pub use real::Real;
+pub use plan::{FftPlan, FftPlanner};

@@ -29,7 +29,7 @@
 use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use crate::complex::{Complex32, Complex64};
+use crate::complex::Complex64;
 
 /// Environment variable overriding the worker count for [`Parallelism::auto`].
 pub const THREADS_ENV_VAR: &str = "HOLOAR_THREADS";
@@ -49,19 +49,16 @@ pub fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Upper bound on buffers the arena retains, to bound memory between bursts.
 const ARENA_POOL_CAP: usize = 64;
 
-/// A recycling pool of complex scratch buffers, one sub-pool per precision.
+/// A recycling pool of complex scratch buffers.
 ///
 /// Workers [`take`](ScratchArena::take) a zeroed buffer of the length they
 /// need and [`give`](ScratchArena::give) it back when done; the allocation
 /// survives for the next caller. The arena is shared (behind an `Arc`) by
 /// every clone of the owning [`Parallelism`], so one pool serves all FFT
-/// instances driven by the same handle. The f32 path has its own sub-pool
-/// ([`take32`](ScratchArena::take32)/[`give32`](ScratchArena::give32)) so
-/// the two precisions never trade allocations of mismatched element size.
+/// instances driven by the same handle.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
     pool: Mutex<Vec<Vec<Complex64>>>,
-    pool32: Mutex<Vec<Vec<Complex32>>>,
 }
 
 impl ScratchArena {
@@ -96,40 +93,9 @@ impl ScratchArena {
         }
     }
 
-    /// Checks out an f32 buffer of exactly `len` zeros, reusing a pooled
-    /// allocation when one is available.
-    pub fn take32(&self, len: usize) -> Vec<Complex32> {
-        let pooled = lock_unpoisoned(&self.pool32).pop();
-        holoar_telemetry::counter_add(
-            if pooled.is_some() { "fft.arena.take.reuse" } else { "fft.arena.take.alloc" },
-            1,
-        );
-        let mut buf = pooled.unwrap_or_default();
-        buf.clear();
-        buf.resize(len, Complex32::ZERO);
-        buf
-    }
-
-    /// Returns an f32 buffer to the pool for reuse.
-    pub fn give32(&self, buf: Vec<Complex32>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        holoar_telemetry::counter_add("fft.arena.give", 1);
-        let mut pool = lock_unpoisoned(&self.pool32);
-        if pool.len() < ARENA_POOL_CAP {
-            pool.push(buf);
-        }
-    }
-
-    /// Number of f64 buffers currently pooled (diagnostic).
+    /// Number of buffers currently pooled (diagnostic).
     pub fn pooled(&self) -> usize {
         lock_unpoisoned(&self.pool).len()
-    }
-
-    /// Number of f32 buffers currently pooled (diagnostic).
-    pub fn pooled32(&self) -> usize {
-        lock_unpoisoned(&self.pool32).len()
     }
 }
 
@@ -349,17 +315,6 @@ mod tests {
         assert_eq!(again.len(), 16);
         assert_eq!(again.as_ptr(), ptr, "allocation should be reused");
         arena.give(again);
-    }
-
-    #[test]
-    fn precision_pools_are_independent() {
-        let arena = ScratchArena::new();
-        arena.give(vec![Complex64::ZERO; 8]);
-        assert_eq!((arena.pooled(), arena.pooled32()), (1, 0));
-        let narrow = arena.take32(4);
-        assert!(narrow.iter().all(|z| *z == Complex32::ZERO));
-        arena.give32(narrow);
-        assert_eq!((arena.pooled(), arena.pooled32()), (1, 1));
     }
 
     #[test]

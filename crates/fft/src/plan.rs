@@ -3,18 +3,15 @@
 //!
 //! [`FftPlanner`] is the entry point the rest of the workspace uses; the
 //! optics crate keeps one planner per thread of work and transforms thousands
-//! of rows/columns of the same length through it. Planners (and the
-//! process-wide caches behind them) are per scalar precision: an f32 planner
-//! hands out f32 tables and never touches the f64 cache.
+//! of rows/columns of the same length through it.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::bluestein::BluesteinPlan;
-use crate::complex::Complex;
+use crate::complex::Complex64;
 use crate::fft2d::gather_transposed;
 use crate::mixed_radix::MixedRadixPlan;
-use crate::real::Real;
 
 /// A ready-to-run FFT of one fixed length.
 ///
@@ -32,17 +29,17 @@ use crate::real::Real;
 /// assert!((buf[0].re - 8.0).abs() < 1e-12); // all energy in DC
 /// ```
 #[derive(Debug, Clone)]
-pub struct FftPlan<T: Real = f64> {
-    algo: Arc<Algo<T>>,
+pub struct FftPlan {
+    algo: Arc<Algo>,
 }
 
 #[derive(Debug)]
-enum Algo<T: Real> {
-    Mixed(MixedRadixPlan<T>),
-    Bluestein(BluesteinPlan<T>),
+enum Algo {
+    Mixed(MixedRadixPlan),
+    Bluestein(BluesteinPlan),
 }
 
-impl<T: Real> FftPlan<T> {
+impl FftPlan {
     /// The transform length.
     pub fn len(&self) -> usize {
         match &*self.algo {
@@ -61,7 +58,7 @@ impl<T: Real> FftPlan<T> {
     /// # Panics
     ///
     /// Panics if `buf.len() != self.len()`.
-    pub fn forward(&self, buf: &mut [Complex<T>]) {
+    pub fn forward(&self, buf: &mut [Complex64]) {
         match &*self.algo {
             Algo::Mixed(p) => p.forward(buf),
             Algo::Bluestein(p) => p.forward(buf),
@@ -73,7 +70,7 @@ impl<T: Real> FftPlan<T> {
     /// # Panics
     ///
     /// Panics if `buf.len() != self.len()`.
-    pub fn inverse(&self, buf: &mut [Complex<T>]) {
+    pub fn inverse(&self, buf: &mut [Complex64]) {
         match &*self.algo {
             Algo::Mixed(p) => p.inverse(buf),
             Algo::Bluestein(p) => p.inverse(buf),
@@ -90,10 +87,10 @@ impl<T: Real> FftPlan<T> {
     /// and transpose it back.
     pub(crate) fn columns(
         &self,
-        src: &[Complex<T>],
+        src: &[Complex64],
         stride: usize,
-        out: &mut [Complex<T>],
-        work: &mut [Complex<T>],
+        out: &mut [Complex64],
+        work: &mut [Complex64],
         invert: bool,
     ) {
         match &*self.algo {
@@ -132,11 +129,11 @@ impl<T: Real> FftPlan<T> {
 /// # a.forward(&mut buf);
 /// ```
 #[derive(Debug, Default)]
-pub struct FftPlanner<T: Real = f64> {
-    cache: HashMap<usize, FftPlan<T>>,
+pub struct FftPlanner {
+    cache: HashMap<usize, FftPlan>,
 }
 
-impl<T: Real> FftPlanner<T> {
+impl FftPlanner {
     /// Creates an empty planner.
     pub fn new() -> Self {
         FftPlanner { cache: HashMap::new() }
@@ -146,20 +143,20 @@ impl<T: Real> FftPlanner<T> {
     ///
     /// Plans come from a process-wide thread-safe cache: the twiddle and
     /// chirp tables for each length are computed exactly once per process
-    /// *per precision* and shared (behind an [`Arc`]) by every planner and
+    /// and shared (behind an [`Arc`]) by every planner and
     /// every worker thread. The planner keeps a local lock-free mirror so
     /// repeated `plan()` calls on a hot path touch no lock after first use.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn plan(&mut self, n: usize) -> FftPlan<T> {
+    pub fn plan(&mut self, n: usize) -> FftPlan {
         assert!(n > 0, "cannot plan a zero-length transform");
         if let Some(plan) = self.cache.get(&n) {
             holoar_telemetry::counter_add("fft.plan_cache.local_hit", 1);
             return plan.clone();
         }
-        let plan = global_plan::<T>(n);
+        let plan = global_plan(n);
         self.cache.insert(n, plan.clone());
         plan
     }
@@ -170,12 +167,11 @@ impl<T: Real> FftPlanner<T> {
     }
 }
 
-/// Fetches (building once, process-wide per precision) the shared plan for
-/// length `n`.
-fn global_plan<T: Real>(n: usize) -> FftPlan<T> {
-    let cache = T::global_plan_cache();
-    let mut cache = crate::parallel::lock_unpoisoned(cache);
-    match cache.entry(n) {
+/// Fetches (building once, process-wide) the shared plan for length `n`.
+fn global_plan(n: usize) -> FftPlan {
+    static CACHE: OnceLock<Mutex<HashMap<usize, FftPlan>>> = OnceLock::new();
+    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    match crate::parallel::lock_unpoisoned(cache).entry(n) {
         std::collections::hash_map::Entry::Occupied(hit) => {
             holoar_telemetry::counter_add("fft.plan_cache.hit", 1);
             hit.get().clone()
@@ -183,7 +179,7 @@ fn global_plan<T: Real>(n: usize) -> FftPlan<T> {
         std::collections::hash_map::Entry::Vacant(miss) => {
             holoar_telemetry::counter_add("fft.plan_cache.miss", 1);
             let _span = holoar_telemetry::span_cat("fft.plan.build", "fft");
-            let algo = if MixedRadixPlan::<T>::supports(n) {
+            let algo = if MixedRadixPlan::supports(n) {
                 Algo::Mixed(MixedRadixPlan::new(n))
             } else {
                 Algo::Bluestein(BluesteinPlan::new(n))
@@ -193,21 +189,14 @@ fn global_plan<T: Real>(n: usize) -> FftPlan<T> {
     }
 }
 
-/// Number of distinct lengths in the process-wide plan cache for precision
-/// `T` (defaults to the `f64` reference cache).
-pub fn global_cached_len_count<T: Real>() -> usize {
-    crate::parallel::lock_unpoisoned(T::global_plan_cache()).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::{Complex32, Complex64};
     use crate::dft;
 
     #[test]
     fn planner_caches_plans() {
-        let mut planner = FftPlanner::<f64>::new();
+        let mut planner = FftPlanner::new();
         planner.plan(16);
         planner.plan(16);
         planner.plan(17);
@@ -231,8 +220,8 @@ mod tests {
 
     #[test]
     fn lengths_dispatch_to_the_expected_algorithm() {
-        fn algo_name<T: Real>(n: usize) -> &'static str {
-            match &*FftPlanner::<T>::new().plan(n).algo {
+        fn algo_name(n: usize) -> &'static str {
+            match &*FftPlanner::new().plan(n).algo {
                 Algo::Mixed(_) => "mixed",
                 Algo::Bluestein(_) => "bluestein",
             }
@@ -242,8 +231,7 @@ mod tests {
             (&[7, 14, 17, 509], "bluestein"),
         ] {
             for &n in lengths {
-                assert_eq!(algo_name::<f64>(n), want, "f64 n={n}");
-                assert_eq!(algo_name::<f32>(n), want, "f32 n={n}");
+                assert_eq!(algo_name(n), want, "n={n}");
             }
         }
     }
@@ -251,7 +239,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero-length")]
     fn zero_length_plan_panics() {
-        FftPlanner::<f64>::new().plan(0);
+        FftPlanner::new().plan(0);
     }
 
     #[test]
@@ -271,35 +259,14 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<FftPlan>();
         assert_send_sync::<FftPlanner>();
-        assert_send_sync::<FftPlan<f32>>();
-        assert_send_sync::<FftPlanner<f32>>();
     }
 
     #[test]
     fn global_cache_shares_tables_across_planners() {
-        let a = FftPlanner::<f64>::new().plan(4096);
-        let b = FftPlanner::<f64>::new().plan(4096);
+        let a = FftPlanner::new().plan(4096);
+        let b = FftPlanner::new().plan(4096);
         // Same Arc, not merely equal contents: the tables were built once.
         assert!(Arc::ptr_eq(&a.algo, &b.algo));
-        assert!(global_cached_len_count::<f64>() >= 1);
-    }
-
-    #[test]
-    fn precisions_have_independent_caches() {
-        let wide = FftPlanner::<f64>::new().plan(96);
-        let narrow = FftPlanner::<f32>::new().plan(96);
-        assert_eq!(wide.len(), narrow.len());
-        // An f32 transform through the narrow plan stays close to the f64
-        // transform of the same data through the wide plan.
-        let x64: Vec<Complex64> =
-            (0..96).map(|i| Complex64::new((i as f64 * 0.21).sin(), 0.3)).collect();
-        let mut a = x64.clone();
-        wide.forward(&mut a);
-        let mut b: Vec<Complex32> = x64.iter().map(|z| z.to_c32()).collect();
-        narrow.forward(&mut b);
-        for (w, n) in a.iter().zip(&b) {
-            assert!((*w - n.to_c64()).norm() < 1e-3);
-        }
     }
 
     #[test]

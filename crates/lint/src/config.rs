@@ -60,12 +60,12 @@ pub const FRAME_LOOP_FNS: &[(&str, &str)] = &[
 ];
 
 /// Modules allowed to call transcendental math (`sin`/`cos`/`exp`/`powf`):
-/// plan-time table builders and seeded noise generators, where the f32/f64
-/// bit-identity story says all trig must live. Everything else flags under
-/// `float-determinism`. Prefix match on the workspace-relative path.
+/// plan-time table builders and seeded noise generators, where results are
+/// computed once and reused, so output stays bit-identical across worker
+/// counts and replays. Everything else flags under `float-determinism`.
+/// Prefix match on the workspace-relative path.
 pub const PLAN_TIME_PREFIXES: &[&str] = &[
     "crates/fft/src/complex.rs",   // cis/from_polar/exp primitives (plan-time twiddles)
-    "crates/fft/src/real.rs",      // precision-generic sin_cos trait plumbing
     "crates/fft/src/plan.rs",      // twiddle-table construction
     "crates/fft/src/dft.rs",       // reference DFT (plan-time Bluestein kernels)
     "crates/optics/src/propagate.rs", // transfer-function cache build

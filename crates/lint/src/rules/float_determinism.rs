@@ -1,9 +1,9 @@
 //! `float-determinism`: transcendental math lives in plan-time modules.
 //!
-//! The f32/f64 bit-identity story (PR 6) depends on every `sin`/`cos`/
-//! `exp`/`powf` evaluation happening at plan time — twiddle tables,
-//! transfer-function caches, lens construction — where results are
-//! computed once and reused bit-identically. A transcendental call on a
+//! Bit-identical output across worker counts and replays depends on
+//! every `sin`/`cos`/`exp`/`powf` evaluation happening at plan time —
+//! twiddle tables, transfer-function caches, lens construction — where
+//! results are computed once and reused bit-identically. A transcendental call on a
 //! per-frame path can differ across libm versions and optimization
 //! levels, silently breaking replay equality. Outside the modules listed
 //! in [`crate::config::PLAN_TIME_PREFIXES`], any transcendental call

@@ -142,9 +142,6 @@ pub fn run_batch(
     let _span = holoar_telemetry::span_cat("optics.gsw.run_batch", "optics");
     let total_planes: usize = stacks.iter().map(|s| s.len()).sum();
     holoar_telemetry::gauge_set("optics.gsw.planes", total_planes as f64);
-    if ctx.precision() == holoar_fft::Precision::F32 {
-        holoar_telemetry::counter_add("optics.gsw.precision_f32", 1);
-    }
     let par = ctx.parallelism().clone();
     let mut prop = Propagator::with_context(ctx);
 

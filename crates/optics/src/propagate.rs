@@ -9,9 +9,9 @@
 //! ```
 //!
 //! with evanescent components (the root going imaginary) attenuated. The
-//! paper's `HP2DP` (hologram plane → depth plane) and `DP2HP` (depth plane →
-//! hologram plane) procedures are thin directional wrappers over this
-//! operator.
+//! paper's `HP2DP` (hologram plane → depth plane) is propagation by `+z`
+//! and its `DP2HP` (depth plane → hologram plane) is propagation by `−z`;
+//! [`Propagator::dp2hp`] names the latter for the reconstruction code.
 //!
 //! A [`Propagator`] caches FFT plans and transfer functions behind shared
 //! thread-safe maps (clones of a propagator share one cache), because the
@@ -34,9 +34,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use holoar_fft::{
-    Complex, Complex32, Complex64, ExecutionContext, Fft2d, Parallelism, Precision, Real,
-};
+use holoar_fft::{Complex64, ExecutionContext, Fft2d, Parallelism};
 
 use crate::field::{Field, OpticalConfig};
 
@@ -44,22 +42,22 @@ use crate::field::{Field, OpticalConfig};
 /// distance, wavelength and pixel pitch that define it.
 type TransferKey = (usize, usize, u64, u64, u64);
 
-/// Shared FFT-plan map at one scalar precision.
-type FftMap<T> = Arc<Mutex<HashMap<(usize, usize), Fft2d<T>>>>;
+/// A cached transfer function.
+type Transfer = Arc<Vec<Complex64>>;
 
-/// Shared transfer-function map at one complex width.
-type TransferMap<C> = Arc<Mutex<HashMap<TransferKey, Arc<Vec<C>>>>>;
+/// Shared FFT-plan map.
+type FftMap = Arc<Mutex<HashMap<(usize, usize), Fft2d>>>;
+
+/// Shared transfer-function map.
+type TransferMap = Arc<Mutex<HashMap<TransferKey, Transfer>>>;
 
 /// The [`ExecutionContext`] shared slot a context-built propagator pulls its
 /// caches from: every propagator constructed from the same context (or a
-/// clone of it) shares one FFT-plan map and one transfer-function map (per
-/// precision).
+/// clone of it) shares one FFT-plan map and one transfer-function map.
 #[derive(Debug, Default)]
 struct PropagatorCaches {
-    ffts: FftMap<f64>,
-    transfer: TransferMap<Complex64>,
-    ffts32: FftMap<f32>,
-    transfer32: TransferMap<Complex32>,
+    ffts: FftMap,
+    transfer: TransferMap,
 }
 
 /// Angular-spectrum propagator with cached plans and transfer functions.
@@ -85,23 +83,15 @@ struct PropagatorCaches {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Propagator {
-    ffts: FftMap<f64>,
+    ffts: FftMap,
     /// Transfer functions, `Arc`-shared so batch workers borrow them
     /// without copying.
-    transfer: TransferMap<Complex64>,
-    /// f32 twins of the two caches above, populated only when the
-    /// propagator runs at [`Precision::F32`]. The f32 transfer tables are
-    /// narrowed from the cached f64 tables, not rebuilt, so both precisions
-    /// share one trigonometry pass per distance.
-    ffts32: FftMap<f32>,
-    transfer32: TransferMap<Complex32>,
+    transfer: TransferMap,
     par: Parallelism,
-    precision: Precision,
 }
 
 impl Propagator {
-    /// Creates an empty serial propagator (at the default `f64` reference
-    /// precision).
+    /// Creates an empty serial propagator.
     pub fn new() -> Self {
         Self::default()
     }
@@ -113,39 +103,22 @@ impl Propagator {
     }
 
     /// Creates a propagator bound to an [`ExecutionContext`]: it fans out
-    /// over the context's worker pool, runs its hot loops at the context's
-    /// [`Precision`], and shares FFT-plan and transfer-function caches with
-    /// every other propagator built from the same context. This is how the
-    /// serving layer lets all sessions multiplexed onto one device reuse
-    /// each other's transfer functions.
+    /// over the context's worker pool and shares FFT-plan and
+    /// transfer-function caches with every other propagator built from the
+    /// same context. This is how the serving layer lets all sessions
+    /// multiplexed onto one device reuse each other's transfer functions.
     pub fn with_context(ctx: &ExecutionContext) -> Self {
         let caches = ctx.shared("optics.propagator.caches", PropagatorCaches::default);
         Propagator {
             ffts: Arc::clone(&caches.ffts),
             transfer: Arc::clone(&caches.transfer),
-            ffts32: Arc::clone(&caches.ffts32),
-            transfer32: Arc::clone(&caches.transfer32),
             par: ctx.parallelism().clone(),
-            precision: ctx.precision(),
         }
-    }
-
-    /// This propagator with its hot-loop precision overridden (caches and
-    /// pool are shared with `self`). Fields stay `f64` at the boundary
-    /// either way; [`Precision::F32`] narrows the samples and transfer
-    /// table around the transform and widens the result back.
-    pub fn with_precision(&self, precision: Precision) -> Self {
-        Propagator { precision, ..self.clone() }
     }
 
     /// The pool handle this propagator fans out over.
     pub fn parallelism(&self) -> &Parallelism {
         &self.par
-    }
-
-    /// The scalar precision propagation hot loops run at.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Propagates `field` by a signed distance `z` (meters). Positive `z`
@@ -163,10 +136,12 @@ impl Propagator {
             return field.clone();
         }
         let _span = holoar_telemetry::span_cat("optics.propagate", "optics");
-        match self.precision {
-            Precision::F64 => self.propagate_at::<f64>(field, z),
-            Precision::F32 => self.propagate_at::<f32>(field, z),
-        }
+        let (rows, cols) = (field.rows(), field.cols());
+        let fft = self.fft(rows, cols);
+        let h = self.transfer(rows, cols, field.config(), z);
+        let mut spectrum = spectrum_of(field, &fft);
+        multiply(&mut spectrum, &h);
+        field_from(spectrum, &fft, rows, cols, field.config())
     }
 
     /// Propagates one field to many distances concurrently, returning the
@@ -185,10 +160,27 @@ impl Propagator {
     /// Panics if any distance is not finite.
     pub fn propagate_batch(&mut self, field: &Field, zs: &[f64]) -> Vec<Field> {
         let _span = holoar_telemetry::span_cat("optics.propagate_batch", "optics");
-        match self.precision {
-            Precision::F64 => self.batch_at::<f64>(field, zs),
-            Precision::F32 => self.batch_at::<f32>(field, zs),
-        }
+        let (rows, cols) = (field.rows(), field.cols());
+        // Warm the transfer cache serially so insertion order (and therefore
+        // `cached_transfer_count`) matches the serial loop exactly.
+        let transfers: Vec<Option<Transfer>> =
+            zs.iter().map(|&z| self.transfer_at(rows, cols, field.config(), z)).collect();
+        let fft = self.fft(rows, cols);
+        let spectrum = if transfers.iter().any(Option::is_some) {
+            spectrum_of(field, &fft)
+        } else {
+            Vec::new()
+        };
+        // Fan out across distances, each on a serial transform.
+        let serial = fft.serial_equivalent();
+        self.par.map(&transfers, |h| match h {
+            None => field.clone(),
+            Some(h) => {
+                let mut product = spectrum.clone();
+                multiply(&mut product, h);
+                field_from(product, &serial, rows, cols, field.config())
+            }
+        })
     }
 
     /// Sums independent propagations: `Σᵢ propagate(fields[i], zs[i])`.
@@ -210,51 +202,10 @@ impl Propagator {
         assert_eq!(fields.len(), zs.len(), "one distance per field");
         assert!(!fields.is_empty(), "propagate_sum needs at least one field");
         let _span = holoar_telemetry::span_cat("optics.propagate_sum", "optics");
-        match self.precision {
-            Precision::F64 => self.sum_at::<f64>(fields, zs),
-            Precision::F32 => self.sum_at::<f32>(fields, zs),
-        }
-    }
-
-    fn propagate_at<T: Scalar>(&self, field: &Field, z: f64) -> Field {
-        let (rows, cols) = (field.rows(), field.cols());
-        let fft = self.fft::<T>(rows, cols);
-        let h = T::transfer(self, rows, cols, field.config(), z);
-        let mut spectrum = spectrum_of(field, &fft);
-        multiply(&mut spectrum, &h);
-        field_from(spectrum, &fft, rows, cols, field.config())
-    }
-
-    fn batch_at<T: Scalar>(&self, field: &Field, zs: &[f64]) -> Vec<Field> {
-        let (rows, cols) = (field.rows(), field.cols());
-        // Warm the transfer cache serially so insertion order (and therefore
-        // `cached_transfer_count`) matches the serial loop exactly.
-        let transfers: Vec<Option<Transfer<T>>> =
-            zs.iter().map(|&z| self.transfer_at(rows, cols, field.config(), z)).collect();
-        let fft = self.fft::<T>(rows, cols);
-        let spectrum = if transfers.iter().any(Option::is_some) {
-            spectrum_of(field, &fft)
-        } else {
-            Vec::new()
-        };
-        // Fan out across distances, each on a serial transform.
-        let serial = fft.serial_equivalent();
-        self.par.map(&transfers, |h| match h {
-            None => field.clone(),
-            Some(h) => {
-                let mut product = spectrum.clone();
-                multiply(&mut product, h);
-                field_from(product, &serial, rows, cols, field.config())
-            }
-        })
-    }
-
-    fn sum_at<T: Scalar>(&self, fields: &[Field], zs: &[f64]) -> Field {
-        // Non-empty: checked by `propagate_sum`.
         let (rows, cols, cfg) = fields
             .first()
             .map_or((0, 0, OpticalConfig::default()), |f| (f.rows(), f.cols(), f.config()));
-        let jobs: Vec<(&Field, Option<Transfer<T>>)> = fields
+        let jobs: Vec<(&Field, Option<Transfer>)> = fields
             .iter()
             .zip(zs)
             .map(|(field, &z)| {
@@ -266,7 +217,7 @@ impl Propagator {
                 (field, self.transfer_at(rows, cols, field.config(), z))
             })
             .collect();
-        let fft = self.fft::<T>(rows, cols);
+        let fft = self.fft(rows, cols);
         let serial = fft.serial_equivalent();
         let mut products = self
             .par
@@ -287,16 +238,6 @@ impl Propagator {
         field_from(sum, &fft, rows, cols, cfg)
     }
 
-    /// `HP2DP` from Algorithm 1: hologram plane → the depth plane at distance
-    /// `z` in front of it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z` is not finite.
-    pub fn hp2dp(&mut self, hologram: &Field, z: f64) -> Field {
-        self.propagate(hologram, z)
-    }
-
     /// `DP2HP` from Algorithm 1: the depth plane at distance `z` → the
     /// hologram plane.
     ///
@@ -313,72 +254,22 @@ impl Propagator {
         holoar_fft::lock_unpoisoned(&self.transfer).len()
     }
 
-    /// The transfer function for one distance at precision `T` (warming
-    /// the caches), or `None` for the zero-distance identity.
+    /// The transfer function for one distance (warming the cache), or
+    /// `None` for the zero-distance identity.
     ///
     /// # Panics
     ///
     /// Panics if `z` is not finite.
-    fn transfer_at<T: Scalar>(
-        &self,
-        rows: usize,
-        cols: usize,
-        cfg: OpticalConfig,
-        z: f64,
-    ) -> Option<Transfer<T>> {
+    fn transfer_at(&self, rows: usize, cols: usize, cfg: OpticalConfig, z: f64) -> Option<Transfer> {
         assert!(z.is_finite(), "propagation distance must be finite");
-        (z != 0.0).then(|| T::transfer(self, rows, cols, cfg, z))
+        (z != 0.0).then(|| self.transfer(rows, cols, cfg, z))
     }
 
-    /// The cached (or newly planned) FFT for a shape at precision `T`. It
-    /// fans out over this propagator's pool.
-    fn fft<T: Scalar>(&self, rows: usize, cols: usize) -> Fft2d<T> {
-        match holoar_fft::lock_unpoisoned(T::plans(self)).entry((rows, cols)) {
-            std::collections::hash_map::Entry::Occupied(hit) => {
-                holoar_telemetry::counter_add("optics.fft_cache.hit", 1);
-                hit.get().clone()
-            }
-            std::collections::hash_map::Entry::Vacant(miss) => {
-                holoar_telemetry::counter_add("optics.fft_cache.miss", 1);
-                miss.insert(Fft2d::with_parallelism(rows, cols, self.par.clone())).clone()
-            }
-        }
-    }
-}
-
-/// A cached transfer function at scalar precision `T`.
-type Transfer<T> = Arc<Vec<Complex<T>>>;
-
-/// The scalar precision a propagation hot loop runs at: which plan and
-/// transfer caches it reads.
-trait Scalar: Real {
-    /// This precision's shared FFT-plan map.
-    fn plans(prop: &Propagator) -> &FftMap<Self>;
-    /// The cached (or newly built) transfer function at this precision.
-    fn transfer(
-        prop: &Propagator,
-        rows: usize,
-        cols: usize,
-        cfg: OpticalConfig,
-        z: f64,
-    ) -> Transfer<Self>;
-}
-
-impl Scalar for f64 {
-    fn plans(prop: &Propagator) -> &FftMap<f64> {
-        &prop.ffts
-    }
-
-    fn transfer(
-        prop: &Propagator,
-        rows: usize,
-        cols: usize,
-        cfg: OpticalConfig,
-        z: f64,
-    ) -> Transfer<f64> {
+    /// The cached (or newly built) transfer function for one distance.
+    fn transfer(&self, rows: usize, cols: usize, cfg: OpticalConfig, z: f64) -> Transfer {
         let key =
             (rows, cols, z.to_bits(), cfg.wavelength.to_bits(), cfg.pitch.to_bits());
-        match holoar_fft::lock_unpoisoned(&prop.transfer).entry(key) {
+        match holoar_fft::lock_unpoisoned(&self.transfer).entry(key) {
             std::collections::hash_map::Entry::Occupied(hit) => {
                 holoar_telemetry::counter_add("optics.transfer_cache.hit", 1);
                 hit.get().clone()
@@ -397,71 +288,47 @@ impl Scalar for f64 {
             }
         }
     }
-}
 
-impl Scalar for f32 {
-    fn plans(prop: &Propagator) -> &FftMap<f32> {
-        &prop.ffts32
-    }
-
-    /// Narrowed from the cached f64 table, so one trigonometry pass serves
-    /// both precisions.
-    fn transfer(
-        prop: &Propagator,
-        rows: usize,
-        cols: usize,
-        cfg: OpticalConfig,
-        z: f64,
-    ) -> Transfer<f32> {
-        let key =
-            (rows, cols, z.to_bits(), cfg.wavelength.to_bits(), cfg.pitch.to_bits());
-        if let Some(hit) = holoar_fft::lock_unpoisoned(&prop.transfer32).get(&key) {
-            holoar_telemetry::counter_add("optics.transfer_cache.hit", 1);
-            return Arc::clone(hit);
+    /// The cached (or newly planned) FFT for a shape. It fans out over this
+    /// propagator's pool.
+    fn fft(&self, rows: usize, cols: usize) -> Fft2d {
+        match holoar_fft::lock_unpoisoned(&self.ffts).entry((rows, cols)) {
+            std::collections::hash_map::Entry::Occupied(hit) => {
+                holoar_telemetry::counter_add("optics.fft_cache.hit", 1);
+                hit.get().clone()
+            }
+            std::collections::hash_map::Entry::Vacant(miss) => {
+                holoar_telemetry::counter_add("optics.fft_cache.miss", 1);
+                miss.insert(Fft2d::with_parallelism(rows, cols, self.par.clone())).clone()
+            }
         }
-        holoar_telemetry::counter_add("optics.transfer_cache.miss", 1);
-        // Narrow outside the lock: the f64 lookup takes the f64 map's lock.
-        let wide = f64::transfer(prop, rows, cols, cfg, z);
-        let narrow = Arc::new(wide.iter().map(|t| t.to_c32()).collect::<Vec<Complex32>>());
-        holoar_fft::lock_unpoisoned(&prop.transfer32)
-            .entry(key)
-            .or_insert(narrow)
-            .clone()
     }
 }
 
-/// `FFT(field)` at precision `T`. Samples narrow on the way in (identity
-/// at `f64`); purely real inputs keep exact zero imaginary parts under
-/// narrowing, so the real-input FFT fast path still fires.
-fn spectrum_of<T: Scalar>(field: &Field, fft: &Fft2d<T>) -> Vec<Complex<T>> {
-    let mut spectrum: Vec<Complex<T>> = field
-        .samples()
-        .iter()
-        .map(|s| Complex::new(T::from_f64(s.re), T::from_f64(s.im)))
-        .collect();
+/// `FFT(field)`.
+fn spectrum_of(field: &Field, fft: &Fft2d) -> Vec<Complex64> {
+    let mut spectrum = field.samples().to_vec();
     fft.forward(&mut spectrum);
     spectrum
 }
 
 /// Multiplies a spectrum by a transfer function, sample by sample.
-fn multiply<T: Scalar>(spectrum: &mut [Complex<T>], h: &[Complex<T>]) {
+fn multiply(spectrum: &mut [Complex64], h: &[Complex64]) {
     for (s, t) in spectrum.iter_mut().zip(h) {
         *s *= *t;
     }
 }
 
-/// `IFFT(spectrum)` widened back to an `f64` field, so the [`Field`]
-/// boundary stays `f64` at either precision.
-fn field_from<T: Scalar>(
-    mut spectrum: Vec<Complex<T>>,
-    fft: &Fft2d<T>,
+/// `IFFT(spectrum)` as a field.
+fn field_from(
+    mut spectrum: Vec<Complex64>,
+    fft: &Fft2d,
     rows: usize,
     cols: usize,
     cfg: OpticalConfig,
 ) -> Field {
     fft.inverse(&mut spectrum);
-    let wide = spectrum.into_iter().map(|s| Complex64::new(s.re.to_f64(), s.im.to_f64()));
-    Field::from_data(rows, cols, cfg, wide.collect())
+    Field::from_data(rows, cols, cfg, spectrum)
 }
 
 /// Builds the (band-limited) angular-spectrum transfer function for a
@@ -521,7 +388,7 @@ mod tests {
     fn forward_backward_roundtrip() {
         let f = point_source(32);
         let mut p = Propagator::new();
-        let mid = p.hp2dp(&f, 0.003);
+        let mid = p.propagate(&f, 0.003);
         let out = p.dp2hp(&mid, 0.003);
         // Peak should return to the center with most of its energy.
         assert!(out.intensity_at(16, 16) > 0.9);
@@ -689,62 +556,6 @@ mod tests {
             }
         }
         f
-    }
-
-    #[test]
-    fn f32_precision_tracks_f64_within_tolerance() {
-        let f = gaussian(32);
-        let mut wide = Propagator::new();
-        let mut narrow = wide.with_precision(Precision::F32);
-        assert_eq!(narrow.precision(), Precision::F32);
-        let a = wide.propagate(&f, 0.002);
-        let b = narrow.propagate(&f, 0.002);
-        let scale = f.total_energy().sqrt().max(1.0);
-        for (x, y) in a.samples().iter().zip(b.samples()) {
-            assert!((*x - *y).norm() < 1e-3 * scale, "{x} vs {y}");
-        }
-        // Precision is a compute policy, not a physics change: energy still
-        // approximately conserved through the narrow path.
-        assert!((a.total_energy() - b.total_energy()).abs() / a.total_energy() < 1e-3);
-    }
-
-    #[test]
-    fn context_precision_reaches_the_propagator() {
-        let ctx = holoar_fft::ExecutionContext::builder().precision(Precision::F32).build();
-        let p = Propagator::with_context(&ctx);
-        assert_eq!(p.precision(), Precision::F32);
-        assert_eq!(Propagator::new().precision(), Precision::F64);
-    }
-
-    #[test]
-    fn f32_batches_are_bit_identical_across_worker_counts() {
-        let f = gaussian(24);
-        let zs = [0.001, 0.0, -0.002, 0.003];
-        let serial: Vec<Field> = {
-            let mut p = Propagator::new().with_precision(Precision::F32);
-            zs.iter().map(|&z| p.propagate(&f, z)).collect()
-        };
-        for workers in [2usize, 7] {
-            let mut p = Propagator::with_parallelism(Parallelism::new(workers))
-                .with_precision(Precision::F32);
-            let batch = p.propagate_batch(&f, &zs);
-            for (i, (a, b)) in batch.iter().zip(&serial).enumerate() {
-                assert_eq!(a.samples(), b.samples(), "plane {i} workers {workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn f32_transfer_tables_narrow_the_cached_f64_tables() {
-        let f = gaussian(16);
-        let mut p = Propagator::new().with_precision(Precision::F32);
-        p.propagate(&f, 0.001);
-        // The narrow path warms the wide cache too (tables are narrowed,
-        // not rebuilt), so the shared count reflects one distance.
-        assert_eq!(p.cached_transfer_count(), 1);
-        let mut wide = p.with_precision(Precision::F64);
-        wide.propagate(&f, 0.001); // hit, not a rebuild
-        assert_eq!(p.cached_transfer_count(), 1);
     }
 
     #[test]

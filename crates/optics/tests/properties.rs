@@ -202,19 +202,15 @@ proptest! {
     }
 
     /// `propagate_sum` equals the spatial sum of serial propagations up to
-    /// rounding, and is bit-identical across worker counts, at both
-    /// precisions.
+    /// rounding, and is bit-identical across worker counts.
     #[test]
     fn propagate_sum_matches_the_spatial_sum(
         fields in prop::collection::vec(arb_smooth_field(), 1..=5),
         zs_um in prop::collection::vec(-4000.0f64..4000.0, 5),
-        narrow in any::<bool>(),
     ) {
-        use holoar_fft::Precision;
-        let (precision, tol) =
-            if narrow { (Precision::F32, 1e-4) } else { (Precision::F64, 1e-9) };
+        let tol = 1e-9;
         let zs: Vec<f64> = zs_um.iter().take(fields.len()).map(|&um| um * 1e-6).collect();
-        let mut serial = Propagator::new().with_precision(precision);
+        let mut serial = Propagator::new();
         let mut want = Field::zeros(32, 32, OpticalConfig::default());
         for (field, &z) in fields.iter().zip(&zs) {
             want.accumulate(&serial.propagate(field, z));
@@ -223,7 +219,6 @@ proptest! {
             .iter()
             .map(|&workers| {
                 Propagator::with_parallelism(Parallelism::new(workers))
-                    .with_precision(precision)
                     .propagate_sum(&fields, &zs)
             })
             .collect();
@@ -266,68 +261,6 @@ proptest! {
         let got =
             Propagator::with_parallelism(Parallelism::new(workers)).propagate(&f, z);
         prop_assert_eq!(got.samples(), want.samples());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Precision policy: the f32 compute path is a throughput choice, not a
-// physics change — on Objectron-statistics scenes (16×16 maps, depths in
-// the 4–10 mm band the dataset slices to) its output must stay within
-// tolerance of the f64 reference.
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// f32 propagation tracks the f64 reference sample-by-sample.
-    #[test]
-    fn f32_propagation_within_tolerance(field in arb_smooth_field(), z_um in 100.0f64..3000.0) {
-        use holoar_fft::Precision;
-        let z = z_um * 1e-6;
-        prop_assume!(field.total_energy() > 1e-6);
-        let wide = Propagator::new().propagate(&field, z);
-        let narrow = Propagator::new().with_precision(Precision::F32).propagate(&field, z);
-        let scale = field.total_energy().sqrt();
-        for (a, b) in wide.samples().iter().zip(narrow.samples()) {
-            prop_assert!((*a - *b).norm() < 1e-3 * scale, "{a} vs {b}");
-        }
-    }
-
-    /// An f32 GSW run reconstructs the same scene as the f64 reference:
-    /// summary metrics agree and the per-plane reconstructions (driven by
-    /// the f64 reference propagator) match within a small relative error.
-    #[test]
-    fn gsw_f32_matches_f64_within_tolerance(dm in arb_depthmap(), planes in 1usize..4) {
-        use holoar_fft::Precision;
-        use holoar_optics::{gsw, GswConfig};
-        prop_assume!(dm.lit_pixel_count() > 0);
-        let cfg = OpticalConfig::default();
-        let gsw_cfg = GswConfig { iterations: 2, adaptivity: 1.0 };
-        let stack = dm.slice(planes, cfg);
-        let wide = gsw::run(&stack, cfg, gsw_cfg, &ExecutionContext::serial());
-        let narrow_ctx = ExecutionContext::builder().precision(Precision::F32).build();
-        let narrow = gsw::run(&stack, cfg, gsw_cfg, &narrow_ctx);
-        prop_assert!(
-            (wide.uniformity - narrow.uniformity).abs() < 0.05,
-            "uniformity {} vs {}", wide.uniformity, narrow.uniformity
-        );
-        prop_assert!(
-            (wide.efficiency - narrow.efficiency).abs() < 0.05,
-            "efficiency {} vs {}", wide.efficiency, narrow.efficiency
-        );
-        let mut reference = Propagator::new();
-        for plane in stack.iter() {
-            let a = reference.propagate(&wide.hologram, plane.z);
-            let b = reference.propagate(&narrow.hologram, plane.z);
-            let err: f64 = a
-                .intensity()
-                .iter()
-                .zip(b.intensity())
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum();
-            let norm: f64 = a.intensity().iter().map(|x| x * x).sum::<f64>().max(1e-12);
-            prop_assert!(err / norm < 0.05, "relative intensity error {}", err / norm);
-        }
     }
 }
 
