@@ -6,6 +6,7 @@
 //! a 64-bit FNV-1a hash over the IEEE bit patterns of every sample. A
 //! refactor that keeps the arithmetic (same operations, same order) keeps
 //! every digest; one that reorders a sum or swaps a kernel changes them.
+//! Propagation and GSW digests hold at 1, 2 and 7 workers.
 
 use holoar_fft::{Complex64, ExecutionContext, Fft2d};
 use holoar_optics::{gsw, Field, GswConfig, OpticalConfig, Propagator, VirtualObject};
@@ -57,23 +58,63 @@ fn fft2d_forward_output_is_pinned() {
     }
 }
 
-#[test]
-fn propagate_batch_output_is_pinned() {
+/// Worker counts every propagation and GSW digest is pinned at: each must
+/// reproduce the serial digest.
+const WORKERS: [usize; 3] = [1, 2, 7];
+
+fn propagator(workers: usize) -> Propagator {
+    Propagator::with_context(&ExecutionContext::with_workers(workers))
+}
+
+/// Three 64×64 fields: a complex image, its real part (the packed real-row
+/// path) and the image reversed.
+fn fields() -> Vec<Field> {
     let cfg = OpticalConfig::default();
-    let field = Field::from_data(64, 64, cfg, image(64, 64));
-    let zs = [0.001, -0.0025, 0.004];
-    let planes = Propagator::new().propagate_batch(&field, &zs);
-    let want = [0x86bf_daff_d76d_e98f_u64, 0xc079_3407_bd4d_9a59, 0x5547_b634_e96d_5c2c];
-    let got: Vec<u64> = planes.iter().map(|p| samples_digest(p.samples())).collect();
-    assert_eq!(got, want, "propagate_batch digests {got:#018x?}");
+    let complex = image(64, 64);
+    let real: Vec<Complex64> = complex.iter().map(|z| Complex64::new(z.re, 0.0)).collect();
+    let reversed: Vec<Complex64> = complex.iter().rev().copied().collect();
+    [complex, real, reversed].into_iter().map(|d| Field::from_data(64, 64, cfg, d)).collect()
 }
 
 #[test]
-fn gsw_output_is_pinned_at_one_and_two_workers() {
+fn propagate_output_is_pinned() {
+    let field = &fields()[0];
+    let want = 0x1894_9029_2e60_7033_u64;
+    for workers in WORKERS {
+        let got = samples_digest(propagator(workers).propagate(field, 0.0025).samples());
+        assert_eq!(got, want, "propagate at {workers} workers: digest {got:#018x}");
+    }
+}
+
+#[test]
+fn propagate_batch_output_is_pinned() {
+    let field = &fields()[0];
+    let zs = [0.001, -0.0025, 0.004];
+    let want = [0x86bf_daff_d76d_e98f_u64, 0xc079_3407_bd4d_9a59, 0x5547_b634_e96d_5c2c];
+    for workers in WORKERS {
+        let planes = propagator(workers).propagate_batch(field, &zs);
+        let got: Vec<u64> = planes.iter().map(|p| samples_digest(p.samples())).collect();
+        assert_eq!(got, want, "propagate_batch at {workers} workers: digests {got:#018x?}");
+    }
+}
+
+#[test]
+fn propagate_sum_output_is_pinned() {
+    let fields = fields();
+    let zs = [0.001, -0.0025, 0.004];
+    let want = 0xfe23_2c36_2a2c_3abe_u64;
+    for workers in WORKERS {
+        let got = samples_digest(propagator(workers).propagate_sum(&fields, &zs).samples());
+        assert_eq!(got, want, "propagate_sum at {workers} workers: digest {got:#018x}");
+    }
+}
+
+#[test]
+fn gsw_output_is_pinned_at_every_worker_count() {
     let cfg = OpticalConfig::default();
     let stack = VirtualObject::Dice.render(48, 48, 0.006, 0.002).slice(8, cfg);
     let want = 0xa823_6aca_3f6c_43b0_u64;
-    for workers in [1usize, 2] {
+    for workers in WORKERS {
         let result =
             gsw::run(&stack, cfg, GswConfig::default(), &ExecutionContext::with_workers(workers));
         let scalars = [result.uniformity, result.efficiency];
