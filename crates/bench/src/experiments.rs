@@ -695,45 +695,42 @@ fn best_of_three_ms<F: FnMut()>(mut f: F) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Measures the hot-path engine: the 2-D FFT and GSW synthesis at every
-/// [`BENCH_WORKERS`] worker count, each against the single-thread
-/// reference, verifying bit-identity on every cell. Returns the host pool's
-/// worker count alongside the cells.
+/// Measures the plane-grain engine: one field propagated to eight distances
+/// and GSW synthesis, at every [`BENCH_WORKERS`] worker count, each against
+/// the single-thread reference, verifying bit-identity on every cell.
+/// Returns the host pool's worker count alongside the cells.
 pub fn parallel_measurements() -> (usize, Vec<ParallelCell>) {
-    use holoar_fft::{Complex64, Fft2d, Parallelism};
-    use holoar_optics::gsw;
+    use holoar_fft::{Complex64, Parallelism};
+    use holoar_optics::{gsw, Field};
     let host_workers = Parallelism::auto().workers();
     let mut cells = Vec::new();
+    let optics = OpticalConfig::default();
 
-    for n in [128usize, 256] {
-        let data: Vec<Complex64> = (0..n * n)
-            .map(|i| Complex64::new((i as f64 * 0.37).sin(), (i as f64 * 0.91).cos()))
-            .collect();
-        let serial_fft = Fft2d::new(n, n);
-        let mut reference = data.clone();
-        serial_fft.forward(&mut reference);
-        let serial_ms = best_of_three_ms(|| {
-            let mut buf = data.clone();
-            serial_fft.forward(&mut buf);
+    let n = 128;
+    let data: Vec<Complex64> = (0..n * n)
+        .map(|i| Complex64::new((i as f64 * 0.37).sin(), (i as f64 * 0.91).cos()))
+        .collect();
+    let field = Field::from_data(n, n, optics, data);
+    let zs: Vec<f64> = (1..=8).map(|i| f64::from(i) * 5e-4).collect();
+    let mut serial_prop = Propagator::with_context(&ExecutionContext::serial());
+    let reference = serial_prop.propagate_batch(&field, &zs); // warms the caches
+    let serial_ms = best_of_three_ms(|| {
+        serial_prop.propagate_batch(&field, &zs);
+    });
+    for workers in BENCH_WORKERS {
+        let mut prop = Propagator::with_context(&ExecutionContext::with_workers(workers));
+        let planes = prop.propagate_batch(&field, &zs);
+        cells.push(ParallelCell {
+            label: format!("propagate_batch {n}x{n} {} distances", zs.len()),
+            workers,
+            serial_ms,
+            parallel_ms: best_of_three_ms(|| {
+                prop.propagate_batch(&field, &zs);
+            }),
+            bit_identical: planes.iter().zip(&reference).all(|(a, b)| a.samples() == b.samples()),
         });
-        for workers in BENCH_WORKERS {
-            let fft = Fft2d::with_parallelism(n, n, Parallelism::new(workers));
-            let mut out = data.clone();
-            fft.forward(&mut out);
-            cells.push(ParallelCell {
-                label: format!("fft2d {n}x{n}"),
-                workers,
-                serial_ms,
-                parallel_ms: best_of_three_ms(|| {
-                    let mut buf = data.clone();
-                    fft.forward(&mut buf);
-                }),
-                bit_identical: out == reference,
-            });
-        }
     }
 
-    let optics = OpticalConfig::default();
     let gsw_cfg = holoar_optics::GswConfig { iterations: 2, adaptivity: 1.0 };
     let stack = VirtualObject::Dice.render(48, 48, 0.006, 0.002).slice(8, optics);
     let serial_ctx = ExecutionContext::serial();
@@ -758,8 +755,8 @@ pub fn parallel_measurements() -> (usize, Vec<ParallelCell>) {
     (host_workers, cells)
 }
 
-/// Tentpole self-check: the parallel FFT/propagation engine against its
-/// serial twin — wall time plus the determinism guarantee, on this machine's
+/// Self-check of the plane-grain parallel engine against its serial
+/// twin — wall time plus the determinism guarantee, on this machine's
 /// pool (`HOLOAR_THREADS` overrides the sizing).
 pub fn parallel(_cfg: &ExperimentConfig) -> String {
     let (host_workers, cells) = parallel_measurements();
@@ -782,7 +779,7 @@ pub fn parallel(_cfg: &ExperimentConfig) -> String {
         ]);
     }
     format!(
-        "== supplementary: hot-path engine (host pool: {host_workers} workers) ==\n{}\
+        "== supplementary: plane-grain engine (host pool: {host_workers} workers) ==\n{}\
          every cell is bit-identical to its single-worker twin by construction; \
          multi-worker speedups track the host's core count\n",
         t.render(),

@@ -98,7 +98,7 @@ pub const FLOORS: &[Floor] = &[
     row("parallel", "every cell bit-identical to its serial twin", "cells[*].bit_identical",
         IsTrue),
     row("parallel", "no missing cell in the workload x workers {1,2,7} grid",
-        "len(cells[label={fft2d 128x128|fft2d 256x256|gsw 48x48 8 planes}][workers={1|2|7}])",
+        "len(cells[label={propagate_batch 128x128 8 distances|gsw 48x48 8 planes}][workers={1|2|7}])",
         Eq(Const(1.0))),
     host("parallel", "parallel gsw at 7 workers (2.0x floor, 0.8 noise margin)",
         "max(cells[label=gsw 48x48 8 planes][workers=7].speedup)",
@@ -403,7 +403,7 @@ mod tests {
 
     fn artifact(host_workers: usize, gsw7: f64, identical: bool) -> String {
         let mut cells = String::new();
-        for label in ["fft2d 128x128", "fft2d 256x256", "gsw 48x48 8 planes"] {
+        for label in ["propagate_batch 128x128 8 distances", "gsw 48x48 8 planes"] {
             for workers in WORKERS {
                 let speedup =
                     if label == "gsw 48x48 8 planes" && workers == 7 { gsw7 } else { 1.0 };

@@ -1,24 +1,25 @@
 //! Pure-std worker-pool abstraction and the shared scratch arena.
 //!
 //! [`Parallelism`] is the handle the whole workspace threads through its hot
-//! paths: the 2-D FFT passes, batched depth-plane propagation and
-//! whole-frame hologram synthesis all fan work out over it with
-//! [`std::thread::scope`]. The design constraints, in order:
+//! paths. It has one fan-out, [`Parallelism::map`], and one grain: whole
+//! depth planes, fields or objects. Batched propagation, GSW field
+//! construction and viewport rendering map over it with
+//! [`std::thread::scope`]; each item runs its 2-D FFTs serially. The design
+//! constraints, in order:
 //!
 //! 1. **Determinism** — results must be *bit-identical* to the serial path.
-//!    Work is split into contiguous chunks whose boundaries depend only on
-//!    the input size and worker count, every chunk runs exactly the code the
-//!    serial loop would, and no floating-point reduction ever crosses a
-//!    chunk boundary. Callers keep their accumulations serial.
-//! 2. **No steady-state allocation** — workers borrow scratch buffers from
-//!    a [`ScratchArena`] that recycles them across calls.
+//!    Items are split into contiguous chunks whose boundaries depend only
+//!    on the item count and worker count, every item runs exactly the code
+//!    the serial loop would, and no floating-point reduction ever crosses
+//!    an item boundary. Callers keep their accumulations serial.
+//! 2. **No steady-state allocation** — transforms borrow scratch buffers
+//!    from a [`ScratchArena`] that recycles them across calls.
 //! 3. **No new dependencies** — scoped threads only; threads live for one
 //!    fan-out, which keeps the implementation trivially correct (no queue,
 //!    no shutdown protocol) at the cost of ~10 µs spawn overhead per chunk.
-//!    That is not negligible: a whole 2-D 40×40 transform takes about
-//!    25–40 µs on a 2-vCPU x86-64 host (`cargo bench --bench fft`), so
-//!    fanning out one small transform can cost more than it saves. A
-//!    parked pool with a grain threshold is ROADMAP item 2.
+//!    A whole 2-D 40×40 transform takes about 25–40 µs on a 2-vCPU x86-64
+//!    host (`cargo bench --bench fft`), so a fan-out pays only at the plane
+//!    grain, never inside one transform.
 //!
 //! Sizing: [`Parallelism::auto`] reads the `HOLOAR_THREADS` environment
 //! variable once per process, falling back to
@@ -54,8 +55,9 @@ const ARENA_POOL_CAP: usize = 64;
 /// Workers [`take`](ScratchArena::take) a zeroed buffer of the length they
 /// need and [`give`](ScratchArena::give) it back when done; the allocation
 /// survives for the next caller. The arena is shared (behind an `Arc`) by
-/// every clone of the owning [`Parallelism`], so one pool serves all FFT
-/// instances driven by the same handle.
+/// every clone of the owning [`Parallelism`] and by every
+/// [`Fft2d`](crate::Fft2d) planned against it, so one pool serves all of
+/// them.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
     pool: Mutex<Vec<Vec<Complex64>>>,
@@ -68,11 +70,13 @@ impl ScratchArena {
     }
 
     /// Checks out a buffer of exactly `len` zeros, reusing a pooled
-    /// allocation when one is available.
+    /// allocation when one is available. A pooled buffer too small for
+    /// `len` reallocates, so that take counts as an allocation.
     pub fn take(&self, len: usize) -> Vec<Complex64> {
         let pooled = lock_unpoisoned(&self.pool).pop();
+        let reused = pooled.as_ref().is_some_and(|buf| buf.capacity() >= len);
         holoar_telemetry::counter_add(
-            if pooled.is_some() { "fft.arena.take.reuse" } else { "fft.arena.take.alloc" },
+            if reused { "fft.arena.take.reuse" } else { "fft.arena.take.alloc" },
             1,
         );
         let mut buf = pooled.unwrap_or_default();
@@ -134,13 +138,6 @@ impl Parallelism {
         Parallelism { workers: 1, arena: Arc::new(ScratchArena::new()) }
     }
 
-    /// A one-worker handle that shares this handle's arena: the serial
-    /// twin a worker runs nested transforms on, so their scratch buffers
-    /// recycle through the parent's pool instead of a fresh arena per call.
-    pub(crate) fn serial_sharing_arena(&self) -> Self {
-        Parallelism { workers: 1, arena: Arc::clone(&self.arena) }
-    }
-
     /// A handle with an explicit worker count (the programmatic override).
     ///
     /// # Panics
@@ -177,57 +174,11 @@ impl Parallelism {
         self.workers == 1
     }
 
-    /// The scratch arena shared by all clones of this handle.
-    pub fn arena(&self) -> &ScratchArena {
+    /// The scratch arena shared by all clones of this handle; pass it to
+    /// [`Fft2d::with_arena`](crate::Fft2d::with_arena) to share it with a
+    /// transform.
+    pub fn arena(&self) -> &Arc<ScratchArena> {
         &self.arena
-    }
-
-    /// Splits `data` into at most [`workers`](Self::workers) contiguous
-    /// spans — each a whole multiple of `unit` elements — and runs `f` on
-    /// every span, passing the span's element offset within `data`.
-    ///
-    /// With one worker (or one unit) this is an inline call; chunk
-    /// boundaries depend only on `data.len()`, `unit` and the worker count,
-    /// never on timing, so any per-unit computation is scheduled
-    /// deterministically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `unit == 0` or `data.len()` is not a multiple of `unit`.
-    pub fn for_each_chunk<T, F>(&self, data: &mut [T], unit: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        assert!(unit > 0, "chunk unit must be non-zero");
-        assert_eq!(data.len() % unit, 0, "data length must be a multiple of the unit");
-        let units = data.len() / unit;
-        let pieces = self.workers.min(units);
-        if pieces <= 1 {
-            f(0, data);
-            return;
-        }
-        let _span = holoar_telemetry::span_cat("fft.par.for_each_chunk", "fft");
-        let per_piece = self.units_per_chunk(units) * unit;
-        std::thread::scope(|scope| {
-            let mut rest = data;
-            let mut offset = 0;
-            while !rest.is_empty() {
-                let take = per_piece.min(rest.len());
-                let (span, tail) = rest.split_at_mut(take);
-                let f = &f;
-                scope.spawn(move || f(offset, span));
-                offset += take;
-                rest = tail;
-            }
-        });
-    }
-
-    /// Units per span when [`for_each_chunk`](Self::for_each_chunk) splits
-    /// `units` units (the last span may hold fewer). A function of `units`
-    /// and the worker count only.
-    pub(crate) fn units_per_chunk(&self, units: usize) -> usize {
-        units.div_ceil(self.workers.min(units).max(1))
     }
 
     /// Maps `f` over `items` on the worker pool, returning results in input
@@ -315,35 +266,6 @@ mod tests {
         assert_eq!(again.len(), 16);
         assert_eq!(again.as_ptr(), ptr, "allocation should be reused");
         arena.give(again);
-    }
-
-    #[test]
-    fn for_each_chunk_covers_every_unit_once() {
-        for workers in [1usize, 2, 3, 7] {
-            let par = Parallelism::new(workers);
-            let mut data = vec![0u32; 6 * 5];
-            par.for_each_chunk(&mut data, 5, |offset, span| {
-                assert_eq!(offset % 5, 0);
-                assert_eq!(span.len() % 5, 0);
-                for v in span.iter_mut() {
-                    *v += 1;
-                }
-            });
-            assert!(data.iter().all(|&v| v == 1), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn for_each_chunk_offsets_address_the_parent_buffer() {
-        let par = Parallelism::new(4);
-        let mut data: Vec<u32> = vec![0; 24];
-        par.for_each_chunk(&mut data, 2, |offset, span| {
-            for (i, v) in span.iter_mut().enumerate() {
-                *v = (offset + i) as u32;
-            }
-        });
-        let expect: Vec<u32> = (0..24).collect();
-        assert_eq!(data, expect);
     }
 
     #[test]

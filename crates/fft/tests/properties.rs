@@ -1,9 +1,7 @@
 //! Property-based tests for the FFT substrate: algebraic identities that must
 //! hold for every length and every input, fast path or slow path.
 
-use holoar_fft::{
-    dft, fftshift, ifftshift, transpose_into, Complex64, Fft2d, FftPlanner, Parallelism,
-};
+use holoar_fft::{dft, fftshift, ifftshift, transpose_into, Complex64, Fft2d, FftPlanner};
 use proptest::prelude::*;
 
 fn complex_vec(max_len: usize) -> impl Strategy<Value = Vec<Complex64>> {
@@ -162,22 +160,15 @@ proptest! {
 
     /// `forward` on a purely real buffer is bit-identical to `forward_real`
     /// (the public complex entry point dispatches to the packed real
-    /// kernel), for every shape and worker count.
+    /// kernel), for every shape.
     #[test]
-    fn real_input_dispatch_is_bit_identical(
-        (rows, cols, x) in real_shape_and_data(),
-        workers in prop::sample::select(vec![1usize, 2, 7]),
-    ) {
-        let fft = Fft2d::with_parallelism(rows, cols, Parallelism::new(workers));
+    fn real_input_dispatch_is_bit_identical((rows, cols, x) in real_shape_and_data()) {
+        let fft = Fft2d::new(rows, cols);
         let mut via_forward = x.clone();
         fft.forward(&mut via_forward);
         let mut via_real = x.clone();
         fft.forward_real(&mut via_real);
         prop_assert_eq!(&via_forward, &via_real);
-        // And the parallel fan-out stays invisible for the real path too.
-        let mut serial = x.clone();
-        Fft2d::new(rows, cols).forward(&mut serial);
-        prop_assert_eq!(&via_forward, &serial);
     }
 
     /// The packed real-input transform agrees with the O(n²) reference DFT
@@ -225,9 +216,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel execution: the fan-out must be a pure execution detail. Every
-// worker count (including over-subscribed ones) must produce bit-identical
-// buffers for every shape — mixed-radix and Bluestein, forward and inverse.
+// Shapes with a Bluestein axis: telemetry and shifts around a transform.
 // ---------------------------------------------------------------------------
 
 fn shape_and_data() -> impl Strategy<Value = (usize, usize, Vec<Complex64>)> {
@@ -243,37 +232,13 @@ fn shape_and_data() -> impl Strategy<Value = (usize, usize, Vec<Complex64>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Parallel 2-D FFT output is bit-identical to serial for any shape
-    /// and worker count. Every shape has a Bluestein axis (see [`dims`]);
-    /// the other axis reaches power-of-two and other mixed-radix lengths.
+    /// Telemetry is observation only: running the same transform with
+    /// `full` tracing enabled must not perturb a single bit of output.
+    /// Every shape has a Bluestein axis (see [`dims`]); the other axis
+    /// reaches power-of-two and other mixed-radix lengths.
     #[test]
-    fn parallel_fft2d_is_bit_identical(
-        (rows, cols, x) in shape_and_data(),
-        workers in prop::sample::select(vec![1usize, 2, 7]),
-    ) {
-        let serial = Fft2d::new(rows, cols);
-        let parallel = Fft2d::with_parallelism(rows, cols, Parallelism::new(workers));
-
-        let mut want = x.clone();
-        serial.forward(&mut want);
-        let mut got = x.clone();
-        parallel.forward(&mut got);
-        prop_assert_eq!(&got, &want);
-
-        serial.inverse(&mut want);
-        parallel.inverse(&mut got);
-        prop_assert_eq!(&got, &want);
-    }
-
-    /// Telemetry is observation only: running the same transforms with
-    /// `full` tracing enabled must not perturb a single bit of output, and
-    /// the parallel-vs-serial identity must keep holding while instrumented.
-    #[test]
-    fn full_telemetry_does_not_change_fft_output(
-        (rows, cols, x) in shape_and_data(),
-        workers in prop::sample::select(vec![1usize, 2, 7]),
-    ) {
-        let fft = Fft2d::with_parallelism(rows, cols, Parallelism::new(workers));
+    fn full_telemetry_does_not_change_fft_output((rows, cols, x) in shape_and_data()) {
+        let fft = Fft2d::new(rows, cols);
         let mut quiet = x.clone();
         fft.forward(&mut quiet);
 
@@ -281,22 +246,16 @@ proptest! {
         holoar_telemetry::set_mode(holoar_telemetry::TelemetryMode::Full);
         let mut traced = x.clone();
         fft.forward(&mut traced);
-        let mut serial_traced = x.clone();
-        Fft2d::new(rows, cols).forward(&mut serial_traced);
         holoar_telemetry::set_mode(previous);
 
         prop_assert_eq!(&traced, &quiet);
-        prop_assert_eq!(&traced, &serial_traced);
     }
 
     /// The in-place fftshift/ifftshift fast paths keep their inverse
-    /// relationship under parallel 2-D transforms around them.
+    /// relationship under 2-D transforms around them.
     #[test]
-    fn parallel_transform_with_shift_roundtrip(
-        (rows, cols, x) in shape_and_data(),
-        workers in prop::sample::select(vec![2usize, 7]),
-    ) {
-        let fft = Fft2d::with_parallelism(rows, cols, Parallelism::new(workers));
+    fn transform_with_shift_roundtrip((rows, cols, x) in shape_and_data()) {
+        let fft = Fft2d::new(rows, cols);
         let mut buf = x.clone();
         fft.forward(&mut buf);
         fftshift(&mut buf, rows, cols);
@@ -380,8 +339,7 @@ fn oracle_2d(
 
 /// `Fft2d::{forward, forward_real, inverse}` against [`oracle_2d`], over
 /// column lengths that reach every radix pass count and Bluestein (7, 17),
-/// widths that straddle the strip boundaries of 2, 3 and 7 workers, and
-/// every one of those worker counts.
+/// and widths from one column up.
 #[test]
 fn column_pass_is_bit_identical_to_the_transposed_1d_oracle() {
     let sample = |i: usize, phase: f64| (i as f64 * 0.37 + phase).sin() * 1e2;
@@ -394,19 +352,17 @@ fn column_pass_is_bit_identical_to_the_transposed_1d_oracle() {
             let want_forward = oracle_2d(&complex, rows, cols, false, false);
             let want_real = oracle_2d(&real, rows, cols, true, false);
             let want_inverse = oracle_2d(&complex, rows, cols, false, true);
-            for workers in [1usize, 2, 3, 7] {
-                let fft = Fft2d::with_parallelism(rows, cols, Parallelism::new(workers));
-                let case = format!("{rows}x{cols} workers={workers}");
-                let mut got = complex.clone();
-                fft.forward(&mut got);
-                assert_eq!(got, want_forward, "forward {case}");
-                let mut got = real.clone();
-                fft.forward_real(&mut got);
-                assert_eq!(got, want_real, "forward_real {case}");
-                let mut got = complex.clone();
-                fft.inverse(&mut got);
-                assert_eq!(got, want_inverse, "inverse {case}");
-            }
+            let fft = Fft2d::new(rows, cols);
+            let case = format!("{rows}x{cols}");
+            let mut got = complex.clone();
+            fft.forward(&mut got);
+            assert_eq!(got, want_forward, "forward {case}");
+            let mut got = real.clone();
+            fft.forward_real(&mut got);
+            assert_eq!(got, want_real, "forward_real {case}");
+            let mut got = complex.clone();
+            fft.inverse(&mut got);
+            assert_eq!(got, want_inverse, "inverse {case}");
         }
     }
 }

@@ -11,7 +11,7 @@
 //!   with loop nesting and the set of locks held at the call;
 //! - lock acquisitions with the set of locks already held (the intra-
 //!   procedural half of the lock-ordering graph), plus channel sends and
-//!   `Parallelism` fan-out performed while a guard is live.
+//!   `std::thread::scope` fan-out performed while a guard is live.
 //!
 //! The extraction is heuristic in the same spirit as the per-line rules:
 //! the scanner has already separated code from comments and blanked
@@ -110,11 +110,11 @@ pub struct FnFacts {
     pub locks: Vec<LockSite>,
     /// Channel sends while a lock guard is live: `(line, held locks)`.
     pub sends_under_lock: Vec<(usize, Vec<String>)>,
-    /// `Parallelism` fan-out while a guard is live: `(line, held locks)`.
+    /// Scoped-thread fan-out while a guard is live: `(line, held locks)`.
     pub fanout_under_lock: Vec<(usize, Vec<String>)>,
     /// All channel-send sites (held or not), for the transitive check.
     pub send_sites: Vec<Site>,
-    /// All `Parallelism` fan-out sites, for the transitive check.
+    /// All scoped-thread fan-out sites, for the transitive check.
     pub fanout_sites: Vec<Site>,
 }
 
@@ -442,10 +442,10 @@ fn record_line_events(
             top.facts.sends_under_lock.push((line_no, held.clone()));
         }
     }
-    if code.contains("for_each_chunk(") {
+    if code.contains("thread::scope(") {
         top.facts
             .fanout_sites
-            .push(Site { line: line_no, what: "for_each_chunk".to_string(), in_loop });
+            .push(Site { line: line_no, what: "thread::scope".to_string(), in_loop });
         if !held.is_empty() {
             top.facts.fanout_under_lock.push((line_no, held.clone()));
         }

@@ -90,7 +90,7 @@ pub struct Effects {
     pub blocks: bool,
     /// Calls transcendental math (`sin`/`cos`/`exp`/`powf`/...).
     pub transcendental: bool,
-    /// Performs `Parallelism` fan-out.
+    /// Fans out on scoped threads (`std::thread::scope`).
     pub fans_out: bool,
     /// Sends on a channel.
     pub sends: bool,

@@ -1,5 +1,5 @@
 //! `lock-order`: the cross-crate lock-ordering graph must be acyclic, and
-//! no lock may be held across `Parallelism` fan-out, a channel send, or a
+//! no lock may be held across a thread fan-out, a channel send, or a
 //! re-acquisition of itself.
 //!
 //! The workspace model records every guard-creation site, which locks are
@@ -15,9 +15,9 @@
 //!    thread self-deadlocks on `std::sync::Mutex`; reported directly and
 //!    through calls whose closure re-acquires.
 //! 3. **Fan-out / sends under a guard**: holding a lock across
-//!    `Parallelism::for_each_chunk` or a channel `.send(` serializes the
-//!    workers (or deadlocks a bounded channel) — reported directly and
-//!    through calls whose transitive closure fans out or sends.
+//!    `std::thread::scope` (which `Parallelism::map` runs on) or a channel
+//!    `.send(` serializes the workers (or deadlocks a bounded channel) —
+//!    reported directly and through calls whose closure fans out or sends.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -69,7 +69,7 @@ impl Rule for LockOrder {
                     id.path.clone(),
                     *line,
                     format!(
-                        "`Parallelism` fan-out in `{}` while holding {}; release the guard \
+                        "thread fan-out in `{}` while holding {}; release the guard \
                          before fanning out or the workers serialize on it",
                         id.name,
                         lock_list(held)
@@ -124,7 +124,7 @@ impl Rule for LockOrder {
                                 call.line,
                                 format!(
                                     "`{}` calls `{}` while holding {}, and the callee \
-                                     transitively fans out on `Parallelism`",
+                                     transitively fans out on scoped threads",
                                     id.name,
                                     call.callee.name,
                                     lock_list(&call.held_locks)
@@ -270,14 +270,14 @@ mod tests {
     fn fanout_under_guard_direct_and_transitive() {
         let found = findings_for(
             "fn direct(&self, data: &mut [u32]) {\n\
-             \x20   let g = self.state.lock();\n\
-             \x20   self.pool.for_each_chunk(data, 8, work);\n\
+             \x20   let g = lock_unpoisoned(&self.state);\n\
+             \x20   std::thread::scope(|s| work(s, data));\n\
              }\n\
              fn indirect(&self, data: &mut [u32]) {\n\
-             \x20   let g = self.state.lock();\n\
+             \x20   let g = lock_unpoisoned(&self.state);\n\
              \x20   fan(data);\n\
              }\n\
-             fn fan(data: &mut [u32]) { pool().for_each_chunk(data, 8, work); }\n",
+             fn fan(data: &mut [u32]) { std::thread::scope(|s| work(s, data)); }\n",
         );
         assert!(found.iter().any(|f| f.line == 3 && f.message.contains("fan-out")), "{found:?}");
         assert!(

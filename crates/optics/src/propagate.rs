@@ -16,7 +16,8 @@
 //! A [`Propagator`] caches FFT plans and transfer functions behind shared
 //! thread-safe maps (clones of a propagator share one cache), because the
 //! hologram pipeline propagates dozens of planes of identical shape per
-//! frame.
+//! frame. Its transforms are serial and borrow scratch from the pool's
+//! arena; the only fan-out is across planes and fields.
 //!
 //! The batch APIs transform each source field once. Per plane, the work is
 //! a spectrum product and, at most, one inverse transform:
@@ -96,8 +97,8 @@ impl Propagator {
         Self::default()
     }
 
-    /// Creates an empty propagator that fans FFT passes and batch
-    /// propagation out over `par`.
+    /// Creates an empty propagator that fans batch propagation out over
+    /// `par`, one plane or field per item.
     pub fn with_parallelism(par: Parallelism) -> Self {
         Propagator { par, ..Self::default() }
     }
@@ -171,14 +172,12 @@ impl Propagator {
         } else {
             Vec::new()
         };
-        // Fan out across distances, each on a serial transform.
-        let serial = fft.serial_equivalent();
         self.par.map(&transfers, |h| match h {
             None => field.clone(),
             Some(h) => {
                 let mut product = spectrum.clone();
                 multiply(&mut product, h);
-                field_from(product, &serial, rows, cols, field.config())
+                field_from(product, &fft, rows, cols, field.config())
             }
         })
     }
@@ -218,11 +217,10 @@ impl Propagator {
             })
             .collect();
         let fft = self.fft(rows, cols);
-        let serial = fft.serial_equivalent();
         let mut products = self
             .par
             .map(&jobs, |(field, h)| {
-                let mut spectrum = spectrum_of(field, &serial);
+                let mut spectrum = spectrum_of(field, &fft);
                 if let Some(h) = h {
                     multiply(&mut spectrum, h);
                 }
@@ -289,8 +287,8 @@ impl Propagator {
         }
     }
 
-    /// The cached (or newly planned) FFT for a shape. It fans out over this
-    /// propagator's pool.
+    /// The cached (or newly planned) FFT for a shape. It shares this
+    /// propagator's pool arena.
     fn fft(&self, rows: usize, cols: usize) -> Fft2d {
         match holoar_fft::lock_unpoisoned(&self.ffts).entry((rows, cols)) {
             std::collections::hash_map::Entry::Occupied(hit) => {
@@ -299,7 +297,7 @@ impl Propagator {
             }
             std::collections::hash_map::Entry::Vacant(miss) => {
                 holoar_telemetry::counter_add("optics.fft_cache.miss", 1);
-                miss.insert(Fft2d::with_parallelism(rows, cols, self.par.clone())).clone()
+                miss.insert(Fft2d::with_arena(rows, cols, Arc::clone(self.par.arena()))).clone()
             }
         }
     }
