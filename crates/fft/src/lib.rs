@@ -16,7 +16,7 @@
 //!   factor above 5), with per-stage contiguous twiddle tables precomputed
 //!   at plan time,
 //! * [`Fft2d`], [`fftshift`], [`ifftshift`] — separable 2-D transforms
-//!   whose column pass runs batched Stockham passes over column strips
+//!   whose column pass runs batched Stockham passes over all columns
 //!   (a cache-blocked transpose only for Bluestein column lengths), and a
 //!   packed real-input row kernel that [`Fft2d::forward`] auto-dispatches
 //!   to on amplitude planes.

@@ -17,8 +17,8 @@
 //! Bluestein, which already holds that workspace, passes its own half of it
 //! as the ping-pong buffer instead.
 //!
-//! The 2-D column pass runs the same passes batched over a strip of
-//! columns (`run_columns`): radix `R` after span `l` reads whole rows
+//! The 2-D column pass runs the same passes batched over all the
+//! columns of the buffer (`run_columns`): radix `R` after span `l` reads whole rows
 //! `j + k + r·m` and writes rows `q·l·R + k + s·l`, applying one set of
 //! twiddles to every column of the row. Each column therefore gets the
 //! same arithmetic as a 1-D transform of it, bit for bit.
@@ -296,7 +296,7 @@ impl MixedRadixPlan {
     /// transforms the `width = out.len() / n` columns of the row-major
     /// `src`, whose row `i` is `src[i·stride..][..width]`, and writes them
     /// row-major (`n × width`) into `out`. Each pass runs over whole rows
-    /// of the strip, so every column gets exactly the arithmetic `run`
+    /// of the buffer, so every column gets exactly the arithmetic `run`
     /// gives one vector: the same twiddles and butterflies in the same
     /// order, and the inverse's `1/n` folded into the last pass. The first
     /// pass reads `src` and later passes ping-pong between `out` and `work`
@@ -314,7 +314,7 @@ impl MixedRadixPlan {
         let width = out.len() / n;
         assert!(
             width > 0 && out.len() == n * width && work.len() == out.len(),
-            "column strip of {} samples does not hold whole columns of length {n}",
+            "column buffer of {} samples does not hold whole columns of length {n}",
             out.len()
         );
         assert!(src.len() >= (n - 1) * stride + width, "column source is too short");
@@ -394,7 +394,7 @@ fn pass<const R: usize>(
     }
 }
 
-/// [`pass`] over a strip of `width` columns: source row `i` is
+/// [`pass`] over `width` columns at once: source row `i` is
 /// `src[i·stride..][..width]` and destination row `i` is
 /// `dst[i·width..][..width]`. The twiddles of a butterfly are shared by the
 /// whole row, so each `(q, k)` loads them once and runs the butterfly on

@@ -83,7 +83,7 @@ impl FftPlan {
     /// column's result is bit-identical to [`Self::forward`] /
     /// [`Self::inverse`] on that column. Mixed-radix lengths run batched
     /// passes over whole rows ([`MixedRadixPlan`]); Bluestein lengths gather
-    /// the strip transposed into `work`, transform each contiguous column
+    /// the columns transposed into `work`, transform each contiguous column
     /// and transpose it back.
     pub(crate) fn columns(
         &self,
