@@ -4,7 +4,7 @@
 //! `run`/`run_with` API split. [`ExecutionContext`] collapses those axes
 //! into one builder-constructed handle that bundles
 //!
-//! * the [`Parallelism`] pool (worker count + shared scratch arena),
+//! * the [`Parallelism`] pool (its worker count),
 //! * the telemetry mode the caller intends for this work, and
 //! * a type-erased map of **shared state slots** — the FFT-plan and
 //!   transfer-function caches higher layers (e.g. `holoar-optics`'
@@ -12,8 +12,8 @@
 //!   same context.
 //!
 //! The serving layer passes one context per simulated device, so all
-//! sessions multiplexed onto that device share plan/transfer caches and a
-//! scratch arena; a unit test passes `ExecutionContext::serial()`; a bench
+//! sessions multiplexed onto that device share plan/transfer caches (and,
+//! through each cached transform, its scratch arena); a unit test passes `ExecutionContext::serial()`; a bench
 //! passes `ExecutionContext::auto()`. The old `*_with(…, &Parallelism)`
 //! twins are gone — every entry point takes a context directly.
 //!
@@ -75,8 +75,7 @@ impl std::fmt::Display for Precision {
 /// The single execution handle compute entry points accept: parallelism,
 /// telemetry intent, and shared caches, bundled.
 ///
-/// Cloning is cheap; clones share the worker pool, the scratch arena and
-/// every shared slot. Two contexts built independently share nothing.
+/// Cloning is cheap; clones share the worker pool and every shared slot. Two contexts built independently share nothing.
 #[derive(Debug, Clone)]
 pub struct ExecutionContext {
     par: Parallelism,
@@ -210,7 +209,7 @@ pub struct ExecutionContextBuilder {
 }
 
 impl ExecutionContextBuilder {
-    /// Uses an existing pool handle (worker count + scratch arena).
+    /// Uses an existing pool handle.
     pub fn parallelism(mut self, par: Parallelism) -> Self {
         self.par = Some(par);
         self
@@ -270,9 +269,6 @@ mod tests {
             .build();
         assert_eq!(ctx.workers(), 5);
         assert_eq!(ctx.telemetry(), TelemetryMode::Full);
-        // The pool handle is shared, not copied: same arena.
-        ctx.parallelism().arena().give(vec![crate::Complex64::ZERO; 4]);
-        assert_eq!(pool.arena().pooled(), 1);
     }
 
     #[test]

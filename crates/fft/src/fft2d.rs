@@ -42,9 +42,9 @@ const TRANSPOSE_BLOCK: usize = 32;
 
 /// A planned 2-D FFT for a fixed `(rows, cols)` shape.
 ///
-/// [`Fft2d::new`] gives the transform its own scratch arena;
-/// [`Fft2d::with_arena`] borrows a pool's, so every transform planned
-/// against that pool recycles one set of buffers.
+/// Each planned transform owns a scratch arena that its clones share, so a
+/// cached transform and every copy handed out from the cache recycle one
+/// set of buffers.
 ///
 /// # Examples
 ///
@@ -74,21 +74,11 @@ impl Fft2d {
     ///
     /// Panics if either dimension is zero.
     pub fn new(rows: usize, cols: usize) -> Self {
-        Self::with_arena(rows, cols, Arc::default())
-    }
-
-    /// Plans a transform that takes its scratch from `arena` (a pool's
-    /// [`Parallelism::arena`](crate::parallel::Parallelism::arena)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn with_arena(rows: usize, cols: usize, arena: Arc<ScratchArena>) -> Self {
         assert!(rows > 0 && cols > 0, "2-D FFT dimensions must be non-zero");
         let mut planner = FftPlanner::new();
         let row_plan = planner.plan(cols);
         let col_plan = planner.plan(rows);
-        Fft2d { rows, cols, row_plan, col_plan, arena }
+        Fft2d { rows, cols, row_plan, col_plan, arena: Arc::default() }
     }
 
     /// Number of rows.
@@ -507,16 +497,6 @@ mod tests {
         assert_eq!(fft.arena.pooled(), 1);
         fft.inverse(&mut buf);
         assert_eq!(fft.arena.pooled(), 1);
-    }
-
-    #[test]
-    fn transforms_planned_against_one_arena_share_it() {
-        let arena = Arc::new(ScratchArena::new());
-        let a = Fft2d::with_arena(8, 8, Arc::clone(&arena));
-        let b = Fft2d::with_arena(4, 6, Arc::clone(&arena));
-        a.forward(&mut image(8, 8));
-        b.forward(&mut image(4, 6));
-        assert_eq!(arena.pooled(), 1, "b reuses the buffer a returned");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Pure-std worker-pool abstraction and the shared scratch arena.
+//! Pure-std worker-pool abstraction and the transforms' scratch arena.
 //!
 //! [`Parallelism`] is the handle the whole workspace threads through its hot
 //! paths. It has one fan-out, [`Parallelism::map`], and one grain: whole
@@ -12,8 +12,9 @@
 //!    on the item count and worker count, every item runs exactly the code
 //!    the serial loop would, and no floating-point reduction ever crosses
 //!    an item boundary. Callers keep their accumulations serial.
-//! 2. **No steady-state allocation** — transforms borrow scratch buffers
-//!    from a [`ScratchArena`] that recycles them across calls.
+//! 2. **No steady-state allocation** — each planned transform borrows
+//!    scratch buffers from its own [`ScratchArena`], which recycles them
+//!    across calls.
 //! 3. **No new dependencies** — scoped threads only; threads live for one
 //!    fan-out, which keeps the implementation trivially correct (no queue,
 //!    no shutdown protocol) at the cost of ~10 µs spawn overhead per chunk.
@@ -28,7 +29,7 @@
 //! the calling thread.
 
 use std::num::NonZeroUsize;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::complex::Complex64;
 
@@ -54,10 +55,8 @@ const ARENA_POOL_CAP: usize = 64;
 ///
 /// Workers [`take`](ScratchArena::take) a zeroed buffer of the length they
 /// need and [`give`](ScratchArena::give) it back when done; the allocation
-/// survives for the next caller. The arena is shared (behind an `Arc`) by
-/// every clone of the owning [`Parallelism`] and by every
-/// [`Fft2d`](crate::Fft2d) planned against it, so one pool serves all of
-/// them.
+/// survives for the next caller. Each [`Fft2d`](crate::Fft2d) owns one
+/// behind an `Arc`, shared by all of that transform's clones.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
     pool: Mutex<Vec<Vec<Complex64>>>,
@@ -103,11 +102,10 @@ impl ScratchArena {
     }
 }
 
-/// A worker-pool handle: how many threads to fan out over, plus the shared
-/// [`ScratchArena`].
+/// A worker-pool handle: how many threads to fan out over.
 ///
-/// Cloning is cheap and clones share the arena. The handle is `Send + Sync`
-/// and carries no live threads — workers are scoped to each call.
+/// Cloning is cheap. The handle is `Send + Sync` and carries no live
+/// threads — workers are scoped to each call.
 ///
 /// # Examples
 ///
@@ -122,7 +120,6 @@ impl ScratchArena {
 #[derive(Debug, Clone)]
 pub struct Parallelism {
     workers: usize,
-    arena: Arc<ScratchArena>,
 }
 
 impl Default for Parallelism {
@@ -135,7 +132,7 @@ impl Default for Parallelism {
 impl Parallelism {
     /// A single-worker handle: every fan-out runs inline on the caller.
     pub fn serial() -> Self {
-        Parallelism { workers: 1, arena: Arc::new(ScratchArena::new()) }
+        Parallelism { workers: 1 }
     }
 
     /// A handle with an explicit worker count (the programmatic override).
@@ -145,20 +142,20 @@ impl Parallelism {
     /// Panics if `workers == 0`.
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "worker count must be at least 1");
-        Parallelism { workers, arena: Arc::new(ScratchArena::new()) }
+        Parallelism { workers }
     }
 
     /// Builds a handle from the environment: `HOLOAR_THREADS` when set to a
     /// positive integer, otherwise [`std::thread::available_parallelism`].
     ///
     /// Unlike [`Parallelism::auto`] this re-reads the environment on every
-    /// call and returns a fresh arena.
+    /// call.
     pub fn from_env() -> Self {
         Parallelism::new(worker_count_from_env())
     }
 
-    /// The process-wide default handle: sized once from the environment
-    /// (see [`Parallelism::from_env`]) and sharing one global arena.
+    /// The process-wide default handle, sized once from the environment
+    /// (see [`Parallelism::from_env`]).
     pub fn auto() -> Self {
         static GLOBAL: OnceLock<Parallelism> = OnceLock::new();
         GLOBAL.get_or_init(Parallelism::from_env).clone()
@@ -172,13 +169,6 @@ impl Parallelism {
     /// Whether every fan-out runs inline on the calling thread.
     pub fn is_serial(&self) -> bool {
         self.workers == 1
-    }
-
-    /// The scratch arena shared by all clones of this handle; pass it to
-    /// [`Fft2d::with_arena`](crate::Fft2d::with_arena) to share it with a
-    /// transform.
-    pub fn arena(&self) -> &Arc<ScratchArena> {
-        &self.arena
     }
 
     /// Maps `f` over `items` on the worker pool, returning results in input
@@ -245,14 +235,6 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_workers_panics() {
         Parallelism::new(0);
-    }
-
-    #[test]
-    fn clones_share_the_arena() {
-        let par = Parallelism::new(2);
-        let clone = par.clone();
-        clone.arena().give(vec![Complex64::ZERO; 8]);
-        assert_eq!(par.arena().pooled(), 1);
     }
 
     #[test]

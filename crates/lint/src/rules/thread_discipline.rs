@@ -1,7 +1,7 @@
 //! `thread-discipline`: all fan-out goes through the `Parallelism` pool.
 //!
 //! Raw `std::thread::spawn`/`scope` outside `holoar-fft`'s pool bypasses
-//! the `HOLOAR_THREADS` override, the shared scratch arena, and the
+//! the `HOLOAR_THREADS` override and the
 //! deterministic chunking that keeps parallel results bit-identical to
 //! serial. Only [`crate::config::PARALLELISM_HOME`] may touch std threads;
 //! test code is exempt (tests legitimately spawn to probe thread-safety).

@@ -14,12 +14,25 @@
 //!
 //! On the host, each sweep transforms each source once. The backward sweep
 //! sums the `DP2HP` products in the spectral domain and runs one inverse
-//! transform ([`Propagator::propagate_sum`]); the forward sweep transforms
-//! the hologram once and runs one inverse per plane
+//! transform ([`Propagator::propagate_sum_from`]); the forward sweep
+//! transforms the hologram once and runs one inverse per plane
 //! ([`Propagator::propagate_batch`]). An iteration over `P` lit planes
 //! therefore costs `2P + 2` 2-D transforms instead of `4P`. The hologram
 //! differs from summing the spatial `DP2HP` results only by floating-point
 //! rounding.
+//!
+//! The loop state is compact and its arithmetic transcendental-free. Each
+//! plane keeps the list of its lit pixels (built once) and, per lit pixel,
+//! the target amplitude, the adaptive weight and the current phase as a
+//! unit phasor `v/|v|` rather than an angle: a plane's field is
+//! `phasor · target · weight`, written straight into the buffer its
+//! transform runs on, and a measurement takes `|v| = sqrt(|v|²)` once per
+//! lit pixel for both the weight update and the next phasor. The
+//! hologram's phase-only projection divides each sample by the same square
+//! root in place. `from_polar(a, arg(v))` is `a·v/|v|`, so this is the
+//! polar-form loop up to rounding, with no `sin_cos`, `atan2` or `hypot`
+//! per pixel; only a tuned `adaptivity ≠ 1` calls `powf`. Both per-pixel
+//! loops walk the lit lists, never the full plane.
 
 use crate::depthmap::PlaneStack;
 use crate::field::{Field, OpticalConfig};
@@ -94,31 +107,114 @@ pub fn run(
     results.swap_remove(0)
 }
 
+/// One depth plane's lit pixels, in ascending pixel order, with their
+/// target amplitudes, adaptive weights and current unit phasors.
+struct LitPlane {
+    pixels: Vec<usize>,
+    targets: Vec<f64>,
+    weights: Vec<f64>,
+    phasors: Vec<Complex64>,
+}
+
 /// Per-stack mutable state for the lockstep batched GSW loop.
 struct StackState {
     rows: usize,
     cols: usize,
+    /// Every plane's distance, in plane order.
     zs: Vec<f64>,
-    targets: Vec<Vec<f64>>,
-    weights: Vec<Vec<f64>>,
-    phases: Vec<Vec<f64>>,
+    planes: Vec<LitPlane>,
+    /// The planes with at least one lit pixel, and their `DP2HP`
+    /// distances (`-z`); dark planes contribute nothing to the hologram.
+    lit: Vec<usize>,
+    lit_zs: Vec<f64>,
     hologram: Field,
     uniformity_trace: Vec<f64>,
     final_uniformity: f64,
     final_efficiency: f64,
 }
 
+impl StackState {
+    fn new(stack: &PlaneStack, optics: OpticalConfig, iterations: usize) -> Self {
+        let rows = stack.plane(0).field.rows();
+        let cols = stack.plane(0).field.cols();
+        let planes: Vec<LitPlane> = stack
+            .iter()
+            .map(|p| {
+                let (pixels, targets): (Vec<usize>, Vec<f64>) = p
+                    .field
+                    .samples()
+                    .iter()
+                    .map(|s| s.norm())
+                    .enumerate()
+                    .filter(|&(_, a)| a > 0.0)
+                    .unzip();
+                let n = pixels.len();
+                LitPlane {
+                    pixels,
+                    targets,
+                    weights: vec![1.0; n],
+                    // Phases start flat.
+                    phasors: vec![Complex64::ONE; n],
+                }
+            })
+            .collect();
+        let lit: Vec<usize> = (0..planes.len()).filter(|&p| !planes[p].pixels.is_empty()).collect();
+        let zs: Vec<f64> = stack.iter().map(|p| p.z).collect();
+        StackState {
+            rows,
+            cols,
+            lit_zs: lit.iter().map(|&p| -zs[p]).collect(),
+            zs,
+            planes,
+            lit,
+            hologram: Field::zeros(rows, cols, optics),
+            uniformity_trace: Vec::with_capacity(iterations),
+            final_uniformity: 0.0,
+            final_efficiency: 0.0,
+        }
+    }
+}
+
+/// `2⁶⁰⁰` and `2⁻⁶⁰⁰`: exact rescales that bring any finite non-zero
+/// sample whose `|z|²` under- or overflows back into the normal range.
+const TWO_POW_600: f64 = f64::from_bits((1023 + 600) << 52);
+const TWO_POW_NEG_600: f64 = f64::from_bits((1023 - 600) << 52);
+
+/// `z/|z|` given `norm_sqr = |z|²`, with a square root and no libm call;
+/// zero stays zero. When `|z|²` is subnormal, zero or infinite for a finite
+/// non-zero `z`, the sample is first rescaled by an exact power of two so
+/// the result still has unit modulus.
+#[inline]
+fn unit(z: Complex64, norm_sqr: f64) -> Complex64 {
+    if norm_sqr.is_normal() {
+        return z.scale(1.0 / norm_sqr.sqrt());
+    }
+    if z == Complex64::ZERO {
+        return z;
+    }
+    let z = z.scale(if norm_sqr < f64::MIN_POSITIVE { TWO_POW_600 } else { TWO_POW_NEG_600 });
+    z.scale(1.0 / z.norm_sqr().sqrt())
+}
+
+/// The SLM constraint, in place: every non-zero sample keeps its phase and
+/// takes unit modulus.
+fn project_phase_only(samples: &mut [Complex64]) {
+    for s in samples {
+        *s = unit(*s, s.norm_sqr());
+    }
+}
+
 /// Runs GSW over several plane stacks in lockstep, sharing one propagator
-/// and one per-iteration field-construction fan-out across every stack.
+/// across every stack.
 ///
 /// This is the cross-session batching primitive: when N sessions each need a
-/// hologram for the same frame tick, one `run_batch` call builds all their
-/// depth-plane fields together and reuses one set of FFT plans and transfer
-/// functions, instead of running N separate loops. Each iteration then runs,
-/// per stack, one spectral back-propagation sum
-/// ([`Propagator::propagate_sum`]) and one shared-spectrum forward sweep
-/// ([`Propagator::propagate_batch`]). Stacks may differ in shape and plane
-/// count.
+/// hologram for the same frame tick, one `run_batch` call reuses one set of
+/// FFT plans and transfer functions for all their depth planes, instead of
+/// running N separate loops. Each iteration then runs, per stack, one
+/// spectral back-propagation sum ([`Propagator::propagate_sum_from`], which
+/// builds each lit plane's field on the worker that transforms it) and one
+/// shared-spectrum forward sweep ([`Propagator::propagate_batch`]). Stacks
+/// may differ in shape and plane count.
 ///
 /// Each stack's arithmetic is fully independent — field construction, its
 /// own propagation calls and the serial per-stack reductions are exactly
@@ -142,89 +238,37 @@ pub fn run_batch(
     let _span = holoar_telemetry::span_cat("optics.gsw.run_batch", "optics");
     let total_planes: usize = stacks.iter().map(|s| s.len()).sum();
     holoar_telemetry::gauge_set("optics.gsw.planes", total_planes as f64);
-    let par = ctx.parallelism().clone();
     let mut prop = Propagator::with_context(ctx);
 
-    let mut states: Vec<StackState> = stacks
-        .iter()
-        .map(|stack| {
-            let rows = stack.plane(0).field.rows();
-            let cols = stack.plane(0).field.cols();
-            // Target amplitudes and lit-pixel masks per plane.
-            let targets: Vec<Vec<f64>> =
-                stack.iter().map(|p| p.field.amplitude()).collect();
-            let weights: Vec<Vec<f64>> = targets
-                .iter()
-                .map(|t| t.iter().map(|&a| if a > 0.0 { 1.0 } else { 0.0 }).collect())
-                .collect();
-            StackState {
-                rows,
-                cols,
-                zs: stack.iter().map(|p| p.z).collect(),
-                targets,
-                weights,
-                // Per-plane phase estimates, initialized flat.
-                phases: vec![vec![0.0; rows * cols]; stack.len()],
-                hologram: Field::zeros(rows, cols, optics),
-                uniformity_trace: Vec::with_capacity(config.iterations),
-                final_uniformity: 0.0,
-                final_efficiency: 0.0,
-            }
-        })
-        .collect();
+    let mut states: Vec<StackState> =
+        stacks.iter().map(|stack| StackState::new(stack, optics, config.iterations)).collect();
 
-    // Flattened (stack, plane) job list, stack-major so each stack's fields
-    // stay contiguous and in plane order.
-    let jobs: Vec<(usize, usize)> = states
-        .iter()
-        .enumerate()
-        .flat_map(|(s, st)| (0..st.zs.len()).map(move |p| (s, p)))
-        .collect();
-
-    // Per-iteration buffers, allocated once and reused: one stack's lit
-    // planes and their back-propagation distances, and the per-plane
-    // relative-amplitude scratch for the weight update.
-    let max_planes = states.iter().map(|st| st.zs.len()).max().unwrap_or(0);
-    let mut lit_fields: Vec<Field> = Vec::with_capacity(max_planes);
-    let mut lit_zs: Vec<f64> = Vec::with_capacity(max_planes);
-    let max_pixels = states.iter().map(|st| st.rows * st.cols).max().unwrap_or(0);
-    let mut rels: Vec<(usize, f64)> = Vec::with_capacity(max_pixels);
+    // The per-plane relative-amplitude scratch for the weight update,
+    // allocated once and reused.
+    let max_lit =
+        states.iter().flat_map(|st| st.planes.iter().map(|p| p.pixels.len())).max().unwrap_or(0);
+    let mut rels: Vec<f64> = Vec::with_capacity(max_lit);
 
     for _ in 0..config.iterations {
         let _iter_span = holoar_telemetry::span_cat("optics.gsw.iteration", "optics");
-        // Backward: superpose weighted targets on each hologram plane. The
-        // per-plane fields only read targets/weights/phases, so construction
-        // fans out across every stack's planes at once.
-        let fields: Vec<Field> = par.map(&jobs, |&(s, p)| {
-            let st = &states[s];
-            let mut f = Field::zeros(st.rows, st.cols, optics);
-            for idx in 0..st.rows * st.cols {
-                let a = st.targets[p][idx] * st.weights[p][idx];
-                if a > 0.0 {
-                    f.samples_mut()[idx] = Complex64::from_polar(a, st.phases[p][idx]);
-                }
-            }
-            f
-        });
-        // One spectral back-propagation sum per stack over its lit planes
-        // (dark planes contribute nothing and are skipped), then the
-        // phase-only constraint (SLM projection).
-        let mut fields = fields.into_iter();
+        // Backward: superpose each stack's weighted targets on its hologram
+        // plane with one spectral back-propagation sum over its lit planes;
+        // each plane's field is built on the worker that transforms it.
+        // Then the phase-only constraint (SLM projection).
         for st in states.iter_mut() {
-            lit_fields.clear();
-            lit_zs.clear();
-            for (f, &z) in fields.by_ref().take(st.zs.len()).zip(&st.zs) {
-                if f.total_energy() > 0.0 {
-                    lit_fields.push(f);
-                    // `dp2hp` is propagation by `-z`.
-                    lit_zs.push(-z);
-                }
+            if st.lit.is_empty() {
+                continue;
             }
-            st.hologram = if lit_fields.is_empty() {
-                Field::zeros(st.rows, st.cols, optics)
-            } else {
-                prop.propagate_sum(&lit_fields, &lit_zs).to_phase_only()
-            };
+            let (planes, lit) = (&st.planes, &st.lit);
+            st.hologram =
+                prop.propagate_sum_from(st.rows, st.cols, optics, &st.lit_zs, |j, buf| {
+                    let plane = &planes[lit[j]];
+                    let terms = plane.targets.iter().zip(&plane.weights).zip(&plane.phasors);
+                    for (&idx, ((&target, &weight), &phasor)) in plane.pixels.iter().zip(terms) {
+                        buf[idx] = phasor.scale(target * weight);
+                    }
+                });
+            project_phase_only(st.hologram.samples_mut());
         }
 
         // Forward: measure achieved amplitudes on each stack's planes from
@@ -236,37 +280,39 @@ pub fn run_batch(
             let mut achieved_max = 0.0f64;
             let mut on_target = 0.0;
             let mut total = 0.0;
-            for (i, u) in recon.iter().enumerate() {
+            for (plane, u) in st.planes.iter_mut().zip(&recon) {
                 total += u.total_energy();
-                rels.clear();
-                for idx in 0..st.rows * st.cols {
-                    if st.targets[i][idx] > 0.0 {
-                        let v = u.samples()[idx];
-                        st.phases[i][idx] = v.arg();
-                        // Normalize achieved vs desired so different target
-                        // amplitudes compare fairly.
-                        let rel = v.norm().max(1e-12) / st.targets[i][idx];
-                        achieved_min = achieved_min.min(rel);
-                        achieved_max = achieved_max.max(rel);
-                        rels.push((idx, rel));
-                        on_target += v.norm_sqr();
-                    }
+                if plane.pixels.is_empty() {
+                    continue;
                 }
-                if !rels.is_empty() {
-                    let mean =
-                        rels.iter().map(|&(_, r)| r).sum::<f64>() / rels.len() as f64;
-                    for &(idx, rel) in &rels {
-                        // Standard GSW (adaptivity = 1.0) stays
-                        // transcendental-free; IEEE pow(x, 1.0) == x, so the
-                        // fast path is bit-identical to the former powf.
-                        let gain = if config.adaptivity == 1.0 {
-                            mean / rel
-                        } else {
-                            // holoar-lint: allow(float-determinism, reason = "a tuned GSW weight exponent requires a real power; the default adaptivity = 1.0 takes the exact division path above")
-                            (mean / rel).powf(config.adaptivity)
-                        };
-                        st.weights[i][idx] *= gain;
-                    }
+                rels.clear();
+                let samples = u.samples();
+                for (k, &idx) in plane.pixels.iter().enumerate() {
+                    let v = samples[idx];
+                    let n = v.norm_sqr();
+                    // The next phase estimate; flat where nothing arrived.
+                    plane.phasors[k] =
+                        if v == Complex64::ZERO { Complex64::ONE } else { unit(v, n) };
+                    // Normalize achieved vs desired so different target
+                    // amplitudes compare fairly.
+                    let rel = n.sqrt().max(1e-12) / plane.targets[k];
+                    achieved_min = achieved_min.min(rel);
+                    achieved_max = achieved_max.max(rel);
+                    rels.push(rel);
+                    on_target += n;
+                }
+                let mean = rels.iter().sum::<f64>() / rels.len() as f64;
+                for (weight, &rel) in plane.weights.iter_mut().zip(&rels) {
+                    // Standard GSW (adaptivity = 1.0) stays
+                    // transcendental-free; IEEE pow(x, 1.0) == x, so the
+                    // fast path is bit-identical to the former powf.
+                    let gain = if config.adaptivity == 1.0 {
+                        mean / rel
+                    } else {
+                        // holoar-lint: allow(float-determinism, reason = "a tuned GSW weight exponent requires a real power; the default adaptivity = 1.0 takes the exact division path above")
+                        (mean / rel).powf(config.adaptivity)
+                    };
+                    *weight *= gain;
                 }
             }
             st.final_uniformity = if achieved_max > 0.0 {
@@ -433,6 +479,77 @@ mod tests {
                 assert_eq!(a.efficiency.to_bits(), b.efficiency.to_bits());
             }
         }
+    }
+
+    /// Asserts two results agree bit for bit.
+    fn assert_same_bits(a: &GswResult, b: &GswResult, at: &str) {
+        let bits = |r: &GswResult| -> Vec<u64> {
+            r.hologram
+                .samples()
+                .iter()
+                .flat_map(|z| [z.re, z.im])
+                .chain([r.uniformity, r.efficiency])
+                .chain(r.uniformity_trace.iter().copied())
+                .map(f64::to_bits)
+                .collect()
+        };
+        assert_eq!(a.uniformity_trace.len(), b.uniformity_trace.len(), "{at}");
+        assert!(bits(a) == bits(b), "{at}: results differ");
+    }
+
+    #[test]
+    fn dark_planes_and_tuned_adaptivity_are_bit_identical_everywhere() {
+        // Spots at the near and far depths of a three-plane slice leave the
+        // middle plane with no lit pixels; adaptivity 0.5 takes the `powf`
+        // weight update.
+        let cfg = OpticalConfig::default();
+        let gsw_cfg = GswConfig { iterations: 3, adaptivity: 0.5 };
+        let dark = spots_map(32, &[(8, 8, 0.01), (24, 24, 0.03), (16, 8, 0.01)]).slice(3, cfg);
+        assert_eq!(dark.plane(1).lit_pixels, 0, "the middle plane must be dark");
+        assert!(dark.plane(0).lit_pixels > 0 && dark.plane(2).lit_pixels > 0);
+        let other = spots_map(16, &[(4, 4, 0.02), (12, 10, 0.01)]).slice(2, cfg);
+        let solo = [run(&dark, cfg, gsw_cfg, &ctx()), run(&other, cfg, gsw_cfg, &ctx())];
+        assert!(solo[0].efficiency > 0.0 && solo[0].uniformity > 0.0);
+        for workers in [1usize, 2, 7] {
+            let par = ExecutionContext::with_workers(workers);
+            let single = run(&dark, cfg, gsw_cfg, &par);
+            assert_same_bits(&single, &solo[0], &format!("run at {workers} workers"));
+            let batch = run_batch(&[&dark, &other], cfg, gsw_cfg, &par);
+            for (i, (a, b)) in batch.iter().zip(&solo).enumerate() {
+                assert_same_bits(a, b, &format!("run_batch stack {i} at {workers} workers"));
+            }
+        }
+    }
+
+    #[test]
+    fn projection_keeps_unit_modulus_where_the_squared_norm_leaves_the_normal_range() {
+        let h = std::f64::consts::FRAC_1_SQRT_2;
+        let mut samples = [
+            Complex64::new(1e-170, 1e-170), // |z|² underflows to zero
+            Complex64::new(1e-160, -1e-160), // |z|² is subnormal
+            Complex64::new(1e200, 0.0),     // |z|² overflows
+            Complex64::ZERO,
+            Complex64::new(3.0, -4.0),
+        ];
+        assert_eq!(samples[0].norm_sqr(), 0.0);
+        assert!(samples[1].norm_sqr() > 0.0 && !samples[1].norm_sqr().is_normal());
+        assert!(samples[2].norm_sqr().is_infinite());
+        project_phase_only(&mut samples);
+        let want = [
+            Complex64::new(h, h),
+            Complex64::new(h, -h),
+            Complex64::ONE,
+            Complex64::ZERO,
+            Complex64::new(0.6, -0.8),
+        ];
+        for (i, (got, want)) in samples.iter().zip(&want).enumerate() {
+            assert!((*got - *want).norm() <= 1e-12, "sample {i}: {got} vs {want}");
+        }
+        for s in [samples[0], samples[1], samples[2], samples[4]] {
+            assert!((s.norm() - 1.0).abs() <= 1e-12, "non-unit modulus {}", s.norm());
+        }
+        assert_eq!(samples[3].re.to_bits(), 0, "zero stays zero");
+        assert_eq!(samples[3].im.to_bits(), 0, "zero stays zero");
     }
 
     /// Standard GSW with per-plane spatial propagation: one `propagate` per

@@ -16,8 +16,8 @@
 //! A [`Propagator`] caches FFT plans and transfer functions behind shared
 //! thread-safe maps (clones of a propagator share one cache), because the
 //! hologram pipeline propagates dozens of planes of identical shape per
-//! frame. Its transforms are serial and borrow scratch from the pool's
-//! arena; the only fan-out is across planes and fields.
+//! frame. Its transforms are serial, and each cached transform recycles
+//! its own scratch; the only fan-out is across planes and fields.
 //!
 //! The batch APIs transform each source field once. Per plane, the work is
 //! a spectrum product and, at most, one inverse transform:
@@ -30,7 +30,8 @@
 //!   accumulating the spectrum products and running one inverse transform
 //!   (`n + 1` transforms for `n` fields). It is bit-identical for every
 //!   worker count and matches the spatial sum up to floating-point
-//!   rounding.
+//!   rounding. [`Propagator::propagate_sum_from`] is the same sum over
+//!   fields that a callback writes straight into the transform buffers.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -148,9 +149,9 @@ impl Propagator {
     /// Propagates one field to many distances concurrently, returning the
     /// results in `zs` order.
     ///
-    /// The source is transformed once; each distance then multiplies a copy
-    /// of that spectrum by its transfer function and runs one inverse
-    /// transform on its own worker (`n + 1` transforms for `n` non-zero
+    /// The source is transformed once; each distance then builds the product
+    /// of that spectrum and its transfer function in one pass and runs one
+    /// inverse transform on its own worker (`n + 1` transforms for `n` non-zero
     /// distances). Every output is bit-identical to the corresponding serial
     /// [`Propagator::propagate`] call, because the same input goes through
     /// the same forward transform. Transfer functions are built (and cached)
@@ -175,8 +176,7 @@ impl Propagator {
         self.par.map(&transfers, |h| match h {
             None => field.clone(),
             Some(h) => {
-                let mut product = spectrum.clone();
-                multiply(&mut product, h);
+                let product = spectrum.iter().zip(h.iter()).map(|(s, t)| *s * *t).collect();
                 field_from(product, &fft, rows, cols, field.config())
             }
         })
@@ -204,23 +204,77 @@ impl Propagator {
         let (rows, cols, cfg) = fields
             .first()
             .map_or((0, 0, OpticalConfig::default()), |f| (f.rows(), f.cols(), f.config()));
-        let jobs: Vec<(&Field, Option<Transfer>)> = fields
+        let jobs: Vec<(usize, Option<Transfer>)> = fields
             .iter()
             .zip(zs)
-            .map(|(field, &z)| {
+            .enumerate()
+            .map(|(i, (field, &z))| {
                 assert_eq!(
                     (field.rows(), field.cols()),
                     (rows, cols),
                     "cannot sum fields of different shapes"
                 );
-                (field, self.transfer_at(rows, cols, field.config(), z))
+                (i, self.transfer_at(rows, cols, field.config(), z))
             })
             .collect();
+        self.sum_products(rows, cols, cfg, &jobs, |i| fields[i].samples().to_vec())
+    }
+
+    /// [`Propagator::propagate_sum`] over fields built in place: term `i`
+    /// is whatever `build(i, buf)` writes into a zeroed `rows × cols`
+    /// buffer, which is then transformed where it lies. Every term
+    /// propagates with `cfg`, and the result is bit-identical to
+    /// `propagate_sum` over the same fields. Callers that would otherwise
+    /// fill a [`Field`] only to hand it over save one zeroed field and one
+    /// copy per term.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `zs` is empty or any distance is not finite.
+    pub fn propagate_sum_from<F>(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        cfg: OpticalConfig,
+        zs: &[f64],
+        build: F,
+    ) -> Field
+    where
+        F: Fn(usize, &mut [Complex64]) + Sync,
+    {
+        assert!(!zs.is_empty(), "propagate_sum needs at least one field");
+        let _span = holoar_telemetry::span_cat("optics.propagate_sum", "optics");
+        let jobs: Vec<(usize, Option<Transfer>)> = zs
+            .iter()
+            .enumerate()
+            .map(|(i, &z)| (i, self.transfer_at(rows, cols, cfg, z)))
+            .collect();
+        self.sum_products(rows, cols, cfg, &jobs, |i| {
+            let mut buf = vec![Complex64::ZERO; rows * cols];
+            build(i, &mut buf);
+            buf
+        })
+    }
+
+    /// `IFFT(Σⱼ FFT(source(iⱼ)) · Hⱼ)` over `jobs = [(iⱼ, Hⱼ)]`. Each
+    /// product fans out over the pool; the sum runs serially in job order.
+    fn sum_products<S>(
+        &self,
+        rows: usize,
+        cols: usize,
+        cfg: OpticalConfig,
+        jobs: &[(usize, Option<Transfer>)],
+        source: S,
+    ) -> Field
+    where
+        S: Fn(usize) -> Vec<Complex64> + Sync,
+    {
         let fft = self.fft(rows, cols);
         let mut products = self
             .par
-            .map(&jobs, |(field, h)| {
-                let mut spectrum = spectrum_of(field, &fft);
+            .map(jobs, |(i, h)| {
+                let mut spectrum = source(*i);
+                fft.forward(&mut spectrum);
                 if let Some(h) = h {
                     multiply(&mut spectrum, h);
                 }
@@ -287,8 +341,9 @@ impl Propagator {
         }
     }
 
-    /// The cached (or newly planned) FFT for a shape. It shares this
-    /// propagator's pool arena.
+    /// The cached (or newly planned) FFT for a shape. Clones of the cached
+    /// transform share its scratch arena, so every propagator sharing this
+    /// cache recycles one set of buffers per shape.
     fn fft(&self, rows: usize, cols: usize) -> Fft2d {
         match holoar_fft::lock_unpoisoned(&self.ffts).entry((rows, cols)) {
             std::collections::hash_map::Entry::Occupied(hit) => {
@@ -297,7 +352,7 @@ impl Propagator {
             }
             std::collections::hash_map::Entry::Vacant(miss) => {
                 holoar_telemetry::counter_add("optics.fft_cache.miss", 1);
-                miss.insert(Fft2d::with_arena(rows, cols, Arc::clone(self.par.arena()))).clone()
+                miss.insert(Fft2d::new(rows, cols)).clone()
             }
         }
     }

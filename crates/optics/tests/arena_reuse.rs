@@ -1,11 +1,11 @@
 //! Scratch-arena reuse across propagation calls, read off the
 //! `fft.arena.take.alloc` counter.
 //!
-//! `propagate_batch` and `propagate_sum` run their per-plane transforms on
-//! serial FFT twins; those twins share the context's arena, so once the
-//! first call has grown the pool, later calls allocate no scratch. Counter
-//! capture is process-wide, so this check lives in its own test binary and
-//! runs as one test.
+//! `propagate_batch` and `propagate_sum` run every per-plane transform on
+//! clones of the propagator's cached `Fft2d` for the shape; the clones
+//! share one scratch arena, so once the first call has grown the pool,
+//! later calls allocate no scratch. Counter capture is process-wide, so
+//! this check lives in its own test binary and runs as one test.
 
 use holoar_fft::{Complex64, ExecutionContext};
 use holoar_optics::{Field, OpticalConfig, Propagator};

@@ -103,9 +103,15 @@ fn propagate_sum_output_is_pinned() {
     let fields = fields();
     let zs = [0.001, -0.0025, 0.004];
     let want = 0xfe23_2c36_2a2c_3abe_u64;
+    let cfg = OpticalConfig::default();
     for workers in WORKERS {
         let got = samples_digest(propagator(workers).propagate_sum(&fields, &zs).samples());
         assert_eq!(got, want, "propagate_sum at {workers} workers: digest {got:#018x}");
+        // The same sum over fields written straight into the transform buffers.
+        let built = propagator(workers)
+            .propagate_sum_from(64, 64, cfg, &zs, |i, buf| buf.copy_from_slice(fields[i].samples()));
+        let got = samples_digest(built.samples());
+        assert_eq!(got, want, "propagate_sum_from at {workers} workers: digest {got:#018x}");
     }
 }
 
@@ -113,7 +119,7 @@ fn propagate_sum_output_is_pinned() {
 fn gsw_output_is_pinned_at_every_worker_count() {
     let cfg = OpticalConfig::default();
     let stack = VirtualObject::Dice.render(48, 48, 0.006, 0.002).slice(8, cfg);
-    let want = 0xa823_6aca_3f6c_43b0_u64;
+    let want = 0x1e75_f691_bee7_45aa_u64;
     for workers in WORKERS {
         let result =
             gsw::run(&stack, cfg, GswConfig::default(), &ExecutionContext::with_workers(workers));
