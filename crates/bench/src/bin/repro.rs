@@ -31,11 +31,9 @@
 //! / gauge / histogram registry plus per-frame rows. Either flag implies
 //! full telemetry unless `HOLOAR_TELEMETRY` already selects a mode.
 
-use holoar_bench::{experiments, ExperimentConfig};
+use holoar_bench::experiments::{self, ARTIFACT_EXPERIMENTS};
+use holoar_bench::ExperimentConfig;
 use holoar_telemetry::TelemetryMode;
-
-/// Experiments that own a JSON artifact `--json` can export.
-const ARTIFACT_EXPERIMENTS: [&str; 5] = ["parallel", "pipeline", "serve", "slo", "fleet"];
 
 fn main() {
     // `repro lint` delegates to the static-analysis crate so the lint gate
@@ -166,11 +164,11 @@ fn main() {
         }
     }
     if let (Some(path), Some(kind)) = (&json_path, json_kind) {
-        let (json, what) = artifact(kind, &cfg);
-        if let Err(e) = std::fs::write(path, json) {
+        let json = experiments::artifact(kind, &cfg).unwrap_or_else(|e| die(&e));
+        if let Err(e) = std::fs::write(path, json.render_pretty()) {
             die(&format!("cannot write {path}: {e}"));
         }
-        eprintln!("wrote {what} to {path}");
+        eprintln!("wrote {kind} artifact to {path}");
     }
     if let Some(path) = csv_path {
         let matrix = holoar_core::evaluation::evaluate_matrix(
@@ -200,18 +198,6 @@ fn main() {
             die(&format!("cannot write {path}: {e}"));
         }
         eprintln!("wrote metrics registry to {path}");
-    }
-}
-
-/// Renders one experiment's JSON artifact and its human name.
-fn artifact(kind: &str, cfg: &ExperimentConfig) -> (String, &'static str) {
-    match kind {
-        "parallel" => (experiments::parallel_bench_json(), "parallel bench cells"),
-        "pipeline" => (experiments::pipeline_bench_json(cfg), "staged pipeline bench"),
-        "serve" => (experiments::serve_bench_json(cfg), "serving sweep"),
-        "slo" => (experiments::slo_bench_json(cfg), "SLO dashboard artifact"),
-        "fleet" => (experiments::fleet_bench_json(cfg), "fleet serving artifact"),
-        other => die(&format!("no artifact for experiment '{other}'")),
     }
 }
 

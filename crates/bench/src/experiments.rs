@@ -17,6 +17,7 @@ use holoar_sensors::angles::{deg, AngularPoint};
 use holoar_sensors::objectron::VideoCategory;
 use holoar_sensors::pose::PoseEstimate;
 use holoar_sensors::stats::{dataset_study, gaze_study};
+use holoar_telemetry::jsonlite::Json;
 
 /// Budget knobs for the experiment harness.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -786,32 +787,25 @@ pub fn parallel(_cfg: &ExperimentConfig) -> String {
     )
 }
 
-/// The [`parallel`] experiment's measurements as a JSON artifact
-/// (`BENCH_parallel.json`), hand-serialized to keep the workspace
-/// dependency-free. Every cell records the precision it ran at.
-pub fn parallel_bench_json() -> String {
+/// The [`parallel`] experiment's measurements as the body of
+/// `BENCH_parallel.json` (host wall-clock numbers; see [`artifact`]).
+fn parallel_bench_json() -> Json {
     let (host_workers, cells) = parallel_measurements();
-    let precision = holoar_fft::Precision::F64;
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"parallel\",\n");
-    out.push_str(&format!("  \"host_workers\": {host_workers},\n"));
-    out.push_str("  \"cells\": [\n");
-    for (i, cell) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"workers\": {}, \"precision\": \"{precision}\", \
-             \"serial_ms\": {:.4}, \"parallel_ms\": {:.4}, \
-             \"speedup\": {:.3}, \"bit_identical\": {}}}{}\n",
-            cell.label,
-            cell.workers,
-            cell.serial_ms,
-            cell.parallel_ms,
-            cell.speedup(),
-            cell.bit_identical,
-            if i + 1 < cells.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let cells = cells.iter().map(|cell| {
+        Json::object([
+            ("label", cell.label.as_str().into()),
+            ("workers", cell.workers.into()),
+            ("serial_ms", fixed(cell.serial_ms, 4)),
+            ("parallel_ms", fixed(cell.parallel_ms, 4)),
+            ("speedup", fixed(cell.speedup(), 3)),
+            ("bit_identical", cell.bit_identical.into()),
+        ])
+    });
+    Json::object([
+        ("bench", "parallel".into()),
+        ("host_workers", host_workers.into()),
+        ("cells", Json::Array(cells.collect())),
+    ])
 }
 
 /// End-to-end Inter-Intra-Holo run instrumented for the telemetry
@@ -1363,56 +1357,46 @@ pub fn pipeline(cfg: &ExperimentConfig) -> String {
     )
 }
 
-/// `BENCH_pipeline.json`: the `pipeline` experiment as a machine-readable
-/// artifact for the perf gate. Deterministic — byte-identical across reruns
-/// and worker counts at a fixed seed.
-pub fn pipeline_bench_json(cfg: &ExperimentConfig) -> String {
+/// The `pipeline` experiment as the body of `BENCH_pipeline.json`.
+/// Deterministic: byte-identical across reruns and worker counts at a
+/// fixed seed.
+fn pipeline_bench_json(cfg: &ExperimentConfig) -> Json {
     let m = pipeline_measurements(cfg);
     let s = &m.staged;
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"pipeline\",\n");
-    out.push_str(&format!("  \"frames\": {},\n", m.frames));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!(
-        "  \"workers\": [{}],\n",
-        BENCH_WORKERS.map(|w| w.to_string()).join(", ")
-    ));
-    out.push_str(&format!("  \"bit_identical\": {},\n", m.bit_identical));
-    out.push_str(&format!("  \"present_latency_s\": {:.6},\n", m.config.present_latency));
-    out.push_str(&format!("  \"compute_queue\": {},\n", m.config.compute_queue));
-    out.push_str(&format!("  \"present_queue\": {},\n", m.config.present_queue));
-    out.push_str(&format!(
-        "  \"staged\": {{\"throughput_fps\": {:.6}, \"mean_latency_s\": {:.9}, \
-         \"latency_p50_s\": {:.9}, \"latency_p99_s\": {:.9}, \"fresh_frames\": {}, \
-         \"stale_frames\": {}, \"compute_drops\": {}, \"present_drops\": {}, \
-         \"max_compute_depth\": {}, \"max_present_depth\": {}, \"bottleneck\": \"{}\"}},\n",
-        s.throughput_fps,
-        s.mean_latency,
-        s.latency_p50,
-        s.latency_p99,
-        s.fresh_frames,
-        s.stale_frames,
-        s.compute_drops,
-        s.present_drops,
-        s.max_compute_depth,
-        s.max_present_depth,
-        s.bottleneck,
-    ));
-    out.push_str(&format!(
-        "  \"lockstep\": {{\"throughput_fps\": {:.6}, \"latency_p50_s\": {:.9}, \
-         \"latency_p99_s\": {:.9}, \"sustained_p99_s\": {:.9}, \
-         \"deadline_hit_rate\": {:.6}}},\n",
-        m.lockstep_fps,
-        m.lockstep.latency_p50 + m.config.present_latency,
-        m.lockstep_p99,
-        m.lockstep_sustained_p99,
-        m.lockstep.deadline_hit_rate,
-    ));
-    out.push_str(&format!("  \"speedup\": {:.6},\n", m.speedup));
-    out.push_str(&format!("  \"p99_ratio\": {:.6}\n", m.p99_ratio));
-    out.push('}');
-    out.push('\n');
-    out
+    let staged = Json::object([
+        ("throughput_fps", fixed(s.throughput_fps, 6)),
+        ("mean_latency_s", fixed(s.mean_latency, 9)),
+        ("latency_p50_s", fixed(s.latency_p50, 9)),
+        ("latency_p99_s", fixed(s.latency_p99, 9)),
+        ("fresh_frames", s.fresh_frames.into()),
+        ("stale_frames", s.stale_frames.into()),
+        ("compute_drops", s.compute_drops.into()),
+        ("present_drops", s.present_drops.into()),
+        ("max_compute_depth", s.max_compute_depth.into()),
+        ("max_present_depth", s.max_present_depth.into()),
+        ("bottleneck", s.bottleneck.to_string().into()),
+    ]);
+    let lockstep = Json::object([
+        ("throughput_fps", fixed(m.lockstep_fps, 6)),
+        ("latency_p50_s", fixed(m.lockstep.latency_p50 + m.config.present_latency, 9)),
+        ("latency_p99_s", fixed(m.lockstep_p99, 9)),
+        ("sustained_p99_s", fixed(m.lockstep_sustained_p99, 9)),
+        ("deadline_hit_rate", fixed(m.lockstep.deadline_hit_rate, 6)),
+    ]);
+    Json::object([
+        ("bench", "pipeline".into()),
+        ("frames", m.frames.into()),
+        ("seed", cfg.seed.into()),
+        ("workers", Json::Array(BENCH_WORKERS.map(Json::from).to_vec())),
+        ("bit_identical", m.bit_identical.into()),
+        ("present_latency_s", fixed(m.config.present_latency, 6)),
+        ("compute_queue", m.config.compute_queue.into()),
+        ("present_queue", m.config.present_queue.into()),
+        ("staged", staged),
+        ("lockstep", lockstep),
+        ("speedup", fixed(m.speedup, 6)),
+        ("p99_ratio", fixed(m.p99_ratio, 6)),
+    ])
 }
 
 /// Fleet sizes the `serve` experiment visits when `--sessions` is not
@@ -1494,48 +1478,37 @@ pub fn serve(cfg: &ExperimentConfig) -> String {
     )
 }
 
-/// The [`serve`] sweep as a JSON artifact (`BENCH_serve.json`),
-/// hand-serialized like [`parallel_bench_json`] to keep the workspace
-/// dependency-free. Byte-identical across reruns at a fixed seed.
-pub fn serve_bench_json(cfg: &ExperimentConfig) -> String {
-    let rows = serve_measurements(cfg);
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"serve\",\n");
-    out.push_str(&format!("  \"frames\": {},\n", cfg.frames));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!(
-        "  \"frame_budget_s\": {:.6},\n",
-        holoar_serve::SERVE_FRAME_BUDGET
-    ));
-    out.push_str("  \"sweep\": [\n");
-    for (i, (n, r)) in rows.iter().enumerate() {
-        let qos: u64 = r.sessions.iter().map(|s| s.qos_step_downs).sum();
-        let deferred: u64 = r.sessions.iter().map(|s| s.deferred).sum();
+/// The [`serve`] sweep as the body of `BENCH_serve.json`. Byte-identical
+/// across reruns at a fixed seed.
+fn serve_bench_json(cfg: &ExperimentConfig) -> Json {
+    let sweep = serve_measurements(cfg).into_iter().map(|(n, r)| {
         let psnr_weighted = r.sessions.iter().map(|s| s.psnr_weighted).sum::<f64>()
             / r.sessions.len().max(1) as f64;
-        out.push_str(&format!(
-            "    {{\"sessions\": {n}, \"admitted\": {}, \"aggregate_fps\": {:.4}, \
-             \"sequential_fps\": {:.4}, \"speedup\": {:.4}, \"deadline_hit_rate\": {:.6}, \
-             \"latency_p50_s\": {:.6}, \"latency_p99_s\": {:.6}, \"mean_occupancy\": {:.6}, \
-             \"psnr_weighted_db\": {:.4}, \"psnr_gap_db\": {:.4}, \"merged_launches\": {}, \
-             \"launches_saved\": {}, \"qos_step_downs\": {qos}, \"deferred\": {deferred}}}{}\n",
-            r.admitted,
-            r.aggregate_fps,
-            r.sequential_fps,
-            r.speedup_vs_sequential,
-            r.deadline_hit_rate,
-            r.latency_p50,
-            r.latency_p99,
-            r.mean_occupancy,
-            psnr_weighted,
-            serve_worst_psnr_gap(r),
-            r.merged_launches,
-            r.launches_saved,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        Json::object([
+            ("sessions", n.into()),
+            ("admitted", r.admitted.into()),
+            ("aggregate_fps", fixed(r.aggregate_fps, 4)),
+            ("sequential_fps", fixed(r.sequential_fps, 4)),
+            ("speedup", fixed(r.speedup_vs_sequential, 4)),
+            ("deadline_hit_rate", fixed(r.deadline_hit_rate, 6)),
+            ("latency_p50_s", fixed(r.latency_p50, 6)),
+            ("latency_p99_s", fixed(r.latency_p99, 6)),
+            ("mean_occupancy", fixed(r.mean_occupancy, 6)),
+            ("psnr_weighted_db", fixed(psnr_weighted, 4)),
+            ("psnr_gap_db", fixed(serve_worst_psnr_gap(&r), 4)),
+            ("merged_launches", r.merged_launches.into()),
+            ("launches_saved", r.launches_saved.into()),
+            ("qos_step_downs", r.sessions.iter().map(|s| s.qos_step_downs).sum::<u64>().into()),
+            ("deferred", r.sessions.iter().map(|s| s.deferred).sum::<u64>().into()),
+        ])
+    });
+    Json::object([
+        ("bench", "serve".into()),
+        ("frames", cfg.frames.into()),
+        ("seed", cfg.seed.into()),
+        ("frame_budget_s", fixed(holoar_serve::SERVE_FRAME_BUDGET, 6)),
+        ("sweep", Json::Array(sweep.collect())),
+    ])
 }
 
 /// Runs the SLO observability fleet once: `--sessions` sessions (default 8)
@@ -1671,102 +1644,79 @@ pub fn slo(cfg: &ExperimentConfig) -> String {
     out
 }
 
-/// The [`slo`] run as a JSON artifact (`BENCH_slo.json`): session-level
+/// The [`slo`] run as the body of `BENCH_slo.json`: session-level
 /// p50/p99/p99.9, burn-rate events, signal-annotated step-downs, and the
-/// critical-path stage breakdown. Hand-serialized; byte-identical across
-/// reruns and worker counts at a fixed seed.
-pub fn slo_bench_json(cfg: &ExperimentConfig) -> String {
+/// critical-path stage breakdown. Byte-identical across reruns and worker
+/// counts at a fixed seed.
+fn slo_bench_json(cfg: &ExperimentConfig) -> Json {
     let (sessions, report) = slo_measurements(cfg);
     let fleet = &report.slo;
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"slo\",\n");
-    out.push_str(&format!("  \"sessions\": {sessions},\n"));
-    out.push_str(&format!("  \"frames\": {},\n", cfg.frames));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("  \"target\": {:.4},\n", fleet.target));
-    out.push_str(&format!("  \"sketch_alpha\": {:.4},\n", fleet.sketch_alpha));
-    out.push_str(&format!(
-        "  \"fleet\": {{\"latency_p50_s\": {:.6}, \"latency_p90_s\": {:.6}, \
-         \"latency_p99_s\": {:.6}, \"latency_p999_s\": {:.6}, \
-         \"error_budget_remaining\": {:.6}, \"fast_burn_events\": {}, \
-         \"slow_burn_events\": {}, \"recent_hit_rate\": {:.6}, \
-         \"recent_queue_depth\": {:.4}, \"recent_occupancy\": {:.6}}},\n",
-        fleet.latency_p50,
-        fleet.latency_p90,
-        fleet.latency_p99,
-        fleet.latency_p999,
-        fleet.error_budget_remaining,
-        fleet.fast_burn_events,
-        fleet.slow_burn_events,
-        fleet.recent_hit_rate,
-        fleet.recent_queue_depth,
-        fleet.recent_occupancy,
-    ));
-    out.push_str("  \"session_slo\": [\n");
-    for (i, s) in report.sessions.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"id\": {}, \"video\": \"{}\", \"latency_p50_s\": {:.6}, \
-             \"latency_p99_s\": {:.6}, \"latency_p999_s\": {:.6}, \
-             \"error_budget_remaining\": {:.6}, \"recent_level\": {:.4}, \
-             \"worst_frame\": {}, \"worst_frame_latency_s\": {:.6},\n",
-            s.id,
-            s.video,
-            s.slo.latency_p50,
-            s.slo.latency_p99,
-            s.slo.latency_p999,
-            s.slo.error_budget_remaining,
-            s.slo.recent_level,
-            s.slo.worst_frame,
-            s.slo.worst_frame_latency,
-        ));
-        out.push_str("     \"burn_events\": [");
-        for (j, e) in s.slo.burn_events.iter().enumerate() {
-            out.push_str(&format!(
-                "{}{{\"frame\": {}, \"window\": \"{}\", \"burn_rate\": {:.4}, \
-                 \"budget_remaining\": {:.6}}}",
-                if j > 0 { ", " } else { "" },
-                e.frame,
-                e.window,
-                e.burn_rate,
-                e.budget_remaining,
-            ));
-        }
-        out.push_str("],\n     \"step_downs\": [");
-        for (j, tr) in s.slo.step_downs.iter().enumerate() {
-            out.push_str(&format!(
-                "{}{{\"frame\": {}, \"from\": \"{}\", \"to\": \"{}\", \
-                 \"reason\": \"{}\", \"signal\": \"{}\"}}",
-                if j > 0 { ", " } else { "" },
-                tr.frame,
-                tr.from.name(),
-                tr.to.name(),
-                tr.reason.name(),
-                tr.signal,
-            ));
-        }
-        out.push_str("],\n     \"stages\": [");
-        for (j, row) in s.slo.stages.iter().enumerate() {
-            out.push_str(&format!(
-                "{}{{\"stage\": \"{}\", \"total_s\": {:.6}, \"share\": {:.6}}}",
-                if j > 0 { ", " } else { "" },
-                row.stage,
-                row.total_s,
-                row.share,
-            ));
-        }
-        out.push_str("],\n     \"critical_path\": [");
-        for (j, (name, secs)) in s.slo.worst_frame_path.iter().enumerate() {
-            out.push_str(&format!(
-                "{}{{\"span\": \"{}\", \"dur_s\": {:.6}}}",
-                if j > 0 { ", " } else { "" },
-                name,
-                secs,
-            ));
-        }
-        out.push_str(&format!("]}}{}\n", if i + 1 < report.sessions.len() { "," } else { "" }));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let fleet_slo = Json::object([
+        ("latency_p50_s", fixed(fleet.latency_p50, 6)),
+        ("latency_p90_s", fixed(fleet.latency_p90, 6)),
+        ("latency_p99_s", fixed(fleet.latency_p99, 6)),
+        ("latency_p999_s", fixed(fleet.latency_p999, 6)),
+        ("error_budget_remaining", fixed(fleet.error_budget_remaining, 6)),
+        ("fast_burn_events", fleet.fast_burn_events.into()),
+        ("slow_burn_events", fleet.slow_burn_events.into()),
+        ("recent_hit_rate", fixed(fleet.recent_hit_rate, 6)),
+        ("recent_queue_depth", fixed(fleet.recent_queue_depth, 4)),
+        ("recent_occupancy", fixed(fleet.recent_occupancy, 6)),
+    ]);
+    let session_slo = report.sessions.iter().map(|s| {
+        let burn_events = s.slo.burn_events.iter().map(|e| {
+            Json::object([
+                ("frame", e.frame.into()),
+                ("window", e.window.into()),
+                ("burn_rate", fixed(e.burn_rate, 4)),
+                ("budget_remaining", fixed(e.budget_remaining, 6)),
+            ])
+        });
+        let step_downs = s.slo.step_downs.iter().map(|tr| {
+            Json::object([
+                ("frame", tr.frame.into()),
+                ("from", tr.from.name().into()),
+                ("to", tr.to.name().into()),
+                ("reason", tr.reason.name().into()),
+                ("signal", tr.signal.into()),
+            ])
+        });
+        let stages = s.slo.stages.iter().map(|row| {
+            Json::object([
+                ("stage", row.stage.as_str().into()),
+                ("total_s", fixed(row.total_s, 6)),
+                ("share", fixed(row.share, 6)),
+            ])
+        });
+        let critical_path = s.slo.worst_frame_path.iter().map(|(name, secs)| {
+            Json::object([("span", name.as_str().into()), ("dur_s", fixed(*secs, 6))])
+        });
+        Json::object([
+            ("id", s.id.into()),
+            ("video", s.video.into()),
+            ("latency_p50_s", fixed(s.slo.latency_p50, 6)),
+            ("latency_p99_s", fixed(s.slo.latency_p99, 6)),
+            ("latency_p999_s", fixed(s.slo.latency_p999, 6)),
+            ("error_budget_remaining", fixed(s.slo.error_budget_remaining, 6)),
+            ("recent_level", fixed(s.slo.recent_level, 4)),
+            ("worst_frame", s.slo.worst_frame.into()),
+            ("worst_frame_latency_s", fixed(s.slo.worst_frame_latency, 6)),
+            ("burn_events", Json::Array(burn_events.collect())),
+            ("step_downs", Json::Array(step_downs.collect())),
+            ("stages", Json::Array(stages.collect())),
+            ("critical_path", Json::Array(critical_path.collect())),
+        ])
+    });
+    Json::object([
+        ("bench", "slo".into()),
+        ("sessions", sessions.into()),
+        ("frames", cfg.frames.into()),
+        ("seed", cfg.seed.into()),
+        ("target", fixed(fleet.target, 4)),
+        ("sketch_alpha", fixed(fleet.sketch_alpha, 4)),
+        ("fleet", fleet_slo),
+        ("session_slo", Json::Array(session_slo.collect())),
+    ])
 }
 
 /// Device counts the `fleet` experiment sweeps: weak scaling, with
@@ -1893,81 +1843,111 @@ pub fn fleet(cfg: &ExperimentConfig) -> String {
     )
 }
 
-/// The [`fleet`] study as a JSON artifact (`BENCH_fleet.json`),
-/// hand-serialized like the other artifacts. Byte-identical across reruns
-/// and `HOLOAR_THREADS` at a fixed seed; `repro perf-gate` enforces
-/// the scaling and kill-survival floors on it.
-pub fn fleet_bench_json(cfg: &ExperimentConfig) -> String {
+/// The [`fleet`] study as the body of `BENCH_fleet.json`. Byte-identical
+/// across reruns and `HOLOAR_THREADS` at a fixed seed; `repro perf-gate`
+/// enforces the scaling and kill-survival floors on it.
+fn fleet_bench_json(cfg: &ExperimentConfig) -> Json {
     let m = fleet_measurements(cfg);
     let base_fps = m.rows[0].1.aggregate_fps;
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"fleet\",\n");
-    out.push_str(&format!("  \"frames\": {},\n", cfg.frames));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!(
-        "  \"sessions_per_device\": {},\n",
-        cfg.sessions.unwrap_or(FLEET_SESSIONS_PER_DEVICE)
-    ));
-    out.push_str(&format!(
-        "  \"frame_budget_s\": {:.6},\n",
-        holoar_serve::EDGE_FRAME_BUDGET
-    ));
-    out.push_str("  \"sweep\": [\n");
-    for (i, (k, r)) in m.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"devices\": {k}, \"offered\": {}, \"admitted\": {}, \"rejected\": {}, \
-             \"fresh_frames\": {}, \"aggregate_fps\": {:.4}, \"scaling\": {:.4}, \
-             \"hit_rate\": {:.6}, \"latency_p50_s\": {:.6}, \"latency_p99_s\": {:.6}, \
-             \"migrations\": {}, \"reprobes\": {}}}{}\n",
-            r.offered,
-            r.admitted,
-            r.rejected,
-            r.fresh,
-            r.aggregate_fps,
-            r.aggregate_fps / base_fps.max(f64::MIN_POSITIVE),
-            r.hit_rate,
-            r.latency_p50,
-            r.latency_p99,
-            r.migrations,
-            r.reprobes,
-            if i + 1 < m.rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
+    let sweep = m.rows.iter().map(|(k, r)| {
+        Json::object([
+            ("devices", (*k).into()),
+            ("offered", r.offered.into()),
+            ("admitted", r.admitted.into()),
+            ("rejected", r.rejected.into()),
+            ("fresh_frames", r.fresh.into()),
+            ("aggregate_fps", fixed(r.aggregate_fps, 4)),
+            ("scaling", fixed(r.aggregate_fps / base_fps.max(f64::MIN_POSITIVE), 4)),
+            ("hit_rate", fixed(r.hit_rate, 6)),
+            ("latency_p50_s", fixed(r.latency_p50, 6)),
+            ("latency_p99_s", fixed(r.latency_p99, 6)),
+            ("migrations", r.migrations.into()),
+            ("reprobes", r.reprobes.into()),
+        ])
+    });
     let kill = &m.kill;
-    out.push_str(&format!(
-        "  \"kill\": {{\"devices\": {}, \"offered\": {}, \"kill_device\": {}, \
-         \"kill_tick\": {}, \"migrations\": {}, \"kill_migrations\": {}, \
-         \"overload_migrations\": {}, \"orphaned\": {}, \"hit_rate\": {:.6}, \
-         \"latency_p99_s\": {:.6}, \"aggregate_fps\": {:.4}}},\n",
-        kill.devices,
-        kill.offered,
-        m.kill_device,
-        m.kill_tick,
-        kill.migrations,
-        kill.kill_migrations,
-        kill.overload_migrations,
-        kill.orphaned,
-        kill.hit_rate,
-        kill.latency_p99,
-        kill.aggregate_fps,
-    ));
+    let kill = Json::object([
+        ("devices", kill.devices.into()),
+        ("offered", kill.offered.into()),
+        ("kill_device", m.kill_device.into()),
+        ("kill_tick", m.kill_tick.into()),
+        ("migrations", kill.migrations.into()),
+        ("kill_migrations", kill.kill_migrations.into()),
+        ("overload_migrations", kill.overload_migrations.into()),
+        ("orphaned", kill.orphaned.into()),
+        ("hit_rate", fixed(kill.hit_rate, 6)),
+        ("latency_p99_s", fixed(kill.latency_p99, 6)),
+        ("aggregate_fps", fixed(kill.aggregate_fps, 4)),
+    ]);
     let (scale_sessions, scale) = &m.scale;
-    out.push_str(&format!(
-        "  \"scale\": {{\"devices\": {}, \"offered\": {scale_sessions}, \"frames\": {}, \
-         \"admitted\": {}, \"peak_active\": {}, \"rejected\": {}, \
-         \"aggregate_fps\": {:.4}, \"hit_rate\": {:.6}, \"migrations\": {}}}\n",
-        scale.devices,
-        scale.frames,
-        scale.admitted,
-        scale.peak_active,
-        scale.rejected,
-        scale.aggregate_fps,
-        scale.hit_rate,
-        scale.migrations,
-    ));
-    out.push_str("}\n");
-    out
+    let scale = Json::object([
+        ("devices", scale.devices.into()),
+        ("offered", (*scale_sessions).into()),
+        ("frames", scale.frames.into()),
+        ("admitted", scale.admitted.into()),
+        ("peak_active", scale.peak_active.into()),
+        ("rejected", scale.rejected.into()),
+        ("aggregate_fps", fixed(scale.aggregate_fps, 4)),
+        ("hit_rate", fixed(scale.hit_rate, 6)),
+        ("migrations", scale.migrations.into()),
+    ]);
+    Json::object([
+        ("bench", "fleet".into()),
+        ("frames", cfg.frames.into()),
+        ("seed", cfg.seed.into()),
+        ("sessions_per_device", cfg.sessions.unwrap_or(FLEET_SESSIONS_PER_DEVICE).into()),
+        ("frame_budget_s", fixed(holoar_serve::EDGE_FRAME_BUDGET, 6)),
+        ("sweep", Json::Array(sweep.collect())),
+        ("kill", kill),
+        ("scale", scale),
+    ])
+}
+
+/// Experiments that own a `BENCH_<kind>.json` artifact (see [`artifact`]).
+pub const ARTIFACT_EXPERIMENTS: [&str; 5] = ["parallel", "pipeline", "serve", "slo", "fleet"];
+
+/// The `BENCH_<kind>.json` artifact of one of [`ARTIFACT_EXPERIMENTS`]:
+/// its writer's measurements plus a trailing `"manifest"` saying how they
+/// were made. `numbers` is `"modeled"` (gpusim virtual time, identical on
+/// every host) or `"host"` (wall clock); only host artifacts record the
+/// host (`cores`, `holoar_threads`, build `profile`), so modeled ones stay
+/// byte-identical across hosts, worker counts and telemetry modes.
+///
+/// # Errors
+///
+/// Returns a message when `kind` owns no artifact.
+pub fn artifact(kind: &str, cfg: &ExperimentConfig) -> Result<Json, String> {
+    let (mut doc, numbers) = match kind {
+        "parallel" => (parallel_bench_json(), "host"),
+        "pipeline" => (pipeline_bench_json(cfg), "modeled"),
+        "serve" => (serve_bench_json(cfg), "modeled"),
+        "slo" => (slo_bench_json(cfg), "modeled"),
+        "fleet" => (fleet_bench_json(cfg), "modeled"),
+        other => return Err(format!("no artifact for experiment '{other}'")),
+    };
+    let precision = holoar_fft::Precision::F64.as_str();
+    let mut manifest = vec![("numbers", numbers.into()), ("precision", precision.into())];
+    if numbers == "host" {
+        let cores = std::thread::available_parallelism().map_or(Json::Null, |n| n.get().into());
+        let threads = std::env::var(holoar_fft::parallel::THREADS_ENV_VAR);
+        let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+        manifest.extend([
+            ("cores", cores),
+            ("holoar_threads", threads.map_or(Json::Null, Json::from)),
+            ("profile", profile.into()),
+        ]);
+    }
+    if let Json::Object(members) = &mut doc {
+        members.push(("manifest".to_string(), Json::object(manifest)));
+    }
+    Ok(doc)
+}
+
+/// `x` rounded to `decimals` places, as the artifacts record it: each value
+/// parses back equal to its fixed-point text, so last-bit float differences
+/// between hosts do not reach the checked-in bytes.
+fn fixed(x: f64, decimals: usize) -> Json {
+    Json::Number(format!("{x:.decimals$}").parse().unwrap_or(x))
 }
 
 /// Names of all experiments, in run order.
@@ -2034,35 +2014,55 @@ mod tests {
         }
     }
 
+    /// `kind`'s artifact at `cfg`, rendered twice from two runs: the runs
+    /// must render byte-identically.
+    fn reproducible_artifact(kind: &str, cfg: &ExperimentConfig) -> Json {
+        let doc = artifact(kind, cfg).unwrap();
+        let again = artifact(kind, cfg).unwrap();
+        assert_eq!(doc.render_pretty(), again.render_pretty(), "{kind} must be byte-identical");
+        assert_eq!(doc.get("bench").and_then(Json::as_str), Some(kind));
+        let numbers = doc.get("manifest").and_then(|m| m.get("numbers"));
+        assert_eq!(numbers.and_then(Json::as_str), Some("modeled"));
+        doc
+    }
+
+    /// The `key` of every element of `doc`'s array `array`.
+    fn column<'a>(doc: &'a Json, array: &str, key: &str) -> Vec<&'a Json> {
+        let rows = doc.get(array).and_then(Json::as_array).expect("artifact array");
+        let cell = |row: &'a Json| row.get(key).unwrap_or_else(|| panic!("{array} misses {key}"));
+        rows.iter().map(cell).collect()
+    }
+
     #[test]
     fn parallel_bench_json_is_well_formed_and_identical() {
-        let json = parallel_bench_json();
-        assert!(json.contains("\"bench\": \"parallel\""));
-        assert!(json.contains("\"host_workers\""));
+        let doc = artifact("parallel", &quick()).unwrap();
+        assert_eq!(doc.get("bench").and_then(Json::as_str), Some("parallel"));
+        assert!(doc.get("host_workers").and_then(Json::as_f64).is_some());
+        let manifest = doc.get("manifest").expect("manifest");
+        assert_eq!(manifest.get("numbers").and_then(Json::as_str), Some("host"));
+        assert_eq!(manifest.get("precision").and_then(Json::as_str), Some("f64"));
+        assert!(manifest.get("cores").and_then(Json::as_f64).is_some_and(|c| c >= 1.0));
+        assert!(manifest.get("holoar_threads").is_some());
+        assert!(manifest.get("profile").and_then(Json::as_str).is_some());
         // Every worker-count cell is present regardless of the host's core
         // count — CI gates on fixed cells.
-        for workers in BENCH_WORKERS {
-            assert!(
-                json.contains(&format!("\"workers\": {workers}, \"precision\": \"f64\"")),
-                "missing cell workers={workers}"
-            );
+        let workers = column(&doc, "cells", "workers");
+        for w in BENCH_WORKERS {
+            assert!(workers.contains(&&Json::from(w)), "missing cell workers={w}");
         }
-        assert!(json.contains("\"bit_identical\": true"));
-        assert!(!json.contains("\"bit_identical\": false"));
+        assert!(column(&doc, "cells", "bit_identical").iter().all(|b| **b == Json::Bool(true)));
     }
 
     #[test]
     fn pipeline_bench_json_is_well_formed_and_reproducible() {
         let cfg = ExperimentConfig { frames: 30, seed: 42, sessions: None };
-        let json = pipeline_bench_json(&cfg);
-        assert!(json.contains("\"bench\": \"pipeline\""));
-        assert!(json.contains("\"bit_identical\": true"), "not bit-identical:\n{json}");
-        for field in
-            ["\"staged\"", "\"lockstep\"", "\"speedup\"", "\"p99_ratio\"", "\"bottleneck\""]
-        {
-            assert!(json.contains(field), "artifact misses {field}:\n{json}");
+        let doc = reproducible_artifact("pipeline", &cfg);
+        assert_eq!(doc.get("bit_identical"), Some(&Json::Bool(true)), "not bit-identical");
+        for field in ["staged", "lockstep", "speedup", "p99_ratio"] {
+            assert!(doc.get(field).is_some(), "artifact misses {field}");
         }
-        assert_eq!(json, pipeline_bench_json(&cfg), "artifact must be byte-identical");
+        let bottleneck = doc.get("staged").and_then(|s| s.get("bottleneck"));
+        assert!(bottleneck.and_then(Json::as_str).is_some(), "artifact misses staged.bottleneck");
     }
 
     #[test]
@@ -2096,61 +2096,64 @@ mod tests {
     #[test]
     fn serve_bench_json_is_well_formed_and_reproducible() {
         let cfg = ExperimentConfig { frames: 12, seed: 7, sessions: None };
-        let json = serve_bench_json(&cfg);
-        assert!(json.contains("\"bench\": \"serve\""));
+        let doc = reproducible_artifact("serve", &cfg);
+        let sessions = column(&doc, "sweep", "sessions");
         for n in SERVE_SWEEP {
-            assert!(json.contains(&format!("\"sessions\": {n}")), "sweep misses {n}");
+            assert!(sessions.contains(&&Json::from(n)), "sweep misses {n}");
         }
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"psnr_gap_db\""));
-        assert_eq!(json, serve_bench_json(&cfg), "artifact must be byte-identical");
+        column(&doc, "sweep", "speedup");
+        column(&doc, "sweep", "psnr_gap_db");
     }
 
     #[test]
     fn slo_bench_json_is_well_formed_and_reproducible() {
         let cfg = ExperimentConfig { frames: 40, seed: 42, sessions: Some(8) };
-        let json = slo_bench_json(&cfg);
-        assert!(json.contains("\"bench\": \"slo\""));
-        assert!(json.contains("\"sessions\": 8"));
+        let doc = reproducible_artifact("slo", &cfg);
+        assert_eq!(doc.get("sessions").and_then(Json::as_f64), Some(8.0));
+        let fleet = doc.get("fleet").expect("fleet block");
+        for field in ["latency_p50_s", "latency_p99_s", "latency_p999_s", "fast_burn_events"] {
+            assert!(fleet.get(field).is_some(), "fleet block misses {field}");
+        }
         for field in [
-            "\"latency_p50_s\"",
-            "\"latency_p99_s\"",
-            "\"latency_p999_s\"",
-            "\"error_budget_remaining\"",
-            "\"burn_events\"",
-            "\"step_downs\"",
-            "\"stages\"",
-            "\"critical_path\"",
-            "\"fast_burn_events\"",
+            "latency_p50_s",
+            "latency_p99_s",
+            "latency_p999_s",
+            "error_budget_remaining",
+            "burn_events",
+            "step_downs",
+            "stages",
+            "critical_path",
         ] {
-            assert!(json.contains(field), "artifact misses {field}:\n{json}");
+            column(&doc, "session_slo", field);
         }
         // Critical-path attribution names a profile stage somewhere.
-        assert!(json.contains("profile.stage."), "no stage attribution:\n{json}");
-        assert_eq!(json, slo_bench_json(&cfg), "artifact must be byte-identical");
+        let stages = column(&doc, "session_slo", "stages");
+        let attributed = stages.iter().flat_map(|s| s.as_array().unwrap_or_default()).any(|row| {
+            row.get("stage").and_then(Json::as_str).is_some_and(|n| n.starts_with("profile.stage."))
+        });
+        assert!(attributed, "no stage attribution");
     }
 
     #[test]
     fn fleet_bench_json_is_well_formed_and_reproducible() {
         let cfg = ExperimentConfig { frames: 24, seed: 7, sessions: Some(4) };
-        let json = fleet_bench_json(&cfg);
-        assert!(json.contains("\"bench\": \"fleet\""));
+        let doc = reproducible_artifact("fleet", &cfg);
+        let devices = column(&doc, "sweep", "devices");
         for k in FLEET_SWEEP {
-            assert!(json.contains(&format!("\"devices\": {k}")), "sweep misses K={k}");
+            assert!(devices.contains(&&Json::from(k)), "sweep misses K={k}");
         }
-        for field in [
-            "\"scaling\"",
-            "\"hit_rate\"",
-            "\"migrations\"",
-            "\"reprobes\"",
-            "\"kill\"",
-            "\"kill_migrations\"",
-            "\"scale\"",
-            "\"peak_active\"",
-        ] {
-            assert!(json.contains(field), "artifact misses {field}:\n{json}");
+        for field in ["scaling", "hit_rate", "migrations", "reprobes"] {
+            column(&doc, "sweep", field);
         }
-        assert_eq!(json, fleet_bench_json(&cfg), "artifact must be byte-identical");
+        let kill = doc.get("kill").expect("kill block");
+        assert!(kill.get("kill_migrations").is_some());
+        let scale = doc.get("scale").expect("scale block");
+        assert!(scale.get("peak_active").is_some());
+    }
+
+    #[test]
+    fn unknown_artifact_is_an_error() {
+        assert!(artifact("fig7", &quick()).unwrap_err().contains("fig7"));
     }
 
     #[test]

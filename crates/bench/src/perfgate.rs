@@ -4,7 +4,7 @@
 //! Every artifact names its kind in a top-level `"bench"` field
 //! (`parallel`, `serve`, `pipeline`, `fleet`, `slo`); [`evaluate`] runs the
 //! [`FLOORS`] rows of that kind, so a new gate is a new row. Hard
-//! invariants (schema, the parallel cell grid, bit-identity, frame
+//! invariants (schema and manifest, the parallel cell grid, bit-identity, frame
 //! conservation) and the floors of the virtual-time artifacts hold on any
 //! host. Host timing floors (`host: true`: ≥2× parallel GSW at 7 workers,
 //! times a 0.8 noise margin) apply only when `host_workers` ≥ 4 — a
@@ -93,8 +93,10 @@ const fn host(bench: &'static str, metric: &'static str, lhs: &'static str, cmp:
 pub const FLOORS: &[Floor] = &[
     // BENCH_parallel.json (`repro parallel --json`): hard invariants, then host timing floors.
     row("parallel", "host worker count recorded", "host_workers", Ge(Const(1.0))),
+    row("parallel", "manifest", "manifest.{numbers|precision|profile}", NonEmpty),
+    row("parallel", "manifest core count", "manifest.cores", Number),
     row("parallel", "cell schema", "cells[*].{workers|speedup}", Number),
-    row("parallel", "cell labels", "cells[*].{label|precision}", NonEmpty),
+    row("parallel", "cell labels", "cells[*].label", NonEmpty),
     row("parallel", "every cell bit-identical to its serial twin", "cells[*].bit_identical",
         IsTrue),
     row("parallel", "no missing cell in the workload x workers {1,2,7} grid",
@@ -104,6 +106,7 @@ pub const FLOORS: &[Floor] = &[
         "max(cells[label=gsw 48x48 8 planes][workers=7].speedup)",
         Ge(Const(PAR_FLOOR * NOISE_MARGIN))),
     // BENCH_serve.json (`repro serve --json`): schema and the 8-session acceptance row.
+    row("serve", "manifest", "manifest.{numbers|precision}", NonEmpty),
     row("serve", "sweep has rows", "sweep", NonEmpty),
     row("serve", "sweep row schema", "sweep[*].{sessions|admitted|speedup|deadline_hit_rate\
         |latency_p50_s|latency_p99_s|psnr_gap_db|launches_saved}", Number),
@@ -113,6 +116,7 @@ pub const FLOORS: &[Floor] = &[
         Ge(Const(0.95))),
     row("serve", "8-session PSNR gap (dB)", "sweep[sessions=8].psnr_gap_db", Le(Const(0.5))),
     // BENCH_pipeline.json (`repro pipeline --json`): staged executor vs lockstep loop.
+    row("pipeline", "manifest", "manifest.{numbers|precision}", NonEmpty),
     row("pipeline", "staged block schema", "staged.{throughput_fps|mean_latency_s|latency_p50_s\
         |latency_p99_s|fresh_frames|stale_frames|compute_drops|present_drops}", Number),
     row("pipeline", "lockstep block schema",
@@ -123,6 +127,7 @@ pub const FLOORS: &[Floor] = &[
     row("pipeline", "staged-over-lockstep speedup", "speedup", Ge(Const(1.15))),
     row("pipeline", "sustained p99 ratio (staged / lockstep)", "p99_ratio", Le(Const(1.0))),
     // BENCH_fleet.json (`repro fleet --json`): weak scaling and kill survival.
+    row("fleet", "manifest", "manifest.{numbers|precision}", NonEmpty),
     row("fleet", "sweep has rows", "sweep", NonEmpty),
     row("fleet", "sweep row schema", "sweep[*].{devices|offered|admitted|aggregate_fps|scaling\
         |hit_rate|latency_p50_s|latency_p99_s|migrations}", Number),
@@ -133,6 +138,7 @@ pub const FLOORS: &[Floor] = &[
     row("fleet", "kill scenario exercised live migration (kill-forced migrations)",
         "kill.kill_migrations", Ge(Const(1.0))),
     // BENCH_slo.json (`repro slo --sessions 8 --json`): the SLO dashboard.
+    row("slo", "manifest", "manifest.{numbers|precision}", NonEmpty),
     row("slo", "dashboard covers 8 sessions", "sessions", Eq(Const(8.0))),
     row("slo", "one SLO record per session", "len(session_slo[*])", Eq(Path("sessions"))),
     row("slo", "fleet p50 latency is positive", "fleet.latency_p50_s", Gt(Const(0.0))),
@@ -409,8 +415,7 @@ mod tests {
                     if label == "gsw 48x48 8 planes" && workers == 7 { gsw7 } else { 1.0 };
                 cells.push_str(&format!(
                     "{}{{\"label\": \"{label}\", \"workers\": {workers}, \
-                     \"precision\": \"f64\", \"serial_ms\": 1.0, \
-                     \"parallel_ms\": 1.0, \"speedup\": {speedup}, \
+                     \"serial_ms\": 1.0, \"parallel_ms\": 1.0, \"speedup\": {speedup}, \
                      \"bit_identical\": {identical}}}",
                     if cells.is_empty() { "" } else { ",\n" },
                 ));
@@ -418,7 +423,9 @@ mod tests {
         }
         format!(
             "{{\"bench\": \"parallel\", \"host_workers\": {host_workers},\n\
-             \"cells\": [{cells}]}}"
+             \"cells\": [{cells}],\n\"manifest\": {{\"numbers\": \"host\", \
+             \"precision\": \"f64\", \"cores\": {host_workers}, \"holoar_threads\": null, \
+             \"profile\": \"release\"}}}}"
         )
     }
 
@@ -452,8 +459,8 @@ mod tests {
     fn missing_cells_are_detected() {
         let thin = "{\"bench\": \"parallel\", \"host_workers\": 1,\n\
              \"cells\": [{\"label\": \"gsw 48x48 8 planes\", \"workers\": 1, \
-             \"precision\": \"f64\", \"serial_ms\": 1.0, \"parallel_ms\": 1.0, \
-             \"speedup\": 1.0, \"bit_identical\": true}]}";
+             \"serial_ms\": 1.0, \"parallel_ms\": 1.0, \"speedup\": 1.0, \
+             \"bit_identical\": true}]}";
         fails_on(thin, "missing cell");
     }
 
@@ -461,7 +468,8 @@ mod tests {
     fn real_artifact_round_trips_through_the_gate() {
         // The actual generator output must always clear the hard
         // invariants, whatever this host's speedups look like.
-        let outcome = run(&crate::experiments::parallel_bench_json());
+        let cfg = crate::experiments::ExperimentConfig::default();
+        let outcome = run(&crate::experiments::artifact("parallel", &cfg).unwrap().render());
         for failure in &outcome.failures {
             assert!(failure.contains("parallel gsw"), "hard invariant violated: {failure}");
         }
@@ -495,6 +503,9 @@ mod tests {
         assert_eq!(outcome.report.matches("SKIPPED").count(), 1, "{}", outcome.report);
     }
 
+    /// The manifest every modeled artifact ends with.
+    const MANIFEST: &str = "\"manifest\": {\"numbers\": \"modeled\", \"precision\": \"f64\"}";
+
     fn serve_artifact(speedup: f64, hit: f64, gap: f64) -> String {
         let row = |sessions: u32, s: f64, h: f64, g: f64| {
             format!(
@@ -509,7 +520,7 @@ mod tests {
         };
         format!(
             "{{\"bench\": \"serve\", \"frames\": 120, \"seed\": 42, \
-             \"frame_budget_s\": 0.011111,\n\"sweep\": [{},\n{}]}}",
+             \"frame_budget_s\": 0.011111,\n\"sweep\": [{},\n{}],\n{MANIFEST}}}",
             row(4, 1.2, 1.0, 0.1),
             row(8, speedup, hit, gap),
         )
@@ -558,7 +569,7 @@ mod tests {
             seed: 42,
             sessions: Some(8),
         };
-        let outcome = run(&crate::experiments::serve_bench_json(&cfg));
+        let outcome = run(&crate::experiments::artifact("serve", &cfg).unwrap().render());
         assert!(outcome.pass(), "{}", outcome.report);
     }
 
@@ -575,7 +586,7 @@ mod tests {
              \"lockstep\": {{\"throughput_fps\": 12.7, \"latency_p50_s\": 0.042, \
              \"latency_p99_s\": 0.168, \"sustained_p99_s\": 3.1, \
              \"deadline_hit_rate\": 0.3}},\n\
-             \"speedup\": {speedup},\n\"p99_ratio\": {ratio}\n}}",
+             \"speedup\": {speedup},\n\"p99_ratio\": {ratio},\n{MANIFEST}\n}}",
             150 - stale,
         )
     }
@@ -619,7 +630,7 @@ mod tests {
     #[test]
     fn generated_pipeline_artifact_round_trips_through_the_gate() {
         let cfg = crate::experiments::ExperimentConfig { frames: 30, seed: 42, sessions: None };
-        let outcome = run(&crate::experiments::pipeline_bench_json(&cfg));
+        let outcome = run(&crate::experiments::artifact("pipeline", &cfg).unwrap().render());
         assert!(outcome.pass(), "{}", outcome.report);
     }
 
@@ -636,7 +647,7 @@ mod tests {
         let cfg = crate::experiments::ExperimentConfig::default();
         assert_eq!(
             json,
-            crate::experiments::pipeline_bench_json(&cfg),
+            crate::experiments::artifact("pipeline", &cfg).unwrap().render_pretty(),
             "BENCH_pipeline.json is stale; regenerate with \
              `repro pipeline --json BENCH_pipeline.json`"
         );
@@ -665,7 +676,8 @@ mod tests {
              \"aggregate_fps\": 2300.0}},\n\
              \"scale\": {{\"devices\": 8, \"offered\": 1536, \"frames\": 30, \
              \"admitted\": 156, \"peak_active\": 119, \"rejected\": 1380, \
-             \"aggregate_fps\": 8652.0, \"hit_rate\": 0.94, \"migrations\": 0}}\n}}",
+             \"aggregate_fps\": 8652.0, \"hit_rate\": 0.94, \"migrations\": 0}},\n\
+             {MANIFEST}\n}}",
             row(1, 1.0),
             row(2, 1.9),
             row(4, scaling4),
@@ -704,7 +716,7 @@ mod tests {
     #[test]
     fn generated_fleet_artifact_round_trips_through_the_gate() {
         let cfg = crate::experiments::ExperimentConfig::default();
-        let outcome = run(&crate::experiments::fleet_bench_json(&cfg));
+        let outcome = run(&crate::experiments::artifact("fleet", &cfg).unwrap().render());
         assert!(outcome.pass(), "{}", outcome.report);
     }
 
@@ -721,7 +733,7 @@ mod tests {
         let cfg = crate::experiments::ExperimentConfig::default();
         assert_eq!(
             json,
-            crate::experiments::fleet_bench_json(&cfg),
+            crate::experiments::artifact("fleet", &cfg).unwrap().render_pretty(),
             "BENCH_fleet.json is stale; regenerate with `repro fleet --json BENCH_fleet.json`"
         );
     }
@@ -748,15 +760,15 @@ mod tests {
 
     #[test]
     fn slo_violations_fail() {
-        let p50 = "\"fleet\": {\"latency_p50_s\": 0.003660";
+        let p50 = "\"fleet\": {\n    \"latency_p50_s\": 0.00366,";
         assert!(SLO.contains(p50), "fixture drifted; update the replacements below");
-        fails_on(&SLO.replacen(p50, "\"fleet\": {\"latency_p50_s\": 0.009", 1), "p50 <= p99");
-        fails_on(&SLO.replacen(p50, "\"fleet\": {\"latency_p50_s\": 0", 1), "p50 latency");
+        fails_on(&SLO.replacen(p50, "\"fleet\": {\"latency_p50_s\": 0.009,", 1), "p50 <= p99");
+        fails_on(&SLO.replacen(p50, "\"fleet\": {\"latency_p50_s\": 0,", 1), "p50 latency");
         let seven = SLO.replacen("\"sessions\": 8", "\"sessions\": 7", 1);
         fails_on(&seven, "covers 8 sessions");
         fails_on(&seven, "one SLO record per session");
         let no_path =
-            SLO.replacen("\"critical_path\": [{", "\"critical_path\": [], \"was\": [{", 1);
+            SLO.replacen("\"critical_path\": [\n", "\"critical_path\": [], \"was\": [\n", 1);
         fails_on(&no_path, "critical path");
     }
 
@@ -773,6 +785,22 @@ mod tests {
         };
         assert!(run(&with("slo-fast-burn")).pass());
         fails_on(&with(""), "SLO signal");
+    }
+
+    #[test]
+    fn checked_in_artifacts_are_canonical_renderings() {
+        // Every artifact is written by `jsonlite`'s `render_pretty`, so a
+        // hand-edited or hand-formatted copy does not re-render to itself.
+        for (name, text) in [
+            ("BENCH_parallel.json", include_str!("../../../BENCH_parallel.json")),
+            ("BENCH_serve.json", include_str!("../../../BENCH_serve.json")),
+            ("BENCH_pipeline.json", include_str!("../../../BENCH_pipeline.json")),
+            ("BENCH_fleet.json", include_str!("../../../BENCH_fleet.json")),
+            ("BENCH_slo.json", SLO),
+        ] {
+            let doc = jsonlite::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(doc.render_pretty(), text, "{name} is not a render_pretty() rendering");
+        }
     }
 
     #[test]

@@ -176,9 +176,7 @@ impl Report {
 
     /// Machine-readable JSON rendering of [`Report::to_json`].
     pub fn render_json(&self) -> String {
-        let mut out = self.to_json().render_pretty();
-        out.push('\n');
-        out
+        self.to_json().render_pretty()
     }
 }
 

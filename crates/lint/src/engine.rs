@@ -128,9 +128,7 @@ pub fn lint_sources(
 pub fn dump_model(cfg: &Config) -> Result<String, String> {
     let sources = scan_workspace(&cfg.root)?;
     let workspace_model = model::build(&sources, cfg);
-    let mut out = workspace_model.to_json().render_pretty();
-    out.push('\n');
-    Ok(out)
+    Ok(workspace_model.to_json().render_pretty())
 }
 
 /// Renders a baseline file that would suppress every currently-active

@@ -224,6 +224,7 @@ fn json_output_round_trips_through_jsonlite() {
     let src = include_str!("fixtures/waivers.rs");
     let report = lint_one("crates/fft/src/fft2d.rs", src);
     let json = report.render_json();
+    assert!(json.ends_with("}\n") && !json.ends_with("\n\n"), "ends with exactly one newline");
     let doc = holoar_telemetry::jsonlite::parse(&json).expect("lint JSON must parse");
 
     let version = doc.get("version").and_then(|v| v.as_f64()).expect("version field");

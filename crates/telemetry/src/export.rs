@@ -1,17 +1,18 @@
 //! Exporters: Chrome-trace (`chrome://tracing` / Perfetto) JSON, a flat
 //! metrics JSON, a metrics CSV, and the per-frame summary CSV.
 //!
-//! All serialization is hand-rolled (the workspace is dependency-free); the
-//! output is plain standard JSON, verified round-trip by the exporter tests
-//! through [`crate::jsonlite`].
+//! Both JSON exports are built as one [`Json`] value and rendered by
+//! [`crate::jsonlite`], the workspace's one JSON writer; the CSV exports
+//! are plain `name,kind,value` text.
 
 use std::fmt::Write as _;
 
 use crate::collector::{frame_snapshot, span_snapshot, with_registry, SpanRecord};
+use crate::jsonlite::Json;
 use crate::metrics::{Histogram, Metric, Registry, BUCKET_BOUNDS_US};
 use crate::span::external_tracks;
 
-/// Exports every retained span as a Chrome-trace JSON document
+/// Exports every retained span as a compact Chrome-trace JSON document
 /// (`{"traceEvents": [...]}` with complete `"ph": "X"` events, timestamps
 /// in microseconds since the collector epoch).
 ///
@@ -23,122 +24,89 @@ pub fn export_chrome_trace() -> String {
     spans.sort_by(|a, b| {
         a.start_ns.cmp(&b.start_ns).then(b.dur_ns.cmp(&a.dur_ns)).then(a.id.cmp(&b.id))
     });
-
-    let mut out = String::from("{\"traceEvents\":[\n");
-    out.push_str(
-        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
-         \"args\":{\"name\":\"holoar\"}}",
-    );
-    for (track, tid) in external_tracks() {
-        let _ = write!(
-            out,
-            ",\n{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-             \"args\":{{\"name\":{}}}}}",
-            json_string(&track)
-        );
-    }
-    for s in &spans {
-        out.push_str(",\n");
-        push_span_event(&mut out, s);
-    }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
+    let metadata = |tid: u32, name: &str, value: &str| {
+        Json::object([
+            ("ph", "M".into()),
+            ("pid", 1u32.into()),
+            ("tid", tid.into()),
+            ("name", name.into()),
+            ("args", Json::object([("name", value.into())])),
+        ])
+    };
+    let mut events = vec![metadata(0, "process_name", "holoar")];
+    let tracks = external_tracks().into_iter();
+    events.extend(tracks.map(|(track, tid)| metadata(tid, "thread_name", &track)));
+    events.extend(spans.iter().map(span_event));
+    Json::object([("traceEvents", Json::Array(events)), ("displayTimeUnit", "ms".into())]).render()
 }
 
-fn push_span_event(out: &mut String, s: &SpanRecord) {
-    let _ = write!(
-        out,
-        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"name\":{},\"cat\":{},\
-         \"ts\":{},\"dur\":{},\"args\":{{\"id\":{}",
-        s.tid,
-        json_string(&s.name),
-        json_string(s.cat),
-        json_f64(s.start_ns as f64 / 1e3),
-        json_f64(s.dur_ns as f64 / 1e3),
-        s.id,
-    );
-    if let Some(parent) = s.parent {
-        let _ = write!(out, ",\"parent\":{parent}");
-    }
-    out.push_str("}}");
+fn span_event(s: &SpanRecord) -> Json {
+    let mut args = vec![("id", s.id.into())];
+    args.extend(s.parent.map(|parent| ("parent", parent.into())));
+    Json::object([
+        ("ph", "X".into()),
+        ("pid", 1u32.into()),
+        ("tid", s.tid.into()),
+        ("name", s.name.as_ref().into()),
+        ("cat", s.cat.into()),
+        ("ts", (s.start_ns as f64 / 1e3).into()),
+        ("dur", (s.dur_ns as f64 / 1e3).into()),
+        ("args", Json::object(args)),
+    ])
 }
 
 /// Exports the metrics registry (plus frame-log and span-count summaries)
-/// as one JSON document: `{"mode", "span_count", "counters", "gauges",
-/// "histograms", "frames"}`.
+/// as one pretty-printed JSON document: `{"mode", "span_count",
+/// "counters", "gauges", "histograms", "frames"}`.
 pub fn export_metrics_json() -> String {
     let registry: Registry = with_registry(|r| r.clone());
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"mode\": {},", json_string(crate::mode().name()));
-    let _ = writeln!(out, "  \"span_count\": {},", crate::span_count());
+    let (mut counters, mut gauges, mut histograms) = (Vec::new(), Vec::new(), Vec::new());
+    for (name, metric) in registry.iter() {
+        match metric {
+            Metric::Counter(v) => counters.push((name, Json::from(*v))),
+            Metric::Gauge(v) => gauges.push((name, Json::from(*v))),
+            Metric::Histogram(h) => histograms.push((name, histogram(h))),
+        }
+    }
+    let frames = frame_snapshot().into_iter().map(|row| {
+        let fields = row.fields.iter().map(|(key, value)| (key.as_str(), Json::from(*value)));
+        Json::object([("index", row.index.into())].into_iter().chain(fields))
+    });
+    Json::object([
+        ("mode", crate::mode().name().into()),
+        ("span_count", crate::span_count().into()),
+        ("counters", Json::object(counters)),
+        ("gauges", Json::object(gauges)),
+        ("histograms", Json::object(histograms)),
+        ("frames", Json::Array(frames.collect())),
+    ])
+    .render_pretty()
+}
 
-    out.push_str("  \"counters\": {");
-    let mut first = true;
-    for (name, metric) in registry.iter() {
-        if let Metric::Counter(v) = metric {
-            push_key(&mut out, &mut first, name, 4);
-            let _ = write!(out, "{v}");
-        }
-    }
-    out.push_str("\n  },\n  \"gauges\": {");
-    first = true;
-    for (name, metric) in registry.iter() {
-        if let Metric::Gauge(v) = metric {
-            push_key(&mut out, &mut first, name, 4);
-            out.push_str(&json_f64(*v));
-        }
-    }
-    out.push_str("\n  },\n  \"histograms\": {");
-    first = true;
-    for (name, metric) in registry.iter() {
-        if let Metric::Histogram(h) = metric {
-            push_key(&mut out, &mut first, name, 4);
-            let _ = write!(
-                out,
-                "{{\"count\": {}, \"sum_us\": {}, \"mean_us\": {}, \"min_us\": {}, \
-                 \"max_us\": {}, \"overflow\": {}, \"non_finite\": {}, \
-                 \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \
-                 \"buckets\": [",
-                h.count(),
-                json_f64(h.sum_us()),
-                json_f64(h.mean_us()),
-                json_f64(h.min_us().unwrap_or(0.0)),
-                json_f64(h.max_us().unwrap_or(0.0)),
-                h.overflow_count(),
-                h.non_finite_count(),
-                json_quantile(h, 0.50),
-                json_quantile(h, 0.90),
-                json_quantile(h, 0.99),
-                json_quantile(h, 0.999),
-            );
-            for (i, (&count, bound)) in h
-                .bucket_counts()
-                .iter()
-                .zip(BUCKET_BOUNDS_US.iter().map(|&b| json_f64(b)).chain(["null".to_string()]))
-                .enumerate()
-            {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{{\"le_us\": {bound}, \"count\": {count}}}");
-            }
-            out.push_str("]}");
-        }
-    }
-    out.push_str("\n  },\n  \"frames\": [");
-    let frames = frame_snapshot();
-    for (i, row) in frames.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\n    {{\"index\": {}", row.index);
-        for (key, value) in &row.fields {
-            let _ = write!(out, ", {}: {}", json_string(key), json_f64(*value));
-        }
-        out.push('}');
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+/// One histogram's summary, quantiles (`null` without a finite sample) and
+/// buckets (the overflow bucket's bound is `null`).
+fn histogram(h: &Histogram) -> Json {
+    let quantile = |q: f64| h.quantile_us(q).map_or(Json::Null, Json::from);
+    let bounds = BUCKET_BOUNDS_US.iter().map(|&b| Json::from(b)).chain([Json::Null]);
+    let buckets = h
+        .bucket_counts()
+        .iter()
+        .zip(bounds)
+        .map(|(&count, le_us)| Json::object([("le_us", le_us), ("count", count.into())]));
+    Json::object([
+        ("count", h.count().into()),
+        ("sum_us", h.sum_us().into()),
+        ("mean_us", h.mean_us().into()),
+        ("min_us", h.min_us().unwrap_or(0.0).into()),
+        ("max_us", h.max_us().unwrap_or(0.0).into()),
+        ("overflow", h.overflow_count().into()),
+        ("non_finite", h.non_finite_count().into()),
+        ("p50_us", quantile(0.50)),
+        ("p90_us", quantile(0.90)),
+        ("p99_us", quantile(0.99)),
+        ("p999_us", quantile(0.999)),
+        ("buckets", Json::Array(buckets.collect())),
+    ])
 }
 
 /// Exports counters and gauges as flat CSV (`name,kind,value`), histograms
@@ -203,75 +171,4 @@ pub fn export_frames_csv() -> String {
         out.push('\n');
     }
     out
-}
-
-/// A histogram quantile as JSON: the sketch estimate, or `null` when the
-/// histogram holds no finite sample.
-fn json_quantile(h: &Histogram, q: f64) -> String {
-    h.quantile_us(q).map_or_else(|| "null".to_string(), json_f64)
-}
-
-/// Serializes a finite float as plain JSON (no exponent-free guarantees
-/// needed — `{:?}` always emits a valid JSON number for finite values);
-/// non-finite values become `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn push_key(out: &mut String, first: &mut bool, name: &str, indent: usize) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push('\n');
-    for _ in 0..indent {
-        out.push(' ');
-    }
-    out.push_str(&json_string(name));
-    out.push_str(": ");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_f64_emits_valid_numbers() {
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(0.0), "0.0");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-    }
-
-    #[test]
-    fn json_string_escapes_specials() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
 }

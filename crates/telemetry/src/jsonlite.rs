@@ -1,12 +1,13 @@
-//! A minimal JSON reader for validating exported artifacts.
+//! The workspace's one JSON reader and writer.
 //!
-//! The workspace has no serde; this module parses standard JSON into a
-//! small [`Json`] value tree. It exists for the exporter round-trip tests,
-//! the golden-fixture check in `holoar-bench`, and the CI step that fails
-//! when `repro --trace-out`/`--metrics-json` outputs are unparseable. It is
-//! a *validator*, not a general-purpose parser: numbers become `f64`,
-//! objects keep insertion order in a `Vec`, and errors are positions plus a
-//! short message.
+//! The workspace has no serde. This module parses standard JSON into a
+//! small [`Json`] value tree, and renders a tree back with [`Json::render`]
+//! (compact) or [`Json::render_pretty`] (two-space indented). Every JSON
+//! document the workspace writes is built as a [`Json`] value and rendered
+//! here: the `BENCH_*.json` artifacts, the Chrome-trace and metrics
+//! exports, the lint diagnostics and workspace model, and perfbench's
+//! result lines. Numbers are `f64`, objects keep insertion order in a
+//! `Vec`, and parse errors are positions plus a short message.
 //!
 //! # Examples
 //!
@@ -15,6 +16,9 @@
 //!
 //! let v = parse("{\"a\": [1, true, \"x\"]}").unwrap();
 //! assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
+//! let built = Json::object([("a", Json::Array(vec![1u64.into(), true.into(), "x".into()]))]);
+//! assert_eq!(built, v);
+//! assert_eq!(built.render(), "{\"a\":[1,true,\"x\"]}");
 //! ```
 
 /// A parsed JSON value.
@@ -35,6 +39,11 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object from `(key, value)` members, kept in the given order.
+    pub fn object<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Object(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
     /// Member lookup on objects (first match).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -76,6 +85,41 @@ impl Json {
     }
 }
 
+impl From<bool> for Json {
+    fn from(b: bool) -> Self {
+        Json::Bool(b)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Self {
+        Json::Number(n)
+    }
+}
+
+macro_rules! from_integer {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Self {
+                Json::Number(n as f64)
+            }
+        }
+    )*};
+}
+from_integer!(u32, u64, usize);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::String(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Self {
+        Json::String(s)
+    }
+}
+
 impl Json {
     /// Serializes the value as compact JSON.
     ///
@@ -84,8 +128,7 @@ impl Json {
     /// numbers use Rust's shortest-roundtrip formatting, and non-finite
     /// numbers (which JSON cannot represent) become `null`. Strings are
     /// escaped so `parse(v.render())` reconstructs `v` for any finite
-    /// document — the exporters and the lint diagnostics writer rely on
-    /// this round trip instead of hand-rolled `format!` escaping.
+    /// document.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out, None, 0);
@@ -462,6 +505,7 @@ mod tests {
     fn render_canonical_forms() {
         assert_eq!(Json::Number(3.0).render(), "3");
         assert_eq!(Json::Number(f64::NAN).render(), "null");
+        assert_eq!(Json::Number(f64::INFINITY).render(), "null");
         assert_eq!(Json::Array(vec![]).render(), "[]");
         assert_eq!(
             Json::Object(vec![("a".to_string(), Json::Number(1.5))]).render(),
