@@ -7,7 +7,8 @@
 //! Artifacts: `--json FILE` writes the machine-readable artifact of the
 //! explicitly selected experiment — `parallel`, `pipeline`, `serve`, `slo`,
 //! or `fleet` — to FILE. Exactly one artifact experiment must be named on
-//! the command line; no artifact is written without `--json`.
+//! the command line; no artifact is written without `--json`. The printed
+//! report and the artifact come from the same run.
 //!
 //! Serving layer: `repro serve [--sessions N] [--json FILE]` runs the
 //! multi-session load generator (sweeping fleet sizes unless `--sessions`
@@ -157,14 +158,25 @@ fn main() {
     if ids.is_empty() || ids.iter().any(|i| i == "all") {
         ids = experiments::ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
+    // The artifact experiment runs once: its printed report and its file
+    // come from the same measurements.
+    let mut artifact = None;
     for id in &ids {
-        match experiments::run(id, &cfg) {
+        let report = match json_kind {
+            Some(kind) if kind == id => {
+                experiments::report_and_artifact(kind, &cfg).map(|(report, json)| {
+                    artifact = Some(json);
+                    report
+                })
+            }
+            _ => experiments::run(id, &cfg),
+        };
+        match report {
             Ok(report) => println!("{report}"),
             Err(e) => die(&e),
         }
     }
-    if let (Some(path), Some(kind)) = (&json_path, json_kind) {
-        let json = experiments::artifact(kind, &cfg).unwrap_or_else(|e| die(&e));
+    if let (Some(path), Some(kind), Some(json)) = (&json_path, json_kind, artifact) {
         if let Err(e) = std::fs::write(path, json.render_pretty()) {
             die(&format!("cannot write {path}: {e}"));
         }

@@ -659,7 +659,7 @@ pub fn streams(_cfg: &ExperimentConfig) -> String {
 /// the host's core count, so CI can gate on fixed cells.
 pub const BENCH_WORKERS: [usize; 3] = [1, 2, 7];
 
-/// One timing cell of the [`parallel`] experiment: a (workload, worker
+/// One timing cell of the `parallel` experiment: a (workload, worker
 /// count) configuration measured against the single-thread reference.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParallelCell {
@@ -758,9 +758,9 @@ pub fn parallel_measurements() -> (usize, Vec<ParallelCell>) {
 
 /// Self-check of the plane-grain parallel engine against its serial
 /// twin — wall time plus the determinism guarantee, on this machine's
-/// pool (`HOLOAR_THREADS` overrides the sizing).
-pub fn parallel(_cfg: &ExperimentConfig) -> String {
-    let (host_workers, cells) = parallel_measurements();
+/// pool (`HOLOAR_THREADS` overrides the sizing). Times carry the four
+/// decimals the artifact records.
+fn parallel(host_workers: usize, cells: &[ParallelCell]) -> String {
     let mut t = Table::new([
         "Workload",
         "Workers",
@@ -769,12 +769,12 @@ pub fn parallel(_cfg: &ExperimentConfig) -> String {
         "Speedup",
         "Identical?",
     ]);
-    for cell in &cells {
+    for cell in cells {
         t.row([
             cell.label.clone(),
             cell.workers.to_string(),
-            format!("{:.3}", cell.serial_ms),
-            format!("{:.3}", cell.parallel_ms),
+            format!("{:.4}", cell.serial_ms),
+            format!("{:.4}", cell.parallel_ms),
             format!("{:.2}x", cell.speedup()),
             if cell.bit_identical { "yes" } else { "NO" }.to_string(),
         ]);
@@ -789,8 +789,7 @@ pub fn parallel(_cfg: &ExperimentConfig) -> String {
 
 /// The [`parallel`] experiment's measurements as the body of
 /// `BENCH_parallel.json` (host wall-clock numbers; see [`artifact`]).
-fn parallel_bench_json() -> Json {
-    let (host_workers, cells) = parallel_measurements();
+fn parallel_bench_json(host_workers: usize, cells: &[ParallelCell]) -> Json {
     let cells = cells.iter().map(|cell| {
         Json::object([
             ("label", cell.label.as_str().into()),
@@ -1298,8 +1297,7 @@ pub fn pipeline_measurements(cfg: &ExperimentConfig) -> PipelineMeasurements {
 /// Staged pipeline study: lockstep vs ingest ∥ compute ∥ present over the
 /// standard faulted workload, with the bit-identity check across
 /// [`BENCH_WORKERS`].
-pub fn pipeline(cfg: &ExperimentConfig) -> String {
-    let m = pipeline_measurements(cfg);
+fn pipeline(cfg: &ExperimentConfig, m: &PipelineMeasurements) -> String {
     let s = &m.staged;
 
     let mut t = Table::new(["Quantity", "lockstep (serial present)", "staged"]);
@@ -1360,8 +1358,7 @@ pub fn pipeline(cfg: &ExperimentConfig) -> String {
 /// The `pipeline` experiment as the body of `BENCH_pipeline.json`.
 /// Deterministic: byte-identical across reruns and worker counts at a
 /// fixed seed.
-fn pipeline_bench_json(cfg: &ExperimentConfig) -> Json {
-    let m = pipeline_measurements(cfg);
+fn pipeline_bench_json(cfg: &ExperimentConfig, m: &PipelineMeasurements) -> Json {
     let s = &m.staged;
     let staged = Json::object([
         ("throughput_fps", fixed(s.throughput_fps, 6)),
@@ -1442,13 +1439,12 @@ fn serve_worst_psnr_gap(report: &holoar_serve::ServeReport) -> f64 {
 /// Tentpole study: N concurrent AR sessions multiplexed onto one serving
 /// device with cross-session plane batching, versus the same fleet run as
 /// independent per-plane sequential pipelines.
-pub fn serve(cfg: &ExperimentConfig) -> String {
-    let rows = serve_measurements(cfg);
+fn serve(cfg: &ExperimentConfig, rows: &[(u32, holoar_serve::ServeReport)]) -> String {
     let mut t = Table::new([
         "Sessions", "Admitted", "Agg fps", "Seq fps", "Speedup", "Hit rate", "p50", "p99",
         "Occup", "ΔPSNR", "QoS", "Deferred",
     ]);
-    for (n, r) in &rows {
+    for (n, r) in rows {
         let qos: u64 = r.sessions.iter().map(|s| s.qos_step_downs).sum();
         let deferred: u64 = r.sessions.iter().map(|s| s.deferred).sum();
         t.row([
@@ -1480,12 +1476,12 @@ pub fn serve(cfg: &ExperimentConfig) -> String {
 
 /// The [`serve`] sweep as the body of `BENCH_serve.json`. Byte-identical
 /// across reruns at a fixed seed.
-fn serve_bench_json(cfg: &ExperimentConfig) -> Json {
-    let sweep = serve_measurements(cfg).into_iter().map(|(n, r)| {
+fn serve_bench_json(cfg: &ExperimentConfig, rows: &[(u32, holoar_serve::ServeReport)]) -> Json {
+    let sweep = rows.iter().map(|(n, r)| {
         let psnr_weighted = r.sessions.iter().map(|s| s.psnr_weighted).sum::<f64>()
             / r.sessions.len().max(1) as f64;
         Json::object([
-            ("sessions", n.into()),
+            ("sessions", (*n).into()),
             ("admitted", r.admitted.into()),
             ("aggregate_fps", fixed(r.aggregate_fps, 4)),
             ("sequential_fps", fixed(r.sequential_fps, 4)),
@@ -1495,7 +1491,7 @@ fn serve_bench_json(cfg: &ExperimentConfig) -> Json {
             ("latency_p99_s", fixed(r.latency_p99, 6)),
             ("mean_occupancy", fixed(r.mean_occupancy, 6)),
             ("psnr_weighted_db", fixed(psnr_weighted, 4)),
-            ("psnr_gap_db", fixed(serve_worst_psnr_gap(&r), 4)),
+            ("psnr_gap_db", fixed(serve_worst_psnr_gap(r), 4)),
             ("merged_launches", r.merged_launches.into()),
             ("launches_saved", r.launches_saved.into()),
             ("qos_step_downs", r.sessions.iter().map(|s| s.qos_step_downs).sum::<u64>().into()),
@@ -1532,8 +1528,7 @@ pub fn slo_measurements(cfg: &ExperimentConfig) -> (u32, holoar_serve::ServeRepo
 /// per-session sketch quantiles, error budgets, burn-rate alerts,
 /// signal-annotated step-downs, and critical-path stage attribution
 /// (`repro slo`, exported with `repro slo --json BENCH_slo.json`).
-pub fn slo(cfg: &ExperimentConfig) -> String {
-    let (sessions, report) = slo_measurements(cfg);
+fn slo(cfg: &ExperimentConfig, sessions: u32, report: &holoar_serve::ServeReport) -> String {
     let fleet = &report.slo;
     let mut out = format!(
         "== SLO dashboard: {sessions}-session fleet (seed {}, {} frames, target {:.0}%, \
@@ -1648,8 +1643,11 @@ pub fn slo(cfg: &ExperimentConfig) -> String {
 /// p50/p99/p99.9, burn-rate events, signal-annotated step-downs, and the
 /// critical-path stage breakdown. Byte-identical across reruns and worker
 /// counts at a fixed seed.
-fn slo_bench_json(cfg: &ExperimentConfig) -> Json {
-    let (sessions, report) = slo_measurements(cfg);
+fn slo_bench_json(
+    cfg: &ExperimentConfig,
+    sessions: u32,
+    report: &holoar_serve::ServeReport,
+) -> Json {
     let fleet = &report.slo;
     let fleet_slo = Json::object([
         ("latency_p50_s", fixed(fleet.latency_p50, 6)),
@@ -1788,8 +1786,7 @@ pub fn fleet_measurements(cfg: &ExperimentConfig) -> FleetMeasurements {
 /// Tentpole study: session multiplexing across K simulated edge devices —
 /// least-loaded locality-aware placement, periodic admission re-probing,
 /// and live migration through overloads and a mid-run device kill.
-pub fn fleet(cfg: &ExperimentConfig) -> String {
-    let m = fleet_measurements(cfg);
+fn fleet(cfg: &ExperimentConfig, m: &FleetMeasurements) -> String {
     let base_fps = m.rows[0].1.aggregate_fps;
     let mut t = Table::new([
         "Devices", "Offered", "Admitted", "Agg fps", "Scaling", "Hit rate", "p50", "p99",
@@ -1846,8 +1843,7 @@ pub fn fleet(cfg: &ExperimentConfig) -> String {
 /// The [`fleet`] study as the body of `BENCH_fleet.json`. Byte-identical
 /// across reruns and `HOLOAR_THREADS` at a fixed seed; `repro perf-gate`
 /// enforces the scaling and kill-survival floors on it.
-fn fleet_bench_json(cfg: &ExperimentConfig) -> Json {
-    let m = fleet_measurements(cfg);
+fn fleet_bench_json(cfg: &ExperimentConfig, m: &FleetMeasurements) -> Json {
     let base_fps = m.rows[0].1.aggregate_fps;
     let sweep = m.rows.iter().map(|(k, r)| {
         Json::object([
@@ -1917,12 +1913,39 @@ pub const ARTIFACT_EXPERIMENTS: [&str; 5] = ["parallel", "pipeline", "serve", "s
 ///
 /// Returns a message when `kind` owns no artifact.
 pub fn artifact(kind: &str, cfg: &ExperimentConfig) -> Result<Json, String> {
-    let (mut doc, numbers) = match kind {
-        "parallel" => (parallel_bench_json(), "host"),
-        "pipeline" => (pipeline_bench_json(cfg), "modeled"),
-        "serve" => (serve_bench_json(cfg), "modeled"),
-        "slo" => (slo_bench_json(cfg), "modeled"),
-        "fleet" => (fleet_bench_json(cfg), "modeled"),
+    report_and_artifact(kind, cfg).map(|(_, doc)| doc)
+}
+
+/// Runs one of [`ARTIFACT_EXPERIMENTS`] once and returns both its printed
+/// report ([`run`]) and its [`artifact`], built from the same
+/// measurements, so a host-timed table and its file agree and a modeled
+/// artifact costs one run.
+///
+/// # Errors
+///
+/// Returns a message when `kind` owns no artifact.
+pub fn report_and_artifact(kind: &str, cfg: &ExperimentConfig) -> Result<(String, Json), String> {
+    let (report, mut doc, numbers) = match kind {
+        "parallel" => {
+            let (workers, cells) = parallel_measurements();
+            (parallel(workers, &cells), parallel_bench_json(workers, &cells), "host")
+        }
+        "pipeline" => {
+            let m = pipeline_measurements(cfg);
+            (pipeline(cfg, &m), pipeline_bench_json(cfg, &m), "modeled")
+        }
+        "serve" => {
+            let rows = serve_measurements(cfg);
+            (serve(cfg, &rows), serve_bench_json(cfg, &rows), "modeled")
+        }
+        "slo" => {
+            let (sessions, report) = slo_measurements(cfg);
+            (slo(cfg, sessions, &report), slo_bench_json(cfg, sessions, &report), "modeled")
+        }
+        "fleet" => {
+            let m = fleet_measurements(cfg);
+            (fleet(cfg, &m), fleet_bench_json(cfg, &m), "modeled")
+        }
         other => return Err(format!("no artifact for experiment '{other}'")),
     };
     let precision = holoar_fft::Precision::F64.as_str();
@@ -1940,7 +1963,7 @@ pub fn artifact(kind: &str, cfg: &ExperimentConfig) -> Result<Json, String> {
     if let Json::Object(members) = &mut doc {
         members.push(("manifest".to_string(), Json::object(manifest)));
     }
-    Ok(doc)
+    Ok((report, doc))
 }
 
 /// `x` rounded to `decimals` places, as the artifacts record it: each value
@@ -1981,13 +2004,11 @@ pub fn run(id: &str, cfg: &ExperimentConfig) -> Result<String, String> {
         "reuse" => Ok(reuse(cfg)),
         "fusion" => Ok(fusion(cfg)),
         "streams" => Ok(streams(cfg)),
-        "parallel" => Ok(parallel(cfg)),
         "inter-intra" => Ok(inter_intra(cfg)),
         "faults" => Ok(faults(cfg)),
-        "pipeline" => Ok(pipeline(cfg)),
-        "serve" => Ok(serve(cfg)),
-        "slo" => Ok(slo(cfg)),
-        "fleet" => Ok(fleet(cfg)),
+        "parallel" | "pipeline" | "serve" | "slo" | "fleet" => {
+            report_and_artifact(id, cfg).map(|(report, _)| report)
+        }
         "psnr" => Ok(psnr_ladder(cfg)),
         other => Err(format!(
             "unknown experiment '{other}'; valid: {} (or 'all')",
@@ -2158,7 +2179,8 @@ mod tests {
 
     #[test]
     fn fleet_report_covers_kill_and_scale_scenarios() {
-        let report = fleet(&ExperimentConfig { frames: 24, seed: 7, sessions: Some(4) });
+        let cfg = ExperimentConfig { frames: 24, seed: 7, sessions: Some(4) };
+        let report = run("fleet", &cfg).unwrap();
         assert!(report.contains("== fleet serving"));
         assert!(report.contains("device-kill scenario"));
         assert!(report.contains("scale probe"));
@@ -2167,7 +2189,8 @@ mod tests {
 
     #[test]
     fn slo_dashboard_reports_quantiles_and_signals() {
-        let report = slo(&ExperimentConfig { frames: 40, seed: 42, sessions: Some(8) });
+        let cfg = ExperimentConfig { frames: 40, seed: 42, sessions: Some(8) };
+        let report = run("slo", &cfg).unwrap();
         assert!(report.contains("== SLO dashboard"));
         assert!(report.contains("p99.9"));
         assert!(report.contains("error budget"));
@@ -2177,7 +2200,7 @@ mod tests {
 
     #[test]
     fn serve_report_restricts_to_the_requested_fleet_size() {
-        let report = serve(&quick());
+        let report = run("serve", &quick()).unwrap();
         assert!(report.contains("== serving layer"));
         // `--sessions 4` pins the sweep to a single data row.
         let data_rows = report.lines().filter(|l| l.starts_with(char::is_numeric)).count();

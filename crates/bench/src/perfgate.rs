@@ -7,9 +7,11 @@
 //! invariants (schema and manifest, the parallel cell grid, bit-identity, frame
 //! conservation) and the floors of the virtual-time artifacts hold on any
 //! host. Host timing floors (`host: true`: ≥2× parallel GSW at 7 workers,
-//! times a 0.8 noise margin) apply only when `host_workers` ≥ 4 — a
-//! single-core container cannot show a parallel speedup — and are
-//! otherwise reported on one SKIPPED line.
+//! times a 0.8 noise margin) apply only when the recorded host can run 4
+//! workers at once: `min(host_workers, manifest.cores)` ≥ 4. A small host
+//! cannot show a parallel speedup, and a pool larger than the core count
+//! (`HOLOAR_THREADS` above `cores`) measures oversubscription. Skipped
+//! floors are reported on one SKIPPED line.
 //!
 //! Left sides and path bounds use a small selector syntax:
 //!
@@ -33,7 +35,8 @@ const PAR_FLOOR: f64 = 2.0;
 /// Fraction of a host timing floor actually enforced — margin for timer
 /// noise on shared runners.
 const NOISE_MARGIN: f64 = 0.8;
-/// `host_workers` needed before host timing floors apply.
+/// Workers the host must run at once, `min(host_workers, manifest.cores)`,
+/// before host timing floors apply.
 const MIN_HOST_WORKERS: f64 = 4.0;
 
 /// Right-hand side of a numeric comparison.
@@ -76,7 +79,8 @@ pub struct Floor {
     pub lhs: &'static str,
     /// Comparator and bound.
     pub cmp: Cmp,
-    /// Applies only when `host_workers >= 4` (SKIPPED otherwise).
+    /// Applies only when `min(host_workers, manifest.cores) >= 4`
+    /// (SKIPPED otherwise).
     pub host: bool,
 }
 
@@ -180,10 +184,14 @@ pub fn evaluate(json_text: &str) -> Result<GateOutcome, String> {
         return Err(format!("no perf-gate floors for bench kind \"{kind}\""));
     }
     let host_workers = doc.get("host_workers").and_then(Json::as_f64).unwrap_or(0.0);
+    let cores = doc.get("manifest").and_then(|m| m.get("cores")).and_then(Json::as_f64);
+    // The pool size follows `HOLOAR_THREADS`; only the cores behind it can
+    // run workers at once.
+    let concurrent = host_workers.min(cores.unwrap_or(0.0));
     let mut outcome = GateOutcome { failures: Vec::new(), report: String::new() };
     let mut skipped = Vec::new();
     for floor in FLOORS.iter().filter(|f| f.bench == kind) {
-        if floor.host && host_workers < MIN_HOST_WORKERS {
+        if floor.host && concurrent < MIN_HOST_WORKERS {
             skipped.push(floor.metric);
             continue;
         }
@@ -205,8 +213,10 @@ pub fn evaluate(json_text: &str) -> Result<GateOutcome, String> {
     }
     if !skipped.is_empty() {
         outcome.report.push_str(&format!(
-            "SKIPPED speedup floors: host has {host_workers} worker(s), floors need >= \
-             {MIN_HOST_WORKERS} (smaller hosts cannot express a parallel win): {}\n",
+            "SKIPPED speedup floors: host runs {concurrent} worker(s) at once \
+             ({host_workers} worker(s) on {} core(s)), floors need >= {MIN_HOST_WORKERS} \
+             (smaller hosts cannot express a parallel win): {}\n",
+            cores.map_or_else(|| "unrecorded".to_string(), |c| c.to_string()),
             skipped.join("; ")
         ));
     }
@@ -408,6 +418,11 @@ mod tests {
     }
 
     fn artifact(host_workers: usize, gsw7: f64, identical: bool) -> String {
+        artifact_on(host_workers, host_workers, gsw7, identical)
+    }
+
+    /// [`artifact`] recorded with a pool of `host_workers` on `cores` cores.
+    fn artifact_on(host_workers: usize, cores: usize, gsw7: f64, identical: bool) -> String {
         let mut cells = String::new();
         for label in ["propagate_batch 128x128 8 distances", "gsw 48x48 8 planes"] {
             for workers in WORKERS {
@@ -424,7 +439,7 @@ mod tests {
         format!(
             "{{\"bench\": \"parallel\", \"host_workers\": {host_workers},\n\
              \"cells\": [{cells}],\n\"manifest\": {{\"numbers\": \"host\", \
-             \"precision\": \"f64\", \"cores\": {host_workers}, \"holoar_threads\": null, \
+             \"precision\": \"f64\", \"cores\": {cores}, \"holoar_threads\": null, \
              \"profile\": \"release\"}}}}"
         )
     }
@@ -448,6 +463,23 @@ mod tests {
     #[test]
     fn slow_parallel_gsw_fails_on_a_big_host() {
         fails_on(&artifact(8, 1.1, true), "parallel gsw");
+    }
+
+    #[test]
+    fn an_oversubscribed_pool_skips_the_speedup_floors() {
+        // `HOLOAR_THREADS=8` on a 2-core host records 8 workers; only 2 run
+        // at once, so the floors are skipped rather than failed.
+        let outcome = run(&artifact_on(8, 2, 0.8, true));
+        assert!(outcome.pass(), "{}", outcome.report);
+        assert!(outcome.report.contains("SKIPPED speedup floors"), "{}", outcome.report);
+    }
+
+    #[test]
+    fn four_workers_on_four_cores_apply_the_speedup_floors() {
+        fails_on(&artifact_on(4, 4, 1.1, true), "parallel gsw");
+        let outcome = run(&artifact_on(4, 4, 3.0, true));
+        assert!(outcome.pass(), "{}", outcome.report);
+        assert!(!outcome.report.contains("SKIPPED"), "{}", outcome.report);
     }
 
     #[test]

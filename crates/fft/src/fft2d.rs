@@ -7,7 +7,7 @@
 //! buffer, so every column gets exactly the arithmetic the 1-D plan gives
 //! it. The first pass reads the caller's buffer, later passes ping-pong
 //! between the two halves of one scratch buffer (borrowed from a
-//! [`ScratchArena`]), and one copy writes the result back. Bluestein column
+//! [`ScratchArena`]), and the result is copied back row by row. Bluestein column
 //! lengths (a prime factor above 5; no serving path uses one) gather the
 //! columns transposed in cache-sized tiles (see [`transpose_into`]), run
 //! the 1-D plan on each contiguous column, and transpose back.
@@ -15,6 +15,21 @@
 //! A transform runs serially on the calling thread. Callers parallelize one
 //! level up, across depth planes and fields, with
 //! [`Parallelism::map`](crate::parallel::Parallelism::map).
+//!
+//! # Sparse planes
+//!
+//! A depth plane lights a few rows and columns of its grid, so the two
+//! per-plane transforms of a propagation skip work whose result is already
+//! known or never read, without changing a bit of what is read:
+//!
+//! - [`Fft2d::forward`] skips the row transform of every all-zero row (on
+//!   the packed real path, every all-zero row pair). Its input scan marks
+//!   them. A row counts as zero when every bit of it is, and only for row
+//!   lengths whose plan maps such a row to itself bit for bit: every
+//!   2·3·5-smooth length. Bluestein's chirp products leave `−0.0` in some
+//!   bins of a zero row, so Bluestein row lengths transform every row.
+//! - [`Fft2d::inverse_window`] runs the whole inverse row pass, then the
+//!   column pass over a caller's window of columns only.
 //!
 //! # Real-input specialization
 //!
@@ -29,6 +44,8 @@
 //! path agree bit-for-bit on real inputs by construction, and the packing
 //! works for any row length (mixed-radix and Bluestein alike).
 
+use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::complex::Complex64;
@@ -64,6 +81,9 @@ pub struct Fft2d {
     cols: usize,
     row_plan: FftPlan,
     col_plan: FftPlan,
+    /// Whether the row plan maps an all-zero row to itself bit for bit,
+    /// so the forward row pass may skip such rows.
+    skips_zero_rows: bool,
     arena: Arc<ScratchArena>,
 }
 
@@ -78,7 +98,10 @@ impl Fft2d {
         let mut planner = FftPlanner::new();
         let row_plan = planner.plan(cols);
         let col_plan = planner.plan(rows);
-        Fft2d { rows, cols, row_plan, col_plan, arena: Arc::default() }
+        let mut zero_row = vec![Complex64::ZERO; cols];
+        row_plan.forward(&mut zero_row);
+        let skips_zero_rows = zero_row.iter().all(is_zero_bits);
+        Fft2d { rows, cols, row_plan, col_plan, skips_zero_rows, arena: Arc::default() }
     }
 
     /// Number of rows.
@@ -105,19 +128,29 @@ impl Fft2d {
     ///
     /// Purely real inputs (every imaginary part exactly zero) are detected
     /// and routed through the packed real-row kernel — same output, roughly
-    /// half the row-pass work. See [`Fft2d::forward_real`].
+    /// half the row-pass work. See [`Fft2d::forward_real`]. The same scan
+    /// finds the all-zero rows, whose row transforms are skipped (see the
+    /// module docs); the output is bit-identical to transforming them.
     ///
     /// # Panics
     ///
     /// Panics if `buf.len() != rows * cols`.
     pub fn forward(&self, buf: &mut [Complex64]) {
         let _span = holoar_telemetry::span_cat("fft.fft2d.forward", "fft");
-        if is_all_real(buf) {
-            holoar_telemetry::counter_add("fft.fft2d.real_dispatch", 1);
-            self.run_real_forward(buf);
-        } else {
-            self.run(buf, true);
-        }
+        self.check_shape(buf);
+        with_zero_rows(self.rows, |zero| {
+            if self.scan(buf, zero) {
+                holoar_telemetry::counter_add("fft.fft2d.real_dispatch", 1);
+                self.real_row_pass(buf, zero);
+            } else {
+                for (row, &zero) in buf.chunks_exact_mut(self.cols).zip(zero.iter()) {
+                    if !zero {
+                        self.row_plan.forward(row);
+                    }
+                }
+            }
+        });
+        self.column_pass(buf, 0..self.cols, true);
     }
 
     /// Forward 2-D FFT of a purely real field, in place.
@@ -134,8 +167,12 @@ impl Fft2d {
     /// imaginary part.
     pub fn forward_real(&self, buf: &mut [Complex64]) {
         let _span = holoar_telemetry::span_cat("fft.fft2d.forward_real", "fft");
-        assert!(is_all_real(buf), "forward_real requires a purely real input field");
-        self.run_real_forward(buf);
+        self.check_shape(buf);
+        with_zero_rows(self.rows, |zero| {
+            assert!(self.scan(buf, zero), "forward_real requires a purely real input field");
+            self.real_row_pass(buf, zero);
+        });
+        self.column_pass(buf, 0..self.cols, true);
     }
 
     /// Inverse 2-D FFT (with `1/(rows·cols)` normalization), in place.
@@ -145,7 +182,34 @@ impl Fft2d {
     /// Panics if `buf.len() != rows * cols`.
     pub fn inverse(&self, buf: &mut [Complex64]) {
         let _span = holoar_telemetry::span_cat("fft.fft2d.inverse", "fft");
-        self.run(buf, false);
+        self.check_shape(buf);
+        self.inverse_rows(buf);
+        self.column_pass(buf, 0..self.cols, false);
+    }
+
+    /// [`Fft2d::inverse`] for callers that read only the columns in
+    /// `cols`: the whole inverse row pass, then the column pass over
+    /// `cols` alone. Columns inside the window come out bit-identical to
+    /// `inverse`; the samples of every other column are unspecified. An
+    /// empty window does no work and records no span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf.len() != rows * cols` or `cols` is not a range
+    /// within `0..self.cols()`.
+    pub fn inverse_window(&self, buf: &mut [Complex64], cols: Range<usize>) {
+        self.check_shape(buf);
+        assert!(
+            cols.start <= cols.end && cols.end <= self.cols,
+            "column window {cols:?} is not within 0..{}",
+            self.cols
+        );
+        if cols.is_empty() {
+            return;
+        }
+        let _span = holoar_telemetry::span_cat("fft.fft2d.inverse_window", "fft");
+        self.inverse_rows(buf);
+        self.column_pass(buf, cols, false);
     }
 
     fn check_shape(&self, buf: &[Complex64]) {
@@ -159,29 +223,39 @@ impl Fft2d {
         );
     }
 
-    fn run(&self, buf: &mut [Complex64], forward: bool) {
-        self.check_shape(buf);
-        for row in buf.chunks_exact_mut(self.cols) {
-            if forward {
-                self.row_plan.forward(row);
-            } else {
-                self.row_plan.inverse(row);
-            }
+    /// One pass over the rows: flags each row whose every bit is zero in
+    /// `zero` (only when the row plan leaves such a row as it is) and
+    /// returns whether every imaginary part is zero.
+    fn scan(&self, buf: &[Complex64], zero: &mut [bool]) -> bool {
+        let mut real = true;
+        for (row, zero) in buf.chunks_exact(self.cols).zip(zero.iter_mut()) {
+            *zero = self.skips_zero_rows && row.iter().all(is_zero_bits);
+            real = real && (*zero || row.iter().all(|z| z.im == 0.0));
         }
-        self.column_pass(buf, forward);
+        real
     }
 
-    fn run_real_forward(&self, buf: &mut [Complex64]) {
-        self.check_shape(buf);
+    fn inverse_rows(&self, buf: &mut [Complex64]) {
+        for row in buf.chunks_exact_mut(self.cols) {
+            self.row_plan.inverse(row);
+        }
+    }
+
+    /// The forward row pass of a real field, skipping the rows `zero`
+    /// flags. Adjacent real rows a, b (rows 2k and 2k+1) transform together
+    /// as z = a + i·b; the Hermitian unpack separates the two spectra. A
+    /// pair whose rows are both zero is skipped.
+    fn real_row_pass(&self, buf: &mut [Complex64], zero: &[bool]) {
         let cols = self.cols;
-        // Packed row pass: adjacent real rows a, b (rows 2k and 2k+1)
-        // transform together as z = a + i·b; the Hermitian unpack separates
-        // the two spectra.
-        let paired = (self.rows - self.rows % 2) * cols;
-        let (pairs, rest) = buf.split_at_mut(paired);
+        let paired = self.rows - self.rows % 2;
+        let (pairs, rest) = buf.split_at_mut(paired * cols);
+        let (pair_zero, rest_zero) = zero.split_at(paired);
         if !pairs.is_empty() {
             let mut packed = self.arena.take(cols);
-            for pair in pairs.chunks_exact_mut(2 * cols) {
+            for (pair, zero) in pairs.chunks_exact_mut(2 * cols).zip(pair_zero.chunks_exact(2)) {
+                if zero.iter().all(|&z| z) {
+                    continue;
+                }
                 let (a, b) = pair.split_at_mut(cols);
                 for ((p, za), zb) in packed.iter_mut().zip(a.iter()).zip(b.iter()) {
                     *p = Complex64::new(za.re, zb.re);
@@ -193,28 +267,51 @@ impl Fft2d {
         }
         // Odd trailing row: its imaginary parts are zero, so the plain
         // complex transform is already the real transform.
-        for row in rest.chunks_exact_mut(cols) {
-            self.row_plan.forward(row);
+        for (row, &zero) in rest.chunks_exact_mut(cols).zip(rest_zero) {
+            if !zero {
+                self.row_plan.forward(row);
+            }
         }
-        self.column_pass(buf, true);
     }
 
-    /// Column pass shared by every forward/inverse variant. The column
-    /// plan reads the columns straight out of `buf` and leaves them
-    /// transformed, row-major, in the first half of one scratch buffer,
-    /// using the second half as ping-pong space; one copy writes them back.
-    fn column_pass(&self, buf: &mut [Complex64], forward: bool) {
-        let mut scratch = self.arena.take(2 * buf.len());
-        let (out, work) = scratch.split_at_mut(buf.len());
-        self.col_plan.columns(buf, self.cols, out, work, !forward);
-        buf.copy_from_slice(out);
+    /// Column pass shared by every forward/inverse variant, over the
+    /// columns in `window`. The column plan reads them straight out of
+    /// `buf` and leaves them transformed, row-major, in the first half of
+    /// one scratch buffer, using the second half as ping-pong space; one
+    /// copy writes them back (one per row for a partial window).
+    fn column_pass(&self, buf: &mut [Complex64], window: Range<usize>, forward: bool) {
+        let width = window.len();
+        let mut scratch = self.arena.take(2 * self.rows * width);
+        let (out, work) = scratch.split_at_mut(self.rows * width);
+        self.col_plan.columns(&buf[window.start..], self.cols, out, work, !forward);
+        if width == self.cols {
+            buf.copy_from_slice(out);
+        } else {
+            for (row, strip) in buf.chunks_exact_mut(self.cols).zip(out.chunks_exact(width)) {
+                row[window.clone()].copy_from_slice(strip);
+            }
+        }
         self.arena.give(scratch);
     }
 }
 
-/// Whether every sample's imaginary part is exactly zero (`±0.0`).
-fn is_all_real(buf: &[Complex64]) -> bool {
-    buf.iter().all(|z| z.im == 0.0)
+/// Runs `f` over a thread-local flag per row, so the forward scan records
+/// its all-zero rows without allocating per transform.
+fn with_zero_rows<R>(rows: usize, f: impl FnOnce(&mut [bool]) -> R) -> R {
+    thread_local! {
+        static ZERO_ROWS: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
+    }
+    ZERO_ROWS.with(|cell| {
+        let mut flags = cell.borrow_mut();
+        flags.clear();
+        flags.resize(rows, false);
+        f(&mut flags)
+    })
+}
+
+/// Whether every bit of `z` is zero (`+0.0 + 0.0i`).
+fn is_zero_bits(z: &Complex64) -> bool {
+    z.re.to_bits() | z.im.to_bits() == 0
 }
 
 /// Separates the spectra of two real rows transformed as one packed complex
@@ -490,12 +587,23 @@ mod tests {
     }
 
     #[test]
+    fn only_smooth_row_lengths_skip_zero_rows() {
+        // Stockham plans map a zero row to zero bits; Bluestein's chirp
+        // products leave −0.0 in some bins, so its row lengths never skip.
+        for (cols, skips) in [(1usize, true), (40, true), (64, true), (7, false), (13, false)] {
+            assert_eq!(Fft2d::new(4, cols).skips_zero_rows, skips, "row length {cols}");
+        }
+    }
+
+    #[test]
     fn scratch_arena_is_reused_across_calls() {
         let fft = Fft2d::new(8, 8);
         let mut buf = image(8, 8);
         fft.forward(&mut buf);
         assert_eq!(fft.arena.pooled(), 1);
         fft.inverse(&mut buf);
+        assert_eq!(fft.arena.pooled(), 1);
+        fft.inverse_window(&mut buf, 2..5);
         assert_eq!(fft.arena.pooled(), 1);
     }
 

@@ -19,7 +19,9 @@
 //!   whose column pass runs batched Stockham passes over all columns
 //!   (a cache-blocked transpose only for Bluestein column lengths), and a
 //!   packed real-input row kernel that [`Fft2d::forward`] auto-dispatches
-//!   to on amplitude planes.
+//!   to on amplitude planes. Sparse depth planes pay only for their
+//!   non-zero rows forward, and [`Fft2d::inverse_window`] inverts a window
+//!   of columns.
 //!
 //! # Examples
 //!

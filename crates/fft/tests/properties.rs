@@ -366,3 +366,118 @@ fn column_pass_is_bit_identical_to_the_transposed_1d_oracle() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Pruned transforms: the zero-row skip of `Fft2d::forward` and the column
+// window of `Fft2d::inverse_window` must not move a bit of what they keep.
+// ---------------------------------------------------------------------------
+
+/// The IEEE bit patterns of every sample, so `+0.0` and `−0.0` differ.
+fn bits(x: &[Complex64]) -> Vec<(u64, u64)> {
+    x.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+}
+
+/// How a row of [`sparse_rows`] is filled.
+#[derive(Debug, Clone, Copy)]
+enum RowFill {
+    /// Random samples.
+    Data,
+    /// Every bit zero: the forward row pass may skip it.
+    Zero,
+    /// `−0.0` real parts: zero-valued but not all-zero bits, so it is
+    /// transformed like any other row.
+    NegativeZero,
+}
+
+/// A shape with row and column lengths from 1 to 9 plus Bluestein lengths 7
+/// and 13, random data, and a random fill per row (any number of rows,
+/// including all of them, may be zero). Half the cases are real, so they
+/// take the packed real-row path; rows of zero bits keep a complex buffer
+/// complex only through its data rows.
+fn sparse_rows() -> impl Strategy<Value = (usize, usize, Vec<Complex64>)> {
+    let len = prop::sample::select(vec![1usize, 2, 3, 4, 5, 6, 8, 9, 7, 13]);
+    (len.clone(), len, any::<bool>()).prop_flat_map(|(rows, cols, real)| {
+        let fill = prop::sample::select(vec![RowFill::Data, RowFill::Zero, RowFill::NegativeZero]);
+        let sample = (-1e3f64..1e3, -1e3f64..1e3)
+            .prop_map(move |(re, im)| Complex64::new(re, if real { 0.0 } else { im }));
+        (
+            prop::collection::vec(fill, rows..=rows),
+            prop::collection::vec(sample, rows * cols..=rows * cols),
+        )
+            .prop_map(move |(fills, mut data)| {
+                for (row, fill) in data.chunks_exact_mut(cols).zip(fills) {
+                    match fill {
+                        RowFill::Data => {}
+                        RowFill::Zero => row.fill(Complex64::ZERO),
+                        RowFill::NegativeZero => row.fill(Complex64::new(-0.0, 0.0)),
+                    }
+                }
+                (rows, cols, data)
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `forward` skips the row transforms of all-zero rows (pairs, on the
+    /// real path) yet equals, bit for bit, a row pass that transforms every
+    /// row followed by the same column pass. The oracle takes the packed
+    /// real path exactly when `forward` dispatches to it.
+    #[test]
+    fn zero_row_skip_is_bit_identical_to_transforming_every_row(
+        (rows, cols, x) in sparse_rows()
+    ) {
+        let real = x.iter().all(|z| z.im == 0.0);
+        let want = oracle_2d(&x, rows, cols, real, false);
+        let fft = Fft2d::new(rows, cols);
+        let mut got = x.clone();
+        fft.forward(&mut got);
+        prop_assert_eq!(bits(&got), bits(&want));
+        if real {
+            let mut got = x.clone();
+            fft.forward_real(&mut got);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+}
+
+/// `inverse_window(cols)` equals `inverse` bit for bit inside `cols`, for
+/// every window of each shape: empty, single-column, edge and full ones
+/// included. 12×7 and 9×13 have Bluestein column-window widths and row
+/// lengths; 12 and 9 are mixed-radix column lengths and 7 and 13 Bluestein
+/// row lengths.
+#[test]
+fn inverse_window_is_bit_identical_to_inverse_inside_the_window() {
+    for (rows, cols) in [(64usize, 64usize), (40, 40), (12, 7), (9, 13), (7, 12)] {
+        let x: Vec<Complex64> = (0..rows * cols)
+            .map(|i| Complex64::new((i as f64 * 0.37).sin() * 1e2, (i as f64 * 0.91).cos()))
+            .collect();
+        let fft = Fft2d::new(rows, cols);
+        let mut full = x.clone();
+        fft.inverse(&mut full);
+        let want = bits(&full);
+        for start in 0..=cols {
+            for end in start..=cols {
+                let mut got = x.clone();
+                fft.inverse_window(&mut got, start..end);
+                let got = bits(&got);
+                for r in 0..rows {
+                    let row = r * cols;
+                    assert_eq!(
+                        got[row + start..row + end],
+                        want[row + start..row + end],
+                        "{rows}x{cols} window {start}..{end}, row {r}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "is not within")]
+fn inverse_window_rejects_a_window_past_the_last_column() {
+    let mut buf = vec![Complex64::ONE; 4 * 6];
+    Fft2d::new(4, 6).inverse_window(&mut buf, 2..7);
+}

@@ -15,11 +15,21 @@
 //! On the host, each sweep transforms each source once. The backward sweep
 //! sums the `DP2HP` products in the spectral domain and runs one inverse
 //! transform ([`Propagator::propagate_sum_from`]); the forward sweep
-//! transforms the hologram once and runs one inverse per plane
-//! ([`Propagator::propagate_batch`]). An iteration over `P` lit planes
-//! therefore costs `2P + 2` 2-D transforms instead of `4P`. The hologram
-//! differs from summing the spatial `DP2HP` results only by floating-point
-//! rounding.
+//! transforms the hologram once and runs one inverse per lit plane
+//! ([`Propagator::propagate_batch_window`]). An iteration over `P` lit
+//! planes therefore costs `2P + 2` 2-D transforms instead of `4P`, and a
+//! dark plane costs none. The hologram differs from summing the spatial
+//! `DP2HP` results only by floating-point rounding.
+//!
+//! The `2P` per-plane transforms are pruned to what is read. A plane's
+//! field is zero outside its lit rows, so its forward transform skips the
+//! all-zero rows ([`holoar_fft::Fft2d::forward`]). The forward sweep reads
+//! a plane only at its lit pixels, so each plane's inverse runs its column
+//! pass over the contiguous span of its lit columns alone
+//! ([`holoar_fft::Fft2d::inverse_window`]). The energy behind `efficiency`
+//! comes from each plane's spectrum product by Parseval. Neither pruning
+//! moves a bit of the hologram, `uniformity` or the trace; `efficiency`
+//! differs from the spatial energy sum by rounding.
 //!
 //! The loop state is compact and its arithmetic transcendental-free. Each
 //! plane keeps the list of its lit pixels (built once) and, per lit pixel,
@@ -33,6 +43,8 @@
 //! polar-form loop up to rounding, with no `sin_cos`, `atan2` or `hypot`
 //! per pixel; only a tuned `adaptivity ≠ 1` calls `powf`. Both per-pixel
 //! loops walk the lit lists, never the full plane.
+
+use std::ops::Range;
 
 use crate::depthmap::PlaneStack;
 use crate::field::{Field, OpticalConfig};
@@ -111,6 +123,9 @@ pub fn run(
 /// target amplitudes, adaptive weights and current unit phasors.
 struct LitPlane {
     pixels: Vec<usize>,
+    /// The contiguous column span holding every lit pixel; empty for a
+    /// dark plane. The forward sweep inverts only these columns.
+    cols: Range<usize>,
     targets: Vec<f64>,
     weights: Vec<f64>,
     phasors: Vec<Complex64>,
@@ -149,8 +164,11 @@ impl StackState {
                     .filter(|&(_, a)| a > 0.0)
                     .unzip();
                 let n = pixels.len();
+                let first = pixels.iter().map(|&idx| idx % cols).min().unwrap_or(0);
+                let last = pixels.iter().map(|&idx| idx % cols + 1).max().unwrap_or(0);
                 LitPlane {
                     pixels,
+                    cols: first..last,
                     targets,
                     weights: vec![1.0; n],
                     // Phases start flat.
@@ -213,8 +231,9 @@ fn project_phase_only(samples: &mut [Complex64]) {
 /// running N separate loops. Each iteration then runs, per stack, one
 /// spectral back-propagation sum ([`Propagator::propagate_sum_from`], which
 /// builds each lit plane's field on the worker that transforms it) and one
-/// shared-spectrum forward sweep ([`Propagator::propagate_batch`]). Stacks
-/// may differ in shape and plane count.
+/// shared-spectrum forward sweep ([`Propagator::propagate_batch_window`],
+/// which inverts each plane over its lit columns only). Stacks may differ
+/// in shape and plane count.
 ///
 /// Each stack's arithmetic is fully independent — field construction, its
 /// own propagation calls and the serial per-stack reductions are exactly
@@ -272,16 +291,19 @@ pub fn run_batch(
         }
 
         // Forward: measure achieved amplitudes on each stack's planes from
-        // one shared hologram spectrum; the measurement loop below is a
-        // reduction and stays serial, per stack, in plane order.
+        // one shared hologram spectrum, inverting each plane only over its
+        // lit columns (dark planes not at all); the measurement loop below
+        // is a reduction and stays serial, per stack, in plane order.
         for st in states.iter_mut() {
-            let recon = prop.propagate_batch(&st.hologram, &st.zs);
+            let planes = &st.planes;
+            let window = |p: usize| planes[p].cols.start..planes[p].cols.end;
+            let recon = prop.propagate_batch_window(&st.hologram, &st.zs, window);
             let mut achieved_min = f64::INFINITY;
             let mut achieved_max = 0.0f64;
             let mut on_target = 0.0;
             let mut total = 0.0;
-            for (plane, u) in st.planes.iter_mut().zip(&recon) {
-                total += u.total_energy();
+            for (plane, (energy, u)) in st.planes.iter_mut().zip(&recon) {
+                total += energy;
                 if plane.pixels.is_empty() {
                     continue;
                 }

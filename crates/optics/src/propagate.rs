@@ -26,14 +26,25 @@
 //!   from a single forward spectrum (`n + 1` transforms for `n`
 //!   distances). Its results are bit-identical to the serial
 //!   [`Propagator::propagate`] loop.
+//!   [`Propagator::propagate_batch_window`] shares its per-distance loop
+//!   for callers that read each result in a window of columns: each
+//!   inverse runs its column pass over the window alone, an empty window
+//!   runs none, and each result carries its energy, taken from the
+//!   spectrum product by Parseval.
 //! - [`Propagator::propagate_sum`] returns `Σᵢ propagate(fieldsᵢ, zsᵢ)` by
 //!   accumulating the spectrum products and running one inverse transform
 //!   (`n + 1` transforms for `n` fields). It is bit-identical for every
 //!   worker count and matches the spatial sum up to floating-point
 //!   rounding. [`Propagator::propagate_sum_from`] is the same sum over
 //!   fields that a callback writes straight into the transform buffers.
+//!
+//! Sources that are zero outside a few rows, such as depth planes, pay
+//! only for their non-zero rows in the forward row pass
+//! ([`Fft2d::forward`] skips all-zero rows); the count of transforms does
+//! not change.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use holoar_fft::{Complex64, ExecutionContext, Fft2d, Parallelism};
@@ -162,23 +173,80 @@ impl Propagator {
     /// Panics if any distance is not finite.
     pub fn propagate_batch(&mut self, field: &Field, zs: &[f64]) -> Vec<Field> {
         let _span = holoar_telemetry::span_cat("optics.propagate_batch", "optics");
+        let (rows, cols, cfg) = (field.rows(), field.cols(), field.config());
+        self.map_products(field, zs, |_, fft, product| match product {
+            None => field.clone(),
+            Some(product) => field_from(product, fft, rows, cols, cfg),
+        })
+    }
+
+    /// [`Propagator::propagate_batch`] for callers that read distance `i`'s
+    /// field only in the columns `window(i)`, paired with the field's total
+    /// energy `Σ|u|²`.
+    ///
+    /// Each non-zero distance inverts its spectrum product over its window
+    /// alone ([`Fft2d::inverse_window`]), so columns inside the window are
+    /// bit-identical to `propagate_batch` and all others are unspecified;
+    /// an empty window runs no inverse. The energy comes from the product
+    /// by Parseval, `Σ|S·H|²/N` for `N = rows·cols`, so it equals the
+    /// spatial sum up to rounding. A zero distance returns the field itself
+    /// and its spatial energy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any distance is not finite or a window is not within
+    /// `0..field.cols()`.
+    pub fn propagate_batch_window<W>(
+        &mut self,
+        field: &Field,
+        zs: &[f64],
+        window: W,
+    ) -> Vec<(f64, Field)>
+    where
+        W: Fn(usize) -> Range<usize> + Sync,
+    {
+        let _span = holoar_telemetry::span_cat("optics.propagate_batch_window", "optics");
+        let (rows, cols, cfg) = (field.rows(), field.cols(), field.config());
+        let n = (rows * cols) as f64;
+        self.map_products(field, zs, |i, fft, product| match product {
+            None => (field.total_energy(), field.clone()),
+            Some(mut product) => {
+                let energy = product.iter().map(|z| z.norm_sqr()).sum::<f64>() / n;
+                fft.inverse_window(&mut product, window(i));
+                (energy, Field::from_data(rows, cols, cfg, product))
+            }
+        })
+    }
+
+    /// The per-distance loop behind the batch propagations: transforms
+    /// `field` once, then hands each distance's spectrum product
+    /// `FFT(field) · H(zs[i])` (`None` for a zero distance) to
+    /// `finish(i, fft, product)` on the worker that built it. Transfer
+    /// functions are built (and cached) in `zs` order up front.
+    fn map_products<T, F>(&mut self, field: &Field, zs: &[f64], finish: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, &Fft2d, Option<Vec<Complex64>>) -> T + Sync,
+    {
         let (rows, cols) = (field.rows(), field.cols());
         // Warm the transfer cache serially so insertion order (and therefore
         // `cached_transfer_count`) matches the serial loop exactly.
-        let transfers: Vec<Option<Transfer>> =
-            zs.iter().map(|&z| self.transfer_at(rows, cols, field.config(), z)).collect();
+        let jobs: Vec<(usize, Option<Transfer>)> = zs
+            .iter()
+            .enumerate()
+            .map(|(i, &z)| (i, self.transfer_at(rows, cols, field.config(), z)))
+            .collect();
         let fft = self.fft(rows, cols);
-        let spectrum = if transfers.iter().any(Option::is_some) {
+        let spectrum = if jobs.iter().any(|(_, h)| h.is_some()) {
             spectrum_of(field, &fft)
         } else {
             Vec::new()
         };
-        self.par.map(&transfers, |h| match h {
-            None => field.clone(),
-            Some(h) => {
-                let product = spectrum.iter().zip(h.iter()).map(|(s, t)| *s * *t).collect();
-                field_from(product, &fft, rows, cols, field.config())
-            }
+        self.par.map(&jobs, |(i, h)| {
+            let product = h
+                .as_ref()
+                .map(|h| spectrum.iter().zip(h.iter()).map(|(s, t)| *s * *t).collect());
+            finish(*i, &fft, product)
         })
     }
 
@@ -561,6 +629,34 @@ mod tests {
                 assert_eq!(a.samples(), b.samples(), "plane {i} workers {workers}");
             }
             assert_eq!(p.cached_transfer_count(), 3, "0.001 and -0.002 and 0.003");
+        }
+    }
+
+    #[test]
+    fn windowed_batch_matches_the_batch_inside_each_window() {
+        let mut f = gaussian(24);
+        f.set(3, 20, Complex64::new(0.5, -0.25));
+        let zs = [0.001, 0.0, -0.002, 0.003, 0.001];
+        let windows = [3..9, 5..6, 0..0, 0..24, 23..24];
+        let bits = |z: &Complex64| (z.re.to_bits(), z.im.to_bits());
+        let full = Propagator::new().propagate_batch(&f, &zs);
+        for workers in [1usize, 2, 7] {
+            let mut p = Propagator::with_parallelism(Parallelism::new(workers));
+            let windowed = p.propagate_batch_window(&f, &zs, |i| windows[i].clone());
+            assert_eq!(windowed.len(), zs.len());
+            assert_eq!(p.cached_transfer_count(), 3, "0.001 and -0.002 and 0.003");
+            for (i, ((energy, u), want)) in windowed.iter().zip(&full).enumerate() {
+                let at = format!("plane {i} workers {workers}");
+                for (got, want) in u.samples().chunks(24).zip(want.samples().chunks(24)) {
+                    let (got, want) = (&got[windows[i].clone()], &want[windows[i].clone()]);
+                    assert!(got.iter().map(bits).eq(want.iter().map(bits)), "{at}");
+                }
+                let spatial = want.total_energy();
+                assert!((energy - spatial).abs() <= 1e-12 * spatial, "{at}: {energy} vs {spatial}");
+            }
+            // A zero distance is the identity, with the field's own energy.
+            assert_eq!(windowed[1].1.samples(), f.samples());
+            assert_eq!(windowed[1].0.to_bits(), f.total_energy().to_bits());
         }
     }
 

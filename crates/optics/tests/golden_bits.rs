@@ -6,7 +6,8 @@
 //! a 64-bit FNV-1a hash over the IEEE bit patterns of every sample. A
 //! refactor that keeps the arithmetic (same operations, same order) keeps
 //! every digest; one that reorders a sum or swaps a kernel changes them.
-//! Propagation and GSW digests hold at 1, 2 and 7 workers.
+//! Propagation and GSW digests hold at 1, 2 and 7 workers. GSW has two: its
+//! hologram, uniformity and trace, and its efficiency on its own.
 
 use holoar_fft::{Complex64, ExecutionContext, Fft2d};
 use holoar_optics::{gsw, Field, GswConfig, OpticalConfig, Propagator, VirtualObject};
@@ -119,20 +120,30 @@ fn propagate_sum_output_is_pinned() {
 fn gsw_output_is_pinned_at_every_worker_count() {
     let cfg = OpticalConfig::default();
     let stack = VirtualObject::Dice.render(48, 48, 0.006, 0.002).slice(8, cfg);
-    let want = 0x1e75_f691_bee7_45aa_u64;
+    // Hologram samples, then `uniformity`, then the per-iteration trace.
+    let want = 0xca21_df00_f7a1_b774_u64;
+    // `efficiency` alone, pinned apart because its energy total is a
+    // spectral (Parseval) sum and moves with any change to how the
+    // per-plane energy is summed: 0.12799221225198593.
+    let want_efficiency = 0x8022_bfd3_2069_44f9_u64;
     for workers in WORKERS {
         let result =
             gsw::run(&stack, cfg, GswConfig::default(), &ExecutionContext::with_workers(workers));
-        let scalars = [result.uniformity, result.efficiency];
         let got = digest(
             result
                 .hologram
                 .samples()
                 .iter()
                 .flat_map(|z| [z.re, z.im])
-                .chain(scalars)
+                .chain([result.uniformity])
                 .chain(result.uniformity_trace.iter().copied()),
         );
         assert_eq!(got, want, "gsw at {workers} workers: digest {got:#018x}");
+        let got = digest([result.efficiency]);
+        assert_eq!(
+            got, want_efficiency,
+            "gsw efficiency {} at {workers} workers: digest {got:#018x}",
+            result.efficiency
+        );
     }
 }

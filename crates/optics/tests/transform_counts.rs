@@ -3,11 +3,12 @@
 //!
 //! Each source field is transformed once: `propagate_batch` over `n`
 //! distances runs `n + 1` 2-D transforms, and a GSW iteration over `P` lit
-//! planes runs `2P + 2`. Span capture is process-wide, so these checks live
+//! planes runs `2P + 2`, however many dark planes the stack also has. Span
+//! capture is process-wide, so these checks live
 //! in their own test binary and run as one test.
 
 use holoar_fft::{Complex64, ExecutionContext};
-use holoar_optics::{gsw, Field, GswConfig, OpticalConfig, Propagator, VirtualObject};
+use holoar_optics::{gsw, DepthMap, Field, GswConfig, OpticalConfig, Propagator, VirtualObject};
 use holoar_telemetry::TelemetryMode;
 
 /// The `fft.fft2d.*` spans `work` records.
@@ -50,5 +51,23 @@ fn each_source_is_transformed_once() {
         });
         assert_eq!(count, iterations * (2 * planes + 2), "GSW over {planes} lit planes");
     }
+
+    // Spots at the near and far depths of a three-plane slice leave the
+    // middle plane dark. A dark plane costs no transform in either sweep,
+    // so an iteration still runs `2P + 2` over the `P` lit planes.
+    let n = 32;
+    let (mut amp, mut depth) = (vec![0.0; n * n], vec![0.01; n * n]);
+    for (r, c, z) in [(8, 8, 0.01), (24, 24, 0.03), (16, 8, 0.01)] {
+        amp[r * n + c] = 1.0;
+        depth[r * n + c] = z;
+    }
+    let stack = DepthMap::new(n, n, amp, depth).expect("valid depth map").slice(3, cfg);
+    let lit = stack.iter().filter(|p| p.lit_pixels > 0).count();
+    assert_eq!((stack.len(), lit), (3, 2), "the middle plane must be dark");
+    let gsw_cfg = GswConfig { iterations, adaptivity: 1.0 };
+    let count = transforms_in(|| {
+        gsw::run(&stack, cfg, gsw_cfg, &ExecutionContext::serial());
+    });
+    assert_eq!(count, iterations * (2 * lit + 2), "GSW over {lit} lit planes and a dark one");
     holoar_telemetry::set_mode(previous);
 }
