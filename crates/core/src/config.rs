@@ -40,11 +40,6 @@ impl Scheme {
     pub fn uses_eye_tracking(self) -> bool {
         matches!(self, Scheme::InterHolo | Scheme::InterIntraHolo)
     }
-
-    /// Whether the scheme approximates by object distance/size.
-    pub fn uses_distance(self) -> bool {
-        matches!(self, Scheme::IntraHolo | Scheme::InterIntraHolo)
-    }
 }
 
 impl std::fmt::Display for Scheme {
@@ -173,10 +168,7 @@ mod tests {
     fn scheme_properties() {
         assert!(!Scheme::Baseline.uses_eye_tracking());
         assert!(Scheme::InterHolo.uses_eye_tracking());
-        assert!(!Scheme::InterHolo.uses_distance());
-        assert!(Scheme::IntraHolo.uses_distance());
         assert!(Scheme::InterIntraHolo.uses_eye_tracking());
-        assert!(Scheme::InterIntraHolo.uses_distance());
         assert_eq!(Scheme::ALL.len(), 4);
         assert_eq!(Scheme::InterIntraHolo.to_string(), "Inter-Intra-Holo");
     }

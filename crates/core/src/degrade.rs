@@ -432,7 +432,9 @@ impl DegradationController {
     }
 
     /// Requests a forced step-down on the next [`decide`](Self::decide),
-    /// exactly as an observed overrun would.
+    /// exactly as an observed overrun would, annotating the resulting
+    /// transition with the SLO `signal` that triggered it (recorded in
+    /// [`Transition::signal`] with reason [`TransitionReason::Qos`]).
     ///
     /// This is the QoS hook the serving layer uses: when the *shared* device
     /// is overloaded, the multi-session scheduler picks one victim session
@@ -440,15 +442,6 @@ impl DegradationController {
     /// letting every session's own overrun accounting degrade the whole
     /// fleet at once. A no-op at [`DegradationLevel::LastGood`] — there is
     /// nothing left to shed.
-    pub fn request_step_down(&mut self) {
-        self.request_step_down_with("qos-step-down");
-    }
-
-    /// Like [`request_step_down`](Self::request_step_down), annotating the
-    /// resulting transition with the concrete SLO `signal` that triggered
-    /// it (recorded in [`Transition::signal`] with reason
-    /// [`TransitionReason::Qos`]). A no-op at
-    /// [`DegradationLevel::LastGood`].
     pub fn request_step_down_with(&mut self, signal: &'static str) {
         if self.level != DegradationLevel::LastGood {
             holoar_telemetry::counter_add("core.degrade.qos_step_down", 1);
@@ -481,7 +474,7 @@ impl DegradationController {
     /// without forcing a step down.
     ///
     /// The serving layer's companion QoS hook to
-    /// [`request_step_down`](Self::request_step_down): while the *shared*
+    /// [`request_step_down_with`](Self::request_step_down_with): while the *shared*
     /// device is saturated, sessions whose own attributed cost looks clean
     /// must not step back up (their headroom is an artifact of the batch
     /// attribution), or fleet-wide recovery would outpace the one-victim-
@@ -640,7 +633,7 @@ mod tests {
         let mut ctl = controller();
         assert_eq!(ctl.decide(0), DegradationLevel::Full);
         ctl.observe(0, 0.020);
-        ctl.request_step_down();
+        ctl.request_step_down_with("qos-step-down");
         let next = ctl.decide(1);
         assert!(next > DegradationLevel::Full, "QoS request must shed despite clean latency");
         assert_eq!(ctl.transitions().len(), 1);
@@ -689,7 +682,7 @@ mod tests {
     fn queue_saturation_is_a_no_op_at_lastgood() {
         let mut ctl = controller();
         for i in 0..4 {
-            ctl.request_step_down();
+            ctl.request_step_down_with("qos-step-down");
             ctl.decide(i);
             ctl.observe(i, 0.001);
         }
@@ -703,7 +696,7 @@ mod tests {
     #[test]
     fn qos_hold_suppresses_one_recovery_step() {
         let mut ctl = controller();
-        ctl.request_step_down();
+        ctl.request_step_down_with("qos-step-down");
         assert!(ctl.decide(0) > DegradationLevel::Full);
         // Build a full recovery streak with comfortably clean frames.
         let ladder = *ctl.ladder();
@@ -727,7 +720,7 @@ mod tests {
         run(&mut ctl, 20, |_| 10.0);
         assert_eq!(ctl.level(), DegradationLevel::LastGood);
         let transitions = ctl.transitions().len();
-        ctl.request_step_down();
+        ctl.request_step_down_with("qos-step-down");
         ctl.decide(20);
         assert_eq!(ctl.level(), DegradationLevel::LastGood);
         assert_eq!(ctl.transitions().len(), transitions, "nothing left to shed");

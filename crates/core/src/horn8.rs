@@ -29,16 +29,6 @@ impl Default for Horn8Model {
 }
 
 impl Horn8Model {
-    /// Creates a model with a given power saving fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `power_saving` is outside `[0, 1)`.
-    pub fn new(power_saving: f64) -> Self {
-        assert!((0.0..1.0).contains(&power_saving), "power saving must be in [0, 1)");
-        Horn8Model { power_saving }
-    }
-
     /// HORN-8's mean energy per frame on the baseline workload: same
     /// latency (no approximation), scaled power.
     pub fn mean_energy(&self, matrix: &EvaluationMatrix) -> f64 {
@@ -136,12 +126,6 @@ mod tests {
         let base = matrix.fleet_mean(Scheme::Baseline, |c| c.mean_energy);
         let horn8 = Horn8Model::default();
         assert!((horn8.mean_energy(&matrix) - base * 0.52).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "power saving")]
-    fn horn8_rejects_bad_saving() {
-        Horn8Model::new(1.0);
     }
 
     #[test]

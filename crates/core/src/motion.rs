@@ -91,17 +91,6 @@ impl MotionGuard {
         }
     }
 
-    /// Overrides the velocity threshold (builder-style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is not positive.
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        assert!(threshold > 0.0, "threshold must be positive");
-        self.threshold = threshold;
-        self
-    }
-
     /// Observes one gaze sample. Returns `true` while attention-based
     /// approximation should be suspended (saccade in flight or cooling
     /// down).
@@ -116,11 +105,6 @@ impl MotionGuard {
         } else {
             self.hold_remaining = self.hold_remaining.saturating_sub(1);
         }
-        self.hold_remaining > 0
-    }
-
-    /// Whether the guard is currently holding approximation off.
-    pub fn is_holding(&self) -> bool {
         self.hold_remaining > 0
     }
 }
@@ -164,7 +148,6 @@ mod tests {
         guard.observe(AngularPoint::CENTER);
         // 15° in one 30 Hz sample = 450°/s: a saccade.
         assert!(guard.observe(AngularPoint::new(deg(15.0), 0.0)));
-        assert!(guard.is_holding());
         // The hold persists for a few quiet frames, then releases.
         let mut held = 0;
         for _ in 0..10 {
@@ -175,15 +158,6 @@ mod tests {
             }
         }
         assert!((1..=4).contains(&held), "hold lasted {held} frames");
-        assert!(!guard.is_holding());
-    }
-
-    #[test]
-    fn threshold_is_tunable() {
-        let mut strict = MotionGuard::new(30.0).with_threshold(deg(5.0));
-        strict.observe(AngularPoint::CENTER);
-        // 0.5° per sample = 15°/s: trips a 5°/s threshold.
-        assert!(strict.observe(AngularPoint::new(deg(0.5), 0.0)));
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl Planner {
         &self.config
     }
 
-    /// The reuse tracker (for experiment accounting).
-    pub fn reuse_tracker(&self) -> &ReuseTracker {
-        &self.reuse
-    }
-
     /// Plans one frame.
     ///
     /// `gaze` is the eye tracker's estimated direction and
@@ -210,9 +205,7 @@ impl Planner {
             };
             let reused = config.reuse_enabled
                 && self.reuse.can_reuse(obj, planes, coverage, frame.index);
-            if reused {
-                self.reuse.note_reuse();
-            } else {
+            if !reused {
                 self.reuse.record(obj, planes, coverage, frame.index);
             }
             items.push(PlanItem { object: *obj, planes, coverage, in_rof, reused });
@@ -347,7 +340,6 @@ mod tests {
         let p1 = planner.plan_frame(&f1, &pose(), AngularPoint::CENTER, 0.0);
         assert!(p1.items[0].reused, "static object should reuse Frame-I's hologram");
         assert_eq!(p1.total_planes(), 0);
-        assert_eq!(planner.reuse_tracker().reuse_count(), 1);
     }
 
     #[test]
@@ -403,24 +395,28 @@ mod tests {
 
     #[test]
     fn all_sensors_lost_degenerates_to_full_quality_everywhere() {
-        use crate::sensor_input::SensorSample;
+        use crate::sensor_input::{GazeInput, PoseInput, SensorSample};
         let f = frame_with(vec![obj(1, 0.0, 0.47, 0.16), obj(2, 30.0, 2.0, 1.0)]);
         let mut planner =
             Planner::new(HoloArConfig::for_scheme(Scheme::InterIntraHolo)).unwrap();
-        let plan = planner.plan_frame_with(&f, &SensorSample::all_lost());
+        let lost = SensorSample { pose: PoseInput::Lost, gaze: GazeInput::Lost };
+        let plan = planner.plan_frame_with(&f, &lost);
         assert!(plan.items.iter().all(|i| i.planes == 16 && i.coverage == 1.0));
         assert_eq!(plan.eye_track_latency + plan.pose_latency, 0.0);
     }
 
     #[test]
     fn tracked_sample_matches_legacy_entry_point() {
-        use crate::sensor_input::SensorSample;
+        use crate::sensor_input::{GazeInput, PoseInput, SensorSample};
         let f = frame_with(vec![obj(1, 0.0, 0.6, 0.2), obj(2, 14.0, 0.5, 0.15)]);
         let mut a = Planner::new(HoloArConfig::for_scheme(Scheme::InterIntraHolo)).unwrap();
         let mut b = Planner::new(HoloArConfig::for_scheme(Scheme::InterIntraHolo)).unwrap();
         let via_legacy = a.plan_frame(&f, &pose(), AngularPoint::CENTER, 0.0044);
-        let via_sample =
-            b.plan_frame_with(&f, &SensorSample::tracked(pose(), AngularPoint::CENTER));
+        let tracked = SensorSample {
+            pose: PoseInput::Tracked(pose()),
+            gaze: GazeInput::tracked(AngularPoint::CENTER),
+        };
+        let via_sample = b.plan_frame_with(&f, &tracked);
         assert_eq!(via_legacy, via_sample);
     }
 

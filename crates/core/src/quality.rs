@@ -193,106 +193,6 @@ pub fn frame_psnr(
     Some(if mse == 0.0 { f64::INFINITY } else { 10.0 * (1.0 / mse).log10() })
 }
 
-/// Coherent single-focus PSNR variant: builds the actual holograms with
-/// Algorithm 1 and compares speckle-averaged reconstructions at the object
-/// center depth.
-///
-/// This is the strictest reading of the paper's §5.4 procedure. At this
-/// reproduction's evaluation resolution it is speckle-floor-limited
-/// (typically 13–18 dB regardless of budget), which is why the headline
-/// quality path uses incoherent all-in-focus composites instead — both are
-/// exposed so the choice is inspectable.
-///
-/// # Panics
-///
-/// Panics if `planes == 0`.
-pub fn object_psnr_coherent(
-    obj: &ObjectAnnotation,
-    planes: u32,
-    config: &HoloArConfig,
-    ctx: &ExecutionContext,
-) -> f64 {
-    assert!(planes > 0, "cannot evaluate a skipped object");
-    if planes >= config.full_planes {
-        return f64::INFINITY;
-    }
-    let optics = OpticalConfig::default();
-    let n = QUALITY_RESOLUTION;
-    let z_center = quantize_mm(obj.distance * OPTICAL_SCALE);
-    let depth_extent = quantize_mm((obj.size * OPTICAL_SCALE).min(z_center * 0.8));
-    let depthmap = virtual_object_for(obj.track_id).render(n, n, z_center, depth_extent);
-
-    let baseline = holoar_optics::algorithm1::depthmap_hologram(
-        &depthmap,
-        config.full_planes as usize,
-        optics,
-        ctx,
-    );
-    let approx =
-        holoar_optics::algorithm1::depthmap_hologram(&depthmap, planes as usize, optics, ctx);
-    let mut prop = Propagator::with_context(ctx);
-    let img_base = reconstruct::reconstruct_intensity(&baseline.hologram, z_center, &mut prop);
-    let img_approx = reconstruct::reconstruct_intensity(&approx.hologram, z_center, &mut prop);
-    psnr_between(&img_base, &img_approx, n)
-}
-
-/// GSW (phase-only) PSNR variant: runs the paper's actual hologram
-/// algorithm — adaptive weighted Gerchberg–Saxton — at both budgets and
-/// compares the phase-only holograms' reconstructions.
-///
-/// Resolution is reduced (GSW costs `iterations × (2 × planes + 2)` 2-D
-/// transforms per hologram). Used by tests and the supplementary experiments; the
-/// headline Fig 10 path uses the faster direct method.
-///
-/// # Panics
-///
-/// Panics if `planes == 0`.
-pub fn object_psnr_gsw(
-    obj: &ObjectAnnotation,
-    planes: u32,
-    config: &HoloArConfig,
-    ctx: &ExecutionContext,
-) -> f64 {
-    assert!(planes > 0, "cannot evaluate a skipped object");
-    if planes >= config.full_planes {
-        return f64::INFINITY;
-    }
-    let optics = OpticalConfig::default();
-    let n = 32;
-    let z_center = quantize_mm(obj.distance * OPTICAL_SCALE);
-    let depth_extent = quantize_mm((obj.size * OPTICAL_SCALE).min(z_center * 0.8));
-    let depthmap = virtual_object_for(obj.track_id).render(n, n, z_center, depth_extent);
-
-    let gsw_cfg = holoar_optics::GswConfig::default();
-    let full = holoar_optics::gsw::run(
-        &depthmap.slice(config.full_planes as usize, optics),
-        optics,
-        gsw_cfg,
-        ctx,
-    );
-    let approx = holoar_optics::gsw::run(
-        &depthmap.slice(planes as usize, optics),
-        optics,
-        gsw_cfg,
-        ctx,
-    );
-    let mut prop = Propagator::with_context(ctx);
-    let img_base = reconstruct::reconstruct_intensity(&full.hologram, z_center, &mut prop);
-    let img_approx = reconstruct::reconstruct_intensity(&approx.hologram, z_center, &mut prop);
-    psnr_between(&img_base, &img_approx, n)
-}
-
-/// Speckle-averaged, normalized PSNR between two raw intensity images.
-fn psnr_between(reference: &[f64], test: &[f64], n: usize) -> f64 {
-    let reference = Image::new(n, n, box_blur(reference, n, n, 1))
-        .expect("reconstruction produces a valid image")
-        .normalized();
-    let test = Image::new(n, n, box_blur(test, n, n, 1))
-        .expect("reconstruction produces a valid image")
-        .normalized();
-    psnr(&reference, &test).expect("shapes match by construction")
-}
-
 /// Quantizes an optical distance to a 0.5 mm grid (flooring at 0.5 mm).
 fn quantize_mm(z: f64) -> f64 {
     ((z * 2000.0).round() / 2000.0).max(0.0005)
@@ -639,26 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn coherent_variant_reports_finite_loss() {
-        let cfg = HoloArConfig::default();
-        let o = obj(3, 0.6, 0.25);
-        let p = object_psnr_coherent(&o, 8, &cfg, &ctx());
-        assert!(p.is_finite() && p > 5.0, "coherent PSNR {p:.1}");
-        assert!(object_psnr_coherent(&o, 16, &cfg, &ctx()).is_infinite());
-        // The incoherent headline metric is the more forgiving one.
-        assert!(object_psnr(&o, 8, &cfg, &ctx()) >= p - 1.0);
-    }
-
-    #[test]
-    fn gsw_variant_reports_finite_loss() {
-        let cfg = HoloArConfig::default();
-        let o = obj(3, 0.6, 0.25);
-        let p = object_psnr_gsw(&o, 8, &cfg, &ctx());
-        assert!(p.is_finite() && p > 5.0, "GSW PSNR {p:.1}");
-        assert!(object_psnr_gsw(&o, 16, &cfg, &ctx()).is_infinite());
-    }
-
-    #[test]
     fn parallel_quality_is_bit_identical_to_serial() {
         // QUALITY_RESOLUTION (40) runs every row and column transform on
         // the mixed-radix path.
@@ -676,11 +556,6 @@ mod tests {
                 );
             }
         }
-        let par_ctx = ExecutionContext::with_workers(3);
-        assert_eq!(
-            object_psnr_gsw(&o, 8, &cfg, &par_ctx).to_bits(),
-            object_psnr_gsw(&o, 8, &cfg, &ctx()).to_bits()
-        );
     }
 
     #[test]

@@ -70,19 +70,6 @@ pub struct SensorSample {
     pub gaze: GazeInput,
 }
 
-impl SensorSample {
-    /// A fully tracked sample.
-    pub fn tracked(pose: PoseEstimate, gaze: AngularPoint) -> Self {
-        SensorSample { pose: PoseInput::Tracked(pose), gaze: GazeInput::tracked(gaze) }
-    }
-
-    /// A sample with every sensor lost — the worst case the planner must
-    /// survive.
-    pub fn all_lost() -> Self {
-        SensorSample { pose: PoseInput::Lost, gaze: GazeInput::Lost }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,7 +77,10 @@ mod tests {
     #[test]
     fn tracked_round_trips() {
         let pose = PoseEstimate { orientation: AngularPoint::CENTER, latency: 0.01375 };
-        let s = SensorSample::tracked(pose, AngularPoint::new(0.1, 0.0));
+        let s = SensorSample {
+            pose: PoseInput::Tracked(pose),
+            gaze: GazeInput::tracked(AngularPoint::new(0.1, 0.0)),
+        };
         assert_eq!(s.pose.estimate(), Some(pose));
         assert!(s.gaze.estimate().is_some());
         assert!((s.gaze.estimate().unwrap().latency - 0.0044).abs() < 1e-12);
@@ -98,7 +88,7 @@ mod tests {
 
     #[test]
     fn lost_yields_none() {
-        let s = SensorSample::all_lost();
+        let s = SensorSample { pose: PoseInput::Lost, gaze: GazeInput::Lost };
         assert_eq!(s.pose.estimate(), None);
         assert_eq!(s.gaze.estimate(), None);
     }

@@ -30,23 +30,6 @@ impl ViewportImage {
     pub fn total_luminance(&self) -> f64 {
         self.pixels.iter().sum()
     }
-
-    /// Luminance inside an axis-aligned pixel box (for locating objects in
-    /// tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the box exceeds the viewport.
-    pub fn luminance_in(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> f64 {
-        assert!(row0 + rows <= self.rows && col0 + cols <= self.cols, "box out of bounds");
-        let mut sum = 0.0;
-        for r in row0..row0 + rows {
-            for c in col0..col0 + cols {
-                sum += self.pixels[r * self.cols + c];
-            }
-        }
-        sum
-    }
 }
 
 /// Renders the composed view of a frame's plan.
@@ -153,6 +136,18 @@ mod tests {
         ExecutionContext::serial()
     }
 
+    /// Luminance of `v` inside an axis-aligned pixel box.
+    fn luminance_in(v: &ViewportImage, row0: usize, col0: usize, rows: usize, cols: usize) -> f64 {
+        assert!(row0 + rows <= v.rows && col0 + cols <= v.cols, "box out of bounds");
+        let mut sum = 0.0;
+        for r in row0..row0 + rows {
+            for c in col0..col0 + cols {
+                sum += v.pixels[r * v.cols + c];
+            }
+        }
+        sum
+    }
+
     fn window() -> AngularRect {
         AngularRect::new(AngularPoint::CENTER, deg(43.0), deg(29.0))
     }
@@ -191,8 +186,8 @@ mod tests {
     fn centered_object_lights_the_center() {
         let v = render_view(&[item(0.0, 0.0, 8)], &window(), 32, 48, &ctx());
         assert!(v.total_luminance() > 0.0);
-        let center = v.luminance_in(12, 18, 8, 12);
-        let corner = v.luminance_in(0, 0, 8, 12);
+        let center = luminance_in(&v, 12, 18, 8, 12);
+        let corner = luminance_in(&v, 0, 0, 8, 12);
         assert!(center > corner, "center {center} vs corner {corner}");
     }
 
@@ -200,8 +195,8 @@ mod tests {
     fn object_position_maps_to_viewport_side() {
         let v =
             render_view(&[item(15.0, 0.0, 8)], &window(), 32, 48, &ctx());
-        let right = v.luminance_in(8, 24, 16, 24);
-        let left = v.luminance_in(8, 0, 16, 24);
+        let right = luminance_in(&v, 8, 24, 16, 24);
+        let left = luminance_in(&v, 8, 0, 16, 24);
         assert!(right > left, "right {right} vs left {left}");
     }
 
@@ -242,8 +237,8 @@ mod tests {
         let v = render_view(&plan.items, &pose.viewing_window(), 32, 48, &ctx());
         assert!(v.total_luminance() > 0.0);
         // Both sides of the view carry light.
-        assert!(v.luminance_in(0, 0, 32, 24) > 0.0);
-        assert!(v.luminance_in(0, 24, 32, 24) > 0.0);
+        assert!(luminance_in(&v, 0, 0, 32, 24) > 0.0);
+        assert!(luminance_in(&v, 0, 24, 32, 24) > 0.0);
     }
 
     #[test]

@@ -22,18 +22,6 @@ pub struct WindowStatus {
     pub coverage: f64,
 }
 
-impl WindowStatus {
-    /// Whether the object is entirely outside the window (fully skippable).
-    pub fn is_outside(&self) -> bool {
-        self.coverage <= 0.0
-    }
-
-    /// Whether the object is only partially visible.
-    pub fn is_partial(&self) -> bool {
-        self.coverage > 0.0 && self.coverage < 1.0
-    }
-}
-
 /// Computes an object's coverage by the viewing window.
 pub fn window_status(window: &AngularRect, obj: &ObjectAnnotation) -> WindowStatus {
     WindowStatus { coverage: window.coverage_of_disc(obj.direction, obj.angular_radius()) }
@@ -71,8 +59,6 @@ struct CachedHologram {
 #[derive(Debug, Clone, Default)]
 pub struct ReuseTracker {
     cache: HashMap<u64, CachedHologram>,
-    /// Reuses granted so far (for experiment accounting).
-    reuse_count: u64,
 }
 
 impl ReuseTracker {
@@ -113,21 +99,6 @@ impl ReuseTracker {
         );
     }
 
-    /// Notes a reuse (for accounting).
-    pub fn note_reuse(&mut self) {
-        self.reuse_count += 1;
-    }
-
-    /// Total reuses granted.
-    pub fn reuse_count(&self) -> u64 {
-        self.reuse_count
-    }
-
-    /// Number of cached entries.
-    pub fn cached_len(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Drops entries not touched since `frame − MAX_AGE_FRAMES`.
     pub fn evict_stale(&mut self, frame: u64) {
         self.cache
@@ -158,11 +129,10 @@ mod tests {
         let w = window();
         let inside = window_status(&w, &obj(0, 0.0, 0.6));
         assert_eq!(inside.coverage, 1.0);
-        assert!(!inside.is_partial());
         let outside = window_status(&w, &obj(1, deg(60.0), 0.6));
-        assert!(outside.is_outside());
+        assert!(outside.coverage <= 0.0, "coverage {}", outside.coverage);
         let partial = window_status(&w, &obj(2, deg(21.5), 0.6));
-        assert!(partial.is_partial(), "coverage {}", partial.coverage);
+        assert!(partial.coverage > 0.0 && partial.coverage < 1.0, "coverage {}", partial.coverage);
     }
 
     #[test]
@@ -206,15 +176,6 @@ mod tests {
         assert!(t.can_reuse(&o, 16, 1.0, 30));
         assert!(!t.can_reuse(&o, 16, 1.0, 31));
         t.evict_stale(100);
-        assert_eq!(t.cached_len(), 0);
-    }
-
-    #[test]
-    fn accounting() {
-        let mut t = ReuseTracker::new();
-        assert_eq!(t.reuse_count(), 0);
-        t.note_reuse();
-        t.note_reuse();
-        assert_eq!(t.reuse_count(), 2);
+        assert!(t.cache.is_empty());
     }
 }

@@ -57,16 +57,6 @@ impl Default for FrameFaults {
 }
 
 impl FrameFaults {
-    /// Whether this frame is completely fault-free.
-    pub fn is_nominal(&self) -> bool {
-        *self == FrameFaults::default()
-    }
-
-    /// Whether the GPU is derated this frame.
-    pub fn gpu_faulted(&self) -> bool {
-        self.clock_scale < 1.0 || self.dram_scale < 1.0
-    }
-
     /// Applies the sensor-layer faults to a sensor bundle: dropouts turn
     /// inputs to `Lost`, IMU jitter perturbs the pose orientation, and the
     /// latency spike is charged to the gaze estimate.
@@ -215,9 +205,24 @@ mod tests {
         FaultSpec::new(kind, prob, burst, mag)
     }
 
+    impl FrameFaults {
+        /// Whether this frame is completely fault-free.
+        pub(crate) fn is_nominal(&self) -> bool {
+            *self == FrameFaults::default()
+        }
+
+        /// Whether the GPU is derated this frame.
+        pub(crate) fn gpu_faulted(&self) -> bool {
+            self.clock_scale < 1.0 || self.dram_scale < 1.0
+        }
+    }
+
     fn tracked_sample() -> SensorSample {
         let pose = PoseEstimate { orientation: AngularPoint::CENTER, latency: 0.01375 };
-        SensorSample::tracked(pose, AngularPoint::CENTER)
+        SensorSample {
+            pose: PoseInput::Tracked(pose),
+            gaze: GazeInput::tracked(AngularPoint::CENTER),
+        }
     }
 
     #[test]

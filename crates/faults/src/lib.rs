@@ -26,7 +26,7 @@
 //! degrade the sensor bundle:
 //!
 //! ```
-//! use holoar_core::SensorSample;
+//! use holoar_core::sensor_input::{GazeInput, PoseInput, SensorSample};
 //! use holoar_faults::{scenario, FaultInjector};
 //!
 //! let injector = scenario::full_stack(7).unwrap();
@@ -34,7 +34,8 @@
 //! let faults = injector.frame(12);
 //! let derated = faults.derate_device(&device);
 //! assert!(derated.validate().is_ok());
-//! let degraded = faults.degrade_sensors(&SensorSample::all_lost());
+//! let lost = SensorSample { pose: PoseInput::Lost, gaze: GazeInput::Lost };
+//! let degraded = faults.degrade_sensors(&lost);
 //! // Faults only ever remove information — a lost sensor stays lost.
 //! assert!(degraded.pose.estimate().is_none());
 //! ```

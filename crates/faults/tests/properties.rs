@@ -128,7 +128,8 @@ proptest! {
             vec![0; FRAMES as usize], // LastGood computes nothing
         ];
         let mut rng = Rng::seeded(cost_seed);
-        let cost: Vec<f64> = (0..FRAMES).map(|_| rng.uniform_in(0.015, 0.035)).collect();
+        // Per-frame costs uniform in [15, 35) ms.
+        let cost: Vec<f64> = (0..FRAMES).map(|_| 0.015 + 0.020 * rng.uniform()).collect();
         let (chosen_lo, ctl_lo) = simulate(load_lo, &cost, &planes);
         let (chosen_hi, ctl_hi) = simulate(load_lo + load_delta, &cost, &planes);
         let total_lo: u64 = chosen_lo.iter().map(|&p| u64::from(p)).sum();

@@ -4,8 +4,7 @@
 //! `run`/`run_with` API split. [`ExecutionContext`] collapses those axes
 //! into one builder-constructed handle that bundles
 //!
-//! * the [`Parallelism`] pool (its worker count),
-//! * the telemetry mode the caller intends for this work, and
+//! * the [`Parallelism`] pool (its worker count), and
 //! * a type-erased map of **shared state slots** — the FFT-plan and
 //!   transfer-function caches higher layers (e.g. `holoar-optics`'
 //!   `Propagator`) want to share across every computation driven by the
@@ -40,7 +39,6 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use holoar_telemetry::TelemetryMode;
 
 use crate::parallel::{lock_unpoisoned, Parallelism};
 
@@ -72,14 +70,13 @@ impl std::fmt::Display for Precision {
     }
 }
 
-/// The single execution handle compute entry points accept: parallelism,
-/// telemetry intent, and shared caches, bundled.
+/// The single execution handle compute entry points accept: parallelism
+/// and shared caches, bundled.
 ///
 /// Cloning is cheap; clones share the worker pool and every shared slot. Two contexts built independently share nothing.
 #[derive(Debug, Clone)]
 pub struct ExecutionContext {
     par: Parallelism,
-    telemetry: TelemetryMode,
     slots: Arc<Mutex<SlotMap>>,
 }
 
@@ -117,11 +114,7 @@ impl ExecutionContext {
     /// should construct contexts via [`builder`](Self::builder) and thread
     /// them through instead.
     pub fn from_parallelism(par: Parallelism) -> Self {
-        ExecutionContext {
-            par,
-            telemetry: holoar_telemetry::mode(),
-            slots: Arc::new(Mutex::new(HashMap::new())),
-        }
+        ExecutionContext { par, slots: Arc::new(Mutex::new(HashMap::new())) }
     }
 
     /// Starts a builder.
@@ -137,19 +130,6 @@ impl ExecutionContext {
     /// Number of workers fan-outs may use.
     pub fn workers(&self) -> usize {
         self.par.workers()
-    }
-
-    /// Whether every fan-out runs inline on the calling thread.
-    pub fn is_serial(&self) -> bool {
-        self.par.is_serial()
-    }
-
-    /// The telemetry mode this context was built for. Entry points do not
-    /// flip process-global telemetry state per call (that would race across
-    /// concurrent contexts); hosts that own the process — the serving layer,
-    /// `repro` — apply it once via `holoar_telemetry::set_mode`.
-    pub fn telemetry(&self) -> TelemetryMode {
-        self.telemetry
     }
 
     /// The scalar precision hot loops driven by this context run at:
@@ -180,11 +160,6 @@ impl ExecutionContext {
         slots.insert(key, Arc::clone(&value) as Arc<dyn Any + Send + Sync>);
         value
     }
-
-    /// Number of occupied shared slots (diagnostic).
-    pub fn shared_slots(&self) -> usize {
-        lock_unpoisoned(&self.slots).len()
-    }
 }
 
 /// Builder for [`ExecutionContext`].
@@ -193,19 +168,13 @@ impl ExecutionContext {
 ///
 /// ```
 /// use holoar_fft::{ExecutionContext, Parallelism};
-/// use holoar_telemetry::TelemetryMode;
 ///
-/// let ctx = ExecutionContext::builder()
-///     .parallelism(Parallelism::new(2))
-///     .telemetry(TelemetryMode::Summary)
-///     .build();
+/// let ctx = ExecutionContext::builder().parallelism(Parallelism::new(2)).build();
 /// assert_eq!(ctx.workers(), 2);
-/// assert_eq!(ctx.telemetry(), TelemetryMode::Summary);
 /// ```
 #[derive(Debug, Default)]
 pub struct ExecutionContextBuilder {
     par: Option<Parallelism>,
-    telemetry: Option<TelemetryMode>,
 }
 
 impl ExecutionContextBuilder {
@@ -225,13 +194,6 @@ impl ExecutionContextBuilder {
         self
     }
 
-    /// Records the telemetry mode this context's work is intended to run
-    /// under (defaults to the process-wide mode at build time).
-    pub fn telemetry(mut self, mode: TelemetryMode) -> Self {
-        self.telemetry = Some(mode);
-        self
-    }
-
     /// Selects the hot-loop scalar precision. [`Precision`] has the one
     /// value [`Precision::F64`], so this changes nothing; it accepts the
     /// value a caller read back from [`ExecutionContext::precision`].
@@ -241,11 +203,7 @@ impl ExecutionContextBuilder {
 
     /// Builds the context. Parallelism defaults to serial.
     pub fn build(self) -> ExecutionContext {
-        let mut ctx = ExecutionContext::from_parallelism(self.par.unwrap_or_default());
-        if let Some(mode) = self.telemetry {
-            ctx.telemetry = mode;
-        }
-        ctx
+        ExecutionContext::from_parallelism(self.par.unwrap_or_default())
     }
 }
 
@@ -255,27 +213,22 @@ mod tests {
 
     #[test]
     fn default_and_serial_are_one_worker() {
-        assert!(ExecutionContext::default().is_serial());
-        assert!(ExecutionContext::serial().is_serial());
+        assert_eq!(ExecutionContext::default().workers(), 1);
+        assert_eq!(ExecutionContext::serial().workers(), 1);
         assert_eq!(ExecutionContext::with_workers(3).workers(), 3);
     }
 
     #[test]
     fn builder_round_trips_settings() {
         let pool = Parallelism::new(5);
-        let ctx = ExecutionContext::builder()
-            .parallelism(pool.clone())
-            .telemetry(TelemetryMode::Full)
-            .build();
+        let ctx = ExecutionContext::builder().parallelism(pool.clone()).build();
         assert_eq!(ctx.workers(), 5);
-        assert_eq!(ctx.telemetry(), TelemetryMode::Full);
     }
 
     #[test]
-    fn builder_defaults_to_serial_and_current_mode() {
+    fn builder_defaults_to_serial() {
         let ctx = ExecutionContext::builder().build();
-        assert!(ctx.is_serial());
-        assert_eq!(ctx.telemetry(), holoar_telemetry::mode());
+        assert_eq!(ctx.workers(), 1);
         assert_eq!(ctx.precision(), Precision::F64);
     }
 
@@ -294,7 +247,7 @@ mod tests {
         let clone = ctx.clone();
         let second = clone.shared("test.slot", Vec::new);
         assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(ctx.shared_slots(), 1);
+        assert_eq!(lock_unpoisoned(&ctx.slots).len(), 1);
     }
 
     #[test]

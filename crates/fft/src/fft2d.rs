@@ -1,5 +1,4 @@
-//! Two-dimensional FFT over row-major buffers, plus the `fftshift` helpers
-//! wave-optics code leans on.
+//! Two-dimensional FFT over row-major buffers.
 //!
 //! The 2-D transform is separable: FFT every row, then FFT every column.
 //! For 2·3·5-smooth column lengths the column pass does not transpose:
@@ -9,7 +8,7 @@
 //! between the two halves of one scratch buffer (borrowed from a
 //! [`ScratchArena`]), and the result is copied back row by row. Bluestein column
 //! lengths (a prime factor above 5; no serving path uses one) gather the
-//! columns transposed in cache-sized tiles (see [`transpose_into`]), run
+//! columns transposed in cache-sized tiles (see `gather_transposed`), run
 //! the 1-D plan on each contiguous column, and transpose back.
 //!
 //! A transform runs serially on the calling thread. Callers parallelize one
@@ -36,12 +35,12 @@
 //! Amplitude planes enter propagation as purely real fields (zero imaginary
 //! part): depth-sliced targets, and the first GSW backward sweep before any
 //! phase accumulates. [`Fft2d::forward`] detects that case with a cheap scan
-//! and routes it through [`Fft2d::forward_real`], which packs **two real
+//! and routes it through a packed real-row kernel, which packs **two real
 //! rows into one complex row** (`z = a + i·b`), runs half the row
 //! transforms, and separates the two spectra with the Hermitian unpack
 //! `A[k] = (Z[k] + conj(Z[n−k]))/2`, `B[k] = (Z[k] − conj(Z[n−k]))/(2i)`.
-//! Because the public entry point dispatches, the complex path and the real
-//! path agree bit-for-bit on real inputs by construction, and the packing
+//! The complex path and the real path agree bit-for-bit on real inputs,
+//! which the property tests pin against a 1-D oracle, and the packing
 //! works for any row length (mixed-radix and Bluestein alike).
 
 use std::cell::RefCell;
@@ -128,7 +127,7 @@ impl Fft2d {
     ///
     /// Purely real inputs (every imaginary part exactly zero) are detected
     /// and routed through the packed real-row kernel — same output, roughly
-    /// half the row-pass work. See [`Fft2d::forward_real`]. The same scan
+    /// half the row-pass work (see the module docs). The same scan
     /// finds the all-zero rows, whose row transforms are skipped (see the
     /// module docs); the output is bit-identical to transforming them.
     ///
@@ -149,28 +148,6 @@ impl Fft2d {
                     }
                 }
             }
-        });
-        self.column_pass(buf, 0..self.cols, true);
-    }
-
-    /// Forward 2-D FFT of a purely real field, in place.
-    ///
-    /// This is the kernel [`Fft2d::forward`] dispatches to when its input
-    /// scan finds no imaginary energy, exposed for callers that know their
-    /// field is an amplitude plane and for the property tests pinning
-    /// dispatch equivalence. The two entry points are bit-identical on real
-    /// inputs by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len() != rows * cols` or any sample has a non-zero
-    /// imaginary part.
-    pub fn forward_real(&self, buf: &mut [Complex64]) {
-        let _span = holoar_telemetry::span_cat("fft.fft2d.forward_real", "fft");
-        self.check_shape(buf);
-        with_zero_rows(self.rows, |zero| {
-            assert!(self.scan(buf, zero), "forward_real requires a purely real input field");
-            self.real_row_pass(buf, zero);
         });
         self.column_pass(buf, 0..self.cols, true);
     }
@@ -332,30 +309,9 @@ fn unpack_pair(packed: &[Complex64], a: &mut [Complex64], b: &mut [Complex64]) {
     }
 }
 
-/// Writes the transpose of the row-major `src_rows × src_cols` matrix
-/// `source` into `dst` (which becomes `src_cols × src_rows` row-major),
-/// copying cache-sized tiles so neither side's stride walks a full matrix
-/// dimension per element. Pure data movement: bit-identical to the naive
-/// nested loop by construction, which the property tests pin across shapes.
-///
-/// # Panics
-///
-/// Panics if `dst.len() != source.len()` or `source.len() != src_rows *
-/// src_cols`.
-pub fn transpose_into(
-    source: &[Complex64],
-    src_rows: usize,
-    src_cols: usize,
-    dst: &mut [Complex64],
-) {
-    assert_eq!(source.len(), src_rows * src_cols, "source length does not match shape");
-    assert_eq!(dst.len(), source.len(), "transpose destination length mismatch");
-    gather_transposed(source, src_rows, src_cols, dst);
-}
-
-/// The tile-copy behind [`transpose_into`] and the Bluestein column pass:
-/// transposes the first `span.len() / src_rows` columns of the `src_rows`
-/// rows of `source` (row stride `src_cols`) into the row-major `span`.
+/// The tile-copy behind the Bluestein column pass: transposes the first
+/// `span.len() / src_rows` columns of the `src_rows` rows of `source` (row
+/// stride `src_cols`) into the row-major `span`, in cache-sized tiles.
 pub(crate) fn gather_transposed(
     source: &[Complex64],
     src_rows: usize,
@@ -378,59 +334,6 @@ pub(crate) fn gather_transposed(
             tile_c = c_end;
         }
         tile_r = r_end;
-    }
-}
-
-/// Swaps quadrants so the zero-frequency bin moves to the buffer center.
-///
-/// For odd dimensions, `fftshift` followed by [`ifftshift`] is the identity
-/// (the two use floor/ceil splits respectively, as in NumPy).
-///
-/// # Panics
-///
-/// Panics if `buf.len() != rows * cols`.
-pub fn fftshift(buf: &mut [Complex64], rows: usize, cols: usize) {
-    shift(buf, rows, cols, rows.div_ceil(2), cols.div_ceil(2));
-}
-
-/// Inverse of [`fftshift`].
-///
-/// # Panics
-///
-/// Panics if `buf.len() != rows * cols`.
-pub fn ifftshift(buf: &mut [Complex64], rows: usize, cols: usize) {
-    shift(buf, rows, cols, rows / 2, cols / 2);
-}
-
-/// Rotates rows up by `row_by` and columns left by `col_by`, entirely in
-/// place. Even dimensions take the half-swap fast path (a quadrant swap);
-/// odd dimensions fall back to slice rotation, which is also allocation-free.
-fn shift(buf: &mut [Complex64], rows: usize, cols: usize, row_by: usize, col_by: usize) {
-    assert_eq!(buf.len(), rows * cols, "buffer length does not match shape");
-    if rows == 0 || cols == 0 {
-        return;
-    }
-    let col_by = col_by % cols;
-    if col_by > 0 {
-        if cols.is_multiple_of(2) && col_by == cols / 2 {
-            for row in buf.chunks_exact_mut(cols) {
-                let (left, right) = row.split_at_mut(col_by);
-                left.swap_with_slice(right);
-            }
-        } else {
-            for row in buf.chunks_exact_mut(cols) {
-                row.rotate_left(col_by);
-            }
-        }
-    }
-    let row_by = row_by % rows;
-    if row_by > 0 {
-        if rows.is_multiple_of(2) && row_by == rows / 2 {
-            let (top, bottom) = buf.split_at_mut(row_by * cols);
-            top.swap_with_slice(bottom);
-        } else {
-            buf.rotate_left(row_by * cols);
-        }
     }
 }
 
@@ -525,26 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_dispatch_is_bit_identical_to_forward_real() {
-        for (rows, cols) in [(4usize, 4usize), (5, 7), (9, 16), (12, 20)] {
-            let x = real_image(rows, cols);
-            let fft = Fft2d::new(rows, cols);
-            let mut via_forward = x.clone();
-            fft.forward(&mut via_forward);
-            let mut via_real = x.clone();
-            fft.forward_real(&mut via_real);
-            assert_eq!(via_forward, via_real, "shape {rows}x{cols}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "purely real")]
-    fn forward_real_rejects_complex_input() {
-        let mut buf = image(4, 4);
-        Fft2d::new(4, 4).forward_real(&mut buf);
-    }
-
-    #[test]
     fn real_roundtrip_recovers_the_field() {
         let (rows, cols) = (12, 10);
         let fft = Fft2d::new(rows, cols);
@@ -575,7 +458,7 @@ mod tests {
         ] {
             let x = image(rows, cols);
             let mut blocked = vec![Complex64::ZERO; rows * cols];
-            transpose_into(&x, rows, cols, &mut blocked);
+            gather_transposed(&x, rows, cols, &mut blocked);
             let mut naive = vec![Complex64::ZERO; rows * cols];
             for r in 0..rows {
                 for c in 0..cols {
@@ -611,41 +494,5 @@ mod tests {
     #[should_panic(expected = "does not match shape")]
     fn wrong_buffer_shape_panics() {
         Fft2d::new(4, 4).forward(&mut vec![Complex64::ZERO; 15]);
-    }
-
-    #[test]
-    fn fftshift_moves_dc_to_center() {
-        let (rows, cols) = (4, 4);
-        let mut buf = vec![Complex64::ZERO; rows * cols];
-        buf[0] = Complex64::ONE; // DC at corner
-        fftshift(&mut buf, rows, cols);
-        assert_eq!(buf[2 * cols + 2], Complex64::ONE);
-    }
-
-    #[test]
-    fn shift_roundtrip_even_and_odd() {
-        for (rows, cols) in [(4usize, 6usize), (5, 5), (3, 8), (7, 2)] {
-            let x = image(rows, cols);
-            let mut buf = x.clone();
-            fftshift(&mut buf, rows, cols);
-            ifftshift(&mut buf, rows, cols);
-            assert_eq!(buf, x, "shape {rows}x{cols}");
-        }
-    }
-
-    #[test]
-    fn even_fast_path_matches_rotation_semantics() {
-        // The quadrant-swap fast path must agree with plain rotation.
-        for (rows, cols) in [(4usize, 4usize), (6, 8), (2, 10)] {
-            let x = image(rows, cols);
-            let mut fast = x.clone();
-            fftshift(&mut fast, rows, cols);
-            let mut reference = x.clone();
-            for row in reference.chunks_exact_mut(cols) {
-                row.rotate_left(cols / 2);
-            }
-            reference.rotate_left((rows / 2) * cols);
-            assert_eq!(fast, reference, "shape {rows}x{cols}");
-        }
     }
 }

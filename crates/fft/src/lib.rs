@@ -15,7 +15,7 @@
 //!   convolution runs through that same plan, for lengths with a prime
 //!   factor above 5), with per-stage contiguous twiddle tables precomputed
 //!   at plan time,
-//! * [`Fft2d`], [`fftshift`], [`ifftshift`] — separable 2-D transforms
+//! * [`Fft2d`] — separable 2-D transforms
 //!   whose column pass runs batched Stockham passes over all columns
 //!   (a cache-blocked transpose only for Bluestein column lengths), and a
 //!   packed real-input row kernel that [`Fft2d::forward`] auto-dispatches
@@ -53,7 +53,7 @@ pub mod plan;
 pub use bluestein::BluesteinPlan;
 pub use complex::Complex64;
 pub use context::{ExecutionContext, ExecutionContextBuilder, Precision};
-pub use fft2d::{fftshift, ifftshift, transpose_into, Fft2d};
+pub use fft2d::Fft2d;
 pub use mixed_radix::MixedRadixPlan;
 pub use parallel::{lock_unpoisoned, Parallelism, ScratchArena};
 pub use plan::{FftPlan, FftPlanner};

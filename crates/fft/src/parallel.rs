@@ -63,11 +63,6 @@ pub struct ScratchArena {
 }
 
 impl ScratchArena {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Checks out a buffer of exactly `len` zeros, reusing a pooled
     /// allocation when one is available. A pooled buffer too small for
     /// `len` reallocates, so that take counts as an allocation.
@@ -95,11 +90,6 @@ impl ScratchArena {
             pool.push(buf);
         }
     }
-
-    /// Number of buffers currently pooled (diagnostic).
-    pub fn pooled(&self) -> usize {
-        lock_unpoisoned(&self.pool).len()
-    }
 }
 
 /// A worker-pool handle: how many threads to fan out over.
@@ -115,7 +105,7 @@ impl ScratchArena {
 /// let par = Parallelism::new(4);
 /// let squares = par.map(&[1u64, 2, 3, 4, 5], |&x| x * x);
 /// assert_eq!(squares, vec![1, 4, 9, 16, 25]);
-/// assert!(Parallelism::serial().is_serial());
+/// assert_eq!(Parallelism::serial().workers(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Parallelism {
@@ -164,11 +154,6 @@ impl Parallelism {
     /// Number of workers fan-outs may use.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Whether every fan-out runs inline on the calling thread.
-    pub fn is_serial(&self) -> bool {
-        self.workers == 1
     }
 
     /// Maps `f` over `items` on the worker pool, returning results in input
@@ -224,11 +209,18 @@ fn worker_count_from_env() -> usize {
 mod tests {
     use super::*;
 
+    impl ScratchArena {
+        /// Number of buffers currently pooled.
+        pub(crate) fn pooled(&self) -> usize {
+            lock_unpoisoned(&self.pool).len()
+        }
+    }
+
     #[test]
     fn serial_and_default_are_one_worker() {
         assert_eq!(Parallelism::serial().workers(), 1);
-        assert!(Parallelism::default().is_serial());
-        assert!(!Parallelism::new(3).is_serial());
+        assert_eq!(Parallelism::default().workers(), 1);
+        assert_eq!(Parallelism::new(3).workers(), 3);
     }
 
     #[test]
@@ -239,7 +231,7 @@ mod tests {
 
     #[test]
     fn arena_recycles_capacity() {
-        let arena = ScratchArena::new();
+        let arena = ScratchArena::default();
         let buf = arena.take(32);
         assert!(buf.iter().all(|z| *z == Complex64::ZERO));
         let ptr = buf.as_ptr();

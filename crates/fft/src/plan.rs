@@ -160,11 +160,6 @@ impl FftPlanner {
         self.cache.insert(n, plan.clone());
         plan
     }
-
-    /// Number of distinct lengths this planner has handed out.
-    pub fn cached_len_count(&self) -> usize {
-        self.cache.len()
-    }
 }
 
 /// Fetches (building once, process-wide) the shared plan for length `n`.
@@ -200,7 +195,7 @@ mod tests {
         planner.plan(16);
         planner.plan(16);
         planner.plan(17);
-        assert_eq!(planner.cached_len_count(), 2);
+        assert_eq!(planner.cache.len(), 2);
     }
 
     #[test]

@@ -15,7 +15,7 @@ fn growing_a_pooled_buffer_counts_as_an_allocation() {
     let previous = holoar_telemetry::mode();
     holoar_telemetry::set_mode(TelemetryMode::Full);
     holoar_telemetry::reset();
-    let arena = ScratchArena::new();
+    let arena = ScratchArena::default();
     arena.give(vec![Complex64::ZERO; 4]);
     let (alloc, reuse) = (counter("fft.arena.take.alloc"), counter("fft.arena.take.reuse"));
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the FFT substrate: algebraic identities that must
 //! hold for every length and every input, fast path or slow path.
 
-use holoar_fft::{dft, fftshift, ifftshift, transpose_into, Complex64, Fft2d, FftPlanner};
+use holoar_fft::{dft, Complex64, Fft2d, FftPlanner};
 use proptest::prelude::*;
 
 fn complex_vec(max_len: usize) -> impl Strategy<Value = Vec<Complex64>> {
@@ -72,17 +72,6 @@ proptest! {
         let te: f64 = x.iter().map(|z| z.norm_sqr()).sum();
         let fe: f64 = spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / x.len() as f64;
         prop_assert!((te - fe).abs() <= 1e-7 * te.max(1.0));
-    }
-
-    /// fftshift/ifftshift invert each other for any shape.
-    #[test]
-    fn shift_roundtrip(rows in 1usize..12, cols in 1usize..12) {
-        let x: Vec<Complex64> =
-            (0..rows * cols).map(|i| Complex64::new(i as f64, -(i as f64))).collect();
-        let mut buf = x.clone();
-        fftshift(&mut buf, rows, cols);
-        ifftshift(&mut buf, rows, cols);
-        prop_assert_eq!(buf, x);
     }
 
     /// 2-D roundtrip is the identity for any shape.
@@ -158,19 +147,6 @@ fn real_shape_and_data() -> impl Strategy<Value = (usize, usize, Vec<Complex64>)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `forward` on a purely real buffer is bit-identical to `forward_real`
-    /// (the public complex entry point dispatches to the packed real
-    /// kernel), for every shape.
-    #[test]
-    fn real_input_dispatch_is_bit_identical((rows, cols, x) in real_shape_and_data()) {
-        let fft = Fft2d::new(rows, cols);
-        let mut via_forward = x.clone();
-        fft.forward(&mut via_forward);
-        let mut via_real = x.clone();
-        fft.forward_real(&mut via_real);
-        prop_assert_eq!(&via_forward, &via_real);
-    }
-
     /// The packed real-input transform agrees with the O(n²) reference DFT
     /// on both rows and columns.
     #[test]
@@ -194,29 +170,10 @@ proptest! {
             prop_assert!((*a - *b).norm() <= 1e-9 * scale);
         }
     }
-
-    /// The cache-blocked transpose is bit-identical to the naive nested
-    /// loop for every shape, including non-power-of-two ones
-    /// and shapes straddling the tile edge.
-    #[test]
-    fn blocked_transpose_matches_naive(rows in 1usize..70, cols in 1usize..70) {
-        let x: Vec<Complex64> = (0..rows * cols)
-            .map(|i| Complex64::new((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos()))
-            .collect();
-        let mut blocked = vec![Complex64::ZERO; rows * cols];
-        transpose_into(&x, rows, cols, &mut blocked);
-        let mut naive = vec![Complex64::ZERO; rows * cols];
-        for r in 0..rows {
-            for c in 0..cols {
-                naive[c * rows + r] = x[r * cols + c];
-            }
-        }
-        prop_assert_eq!(blocked, naive);
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Shapes with a Bluestein axis: telemetry and shifts around a transform.
+// Shapes with a Bluestein axis: telemetry around a transform.
 // ---------------------------------------------------------------------------
 
 fn shape_and_data() -> impl Strategy<Value = (usize, usize, Vec<Complex64>)> {
@@ -249,22 +206,6 @@ proptest! {
         holoar_telemetry::set_mode(previous);
 
         prop_assert_eq!(&traced, &quiet);
-    }
-
-    /// The in-place fftshift/ifftshift fast paths keep their inverse
-    /// relationship under 2-D transforms around them.
-    #[test]
-    fn transform_with_shift_roundtrip((rows, cols, x) in shape_and_data()) {
-        let fft = Fft2d::new(rows, cols);
-        let mut buf = x.clone();
-        fft.forward(&mut buf);
-        fftshift(&mut buf, rows, cols);
-        ifftshift(&mut buf, rows, cols);
-        fft.inverse(&mut buf);
-        let scale: f64 = x.iter().map(|z| z.norm()).fold(1.0, f64::max);
-        for (a, b) in buf.iter().zip(&x) {
-            prop_assert!((*a - *b).norm() <= 1e-8 * scale * (rows * cols) as f64);
-        }
     }
 }
 
@@ -337,7 +278,8 @@ fn oracle_2d(
     out
 }
 
-/// `Fft2d::{forward, forward_real, inverse}` against [`oracle_2d`], over
+/// `Fft2d::{forward, inverse}` against [`oracle_2d`], on complex and purely
+/// real inputs (the latter take the packed real-row kernel), over
 /// column lengths that reach every radix pass count and Bluestein (7, 17),
 /// and widths from one column up.
 #[test]
@@ -358,8 +300,8 @@ fn column_pass_is_bit_identical_to_the_transposed_1d_oracle() {
             fft.forward(&mut got);
             assert_eq!(got, want_forward, "forward {case}");
             let mut got = real.clone();
-            fft.forward_real(&mut got);
-            assert_eq!(got, want_real, "forward_real {case}");
+            fft.forward(&mut got);
+            assert_eq!(got, want_real, "forward on a real input {case}");
             let mut got = complex.clone();
             fft.inverse(&mut got);
             assert_eq!(got, want_inverse, "inverse {case}");
@@ -434,11 +376,6 @@ proptest! {
         let mut got = x.clone();
         fft.forward(&mut got);
         prop_assert_eq!(bits(&got), bits(&want));
-        if real {
-            let mut got = x.clone();
-            fft.forward_real(&mut got);
-            prop_assert_eq!(bits(&got), bits(&want));
-        }
     }
 }
 

@@ -14,9 +14,6 @@
 //! was solved once against the first anchor and is validated by the tests in
 //! this module.
 
-use crate::device::Device;
-use crate::hologram_kernels::{run_job, HologramJob};
-
 /// The paper's measured baseline hologram latency, seconds (§2.2.1).
 pub const BASELINE_HOLOGRAM_LATENCY: f64 = 0.3417;
 
@@ -40,16 +37,18 @@ pub mod stage_latency {
     pub const SCENE_RECONSTRUCT: f64 = 0.120;
 }
 
-/// Returns the calibrated Xavier-like device and the latency it models for
-/// the paper's baseline hologram configuration.
-pub fn baseline_hologram_latency() -> f64 {
-    let mut device = Device::xavier();
-    run_job(&mut device, &HologramJob::full(FULL_PLANES)).latency
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::Device;
+    use crate::hologram_kernels::{run_job, HologramJob};
+
+    /// The latency the calibrated Xavier-like device models for the
+    /// paper's baseline hologram configuration.
+    fn baseline_hologram_latency() -> f64 {
+        let mut device = Device::xavier();
+        run_job(&mut device, &HologramJob::full(FULL_PLANES)).latency
+    }
 
     #[test]
     fn baseline_latency_matches_paper_anchor() {

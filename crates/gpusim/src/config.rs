@@ -140,11 +140,6 @@ impl Default for DeviceConfig {
 }
 
 impl DeviceConfig {
-    /// Total CUDA cores across the device.
-    pub fn total_cores(&self) -> u32 {
-        self.sm_count * self.sm.cores
-    }
-
     /// Returns a derated copy of this configuration modelling transient
     /// contention: `clock_scale` multiplies the effective core clock (SM
     /// slowdown — thermal throttling or co-runner occupancy) and
@@ -207,7 +202,6 @@ mod tests {
     #[test]
     fn default_is_xavier_like() {
         let cfg = DeviceConfig::default();
-        assert_eq!(cfg.total_cores(), 512);
         assert_eq!(cfg.sm_count, 8);
         assert!(cfg.validate().is_ok());
     }

@@ -35,7 +35,6 @@ impl std::error::Error for BuildDeviceError {}
 #[derive(Debug, Clone)]
 pub struct Device {
     config: DeviceConfig,
-    launches: u64,
     busy_time: f64,
 }
 
@@ -48,7 +47,7 @@ impl Device {
     /// invariant (see [`DeviceConfig::validate`]).
     pub fn new(config: DeviceConfig) -> Result<Self, BuildDeviceError> {
         config.validate().map_err(BuildDeviceError)?;
-        Ok(Device { config, launches: 0, busy_time: 0.0 })
+        Ok(Device { config, busy_time: 0.0 })
     }
 
     /// The default Jetson-AGX-Xavier-like device the paper evaluates on.
@@ -59,11 +58,6 @@ impl Device {
     /// The device configuration.
     pub fn config(&self) -> &DeviceConfig {
         &self.config
-    }
-
-    /// Number of kernels launched so far.
-    pub fn launch_count(&self) -> u64 {
-        self.launches
     }
 
     /// Cumulative kernel execution time in seconds.
@@ -97,7 +91,6 @@ impl Device {
         let dram_bytes =
             l1_bytes * (1.0 - kernel.l1_hit_rate) * (1.0 - cfg.memory.l2_hit_rate);
 
-        self.launches += 1;
         self.busy_time += time;
 
         KernelStats {
@@ -192,11 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn device_accounts_launches_and_busy_time() {
+    fn device_accounts_busy_time() {
         let mut d = Device::xavier();
         d.execute(&simple_kernel(10));
         d.execute(&simple_kernel(10));
-        assert_eq!(d.launch_count(), 2);
         assert!(d.busy_time() > 0.0);
     }
 

@@ -44,18 +44,6 @@ impl Activity {
     /// An idle device.
     pub const IDLE: Activity = Activity { gpu: 0.0, mem: 0.0, cpu: 0.0 };
 
-    /// Creates an activity snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any component is outside `[0, 1]`.
-    pub fn new(gpu: f64, mem: f64, cpu: f64) -> Self {
-        for (name, v) in [("gpu", gpu), ("mem", mem), ("cpu", cpu)] {
-            assert!((0.0..=1.0).contains(&v), "{name} activity must be in [0, 1], got {v}");
-        }
-        Activity { gpu, mem, cpu }
-    }
-
     /// The activity level sustained while computing holograms with
     /// `planes` depth planes in flight: `planes / (planes + k)` with `k` from
     /// the power configuration. GPU and Mem follow this curve; the host CPU
@@ -146,7 +134,7 @@ mod tests {
     fn rails_scale_with_activity() {
         let cfg = PowerConfig::default();
         let idle = cfg.rails(Activity::IDLE);
-        let busy = cfg.rails(Activity::new(1.0, 1.0, 1.0));
+        let busy = cfg.rails(Activity { gpu: 1.0, mem: 1.0, cpu: 1.0 });
         assert!(busy.total() > idle.total());
         assert_eq!(idle.gpu, cfg.gpu_static);
         assert_eq!(busy.gpu, cfg.gpu_static + cfg.gpu_dynamic);
@@ -165,12 +153,6 @@ mod tests {
         assert!(a64.gpu < 1.0);
         // Zero planes ⇒ zero GPU activity.
         assert_eq!(Activity::for_hologram(0.0, &cfg).gpu, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "activity must be in [0, 1]")]
-    fn activity_bounds_checked() {
-        Activity::new(1.5, 0.0, 0.0);
     }
 
     #[test]

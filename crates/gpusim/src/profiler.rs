@@ -48,15 +48,6 @@ impl KernelAggregate {
         }
     }
 
-    /// Time-weighted mean L1 hit rate.
-    ///
-    /// Returns `0.0` when no time has been recorded; use
-    /// [`KernelAggregate::mean_l1_hit_rate`] to distinguish "no data" from a
-    /// genuine zero hit rate.
-    pub fn l1_hit_rate(&self) -> f64 {
-        self.mean_l1_hit_rate().unwrap_or(0.0)
-    }
-
     /// Time-weighted mean L1 hit rate, or `None` when this aggregate has
     /// recorded no execution time (a kernel never launched, or only
     /// zero-duration launches) — the `weighted_l1 / total_time` division
@@ -89,7 +80,8 @@ impl KernelAggregate {
 /// });
 /// profiler.record(&device.execute(&k));
 /// profiler.record(&device.execute(&k));
-/// assert_eq!(profiler.aggregate("scale").unwrap().invocations, 2);
+/// let (name, aggregate) = profiler.iter().next().unwrap();
+/// assert_eq!((name, aggregate.invocations), ("scale", 2));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
@@ -114,19 +106,9 @@ impl Profiler {
         agg.weighted_l1 += stats.l1_hit_rate * stats.time;
     }
 
-    /// The aggregate for a kernel name, if recorded.
-    pub fn aggregate(&self, name: &str) -> Option<&KernelAggregate> {
-        self.kernels.get(name)
-    }
-
     /// Iterates over `(name, aggregate)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &KernelAggregate)> {
         self.kernels.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Number of distinct kernel names recorded.
-    pub fn kernel_count(&self) -> usize {
-        self.kernels.len()
     }
 
     /// Formats an NVPROF-like text report: one block per kernel with timing,
@@ -185,7 +167,7 @@ mod tests {
         let s = run_one("a");
         p.record(&s);
         p.record(&s);
-        let agg = p.aggregate("a").unwrap();
+        let agg = &p.kernels["a"];
         assert_eq!(agg.invocations, 2);
         assert!((agg.total_time - 2.0 * s.time).abs() < 1e-12);
         assert!((agg.mean_time() - s.time).abs() < 1e-12);
@@ -197,24 +179,24 @@ mod tests {
         let mut p = Profiler::new();
         p.record(&run_one("a"));
         p.record(&run_one("b"));
-        assert_eq!(p.kernel_count(), 2);
-        assert!(p.aggregate("c").is_none());
+        assert_eq!(p.kernels.len(), 2);
+        assert!(!p.kernels.contains_key("c"));
     }
 
     #[test]
     fn utilization_and_hit_rate_are_bounded() {
         let mut p = Profiler::new();
         p.record(&run_one("a"));
-        let agg = p.aggregate("a").unwrap();
+        let agg = &p.kernels["a"];
         assert!(agg.sm_utilization() > 0.0 && agg.sm_utilization() <= 1.0);
-        assert!((agg.l1_hit_rate() - 0.99).abs() < 1e-9);
+        assert!((agg.mean_l1_hit_rate().unwrap() - 0.99).abs() < 1e-9);
     }
 
     #[test]
     fn stall_fractions_sum_to_one_when_stalled() {
         let mut p = Profiler::new();
         p.record(&run_one("a"));
-        let agg = p.aggregate("a").unwrap();
+        let agg = &p.kernels["a"];
         let total: f64 = StallCategory::ALL.iter().map(|&c| agg.stall_fraction(c)).sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
@@ -224,7 +206,6 @@ mod tests {
         let agg = KernelAggregate::default();
         assert_eq!(agg.mean_time(), 0.0);
         assert_eq!(agg.sm_utilization(), 0.0);
-        assert_eq!(agg.l1_hit_rate(), 0.0);
         assert_eq!(agg.mean_l1_hit_rate(), None);
     }
 
@@ -232,9 +213,8 @@ mod tests {
     fn mean_l1_hit_rate_matches_recorded_data() {
         let mut p = Profiler::new();
         p.record(&run_one("a"));
-        let agg = p.aggregate("a").unwrap();
+        let agg = &p.kernels["a"];
         let rate = agg.mean_l1_hit_rate().expect("time was recorded");
-        assert!((rate - agg.l1_hit_rate()).abs() < 1e-15);
         assert!((0.0..=1.0).contains(&rate));
     }
 

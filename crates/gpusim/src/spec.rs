@@ -3,9 +3,8 @@
 //!
 //! [`DeviceSpec`] is a small by-value builder over [`DeviceConfig`]: it
 //! captures the handful of knobs the serving stack actually varies — SM
-//! count, per-frame deadline, a standing slowdown (folded in through
-//! [`DeviceConfig::with_slowdown`]) and the calibrated kernel efficiency —
-//! and derives the full config on demand. Heterogeneous fleets are a
+//! count, per-frame deadline and the calibrated kernel efficiency — and
+//! derives the full config on demand. Heterogeneous fleets are a
 //! `Vec<DeviceSpec>`.
 //!
 //! # Examples
@@ -17,10 +16,6 @@
 //! let spec = DeviceSpec::edge();
 //! let device = Device::new(spec.config()).unwrap();
 //! assert_eq!(device.config().sm_count, 32);
-//!
-//! // A thermally-throttled half-rate sibling for a heterogeneous fleet.
-//! let throttled = DeviceSpec::edge().slowdown(0.5, 0.8);
-//! assert!(throttled.config().clock_hz < spec.config().clock_hz);
 //! ```
 
 use crate::config::DeviceConfig;
@@ -32,27 +27,23 @@ pub const EDGE_FRAME_BUDGET: f64 = 1.0 / 90.0;
 ///
 /// The builder methods consume and return the spec so fleets read as
 /// chained expressions; [`DeviceSpec::config`] derives the concrete
-/// [`DeviceConfig`] (slowdown folded in) and [`DeviceSpec::validate`]
+/// [`DeviceConfig`] and [`DeviceSpec::validate`]
 /// checks the result plus the spec-level invariants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceSpec {
     sm_count: u32,
     kernel_efficiency: f64,
-    clock_scale: f64,
-    dram_scale: f64,
     frame_budget: f64,
 }
 
 impl Default for DeviceSpec {
     /// The Xavier baseline: the [`DeviceConfig::default`] platform on the
-    /// paper's 33 ms hologram deadline, with no standing slowdown.
+    /// paper's 33 ms hologram deadline.
     fn default() -> Self {
         let base = DeviceConfig::default();
         DeviceSpec {
             sm_count: base.sm_count,
             kernel_efficiency: base.kernel_efficiency,
-            clock_scale: 1.0,
-            dram_scale: 1.0,
             frame_budget: 0.033,
         }
     }
@@ -93,31 +84,18 @@ impl DeviceSpec {
         self
     }
 
-    /// Applies a *standing* slowdown — a permanently throttled or
-    /// contended device, as opposed to the transient per-frame derating the
-    /// fault injector applies. Folded into the derived config through
-    /// [`DeviceConfig::with_slowdown`], so the same clamping rules apply.
-    #[must_use]
-    pub fn slowdown(mut self, clock_scale: f64, dram_scale: f64) -> Self {
-        self.clock_scale = clock_scale;
-        self.dram_scale = dram_scale;
-        self
-    }
-
     /// The per-frame deadline in seconds.
     pub fn budget(&self) -> f64 {
         self.frame_budget
     }
 
-    /// Derives the concrete device configuration with the standing
-    /// slowdown folded in.
+    /// Derives the concrete device configuration.
     pub fn config(&self) -> DeviceConfig {
         DeviceConfig {
             sm_count: self.sm_count,
             kernel_efficiency: self.kernel_efficiency,
             ..DeviceConfig::default()
         }
-        .with_slowdown(self.clock_scale, self.dram_scale)
     }
 
     /// Validates the spec: the frame budget must be positive and finite
@@ -157,15 +135,6 @@ mod tests {
         assert_eq!(cfg, DeviceConfig { sm_count: 32, ..DeviceConfig::default() });
         assert_eq!(spec.budget(), EDGE_FRAME_BUDGET);
         assert!(spec.validate().is_ok());
-    }
-
-    #[test]
-    fn slowdown_folds_through_with_slowdown() {
-        let nominal = DeviceSpec::edge();
-        let derated = nominal.slowdown(0.5, 0.25);
-        assert_eq!(derated.config(), nominal.config().with_slowdown(0.5, 0.25));
-        // Clamping comes for free from `with_slowdown`.
-        assert!(nominal.slowdown(f64::NAN, -1.0).validate().is_ok());
     }
 
     #[test]

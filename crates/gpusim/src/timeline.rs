@@ -421,6 +421,7 @@ pub fn plane_stream_ops(pixels: u64, planes: u32) -> Vec<StreamOp> {
 /// # Panics
 ///
 /// Panics if any job with planes is invalid.
+// holoar-lint: allow(unreached, reason = "test oracle: session_occupancy_is_bit_identical in gpusim tests/properties.rs and the timeline unit tests price the kernel-built stream workload against session_occupancy")
 pub fn session_stream_ops(jobs: &[HologramJob]) -> Vec<StreamOp> {
     use crate::hologram_kernels::job_kernels;
     let mut ops = Vec::new();

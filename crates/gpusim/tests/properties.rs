@@ -78,8 +78,8 @@ proptest! {
     fn rails_monotone_in_activity(g1 in 0.0f64..1.0, g2 in 0.0f64..1.0, m in 0.0f64..1.0) {
         let power = PowerConfig::default();
         let (lo, hi) = (g1.min(g2), g1.max(g2));
-        let p_lo = power.rails(Activity::new(lo, m, 0.3));
-        let p_hi = power.rails(Activity::new(hi, m, 0.3));
+        let p_lo = power.rails(Activity { gpu: lo, mem: m, cpu: 0.3 });
+        let p_hi = power.rails(Activity { gpu: hi, mem: m, cpu: 0.3 });
         prop_assert!(p_lo.total() > 0.0 && p_lo.total().is_finite());
         prop_assert!(p_hi.total() >= p_lo.total());
     }
@@ -129,7 +129,7 @@ proptest! {
     #[test]
     fn gated_rails_monotone_in_active_sms(a in 1u32..8, b in 1u32..8, act in 0.0f64..1.0) {
         let power = PowerConfig::default();
-        let activity = Activity::new(act, act, 0.3);
+        let activity = Activity { gpu: act, mem: act, cpu: 0.3 };
         let (lo, hi) = (a.min(b), a.max(b));
         let p_lo = gated_rails(&power, activity, lo, 8);
         let p_hi = gated_rails(&power, activity, hi, 8);

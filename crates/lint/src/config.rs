@@ -17,7 +17,6 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/fft/src/plan.rs",
     "crates/optics/src/gsw.rs",
     "crates/optics/src/propagate.rs",
-    "crates/optics/src/fresnel.rs",
     "crates/gpusim/src/sm.rs",
 ];
 
@@ -38,7 +37,6 @@ pub const RULE_EXEMPT_PREFIXES: &[&str] = &["crates/telemetry/", "vendor/", "cra
 /// in-source with a `// holoar-lint: hot-entry` marker comment.
 pub const HOT_ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/fft/src/fft2d.rs", "forward"),
-    ("crates/fft/src/fft2d.rs", "forward_real"),
     ("crates/fft/src/fft2d.rs", "inverse"),
     ("crates/optics/src/gsw.rs", "run"),
     ("crates/optics/src/gsw.rs", "run_batch"),
@@ -69,7 +67,6 @@ pub const PLAN_TIME_PREFIXES: &[&str] = &[
     "crates/fft/src/plan.rs",      // twiddle-table construction
     "crates/fft/src/dft.rs",       // reference DFT (plan-time Bluestein kernels)
     "crates/optics/src/propagate.rs", // transfer-function cache build
-    "crates/optics/src/fresnel.rs",   // lens/aperture construction
     "crates/optics/src/scene.rs",  // synthetic scene/content generation (same class as sensors)
     "crates/sensors/",             // seeded noise generation (Box–Muller)
     "crates/bench/",               // experiment drivers, synthetic inputs
@@ -94,7 +91,14 @@ pub const RULE_IDS: &[&str] = &[
     "hot-loop-alloc",
     "telemetry-discipline",
     "unsafe-hygiene",
+    "unreached",
 ];
+
+/// Workspace-relative path prefixes whose every function is a root of the
+/// `unreached` rule: the examples, the repo benchmark, and the root
+/// package's integration tests. Each `main` under a `src/bin/` directory
+/// and each method of an `impl Trait for Type` block is a root too.
+pub const REACH_ROOT_PREFIXES: &[&str] = &["examples/", "perfbench/src/", "tests/"];
 
 /// Resolved lint configuration for one run.
 #[derive(Debug, Clone)]

@@ -7,8 +7,10 @@
 //! - its extent (`line..=end_line`), impl owner, and test-ness;
 //! - intrinsic effect sites (may-panic, may-allocate, may-block,
 //!   calls-transcendental), each with the line and the matched pattern;
-//! - raw call sites (bare, `path::qualified`, and `.method(...)` calls)
-//!   with loop nesting and the set of locks held at the call;
+//! - raw call sites (bare, `path::qualified`, and `.method(...)` calls,
+//!   plus function paths passed as values) with loop nesting and the set
+//!   of locks held at the call — recorded in test code too, so test and
+//!   example roots have outgoing edges;
 //! - lock acquisitions with the set of locks already held (the intra-
 //!   procedural half of the lock-ordering graph), plus channel sends and
 //!   `std::thread::scope` fan-out performed while a guard is live.
@@ -45,12 +47,31 @@ pub struct RawCall {
     pub is_method: bool,
     /// Whether the receiver chain starts with `self`.
     pub on_self: bool,
+    /// Whether the function is named as a value (`.map(Json::from)`)
+    /// rather than called.
+    pub by_value: bool,
     /// 1-based line number.
     pub line: usize,
     /// Whether the call sits inside a loop body.
     pub in_loop: bool,
     /// Lock names held when the call happens.
     pub held_locks: Vec<String>,
+}
+
+impl RawCall {
+    /// A bare or `qualifier::name` call with no line context yet.
+    fn bare(name: &str, qualifier: String) -> RawCall {
+        RawCall {
+            name: name.to_string(),
+            qualifier,
+            is_method: false,
+            on_self: false,
+            by_value: false,
+            line: 0,
+            in_loop: false,
+            held_locks: Vec::new(),
+        }
+    }
 }
 
 /// One `.push(...)` site (tracked separately for the pre-sizing check).
@@ -88,6 +109,9 @@ pub struct FnFacts {
     pub end_line: usize,
     /// Surrounding `impl` type name, if any.
     pub owner: Option<String>,
+    /// Whether the function is a trait method: a default method in a
+    /// `trait` block, or a method of an `impl Trait for Type` block.
+    pub trait_method: bool,
     /// Whether the definition sits in test code.
     pub in_test: bool,
     /// Designated hot entry (config list or `hot-entry` marker).
@@ -145,6 +169,10 @@ pub const TRANSCENDENTAL_PATTERNS: &[&str] =
 const CALL_KEYWORDS: &[&str] =
     &["if", "while", "for", "match", "loop", "return", "fn", "in", "as", "move", "else"];
 
+/// Name of the per-file pseudo-function (at line 0) that holds the calls
+/// made outside every function body: `const` and `static` initializers.
+pub const ITEMS: &str = "<items>";
+
 /// Marker directives (parsed here, ignored by the waiver parser).
 pub const MARKER_HOT_ENTRY: &str = "hot-entry";
 /// Marker comment tag that declares the next loop a per-frame hot loop
@@ -159,7 +187,8 @@ struct OpenFn {
     guards: Vec<(String, String, i64)>,
 }
 
-/// Extracts per-function facts for every function defined in `file`.
+/// Extracts per-function facts for every function defined in `file`, plus
+/// an [`ITEMS`] pseudo-function when calls occur outside every body.
 ///
 /// Whole-file facts (the pre-sized identifier set for the push check) are
 /// returned alongside so the rules can consult them.
@@ -169,11 +198,14 @@ pub fn extract_file(file: &SourceFile, cfg: &Config) -> Vec<FnFacts> {
     let mut done: Vec<FnFacts> = Vec::new();
     let mut open: Vec<OpenFn> = Vec::new();
     let mut pending_fn: Option<FnFacts> = None;
-    let mut impl_stack: Vec<(String, i64)> = Vec::new();
-    let mut pending_impl: Option<String> = None;
+    // (type or trait, holds trait methods, depth at the opening brace)
+    let mut impl_stack: Vec<(String, bool, i64)> = Vec::new();
+    let mut pending_impl: Option<(String, bool)> = None;
     let mut depth: i64 = 0;
     let mut marker_entry = false;
     let mut marker_frame = false;
+    let mut items: Option<FnFacts> = None;
+    let mut in_use = false;
 
     for (line_no, line) in file.numbered() {
         let code = line.code.as_str();
@@ -196,7 +228,8 @@ pub fn extract_file(file: &SourceFile, cfg: &Config) -> Vec<FnFacts> {
                     name,
                     path: file.rel.clone(),
                     line: line_no,
-                    owner: impl_stack.last().map(|(t, _)| t.clone()),
+                    owner: impl_stack.last().map(|(t, _, _)| t.clone()),
+                    trait_method: impl_stack.last().is_some_and(|&(_, t, _)| t),
                     in_test: line.in_test,
                     is_entry,
                     is_frame_loop,
@@ -223,22 +256,43 @@ pub fn extract_file(file: &SourceFile, cfg: &Config) -> Vec<FnFacts> {
             } else if !code.contains(';') {
                 pending_fn = Some(p); // multi-line signature, keep waiting
             } // `;` before `{`: trait method declaration — drop it
-        } else if let Some(ty) = pending_impl.take() {
+        } else if let Some((ty, is_trait)) = pending_impl.take() {
             if opens > 0 {
-                impl_stack.push((ty, depth));
+                impl_stack.push((ty, is_trait, depth));
             } else if !code.contains(';') {
-                pending_impl = Some(ty);
+                pending_impl = Some((ty, is_trait));
             }
         }
 
-        // Attach events to the innermost open fn (skipping test lines —
-        // the model describes shipping code only).
+        // Attach events to the innermost open fn. Effects describe shipping
+        // code only; calls are recorded in test code too, so reachability
+        // can start from examples and integration tests.
         if let Some(top) = open.last_mut() {
+            let in_loop = !top.loop_depths.is_empty();
+            let held: Vec<String> = top.guards.iter().map(|(_, lock, _)| lock.clone()).collect();
             if !line.in_test {
                 record_line_events(top, line, line_no, &crate_dir, &rwlocks, depth);
             }
+            for mut call in extract_calls(code) {
+                call.line = line_no;
+                call.in_loop = in_loop;
+                call.held_locks = held.clone();
+                top.facts.calls.push(call);
+            }
             if opens > 0 && is_loop_header(code) {
                 top.loop_depths.push(depth);
+            }
+        } else if in_use || !crate::rules::find_token(code, "use").is_empty() {
+            in_use = !code.contains(';'); // a `use` names paths, it calls nothing
+        } else if pending_fn.is_none() && !line.in_test {
+            for mut call in extract_calls(code) {
+                call.line = line_no;
+                let items = items.get_or_insert_with(|| FnFacts {
+                    name: ITEMS.to_string(),
+                    path: file.rel.clone(),
+                    ..FnFacts::default()
+                });
+                items.calls.push(call);
             }
         }
 
@@ -254,7 +308,7 @@ pub fn extract_file(file: &SourceFile, cfg: &Config) -> Vec<FnFacts> {
             f.facts.end_line = line_no;
             done.push(f.facts);
         }
-        while impl_stack.last().is_some_and(|&(_, d)| depth <= d) {
+        while impl_stack.last().is_some_and(|&(_, _, d)| depth <= d) {
             impl_stack.pop();
         }
     }
@@ -263,6 +317,7 @@ pub fn extract_file(file: &SourceFile, cfg: &Config) -> Vec<FnFacts> {
         f.facts.end_line = file.lines.len();
         done.push(f.facts);
     }
+    done.extend(items);
     done.sort_by_key(|a| a.line);
     done
 }
@@ -451,13 +506,6 @@ fn record_line_events(
         }
     }
 
-    // Call sites.
-    for mut call in extract_calls(code) {
-        call.line = line_no;
-        call.in_loop = in_loop;
-        call.held_locks = held.clone();
-        top.facts.calls.push(call);
-    }
     let mut from = 0;
     while let Some(pos) = code[from..].find(".push(") {
         let at = from + pos;
@@ -541,10 +589,20 @@ fn fn_def_name(code: &str) -> Option<String> {
     None
 }
 
-/// If `code` opens an `impl` block, the implemented type's last path
-/// segment (`impl<T> Fft2d<T>` → `Fft2d`, `impl Default for Foo` → `Foo`).
-fn impl_type(code: &str) -> Option<String> {
-    let pos = *crate::rules::find_token(code, "impl").first()?;
+/// If `code` opens an `impl` or `trait` block, the implemented type's (or
+/// the trait's) last path segment (`impl<T> Fft2d<T>` → `Fft2d`,
+/// `impl Default for Foo` → `Foo`, `trait Rule` → `Rule`) and whether the
+/// block's methods are trait methods.
+fn impl_type(code: &str) -> Option<(String, bool)> {
+    let Some(&pos) = crate::rules::find_token(code, "impl").first() else {
+        let pos = *crate::rules::find_token(code, "trait").first()?;
+        let name: String = code[pos + 5..]
+            .trim_start()
+            .chars()
+            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+            .collect();
+        return (!name.is_empty()).then_some((name, true));
+    };
     let mut rest = &code[pos + 4..];
     // Skip a generic parameter list directly after `impl`.
     if rest.starts_with('<') {
@@ -566,19 +624,30 @@ fn impl_type(code: &str) -> Option<String> {
         rest = &rest[end..];
     }
     let rest = rest.trim_start();
-    let target = match rest.find(" for ") {
-        Some(p) => &rest[p + 5..],
-        None => rest,
-    };
+    let for_pos = rest.find(" for ");
+    let mut target = for_pos.map_or(rest, |p| &rest[p + 5..]);
+    // `for &'a mut Type`: skip the reference, lifetime and mutability.
+    loop {
+        target = target.trim_start().trim_start_matches('&');
+        if target.starts_with('\'') {
+            target = target.split_once(' ').map_or("", |(_, r)| r);
+        } else if let Some(r) = target.strip_prefix("mut ") {
+            target = r;
+        } else {
+            break;
+        }
+    }
     let head: &str = target
         .split(|c: char| c == '<' || c == '{' || c.is_whitespace())
         .next()
         .unwrap_or("");
-    let name = head.rsplit("::").next().unwrap_or("").trim_end_matches('&');
-    if name.is_empty() || !name.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-        None
+    let name = head.rsplit("::").next().unwrap_or("");
+    // A trait may be implemented for a primitive (`impl Mul<C> for f64`).
+    let type_like = name.chars().next().is_some_and(|c| c.is_ascii_uppercase());
+    if type_like || (for_pos.is_some() && !name.is_empty()) {
+        Some((name.to_string(), for_pos.is_some()))
     } else {
-        Some(name.to_string())
+        None
     }
 }
 
@@ -612,9 +681,6 @@ fn extract_calls(code: &str) -> Vec<RawCall> {
             continue;
         }
         let before = &code[..start];
-        if before.ends_with('!') {
-            continue; // macro invocation
-        }
         // `fn name(` is a definition, not a call.
         if before.trim_end().ends_with("fn") {
             continue;
@@ -623,15 +689,7 @@ fn extract_calls(code: &str) -> Vec<RawCall> {
             // Qualified call: harvest the segment before the `::`.
             let path_part = before.trim_end_matches("::");
             let qualifier = last_ident(path_part).unwrap_or_default();
-            calls.push(RawCall {
-                name: name.to_string(),
-                qualifier,
-                is_method: false,
-                on_self: false,
-                line: 0,
-                in_loop: false,
-                held_locks: Vec::new(),
-            });
+            calls.push(RawCall::bare(name, qualifier));
         } else if before.ends_with('.') {
             // Method call: note whether the receiver chain starts at self.
             let chain: String = before
@@ -645,13 +703,9 @@ fn extract_calls(code: &str) -> Vec<RawCall> {
                 .collect();
             let on_self = chain == "self" || chain.starts_with("self.");
             calls.push(RawCall {
-                name: name.to_string(),
-                qualifier: String::new(),
                 is_method: true,
                 on_self,
-                line: 0,
-                in_loop: false,
-                held_locks: Vec::new(),
+                ..RawCall::bare(name, String::new())
             });
         } else {
             // Bare call. Uppercase-initial bare names are tuple-struct or
@@ -659,18 +713,45 @@ fn extract_calls(code: &str) -> Vec<RawCall> {
             if name.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
                 continue;
             }
-            calls.push(RawCall {
-                name: name.to_string(),
-                qualifier: String::new(),
-                is_method: false,
-                on_self: false,
-                line: 0,
-                in_loop: false,
-                held_locks: Vec::new(),
-            });
+            calls.push(RawCall::bare(name, String::new()));
         }
     }
+    calls.extend(value_paths(code));
     calls
+}
+
+/// Function paths passed as values: a whole argument that is a bare path
+/// with a lowercase last segment (`.map(Json::from)`, `sort_by(cmp)`).
+/// Local variables match too, so a resolved reference can be spurious;
+/// the model keeps these edges out of the effect summaries.
+fn value_paths(code: &str) -> Vec<RawCall> {
+    let mut refs = Vec::new();
+    for (start, _) in code.match_indices(['(', ',']) {
+        let arg = &code[start + 1..];
+        let end = arg
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':' || c == ' '))
+            .unwrap_or(arg.len());
+        if !arg[end..].starts_with([')', ',']) {
+            continue;
+        }
+        let path = arg[..end].trim();
+        let mut segments: Vec<&str> = path.split("::").collect();
+        let Some(name) = segments.pop() else { continue };
+        let is_ident = |s: &str| {
+            s.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+                && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+        };
+        if !is_ident(name)
+            || !segments.iter().all(|s| is_ident(s))
+            || name.starts_with(|c: char| c.is_ascii_uppercase())
+            || matches!(name, "self" | "true" | "false" | "_")
+        {
+            continue;
+        }
+        let qualifier = segments.last().copied().unwrap_or("").to_string();
+        refs.push(RawCall { by_value: true, ..RawCall::bare(name, qualifier) });
+    }
+    refs
 }
 
 #[cfg(test)]
@@ -740,15 +821,53 @@ mod tests {
              \x20   value.other();\n\
              \x20   mac!(arg);\n\
              \x20   Some(3);\n\
+             \x20   if !negated() {}\n\
+             \x20   xs.map(Json::from);\n\
              }\n",
         );
-        let calls = &facts[0].calls;
+        let (values, calls): (Vec<&RawCall>, Vec<&RawCall>) =
+            facts[0].calls.iter().partition(|c| c.by_value);
         let names: Vec<&str> = calls.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["helper", "qualified", "assoc", "method", "other"]);
+        assert_eq!(names, vec!["helper", "qualified", "assoc", "method", "other", "negated", "map"]);
         assert_eq!(calls[1].qualifier, "module");
         assert_eq!(calls[2].qualifier, "Type");
         assert!(calls[3].is_method && calls[3].on_self);
         assert!(calls[4].is_method && !calls[4].on_self);
+        // A whole argument that is a path is a value; `arg` is one too, a
+        // local that resolves only if some fn shares its name.
+        let values: Vec<(&str, &str)> =
+            values.iter().map(|c| (c.qualifier.as_str(), c.name.as_str())).collect();
+        assert_eq!(values, vec![("", "arg"), ("Json", "from")]);
+    }
+
+    #[test]
+    fn trait_methods_and_item_level_calls() {
+        let facts = extract(
+            "use crate::rows::{row, other};\n\
+             trait Rule {\n\
+             \x20   fn check(&self) {}\n\
+             }\n\
+             impl Rule for &'a mut f64 {\n\
+             \x20   fn check(&self) {}\n\
+             }\n\
+             impl Plain {\n\
+             \x20   fn own(&self) {}\n\
+             }\n\
+             const ROWS: &[Row] = &[row(1)];\n",
+        );
+        let shape: Vec<(&str, Option<&str>, bool)> =
+            facts.iter().map(|f| (f.name.as_str(), f.owner.as_deref(), f.trait_method)).collect();
+        assert_eq!(
+            shape,
+            vec![
+                (ITEMS, None, false),
+                ("check", Some("Rule"), true),
+                ("check", Some("f64"), true),
+                ("own", Some("Plain"), false),
+            ]
+        );
+        let item_calls: Vec<&str> = facts[0].calls.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(item_calls, vec!["row"], "a `use` names paths but calls nothing");
     }
 
     #[test]

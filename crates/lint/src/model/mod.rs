@@ -128,6 +128,11 @@ pub struct WorkspaceModel {
     pub fns: BTreeMap<FnId, FnFacts>,
     /// Resolved call edges per function, in source order.
     pub calls: BTreeMap<FnId, Vec<ResolvedCall>>,
+    /// Reach-only edges per function, which the effect summaries ignore:
+    /// functions named as values (`.map(Json::from)`), and every
+    /// workspace method named like a [`METHOD_BLOCKLIST`] method the
+    /// function calls. The `unreached` rule follows them with `calls`.
+    pub uses: BTreeMap<FnId, BTreeSet<FnId>>,
     /// Intrinsic (own-body) effects per function.
     pub intrinsic: BTreeMap<FnId, Effects>,
     /// Transitive effects (own body plus everything reachable through
@@ -176,11 +181,6 @@ pub fn build(sources: &[SourceFile], cfg: &Config) -> WorkspaceModel {
 
     // Symbol table + per-file facts.
     for file in sources {
-        if file.rel.starts_with("crates/lint/") {
-            // The analyzer's own sources are full of effect-pattern
-            // literals; modeling them would be self-referential noise.
-            continue;
-        }
         for facts in extract::extract_file(file, cfg) {
             let id =
                 FnId { path: facts.path.clone(), name: facts.name.clone(), line: facts.line };
@@ -205,26 +205,41 @@ pub fn build(sources: &[SourceFile], cfg: &Config) -> WorkspaceModel {
         }
     }
 
-    // Resolve calls.
+    // Resolve calls, test code's too (test functions have no effect
+    // sites, so their edges only matter to reachability).
     for (id, facts) in &model.fns {
-        if facts.in_test {
-            continue;
-        }
         let mut resolved: Vec<ResolvedCall> = Vec::new();
+        let mut uses: BTreeSet<FnId> = BTreeSet::new();
         for call in &facts.calls {
-            for callee in resolve(call, id, facts, &model.fns, &by_name, &methods_by_name) {
-                if callee == *id {
-                    continue; // direct recursion adds nothing to may-effects
+            let index = if call.is_method { &methods_by_name } else { &by_name };
+            let pool = index.get(call.name.as_str()).map(Vec::as_slice).unwrap_or(&[]);
+            let callees = resolve(call, id, facts, &model.fns, pool);
+            // Without receiver types, reachability must assume a method
+            // call may land on any workspace method of its name, and an
+            // ambiguous unqualified call on any candidate.
+            let type_qualified = call.qualifier.starts_with(|c: char| c.is_ascii_uppercase());
+            if call.is_method || (callees.is_empty() && !type_qualified) {
+                uses.extend(pool.iter().cloned());
+            }
+            for callee in callees {
+                if call.by_value {
+                    uses.insert(callee);
+                } else if callee == *id {
+                    // Direct recursion adds nothing to may-effects.
+                } else {
+                    resolved.push(ResolvedCall {
+                        callee,
+                        line: call.line,
+                        in_loop: call.in_loop,
+                        held_locks: call.held_locks.clone(),
+                    });
                 }
-                resolved.push(ResolvedCall {
-                    callee,
-                    line: call.line,
-                    in_loop: call.in_loop,
-                    held_locks: call.held_locks.clone(),
-                });
             }
         }
         model.calls.insert(id.clone(), resolved);
+        if !uses.is_empty() {
+            model.uses.insert(id.clone(), uses);
+        }
     }
 
     // Intrinsic effects.
@@ -244,7 +259,7 @@ pub fn build(sources: &[SourceFile], cfg: &Config) -> WorkspaceModel {
 
     // Transitive effects and lock sets, by fixpoint. Traversal stops at
     // rule-exempt paths (telemetry instrumentation, vendored shims) and
-    // never enters test code (test fns have no resolved calls).
+    // never enters test code (no call resolves to a test fn).
     for (id, facts) in &model.fns {
         let mut locks: BTreeSet<String> = BTreeSet::new();
         for l in &facts.locks {
@@ -427,6 +442,13 @@ impl WorkspaceModel {
                         ])
                     })
                     .collect();
+                let uses: Vec<Json> = self
+                    .uses
+                    .get(id)
+                    .into_iter()
+                    .flatten()
+                    .map(|u| Json::String(format!("{}:{}", u.display(), u.line)))
+                    .collect();
                 let locks: Vec<Json> = self.locks_acquired[id]
                     .iter()
                     .map(|l| Json::String(l.clone()))
@@ -444,12 +466,14 @@ impl WorkspaceModel {
                             .map(|o| Json::String(o.clone()))
                             .unwrap_or(Json::Null),
                     ),
+                    ("trait_method".into(), Json::Bool(facts.trait_method)),
                     ("in_test".into(), Json::Bool(facts.in_test)),
                     ("hot_entry".into(), Json::Bool(facts.is_entry)),
                     ("frame_loop".into(), Json::Bool(facts.is_frame_loop)),
                     ("effects".into(), effects_json(self.intrinsic[id])),
                     ("transitive".into(), effects_json(self.closure[id])),
                     ("calls".into(), Json::Array(calls)),
+                    ("uses".into(), Json::Array(uses)),
                     ("locks_acquired".into(), Json::Array(locks)),
                 ])
             })
@@ -504,24 +528,17 @@ fn resolve(
     caller: &FnId,
     caller_facts: &FnFacts,
     fns: &BTreeMap<FnId, FnFacts>,
-    by_name: &BTreeMap<&str, Vec<FnId>>,
-    methods_by_name: &BTreeMap<&str, Vec<FnId>>,
+    pool: &[FnId],
 ) -> Vec<FnId> {
-    if call.is_method && METHOD_BLOCKLIST.contains(&call.name.as_str()) {
-        return Vec::new();
-    }
-    let empty: Vec<FnId> = Vec::new();
-    let pool: &Vec<FnId> = if call.is_method {
-        methods_by_name.get(call.name.as_str()).unwrap_or(&empty)
-    } else {
-        by_name.get(call.name.as_str()).unwrap_or(&empty)
-    };
-    if pool.is_empty() {
+    if pool.is_empty() || (call.is_method && METHOD_BLOCKLIST.contains(&call.name.as_str())) {
         return Vec::new();
     }
 
     if !call.qualifier.is_empty() {
-        let q = call.qualifier.as_str();
+        let q = match (call.qualifier.as_str(), &caller_facts.owner) {
+            ("Self", Some(owner)) => owner.as_str(),
+            (q, _) => q,
+        };
         if q.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
             // `Type::assoc` — owner must match.
             return pool

@@ -14,6 +14,7 @@ pub mod no_panic;
 pub mod no_panic_transitive;
 pub mod telemetry_discipline;
 pub mod thread_discipline;
+pub mod unreached;
 pub mod unsafe_hygiene;
 
 /// One lint rule. Rules see every scanned file once (pass 1, line-level),
@@ -43,6 +44,7 @@ pub fn all(registry_text: &str, registry_rel: &str) -> Vec<Box<dyn Rule>> {
         Box::new(hot_loop_alloc::HotLoopAlloc),
         Box::new(telemetry_discipline::TelemetryDiscipline::new(registry_text, registry_rel)),
         Box::new(unsafe_hygiene::UnsafeHygiene::default()),
+        Box::new(unreached::Unreached),
     ]
 }
 

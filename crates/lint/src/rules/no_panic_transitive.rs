@@ -135,8 +135,10 @@ mod tests {
         )];
         let cfg = Config::new(std::path::PathBuf::from("/nonexistent"));
         let report = lint_sources(&sources, &cfg, REGISTRY, "");
+        let transitive: Vec<_> =
+            report.findings.iter().filter(|f| f.rule == "no-panic-transitive").collect();
         assert!(
-            !report.findings.iter().any(|f| f.status == crate::diag::Status::Active),
+            transitive.len() == 1 && transitive[0].status != crate::diag::Status::Active,
             "{:?}",
             report.findings
         );

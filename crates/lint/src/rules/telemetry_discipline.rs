@@ -6,7 +6,7 @@
 //! smoke test asserts specific categories exist — so a typo'd or
 //! unregistered name silently drops data from dashboards. This rule
 //! extracts every string literal passed to the telemetry entry points
-//! (`span`, `span_cat`, `span_dyn`, `record_external_span`, `counter_add`,
+//! (`span`, `span_cat`, `record_external_span`, `counter_add`,
 //! `gauge_set`, `histogram_record_us`) — calls may span lines — and checks:
 //!
 //! 1. **convention** — `seg(.seg)+`, segments `[a-z0-9_]+`; `format!`
@@ -29,7 +29,6 @@ use super::{ident_before, Rule};
 /// Telemetry entry points: `(token, kind, has_category_arg)`.
 const APIS: &[(&str, &str, bool)] = &[
     ("span_cat(", "span", true),
-    ("span_dyn(", "span", true),
     ("record_external_span(", "span", true),
     ("span(", "span", false),
     ("counter_add(", "counter", false),
@@ -163,7 +162,7 @@ fn extract_calls(file: &SourceFile) -> Vec<Call> {
                     continue;
                 }
                 // `span(` would otherwise also match inside `span_cat(` /
-                // `span_dyn(` / `record_external_span(` at their tail; the
+                // `record_external_span(` at their tail; the
                 // ident_before check already rejects those (prev char is
                 // `_` or ident) — nothing more to do here.
                 let literals = call_literals(file, line_no - 1, at + token.len());

@@ -82,95 +82,6 @@ pub fn psnr(reference: &Image, test: &Image) -> Result<f64, ShapeMismatchError> 
     Ok(10.0 * (peak * peak / err).log10())
 }
 
-/// Structural similarity (global SSIM over the whole image, single window),
-/// in `[-1, 1]`; 1 means identical structure.
-///
-/// # Errors
-///
-/// Returns [`ShapeMismatchError`] when shapes differ.
-pub fn ssim(a: &Image, b: &Image) -> Result<f64, ShapeMismatchError> {
-    check_shapes(a, b)?;
-    let peak = a.max_value().max(b.max_value()).max(f64::MIN_POSITIVE);
-    let c1 = (0.01 * peak).powi(2);
-    let c2 = (0.03 * peak).powi(2);
-    let n = a.len() as f64;
-    let mean_a = a.mean();
-    let mean_b = b.mean();
-    let mut var_a = 0.0;
-    let mut var_b = 0.0;
-    let mut cov = 0.0;
-    for (&x, &y) in a.pixels().iter().zip(b.pixels()) {
-        var_a += (x - mean_a) * (x - mean_a);
-        var_b += (y - mean_b) * (y - mean_b);
-        cov += (x - mean_a) * (y - mean_b);
-    }
-    var_a /= n;
-    var_b /= n;
-    cov /= n;
-    Ok(((2.0 * mean_a * mean_b + c1) * (2.0 * cov + c2))
-        / ((mean_a * mean_a + mean_b * mean_b + c1) * (var_a + var_b + c2)))
-}
-
-/// Windowed SSIM: the standard sliding-window form (square window of side
-/// `window`, stride 1, uniform weighting), averaged over all window
-/// positions. Falls back to the global [`ssim`] when the window does not
-/// fit.
-///
-/// # Errors
-///
-/// Returns [`ShapeMismatchError`] when shapes differ.
-///
-/// # Panics
-///
-/// Panics if `window == 0`.
-pub fn ssim_windowed(a: &Image, b: &Image, window: usize) -> Result<f64, ShapeMismatchError> {
-    assert!(window > 0, "SSIM window must be non-empty");
-    check_shapes(a, b)?;
-    let (rows, cols) = (a.rows(), a.cols());
-    if window > rows || window > cols {
-        return ssim(a, b);
-    }
-    let peak = a.max_value().max(b.max_value()).max(f64::MIN_POSITIVE);
-    let c1 = (0.01 * peak).powi(2);
-    let c2 = (0.03 * peak).powi(2);
-    let n = (window * window) as f64;
-    let mut total = 0.0;
-    let mut count = 0u64;
-    for r0 in 0..=(rows - window) {
-        for c0 in 0..=(cols - window) {
-            let mut sum_a = 0.0;
-            let mut sum_b = 0.0;
-            for r in r0..r0 + window {
-                for c in c0..c0 + window {
-                    sum_a += a.at(r, c);
-                    sum_b += b.at(r, c);
-                }
-            }
-            let mean_a = sum_a / n;
-            let mean_b = sum_b / n;
-            let mut var_a = 0.0;
-            let mut var_b = 0.0;
-            let mut cov = 0.0;
-            for r in r0..r0 + window {
-                for c in c0..c0 + window {
-                    let da = a.at(r, c) - mean_a;
-                    let db = b.at(r, c) - mean_b;
-                    var_a += da * da;
-                    var_b += db * db;
-                    cov += da * db;
-                }
-            }
-            var_a /= n;
-            var_b /= n;
-            cov /= n;
-            total += ((2.0 * mean_a * mean_b + c1) * (2.0 * cov + c2))
-                / ((mean_a * mean_a + mean_b * mean_b + c1) * (var_a + var_b + c2));
-            count += 1;
-        }
-    }
-    Ok(total / count as f64)
-}
-
 /// The quality threshold below which AR experience degrades noticeably; the
 /// paper cites ~30 dB as sufficient for most AR applications (§5.4, \[57\]).
 pub const ACCEPTABLE_PSNR_DB: f64 = 30.0;
@@ -221,80 +132,11 @@ mod tests {
     }
 
     #[test]
-    fn ssim_bounds_and_identity() {
-        let a = img(vec![0.1, 0.5, 0.9, 0.3]);
-        let s = ssim(&a, &a).unwrap();
-        assert!((s - 1.0).abs() < 1e-9);
-        let b = img(vec![0.9, 0.5, 0.1, 0.7]);
-        let cross = ssim(&a, &b).unwrap();
-        assert!((-1.0..=1.0).contains(&cross));
-        assert!(cross < s);
-    }
-
-    #[test]
-    fn windowed_ssim_identity_and_bounds() {
-        let a = img(vec![0.1, 0.5, 0.9, 0.3, 0.2, 0.8, 0.4, 0.6, 0.7,
-                         0.15, 0.55, 0.95, 0.35, 0.25, 0.85, 0.45]);
-        assert!((ssim_windowed(&a, &a, 2).unwrap() - 1.0).abs() < 1e-9);
-        let b = img(vec![0.9, 0.1, 0.3, 0.7, 0.8, 0.2, 0.6, 0.4, 0.3,
-                         0.95, 0.15, 0.35, 0.75, 0.85, 0.25, 0.65]);
-        let s = ssim_windowed(&a, &b, 2).unwrap();
-        assert!((-1.0..=1.0).contains(&s));
-        assert!(s < 1.0);
-    }
-
-    #[test]
-    fn windowed_ssim_localizes_damage() {
-        // Localized corruption: most windows are pristine (SSIM 1), a few see
-        // the damage — the windowed average stays high, while the global
-        // single-window score is dragged down by the variance mismatch.
-        let mut base = vec![0.5; 64];
-        base[0] = 0.6; // avoid zero variance everywhere
-        let a = img(base.clone());
-        let mut corrupted = base;
-        corrupted[27] = 0.0;
-        corrupted[28] = 1.0;
-        let b = img(corrupted);
-        let windowed = ssim_windowed(&a, &b, 3).unwrap();
-        let global = ssim(&a, &b).unwrap();
-        assert!(
-            windowed > global,
-            "windowed ({windowed:.3}) should localize damage; global ({global:.3}) spreads it"
-        );
-        assert!(windowed < 1.0, "the damaged windows must still register");
-    }
-
-    #[test]
-    fn windowed_ssim_penalizes_global_scrambling() {
-        // Scrambling structure everywhere hurts the windowed score severely.
-        let a = img((0..64).map(|i| (i % 8) as f64 / 8.0).collect());
-        let b = img((0..64).map(|i| ((i * 5 + 3) % 8) as f64 / 8.0).collect());
-        let scrambled = ssim_windowed(&a, &b, 3).unwrap();
-        let identical = ssim_windowed(&a, &a, 3).unwrap();
-        assert!(scrambled < 0.6 * identical, "scrambled {scrambled} vs identical {identical}");
-    }
-
-    #[test]
-    fn oversized_window_falls_back_to_global() {
-        let a = img(vec![0.2, 0.4, 0.6, 0.8]);
-        let b = img(vec![0.25, 0.35, 0.65, 0.75]);
-        assert_eq!(ssim_windowed(&a, &b, 10).unwrap(), ssim(&a, &b).unwrap());
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be non-empty")]
-    fn zero_window_panics() {
-        let a = img(vec![0.0; 4]);
-        let _ = ssim_windowed(&a, &a, 0);
-    }
-
-    #[test]
     fn shape_mismatch_is_an_error() {
         let a = img(vec![0.0; 4]);
         let b = Image::new(1, 2, vec![0.0, 0.0]).unwrap();
         assert!(mse(&a, &b).is_err());
         assert!(psnr(&a, &b).is_err());
-        assert!(ssim(&a, &b).is_err());
         let e = mse(&a, &b).unwrap_err();
         assert!(e.to_string().contains("2x2"));
     }

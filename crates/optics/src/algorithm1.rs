@@ -151,7 +151,7 @@ pub fn hologram_from_planes(
             // but contributes nothing optically; skip the math, count the work.
             continue;
         }
-        // `dp2hp` is propagation by `-z`.
+        // DP2HP is propagation by `-z`.
         lit_fields.push(composited);
         lit_zs.push(-plane.z);
     }

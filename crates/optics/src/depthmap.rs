@@ -249,11 +249,6 @@ impl PlaneStack {
         &self.planes
     }
 
-    /// Consumes the stack, returning the planes.
-    pub fn into_planes(self) -> Vec<DepthPlane> {
-        self.planes
-    }
-
     /// Keeps only planes whose index lies in `[first, last]` (inclusive,
     /// 0-based) — the *sub-hologram* plane subset of Fig 9c (S-CGH).
     ///

@@ -25,28 +25,6 @@ pub struct OpticalConfig {
     pub pitch: f64,
 }
 
-impl OpticalConfig {
-    /// Creates a configuration from a wavelength and pixel pitch, both in
-    /// meters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either value is not strictly positive and finite.
-    pub fn new(wavelength: f64, pitch: f64) -> Self {
-        assert!(
-            wavelength > 0.0 && wavelength.is_finite(),
-            "wavelength must be positive and finite"
-        );
-        assert!(pitch > 0.0 && pitch.is_finite(), "pitch must be positive and finite");
-        OpticalConfig { wavelength, pitch }
-    }
-
-    /// The wavenumber `k = 2π/λ`.
-    pub fn wavenumber(&self) -> f64 {
-        2.0 * std::f64::consts::PI / self.wavelength
-    }
-}
-
 impl Default for OpticalConfig {
     /// A 532 nm source sampled at 8 µm — typical for SLM-based CGH setups
     /// like the ones in the OpenHolo examples the paper renders with.
@@ -64,7 +42,7 @@ impl Default for OpticalConfig {
 ///
 /// let mut f = Field::zeros(4, 4, OpticalConfig::default());
 /// f.set(2, 1, holoar_fft::Complex64::ONE);
-/// assert_eq!(f.intensity_at(2, 1), 1.0);
+/// assert_eq!(f.at(2, 1).norm_sqr(), 1.0);
 /// assert_eq!(f.total_energy(), 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -97,17 +75,6 @@ impl Field {
         Field { rows, cols, config, data }
     }
 
-    /// Creates a field whose amplitude is given per pixel with zero phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `amplitude.len() != rows * cols` or either dimension is zero.
-    pub fn from_amplitude(rows: usize, cols: usize, config: OpticalConfig, amplitude: &[f64]) -> Self {
-        assert_eq!(amplitude.len(), rows * cols, "amplitude length must equal rows*cols");
-        let data = amplitude.iter().map(|&a| Complex64::new(a, 0.0)).collect();
-        Field::from_data(rows, cols, config, data)
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -131,16 +98,6 @@ impl Field {
     /// The sampling configuration.
     pub fn config(&self) -> OpticalConfig {
         self.config
-    }
-
-    /// Physical width of the sampled aperture in meters.
-    pub fn physical_width(&self) -> f64 {
-        self.cols as f64 * self.config.pitch
-    }
-
-    /// Physical height of the sampled aperture in meters.
-    pub fn physical_height(&self) -> f64 {
-        self.rows as f64 * self.config.pitch
     }
 
     /// The sample at `(row, col)`.
@@ -175,20 +132,6 @@ impl Field {
         &mut self.data
     }
 
-    /// Consumes the field, returning the raw sample buffer.
-    pub fn into_samples(self) -> Vec<Complex64> {
-        self.data
-    }
-
-    /// Intensity `|u|²` at one sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of bounds.
-    pub fn intensity_at(&self, row: usize, col: usize) -> f64 {
-        self.at(row, col).norm_sqr()
-    }
-
     /// The per-pixel intensity image `|u|²`.
     pub fn intensity(&self) -> Vec<f64> {
         self.data.iter().map(|z| z.norm_sqr()).collect()
@@ -199,33 +142,9 @@ impl Field {
         self.data.iter().map(|z| z.norm()).collect()
     }
 
-    /// The per-pixel phase image `arg(u)` in `(-π, π]`.
-    pub fn phase(&self) -> Vec<f64> {
-        self.data.iter().map(|z| z.arg()).collect()
-    }
-
     /// Total optical energy `Σ|u|²`.
     pub fn total_energy(&self) -> f64 {
         self.data.iter().map(|z| z.norm_sqr()).sum()
-    }
-
-    /// Returns a phase-only copy: every sample normalized to unit amplitude
-    /// (zero samples stay zero). This models an ideal phase-type SLM, the
-    /// display technology the GSW algorithm targets.
-    pub fn to_phase_only(&self) -> Field {
-        let data = self
-            .data
-            .iter()
-            .map(|z| {
-                let r = z.norm();
-                if r > 0.0 {
-                    z.scale(1.0 / r)
-                } else {
-                    Complex64::ZERO
-                }
-            })
-            .collect();
-        Field { rows: self.rows, cols: self.cols, config: self.config, data }
     }
 
     /// Adds another field sample-wise (`self += other`).
@@ -256,22 +175,30 @@ impl Field {
 mod tests {
     use super::*;
 
-    #[test]
-    fn config_validation() {
-        let cfg = OpticalConfig::new(633e-9, 6.4e-6);
-        assert!((cfg.wavenumber() - 2.0 * std::f64::consts::PI / 633e-9).abs() < 1.0);
+    impl Field {
+        /// A phase-only copy: every sample normalized to unit amplitude
+        /// (zero samples stay zero), an ideal phase-type SLM.
+        pub(crate) fn to_phase_only(&self) -> Field {
+            let data = self
+                .data
+                .iter()
+                .map(|z| {
+                    let r = z.norm();
+                    if r > 0.0 {
+                        z.scale(1.0 / r)
+                    } else {
+                        Complex64::ZERO
+                    }
+                })
+                .collect();
+            Field { rows: self.rows, cols: self.cols, config: self.config, data }
+        }
     }
 
-    #[test]
-    #[should_panic(expected = "wavelength")]
-    fn rejects_bad_wavelength() {
-        OpticalConfig::new(0.0, 8e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "pitch")]
-    fn rejects_bad_pitch() {
-        OpticalConfig::new(532e-9, f64::NAN);
+    /// A zero-phase field of the given per-pixel amplitudes, one row.
+    fn amplitude_row(amplitude: &[f64]) -> Field {
+        let data = amplitude.iter().map(|&a| Complex64::new(a, 0.0)).collect();
+        Field::from_data(1, amplitude.len(), OpticalConfig::default(), data)
     }
 
     #[test]
@@ -283,7 +210,7 @@ mod tests {
         assert!(!f.is_empty());
         f.set(2, 4, Complex64::new(1.0, 1.0));
         assert_eq!(f.at(2, 4), Complex64::new(1.0, 1.0));
-        assert_eq!(f.intensity_at(2, 4), 2.0);
+        assert_eq!(f.at(2, 4).norm_sqr(), 2.0);
     }
 
     #[test]
@@ -293,24 +220,9 @@ mod tests {
     }
 
     #[test]
-    fn from_amplitude_has_zero_phase() {
-        let f = Field::from_amplitude(1, 3, OpticalConfig::default(), &[0.0, 1.0, 2.0]);
-        assert_eq!(f.phase(), vec![0.0, 0.0, 0.0]);
-        assert_eq!(f.amplitude(), vec![0.0, 1.0, 2.0]);
-        assert_eq!(f.total_energy(), 5.0);
-    }
-
-    #[test]
     #[should_panic(expected = "rows*cols")]
     fn from_data_length_mismatch_panics() {
         Field::from_data(2, 2, OpticalConfig::default(), vec![Complex64::ZERO; 3]);
-    }
-
-    #[test]
-    fn physical_extent() {
-        let f = Field::zeros(100, 200, OpticalConfig::new(532e-9, 8e-6));
-        assert!((f.physical_width() - 1.6e-3).abs() < 1e-12);
-        assert!((f.physical_height() - 0.8e-3).abs() < 1e-12);
     }
 
     #[test]
@@ -325,9 +237,8 @@ mod tests {
 
     #[test]
     fn accumulate_and_scale() {
-        let cfg = OpticalConfig::default();
-        let mut a = Field::from_amplitude(1, 2, cfg, &[1.0, 2.0]);
-        let b = Field::from_amplitude(1, 2, cfg, &[0.5, 0.5]);
+        let mut a = amplitude_row(&[1.0, 2.0]);
+        let b = amplitude_row(&[0.5, 0.5]);
         a.accumulate(&b);
         assert_eq!(a.amplitude(), vec![1.5, 2.5]);
         a.scale(2.0);

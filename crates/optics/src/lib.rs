@@ -10,11 +10,8 @@
 //! * [`Propagator`] — angular-spectrum propagation (`HP2DP`/`DP2HP`),
 //! * [`algorithm1`] — the paper's depthmap hologram algorithm with
 //!   work/synchronization instrumentation,
-//! * [`fresnel`] — the paraxial (Fresnel) kernel for comparison,
 //! * [`gsw`] — adaptive weighted Gerchberg–Saxton phase retrieval,
-//! * [`phase`] — phase-only encodings and SLM quantization,
 //! * [`reconstruct`] — numerical reconstruction (focal stacks, pupil views),
-//! * [`subhologram`] — viewing-window clipping (the Baseline design),
 //! * [`scene`] — procedural Sniper/Rock/Tree/Planet/Rabbit/Dice objects.
 //!
 //! # Examples
@@ -38,22 +35,16 @@
 pub mod algorithm1;
 pub mod depthmap;
 pub mod field;
-pub mod fresnel;
 pub mod gsw;
-pub mod phase;
 pub mod propagate;
 pub mod reconstruct;
 pub mod scene;
-pub mod subhologram;
 
 pub use algorithm1::{depthmap_hologram, hologram_from_planes, HologramResult, HologramStats};
 pub use depthmap::{BuildDepthMapError, DepthMap, DepthPlane, PlaneStack};
 pub use field::{Field, OpticalConfig};
-pub use fresnel::FresnelPropagator;
 pub use gsw::{GswConfig, GswResult};
-pub use phase::PhaseEncoding;
 pub use holoar_fft::{ExecutionContext, ExecutionContextBuilder};
 pub use propagate::Propagator;
 pub use reconstruct::Pupil;
 pub use scene::VirtualObject;
-pub use subhologram::Region;

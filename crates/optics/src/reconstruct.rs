@@ -33,16 +33,6 @@ pub fn reconstruct_intensity(hologram: &Field, z: f64, prop: &mut Propagator) ->
     prop.propagate(hologram, z).intensity()
 }
 
-/// Reconstructs intensity images at each focal distance in `distances`
-/// (Fig 9b: "viewing the W-CGH from different focal distances").
-///
-/// # Panics
-///
-/// Panics if any distance is not finite.
-pub fn focal_stack(hologram: &Field, distances: &[f64], prop: &mut Propagator) -> Vec<Vec<f64>> {
-    distances.iter().map(|&z| reconstruct_intensity(hologram, z, prop)).collect()
-}
-
 /// Reconstructs an *incoherent* focal stack from a sliced depth-plane
 /// decomposition: at each focal distance the per-plane contributions are
 /// summed in intensity rather than amplitude.
@@ -189,7 +179,7 @@ mod tests {
         let cfg = OpticalConfig::default();
         let mut obj = Field::zeros(n, n, cfg);
         obj.set(n / 2, n / 2, Complex64::ONE);
-        Propagator::new().dp2hp(&obj, z)
+        Propagator::new().propagate(&obj, -z)
     }
 
     #[test]
@@ -204,19 +194,6 @@ mod tests {
             .fold((0, 0.0), |acc, (i, &v)| if v > acc.1 { (i, v) } else { acc });
         assert_eq!(peak_idx, 16 * 32 + 16);
         assert!(peak > 0.5);
-    }
-
-    #[test]
-    fn focal_stack_returns_one_image_per_distance() {
-        let holo = point_hologram(16, 0.002);
-        let mut prop = Propagator::new();
-        let stack = focal_stack(&holo, &[0.001, 0.002, 0.003], &mut prop);
-        assert_eq!(stack.len(), 3);
-        assert!(stack.iter().all(|img| img.len() == 256));
-        // Sharpest (highest peak) at the true depth.
-        let peak = |img: &[f64]| img.iter().cloned().fold(0.0, f64::max);
-        assert!(peak(&stack[1]) > peak(&stack[0]));
-        assert!(peak(&stack[1]) > peak(&stack[2]));
     }
 
     #[test]

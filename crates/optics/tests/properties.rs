@@ -2,10 +2,7 @@
 //! hold for arbitrary fields, depthmaps and distances.
 
 use holoar_fft::{Complex64, ExecutionContext, Parallelism};
-use holoar_optics::{
-    algorithm1, phase, subhologram, DepthMap, Field, FresnelPropagator, OpticalConfig,
-    PhaseEncoding, Propagator, Region,
-};
+use holoar_optics::{algorithm1, DepthMap, Field, OpticalConfig, Propagator};
 use proptest::prelude::*;
 
 fn arb_smooth_field() -> impl Strategy<Value = Field> {
@@ -48,15 +45,6 @@ proptest! {
         let out = Propagator::new().propagate(&field, z);
         let e1 = out.total_energy();
         prop_assert!((e0 - e1).abs() / e0 < 0.05, "energy {e0} -> {e1} at z={z}");
-    }
-
-    /// Fresnel propagation is exactly unitary for any field and distance.
-    #[test]
-    fn fresnel_is_unitary(field in arb_smooth_field(), z_um in -4000.0f64..4000.0) {
-        let z = z_um * 1e-6;
-        let e0 = field.total_energy();
-        let out = FresnelPropagator::new().propagate(&field, z);
-        prop_assert!((out.total_energy() - e0).abs() <= 1e-9 * e0.max(1.0));
     }
 
     /// Forward-then-backward propagation recovers the field (reciprocity).
@@ -108,67 +96,6 @@ proptest! {
         prop_assert_eq!(result.stats.intra_block_syncs, 2 * planes);
         prop_assert_eq!(result.stats.inter_block_syncs, 2);
         prop_assert_eq!(result.stats.pixels_per_plane, 256);
-    }
-
-    /// Phase quantization error is bounded by half a step for any field.
-    #[test]
-    fn quantization_error_is_bounded(field in arb_smooth_field(), bits in 1u32..10) {
-        let shifted = {
-            // Give the field non-trivial phases.
-            let mut f = field.clone();
-            for (i, s) in f.samples_mut().iter_mut().enumerate() {
-                *s *= Complex64::cis(i as f64 * 0.13);
-            }
-            f
-        };
-        let q = phase::quantize_phase(&shifted, bits);
-        let step = 2.0 * std::f64::consts::PI / (1u64 << bits) as f64;
-        for (a, b) in shifted.samples().iter().zip(q.samples()) {
-            if a.norm() > 1e-9 {
-                let mut d = (a.arg() - b.arg()).abs();
-                if d > std::f64::consts::PI {
-                    d = 2.0 * std::f64::consts::PI - d;
-                }
-                prop_assert!(d <= step / 2.0 + 1e-9);
-            }
-        }
-    }
-
-    /// Phase-only encodings always emit unit-amplitude (or dark) samples.
-    #[test]
-    fn encodings_are_phase_only(field in arb_smooth_field(), use_double in any::<bool>()) {
-        let encoding =
-            if use_double { PhaseEncoding::DoublePhase } else { PhaseEncoding::PhaseExtraction };
-        let encoded = phase::encode_phase_only(&field, encoding);
-        for s in encoded.samples() {
-            let r = s.norm();
-            prop_assert!(r == 0.0 || (r - 1.0).abs() < 1e-9);
-        }
-    }
-
-    /// Region coverage is always in [0, 1] and monotone under containment.
-    #[test]
-    fn region_coverage_bounds(
-        row in 0usize..40, col in 0usize..40,
-        rows in 1usize..30, cols in 1usize..30,
-    ) {
-        let window = Region::new(5, 5, 20, 20);
-        let obj = Region::new(row, col, rows, cols);
-        let cov = window.coverage_of(&obj);
-        prop_assert!((0.0..=1.0).contains(&cov));
-        // A bigger window covers at least as much.
-        let bigger = Region::new(0, 0, 40, 40);
-        prop_assert!(bigger.coverage_of(&obj) >= cov);
-    }
-
-    /// Clipping to a region never increases energy, and full-region clipping
-    /// is the identity.
-    #[test]
-    fn clipping_energy(field in arb_smooth_field(), row in 0usize..16, size in 1usize..32) {
-        let clipped = subhologram::clip_to_region(&field, Region::new(row, row, size, size));
-        prop_assert!(clipped.total_energy() <= field.total_energy() + 1e-12);
-        let full = subhologram::clip_to_region(&field, Region::full(32, 32));
-        prop_assert_eq!(full.total_energy(), field.total_energy());
     }
 }
 

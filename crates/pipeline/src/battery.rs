@@ -18,19 +18,6 @@ impl Battery {
         Battery { capacity_wh: 16.5 }
     }
 
-    /// Creates a battery with a given capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacity is not positive and finite.
-    pub fn new(capacity_wh: f64) -> Self {
-        assert!(
-            capacity_wh > 0.0 && capacity_wh.is_finite(),
-            "battery capacity must be positive"
-        );
-        Battery { capacity_wh }
-    }
-
     /// Runtime in hours at a sustained average power draw.
     ///
     /// # Panics
@@ -71,12 +58,6 @@ mod tests {
         // short-battery-life motivation.
         let hours = Battery::headset().runtime_hours(4.4);
         assert!(hours > 2.0 && hours < 5.0, "{hours} h");
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn bad_capacity_panics() {
-        Battery::new(0.0);
     }
 
     #[test]

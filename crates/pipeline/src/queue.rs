@@ -48,7 +48,6 @@ use std::collections::VecDeque;
 pub struct BoundedQueue<T> {
     items: VecDeque<T>,
     bound: usize,
-    pushed: u64,
     popped: u64,
     dropped: u64,
     high_water: usize,
@@ -66,7 +65,6 @@ impl<T> BoundedQueue<T> {
         BoundedQueue {
             items: VecDeque::with_capacity(bound),
             bound,
-            pushed: 0,
             popped: 0,
             dropped: 0,
             high_water: 0,
@@ -86,7 +84,6 @@ impl<T> BoundedQueue<T> {
             None
         };
         self.items.push_back(item);
-        self.pushed += 1;
         self.high_water = self.high_water.max(self.items.len());
         holoar_telemetry::counter_add("pipeline.queue.pushed", 1);
         holoar_telemetry::gauge_set("pipeline.queue.depth", self.items.len() as f64);
@@ -104,11 +101,6 @@ impl<T> BoundedQueue<T> {
         item
     }
 
-    /// Borrows the oldest element without dequeuing it.
-    pub fn front(&self) -> Option<&T> {
-        self.items.front()
-    }
-
     /// Current occupancy.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -124,21 +116,9 @@ impl<T> BoundedQueue<T> {
         self.bound
     }
 
-    /// Whether the next push would displace the oldest element — the
-    /// saturation signal `core::degrade` watches
-    /// (`DegradationController::observe_queue_depth`).
-    pub fn is_saturated(&self) -> bool {
-        self.items.len() == self.bound
-    }
-
     /// Highest occupancy ever observed.
     pub fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// Total elements ever pushed (including ones later dropped).
-    pub fn pushed(&self) -> u64 {
-        self.pushed
     }
 
     /// Total elements dequeued by [`pop`](Self::pop).
@@ -189,18 +169,6 @@ mod tests {
         }
         assert_eq!(q.high_water(), 4);
         assert_eq!(q.dropped(), 96);
-        assert_eq!(q.pushed(), 100);
-    }
-
-    #[test]
-    fn saturation_flags_the_next_drop() {
-        let mut q = BoundedQueue::new(2);
-        q.push(0u8);
-        assert!(!q.is_saturated());
-        q.push(1);
-        assert!(q.is_saturated());
-        q.pop();
-        assert!(!q.is_saturated());
     }
 
     #[test]
@@ -212,7 +180,6 @@ mod tests {
                 q.pop();
             }
         }
-        assert_eq!(q.pushed(), 10);
         assert_eq!(q.popped() + q.dropped() + q.len() as u64, 10);
     }
 

@@ -105,62 +105,6 @@ impl GazeModel {
     }
 }
 
-/// Spontaneous-blink process: humans blink ~15–20 times per minute, and
-/// each blink blanks the eye tracker for a few frames — the natural source
-/// of the `GazeInput::Lost` dropouts the planner must survive.
-///
-/// # Examples
-///
-/// ```
-/// use holoar_sensors::gaze::BlinkModel;
-///
-/// let mut blinks = BlinkModel::new(30.0, 4);
-/// let blanked = (0..3000).filter(|_| blinks.sample()).count();
-/// assert!(blanked > 0, "100 s of samples should contain blinks");
-/// ```
-#[derive(Debug, Clone)]
-pub struct BlinkModel {
-    sample_period: f64,
-    rng: Rng,
-    time_to_next: f64,
-    blink_remaining: f64,
-}
-
-impl BlinkModel {
-    /// Mean time between blinks, seconds (~17 blinks/minute).
-    pub const MEAN_INTERVAL: f64 = 3.5;
-    /// Blink duration, seconds (lid closed + tracker reacquisition).
-    pub const DURATION: f64 = 0.15;
-
-    /// Creates a blink process sampled at `rate_hz`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate_hz` is not positive and finite.
-    pub fn new(rate_hz: f64, seed: u64) -> Self {
-        assert!(rate_hz > 0.0 && rate_hz.is_finite(), "sample rate must be positive");
-        let mut rng = Rng::seeded(seed.wrapping_mul(0x000B_114C));
-        let time_to_next = rng.exponential(Self::MEAN_INTERVAL);
-        BlinkModel { sample_period: 1.0 / rate_hz, rng, time_to_next, blink_remaining: 0.0 }
-    }
-
-    /// Advances one sample period; returns `true` while a blink blanks the
-    /// tracker.
-    pub fn sample(&mut self) -> bool {
-        if self.blink_remaining > 0.0 {
-            self.blink_remaining -= self.sample_period;
-            return true;
-        }
-        self.time_to_next -= self.sample_period;
-        if self.time_to_next <= 0.0 {
-            self.blink_remaining = Self::DURATION;
-            self.time_to_next = self.rng.exponential(Self::MEAN_INTERVAL);
-            return true;
-        }
-        false
-    }
-}
-
 /// A recorded gaze trace and its locality statistics.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct GazeTrace {
@@ -313,40 +257,6 @@ mod tests {
             sim13 > sim12,
             "User1/User3 overlap ({sim13:.2}) should beat User1/User2 ({sim12:.2})"
         );
-    }
-
-    #[test]
-    fn blink_rate_is_physiological() {
-        let mut blinks = BlinkModel::new(30.0, 9);
-        let samples = 30 * 600; // 10 minutes
-        let mut events = 0u32;
-        let mut prev = false;
-        let mut blanked = 0u32;
-        for _ in 0..samples {
-            let b = blinks.sample();
-            if b && !prev {
-                events += 1;
-            }
-            if b {
-                blanked += 1;
-            }
-            prev = b;
-        }
-        // ~17/min ± a wide band.
-        let per_minute = events as f64 / 10.0;
-        assert!((8.0..30.0).contains(&per_minute), "blink rate {per_minute}/min");
-        // Duty cycle ≈ duration / interval ≈ 4%.
-        let duty = blanked as f64 / samples as f64;
-        assert!((0.01..0.12).contains(&duty), "blink duty cycle {duty}");
-    }
-
-    #[test]
-    fn blinks_are_deterministic_per_seed() {
-        let mut a = BlinkModel::new(30.0, 5);
-        let mut b = BlinkModel::new(30.0, 5);
-        for _ in 0..500 {
-            assert_eq!(a.sample(), b.sample());
-        }
     }
 
     #[test]

@@ -62,12 +62,6 @@ impl HeadMotion {
         }
     }
 
-    /// The ground-truth orientation right now (what a perfect tracker would
-    /// report).
-    pub fn true_orientation(&self) -> AngularPoint {
-        self.orientation
-    }
-
     /// Advances one sample period and returns the observation.
     pub fn sample(&mut self) -> ImuSample {
         // Ornstein–Uhlenbeck-style velocity: smooth, mean-reverting head

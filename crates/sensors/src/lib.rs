@@ -11,7 +11,7 @@
 //! * [`eyetrack`] — an estimator with NVGaze's 2.06° accuracy and 4.4 ms
 //!   latency,
 //! * [`imu`]/[`pose`] — head motion and a Kimera-like filter (13.75 ms),
-//! * [`scene_reconstruct`] — TSDF-style fusion with InfiniTAM's 120 ms cost,
+//! * [`scene_reconstruct`] — InfiniTAM's published 120 ms cost and cadence,
 //! * [`stats`] — the Fig 3 dataset study computed over all of the above.
 //!
 //! # Examples
@@ -42,10 +42,9 @@ pub mod trace;
 
 pub use angles::{AngularPoint, AngularRect};
 pub use eyetrack::{EyeTracker, GazeEstimate};
-pub use gaze::{BlinkModel, GazeModel, GazeTrace, UserProfile};
+pub use gaze::{GazeModel, GazeTrace, UserProfile};
 pub use imu::{HeadMotion, ImuSample};
 pub use objectron::{Frame, FrameGenerator, ObjectAnnotation, VideoCategory, VideoSpec};
 pub use pose::{PoseEstimate, PoseEstimator};
 pub use rng::Rng;
-pub use scene_reconstruct::{DepthObservation, SceneMap};
 pub use trace::{ParseTraceError, SessionTrace, TraceFrame};

@@ -56,16 +56,6 @@ impl Rng {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// A uniform sample in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` or either bound is non-finite.
-    pub fn uniform_in(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo <= hi && lo.is_finite() && hi.is_finite(), "invalid range [{lo}, {hi})");
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// A standard normal sample (Box–Muller).
     pub fn normal(&mut self) -> f64 {
         let u1 = self.uniform().max(f64::MIN_POSITIVE);

@@ -93,7 +93,7 @@ pub struct ServeConfig {
     pub specs: Vec<SessionSpec>,
     /// Ticks to simulate.
     pub frames: u64,
-    /// The shared device spec — model, standing slowdown and the per-tick
+    /// The shared device spec — model and the per-tick
     /// deadline ([`DeviceSpec::budget`]).
     pub device: DeviceSpec,
 }

@@ -72,7 +72,7 @@ pub const BATCH_DISCOUNT: f64 = 0.30;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// The devices, heterogeneity welcome — each spec carries its own SM
-    /// count, standing slowdown and frame budget.
+    /// count and frame budget.
     pub devices: Vec<DeviceSpec>,
     /// Ticks to simulate (one tick = one 90 Hz refresh, fleet-wide).
     pub frames: u64,

@@ -69,17 +69,13 @@ impl QualitySampler {
             sum / f64::from(count)
         }
     }
-
-    /// Distinct (object, planes) points sampled so far.
-    pub fn cached_samples(&self) -> usize {
-        self.cache.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use holoar_core::{Planner, Scheme, SensorSample};
+    use holoar_core::sensor_input::{GazeInput, PoseInput, SensorSample};
+    use holoar_core::{Planner, Scheme};
     use holoar_sensors::angles::AngularPoint;
     use holoar_sensors::objectron::{FrameGenerator, VideoCategory};
     use holoar_sensors::pose::PoseEstimate;
@@ -89,21 +85,24 @@ mod tests {
         let config = HoloArConfig::for_scheme(Scheme::InterIntraHolo).without_reuse();
         let frame = FrameGenerator::new(VideoCategory::Shoe, 7).next().expect("infinite");
         let gaze = frame.objects.first().map(|o| o.direction).unwrap_or(AngularPoint::CENTER);
-        let sample = SensorSample::tracked(
-            PoseEstimate { orientation: AngularPoint::CENTER, latency: 0.01375 },
-            gaze,
-        );
+        let sample = SensorSample {
+            pose: PoseInput::Tracked(PoseEstimate {
+                orientation: AngularPoint::CENTER,
+                latency: 0.01375,
+            }),
+            gaze: GazeInput::tracked(gaze),
+        };
         let plan = Planner::new(config).expect("valid config").plan_frame_with(&frame, &sample);
         let ctx = ExecutionContext::serial();
         let mut sampler = QualitySampler::new();
         let psnr = sampler.plan_psnr(&plan, &config, &ctx);
         assert!(psnr > 0.0 && psnr <= PSNR_CAP, "psnr {psnr} out of range");
-        let cached = sampler.cached_samples();
+        let cached = sampler.cache.len();
         assert!(cached > 0);
         // Second pass over the same plan is served from cache.
         let again = sampler.plan_psnr(&plan, &config, &ctx);
         assert_eq!(psnr, again);
-        assert_eq!(sampler.cached_samples(), cached);
+        assert_eq!(sampler.cache.len(), cached);
     }
 
     #[test]

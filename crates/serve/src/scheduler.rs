@@ -49,12 +49,6 @@ impl FrameScheduler {
             self.ages[session] = self.ages[session].saturating_add(1);
         }
     }
-
-    /// Current age of a session (ticks since it was last served on time,
-    /// counting only missed/deferred ticks).
-    pub fn age(&self, session: usize) -> u32 {
-        self.ages[session]
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,6 @@
-//! Exporters: Chrome-trace (`chrome://tracing` / Perfetto) JSON, a flat
-//! metrics JSON, a metrics CSV, and the per-frame summary CSV.
-//!
-//! Both JSON exports are built as one [`Json`] value and rendered by
-//! [`crate::jsonlite`], the workspace's one JSON writer; the CSV exports
-//! are plain `name,kind,value` text.
-
-use std::fmt::Write as _;
+//! Exporters: Chrome-trace (`chrome://tracing` / Perfetto) JSON and a flat
+//! metrics JSON, each built as one [`Json`] value and rendered by
+//! [`crate::jsonlite`], the workspace's one JSON writer.
 
 use crate::collector::{frame_snapshot, span_snapshot, with_registry, SpanRecord};
 use crate::jsonlite::Json;
@@ -107,68 +102,4 @@ fn histogram(h: &Histogram) -> Json {
         ("p999_us", quantile(0.999)),
         ("buckets", Json::Array(buckets.collect())),
     ])
-}
-
-/// Exports counters and gauges as flat CSV (`name,kind,value`), histograms
-/// as (`name,histogram,count,sum_us,mean_us,min_us,max_us,overflow,p50_us,
-/// p99_us`); the trailing quantile columns come from each histogram's
-/// embedded sketch and are empty for counters/gauges.
-pub fn export_metrics_csv() -> String {
-    let registry: Registry = with_registry(|r| r.clone());
-    let mut out = String::from("name,kind,value,sum_us,mean_us,min_us,max_us,overflow,p50_us,p99_us\n");
-    for (name, metric) in registry.iter() {
-        match metric {
-            Metric::Counter(v) => {
-                let _ = writeln!(out, "{name},counter,{v},,,,,,,");
-            }
-            Metric::Gauge(v) => {
-                let _ = writeln!(out, "{name},gauge,{v},,,,,,,");
-            }
-            Metric::Histogram(h) => {
-                let _ = writeln!(
-                    out,
-                    "{name},histogram,{},{},{},{},{},{},{},{}",
-                    h.count(),
-                    h.sum_us(),
-                    h.mean_us(),
-                    h.min_us().unwrap_or(0.0),
-                    h.max_us().unwrap_or(0.0),
-                    h.overflow_count(),
-                    h.quantile_us(0.50).unwrap_or(0.0),
-                    h.quantile_us(0.99).unwrap_or(0.0),
-                );
-            }
-        }
-    }
-    out
-}
-
-/// Exports the per-frame summary log as CSV. The header is the union of
-/// every row's field names (in first-seen order); missing fields are empty.
-pub fn export_frames_csv() -> String {
-    let frames = frame_snapshot();
-    let mut columns: Vec<String> = Vec::new();
-    for row in &frames {
-        for (key, _) in &row.fields {
-            if !columns.contains(key) {
-                columns.push(key.clone());
-            }
-        }
-    }
-    let mut out = String::from("frame");
-    for c in &columns {
-        let _ = write!(out, ",{c}");
-    }
-    out.push('\n');
-    for row in &frames {
-        let _ = write!(out, "{}", row.index);
-        for c in &columns {
-            out.push(',');
-            if let Some((_, v)) = row.fields.iter().find(|(k, _)| k == c) {
-                let _ = write!(out, "{v}");
-            }
-        }
-        out.push('\n');
-    }
-    out
 }

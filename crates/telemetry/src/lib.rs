@@ -64,17 +64,13 @@ pub mod span;
 pub mod timeseries;
 
 pub use collector::{now_ns, record_frame, reset, span_count, span_snapshot, SpanRecord};
-pub use export::{
-    export_chrome_trace, export_frames_csv, export_metrics_csv, export_metrics_json,
-};
+pub use export::{export_chrome_trace, export_metrics_json};
 pub use metrics::{Histogram, Metric, Registry, BUCKET_BOUNDS_US};
 pub use mode::{init_from_env, mode, mode_from_env, set_mode, TelemetryMode, TELEMETRY_ENV_VAR};
 pub use profile::{SpanTreeAnalysis, StageAgg};
 pub use sketch::QuantileSketch;
-pub use span::{current_thread_id, record_external_span, span, span_cat, span_dyn, SpanGuard};
+pub use span::{current_thread_id, record_external_span, span, span_cat, SpanGuard};
 pub use timeseries::SlidingWindow;
-
-use std::time::Duration;
 
 /// Adds `delta` to the named counter. No-op unless telemetry is enabled.
 pub fn counter_add(name: &str, delta: u64) {
@@ -96,10 +92,4 @@ pub fn histogram_record_us(name: &str, value: f64) {
     if mode::enabled() {
         collector::with_registry(|r| r.histogram_record(name, value));
     }
-}
-
-/// Records a wall-clock duration into the named histogram, in microseconds.
-/// No-op unless telemetry is enabled.
-pub fn histogram_record_duration(name: &str, duration: Duration) {
-    histogram_record_us(name, duration.as_secs_f64() * 1e6);
 }

@@ -158,11 +158,6 @@ impl Histogram {
     pub fn quantile_us(&self, q: f64) -> Option<f64> {
         self.sketch.quantile(q)
     }
-
-    /// The embedded quantile sketch (mergeable, order-independent).
-    pub fn sketch(&self) -> &QuantileSketch {
-        &self.sketch
-    }
 }
 
 /// One named metric.

@@ -1,5 +1,5 @@
-//! Span-tree aggregation: critical-path attribution and flamegraph-style
-//! self-time reports.
+//! Span-tree aggregation: critical-path attribution and per-name self
+//! time.
 //!
 //! Works over any slice of [`SpanRecord`]s — the live collector snapshot or
 //! a synthesized per-frame tree (the serving layer builds one from simulated
@@ -10,11 +10,10 @@
 //!    dominated its duration? A missed deadline then *names* the stage that
 //!    caused it instead of reporting a bare number.
 //! 2. **Self time** — per span name, how much duration is the span's own
-//!    (total minus children)? Rendered as a text flamegraph so the heaviest
-//!    stage is visible without a trace viewer.
+//!    (total minus children)? The heaviest stage is then visible without a
+//!    trace viewer.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::collector::SpanRecord;
 
@@ -148,7 +147,7 @@ impl<'a> SpanTreeAnalysis<'a> {
     }
 
     /// Per-name aggregation (count, total, self time), sorted by self time
-    /// descending, name ascending on ties — the flamegraph's data.
+    /// descending, name ascending on ties.
     pub fn self_time_by_name(&self) -> Vec<StageAgg> {
         let mut by_name: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
         for s in self.spans {
@@ -168,34 +167,6 @@ impl<'a> SpanTreeAnalysis<'a> {
             .collect();
         rows.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.name.cmp(&b.name)));
         rows
-    }
-
-    /// A flamegraph-style text report: one bar per span name, widths
-    /// proportional to self time. Deterministic; suitable for golden
-    /// fixtures.
-    pub fn flame_report(&self) -> String {
-        let rows = self.self_time_by_name();
-        let total_self: u64 = rows.iter().map(|r| r.self_ns).sum();
-        let mut out = String::new();
-        let _ = writeln!(out, "{:<34} {:>7} {:>12} {:>7}  self-time", "stage", "count", "self_ms", "share");
-        for row in &rows {
-            let share = if total_self > 0 {
-                row.self_ns as f64 / total_self as f64
-            } else {
-                0.0
-            };
-            let width = (share * 40.0).round() as usize;
-            let _ = writeln!(
-                out,
-                "{:<34} {:>7} {:>12.3} {:>6.1}%  {}",
-                row.name,
-                row.count,
-                row.self_ns as f64 / 1e6,
-                share * 100.0,
-                "#".repeat(width),
-            );
-        }
-        out
     }
 }
 
@@ -267,15 +238,5 @@ mod tests {
         assert_eq!(tree.worst_root("frame").unwrap().id, 9);
         assert!(tree.worst_root("absent").is_none());
         assert!(tree.critical_path(12345).is_empty());
-    }
-
-    #[test]
-    fn flame_report_lists_every_stage() {
-        let spans = demo_tree();
-        let tree = SpanTreeAnalysis::new(&spans);
-        let report = tree.flame_report();
-        for name in ["frame", "fft", "optics", "kernel"] {
-            assert!(report.contains(name), "missing {name} in:\n{report}");
-        }
     }
 }

@@ -60,11 +60,6 @@ impl SpanGuard {
     pub fn disabled() -> Self {
         SpanGuard { inner: None }
     }
-
-    /// Whether this guard is actually measuring.
-    pub fn is_active(&self) -> bool {
-        self.inner.is_some()
-    }
 }
 
 impl Drop for SpanGuard {
@@ -110,14 +105,6 @@ pub fn span(name: &'static str) -> SpanGuard {
 #[inline]
 pub fn span_cat(name: &'static str, cat: &'static str) -> SpanGuard {
     open_span(Cow::Borrowed(name), cat)
-}
-
-/// Opens a span whose name is computed at runtime (e.g. carries a scheme or
-/// kernel name). Prefer [`span`] on hot paths — this allocates when given an
-/// owned string.
-#[inline]
-pub fn span_dyn(name: impl Into<Cow<'static, str>>, cat: &'static str) -> SpanGuard {
-    open_span(name.into(), cat)
 }
 
 fn open_span(name: Cow<'static, str>, cat: &'static str) -> SpanGuard {
@@ -217,7 +204,7 @@ mod tests {
     #[test]
     fn disabled_guard_is_inert() {
         let g = SpanGuard::disabled();
-        assert!(!g.is_active());
+        assert!(g.inner.is_none());
     }
 
     #[test]

@@ -24,7 +24,6 @@
 /// }
 /// assert_eq!(w.len(), 3);
 /// assert_eq!(w.mean(), Some(3.0)); // frames 2, 3, 4
-/// assert_eq!(w.latest(), Some((4, 4.0)));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlidingWindow {
@@ -83,17 +82,6 @@ impl SlidingWindow {
         head.iter().chain(tail.iter()).copied()
     }
 
-    /// The most recently pushed sample.
-    pub fn latest(&self) -> Option<(u64, f64)> {
-        if self.buf.is_empty() {
-            None
-        } else if self.head == 0 {
-            self.buf.last().copied()
-        } else {
-            Some(self.buf[self.head - 1])
-        }
-    }
-
     /// Sum of retained values, accumulated oldest → newest.
     pub fn sum(&self) -> f64 {
         self.iter().map(|(_, v)| v).sum()
@@ -117,14 +105,6 @@ impl SlidingWindow {
     pub fn max(&self) -> Option<f64> {
         self.iter().map(|(_, v)| v).reduce(f64::max)
     }
-
-    /// `(oldest, newest)` frame indices covered (`None` when empty).
-    pub fn frame_span(&self) -> Option<(u64, u64)> {
-        let mut it = self.iter();
-        let first = it.next()?;
-        let last = it.last().unwrap_or(first);
-        Some((first.0, last.0))
-    }
 }
 
 #[cfg(test)]
@@ -141,8 +121,6 @@ mod tests {
         assert!(w.is_full());
         let samples: Vec<(u64, f64)> = w.iter().collect();
         assert_eq!(samples, vec![(6, 12.0), (7, 14.0), (8, 16.0), (9, 18.0)]);
-        assert_eq!(w.latest(), Some((9, 18.0)));
-        assert_eq!(w.frame_span(), Some((6, 9)));
     }
 
     #[test]
@@ -164,8 +142,6 @@ mod tests {
         assert_eq!(w.mean(), None);
         assert_eq!(w.min(), None);
         assert_eq!(w.max(), None);
-        assert_eq!(w.latest(), None);
-        assert_eq!(w.frame_span(), None);
     }
 
     #[test]

@@ -153,8 +153,6 @@ fn metrics_json_round_trips_counters_gauges_histograms_and_frames() {
     telemetry::record_frame(1, &[("latency_ms", 9.0), ("planes", 8.0)]);
 
     let json = telemetry::export_metrics_json();
-    let csv = telemetry::export_metrics_csv();
-    let frames_csv = telemetry::export_frames_csv();
     telemetry::set_mode(TelemetryMode::Off);
 
     let doc = parse(&json).expect("metrics JSON parses");
@@ -175,11 +173,6 @@ fn metrics_json_round_trips_counters_gauges_histograms_and_frames() {
     let frames = doc.get("frames").unwrap().as_array().unwrap();
     assert_eq!(frames.len(), 2);
     assert_eq!(frames[1].get("latency_ms").unwrap().as_f64(), Some(9.0));
-
-    assert!(csv.lines().any(|l| l.starts_with("test.hits,counter,3")));
-    let mut lines = frames_csv.lines();
-    assert_eq!(lines.next(), Some("frame,latency_ms,planes"));
-    assert_eq!(lines.next(), Some("0,12,16"));
 }
 
 #[test]
@@ -205,10 +198,7 @@ fn off_mode_records_nothing() {
     let _guard = lock_telemetry();
     telemetry::set_mode(TelemetryMode::Off);
     telemetry::reset();
-    {
-        let s = telemetry::span("test.off_span");
-        assert!(!s.is_active());
-    }
+    drop(telemetry::span("test.off_span"));
     telemetry::counter_add("test.off_counter", 1);
     telemetry::record_frame(0, &[("x", 1.0)]);
     assert_eq!(telemetry::span_count(), 0);

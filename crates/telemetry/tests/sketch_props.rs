@@ -114,7 +114,6 @@ proptest! {
             .collect();
         let got: Vec<(u64, f64)> = w.iter().collect();
         prop_assert_eq!(&got, &expected);
-        prop_assert_eq!(w.latest(), expected.last().copied());
         let sum: f64 = expected.iter().map(|&(_, v)| v).sum();
         prop_assert_eq!(w.sum(), sum);
     }
