@@ -88,6 +88,7 @@ fn main() {
                 cfg.frames = args
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
                     .unwrap_or_else(|| die("--frames requires a positive integer"));
             }
             "--seed" => {

@@ -482,26 +482,6 @@ pub fn hybrid(_cfg: &ExperimentConfig) -> String {
     format!("== §5.5 ablation: hybrid accelerator/GPU partitioning (16 planes) ==\n{}", t.render())
 }
 
-/// Quality demo exercised by Fig 9's pipeline but at PSNR level: reports the
-/// PSNR ladder across plane budgets for one object (used by EXPERIMENTS.md).
-pub fn psnr_ladder(_cfg: &ExperimentConfig) -> String {
-    use holoar_sensors::objectron::ObjectAnnotation;
-    let obj = ObjectAnnotation {
-        track_id: 3, // Planet
-        direction: AngularPoint::CENTER,
-        distance: 0.6,
-        size: 0.25,
-    };
-    let config = HoloArConfig::default();
-    let ctx = ExecutionContext::serial();
-    let mut t = Table::new(["Planes", "PSNR vs 16-plane baseline (dB)"]);
-    for planes in [2u32, 4, 6, 8, 12, 16] {
-        let p = quality::object_psnr(&obj, planes, &config, &ctx);
-        t.row([planes.to_string(), if p.is_finite() { format!("{p:.1}") } else { "inf".into() }]);
-    }
-    format!("== PSNR ladder (Planet at 0.6 m) ==\n{}", t.render())
-}
-
 /// Ablation: §5.5's power-gating and DVFS knobs on approximated workloads.
 pub fn gating(_cfg: &ExperimentConfig) -> String {
     use holoar_gpusim::gating::{dvfs_sweep, run_job_gated, DvfsPoint, GatingPolicy};
@@ -2009,7 +1989,6 @@ pub fn run(id: &str, cfg: &ExperimentConfig) -> Result<String, String> {
         "parallel" | "pipeline" | "serve" | "slo" | "fleet" => {
             report_and_artifact(id, cfg).map(|(report, _)| report)
         }
-        "psnr" => Ok(psnr_ladder(cfg)),
         other => Err(format!(
             "unknown experiment '{other}'; valid: {} (or 'all')",
             ALL_EXPERIMENTS.join(", ")

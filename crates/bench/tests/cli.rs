@@ -42,3 +42,28 @@ fn printed_parallel_table_and_artifact_come_from_one_run() {
     assert_eq!(printed.len(), 3, "one printed row per worker count:\n{stdout}");
     assert_eq!(printed, recorded, "printed:\n{stdout}\nartifact:\n{text}");
 }
+
+/// `--frames 0` is a usage error (exit 2), rejected by the parser before
+/// any experiment runs, like `--sessions 0`.
+#[test]
+fn zero_frames_is_a_usage_error() {
+    for id in ["serve", "pipeline", "slo", "fleet", "fig7"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args([id, "--frames", "0"])
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{id}: {stderr}");
+        assert!(stderr.contains("--frames requires a positive integer"), "{id}: {stderr}");
+    }
+}
+
+/// Every id `repro` runs is one `--help` lists: the unlisted `psnr` ladder
+/// is gone.
+#[test]
+fn unlisted_experiment_ids_are_rejected() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro")).arg("psnr").output().expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown experiment 'psnr'"), "{stderr}");
+}
