@@ -72,11 +72,6 @@ impl Timeline {
         }
         mean.value()
     }
-
-    /// The span for a kernel name, if it ran.
-    pub fn span(&self, name: &str) -> Option<&KernelSpan> {
-        self.spans.iter().find(|s| s.name == name)
-    }
 }
 
 /// Running time-weighted mean of occupancy samples, in sample order.
@@ -501,8 +496,9 @@ mod tests {
             serial.makespan
         );
         // Serial: b starts only after a ends.
-        let a_end = serial.span("a").unwrap().end;
-        let b_start = serial.span("b").unwrap().start;
+        let kernel = |name: &str| serial.spans.iter().find(|s| s.name == name).unwrap();
+        let a_end = kernel("a").end;
+        let b_start = kernel("b").start;
         assert!(b_start >= a_end - 1e-15);
     }
 

@@ -107,18 +107,12 @@ pub struct Config {
     pub root: PathBuf,
     /// Telemetry name registry, workspace-relative.
     pub registry_rel: String,
-    /// Baseline file, workspace-relative.
-    pub baseline_rel: String,
 }
 
 impl Config {
     /// The default configuration rooted at `root`.
     pub fn new(root: PathBuf) -> Config {
-        Config {
-            root,
-            registry_rel: "crates/lint/telemetry.names".to_string(),
-            baseline_rel: "lint.baseline".to_string(),
-        }
+        Config { root, registry_rel: "crates/lint/telemetry.names".to_string() }
     }
 
     /// Whether `rel` is a designated hot-path module.

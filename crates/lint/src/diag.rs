@@ -4,15 +4,13 @@
 
 use holoar_telemetry::jsonlite::Json;
 
-/// What happened to a finding after waiver/baseline resolution.
+/// What happened to a finding after waiver resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Status {
     /// Fails the lint run.
     Active,
     /// Suppressed by an inline `holoar-lint: allow(...)` waiver.
     Waived(String),
-    /// Suppressed by a checked-in baseline entry (grandfathered).
-    Baselined,
 }
 
 /// One diagnostic produced by a rule.
@@ -30,7 +28,7 @@ pub struct Finding {
     /// entry point to the offending site (`path::fn` per hop, entry
     /// first). Empty for per-line findings.
     pub chain: Vec<String>,
-    /// Resolution after waivers and baseline are applied.
+    /// Resolution after waivers are applied.
     pub status: Status,
 }
 
@@ -74,17 +72,10 @@ impl Report {
         self.findings.iter().filter(|f| f.status == Status::Active)
     }
 
-    /// Counts as `(active, waived, baselined)`.
-    pub fn counts(&self) -> (usize, usize, usize) {
-        let mut c = (0, 0, 0);
-        for f in &self.findings {
-            match f.status {
-                Status::Active => c.0 += 1,
-                Status::Waived(_) => c.1 += 1,
-                Status::Baselined => c.2 += 1,
-            }
-        }
-        c
+    /// Counts as `(active, waived)`.
+    pub fn counts(&self) -> (usize, usize) {
+        let active = self.active().count();
+        (active, self.findings.len() - active)
     }
 
     /// Human-readable rendering, one diagnostic per line plus a summary.
@@ -105,23 +96,15 @@ impl Report {
                     ));
                     true
                 }
-                Status::Baselined if verbose => {
-                    out.push_str(&format!(
-                        "{}:{}: {}: {} [baselined]\n",
-                        f.path, f.line, f.rule, f.message
-                    ));
-                    true
-                }
                 _ => false,
             };
             if shown && !f.chain.is_empty() {
                 out.push_str(&format!("    call chain: {}\n", f.chain.join(" -> ")));
             }
         }
-        let (active, waived, baselined) = self.counts();
+        let (active, waived) = self.counts();
         out.push_str(&format!(
-            "holoar-lint: {active} active, {waived} waived, {baselined} baselined \
-             ({} files scanned)\n",
+            "holoar-lint: {active} active, {waived} waived ({} files scanned)\n",
             self.files_scanned
         ));
         out
@@ -146,19 +129,17 @@ impl Report {
                         Json::Array(f.chain.iter().map(|c| Json::String(c.clone())).collect()),
                     ));
                 }
-                let status = match &f.status {
-                    Status::Active => "active",
-                    Status::Waived(_) => "waived",
-                    Status::Baselined => "baselined",
-                };
-                obj.push(("status".into(), Json::String(status.to_string())));
-                if let Status::Waived(reason) = &f.status {
-                    obj.push(("reason".into(), Json::String(reason.clone())));
+                match &f.status {
+                    Status::Active => obj.push(("status".into(), Json::String("active".into()))),
+                    Status::Waived(reason) => {
+                        obj.push(("status".into(), Json::String("waived".into())));
+                        obj.push(("reason".into(), Json::String(reason.clone())));
+                    }
                 }
                 Json::Object(obj)
             })
             .collect();
-        let (active, waived, baselined) = self.counts();
+        let (active, waived) = self.counts();
         Json::Object(vec![
             ("version".into(), Json::Number(1.0)),
             ("findings".into(), Json::Array(findings)),
@@ -167,7 +148,6 @@ impl Report {
                 Json::Object(vec![
                     ("active".into(), Json::Number(active as f64)),
                     ("waived".into(), Json::Number(waived as f64)),
-                    ("baselined".into(), Json::Number(baselined as f64)),
                     ("files_scanned".into(), Json::Number(self.files_scanned as f64)),
                 ]),
             ),

@@ -1,13 +1,12 @@
-//! Walks the workspace, runs every rule, and resolves waivers and the
-//! baseline into a [`Report`].
+//! Walks the workspace, runs every rule, and resolves inline waivers into
+//! a [`Report`].
 
 use std::path::Path;
 
-use crate::baseline::Baseline;
 use crate::config::Config;
 use crate::diag::{Finding, Report, Status};
 use crate::source::SourceFile;
-use crate::{baseline, model, rules, waiver};
+use crate::{model, rules, waiver};
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures", ".github"];
@@ -21,29 +20,21 @@ pub fn scan_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
     Ok(sources)
 }
 
-/// Lints the workspace rooted at `cfg.root`, reading sources, the name
-/// registry, and the baseline from disk.
+/// Lints the workspace rooted at `cfg.root`, reading sources and the name
+/// registry from disk.
 pub fn lint_workspace(cfg: &Config) -> Result<Report, String> {
     let sources = scan_workspace(&cfg.root)?;
     let registry_text = std::fs::read_to_string(cfg.root.join(&cfg.registry_rel))
         .map_err(|e| format!("cannot read {}: {e}", cfg.registry_rel))?;
-    let baseline_text =
-        std::fs::read_to_string(cfg.root.join(&cfg.baseline_rel)).unwrap_or_default();
-    Ok(lint_sources(&sources, cfg, &registry_text, &baseline_text))
+    Ok(lint_sources(&sources, cfg, &registry_text))
 }
 
 /// Lints pre-scanned sources (the in-memory entry point the fixture tests
-/// use). `registry_text`/`baseline_text` are the file contents.
-pub fn lint_sources(
-    sources: &[SourceFile],
-    cfg: &Config,
-    registry_text: &str,
-    baseline_text: &str,
-) -> Report {
+/// use). `registry_text` is the name registry's file contents.
+pub fn lint_sources(sources: &[SourceFile], cfg: &Config, registry_text: &str) -> Report {
     let mut findings: Vec<Finding> = Vec::new();
     let mut waivers: Vec<(String, waiver::Waiver)> = Vec::new(); // (path, waiver)
     let mut rules = rules::all(registry_text, &cfg.registry_rel);
-    let mut baseline = Baseline::parse(baseline_text, &cfg.baseline_rel, &mut findings);
 
     for file in sources {
         // The lint crate's own sources document waiver syntax in prose;
@@ -66,7 +57,7 @@ pub fn lint_sources(
         rule.finish(cfg, &mut findings);
     }
 
-    // Resolve each finding: inline waiver first, then baseline.
+    // Resolve each finding against the inline waivers.
     let mut used_waivers: Vec<bool> = vec![false; waivers.len()];
     for f in findings.iter_mut() {
         if f.rule == "waiver-syntax" {
@@ -78,21 +69,10 @@ pub fn lint_sources(
         {
             used_waivers[i] = true;
             f.status = Status::Waived(waivers[i].1.reason.clone());
-            continue;
-        }
-        let line_code = sources
-            .iter()
-            .find(|s| s.rel == f.path)
-            .and_then(|s| s.lines.get(f.line.saturating_sub(1)))
-            .map(|l| l.code.as_str())
-            .unwrap_or("");
-        if baseline.covers(f.rule, &f.path, line_code) {
-            f.status = Status::Baselined;
         }
     }
 
-    // A waiver whose violation no longer exists, or a baseline entry that
-    // matches nothing, must not linger silently.
+    // A waiver whose violation no longer exists must not linger silently.
     for (i, (path, w)) in waivers.iter().enumerate() {
         if !used_waivers[i] {
             findings.push(Finding::active(
@@ -107,17 +87,6 @@ pub fn lint_sources(
             ));
         }
     }
-    for (line, rule, path) in baseline.stale() {
-        findings.push(Finding::active(
-            "waiver-syntax",
-            cfg.baseline_rel.clone(),
-            line,
-            format!(
-                "stale baseline entry: no `{rule}` finding in {path} matches this code \
-                 anymore; remove the entry"
-            ),
-        ));
-    }
 
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Report { findings, files_scanned: sources.len() }
@@ -129,12 +98,6 @@ pub fn dump_model(cfg: &Config) -> Result<String, String> {
     let sources = scan_workspace(&cfg.root)?;
     let workspace_model = model::build(&sources, cfg);
     Ok(workspace_model.to_json().render_pretty())
-}
-
-/// Renders a baseline file that would suppress every currently-active
-/// finding (see `--write-baseline`).
-pub fn render_baseline(report: &Report, sources: &[SourceFile]) -> String {
-    baseline::write(&report.findings, sources)
 }
 
 /// Reads every `.rs` file under `dir` (skipping [`SKIP_DIRS`]) into scanned

@@ -12,16 +12,20 @@
 //! | `telemetry-discipline` | span/counter names unique, registered, `category.name` |
 //! | `unsafe-hygiene` | `unsafe` justified with `// SAFETY:`; clean crates forbid it |
 //!
-//! Findings can be waived inline —
-//! `// holoar-lint: allow(rule, reason = "...")` — or grandfathered in the
-//! checked-in `lint.baseline`. Run it as `repro lint` or
+//! Interprocedural rules run over the workspace call graph
+//! ([`model`]): transitive no-panic, lock ordering, per-frame allocation,
+//! transcendental math outside plan time, and `unreached` — every shipping
+//! function must be reachable from a `main` under `src/bin/`, `examples/`,
+//! `perfbench/src/`, the root package's `tests/`, or a trait method.
+//!
+//! A finding is suppressed only by an inline waiver with a reason —
+//! `// holoar-lint: allow(rule, reason = "...")`. Run it as `repro lint` or
 //! `cargo run -p holoar-lint`; `--format json` emits machine-readable
 //! diagnostics for CI. See DESIGN.md, "Static analysis".
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod config;
 pub mod diag;
 pub mod engine;
@@ -41,7 +45,6 @@ pub use source::SourceFile;
 pub fn cli(args: &[String]) -> i32 {
     let mut format_json = false;
     let mut verbose = false;
-    let mut write_baseline = false;
     let mut out_path: Option<String> = None;
     let mut graph_out: Option<String> = None;
     let mut root_arg: Option<String> = None;
@@ -78,16 +81,17 @@ pub fn cli(args: &[String]) -> i32 {
                 }
             },
             "--verbose" | "-v" => verbose = true,
-            "--write-baseline" => write_baseline = true,
             "--help" | "-h" => {
                 println!(
                     "usage: repro lint [--format human|json] [--out FILE] [--graph-out FILE] \
-                     [--root DIR] [--verbose] [--write-baseline]\n\
+                     [--root DIR] [--verbose]\n\
                      Enforces hot-path no-panic (per-line and transitive through the call\n\
                      graph), determinism (wall clocks, hash iteration, transcendental math\n\
                      outside plan time), lock ordering, per-frame allocation, thread,\n\
-                     telemetry-naming, and unsafe-hygiene invariants across the workspace.\n\
-                     Exit 1 on any active (non-waived, non-baselined) finding. Waive inline\n\
+                     telemetry-naming, and unsafe-hygiene invariants across the workspace,\n\
+                     and flags functions no binary, example, perfbench source or root\n\
+                     integration test reaches (unreached).\n\
+                     Exit 1 on any active (non-waived) finding. Waive inline\n\
                      with `// holoar-lint: allow(rule, reason = \"...\")`.\n\
                      --graph-out dumps the interprocedural model (call graph + effect\n\
                      summaries + lock-order edges) as JSON."
@@ -144,26 +148,6 @@ pub fn cli(args: &[String]) -> i32 {
             return 2;
         }
     };
-
-    if write_baseline {
-        // Re-scan to hand the renderer the sources (cheap, and keeps the
-        // report type free of source text).
-        let sources = match engine::scan_workspace(&cfg.root) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("holoar-lint: {e}");
-                return 2;
-            }
-        };
-        let text = engine::render_baseline(&report, &sources);
-        let path = cfg.root.join(&cfg.baseline_rel);
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return 2;
-        }
-        eprintln!("wrote baseline to {}", path.display());
-        return 0;
-    }
 
     let rendered =
         if format_json { report.render_json() } else { report.render_human(verbose) };

@@ -17,7 +17,7 @@
 //! scope preference:
 //!
 //! - `Type::assoc(...)` resolves among methods whose surrounding `impl`
-//!   names `Type`.
+//!   names `Type` (`Self::` names the caller's own impl type).
 //! - `module::f(...)` resolves among functions whose file is `module.rs`
 //!   or lives under a `module/` directory; `holoar_x::f` maps to
 //!   `crates/x/`. `self::`/`super::`/`crate::` fall back to same-crate
@@ -34,6 +34,14 @@
 //! objects, and macro bodies are invisible; a workspace method named
 //! like a std method is not traversed. DESIGN.md ("Static analysis")
 //! documents these limits next to the rules that depend on them.
+//!
+//! Reachability needs the opposite bias, so the model also keeps
+//! reach-only [`WorkspaceModel::uses`] edges that the effect summaries
+//! ignore: every method of a called method's name and every candidate of
+//! an ambiguous call, within the packages the caller can see, plus
+//! function paths passed as values. Calls in test code are recorded (test
+//! functions carry no effect sites), and calls outside every function
+//! body land in a per-file [`extract::ITEMS`] pseudo-function.
 
 pub mod extract;
 
@@ -192,6 +200,8 @@ pub fn build(sources: &[SourceFile], cfg: &Config) -> WorkspaceModel {
         }
     }
 
+    let visible = visible_packages(sources);
+
     // Resolution indices over non-test definitions.
     let mut by_name: BTreeMap<&str, Vec<FnId>> = BTreeMap::new();
     let mut methods_by_name: BTreeMap<&str, Vec<FnId>> = BTreeMap::new();
@@ -216,10 +226,12 @@ pub fn build(sources: &[SourceFile], cfg: &Config) -> WorkspaceModel {
             let callees = resolve(call, id, facts, &model.fns, pool);
             // Without receiver types, reachability must assume a method
             // call may land on any workspace method of its name, and an
-            // ambiguous unqualified call on any candidate.
+            // ambiguous unqualified call on any candidate, in any package
+            // the caller can see.
             let type_qualified = call.qualifier.starts_with(|c: char| c.is_ascii_uppercase());
             if call.is_method || (callees.is_empty() && !type_qualified) {
-                uses.extend(pool.iter().cloned());
+                let sees = &visible[package(&id.path)];
+                uses.extend(pool.iter().filter(|t| sees.contains(package(&t.path))).cloned());
             }
             for callee in callees {
                 if call.by_value {
@@ -518,6 +530,61 @@ fn crate_prefix(rel: &str) -> String {
         format!("{}/{}/", parts[0], parts[1])
     } else {
         format!("{}/", parts.first().copied().unwrap_or(""))
+    }
+}
+
+/// The package a workspace path belongs to: `crates/<name>`,
+/// `vendor/<name>`, `perfbench`, or `""` for the root package (`src/`,
+/// `tests/`, `examples/`).
+fn package(rel: &str) -> &str {
+    let mut parts = rel.splitn(3, '/');
+    match (parts.next(), parts.next()) {
+        (Some(top @ ("crates" | "vendor")), Some(name)) if rel.len() > top.len() + name.len() => {
+            &rel[..top.len() + 1 + name.len()]
+        }
+        (Some("perfbench"), _) => "perfbench",
+        _ => "",
+    }
+}
+
+/// For every package, the packages whose functions it can reach: itself,
+/// each `crates/<x>` it names as `holoar_x`, and, transitively, what those
+/// see (a crate's types reach a caller through its dependents' APIs).
+fn visible_packages(sources: &[SourceFile]) -> BTreeMap<&str, BTreeSet<String>> {
+    let mut visible: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    for file in sources {
+        let pkg = package(&file.rel);
+        let seen = visible.entry(pkg).or_insert_with(|| BTreeSet::from([pkg.to_string()]));
+        for line in &file.lines {
+            for (pos, _) in line.code.match_indices("holoar_") {
+                if crate::rules::ident_before(&line.code, pos) {
+                    continue;
+                }
+                let name: String = line.code[pos + "holoar_".len()..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                    .collect();
+                seen.insert(format!("crates/{name}"));
+            }
+        }
+    }
+    loop {
+        let mut changed = false;
+        let snapshot = visible.clone();
+        for seen in visible.values_mut() {
+            let reach: Vec<String> = seen
+                .iter()
+                .filter_map(|p| snapshot.get(p.as_str()))
+                .flatten()
+                .filter(|q| !seen.contains(*q))
+                .cloned()
+                .collect();
+            changed |= !reach.is_empty();
+            seen.extend(reach);
+        }
+        if !changed {
+            return visible;
+        }
     }
 }
 

@@ -62,7 +62,7 @@ mod tests {
     fn findings_for(rel: &str, src: &str) -> Vec<Finding> {
         let sources = vec![SourceFile::scan(rel, src)];
         let cfg = Config::new(std::path::PathBuf::from("/nonexistent"));
-        lint_sources(&sources, &cfg, "", "")
+        lint_sources(&sources, &cfg, "")
             .findings
             .into_iter()
             .filter(|f| f.rule == "float-determinism")

@@ -86,7 +86,7 @@ mod tests {
     fn findings_for(src: &str) -> Vec<Finding> {
         let sources = vec![SourceFile::scan("crates/a/src/frame.rs", src)];
         let cfg = Config::new(std::path::PathBuf::from("/nonexistent"));
-        lint_sources(&sources, &cfg, "", "")
+        lint_sources(&sources, &cfg, "")
             .findings
             .into_iter()
             .filter(|f| f.rule == "hot-loop-alloc")

@@ -96,7 +96,7 @@ mod tests {
             ),
         ];
         let cfg = Config::new(std::path::PathBuf::from("/nonexistent"));
-        let report = lint_sources(&sources, &cfg, REGISTRY, "");
+        let report = lint_sources(&sources, &cfg, REGISTRY);
         let f = report
             .findings
             .iter()
@@ -134,7 +134,7 @@ mod tests {
              }\n",
         )];
         let cfg = Config::new(std::path::PathBuf::from("/nonexistent"));
-        let report = lint_sources(&sources, &cfg, REGISTRY, "");
+        let report = lint_sources(&sources, &cfg, REGISTRY);
         let transitive: Vec<_> =
             report.findings.iter().filter(|f| f.rule == "no-panic-transitive").collect();
         assert!(

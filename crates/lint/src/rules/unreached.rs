@@ -7,9 +7,10 @@
 //! block (trait dispatch is invisible to the call graph), the rule walks
 //! the model's call edges plus its reach-only `uses` edges and flags each
 //! non-test, non-vendored function that no root reaches. Name resolution
-//! errs toward "reached": calls to [`crate::model::METHOD_BLOCKLIST`]
-//! names link to every workspace method of that name, and bare function
-//! paths passed as values count as edges. Calls inside macro bodies and
+//! errs toward "reached": a method call (blocklisted names included, see
+//! [`crate::model::METHOD_BLOCKLIST`]) links to every method of that name
+//! in the packages the caller can see, and bare function paths passed as
+//! values count as edges. Calls inside macro bodies and
 //! through function pointers other than bare paths stay invisible, so a
 //! finding is a candidate to delete — or, for a test oracle or seam, to
 //! waive with a reason naming the test that keeps it.
@@ -85,7 +86,7 @@ mod tests {
         let sources: Vec<SourceFile> =
             files.iter().map(|(rel, src)| SourceFile::scan(rel, src)).collect();
         let cfg = Config::new(std::path::PathBuf::from("/nonexistent"));
-        lint_sources(&sources, &cfg, "", "")
+        lint_sources(&sources, &cfg, "")
             .findings
             .into_iter()
             .filter(|f| f.rule == "unreached")
@@ -100,6 +101,8 @@ mod tests {
             ("crates/a/src/bin/tool.rs", "fn main() { holoar_a::used(); }\n"),
             ("examples/demo.rs", "fn main() { let v = parts.map(holoar_a::by_value); }\n"),
             ("tests/it.rs", "#[test]\nfn t() { x.len(); }\n"),
+            // No root names holoar_b, so its `len` stays unreached.
+            ("crates/b/src/lib.rs", "impl Other {\n\x20   pub fn len(&self) -> usize { 1 }\n}\n"),
             (
                 lib,
                 "pub fn used() { helper(); }\n\
@@ -122,7 +125,8 @@ mod tests {
         // `len` is reached through the blocklisted `.len()` call in
         // tests/it.rs, `default` is a trait method, and test and vendored
         // code is never flagged.
-        assert_eq!(found, vec![(lib.to_string(), 4, true), (lib.to_string(), 5, true)]);
+        let b = "crates/b/src/lib.rs".to_string();
+        assert_eq!(found, vec![(lib.to_string(), 4, true), (lib.to_string(), 5, true), (b, 2, true)]);
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn fixture_pairs() -> Vec<(&'static str, &'static str)> {
 fn lint(pairs: &[(&str, &str)]) -> Report {
     let sources: Vec<SourceFile> =
         pairs.iter().map(|(rel, src)| SourceFile::scan(rel, src)).collect();
-    engine::lint_sources(&sources, &cfg(), "", "")
+    engine::lint_sources(&sources, &cfg(), "")
 }
 
 fn lines_for(report: &Report, rule: &str) -> Vec<usize> {
@@ -132,12 +132,12 @@ proptest! {
         let sources: Vec<SourceFile> =
             pairs.iter().map(|(rel, src)| SourceFile::scan(rel, src)).collect();
         let baseline_model = model::build(&sources, &cfg()).to_json().render_pretty();
-        let baseline_report = engine::lint_sources(&sources, &cfg(), "", "").render_json();
+        let baseline_report = engine::lint_sources(&sources, &cfg(), "").render_json();
 
         let shuffled: Vec<SourceFile> =
             permutation(seed, sources.len()).into_iter().map(|i| sources[i].clone()).collect();
         let shuffled_model = model::build(&shuffled, &cfg()).to_json().render_pretty();
-        let shuffled_report = engine::lint_sources(&shuffled, &cfg(), "", "").render_json();
+        let shuffled_report = engine::lint_sources(&shuffled, &cfg(), "").render_json();
 
         prop_assert_eq!(baseline_model, shuffled_model);
         prop_assert_eq!(baseline_report, shuffled_report);

@@ -1,5 +1,5 @@
 //! End-to-end rule tests: every rule fires on a known-bad fixture, inline
-//! waivers and the checked-in baseline suppress exactly as specified, and
+//! waivers suppress exactly as specified, and
 //! the JSON output round-trips through the telemetry crate's `jsonlite`
 //! parser (the same one CI-side tooling uses).
 //!
@@ -17,12 +17,8 @@ fn cfg() -> Config {
 }
 
 fn lint_one(rel: &str, src: &str) -> Report {
-    lint_one_with_baseline(rel, src, "")
-}
-
-fn lint_one_with_baseline(rel: &str, src: &str, baseline: &str) -> Report {
     let files = vec![SourceFile::scan(rel, src)];
-    engine::lint_sources(&files, &cfg(), REGISTRY, baseline)
+    engine::lint_sources(&files, &cfg(), REGISTRY)
 }
 
 fn lines_for(report: &Report, rule: &str) -> Vec<usize> {
@@ -94,7 +90,7 @@ fn unregistered_degradation_counter_trips_telemetry_discipline() {
         "counter core.degrade.step_down\ngauge core.degrade.level\n";
     let src = include_str!("fixtures/degrade_counter.rs");
     let files = vec![SourceFile::scan("crates/core/src/degrade.rs", src)];
-    let report = engine::lint_sources(&files, &cfg(), DEGRADE_REGISTRY, "");
+    let report = engine::lint_sources(&files, &cfg(), DEGRADE_REGISTRY);
     let lines = lines_for(&report, "telemetry-discipline");
     assert!(!lines.contains(&6), "registered counter wrongly flagged: {lines:?}");
     assert!(!lines.contains(&7), "registered gauge wrongly flagged: {lines:?}");
@@ -109,7 +105,7 @@ fn unregistered_serve_counter_trips_telemetry_discipline() {
         "counter serve.deadline.hit\ngauge serve.tick.occupancy\n";
     let src = include_str!("fixtures/serve_counter.rs");
     let files = vec![SourceFile::scan("crates/serve/src/engine.rs", src)];
-    let report = engine::lint_sources(&files, &cfg(), SERVE_REGISTRY, "");
+    let report = engine::lint_sources(&files, &cfg(), SERVE_REGISTRY);
     let lines = lines_for(&report, "telemetry-discipline");
     assert!(!lines.contains(&6), "registered serve counter wrongly flagged: {lines:?}");
     assert!(!lines.contains(&7), "registered serve gauge wrongly flagged: {lines:?}");
@@ -124,7 +120,7 @@ fn unregistered_slo_counter_trips_telemetry_discipline() {
         "counter slo.burn.fast\ngauge slo.error_budget.remaining\n";
     let src = include_str!("fixtures/slo_counter.rs");
     let files = vec![SourceFile::scan("crates/serve/src/slo.rs", src)];
-    let report = engine::lint_sources(&files, &cfg(), SLO_REGISTRY, "");
+    let report = engine::lint_sources(&files, &cfg(), SLO_REGISTRY);
     let lines = lines_for(&report, "telemetry-discipline");
     assert!(!lines.contains(&6), "registered SLO counter wrongly flagged: {lines:?}");
     assert!(!lines.contains(&7), "registered SLO gauge wrongly flagged: {lines:?}");
@@ -181,45 +177,6 @@ fn waivers_suppress_malformed_and_unknown_do_not() {
 }
 
 #[test]
-fn baseline_suppresses_by_content_not_line_number() {
-    let src = include_str!("fixtures/no_panic.rs");
-    let rel = "crates/fft/src/mixed_radix.rs";
-    let sources = vec![SourceFile::scan(rel, src)];
-    let first = engine::lint_sources(&sources, &cfg(), REGISTRY, "");
-    let active_before = first.counts().0;
-    assert!(active_before > 0);
-
-    // A baseline generated from the run suppresses every finding...
-    let baseline = engine::render_baseline(&first, &sources);
-    let second = lint_one_with_baseline(rel, src, &baseline);
-    let (active, _, baselined) = second.counts();
-    assert_eq!(active, 0, "baselined run must be clean");
-    assert_eq!(baselined, active_before);
-
-    // ...even when the file shifts: prepend comment lines so every line
-    // number changes, and the content-matching entries still cover it.
-    let shifted = format!("// shim\n// shim\n// shim\n{src}");
-    let third = lint_one_with_baseline(rel, &shifted, &baseline);
-    assert_eq!(third.counts().0, 0, "baseline matches content, not line numbers");
-}
-
-#[test]
-fn malformed_baseline_entries_are_findings() {
-    let report = lint_one_with_baseline(
-        "crates/fft/src/mixed_radix.rs",
-        "pub fn ok() {}\n",
-        "# comment is fine\nno-panic only-two-fields\n",
-    );
-    let f = report
-        .findings
-        .iter()
-        .find(|f| f.rule == "waiver-syntax")
-        .expect("malformed baseline entry must be reported");
-    assert_eq!(f.line, 2);
-    assert!(f.message.contains("baseline"), "{}", f.message);
-}
-
-#[test]
 fn json_output_round_trips_through_jsonlite() {
     let src = include_str!("fixtures/waivers.rs");
     let report = lint_one("crates/fft/src/fft2d.rs", src);
@@ -242,21 +199,19 @@ fn json_output_round_trips_through_jsonlite() {
                 assert_eq!(status, "waived");
                 assert_eq!(j.get("reason").and_then(|v| v.as_str()), Some(reason.as_str()));
             }
-            Status::Baselined => assert_eq!(status, "baselined"),
         }
     }
     let summary = doc.get("summary").expect("summary object");
-    let (active, waived, baselined) = report.counts();
+    let (active, waived) = report.counts();
     assert_eq!(summary.get("active").and_then(|v| v.as_f64()), Some(active as f64));
     assert_eq!(summary.get("waived").and_then(|v| v.as_f64()), Some(waived as f64));
-    assert_eq!(summary.get("baselined").and_then(|v| v.as_f64()), Some(baselined as f64));
 }
 
 #[test]
 fn the_workspace_itself_is_clean() {
     // The acceptance bar for this tool: the real tree has zero active
-    // findings and needs zero baseline entries. Walk up from this crate to
-    // the workspace root and lint it for real.
+    // findings. Walk up from this crate to the workspace root and lint it
+    // for real.
     let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let root = holoar_lint::find_workspace_root(here).expect("workspace root");
     let config = Config::new(root);
@@ -266,5 +221,4 @@ fn the_workspace_itself_is_clean() {
         .map(|f| format!("{}:{} {}: {}", f.path, f.line, f.rule, f.message))
         .collect();
     assert!(actives.is_empty(), "workspace has active lint findings:\n{}", actives.join("\n"));
-    assert_eq!(report.counts().2, 0, "the checked-in baseline must stay empty");
 }

@@ -104,16 +104,6 @@ impl Image {
         &self.data
     }
 
-    /// The pixel at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    pub fn at(&self, row: usize, col: usize) -> f64 {
-        assert!(row < self.rows && col < self.cols, "pixel index out of bounds");
-        self.data[row * self.cols + col]
-    }
-
     /// The maximum luminance.
     pub fn max_value(&self) -> f64 {
         self.data.iter().cloned().fold(0.0, f64::max)
@@ -171,7 +161,7 @@ mod tests {
         assert_eq!(img.rows(), 2);
         assert_eq!(img.cols(), 3);
         assert_eq!(img.len(), 6);
-        assert_eq!(img.at(1, 2), 5.0);
+        assert_eq!(img.pixels()[5], 5.0);
         assert_eq!(img.max_value(), 5.0);
         assert_eq!(img.mean(), 2.5);
     }
@@ -193,12 +183,6 @@ mod tests {
         let c = Image::new(4, 1, vec![0.0; 4]).unwrap();
         assert!(a.same_shape(&b));
         assert!(!a.same_shape(&c));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn bad_index_panics() {
-        Image::new(1, 1, vec![0.0]).unwrap().at(0, 1);
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl Default for OpticalConfig {
 ///
 /// let mut f = Field::zeros(4, 4, OpticalConfig::default());
 /// f.set(2, 1, holoar_fft::Complex64::ONE);
-/// assert_eq!(f.at(2, 1).norm_sqr(), 1.0);
+/// assert_eq!(f.samples()[2 * 4 + 1].norm_sqr(), 1.0);
 /// assert_eq!(f.total_energy(), 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -98,17 +98,6 @@ impl Field {
     /// The sampling configuration.
     pub fn config(&self) -> OpticalConfig {
         self.config
-    }
-
-    /// The sample at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of bounds.
-    #[inline]
-    pub fn at(&self, row: usize, col: usize) -> Complex64 {
-        assert!(row < self.rows && col < self.cols, "field index out of bounds");
-        self.data[row * self.cols + col]
     }
 
     /// Sets the sample at `(row, col)`.
@@ -209,14 +198,14 @@ mod tests {
         assert_eq!(f.len(), 15);
         assert!(!f.is_empty());
         f.set(2, 4, Complex64::new(1.0, 1.0));
-        assert_eq!(f.at(2, 4), Complex64::new(1.0, 1.0));
-        assert_eq!(f.at(2, 4).norm_sqr(), 2.0);
+        assert_eq!(f.samples()[2 * 5 + 4], Complex64::new(1.0, 1.0));
+        assert_eq!(f.samples()[2 * 5 + 4].norm_sqr(), 2.0);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn index_out_of_bounds_panics() {
-        Field::zeros(2, 2, OpticalConfig::default()).at(2, 0);
+        Field::zeros(2, 2, OpticalConfig::default()).set(2, 0, Complex64::ONE);
     }
 
     #[test]
@@ -230,9 +219,9 @@ mod tests {
         let mut f = Field::zeros(1, 2, OpticalConfig::default());
         f.set(0, 0, Complex64::from_polar(3.0, 0.5));
         let p = f.to_phase_only();
-        assert!((p.at(0, 0).norm() - 1.0).abs() < 1e-12);
-        assert!((p.at(0, 0).arg() - 0.5).abs() < 1e-12);
-        assert_eq!(p.at(0, 1), Complex64::ZERO); // zero stays zero
+        assert!((p.samples()[0].norm() - 1.0).abs() < 1e-12);
+        assert!((p.samples()[0].arg() - 0.5).abs() < 1e-12);
+        assert_eq!(p.samples()[1], Complex64::ZERO); // zero stays zero
     }
 
     #[test]

@@ -91,7 +91,7 @@ struct PropagatorCaches {
 /// let away = prop.propagate(&field, 0.002);
 /// let back = prop.propagate(&away, -0.002);
 /// // Forward then backward recovers the point source.
-/// assert!(back.at(16, 16).norm_sqr() > 0.9);
+/// assert!(back.samples()[16 * 32 + 16].norm_sqr() > 0.9);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Propagator {
@@ -503,7 +503,7 @@ mod tests {
         let mid = p.propagate(&f, 0.003);
         let out = p.propagate(&mid, -0.003);
         // Peak should return to the center with most of its energy.
-        assert!(out.at(16, 16).norm_sqr() > 0.9);
+        assert!(out.samples()[16 * 32 + 16].norm_sqr() > 0.9);
         let off_peak: f64 = out
             .intensity()
             .iter()

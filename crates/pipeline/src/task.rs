@@ -56,7 +56,7 @@ impl TaskKind {
     /// once per 2–3 frames; everything else every frame).
     pub fn frame_cadence(self) -> u64 {
         match self {
-            TaskKind::SceneReconstruct => 3,
+            TaskKind::SceneReconstruct => holoar_sensors::scene_reconstruct::spec::FRAME_CADENCE,
             _ => 1,
         }
     }

@@ -92,17 +92,6 @@ impl Rng {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
         self.uniform() < p
     }
-
-    /// A uniform integer in `[0, n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn below(&mut self, n: u64) -> u64 {
-        assert!(n > 0, "range must be non-empty");
-        // Multiply-shift; bias is negligible for the ranges used here.
-        ((self.next_u64() as u128 * n as u128) >> 64) as u64
-    }
 }
 
 #[cfg(test)]
@@ -156,19 +145,5 @@ mod tests {
         let mut r = Rng::seeded(4);
         let hits = (0..10_000).filter(|_| r.chance(0.3)).count();
         assert!((hits as f64 / 10_000.0 - 0.3).abs() < 0.02);
-    }
-
-    #[test]
-    fn below_stays_in_range() {
-        let mut r = Rng::seeded(5);
-        for _ in 0..1000 {
-            assert!(r.below(7) < 7);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "range must be non-empty")]
-    fn below_zero_panics() {
-        Rng::seeded(0).below(0);
     }
 }

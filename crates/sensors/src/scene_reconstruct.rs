@@ -15,13 +15,3 @@ pub mod spec {
     /// Frames between runs (the paper cites once per 2–3 frames).
     pub const FRAME_CADENCE: u64 = 3;
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn practical_latency_exceeds_the_table_1_ideal() {
-        assert!(spec::LATENCY > spec::DEADLINE);
-    }
-}
