@@ -442,20 +442,10 @@ mod tests {
 
     #[test]
     fn blocked_transpose_is_bit_identical_to_naive() {
-        // Shapes straddle the 32-element tile edge and include
-        // non-power-of-two dimensions and degenerate single-row/column
-        // cases.
-        for (rows, cols) in [
-            (1usize, 1usize),
-            (1, 17),
-            (17, 1),
-            (5, 7),
-            (31, 33),
-            (32, 32),
-            (33, 65),
-            (48, 20),
-            (64, 64),
-        ] {
+        // Every pairing of sides that straddle the 32-element tile edge,
+        // including non-power-of-two and single-row/column ones.
+        const SIDES: [usize; 12] = [1, 2, 3, 5, 17, 31, 32, 33, 48, 64, 65, 69];
+        for (rows, cols) in SIDES.iter().flat_map(|&r| SIDES.iter().map(move |&c| (r, c))) {
             let x = image(rows, cols);
             let mut blocked = vec![Complex64::ZERO; rows * cols];
             gather_transposed(&x, rows, cols, &mut blocked);

@@ -137,9 +137,10 @@ pub struct WorkspaceModel {
     /// Resolved call edges per function, in source order.
     pub calls: BTreeMap<FnId, Vec<ResolvedCall>>,
     /// Reach-only edges per function, which the effect summaries ignore:
-    /// functions named as values (`.map(Json::from)`), and every
-    /// workspace method named like a [`METHOD_BLOCKLIST`] method the
-    /// function calls. The `unreached` rule follows them with `calls`.
+    /// functions named as values (`.map(Json::from)`), every method named
+    /// like a method the function calls, and every candidate of a call
+    /// resolution leaves ambiguous (the last two only in packages the
+    /// caller can see). The `unreached` rule follows them with `calls`.
     pub uses: BTreeMap<FnId, BTreeSet<FnId>>,
     /// Intrinsic (own-body) effects per function.
     pub intrinsic: BTreeMap<FnId, Effects>,
