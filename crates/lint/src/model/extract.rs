@@ -725,33 +725,29 @@ fn extract_calls(code: &str) -> Vec<RawCall> {
 /// Local variables match too, so a resolved reference can be spurious;
 /// the model keeps these edges out of the effect summaries.
 fn value_paths(code: &str) -> Vec<RawCall> {
-    let mut refs = Vec::new();
-    for (start, _) in code.match_indices(['(', ',']) {
-        let arg = &code[start + 1..];
-        let end = arg
-            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':' || c == ' '))
-            .unwrap_or(arg.len());
-        if !arg[end..].starts_with([')', ',']) {
-            continue;
-        }
-        let path = arg[..end].trim();
-        let mut segments: Vec<&str> = path.split("::").collect();
-        let Some(name) = segments.pop() else { continue };
-        let is_ident = |s: &str| {
-            s.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
-                && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-        };
-        if !is_ident(name)
-            || !segments.iter().all(|s| is_ident(s))
-            || name.starts_with(|c: char| c.is_ascii_uppercase())
-            || matches!(name, "self" | "true" | "false" | "_")
-        {
-            continue;
-        }
-        let qualifier = segments.last().copied().unwrap_or("").to_string();
-        refs.push(RawCall { by_value: true, ..RawCall::bare(name, qualifier) });
-    }
-    refs
+    let is_ident = |s: &str| {
+        s.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+            && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+    };
+    code.match_indices(['(', ','])
+        .filter_map(|(start, _)| {
+            let arg = &code[start + 1..];
+            let end = arg
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':' || c == ' '))
+                .unwrap_or(arg.len());
+            if !arg[end..].starts_with([')', ',']) {
+                return None;
+            }
+            let mut segments: Vec<&str> = arg[..end].trim().split("::").collect();
+            let name = segments.pop()?;
+            let keep = is_ident(name)
+                && segments.iter().all(|s| is_ident(s))
+                && !name.starts_with(|c: char| c.is_ascii_uppercase())
+                && !matches!(name, "self" | "true" | "false" | "_");
+            let qualifier = segments.last().copied().unwrap_or("").to_string();
+            keep.then(|| RawCall { by_value: true, ..RawCall::bare(name, qualifier) })
+        })
+        .collect()
 }
 
 #[cfg(test)]
