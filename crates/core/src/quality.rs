@@ -12,13 +12,31 @@
 //! angular-spectrum propagation band — the paper's OpenHolo reconstructions
 //! are bench-scale for the same reason. Relative quality between plane
 //! budgets, which is what Fig 10 reports, is preserved.
+//!
+//! A score reads only the virtual object (`track_id % 6`), the full plane
+//! budget, the object's quantized optical distance and extent, and the
+//! approximated budget. [`PsnrMemo`] keys its entries by exactly those
+//! inputs, so a hit returns the value a fresh computation would. It keeps
+//! two maps: the normalized, speckle-averaged full-budget reference of each
+//! geometry (built once, then shared by every plane count scored against
+//! it) and the scores themselves. [`object_psnr`] is a memo of one call;
+//! [`video_quality`] and the serving layer's sampler keep one memo for a
+//! whole study or serving run.
+//!
+//! The all-in-focus composite reconstructs each depth plane at eight focal
+//! distances but reads focal slice `s` only at the pixels whose depth rounds
+//! to `s` (the middle slice also fills every dark pixel). Each slice is
+//! therefore inverted only over the column span of those pixels
+//! ([`Propagator::propagate_batch_window`]); every pixel that is read keeps
+//! the bits of the full inverse.
 
 use crate::config::HoloArConfig;
 use crate::planner::Planner;
 use holoar_fft::ExecutionContext;
 use holoar_metrics::{psnr, Image};
-use holoar_optics::{reconstruct, OpticalConfig, Propagator, VirtualObject};
+use holoar_optics::{DepthMap, OpticalConfig, PlaneStack, Propagator, VirtualObject};
 use std::collections::HashMap;
+use std::ops::Range;
 use holoar_sensors::angles::AngularPoint;
 use holoar_sensors::eyetrack::EyeTracker;
 use holoar_sensors::objectron::{FrameGenerator, ObjectAnnotation, VideoCategory};
@@ -29,6 +47,9 @@ pub const OPTICAL_SCALE: f64 = 0.01;
 
 /// Rendering resolution for quality studies (square).
 pub const QUALITY_RESOLUTION: usize = 40;
+
+/// Focal distances per all-in-focus composite.
+const FOCAL_SLICES: usize = 8;
 
 /// PSNR outcome for a single object observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,7 +109,8 @@ pub fn virtual_object_for(track_id: u64) -> VirtualObject {
 ///
 /// Returns infinite PSNR when `planes` equals the full budget.
 /// Reconstruction propagations fan out over the context's worker pool;
-/// results are bit-identical for every worker count.
+/// results are bit-identical for every worker count. Callers that score
+/// many objects keep a [`PsnrMemo`] instead, which returns the same value.
 ///
 /// # Panics
 ///
@@ -99,46 +121,146 @@ pub fn object_psnr(
     config: &HoloArConfig,
     ctx: &ExecutionContext,
 ) -> f64 {
-    assert!(planes > 0, "cannot evaluate a skipped object");
-    if planes >= config.full_planes {
-        return f64::INFINITY;
-    }
-    let _span = holoar_telemetry::span_cat("core.quality.object_psnr", "core");
-    let optics = OpticalConfig::default();
-    let n = QUALITY_RESOLUTION;
-    // Distances are quantized to 0.5 mm so transfer functions and PSNR
-    // results repeat across similar observations (pure evaluation speedup;
-    // well below the depth resolution anything downstream uses).
-    let z_center = quantize_mm(obj.distance * OPTICAL_SCALE);
-    let depth_extent = quantize_mm((obj.size * OPTICAL_SCALE).min(z_center * 0.8));
-    let depthmap = virtual_object_for(obj.track_id).render(n, n, z_center, depth_extent);
+    PsnrMemo::new().object_psnr(obj, planes, config, ctx)
+}
 
+/// The exact inputs a score's reference reads: the virtual object, the
+/// full plane budget and the bits of the quantized optical distance and
+/// extent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ReferenceKey {
+    object: u64,
+    full_planes: u32,
+    z_bits: u64,
+    extent_bits: u64,
+}
+
+/// Derives `obj`'s reference key. Distances are quantized to 0.5 mm so
+/// transfer functions and scores repeat across similar observations (pure
+/// evaluation speedup; well below the depth resolution anything
+/// downstream uses).
+fn reference_key(obj: &ObjectAnnotation, config: &HoloArConfig) -> ReferenceKey {
+    let z_center = quantize_mm(obj.distance * OPTICAL_SCALE);
+    let extent = quantize_mm((obj.size * OPTICAL_SCALE).min(z_center * 0.8));
+    ReferenceKey {
+        object: obj.track_id % 6,
+        full_planes: config.full_planes,
+        z_bits: z_center.to_bits(),
+        extent_bits: extent.to_bits(),
+    }
+}
+
+/// One geometry's rendered depthmap and its full-budget reference image.
+#[derive(Debug)]
+struct Reference {
+    depthmap: DepthMap,
+    z_center: f64,
+    /// Peak-normalized, speckle-averaged all-in-focus composite of the
+    /// full-budget stack; `None` when the reconstruction was not finite.
+    image: Option<Image>,
+}
+
+impl Reference {
+    fn build(key: ReferenceKey, prop: &mut Propagator) -> Self {
+        let n = QUALITY_RESOLUTION;
+        let z_center = f64::from_bits(key.z_bits);
+        let extent = f64::from_bits(key.extent_bits);
+        let depthmap = virtual_object_for(key.object).render(n, n, z_center, extent);
+        let image = composite_image(&depthmap, key.full_planes, z_center, prop);
+        Reference { depthmap, z_center, image }
+    }
+
+    /// PSNR of the `planes`-plane composite against this reference.
+    fn score(&self, planes: u32, prop: &mut Propagator) -> f64 {
+        // Both buffers are n*n by construction, so the only way a build can
+        // fail is a reconstruction that produced non-finite luminance. That
+        // carries no usable quality signal: report 0 dB (worst) instead of
+        // aborting — this runs on the serving path, which must not panic.
+        let Some(reference) = &self.image else {
+            return 0.0;
+        };
+        match composite_image(&self.depthmap, planes, self.z_center, prop) {
+            Some(test) => psnr(reference, &test).unwrap_or(0.0),
+            None => 0.0,
+        }
+    }
+}
+
+/// Memoized [`object_psnr`]: full-budget references and scores, each keyed
+/// by exactly the optical inputs it reads (see the [module docs](self)).
+/// A score is a function of its key alone, so it has the same bits whether
+/// it is computed or looked up, in any call order and at any worker count.
+#[derive(Debug, Default)]
+pub struct PsnrMemo {
+    references: HashMap<ReferenceKey, Reference>,
+    scores: HashMap<(ReferenceKey, u32), f64>,
+}
+
+impl PsnrMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// [`object_psnr`], computing only what the memo does not hold yet.
+    /// Each computed score records one `core.quality.object_psnr` span,
+    /// which also covers building its reference on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `planes == 0`.
+    pub fn object_psnr(
+        &mut self,
+        obj: &ObjectAnnotation,
+        planes: u32,
+        config: &HoloArConfig,
+        ctx: &ExecutionContext,
+    ) -> f64 {
+        assert!(planes > 0, "cannot evaluate a skipped object");
+        if planes >= config.full_planes {
+            return f64::INFINITY;
+        }
+        let key = reference_key(obj, config);
+        if let Some(&psnr_db) = self.scores.get(&(key, planes)) {
+            return psnr_db;
+        }
+        let _span = holoar_telemetry::span_cat("core.quality.object_psnr", "core");
+        let mut prop = Propagator::with_context(ctx);
+        let reference =
+            self.references.entry(key).or_insert_with(|| Reference::build(key, &mut prop));
+        let psnr_db = reference.score(planes, &mut prop);
+        self.scores.insert((key, planes), psnr_db);
+        psnr_db
+    }
+
+    /// How many full-budget references and scores the memo holds.
+    // holoar-lint: allow(unreached, reason = "test seam: quality::tests::one_reference_serves_every_plane_count and memoized_scores_match_the_full_inverse_oracle, and serve's quality::tests::{full_quality_plan_scores_the_cap_and_caches, track_ids_with_one_virtual_object_share_a_score}, count what was computed through it")
+    pub fn counts(&self) -> (usize, usize) {
+        (self.references.len(), self.scores.len())
+    }
+}
+
+/// The peak-normalized, speckle-averaged all-in-focus composite of
+/// `depthmap` sliced into `planes` planes; `None` when the reconstruction
+/// is not finite.
+fn composite_image(
+    depthmap: &DepthMap,
+    planes: u32,
+    z_center: f64,
+    prop: &mut Propagator,
+) -> Option<Image> {
+    let n = QUALITY_RESOLUTION;
     // A viewer accommodates to the content: compare *all-in-focus*
     // composites built from incoherent focal stacks (see
     // `holoar_optics::reconstruct::incoherent_focal_stack`), where each
     // pixel is read from the reconstruction focused at its true depth.
-    let base_stack = depthmap.slice(config.full_planes as usize, optics);
-    let approx_stack = depthmap.slice(planes as usize, optics);
-    let mut prop = Propagator::with_context(ctx);
-    let img_base = all_in_focus(&base_stack, &depthmap, z_center, &mut prop);
-    let img_approx = all_in_focus(&approx_stack, &depthmap, z_center, &mut prop);
-
+    let stack = depthmap.slice(planes as usize, OpticalConfig::default());
+    let img = all_in_focus(&stack, depthmap, z_center, prop);
     // Coherent reconstructions carry speckle; displays and the eye integrate
-    // over it, so both images are speckle-averaged with a small box filter
+    // over it, so the image is speckle-averaged with a small box filter
     // before comparison (as PSNR-on-reconstruction pipelines conventionally
     // do).
-    // Both buffers are n*n by construction, so the only way a build can
-    // fail is a reconstruction that produced non-finite luminance. That
-    // carries no usable quality signal: report 0 dB (worst) instead of
-    // aborting — this runs on the serving path, which must not panic.
-    let reference = Image::new(n, n, box_blur(&img_base, n, n, 1));
-    let test = Image::new(n, n, box_blur(&img_approx, n, n, 1));
-    match (reference, test) {
-        (Ok(reference), Ok(test)) => {
-            psnr(&reference.normalized(), &test.normalized()).unwrap_or(0.0)
-        }
-        _ => 0.0,
-    }
+    Image::new(n, n, box_blur(&img, n, n, 1)).ok().map(|image| image.normalized())
 }
 
 /// Mean squared error (on peak-normalized, speckle-averaged all-in-focus
@@ -198,19 +320,12 @@ fn quantize_mm(z: f64) -> f64 {
     ((z * 2000.0).round() / 2000.0).max(0.0005)
 }
 
-/// Builds the all-in-focus composite: the plane stack is reconstructed
-/// (incoherently) at a small set of focal depths covering the object, and
-/// each pixel is taken from the reconstruction focused nearest its true
-/// depth.
-fn all_in_focus(
-    stack: &holoar_optics::PlaneStack,
-    depthmap: &holoar_optics::DepthMap,
-    z_center: f64,
-    prop: &mut Propagator,
-) -> Vec<f64> {
-    const FOCAL_SLICES: usize = 8;
+/// The focal distances of an all-in-focus composite, evenly spaced over the
+/// object's depth range, and the focal slice each pixel is read from: the
+/// one focused nearest its depth, or the middle slice for a dark pixel.
+fn focal_plan(depthmap: &DepthMap, z_center: f64) -> (Vec<f64>, Vec<usize>) {
     let (near, far) = depthmap.depth_range().unwrap_or((z_center, z_center));
-    let zs: Vec<f64> = (0..FOCAL_SLICES)
+    let zs = (0..FOCAL_SLICES)
         .map(|i| {
             if FOCAL_SLICES == 1 || far == near {
                 (near + far) / 2.0
@@ -219,23 +334,63 @@ fn all_in_focus(
             }
         })
         .collect();
-    let images = reconstruct::incoherent_focal_stack(stack, &zs, prop);
     let span = (far - near).max(f64::MIN_POSITIVE);
-    depthmap
+    let picks = depthmap
         .depth()
         .iter()
         .zip(depthmap.amplitude())
-        .enumerate()
-        .map(|(idx, (&d, &a))| {
-            let slice = if a > 0.0 {
+        .map(|(&d, &a)| {
+            if a > 0.0 {
                 (((d - near) / span).clamp(0.0, 1.0) * (FOCAL_SLICES - 1) as f64).round()
                     as usize
             } else {
                 FOCAL_SLICES / 2
-            };
-            images[slice][idx]
+            }
         })
-        .collect()
+        .collect();
+    (zs, picks)
+}
+
+/// Builds the all-in-focus composite: the plane stack is reconstructed
+/// (incoherently) at a small set of focal depths covering the object, and
+/// each pixel is taken from the reconstruction focused nearest its true
+/// depth.
+///
+/// Each focal slice is inverted and accumulated only over the column span
+/// of the pixels read from it (an empty span runs no inverse). Inside the
+/// span every sample has the bits of the full inverse and planes
+/// accumulate in stack order, so every pixel read matches the
+/// `incoherent_focal_stack` composite bit for bit.
+fn all_in_focus(
+    stack: &PlaneStack,
+    depthmap: &DepthMap,
+    z_center: f64,
+    prop: &mut Propagator,
+) -> Vec<f64> {
+    let (zs, picks) = focal_plan(depthmap, z_center);
+    let cols = depthmap.cols();
+    let mut bounds = [(cols, 0); FOCAL_SLICES];
+    for (idx, &slice) in picks.iter().enumerate() {
+        let (first, end) = &mut bounds[slice];
+        *first = (*first).min(idx % cols);
+        *end = (*end).max(idx % cols + 1);
+    }
+    let spans: Vec<Range<usize>> =
+        bounds.iter().map(|&(first, end)| if first < end { first..end } else { 0..0 }).collect();
+    let mut images = vec![vec![0.0; picks.len()]; FOCAL_SLICES];
+    for plane in stack.iter().filter(|plane| plane.lit_pixels > 0) {
+        let shifted: Vec<f64> = zs.iter().map(|&z| z - plane.z).collect();
+        let reconstructions =
+            prop.propagate_batch_window(&plane.field, &shifted, |i| spans[i].clone());
+        for ((image, (_, u)), span) in images.iter_mut().zip(&reconstructions).zip(&spans) {
+            for (acc, row) in image.chunks_exact_mut(cols).zip(u.samples().chunks_exact(cols)) {
+                for (acc, s) in acc[span.clone()].iter_mut().zip(&row[span.clone()]) {
+                    *acc += s.norm_sqr();
+                }
+            }
+        }
+    }
+    picks.iter().enumerate().map(|(idx, &slice)| images[slice][idx]).collect()
 }
 
 /// Box blur with a `(2·radius+1)²` kernel, clamped at the borders.
@@ -264,7 +419,7 @@ fn box_blur(img: &[f64], rows: usize, cols: usize, radius: usize) -> Vec<f64> {
 /// Runs the quality study for one video under one configuration: plans
 /// `frames` sampled frames and evaluates every computed object's PSNR.
 ///
-/// The frame walk, planning and PSNR cache stay serial (only each object
+/// The frame walk, planning and PSNR memo stay serial (only each object
 /// evaluation's plane propagations fan out over the context's worker pool),
 /// so results are bit-identical for every worker count.
 ///
@@ -282,9 +437,9 @@ pub fn video_quality(
     let mut planner = Planner::new(config).expect("configuration must be valid");
     let mut tracker = EyeTracker::new(seed ^ 0x5EED);
     let mut objects = Vec::new();
-    // PSNR depends only on the (virtual object, plane budget, quantized
-    // geometry) triple; identical observations hit this cache.
-    let mut cache: HashMap<(u64, u32, u64, u64), f64> = HashMap::new();
+    // Identical observations, and every plane budget of one geometry, share
+    // the memo's references and scores.
+    let mut memo = PsnrMemo::new();
     // Sample sparse frames (every 10th) so distinct fixations are covered.
     let generator = FrameGenerator::new(category, seed).step_by(10).take(frames as usize);
     for frame in generator {
@@ -296,15 +451,7 @@ pub fn video_quality(
         let estimate = tracker.estimate(true_gaze);
         let plan = planner.plan_frame(&frame, &pose, estimate.direction, estimate.latency);
         for item in plan.items.iter().filter(|i| i.needs_compute()) {
-            let key = (
-                item.object.track_id % 6,
-                item.planes,
-                quantize_mm(item.object.distance * OPTICAL_SCALE).to_bits(),
-                quantize_mm(item.object.size * OPTICAL_SCALE).to_bits(),
-            );
-            let psnr_db = *cache
-                .entry(key)
-                .or_insert_with(|| object_psnr(&item.object, item.planes, &config, ctx));
+            let psnr_db = memo.object_psnr(&item.object, item.planes, &config, ctx);
             objects.push(ObjectQuality { object: item.object, planes: item.planes, psnr_db });
         }
     }
@@ -439,6 +586,114 @@ mod tests {
 
     fn obj(track_id: u64, distance: f64, size: f64) -> ObjectAnnotation {
         ObjectAnnotation { track_id, direction: AngularPoint::CENTER, distance, size }
+    }
+
+    /// The composite before windowing: the full incoherent focal stack, then
+    /// the per-pixel slice pick.
+    fn all_in_focus_oracle(
+        stack: &PlaneStack,
+        depthmap: &DepthMap,
+        z_center: f64,
+        prop: &mut Propagator,
+    ) -> Vec<f64> {
+        let (near, far) = depthmap.depth_range().unwrap_or((z_center, z_center));
+        let zs: Vec<f64> = (0..FOCAL_SLICES)
+            .map(|i| {
+                if FOCAL_SLICES == 1 || far == near {
+                    (near + far) / 2.0
+                } else {
+                    near + (far - near) * i as f64 / (FOCAL_SLICES - 1) as f64
+                }
+            })
+            .collect();
+        let images = holoar_optics::reconstruct::incoherent_focal_stack(stack, &zs, prop);
+        let span = (far - near).max(f64::MIN_POSITIVE);
+        depthmap
+            .depth()
+            .iter()
+            .zip(depthmap.amplitude())
+            .enumerate()
+            .map(|(idx, (&d, &a))| {
+                let slice = if a > 0.0 {
+                    (((d - near) / span).clamp(0.0, 1.0) * (FOCAL_SLICES - 1) as f64).round()
+                        as usize
+                } else {
+                    FOCAL_SLICES / 2
+                };
+                images[slice][idx]
+            })
+            .collect()
+    }
+
+    /// `object_psnr` without the memo or the windowed slices: both
+    /// composites rebuilt through [`all_in_focus_oracle`].
+    fn object_psnr_oracle(
+        obj: &ObjectAnnotation,
+        planes: u32,
+        config: &HoloArConfig,
+        ctx: &ExecutionContext,
+    ) -> f64 {
+        let optics = OpticalConfig::default();
+        let n = QUALITY_RESOLUTION;
+        let z_center = quantize_mm(obj.distance * OPTICAL_SCALE);
+        let depth_extent = quantize_mm((obj.size * OPTICAL_SCALE).min(z_center * 0.8));
+        let depthmap = virtual_object_for(obj.track_id).render(n, n, z_center, depth_extent);
+        let base_stack = depthmap.slice(config.full_planes as usize, optics);
+        let approx_stack = depthmap.slice(planes as usize, optics);
+        let mut prop = Propagator::with_context(ctx);
+        let img_base = all_in_focus_oracle(&base_stack, &depthmap, z_center, &mut prop);
+        let img_approx = all_in_focus_oracle(&approx_stack, &depthmap, z_center, &mut prop);
+        let reference = Image::new(n, n, box_blur(&img_base, n, n, 1)).unwrap();
+        let test = Image::new(n, n, box_blur(&img_approx, n, n, 1)).unwrap();
+        psnr(&reference.normalized(), &test.normalized()).unwrap()
+    }
+
+    #[test]
+    fn memoized_scores_match_the_full_inverse_oracle() {
+        let cfg = HoloArConfig::default();
+        // Near (extent capped at 0.8·z), mid and far geometries.
+        let geometries = [(0.3, 0.4), (1.1, 0.3), (2.5, 0.6)];
+        let plane_counts = [1u32, 2, 3, 5, 8, 15];
+        let mut oracle = Vec::new();
+        for track_id in 0..6u64 {
+            for &(distance, size) in &geometries {
+                for &planes in &plane_counts {
+                    let o = obj(track_id, distance, size);
+                    oracle.push((o, planes, object_psnr_oracle(&o, planes, &cfg, &ctx())));
+                }
+            }
+        }
+        for workers in [1usize, 2, 7] {
+            let par_ctx = ExecutionContext::with_workers(workers);
+            let mut memo = PsnrMemo::new();
+            for (o, planes, want) in &oracle {
+                let got = memo.object_psnr(o, *planes, &cfg, &par_ctx);
+                assert!(want.is_finite(), "{o:?} at {planes} planes: {want}");
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{o:?} at {planes} planes, {workers} workers: {got} vs {want}"
+                );
+            }
+            assert_eq!(memo.counts().0, 6 * geometries.len());
+        }
+    }
+
+    #[test]
+    fn one_reference_serves_every_plane_count() {
+        let cfg = HoloArConfig::default();
+        let o = obj(2, 0.8, 0.3);
+        let mut memo = PsnrMemo::new();
+        let first: Vec<f64> =
+            (1..=15).map(|planes| memo.object_psnr(&o, planes, &cfg, &ctx())).collect();
+        assert_eq!(memo.counts(), (1, 15));
+        // The full budget is scored without a reference or a memo entry.
+        assert!(memo.object_psnr(&o, 16, &cfg, &ctx()).is_infinite());
+        let second: Vec<f64> =
+            (1..=15).map(|planes| memo.object_psnr(&o, planes, &cfg, &ctx())).collect();
+        assert_eq!(memo.counts(), (1, 15));
+        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&first), bits(&second));
     }
 
     #[test]
