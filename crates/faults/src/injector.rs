@@ -1,5 +1,4 @@
-//! The deterministic injector: `(seed, frame index) → faults`, with no
-//! mutable state.
+//! The deterministic injector: `(seed, frame index) → faults`.
 //!
 //! [`FaultInjector::frame`] is a *pure function* of the seed and the frame
 //! index: for every spec, the frame's window index seeds a fresh
@@ -8,6 +7,14 @@
 //! across frames, so evaluating frames in any order — or concurrently on
 //! any number of workers — yields bit-identical faults. That is the
 //! property the replay tests pin at worker counts {1, 2, 7}.
+//!
+//! The window decision only changes once per burst window, so each spec
+//! remembers its last resolved window in one atomic word
+//! (`WindowMemo`). The word holds the window and its outcome together,
+//! so a reader on any thread sees either a whole, correct decision or a
+//! miss that it recomputes: caching changes no result, in any call order.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::spec::{FaultKind, FaultSpec};
 use holoar_core::sensor_input::{GazeInput, PoseInput, SensorSample};
@@ -122,6 +129,44 @@ impl FrameFaults {
 pub struct FaultInjector {
     seed: u64,
     specs: Vec<FaultSpec>,
+    /// One memo per spec, indexed like `specs`.
+    windows: Vec<WindowMemo>,
+}
+
+/// One spec's last resolved window decision, packed into one word:
+/// `0` when empty, else `(window + 1) << 1 | faulted`. Windows that do not
+/// fit the packing (at or above [`WindowMemo::LIMIT`]) are never cached.
+///
+/// The word publishes no other data, so `Relaxed` loads and stores
+/// suffice: a stale or racing value names its own window and is only used
+/// when that window matches.
+#[derive(Debug, Default)]
+struct WindowMemo(AtomicU64);
+
+impl WindowMemo {
+    const LIMIT: u64 = 1 << 62;
+
+    /// Whether `window` is faulted: the remembered outcome when this memo
+    /// holds `window`, else `decide()`, remembered for the next frame.
+    fn faulted(&self, window: u64, decide: impl FnOnce() -> bool) -> bool {
+        if window >= Self::LIMIT {
+            return decide();
+        }
+        let tag = (window + 1) << 1;
+        let held = self.0.load(Ordering::Relaxed);
+        if held & !1 == tag {
+            return held & 1 == 1;
+        }
+        let faulted = decide();
+        self.0.store(tag | u64::from(faulted), Ordering::Relaxed);
+        faulted
+    }
+}
+
+impl Clone for WindowMemo {
+    fn clone(&self) -> Self {
+        WindowMemo(AtomicU64::new(self.0.load(Ordering::Relaxed)))
+    }
 }
 
 impl FaultInjector {
@@ -134,7 +179,8 @@ impl FaultInjector {
         for spec in &specs {
             spec.validate()?;
         }
-        Ok(FaultInjector { seed, specs })
+        let windows = specs.iter().map(|_| WindowMemo::default()).collect();
+        Ok(FaultInjector { seed, specs, windows })
     }
 
     /// The injector's seed.
@@ -152,7 +198,7 @@ impl FaultInjector {
     pub fn frame(&self, index: u64) -> FrameFaults {
         let _span = holoar_telemetry::span_cat("faults.frame", "faults");
         let mut faults = FrameFaults::default();
-        for (slot, spec) in self.specs.iter().enumerate() {
+        for (slot, (spec, memo)) in self.specs.iter().zip(&self.windows).enumerate() {
             let window = index / spec.burst_frames;
             // One RNG stream per (spec slot, kind, window): the window
             // decision never depends on other frames, other specs, or
@@ -162,8 +208,9 @@ impl FaultInjector {
                 .wrapping_add(spec.kind.salt())
                 .wrapping_add((slot as u64).wrapping_mul(0xA076_1D64_78BD_642F))
                 .wrapping_add(window.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut rng = Rng::seeded(stream);
-            if !rng.chance(spec.window_probability) {
+            let faulted =
+                memo.faulted(window, || Rng::seeded(stream).chance(spec.window_probability));
+            if !faulted {
                 continue;
             }
             holoar_telemetry::counter_add("faults.injected", 1);
@@ -273,6 +320,21 @@ mod tests {
         }
         let c = FaultInjector::new(100, specs).unwrap();
         assert!((0..300).any(|i| a.frame(i) != c.frame(i)), "seed must matter");
+    }
+
+    #[test]
+    fn windows_past_the_memo_packing_are_decided_afresh() {
+        let specs = vec![spec(FaultKind::GazeDropout, 0.5, 1, 0.0)];
+        let cached = FaultInjector::new(3, specs.clone()).unwrap();
+        let top = (0..64).map(|k| u64::MAX - k);
+        let edge = (0..64).map(|k| WindowMemo::LIMIT - 32 + k);
+        let mut seen = [false; 2];
+        for i in top.chain(edge) {
+            let fresh = FaultInjector::new(3, specs.clone()).unwrap().frame(i);
+            assert_eq!(cached.frame(i), fresh, "frame {i}");
+            seen[usize::from(fresh.gaze_dropout)] = true;
+        }
+        assert_eq!(seen, [true, true], "both outcomes must occur");
     }
 
     #[test]

@@ -59,6 +59,80 @@ fn simulate(load: f64, cost: &[f64], planes: &[Vec<u32>; 4]) -> (Vec<u32>, Degra
     (chosen, ctl)
 }
 
+/// Every field of a frame's faults, as bits.
+fn fault_bits(f: &FrameFaults) -> [u64; 9] {
+    [
+        u64::from(f.gaze_dropout),
+        f.gaze_latency_spike.to_bits(),
+        u64::from(f.pose_dropout),
+        f.pose_jitter.0.to_bits(),
+        f.pose_jitter.1.to_bits(),
+        f.clock_scale.to_bits(),
+        f.dram_scale.to_bits(),
+        f.stage_overrun.to_bits(),
+        u64::from(f.device_dead),
+    ]
+}
+
+/// Query orders over `0..n` for injectors whose windows are `bursts` long:
+/// sequential, reversed, two strides, and hops across every window
+/// boundary and back between distant windows.
+fn query_orders(n: u64, bursts: &[u64]) -> Vec<Vec<u64>> {
+    let mut orders = vec![(0..n).collect(), (0..n).rev().collect()];
+    for stride in [7u64, 37] {
+        orders.push((0..n).map(|i| i * stride % n).collect());
+    }
+    for &burst in bursts {
+        let crossing: Vec<u64> = (1..n / burst)
+            .flat_map(|w| [w * burst - 1, w * burst, w * burst - 1, w * burst + 1])
+            .collect();
+        orders.push(crossing);
+        let far = n / 2;
+        orders.push((0..far).flat_map(|i| [i, i + far]).collect());
+    }
+    orders
+}
+
+/// The per-spec window cache never changes a frame's faults: one injector
+/// queried in sequential, reversed, strided and window-crossing orders
+/// (its cache carried from order to order) agrees bit for bit with a fresh
+/// injector built for each query, for every scenario preset.
+#[test]
+fn window_cache_matches_a_fresh_injector_per_query() {
+    const N: u64 = 320;
+    type Preset = Box<dyn Fn() -> holoar_faults::FaultInjector>;
+    for seed in [0u64, 7, 42, u64::MAX] {
+        let presets: Vec<(&str, Preset)> = vec![
+            ("gpu_slowdown", Box::new(move || scenario::gpu_slowdown(seed).unwrap())),
+            ("sensor_storm", Box::new(move || scenario::sensor_storm(seed).unwrap())),
+            ("full_stack", Box::new(move || scenario::full_stack(seed).unwrap())),
+            ("serve_session", Box::new(move || scenario::serve_session(seed, 3).unwrap())),
+            ("fleet_device", Box::new(move || scenario::fleet_device(seed, 5).unwrap())),
+            (
+                "fleet_device_with_kill",
+                Box::new(move || scenario::fleet_device_with_kill(seed, 1, 0.4).unwrap()),
+            ),
+        ];
+        for (name, make) in &presets {
+            let cached = make();
+            let bursts: Vec<u64> = cached.specs().iter().map(|s| s.burst_frames).collect();
+            for order in query_orders(N, &bursts) {
+                for i in order {
+                    let want = fault_bits(&make().frame(i));
+                    assert_eq!(fault_bits(&cached.frame(i)), want, "{name} seed {seed} frame {i}");
+                }
+            }
+        }
+    }
+    // The presets above reach both branches of the windows that matter
+    // most: IMU jitter inside a burst and a dead device window.
+    let storm = scenario::sensor_storm(7).unwrap();
+    assert!((0..N).any(|i| storm.frame(i).pose_jitter != (0.0, 0.0)));
+    let kill = scenario::fleet_device_with_kill(7, 1, 0.4).unwrap();
+    assert!((0..N).any(|i| kill.frame(i).device_dead));
+    assert!((0..N).any(|i| !kill.frame(i).device_dead));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

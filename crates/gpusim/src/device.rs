@@ -80,7 +80,7 @@ impl Device {
         let cfg = &self.config;
         let cost = expect_block_cost(kernel, cfg);
         let blocks_per_sm = kernel.grid_blocks.div_ceil(cfg.sm_count) as f64;
-        let (sm_cycles, time) = launch_time(kernel, &cost, cfg);
+        let (sm_cycles, time) = launch_time(kernel.grid_blocks, &cost, cfg);
 
         let busy = blocks_per_sm * cost.busy_cycles;
         let stalls = cost.exposed_stalls.scaled(blocks_per_sm);
@@ -120,7 +120,7 @@ impl Device {
 ///
 /// Panics if the kernel is invalid.
 pub fn kernel_time(kernel: &KernelDesc, config: &DeviceConfig) -> f64 {
-    launch_time(kernel, &expect_block_cost(kernel, config), config).1
+    launch_time(kernel.grid_blocks, &expect_block_cost(kernel, config), config).1
 }
 
 /// The block cost of a kernel this crate's builders produced.
@@ -129,12 +129,12 @@ pub(crate) fn expect_block_cost(kernel: &KernelDesc, config: &DeviceConfig) -> B
     block_cost(kernel, config).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Per-SM cycles and wall seconds of one launch: the most-loaded SM drains
-/// its blocks, then pays a drain tail — the device idles while the last
-/// wave's stragglers finish before the end-of-kernel (inter-block)
-/// synchronization releases the host.
-fn launch_time(kernel: &KernelDesc, cost: &BlockCost, cfg: &DeviceConfig) -> (f64, f64) {
-    let blocks_per_sm = kernel.grid_blocks.div_ceil(cfg.sm_count) as f64;
+/// Per-SM cycles and wall seconds of one launch of `grid_blocks` blocks of
+/// cost `cost`: the most-loaded SM drains its blocks, then pays a drain
+/// tail — the device idles while the last wave's stragglers finish before
+/// the end-of-kernel (inter-block) synchronization releases the host.
+pub(crate) fn launch_time(grid_blocks: u32, cost: &BlockCost, cfg: &DeviceConfig) -> (f64, f64) {
+    let blocks_per_sm = grid_blocks.div_ceil(cfg.sm_count) as f64;
     let drain_tail = 0.5 * cost.total_cycles();
     let sm_cycles = (blocks_per_sm * cost.total_cycles() + drain_tail) / cfg.kernel_efficiency;
     (sm_cycles, sm_cycles / cfg.clock_hz + cfg.launch_overhead)

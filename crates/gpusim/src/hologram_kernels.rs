@@ -12,9 +12,10 @@
 
 use crate::calibration;
 use crate::config::DeviceConfig;
-use crate::device::{kernel_time, Device};
+use crate::device::{expect_block_cost, launch_time, Device};
 use crate::kernel::{InstructionMix, KernelDesc};
 use crate::power::{Activity, EnergyMeter, RailPower};
+use crate::sm::BlockCost;
 use crate::stats::KernelStats;
 
 /// Which half of Algorithm 1 a propagation kernel implements.
@@ -360,33 +361,67 @@ pub fn run_job(device: &mut Device, job: &HologramJob) -> HologramJobStats {
     HologramJobStats { latency, rails, energy: meter.energy.total(), kernels: stats }
 }
 
-/// A job's solo latency on a device model: [`run_job`]'s `latency` as a
-/// pure function of the configuration. Prices two kernels (one forward,
-/// one backward plane) and adds their times in `run_job`'s launch order, so
-/// the sum is bit-identical to `run_job`'s.
+/// Prices hologram jobs on one device model: [`run_job`]'s `latency` as a
+/// pure function of the configuration.
 ///
-/// # Panics
+/// A block's cost depends on the kernel's instruction mix and the device,
+/// not on the grid, so the forward and backward block costs are computed
+/// once per device. A job is then priced from its per-plane grid through
+/// the launch-time arithmetic [`Device::execute`] uses, adding the plane
+/// times in `run_job`'s launch order, so the price is bit-identical to
+/// `run_job`'s.
 ///
-/// Panics if the job is invalid (non-zero planes with zero pixels/coverage).
-pub fn job_latency(config: &DeviceConfig, job: &HologramJob) -> f64 {
-    let _span = holoar_telemetry::span_cat("gpusim.price.job", "gpusim");
-    if job.plane_count == 0 {
-        return 0.0;
+/// # Examples
+///
+/// ```
+/// use holoar_gpusim::{hologram_kernels, Device, HologramJob, JobPricer};
+///
+/// let mut device = Device::xavier();
+/// let pricer = JobPricer::new(device.config());
+/// let job = HologramJob::full(8);
+/// let run = hologram_kernels::run_job(&mut device, &job).latency;
+/// assert_eq!(pricer.latency(&job).to_bits(), run.to_bits());
+/// ```
+#[derive(Debug, Clone)]
+pub struct JobPricer {
+    config: DeviceConfig,
+    forward: BlockCost,
+    backward: BlockCost,
+}
+
+impl JobPricer {
+    /// A pricer for jobs on `config`.
+    pub fn new(config: &DeviceConfig) -> Self {
+        let cost = |step| expect_block_cost(&propagation_kernel(step, 1), config);
+        JobPricer { config: *config, forward: cost(Step::Forward), backward: cost(Step::Backward) }
     }
-    job.expect_valid();
-    let covered = job.covered_pixels();
-    let fwd = kernel_time(&propagation_kernel(Step::Forward, covered), config);
-    let bwd = kernel_time(&propagation_kernel(Step::Backward, covered), config);
-    let mut latency = 0.0;
-    for _ in 0..job.gsw_iterations {
-        for _ in 0..job.plane_count {
-            latency += fwd;
+
+    /// A job's solo latency: zero for a job with no planes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job is invalid (non-zero planes with zero
+    /// pixels/coverage).
+    pub fn latency(&self, job: &HologramJob) -> f64 {
+        let _span = holoar_telemetry::span_cat("gpusim.price.job", "gpusim");
+        if job.plane_count == 0 {
+            return 0.0;
         }
-        for _ in 0..job.plane_count {
-            latency += bwd;
+        job.expect_valid();
+        let grid_blocks = plane_grid_blocks(job.covered_pixels());
+        let fwd = launch_time(grid_blocks, &self.forward, &self.config).1;
+        let bwd = launch_time(grid_blocks, &self.backward, &self.config).1;
+        let mut latency = 0.0;
+        for _ in 0..job.gsw_iterations {
+            for _ in 0..job.plane_count {
+                latency += fwd;
+            }
+            for _ in 0..job.plane_count {
+                latency += bwd;
+            }
         }
+        latency
     }
-    latency
 }
 
 /// Latency of the forward and backward halves for one plane count — the

@@ -3,7 +3,7 @@
 
 use holoar_gpusim::device::kernel_time;
 use holoar_gpusim::gating::{gated_rails, run_job_gated, GatingPolicy};
-use holoar_gpusim::hologram_kernels::{job_latency, run_job, HologramJob};
+use holoar_gpusim::hologram_kernels::{run_job, HologramJob, JobPricer};
 use holoar_gpusim::timeline::{session_occupancy, session_stream_ops};
 use holoar_gpusim::{
     simulate, Activity, Device, DeviceConfig, EnergyMeter, InstructionMix, KernelDesc,
@@ -188,9 +188,10 @@ proptest! {
     fn job_latency_is_bit_identical(jobs in arb_fleet(), sm_count in arb_sm_count()) {
         let cfg = DeviceConfig { sm_count, ..DeviceConfig::default() };
         let mut device = Device::new(cfg).unwrap();
+        let pricer = JobPricer::new(&cfg);
         for job in &jobs {
             let reference = run_job(&mut device, job).latency;
-            prop_assert_eq!(job_latency(&cfg, job).to_bits(), reference.to_bits());
+            prop_assert_eq!(pricer.latency(job).to_bits(), reference.to_bits());
         }
     }
 

@@ -146,7 +146,8 @@ pub struct FrameGenerator {
     rng: Rng,
     next_index: u64,
     next_track: u64,
-    live: Vec<ObjectAnnotation>,
+    /// The last stepped frame; its `objects` are the live tracks.
+    current: Frame,
 }
 
 impl FrameGenerator {
@@ -162,7 +163,7 @@ impl FrameGenerator {
             rng: Rng::seeded(seed ^ (category as u64).wrapping_mul(0x9E37_79B9)),
             next_index: 0,
             next_track: 0,
-            live: Vec::new(),
+            current: Frame::default(),
         }
     }
 
@@ -189,27 +190,23 @@ impl FrameGenerator {
         self.next_track += 1;
         ObjectAnnotation { track_id, direction, distance, size }
     }
-}
 
-impl Iterator for FrameGenerator {
-    type Item = Frame;
-
-    fn next(&mut self) -> Option<Frame> {
-        // Retire departing tracks.
-        let mut survivors = Vec::with_capacity(self.live.len());
-        for obj in self.live.drain(..) {
-            if self.rng.chance(Self::PERSISTENCE) {
-                survivors.push(obj);
-            }
-        }
-        self.live = survivors;
+    /// Advances to the next frame in place: retires departing tracks,
+    /// drifts the survivors and runs the spawn/retire controller, with no
+    /// per-frame allocation once the track list has grown to its working
+    /// size. [`FrameGenerator::current`] then reads the new frame;
+    /// [`Iterator::next`] is this step plus a copy of it.
+    pub fn step(&mut self) {
+        // Retire departing tracks: one draw per track, in track order.
+        let live = &mut self.current.objects;
+        let rng = &mut self.rng;
+        live.retain(|_| rng.chance(Self::PERSISTENCE));
         // Drift the survivors smoothly.
-        for obj in &mut self.live {
-            obj.direction = obj.direction.offset(
-                self.rng.normal_with(0.0, deg(0.6)),
-                self.rng.normal_with(0.0, deg(0.45)),
-            );
-            obj.distance = (obj.distance + self.rng.normal_with(0.0, obj.distance * 0.004))
+        for obj in live.iter_mut() {
+            obj.direction = obj
+                .direction
+                .offset(rng.normal_with(0.0, deg(0.6)), rng.normal_with(0.0, deg(0.45)));
+            obj.distance = (obj.distance + rng.normal_with(0.0, obj.distance * 0.004))
                 .max(self.spec.distance * 0.3);
         }
         // A symmetric proportional controller keeps the live count at the
@@ -217,18 +214,34 @@ impl Iterator for FrameGenerator {
         // track when above, with a gain low enough that tracks stay coherent
         // for many frames.
         const GAIN: f64 = 0.25;
-        let deficit = self.spec.objects_per_frame - self.live.len() as f64;
+        let deficit = self.spec.objects_per_frame - self.current.objects.len() as f64;
         if deficit > 0.0 {
             if self.rng.chance((deficit * GAIN).min(1.0)) {
                 let obj = self.spawn_object();
-                self.live.push(obj);
+                self.current.objects.push(obj);
             }
-        } else if !self.live.is_empty() && self.rng.chance(((-deficit) * GAIN).min(1.0)) {
-            self.live.remove(0);
+        } else if !self.current.objects.is_empty()
+            && self.rng.chance(((-deficit) * GAIN).min(1.0))
+        {
+            self.current.objects.remove(0);
         }
-        let frame = Frame { index: self.next_index, objects: self.live.clone() };
+        self.current.index = self.next_index;
         self.next_index += 1;
-        Some(frame)
+    }
+
+    /// The frame the last [`FrameGenerator::step`] produced (an empty
+    /// frame 0 before the first step).
+    pub fn current(&self) -> &Frame {
+        &self.current
+    }
+}
+
+impl Iterator for FrameGenerator {
+    type Item = Frame;
+
+    fn next(&mut self) -> Option<Frame> {
+        self.step();
+        Some(self.current.clone())
     }
 }
 
@@ -340,6 +353,98 @@ mod tests {
                     let step = prev.direction.distance_to(obj.direction);
                     assert!(step < deg(2.0), "object jumped {step} rad in one frame");
                 }
+            }
+        }
+    }
+
+    /// The allocating frame loop `step` replaced: a fresh survivors vector
+    /// and a cloned frame per call. The oracle the in-place step must match.
+    fn allocating_next(g: &mut FrameGenerator) -> Frame {
+        let mut survivors = Vec::with_capacity(g.current.objects.len());
+        for obj in g.current.objects.drain(..) {
+            if g.rng.chance(FrameGenerator::PERSISTENCE) {
+                survivors.push(obj);
+            }
+        }
+        g.current.objects = survivors;
+        for obj in &mut g.current.objects {
+            obj.direction = obj.direction.offset(
+                g.rng.normal_with(0.0, deg(0.6)),
+                g.rng.normal_with(0.0, deg(0.45)),
+            );
+            obj.distance = (obj.distance + g.rng.normal_with(0.0, obj.distance * 0.004))
+                .max(g.spec.distance * 0.3);
+        }
+        let deficit = g.spec.objects_per_frame - g.current.objects.len() as f64;
+        if deficit > 0.0 {
+            if g.rng.chance((deficit * 0.25).min(1.0)) {
+                let obj = g.spawn_object();
+                g.current.objects.push(obj);
+            }
+        } else if !g.current.objects.is_empty() && g.rng.chance(((-deficit) * 0.25).min(1.0)) {
+            g.current.objects.remove(0);
+        }
+        let frame = Frame { index: g.next_index, objects: g.current.objects.clone() };
+        g.next_index += 1;
+        frame
+    }
+
+    fn frame_bits(frame: &Frame) -> Vec<[u64; 5]> {
+        frame
+            .objects
+            .iter()
+            .map(|o| {
+                [
+                    o.track_id,
+                    o.direction.azimuth.to_bits(),
+                    o.direction.elevation.to_bits(),
+                    o.distance.to_bits(),
+                    o.size.to_bits(),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn step_and_snapshot_match_the_allocating_loop() {
+        const FRAMES: u64 = 600;
+        for category in VideoCategory::ALL {
+            for seed in 0..16 {
+                let mut oracle = FrameGenerator::new(category, seed);
+                let frames: Vec<Frame> =
+                    (0..FRAMES).map(|_| allocating_next(&mut oracle)).collect();
+                // The run must cover spawns and retirements, or it shows little.
+                let ids = |f: &Frame| f.objects.iter().map(|o| o.track_id).collect::<Vec<_>>();
+                let retired = frames
+                    .windows(2)
+                    .any(|w| ids(&w[0]).iter().any(|id| !ids(&w[1]).contains(id)));
+                assert!(retired && oracle.next_track > 1, "{category:?} seed {seed}: no churn");
+
+                let mut iterated = FrameGenerator::new(category, seed);
+                for (i, want) in frames.iter().enumerate() {
+                    let got = iterated.next().unwrap();
+                    let at = format!("{category:?} seed {seed} frame {i}");
+                    assert_eq!(got.index, want.index, "{at}");
+                    assert_eq!(frame_bits(&got), frame_bits(want), "{at}");
+                }
+                for k in [1u64, 3, 16] {
+                    let mut stepped = FrameGenerator::new(category, seed);
+                    for want in &frames {
+                        stepped.step();
+                        if (want.index + 1) % k == 0 {
+                            let got = stepped.current();
+                            let at = format!("{category:?} seed {seed} k {k}");
+                            assert_eq!(got.index, want.index, "{at}");
+                            assert_eq!(frame_bits(got), frame_bits(want), "{at}");
+                        }
+                    }
+                    // The streams agree afterwards: same RNG state, same
+                    // track counter, same next frame.
+                    assert_eq!(stepped.rng, oracle.rng, "{category:?} seed {seed} k {k}");
+                    assert_eq!(stepped.next_track, oracle.next_track);
+                    assert_eq!(stepped.next_index, oracle.next_index);
+                }
+                assert_eq!(iterated.rng, oracle.rng, "{category:?} seed {seed}");
             }
         }
     }

@@ -25,9 +25,9 @@ use holoar_core::{
 };
 use holoar_faults::FrameFaults;
 use holoar_gpusim::device::kernel_time;
-use holoar_gpusim::hologram_kernels::{job_latency, merged_session_kernels};
+use holoar_gpusim::hologram_kernels::merged_session_kernels;
 use holoar_gpusim::{
-    calibration, session_occupancy, DeviceConfig, DeviceSpec, HologramJob, KernelDesc,
+    calibration, session_occupancy, DeviceConfig, DeviceSpec, HologramJob, JobPricer, KernelDesc,
 };
 use holoar_pipeline::executor::{run_staged, StagedConfig};
 use holoar_pipeline::schedule::FrameLatencies;
@@ -220,6 +220,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         probe_jobs.push(admission::probe_job(&frame)?);
     }
     let device_cfg = config.device.config();
+    let pricer = JobPricer::new(&device_cfg);
     let base = base_config();
     let ladder = ladder_for(&config.device);
     let mut estimates = Vec::with_capacity(requested);
@@ -259,15 +260,16 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         // scheduling history.
         let mut ticks = Vec::with_capacity(admitted);
         for state in states.iter_mut() {
-            let frame = state.generator.next().ok_or("frame generator must be infinite")?;
+            state.generator.step();
+            let frame = state.generator.current();
             let faults = state.injector.frame(tick);
-            let sample = faults.degrade_sensors(&nominal_sample(&frame));
+            let sample = faults.degrade_sensors(&nominal_sample(frame));
             let level = state.ctl.decide(tick);
             state.frames_at_level[level.index()] += 1;
             state.level_window.push(tick, level.index() as f64);
             let (job, reprojecting) = match state.ctl.config_for(&base) {
                 Some(level_cfg) => {
-                    let plan = Planner::new(level_cfg)?.plan_frame_with(&frame, &sample);
+                    let plan = Planner::new(level_cfg)?.plan_frame_with(frame, &sample);
                     state.observe_focus(plan_focus(&plan));
                     (session_job(&plan), false)
                 }
@@ -279,16 +281,16 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
 
         // Phase 2: deferral — shed from the back of the priority order until
         // the batch fits the deferral threshold, always keeping at least one
-        // fresh session.
+        // fresh session. The loop leaves with the final jobs and their
+        // estimate, which is the tick's batch latency.
         let mut deferred = vec![false; admitted];
-        loop {
+        let (jobs, batch_latency) = loop {
             let jobs: Vec<HologramJob> = (0..admitted)
                 .map(|i| if deferred[i] { idle_job() } else { ticks[i].job })
                 .collect();
-            let kernels = merged_session_kernels(&jobs);
-            let estimate = batch_time(&device_cfg, &kernels);
+            let estimate = batch_time(&device_cfg, &merged_session_kernels(&jobs));
             if estimate <= config.frame_budget() * DEFER_THRESHOLD {
-                break;
+                break (jobs, estimate);
             }
             let active: Vec<usize> = order
                 .iter()
@@ -296,17 +298,13 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
                 .filter(|&i| !deferred[i] && ticks[i].job.plane_count > 0)
                 .collect();
             let Some(&victim) = active.last().filter(|_| active.len() > 1) else {
-                break;
+                break (jobs, estimate);
             };
             deferred[victim] = true;
-        }
+        };
 
         // Phase 3: batched execution on the shared device.
-        let jobs: Vec<HologramJob> = (0..admitted)
-            .map(|i| if deferred[i] { idle_job() } else { ticks[i].job })
-            .collect();
         let batch = PlaneBatch::build(jobs);
-        let batch_latency = batch_time(&device_cfg, &batch.kernels);
         merged_launches += batch.kernels.len() as u64;
         launches_saved += batch.launches_saved();
         let tick_occupancy = if batch.has_work() {
@@ -325,7 +323,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         // independent per-plane pipelines time-slicing the device.
         for t in &ticks {
             if t.job.plane_count > 0 {
-                sequential_time_total += job_latency(&device_cfg, &t.job);
+                sequential_time_total += pricer.latency(&t.job);
             } else {
                 sequential_time_total += ladder.reproject_latency;
             }

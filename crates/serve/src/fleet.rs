@@ -38,8 +38,7 @@ use holoar_core::degrade::{
     DegradationController, DegradationLadder, DegradationLevel, TransitionReason,
 };
 use holoar_faults::{scenario, FaultInjector};
-use holoar_gpusim::hologram_kernels::job_latency;
-use holoar_gpusim::{DeviceConfig, DeviceSpec, HologramJob};
+use holoar_gpusim::{DeviceSpec, HologramJob, JobPricer};
 use holoar_sensors::objectron::{FrameGenerator, VideoCategory};
 
 use crate::admission::{self, probe_job};
@@ -205,8 +204,8 @@ pub struct FleetReport {
 
 struct FleetDevice {
     spec: DeviceSpec,
-    /// Nominal device model used to price probe jobs.
-    probe: DeviceConfig,
+    /// Prices probe jobs on the nominal device model.
+    pricer: JobPricer,
     injector: FaultInjector,
     dead: bool,
     killed_at: Option<u64>,
@@ -239,7 +238,7 @@ impl FleetDevice {
         if self.spec == *priced_on {
             cost
         } else {
-            price(&self.probe, job, ladder)
+            price(&self.pricer, job, ladder)
         }
     }
 }
@@ -268,11 +267,11 @@ struct FleetSession {
 
 /// Prices `job` on a device model: its solo run latency, or the
 /// reprojection cost for an empty job.
-fn price(probe: &DeviceConfig, job: &HologramJob, ladder: &DegradationLadder) -> f64 {
+fn price(pricer: &JobPricer, job: &HologramJob, ladder: &DegradationLadder) -> f64 {
     if job.plane_count == 0 {
         ladder.reproject_latency
     } else {
-        job_latency(probe, job)
+        pricer.latency(job)
     }
 }
 
@@ -405,7 +404,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
         };
         devices.push(FleetDevice {
             spec: *spec,
-            probe: spec.config(),
+            pricer: JobPricer::new(&spec.config()),
             injector,
             dead: false,
             killed_at: None,
@@ -514,7 +513,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
                 .next()
                 .ok_or("frame generator must be infinite")?;
             let job = probe_job(&frame)?;
-            let ref_cost = price(&devices[0].probe, &job, &ladder);
+            let ref_cost = price(&devices[0].pricer, &job, &ladder);
             // Greedy admission: try devices best-first until one has
             // headroom; every candidate exhausted means rejection.
             let mut views = device_views(&devices, &sessions, plan.spec.video);
@@ -565,7 +564,8 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
         let mut loads = vec![0.0f64; k];
         let mut fresh_counts = vec![0u32; k];
         for (&id, s) in sessions.iter_mut() {
-            let frame = s.generator.next().ok_or("frame generator must be infinite")?;
+            // Every tick advances the content; only a re-probe reads it.
+            s.generator.step();
             let session_faults = s.injector.frame(tick);
             let level = s.ctl.decide(tick);
             s.reprojecting = level == DegradationLevel::LastGood;
@@ -585,8 +585,8 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
             // every `REPROBE_EVERY` ticks, offset by id. The new cost
             // loads its host from the next tick on.
             if tick > s.arrived && tick % REPROBE_EVERY == u64::from(id) % REPROBE_EVERY {
-                let job = probe_job(&frame)?;
-                let cost = price(&devices[s.device].probe, &job, &ladder);
+                let job = probe_job(s.generator.current())?;
+                let cost = price(&devices[s.device].pricer, &job, &ladder);
                 devices[s.device].est_load += cost - s.cost;
                 s.job = job;
                 s.cost = cost;
@@ -789,6 +789,7 @@ mod tests {
         // which merging amortizes even for one session, so it over-prices;
         // the worst case measured is n = 2 at +106.6 %.
         let device = DeviceSpec::edge().config();
+        let pricer = JobPricer::new(&device);
         let jobs: Vec<HologramJob> = SessionSpec::fleet(128, 42)
             .iter()
             .map(|spec| {
@@ -800,7 +801,7 @@ mod tests {
             .collect();
         assert_eq!(jobs.len(), 24);
         for n in 1..=jobs.len() {
-            let solo: f64 = jobs[..n].iter().map(|job| job_latency(&device, job)).sum();
+            let solo: f64 = jobs[..n].iter().map(|job| pricer.latency(job)).sum();
             let closed_form = solo * amortize(n as u32);
             let kernel = batch_time(&device, &merged_session_kernels(&jobs[..n]));
             let err = (closed_form - kernel) / kernel;
