@@ -9,7 +9,7 @@
 use crate::report::{ms, pct, Table};
 use holoar_core::{evaluation, quality, ExecutionContext, Horn8Model, HoloArConfig, Planner, Scheme};
 use holoar_gpusim::hologram_kernels::{self, HologramJob};
-use holoar_gpusim::{calibration, Device, Profiler};
+use holoar_gpusim::{calibration, Device, JobPricer, Profiler};
 use holoar_optics::{algorithm1, reconstruct, OpticalConfig, Propagator, Pupil, VirtualObject};
 use holoar_pipeline::characterize::characterize;
 use holoar_pipeline::task::TaskKind;
@@ -573,13 +573,13 @@ pub fn reuse(cfg: &ExperimentConfig) -> String {
 /// Ablation: kernel fusion versus approximation (the engineering
 /// alternative §3's stall analysis invites).
 pub fn fusion(_cfg: &ExperimentConfig) -> String {
-    use holoar_gpusim::hologram_kernels::{run_job, run_job_fused};
+    let pricer = JobPricer::new(Device::xavier().config());
     let mut t = Table::new(["Planes", "Per-plane kernels (ms)", "Fused (ms)", "Fusion saves"]);
     for planes in [4u32, 8, 16] {
-        let mut d1 = Device::xavier();
-        let plain = run_job(&mut d1, &HologramJob::full(planes)).latency;
-        let mut d2 = Device::xavier();
-        let fused = run_job_fused(&mut d2, &HologramJob::full(planes)).latency;
+        let job = HologramJob::full(planes);
+        let plain = pricer.latency(&job);
+        // A batch of one job: each step's planes in one launch.
+        let fused = pricer.batch(&[job]).latency;
         t.row([
             planes.to_string(),
             ms(plain),

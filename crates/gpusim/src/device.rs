@@ -113,12 +113,12 @@ impl Device {
 }
 
 /// Modeled wall time of one launch of `kernel` on `config`, in seconds:
-/// the [`Device::execute`] time as a pure function, for callers that price
-/// work without keeping launch counters.
+/// the [`Device::execute`] time as a pure function of a built kernel.
 ///
 /// # Panics
 ///
 /// Panics if the kernel is invalid.
+// holoar-lint: allow(unreached, reason = "test oracle: merged_batch_price_is_bit_identical in gpusim tests/properties.rs sums it over merged_session_kernels to check JobPricer::batch, and kernel_time_is_bit_identical pins it to Device::execute")
 pub fn kernel_time(kernel: &KernelDesc, config: &DeviceConfig) -> f64 {
     launch_time(kernel.grid_blocks, &expect_block_cost(kernel, config), config).1
 }

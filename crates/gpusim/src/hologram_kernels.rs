@@ -215,43 +215,14 @@ pub fn job_kernels(job: &HologramJob) -> Vec<KernelDesc> {
     kernels
 }
 
-/// Builds the *fused* kernel sequence: per GSW iteration, all plane
-/// propagations of one step merge into a single grid-wide launch (one
-/// forward, one backward), eliminating the per-plane launch overheads and
-/// drain tails — the kernel-engineering alternative to approximation that
-/// §3's stall analysis invites.
-///
-/// # Panics
-///
-/// Panics if the job is invalid.
-pub fn fused_job_kernels(job: &HologramJob) -> Vec<KernelDesc> {
-    job.expect_valid();
-    let covered_pixels = job.covered_pixels();
-    let mut kernels = Vec::with_capacity((job.gsw_iterations * 2) as usize);
-    for _ in 0..job.gsw_iterations {
-        for step in [Step::Forward, Step::Backward] {
-            let per_plane = propagation_kernel(step, covered_pixels);
-            let mut fused = per_plane.clone();
-            fused.name = format!("{}_fused", per_plane.name);
-            fused.grid_blocks = per_plane
-                .grid_blocks
-                .saturating_mul(job.plane_count)
-                .max(1);
-            kernels.push(fused);
-        }
-    }
-    kernels
-}
-
-/// Builds the *cross-session* merged kernel sequence for a batch of jobs
-/// sharing one device: per GSW iteration and step, every session's plane
-/// propagations coalesce into a single grid-wide launch whose grid is the
-/// sum of the per-session plane grids. This is [`fused_job_kernels`] lifted
-/// across sessions — the serving layer's batcher uses it to amortize launch
-/// overheads and drain tails over the whole fleet instead of per session.
+/// Builds the merged kernel sequence for a batch of jobs sharing one
+/// device: per GSW iteration and step, every job's plane propagations
+/// coalesce into a single grid-wide launch whose grid is the sum of the
+/// per-job plane grids. A batch of one job is that job's fused kernels.
+/// [`JobPricer::batch`] prices this sequence without building it.
 ///
 /// Jobs with `plane_count == 0` contribute nothing. All jobs must agree on
-/// `gsw_iterations` (the batcher only merges lockstep iterations).
+/// `gsw_iterations` (only lockstep iterations merge).
 ///
 /// Returns the merged kernels in (iteration, forward-then-backward) order,
 /// or an empty vector when no job has work.
@@ -259,6 +230,7 @@ pub fn fused_job_kernels(job: &HologramJob) -> Vec<KernelDesc> {
 /// # Panics
 ///
 /// Panics if any job is invalid or if jobs disagree on `gsw_iterations`.
+// holoar-lint: allow(unreached, reason = "test oracle: merged_batch_price_is_bit_identical in gpusim tests/properties.rs and the hologram_kernels unit tests price the kernel-built merged batch against JobPricer::batch")
 pub fn merged_session_kernels(jobs: &[HologramJob]) -> Vec<KernelDesc> {
     let active: Vec<&HologramJob> = jobs.iter().filter(|j| j.plane_count > 0).collect();
     let Some(first) = active.first() else {
@@ -308,25 +280,6 @@ pub fn batch_block_shares(jobs: &[HologramJob]) -> Vec<f64> {
     per_job.iter().map(|&b| b as f64 / total as f64).collect()
 }
 
-/// Runs a job with fused kernels (see [`fused_job_kernels`]).
-///
-/// # Panics
-///
-/// Panics if the job is invalid.
-pub fn run_job_fused(device: &mut Device, job: &HologramJob) -> HologramJobStats {
-    if job.plane_count == 0 {
-        return HologramJobStats::skipped();
-    }
-    let kernels = fused_job_kernels(job);
-    let stats = device.execute_all(&kernels);
-    let latency: f64 = stats.iter().map(|s| s.time).sum();
-    let activity = Activity::for_hologram(job.plane_count as f64, &device.config().power);
-    let rails = device.config().power.rails(activity);
-    let mut meter = EnergyMeter::new();
-    meter.accumulate(latency, rails);
-    HologramJobStats { latency, rails, energy: meter.energy.total(), kernels: stats }
-}
-
 /// Runs a hologram job, returning latency, power and energy.
 ///
 /// A job with `plane_count == 0` is a skipped object: zero time, zero energy
@@ -361,15 +314,16 @@ pub fn run_job(device: &mut Device, job: &HologramJob) -> HologramJobStats {
     HologramJobStats { latency, rails, energy: meter.energy.total(), kernels: stats }
 }
 
-/// Prices hologram jobs on one device model: [`run_job`]'s `latency` as a
-/// pure function of the configuration.
+/// Prices hologram jobs on one device model: [`run_job`]'s `latency` and
+/// the latency of a merged launch ([`merged_session_kernels`]) as pure
+/// functions of the configuration.
 ///
 /// A block's cost depends on the kernel's instruction mix and the device,
 /// not on the grid, so the forward and backward block costs are computed
-/// once per device. A job is then priced from its per-plane grid through
-/// the launch-time arithmetic [`Device::execute`] uses, adding the plane
-/// times in `run_job`'s launch order, so the price is bit-identical to
-/// `run_job`'s.
+/// once per device. A job or batch is then priced from its grid through
+/// the launch-time arithmetic [`Device::execute`] uses, adding the launch
+/// times in launch order, so each price is bit-identical to executing the
+/// kernels.
 ///
 /// # Examples
 ///
@@ -422,6 +376,53 @@ impl JobPricer {
         }
         latency
     }
+
+    /// The price of running `jobs` as one merged launch sequence: per GSW
+    /// iteration, one forward and one backward launch over the sum of the
+    /// jobs' plane grids. Jobs with no planes contribute nothing; a batch
+    /// with no planes at all costs `+0.0` and no launches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job with planes is invalid or if such jobs disagree on
+    /// `gsw_iterations`.
+    pub fn batch(&self, jobs: &[HologramJob]) -> BatchPrice {
+        let _span = holoar_telemetry::span_cat("gpusim.price.batch", "gpusim");
+        let mut iterations = None;
+        let mut grid_blocks = 0u32;
+        for job in jobs.iter().filter(|j| j.plane_count > 0) {
+            job.expect_valid();
+            let lockstep = *iterations.get_or_insert(job.gsw_iterations);
+            assert_eq!(
+                job.gsw_iterations, lockstep,
+                "cross-session batching requires lockstep GSW iterations"
+            );
+            let per_plane = plane_grid_blocks(job.covered_pixels());
+            grid_blocks = grid_blocks.saturating_add(per_plane.saturating_mul(job.plane_count));
+        }
+        let Some(iterations) = iterations else {
+            return BatchPrice { latency: 0.0, launches: 0 };
+        };
+        let grid_blocks = grid_blocks.max(1);
+        let fwd = launch_time(grid_blocks, &self.forward, &self.config).1;
+        let bwd = launch_time(grid_blocks, &self.backward, &self.config).1;
+        let mut latency = 0.0;
+        for _ in 0..iterations {
+            latency += fwd;
+            latency += bwd;
+        }
+        BatchPrice { latency, launches: 2 * u64::from(iterations) }
+    }
+}
+
+/// A merged batch's price ([`JobPricer::batch`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BatchPrice {
+    /// Modeled latency of the merged launches, seconds.
+    pub latency: f64,
+    /// Merged kernel launches: two per GSW iteration when any job has
+    /// planes, else zero.
+    pub launches: u64,
 }
 
 /// Latency of the forward and backward halves for one plane count — the
@@ -507,10 +508,10 @@ mod tests {
         // Kernel fusion removes launch overheads and drain tails; the model
         // shows it recovers only a few percent — the plane count, not the
         // kernel engineering, is the lever (the paper's §4 premise).
-        let mut d1 = Device::xavier();
-        let plain = run_job(&mut d1, &HologramJob::full(16)).latency;
-        let mut d2 = Device::xavier();
-        let fused = run_job_fused(&mut d2, &HologramJob::full(16)).latency;
+        let pricer = JobPricer::new(Device::xavier().config());
+        let job = HologramJob::full(16);
+        let plain = pricer.latency(&job);
+        let fused = pricer.batch(&[job]).latency;
         assert!(fused < plain, "fusion should help: {fused} vs {plain}");
         let saving = 1.0 - fused / plain;
         assert!(saving < 0.10, "fusion saving {saving:.3} should be small");
@@ -518,21 +519,38 @@ mod tests {
     }
 
     #[test]
-    fn fused_workload_has_two_kernels_per_iteration() {
-        let kernels = fused_job_kernels(&HologramJob::full(16));
-        assert_eq!(kernels.len(), 10); // 5 iterations x (fwd + bwd)
-        assert!(kernels[0].name.ends_with("_fused"));
-        assert_eq!(kernels[0].grid_blocks, 16 * 1024);
-    }
-
-    #[test]
     fn merged_batch_has_two_kernels_per_iteration_and_summed_grids() {
+        // One job: its fused kernels, one launch per step over all planes.
+        let kernels = merged_session_kernels(&[HologramJob::full(16)]);
+        assert_eq!(kernels.len(), 10); // 5 iterations x (fwd + bwd)
+        assert_eq!(kernels[0].grid_blocks, 16 * 1024);
         let jobs = [HologramJob::full(16), HologramJob::full(8), HologramJob::full(4)];
         let kernels = merged_session_kernels(&jobs);
-        assert_eq!(kernels.len(), 10); // 5 iterations x (fwd + bwd)
+        assert_eq!(kernels.len(), 10);
         assert!(kernels[0].name.ends_with("_xsession"));
         // 512² → 1024 blocks per plane; 28 planes across the batch.
         assert_eq!(kernels[0].grid_blocks, 28 * 1024);
+    }
+
+    #[test]
+    fn batch_price_counts_two_launches_per_iteration() {
+        let job = |planes| HologramJob {
+            pixels: 64 * 64,
+            plane_count: planes,
+            coverage: 1.0,
+            gsw_iterations: 5,
+        };
+        let pricer = JobPricer::new(Device::xavier().config());
+        let jobs = [job(12), job(0), job(20)];
+        let price = pricer.batch(&jobs);
+        assert!(price.latency > 0.0);
+        assert_eq!(price.launches, 10, "2 launches × 5 lockstep iterations");
+        let shares = batch_block_shares(&jobs);
+        assert_eq!(shares[1], 0.0);
+        assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        let idle = pricer.batch(&[job(0), job(0)]);
+        assert_eq!((idle.latency, idle.launches), (0.0, 0));
+        assert_eq!(pricer.batch(&[]).launches, 0);
     }
 
     #[test]
@@ -584,6 +602,14 @@ mod tests {
         let mut other = HologramJob::full(8);
         other.gsw_iterations = 3;
         merged_session_kernels(&[HologramJob::full(8), other]);
+    }
+
+    #[test]
+    #[should_panic(expected = "lockstep GSW iterations")]
+    fn batch_price_rejects_mixed_iteration_counts() {
+        let mut other = HologramJob::full(8);
+        other.gsw_iterations = 3;
+        JobPricer::new(Device::xavier().config()).batch(&[HologramJob::full(8), other]);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod timeline;
 pub use config::{DeviceConfig, MemoryConfig, PowerConfig, SmConfig};
 pub use device::{BuildDeviceError, Device};
 pub use gating::{DvfsOutcome, DvfsPoint, GatingPolicy};
-pub use hologram_kernels::{HologramJob, HologramJobStats, JobPricer, Step};
+pub use hologram_kernels::{BatchPrice, HologramJob, HologramJobStats, JobPricer, Step};
 pub use kernel::{InstructionMix, KernelDesc};
 pub use power::{Activity, EnergyMeter, RailEnergy, RailPower};
 pub use profiler::{KernelAggregate, Profiler};

@@ -3,7 +3,7 @@
 
 use holoar_gpusim::device::kernel_time;
 use holoar_gpusim::gating::{gated_rails, run_job_gated, GatingPolicy};
-use holoar_gpusim::hologram_kernels::{run_job, HologramJob, JobPricer};
+use holoar_gpusim::hologram_kernels::{merged_session_kernels, run_job, HologramJob, JobPricer};
 use holoar_gpusim::timeline::{session_occupancy, session_stream_ops};
 use holoar_gpusim::{
     simulate, Activity, Device, DeviceConfig, EnergyMeter, InstructionMix, KernelDesc,
@@ -192,6 +192,31 @@ proptest! {
         for job in &jobs {
             let reference = run_job(&mut device, job).latency;
             prop_assert_eq!(pricer.latency(job).to_bits(), reference.to_bits());
+        }
+    }
+
+    /// The merged-batch price is the kernel-built merged batch's summed
+    /// launch times, bit for bit, with one launch per kernel. The oracle
+    /// only merges lockstep iterations, so each fleet takes its first
+    /// job's count.
+    #[test]
+    fn merged_batch_price_is_bit_identical(jobs in arb_fleet(), sm_count in arb_sm_count()) {
+        let cfg = DeviceConfig { sm_count, ..DeviceConfig::default() };
+        let pricer = JobPricer::new(&cfg);
+        let iterations = jobs[0].gsw_iterations;
+        let jobs: Vec<HologramJob> =
+            jobs.into_iter().map(|job| HologramJob { gsw_iterations: iterations, ..job }).collect();
+        for batch in [&jobs[..], &jobs[..1]] {
+            let kernels = merged_session_kernels(batch);
+            let reference: f64 = kernels.iter().map(|k| kernel_time(k, &cfg)).sum();
+            let price = pricer.batch(batch);
+            if kernels.is_empty() {
+                // An empty kernel sum is -0.0; every consumer ignores the sign.
+                prop_assert_eq!(price.latency, reference);
+            } else {
+                prop_assert_eq!(price.latency.to_bits(), reference.to_bits());
+            }
+            prop_assert_eq!(price.launches, kernels.len() as u64);
         }
     }
 

@@ -33,7 +33,8 @@ pub const RULE_EXEMPT_PREFIXES: &[&str] = &["crates/telemetry/", "vendor/", "cra
 /// Designated hot-path *entry points* for the interprocedural rules: the
 /// per-frame compute entries whose whole transitive call closure (through
 /// any number of crates) must be panic-free. Pairs are
-/// `(workspace-relative file, fn name)`. Functions can also be designated
+/// `(workspace-relative file, fn name)`; a pair that matches no function
+/// is a `no-panic-transitive` finding. Functions can also be designated
 /// in-source with a `// holoar-lint: hot-entry` marker comment.
 pub const HOT_ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/fft/src/fft2d.rs", "forward"),
@@ -48,13 +49,14 @@ pub const HOT_ENTRY_POINTS: &[(&str, &str)] = &[
 
 /// Designated per-frame loop functions for the `hot-loop-alloc` rule: the
 /// loops inside these functions run once per frame (or per GSW iteration)
-/// and must work on pre-sized buffers — no fresh allocation per trip.
+/// and must work on pre-sized buffers — no fresh allocation per trip. A
+/// pair that matches no function is a `hot-loop-alloc` finding.
 /// Functions can also be designated in-source with a
 /// `// holoar-lint: frame-loop` marker comment.
 pub const FRAME_LOOP_FNS: &[(&str, &str)] = &[
     ("crates/optics/src/gsw.rs", "run_batch"),
     ("crates/pipeline/src/executor.rs", "simulate_staged"),
-    ("crates/serve/src/batcher.rs", "merged_session_kernels"),
+    ("crates/gpusim/src/hologram_kernels.rs", "batch"),
 ];
 
 /// Modules allowed to call transcendental math (`sin`/`cos`/`exp`/`powf`):

@@ -14,31 +14,39 @@
 //!   identifier) — a pre-sized `Vec` may push, an organically growing
 //!   one may not.
 //!
+//! A `FRAME_LOOP_FNS` pair that matches no function is itself a finding
+//! on its line of the lint configuration.
+//!
 //! Only the function's own body is checked; allocation inside callees is
 //! visible in the `--graph-out` effect summaries but not flagged here
 //! (pushing `allocates` transitively would indict every helper that
 //! returns a `Vec` — the frame loop's job is to *hold onto* those).
 
-use crate::config::Config;
+use crate::config::{Config, FRAME_LOOP_FNS};
 use crate::diag::Finding;
 use crate::model::WorkspaceModel;
 use crate::source::SourceFile;
 
-use super::Rule;
+use super::{Designations, Rule};
 
 #[derive(Default)]
 /// Rule: designated frame-loop functions allocate nothing per iteration
 /// (no `Vec::new`/`to_vec`/`clone`/`format!` inside the loop body).
-pub struct HotLoopAlloc;
+pub struct HotLoopAlloc {
+    designations: Designations,
+}
 
 impl Rule for HotLoopAlloc {
     fn id(&self) -> &'static str {
         "hot-loop-alloc"
     }
 
-    fn check_file(&mut self, _file: &SourceFile, _cfg: &Config, _out: &mut Vec<Finding>) {}
+    fn check_file(&mut self, file: &SourceFile, _cfg: &Config, _out: &mut Vec<Finding>) {
+        self.designations.locate(file, "FRAME_LOOP_FNS", FRAME_LOOP_FNS);
+    }
 
     fn check_model(&mut self, model: &WorkspaceModel, cfg: &Config, out: &mut Vec<Finding>) {
+        self.designations.check(self.id(), "frame loop", model, out);
         let empty: Vec<String> = Vec::new();
         for id in model.frame_loop_fns() {
             if cfg.is_rule_exempt(&id.path) {

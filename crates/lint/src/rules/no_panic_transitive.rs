@@ -10,32 +10,40 @@
 //! the offending function so the reader can see *why* a helper three
 //! crates away is on the hot path.
 //!
+//! A `HOT_ENTRY_POINTS` pair that matches no function is itself a finding
+//! on its line of the lint configuration.
+//!
 //! Sites inside `HOT_PATHS` files are skipped here (the direct rule owns
 //! them); rule-exempt paths (telemetry instrumentation, vendored shims)
 //! stop traversal entirely.
 
 use std::collections::BTreeSet;
 
-use crate::config::Config;
+use crate::config::{Config, HOT_ENTRY_POINTS};
 use crate::diag::Finding;
 use crate::model::WorkspaceModel;
 use crate::source::SourceFile;
 
-use super::Rule;
+use super::{Designations, Rule};
 
 #[derive(Default)]
 /// Rule: hot entry points stay panic-free *transitively* — the call
 /// graph from each entry is walked and every reachable function checked.
-pub struct NoPanicTransitive;
+pub struct NoPanicTransitive {
+    designations: Designations,
+}
 
 impl Rule for NoPanicTransitive {
     fn id(&self) -> &'static str {
         "no-panic-transitive"
     }
 
-    fn check_file(&mut self, _file: &SourceFile, _cfg: &Config, _out: &mut Vec<Finding>) {}
+    fn check_file(&mut self, file: &SourceFile, _cfg: &Config, _out: &mut Vec<Finding>) {
+        self.designations.locate(file, "HOT_ENTRY_POINTS", HOT_ENTRY_POINTS);
+    }
 
     fn check_model(&mut self, model: &WorkspaceModel, cfg: &Config, out: &mut Vec<Finding>) {
+        self.designations.check(self.id(), "hot entry", model, out);
         // One finding per (file, line, pattern); the lexicographically
         // first entry point that reaches a site claims it.
         let mut reported: BTreeSet<(String, usize, String)> = BTreeSet::new();

@@ -10,9 +10,10 @@
 //! - [`scheduler`] — a round-robin frame scheduler with deadline-aware
 //!   priority aging orders sessions each tick; overload defers the back of
 //!   the order, never a starved session.
-//! - [`batcher`] — same-sized depth-plane propagations from *different*
-//!   sessions coalesce into single merged kernels per (GSW iteration,
-//!   step), amortizing launch overheads and SM drain tails fleet-wide.
+//! - [`engine`] — the tick loop: same-sized depth-plane propagations from
+//!   *different* sessions run as one merged launch per (GSW iteration,
+//!   step), priced by `holoar_gpusim::JobPricer::batch`, amortizing launch
+//!   overheads and SM drain tails fleet-wide.
 //! - [`qos`] — when a tick overruns the budget, exactly one victim (the
 //!   least-focused session) is stepped down through its own
 //!   `DegradationController`; the fleet never degrades in lockstep.
@@ -53,7 +54,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod batcher;
 pub mod engine;
 pub mod fleet;
 pub mod load;
@@ -66,7 +66,6 @@ pub mod scheduler;
 pub mod session;
 pub mod slo;
 
-pub use batcher::PlaneBatch;
 pub use engine::{run_serve, ServeConfig, SERVE_FRAME_BUDGET, SERVE_HOLOGRAM_PIXELS};
 pub use fleet::{run_fleet, DeviceReport, FleetConfig, FleetReport};
 pub use holoar_gpusim::{DeviceSpec, EDGE_FRAME_BUDGET};

@@ -4,7 +4,7 @@
 //! `(load + session_cost) / budget` — and subtracts a locality bonus when
 //! the device already hosts sessions streaming the same Objectron category:
 //! same-category sessions plan congruent plane geometries, so their merged
-//! kernels amortize launches better (the single-device batcher's
+//! kernels amortize launches better (the single-device engine's
 //! `launches_saved` is exactly this effect). Ties break to the lower device
 //! index, which together with the fixed candidate order makes placement a
 //! pure function of its inputs.
