@@ -10,6 +10,8 @@
 //! through the read-only path (90% utilization, stalls led by Read-only
 //! Loads and Sync).
 
+use std::collections::HashMap;
+
 use crate::calibration;
 use crate::config::DeviceConfig;
 use crate::device::{expect_block_cost, launch_time, Device};
@@ -17,6 +19,7 @@ use crate::kernel::{InstructionMix, KernelDesc};
 use crate::power::{Activity, EnergyMeter, RailPower};
 use crate::sm::BlockCost;
 use crate::stats::KernelStats;
+use crate::timeline::{JobSlots, JobStream};
 
 /// Which half of Algorithm 1 a propagation kernel implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -314,16 +317,20 @@ pub fn run_job(device: &mut Device, job: &HologramJob) -> HologramJobStats {
     HologramJobStats { latency, rails, energy: meter.energy.total(), kernels: stats }
 }
 
-/// Prices hologram jobs on one device model: [`run_job`]'s `latency` and
-/// the latency of a merged launch ([`merged_session_kernels`]) as pure
+/// Prices hologram jobs on one device model: [`run_job`]'s `latency`, the
+/// latency of a merged launch ([`merged_session_kernels`]) and the mean
+/// occupancy of jobs sharing the device
+/// ([`timeline::simulate`](crate::timeline::simulate) of
+/// [`session_stream_ops`](crate::timeline::session_stream_ops)) as pure
 /// functions of the configuration.
 ///
 /// A block's cost depends on the kernel's instruction mix and the device,
-/// not on the grid, so the forward and backward block costs are computed
-/// once per device. A job or batch is then priced from its grid through
-/// the launch-time arithmetic [`Device::execute`] uses, adding the launch
-/// times in launch order, so each price is bit-identical to executing the
-/// kernels.
+/// not on the grid, so the forward and backward block costs, and their
+/// block-slot timings, are computed once per device. A job or batch is then
+/// priced from its grid through the launch-time arithmetic
+/// [`Device::execute`] uses, adding the launch times in launch order, and
+/// occupancy runs the timeline's event core on those timings, so each
+/// price is bit-identical to executing or simulating the kernels.
 ///
 /// # Examples
 ///
@@ -341,13 +348,16 @@ pub struct JobPricer {
     config: DeviceConfig,
     forward: BlockCost,
     backward: BlockCost,
+    slots: JobSlots,
 }
 
 impl JobPricer {
     /// A pricer for jobs on `config`.
     pub fn new(config: &DeviceConfig) -> Self {
         let cost = |step| expect_block_cost(&propagation_kernel(step, 1), config);
-        JobPricer { config: *config, forward: cost(Step::Forward), backward: cost(Step::Backward) }
+        let (forward, backward) = (cost(Step::Forward), cost(Step::Backward));
+        let slots = JobSlots::new(config, &forward, &backward);
+        JobPricer { config: *config, forward, backward, slots }
     }
 
     /// A job's solo latency: zero for a job with no planes.
@@ -412,6 +422,56 @@ impl JobPricer {
             latency += bwd;
         }
         BatchPrice { latency, launches: 2 * u64::from(iterations) }
+    }
+
+    /// Time-weighted mean occupancy of `jobs` sharing the device, each job
+    /// with planes on its own stream: bit-identical to
+    /// `simulate(&session_stream_ops(jobs), config).mean_occupancy()`,
+    /// without building the kernels. Jobs with no planes contribute
+    /// nothing; no work at all is zero occupancy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job with planes is invalid.
+    pub fn occupancy(&self, jobs: &[HologramJob]) -> f64 {
+        let _span = holoar_telemetry::span_cat("gpusim.price.occupancy", "gpusim");
+        self.slots.occupancy(jobs)
+    }
+}
+
+/// Memoizes one [`JobPricer`]'s [`JobPricer::occupancy`] by exactly what
+/// the occupancy timeline reads: each job with planes' plane grid, plane
+/// count and GSW iterations, in job order. A hit returns the bits a fresh
+/// timeline would. Keep one memo per serving run: a memo shared across
+/// runs would make later runs of a replayed population cheaper than the
+/// first.
+#[derive(Debug)]
+pub struct OccupancyMemo<'a> {
+    pricer: &'a JobPricer,
+    prices: HashMap<Vec<JobStream>, f64>,
+    key: Vec<JobStream>,
+}
+
+impl<'a> OccupancyMemo<'a> {
+    /// An empty memo of `pricer`'s occupancy.
+    pub fn new(pricer: &'a JobPricer) -> Self {
+        OccupancyMemo { pricer, prices: HashMap::new(), key: Vec::new() }
+    }
+
+    /// `pricer.occupancy(jobs)`, computed once per distinct key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job with planes is invalid.
+    pub fn occupancy(&mut self, jobs: &[HologramJob]) -> f64 {
+        self.key.clear();
+        self.key.extend(jobs.iter().filter_map(JobStream::of));
+        if let Some(&occupancy) = self.prices.get(self.key.as_slice()) {
+            return occupancy;
+        }
+        let occupancy = self.pricer.occupancy(jobs);
+        self.prices.insert(self.key.clone(), occupancy);
+        occupancy
     }
 }
 

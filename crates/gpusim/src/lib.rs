@@ -42,11 +42,13 @@ pub mod timeline;
 pub use config::{DeviceConfig, MemoryConfig, PowerConfig, SmConfig};
 pub use device::{BuildDeviceError, Device};
 pub use gating::{DvfsOutcome, DvfsPoint, GatingPolicy};
-pub use hologram_kernels::{BatchPrice, HologramJob, HologramJobStats, JobPricer, Step};
+pub use hologram_kernels::{
+    BatchPrice, HologramJob, HologramJobStats, JobPricer, OccupancyMemo, Step,
+};
 pub use kernel::{InstructionMix, KernelDesc};
 pub use power::{Activity, EnergyMeter, RailEnergy, RailPower};
 pub use profiler::{KernelAggregate, Profiler};
 pub use spec::{DeviceSpec, EDGE_FRAME_BUDGET};
 pub use stats::{KernelStats, StallBreakdown, StallCategory};
 pub use telemetry_bridge::{bridge_profiler, GPU_TRACK};
-pub use timeline::{session_occupancy, simulate, OccupancySample, StreamOp, Timeline};
+pub use timeline::{simulate, OccupancySample, StreamOp, Timeline};

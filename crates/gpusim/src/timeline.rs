@@ -10,12 +10,22 @@
 //! samples, per-kernel start/end, makespan — which exposes *why* plane-level
 //! parallelism raises sustained utilization (the Fig 8a activity mechanism)
 //! instead of assuming it.
+//!
+//! One event core serves [`simulate`] and
+//! [`JobPricer::occupancy`](crate::JobPricer::occupancy). It walks each
+//! stream as run-length segments of identical ops with one frontier cursor
+//! per stream (a hologram job's stream is `2 × gsw_iterations` runs of
+//! `plane_count` ops), and keeps in-flight block waves in one FIFO per
+//! distinct block time. Waves of one block time retire in dispatch order,
+//! so each FIFO stays sorted by retire time without a search.
+
+use std::collections::VecDeque;
 
 use crate::config::DeviceConfig;
 use crate::device::expect_block_cost;
 use crate::hologram_kernels::{plane_grid_blocks, propagation_kernel, HologramJob, Step};
 use crate::kernel::KernelDesc;
-use crate::sm::co_resident_blocks;
+use crate::sm::{co_resident_blocks, BlockCost};
 
 /// One kernel enqueued on a stream.
 #[derive(Debug, Clone)]
@@ -114,8 +124,8 @@ impl MeanOccupancy {
 /// Panics if any kernel is invalid.
 pub fn simulate(ops: &[StreamOp], config: &DeviceConfig) -> Timeline {
     let slots = Slots::new(config);
-    // Group ops by stream (stable: enqueue order within a stream); each
-    // stream's queue is then a contiguous run.
+    // Group ops by stream (stable: enqueue order within a stream). Each op
+    // is a one-op segment whose priority is its enqueue index.
     let mut by_stream: Vec<usize> = (0..ops.len()).collect();
     by_stream.sort_by_key(|&i| ops[i].stream);
     let mut engine = Engine::new(slots.total, ops.len());
@@ -125,22 +135,25 @@ pub fn simulate(ops: &[StreamOp], config: &DeviceConfig) -> Timeline {
             stream = Some(ops[i].stream);
             engine.open_stream();
         }
-        let (block_time, cap) = slots.timing(&ops[i].kernel, config);
-        engine.push(i, u64::from(ops[i].kernel.grid_blocks), block_time, cap);
+        let kernel = &ops[i].kernel;
+        let timing = slots.timing(kernel, &expect_block_cost(kernel, config), config);
+        engine.push(1, u64::from(kernel.grid_blocks), timing, i);
     }
+    let mut intervals = vec![(0.0, 0.0); ops.len()];
     let mut occupancy = Vec::new();
-    engine.run(|s| occupancy.push(s));
+    engine.run(
+        |s| occupancy.push(s),
+        |segment, start, end| intervals[by_stream[segment]] = (start, end),
+    );
 
-    let mut states = engine.ops;
-    states.sort_unstable_by_key(|s| s.order);
     let mut spans: Vec<KernelSpan> = ops
         .iter()
-        .zip(&states)
-        .map(|(op, state)| KernelSpan {
+        .zip(&intervals)
+        .map(|(op, &(start, end))| KernelSpan {
             name: op.kernel.name.clone(),
             stream: op.stream,
-            start: state.started_at.unwrap_or(0.0),
-            end: state.end,
+            start,
+            end,
         })
         .collect();
     spans.sort_by(|a, b| a.end.total_cmp(&b.end));
@@ -148,42 +161,83 @@ pub fn simulate(ops: &[StreamOp], config: &DeviceConfig) -> Timeline {
     Timeline { spans, occupancy, makespan }
 }
 
-/// Time-weighted mean occupancy of a fleet of hologram jobs sharing the
-/// device: bit-identical to
-/// `simulate(&session_stream_ops(jobs), config).mean_occupancy()`, without
-/// building the kernels. Every plane propagation of one step has the same
-/// block cost, so the timeline needs two block costs (forward and
-/// backward) and each job's grid size. Jobs with `plane_count == 0`
-/// contribute nothing; no work at all is zero occupancy.
-///
-/// # Panics
-///
-/// Panics if any job with planes is invalid.
-pub fn session_occupancy(jobs: &[HologramJob], config: &DeviceConfig) -> f64 {
-    let _span = holoar_telemetry::span_cat("gpusim.price.occupancy", "gpusim");
-    let slots = Slots::new(config);
-    let fwd = slots.timing(&propagation_kernel(Step::Forward, 1), config);
-    let bwd = slots.timing(&propagation_kernel(Step::Backward, 1), config);
-    let ops: usize = jobs
-        .iter()
-        .map(|j| 2 * j.gsw_iterations as usize * j.plane_count as usize)
-        .sum();
-    let mut engine = Engine::new(slots.total, ops);
-    for job in jobs.iter().filter(|j| j.plane_count > 0) {
+/// What the occupancy timeline reads of one job with planes: its plane
+/// grid, plane count and GSW iterations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct JobStream {
+    blocks: u32,
+    planes: u32,
+    iterations: u32,
+}
+
+impl JobStream {
+    /// The job's stream, or `None` for a job with no planes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job with planes is invalid.
+    pub(crate) fn of(job: &HologramJob) -> Option<Self> {
+        if job.plane_count == 0 {
+            return None;
+        }
         job.expect_valid();
-        let blocks = u64::from(plane_grid_blocks(job.covered_pixels()));
-        engine.open_stream();
-        for _ in 0..job.gsw_iterations {
-            for (block_time, cap) in [fwd, bwd] {
-                for _ in 0..job.plane_count {
-                    engine.push(engine.ops.len(), blocks, block_time, cap);
+        Some(JobStream {
+            blocks: plane_grid_blocks(job.covered_pixels()),
+            planes: job.plane_count,
+            iterations: job.gsw_iterations,
+        })
+    }
+}
+
+/// The slot timings of hologram jobs' two propagation steps on one device:
+/// everything the jobs' occupancy timeline needs besides the jobs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JobSlots {
+    total: u64,
+    forward: SlotTiming,
+    backward: SlotTiming,
+}
+
+impl JobSlots {
+    /// The timings on `config`, from the steps' block costs.
+    pub(crate) fn new(config: &DeviceConfig, forward: &BlockCost, backward: &BlockCost) -> Self {
+        let slots = Slots::new(config);
+        let timing = |step, cost| slots.timing(&propagation_kernel(step, 1), cost, config);
+        JobSlots {
+            total: slots.total,
+            forward: timing(Step::Forward, forward),
+            backward: timing(Step::Backward, backward),
+        }
+    }
+
+    /// Time-weighted mean occupancy of `jobs` sharing the device:
+    /// bit-identical to
+    /// `simulate(&session_stream_ops(jobs), config).mean_occupancy()`.
+    /// Each job with planes is one stream of `2 × gsw_iterations` segments
+    /// of `plane_count` identical ops, forward then backward; no work at all
+    /// is zero occupancy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any job with planes is invalid.
+    pub(crate) fn occupancy(&self, jobs: &[HologramJob]) -> f64 {
+        let segments = jobs.iter().map(|j| 2 * j.gsw_iterations as usize).sum();
+        let mut engine = Engine::new(self.total, segments);
+        // Each stream's ops were enqueued after every op of the streams
+        // before it, so the stream index orders frontiers as enqueue
+        // indices did.
+        for (key, stream) in jobs.iter().filter_map(JobStream::of).enumerate() {
+            engine.open_stream();
+            for _ in 0..stream.iterations {
+                for timing in [self.forward, self.backward] {
+                    engine.push(u64::from(stream.planes), u64::from(stream.blocks), timing, key);
                 }
             }
         }
+        let mut mean = MeanOccupancy::default();
+        engine.run(|s| mean.add(&s), |_, _, _| {});
+        mean.value()
     }
-    let mut mean = MeanOccupancy::default();
-    engine.run(|s| mean.add(&s));
-    mean.value()
 }
 
 /// The device's block slots.
@@ -199,116 +253,185 @@ impl Slots {
         Slots { per_sm, total: per_sm * u64::from(config.sm_count) }
     }
 
-    /// A kernel's per-block slot service time — SM throughput is shared
-    /// among its co-resident slots — and its device-wide slot cap.
-    fn timing(&self, kernel: &KernelDesc, config: &DeviceConfig) -> (f64, u64) {
-        let cost = expect_block_cost(kernel, config);
+    /// The slot timing of `kernel`, whose block cost is `cost`.
+    fn timing(&self, kernel: &KernelDesc, cost: &BlockCost, config: &DeviceConfig) -> SlotTiming {
         let block_time =
             cost.total_cycles() / config.kernel_efficiency / config.clock_hz * self.per_sm as f64;
         let cap = (co_resident_blocks(kernel, config) as u64)
             .max(1)
             .saturating_mul(u64::from(config.sm_count));
-        (block_time, cap)
+        SlotTiming { block_time, cap }
     }
 }
 
-/// One op as the event core tracks it.
-struct OpState {
-    /// Enqueue index: the work distributor favours lower ones.
-    order: usize,
-    /// Index of the op's stream in [`Engine::streams`].
-    stream: usize,
+/// A kernel's per-block slot service time — SM throughput is shared among
+/// its co-resident slots — and its device-wide slot cap.
+#[derive(Debug, Clone, Copy)]
+struct SlotTiming {
+    block_time: f64,
+    cap: u64,
+}
+
+/// A run of identical ops on one stream.
+#[derive(Clone, Copy)]
+struct Segment {
+    /// Ops in the run (a cursor counts its frontier segment's down).
+    ops: u64,
+    /// Blocks per op.
+    blocks: u64,
+    timing: SlotTiming,
+    /// Index of the wave FIFO of `timing.block_time`.
+    class: usize,
+    /// Work-distributor priority: ready frontiers are served in ascending
+    /// key order.
+    key: usize,
+}
+
+/// One stream's frontier op, the first unfinished op of its segments.
+struct Cursor {
+    frontier: Segment,
+    /// Index of the frontier's segment in [`Engine::segments`].
+    segment: usize,
+    /// One past the stream's last segment.
+    end: usize,
     blocks_left: u64,
     in_flight: u64,
-    retired: u64,
-    total: u64,
-    block_time: f64,
-    slots_cap: u64,
-    started_at: Option<f64>,
-    end: f64,
+    started_at: f64,
 }
 
-/// One stream's queue: `ops[next..end]` are its unfinished ops in enqueue
-/// order, `ops[next]` its frontier.
-struct StreamQueue {
-    next: usize,
-    end: usize,
+impl Cursor {
+    fn at(segments: &[Segment], segment: usize, end: usize) -> Self {
+        let frontier = segments[segment];
+        Cursor {
+            frontier,
+            segment,
+            end,
+            blocks_left: frontier.blocks,
+            in_flight: 0,
+            started_at: 0.0,
+        }
+    }
+
+    /// Moves past the finished frontier op. When the stream has no op
+    /// left, `segment` reaches `end` and no blocks are left to dispatch.
+    fn advance(&mut self, segments: &[Segment]) {
+        self.frontier.ops -= 1;
+        if self.frontier.ops == 0 {
+            self.segment += 1;
+            if self.segment == self.end {
+                return;
+            }
+            self.frontier = segments[self.segment];
+        }
+        self.blocks_left = self.frontier.blocks;
+    }
 }
 
-/// Blocks of one op dispatched at the same instant, retiring together.
+/// Blocks of one stream's frontier dispatched at the same instant,
+/// retiring together.
+#[derive(Clone, Copy)]
 struct Wave {
-    op: usize,
+    stream: usize,
     retire: f64,
     count: u64,
 }
 
-/// The event core shared by [`simulate`] and [`session_occupancy`]. Ops
-/// are stored grouped by stream, so each stream's queue is a contiguous
-/// run of `ops`.
+/// The event core shared by [`simulate`] and [`JobSlots::occupancy`]:
+/// streams of run-length segments, walked by one frontier cursor per
+/// stream.
 struct Engine {
-    ops: Vec<OpState>,
-    streams: Vec<StreamQueue>,
+    segments: Vec<Segment>,
+    /// Each stream's segments, `segments[start..end]`, in enqueue order.
+    streams: Vec<(usize, usize)>,
+    /// Block time of each wave class, one per distinct bit pattern.
+    block_times: Vec<f64>,
     total_slots: u64,
 }
 
 impl Engine {
-    fn new(total_slots: u64, ops: usize) -> Self {
-        Engine { ops: Vec::with_capacity(ops), streams: Vec::new(), total_slots }
+    fn new(total_slots: u64, segments: usize) -> Self {
+        Engine {
+            segments: Vec::with_capacity(segments),
+            streams: Vec::new(),
+            block_times: Vec::new(),
+            total_slots,
+        }
     }
 
     /// Starts a new stream; later [`Engine::push`]es enqueue on it.
     fn open_stream(&mut self) {
-        let at = self.ops.len();
-        self.streams.push(StreamQueue { next: at, end: at });
+        let at = self.segments.len();
+        self.streams.push((at, at));
     }
 
-    /// Enqueues an op of `blocks` blocks on the newest stream.
-    fn push(&mut self, order: usize, blocks: u64, block_time: f64, slots_cap: u64) {
-        let stream = self.streams.len() - 1;
-        self.ops.push(OpState {
-            order,
-            stream,
-            blocks_left: blocks,
-            in_flight: 0,
-            retired: 0,
-            total: blocks,
-            block_time,
-            slots_cap,
-            started_at: None,
-            end: 0.0,
-        });
-        self.streams[stream].end = self.ops.len();
+    /// Enqueues `ops` (at least one) ops of `blocks` blocks each on the
+    /// newest stream.
+    fn push(&mut self, ops: u64, blocks: u64, timing: SlotTiming, key: usize) {
+        let Some(stream) = self.streams.last_mut() else {
+            return;
+        };
+        let bits = timing.block_time.to_bits();
+        let class = match self.block_times.iter().position(|t| t.to_bits() == bits) {
+            Some(class) => class,
+            None => {
+                self.block_times.push(timing.block_time);
+                self.block_times.len() - 1
+            }
+        };
+        self.segments.push(Segment { ops, blocks, timing, class, key });
+        stream.1 = self.segments.len();
     }
 
     /// Runs every op to completion, reporting each inter-event interval's
-    /// occupancy to `sample` in time order. Allocates nothing per event.
-    fn run(&mut self, mut sample: impl FnMut(OccupancySample)) {
-        let Engine { ops, streams, total_slots } = self;
+    /// occupancy to `sample` in time order and each finished op to
+    /// `finished` as `(segment, start, end)`. Allocates nothing per event.
+    ///
+    /// In-flight waves wait in one FIFO per block time. A wave dispatched at
+    /// `now` retires at `now + block_time` and `now` never decreases, so
+    /// each FIFO is sorted by retire time: the next event is the least head,
+    /// and the waves due are a prefix of each FIFO.
+    fn run(
+        &self,
+        mut sample: impl FnMut(OccupancySample),
+        mut finished: impl FnMut(usize, f64, f64),
+    ) {
+        let Engine { segments, streams, block_times, total_slots } = self;
         let total_slots = *total_slots;
-        let mut ready: Vec<usize> = Vec::with_capacity(streams.len());
-        // A wave holds at least one in-flight block, so this never grows.
-        let max_in_flight = ops.iter().map(|op| op.total).sum::<u64>().min(total_slots);
-        let mut waves: Vec<Wave> = Vec::with_capacity(max_in_flight as usize);
+        let mut cursors: Vec<Cursor> = streams
+            .iter()
+            .filter(|&&(start, end)| start < end)
+            .map(|&(start, end)| Cursor::at(segments, start, end))
+            .collect();
+        // A wave holds at least one in-flight block, so no FIFO outgrows
+        // its class's blocks or the device's slots.
+        let mut class_blocks = vec![0u64; block_times.len()];
+        for segment in segments {
+            let blocks = segment.ops.saturating_mul(segment.blocks);
+            class_blocks[segment.class] = class_blocks[segment.class].saturating_add(blocks);
+        }
+        let mut waves: Vec<VecDeque<Wave>> = class_blocks
+            .iter()
+            .map(|&blocks| VecDeque::with_capacity(blocks.min(total_slots) as usize))
+            .collect();
+        // Cursor indices in priority order of their frontiers. A frontier's
+        // key changes only when its stream advances, so the order is
+        // re-sorted then, and a finished stream leaves it. A frontier with
+        // no blocks left has no room and takes no slot.
+        let mut order: Vec<usize> = (0..cursors.len()).collect();
+        order.sort_unstable_by_key(|&i| cursors[i].frontier.key);
+        let mut rooms = vec![0u64; cursors.len()];
         let mut in_flight = 0u64;
         let mut now = 0.0f64;
-        let mut done = 0usize;
-        while done < ops.len() {
-            // Ready ops: each stream's frontier with blocks left to dispatch,
-            // in enqueue order.
-            ready.clear();
-            for queue in streams.iter() {
-                if queue.next < queue.end && ops[queue.next].blocks_left > 0 {
-                    ready.push(queue.next);
-                }
-            }
-            ready.sort_unstable_by_key(|&i| ops[i].order);
+        while !order.is_empty() {
             let free = total_slots.saturating_sub(in_flight);
-            in_flight += dispatch(ops, &ready, free, now, &mut waves);
+            in_flight += dispatch(&mut cursors, &order, &mut rooms, free, now, &mut waves);
 
             // Advance to the next retirement.
-            let Some(next_t) = waves.iter().map(|w| w.retire).min_by(f64::total_cmp) else {
+            let Some(next_t) =
+                waves.iter().filter_map(|q| q.front()).map(|w| w.retire).min_by(f64::total_cmp)
+            else {
                 // Nothing in flight and nothing ready: streams are blocked on
-                // ops with zero remaining blocks (shouldn't happen) — bail.
+                // ops with zero blocks (shouldn't happen) — bail.
                 break;
             };
             sample(OccupancySample {
@@ -318,73 +441,96 @@ impl Engine {
             });
             now = next_t;
             // Retire everything due now.
-            waves.retain(|w| {
-                if w.retire > now + 1e-18 {
-                    return true;
+            let due = now + 1e-18;
+            let mut reorder = false;
+            for queue in &mut waves {
+                while let Some(w) = queue.pop_front_if(|w| w.retire <= due) {
+                    let cursor = &mut cursors[w.stream];
+                    cursor.in_flight -= w.count;
+                    in_flight -= w.count;
+                    if cursor.blocks_left == 0 && cursor.in_flight == 0 {
+                        finished(cursor.segment, cursor.started_at, now);
+                        let key = cursor.frontier.key;
+                        cursor.advance(segments);
+                        reorder |= cursor.segment == cursor.end || cursor.frontier.key != key;
+                    }
                 }
-                let op = &mut ops[w.op];
-                op.in_flight -= w.count;
-                op.retired += w.count;
-                in_flight -= w.count;
-                if op.retired == op.total {
-                    op.end = now;
-                    done += 1;
-                    streams[op.stream].next += 1;
-                }
-                false
-            });
+            }
+            if reorder {
+                order.retain(|&i| cursors[i].segment < cursors[i].end);
+                order.sort_unstable_by_key(|&i| cursors[i].frontier.key);
+            }
         }
     }
 }
 
-/// Hands `free` slots to the `ready` ops (in priority order) the way the
-/// round-robin work distributor does — one block per op per pass, each op
-/// bounded by its blocks left and its co-residency room — in closed form:
-/// every op gets an equal share up to its room, and the remainder goes one
-/// block each to the first ops with room to spare. Returns the blocks
+/// Hands `free` slots to the frontiers in `order` (their priority order)
+/// the way the round-robin work distributor does — one block per op per
+/// pass, each op bounded by its blocks left and its co-residency room — in
+/// closed form: every op gets an equal share up to its room, and the
+/// remainder goes one block each to the first ops with room to spare.
+/// `rooms` is scratch space of at least `order.len()`. Returns the blocks
 /// dispatched.
 fn dispatch(
-    ops: &mut [OpState],
-    ready: &[usize],
+    cursors: &mut [Cursor],
+    order: &[usize],
+    rooms: &mut [u64],
     free: u64,
     now: f64,
-    waves: &mut Vec<Wave>,
+    waves: &mut [VecDeque<Wave>],
 ) -> u64 {
-    let room = |op: &OpState| op.blocks_left.min(op.slots_cap.saturating_sub(op.in_flight));
+    let rooms = &mut rooms[..order.len()];
+    // Ops with room above the level, and the least such room.
+    let (mut above, mut next) = (0u64, u64::MAX);
+    for (room, &i) in rooms.iter_mut().zip(order) {
+        let c = &cursors[i];
+        let r = c.blocks_left.min(c.frontier.timing.cap.saturating_sub(c.in_flight));
+        *room = r;
+        if r > 0 {
+            above += 1;
+            next = next.min(r);
+        }
+    }
     // Raise a common level until the free slots run out; ops whose room is
     // below the level are capped at their room.
     let mut level = 0u64;
     let mut left = free;
-    loop {
-        let (above, next) = ready
-            .iter()
-            .map(|&i| room(&ops[i]))
-            .filter(|&r| r > level)
-            .fold((0u64, u64::MAX), |(n, low), r| (n + 1, low.min(r)));
-        if above == 0 {
-            break;
-        }
-        let full_passes = (next - level).min(left / above);
+    while above > 0 {
+        let step = next - level;
+        let full_passes = match step.checked_mul(above) {
+            Some(blocks) if blocks <= left => step,
+            _ if left < above => 0,
+            _ => left / above,
+        };
         level += full_passes;
         left -= full_passes * above;
         if level < next {
             break;
         }
+        (above, next) = rooms
+            .iter()
+            .filter(|&&r| r > level)
+            .fold((0u64, u64::MAX), |(n, low), &r| (n + 1, low.min(r)));
     }
     let mut dispatched = 0;
-    for &i in ready {
-        let op = &mut ops[i];
-        let r = room(op);
+    for (&r, &i) in rooms.iter().zip(order) {
+        if level == 0 && left == 0 {
+            break;
+        }
         let mut count = r.min(level);
         if r > level && left > 0 {
             count += 1;
             left -= 1;
         }
         if count > 0 {
-            op.blocks_left -= count;
-            op.in_flight += count;
-            op.started_at.get_or_insert(now);
-            waves.push(Wave { op: i, retire: now + op.block_time, count });
+            let cursor = &mut cursors[i];
+            if cursor.blocks_left == cursor.frontier.blocks {
+                cursor.started_at = now;
+            }
+            cursor.blocks_left -= count;
+            cursor.in_flight += count;
+            let retire = now + cursor.frontier.timing.block_time;
+            waves[cursor.frontier.class].push_back(Wave { stream: i, retire, count });
             dispatched += count;
         }
     }
@@ -416,7 +562,7 @@ pub fn plane_stream_ops(pixels: u64, planes: u32) -> Vec<StreamOp> {
 /// # Panics
 ///
 /// Panics if any job with planes is invalid.
-// holoar-lint: allow(unreached, reason = "test oracle: session_occupancy_is_bit_identical in gpusim tests/properties.rs and the timeline unit tests price the kernel-built stream workload against session_occupancy")
+// holoar-lint: allow(unreached, reason = "test oracle: session_occupancy_is_bit_identical in gpusim tests/properties.rs and the timeline unit tests price the kernel-built stream workload against JobPricer::occupancy")
 pub fn session_stream_ops(jobs: &[HologramJob]) -> Vec<StreamOp> {
     use crate::hologram_kernels::job_kernels;
     let mut ops = Vec::new();

@@ -3,8 +3,10 @@
 
 use holoar_gpusim::device::kernel_time;
 use holoar_gpusim::gating::{gated_rails, run_job_gated, GatingPolicy};
-use holoar_gpusim::hologram_kernels::{merged_session_kernels, run_job, HologramJob, JobPricer};
-use holoar_gpusim::timeline::{session_occupancy, session_stream_ops};
+use holoar_gpusim::hologram_kernels::{
+    merged_session_kernels, run_job, HologramJob, JobPricer, OccupancyMemo,
+};
+use holoar_gpusim::timeline::session_stream_ops;
 use holoar_gpusim::{
     simulate, Activity, Device, DeviceConfig, EnergyMeter, InstructionMix, KernelDesc,
     PowerConfig, RailPower, StallCategory,
@@ -173,17 +175,51 @@ fn arb_sm_count() -> impl Strategy<Value = u32> {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The pricer's occupancy reproduces the kernel-built session timeline
+    /// bit for bit, also on the 2- and 8-SM devices between the shared
+    /// SM counts.
+    #[test]
+    fn session_occupancy_is_bit_identical(
+        jobs in arb_fleet(),
+        sm_count in prop::sample::select(vec![1u32, 2, 4, 8, 32]),
+    ) {
+        let cfg = DeviceConfig { sm_count, ..DeviceConfig::default() };
+        let reference = simulate(&session_stream_ops(&jobs), &cfg).mean_occupancy();
+        prop_assert_eq!(JobPricer::new(&cfg).occupancy(&jobs).to_bits(), reference.to_bits());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The occupancy memo returns the bits a fresh timeline would: for
+    /// fleets seen before, and for fleets that share a key because their
+    /// coverage moved without changing a plane grid.
+    #[test]
+    fn occupancy_memo_is_bit_identical(
+        fleets in prop::collection::vec(arb_fleet(), 1..5),
+        sm_count in arb_sm_count(),
+    ) {
+        let cfg = DeviceConfig { sm_count, ..DeviceConfig::default() };
+        let pricer = JobPricer::new(&cfg);
+        let mut memo = OccupancyMemo::new(&pricer);
+        for jobs in fleets.iter().chain(&fleets) {
+            let nudged: Vec<HologramJob> =
+                jobs.iter().map(|j| HologramJob { coverage: j.coverage * 0.999, ..*j }).collect();
+            for jobs in [jobs, &nudged] {
+                prop_assert_eq!(memo.occupancy(jobs).to_bits(), pricer.occupancy(jobs).to_bits());
+            }
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The pure pricing functions reproduce the kernel-building paths bit
-    /// for bit: occupancy, solo-job latency and single-kernel time.
-    #[test]
-    fn session_occupancy_is_bit_identical(jobs in arb_fleet(), sm_count in arb_sm_count()) {
-        let cfg = DeviceConfig { sm_count, ..DeviceConfig::default() };
-        let reference = simulate(&session_stream_ops(&jobs), &cfg).mean_occupancy();
-        prop_assert_eq!(session_occupancy(&jobs, &cfg).to_bits(), reference.to_bits());
-    }
-
+    /// for bit: solo-job latency, merged batches and single-kernel time.
     #[test]
     fn job_latency_is_bit_identical(jobs in arb_fleet(), sm_count in arb_sm_count()) {
         let cfg = DeviceConfig { sm_count, ..DeviceConfig::default() };

@@ -25,7 +25,7 @@ use holoar_core::{
 };
 use holoar_faults::FrameFaults;
 use holoar_gpusim::hologram_kernels::batch_block_shares;
-use holoar_gpusim::{calibration, session_occupancy, DeviceSpec, HologramJob, JobPricer};
+use holoar_gpusim::{calibration, DeviceSpec, HologramJob, JobPricer, OccupancyMemo};
 use holoar_pipeline::executor::{run_staged, StagedConfig};
 use holoar_pipeline::schedule::FrameLatencies;
 use holoar_sensors::angles::AngularPoint;
@@ -222,8 +222,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         probe_jobs.push(admission::probe_job(&frame)?);
         first_frames.push(frame);
     }
-    let device_cfg = config.device.config();
-    let pricer = JobPricer::new(&device_cfg);
+    let pricer = JobPricer::new(&config.device.config());
     let base = base_config();
     let ladder = ladder_for(&config.device);
     let estimates: Vec<f64> =
@@ -239,6 +238,10 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         states.push(SessionState::new(*spec, ladder, config.frames)?);
     }
     let mut scheduler = FrameScheduler::new(admitted);
+    // Tick occupancy, memoized for this run only (a memo spanning runs
+    // would make replayed populations cheaper than their first run).
+    let mut occupancy_memo = OccupancyMemo::new(&pricer);
+    let mut jobs: Vec<HologramJob> = Vec::with_capacity(admitted);
     let mut batched_time_total = 0.0;
     let mut sequential_time_total = 0.0;
     let mut occupancy_sum = 0.0;
@@ -281,26 +284,23 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
 
         // Phase 2: deferral — shed from the back of the priority order until
         // the batch fits the deferral threshold, always keeping at least one
-        // fresh session. The loop leaves with the final jobs and their
-        // price, whose latency is the tick's batch latency.
+        // fresh session. A deferred session's job is idle. The loop leaves
+        // `jobs` final and their price, whose latency is the tick's batch
+        // latency.
         let mut deferred = vec![false; admitted];
-        let (jobs, batch) = loop {
-            let jobs: Vec<HologramJob> = (0..admitted)
-                .map(|i| if deferred[i] { idle_job() } else { ticks[i].job })
-                .collect();
+        jobs.clear();
+        jobs.extend(ticks.iter().map(|t| t.job));
+        let batch = loop {
             let batch = pricer.batch(&jobs);
             if batch.latency <= config.frame_budget() * DEFER_THRESHOLD {
-                break (jobs, batch);
+                break batch;
             }
-            let active: Vec<usize> = order
-                .iter()
-                .copied()
-                .filter(|&i| !deferred[i] && ticks[i].job.plane_count > 0)
-                .collect();
-            let Some(&victim) = active.last().filter(|_| active.len() > 1) else {
-                break (jobs, batch);
+            let mut active = order.iter().rev().copied().filter(|&i| jobs[i].plane_count > 0);
+            let (Some(victim), Some(_)) = (active.next(), active.next()) else {
+                break batch;
             };
             deferred[victim] = true;
+            jobs[victim] = idle_job();
         };
         let batch_latency = batch.latency;
 
@@ -317,7 +317,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         merged_launches += batch.launches;
         launches_saved += saved;
         let tick_occupancy = if batch.launches > 0 {
-            let occupancy = session_occupancy(&jobs, &device_cfg);
+            let occupancy = occupancy_memo.occupancy(&jobs);
             occupancy_sum += occupancy;
             occupancy_ticks += 1;
             holoar_telemetry::gauge_set("serve.tick.occupancy", occupancy);
@@ -390,25 +390,28 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
             // share + co-tenant queue wait + fault stretch + injected
             // overrun for fresh frames, reprojection otherwise.
             state.slo.observe(tick, hit, completion);
-            let stages: Vec<(&'static str, f64)> = if fresh {
-                [
+            let mut stages = [(STAGE_REPROJECT, ladder.reproject_latency); 4];
+            let mut len = 1;
+            if fresh {
+                len = 0;
+                for stage in [
                     (STAGE_BATCH, own),
                     (STAGE_QUEUE_WAIT, batch_latency - own),
                     (STAGE_FAULT_STRETCH, (slowdown - 1.0) * own),
                     (STAGE_OVERRUN, t.faults.stage_overrun),
-                ]
-                .into_iter()
-                .filter(|&(_, seconds)| seconds > 0.0)
-                .collect()
-            } else {
-                vec![(STAGE_REPROJECT, ladder.reproject_latency)]
-            };
+                ] {
+                    if stage.1 > 0.0 {
+                        stages[len] = stage;
+                        len += 1;
+                    }
+                }
+            }
             slo::record_frame_spans(
                 &mut state.profile,
                 state.spec.id,
                 tick,
                 config.frame_budget(),
-                &stages,
+                &stages[..len],
             );
             scheduler.feedback(i, hit);
         }

@@ -275,23 +275,7 @@ pub fn record_frame_spans(
     let start = tick.saturating_mul(span_ns(frame_budget));
     // Up to 8 spans per tick keeps ids unique and monotone per session.
     let base_id = (tick.saturating_mul(8) + 1).min(u64::from(u32::MAX)) as u32;
-    let mut cursor = start;
-    let mut total = 0u64;
-    let mut children = Vec::with_capacity(stages.len());
-    for (offset, &(stage, seconds)) in stages.iter().enumerate() {
-        let dur = span_ns(seconds);
-        children.push(SpanRecord {
-            name: Cow::Borrowed(stage),
-            cat: "profile",
-            tid: session,
-            id: base_id + 1 + offset as u32,
-            parent: Some(base_id),
-            start_ns: cursor,
-            dur_ns: dur,
-        });
-        cursor += dur;
-        total += dur;
-    }
+    let total = stages.iter().map(|&(_, seconds)| span_ns(seconds)).sum();
     profile.push(SpanRecord {
         name: Cow::Borrowed(PROFILE_FRAME),
         cat: "profile",
@@ -301,7 +285,20 @@ pub fn record_frame_spans(
         start_ns: start,
         dur_ns: total,
     });
-    profile.extend(children);
+    let mut cursor = start;
+    for (offset, &(stage, seconds)) in stages.iter().enumerate() {
+        let dur = span_ns(seconds);
+        profile.push(SpanRecord {
+            name: Cow::Borrowed(stage),
+            cat: "profile",
+            tid: session,
+            id: base_id + 1 + offset as u32,
+            parent: Some(base_id),
+            start_ns: cursor,
+            dur_ns: dur,
+        });
+        cursor += dur;
+    }
 }
 
 /// Builds the [`SessionSlo`] summary from a session's tracker, synthesized
