@@ -27,8 +27,10 @@
 //! distances but reads focal slice `s` only at the pixels whose depth rounds
 //! to `s` (the middle slice also fills every dark pixel). Each slice is
 //! therefore inverted only over the column span of those pixels
-//! ([`Propagator::propagate_batch_window`]); every pixel that is read keeps
-//! the bits of the full inverse.
+//! ([`Propagator::propagate_batch_window`]), and its visitor accumulates
+//! `|u|²` over that span straight from the pooled result buffer, so a
+//! composite allocates no full-grid buffer per plane; every pixel that is
+//! read keeps the bits of the full inverse.
 
 use crate::config::HoloArConfig;
 use crate::planner::Planner;
@@ -351,16 +353,25 @@ fn focal_plan(depthmap: &DepthMap, z_center: f64) -> (Vec<f64>, Vec<usize>) {
     (zs, picks)
 }
 
+/// One focal slice of an all-in-focus composite: the column span of the
+/// pixels read from it, and its incoherent sum `Σ|u|²` over that span.
+struct FocalSlice {
+    span: Range<usize>,
+    image: Vec<f64>,
+}
+
 /// Builds the all-in-focus composite: the plane stack is reconstructed
 /// (incoherently) at a small set of focal depths covering the object, and
 /// each pixel is taken from the reconstruction focused nearest its true
 /// depth.
 ///
-/// Each focal slice is inverted and accumulated only over the column span
-/// of the pixels read from it (an empty span runs no inverse). Inside the
-/// span every sample has the bits of the full inverse and planes
-/// accumulate in stack order, so every pixel read matches the
+/// Each focal slice is inverted only over the column span of the pixels
+/// read from it (an empty span runs no inverse), and accumulates `|u|²`
+/// over that span straight from the propagator's pooled result buffer.
+/// Inside the span every sample has the bits of the full inverse and
+/// planes accumulate in stack order, so every pixel read matches the
 /// `incoherent_focal_stack` composite bit for bit.
+// holoar-lint: frame-loop
 fn all_in_focus(
     stack: &PlaneStack,
     depthmap: &DepthMap,
@@ -375,22 +386,31 @@ fn all_in_focus(
         *first = (*first).min(idx % cols);
         *end = (*end).max(idx % cols + 1);
     }
-    let spans: Vec<Range<usize>> =
-        bounds.iter().map(|&(first, end)| if first < end { first..end } else { 0..0 }).collect();
-    let mut images = vec![vec![0.0; picks.len()]; FOCAL_SLICES];
+    let mut slices = bounds.map(|(first, end)| FocalSlice {
+        span: if first < end { first..end } else { 0..0 },
+        image: vec![0.0; picks.len()],
+    });
+    let mut shifted = Vec::with_capacity(FOCAL_SLICES);
     for plane in stack.iter().filter(|plane| plane.lit_pixels > 0) {
-        let shifted: Vec<f64> = zs.iter().map(|&z| z - plane.z).collect();
-        let reconstructions =
-            prop.propagate_batch_window(&plane.field, &shifted, |i| spans[i].clone());
-        for ((image, (_, u)), span) in images.iter_mut().zip(&reconstructions).zip(&spans) {
-            for (acc, row) in image.chunks_exact_mut(cols).zip(u.samples().chunks_exact(cols)) {
-                for (acc, s) in acc[span.clone()].iter_mut().zip(&row[span.clone()]) {
-                    *acc += s.norm_sqr();
+        shifted.clear();
+        shifted.extend(zs.iter().map(|&z| z - plane.z));
+        prop.propagate_batch_window(
+            &plane.field,
+            &shifted,
+            &mut slices,
+            |slice| slice.span.start..slice.span.end,
+            false,
+            |slice, _, u| {
+                let (first, end) = (slice.span.start, slice.span.end);
+                for (acc, row) in slice.image.chunks_exact_mut(cols).zip(u.chunks_exact(cols)) {
+                    for (acc, s) in acc[first..end].iter_mut().zip(&row[first..end]) {
+                        *acc += s.norm_sqr();
+                    }
                 }
-            }
-        }
+            },
+        );
     }
-    picks.iter().enumerate().map(|(idx, &slice)| images[slice][idx]).collect()
+    picks.iter().enumerate().map(|(idx, &slice)| slices[slice].image[idx]).collect()
 }
 
 /// Box blur with a `(2·radius+1)²` kernel, clamped at the borders.

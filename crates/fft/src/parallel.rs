@@ -1,9 +1,10 @@
 //! Pure-std worker-pool abstraction and the transforms' scratch arena.
 //!
 //! [`Parallelism`] is the handle the whole workspace threads through its hot
-//! paths. It has one fan-out, [`Parallelism::map`], and one grain: whole
-//! depth planes, fields or objects. Batched propagation, GSW field
-//! construction and viewport rendering map over it with
+//! paths. It has one fan-out, [`Parallelism::map`] (with
+//! [`Parallelism::map_mut`] for items each call may mutate), and one
+//! grain: whole depth planes, fields or objects. Batched propagation, GSW
+//! field construction and viewport rendering map over it with
 //! [`std::thread::scope`]; each item runs its 2-D FFTs serially. The design
 //! constraints, in order:
 //!
@@ -14,7 +15,8 @@
 //!    an item boundary. Callers keep their accumulations serial.
 //! 2. **No steady-state allocation** — each planned transform borrows
 //!    scratch buffers from its own [`ScratchArena`], which recycles them
-//!    across calls.
+//!    across calls. Propagation sweeps keep a second arena per grid
+//!    shape for their full-grid spectra, products and sum terms.
 //! 3. **No new dependencies** — scoped threads only; threads live for one
 //!    fan-out, which keeps the implementation trivially correct (no queue,
 //!    no shutdown protocol) at the cost of ~10 µs spawn overhead per chunk.
@@ -76,6 +78,21 @@ impl ScratchArena {
         let mut buf = pooled.unwrap_or_default();
         buf.clear();
         buf.resize(len, Complex64::ZERO);
+        buf
+    }
+
+    /// Checks out a buffer holding exactly `values`, reusing a pooled
+    /// allocation when one is available: [`ScratchArena::take`] for
+    /// callers that would overwrite every zero, without the zero fill.
+    pub fn take_from(&self, values: impl IntoIterator<Item = Complex64>) -> Vec<Complex64> {
+        let mut buf = lock_unpoisoned(&self.pool).pop().unwrap_or_default();
+        let capacity = buf.capacity();
+        buf.clear();
+        buf.extend(values);
+        holoar_telemetry::counter_add(
+            if capacity >= buf.len() { "fft.arena.take.reuse" } else { "fft.arena.take.alloc" },
+            1,
+        );
         buf
     }
 
@@ -168,26 +185,64 @@ impl Parallelism {
         if self.workers <= 1 || items.len() <= 1 {
             return items.iter().map(f).collect();
         }
+        let per_piece = self.per_piece(items.len());
+        self.fan_out(items.len(), per_piece, items.chunks(per_piece), |chunk, out| {
+            for (item, slot) in chunk.iter().zip(out.iter_mut()) {
+                *slot = Some(f(item));
+            }
+        })
+    }
+
+    /// [`Parallelism::map`] with mutable access: each item is handed to
+    /// exactly one call of `f`, on the same chunk boundaries `map` uses.
+    pub fn map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(&mut T) -> R + Sync,
+    {
+        if self.workers <= 1 || items.len() <= 1 {
+            return items.iter_mut().map(f).collect();
+        }
+        let (len, per_piece) = (items.len(), self.per_piece(items.len()));
+        self.fan_out(len, per_piece, items.chunks_mut(per_piece), |chunk, out| {
+            for (item, slot) in chunk.iter_mut().zip(out.iter_mut()) {
+                *slot = Some(f(item));
+            }
+        })
+    }
+
+    /// Items per worker chunk: the boundaries depend only on the item count
+    /// and the worker count.
+    fn per_piece(&self, len: usize) -> usize {
+        len.div_ceil(self.workers.min(len))
+    }
+
+    /// Runs `fill(chunk, slots)` for each chunk on its own scoped thread,
+    /// where `slots` are the `len` result slots cut at the same
+    /// `per_piece` boundaries, and returns the results in order.
+    fn fan_out<C, R, G, I>(&self, len: usize, per_piece: usize, chunks: I, fill: G) -> Vec<R>
+    where
+        I: Iterator<Item = C>,
+        C: Send,
+        R: Send,
+        G: Fn(C, &mut [Option<R>]) + Sync,
+    {
         let _span = holoar_telemetry::span_cat("fft.par.map", "fft");
         let mut out: Vec<Option<R>> = Vec::new();
-        out.resize_with(items.len(), || None);
-        let per_piece = items.len().div_ceil(self.workers.min(items.len()));
+        out.resize_with(len, || None);
         std::thread::scope(|scope| {
-            for (item_chunk, out_chunk) in items.chunks(per_piece).zip(out.chunks_mut(per_piece)) {
-                let f = &f;
-                scope.spawn(move || {
-                    for (item, slot) in item_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *slot = Some(f(item));
-                    }
-                });
+            for (chunk, out_chunk) in chunks.zip(out.chunks_mut(per_piece)) {
+                let fill = &fill;
+                scope.spawn(move || fill(chunk, out_chunk));
             }
         });
-        // Every slot is filled: the two chunks(per_piece) iterators cover
-        // `items` and `out` with identical boundaries, and out.len() ==
-        // items.len(). flatten() is the panic-free way to say so; the
-        // debug_assert pins the invariant in test builds.
+        // Every slot is filled: the item chunks and the slot chunks are
+        // cut at identical boundaries, and out.len() is the item count.
+        // flatten() is the panic-free way to say so; the debug_assert
+        // pins the invariant in test builds.
         let results: Vec<R> = out.into_iter().flatten().collect();
-        debug_assert_eq!(results.len(), items.len(), "parallel map dropped a slot");
+        debug_assert_eq!(results.len(), len, "parallel map dropped a slot");
         results
     }
 }
@@ -240,6 +295,32 @@ mod tests {
         assert_eq!(again.len(), 16);
         assert_eq!(again.as_ptr(), ptr, "allocation should be reused");
         arena.give(again);
+    }
+
+    #[test]
+    fn take_from_fills_a_recycled_buffer() {
+        let arena = ScratchArena::default();
+        let buf = arena.take(8);
+        let ptr = buf.as_ptr();
+        arena.give(buf);
+        let values = (0..5).map(|i| Complex64::new(i as f64, -1.0));
+        let again = arena.take_from(values.clone());
+        assert_eq!(again, values.collect::<Vec<_>>());
+        assert_eq!(again.as_ptr(), ptr, "allocation should be reused");
+    }
+
+    #[test]
+    fn map_mut_visits_each_item_once_in_input_order() {
+        for workers in [1usize, 2, 7] {
+            let par = Parallelism::new(workers);
+            let mut items: Vec<u64> = (0..17).collect();
+            let before = par.map_mut(&mut items, |x| {
+                *x += 100;
+                *x - 100
+            });
+            assert_eq!(before, (0..17).collect::<Vec<u64>>(), "workers {workers}");
+            assert_eq!(items, (100..117).collect::<Vec<u64>>(), "workers {workers}");
+        }
     }
 
     #[test]

@@ -14,12 +14,15 @@
 //!
 //! On the host, each sweep transforms each source once. The backward sweep
 //! sums the `DP2HP` products in the spectral domain and runs one inverse
-//! transform ([`Propagator::propagate_sum_from`]); the forward sweep
-//! transforms the hologram once and runs one inverse per lit plane
-//! ([`Propagator::propagate_batch_window`]). An iteration over `P` lit
-//! planes therefore costs `2P + 2` 2-D transforms instead of `4P`, and a
-//! dark plane costs none. The hologram differs from summing the spatial
-//! `DP2HP` results only by floating-point rounding.
+//! transform ([`Propagator::propagate_sum_from`]), writing the hologram
+//! over the previous iteration's; the forward sweep transforms the
+//! hologram once and runs one inverse per lit plane
+//! ([`Propagator::propagate_batch_window`]), whose visitor measures the
+//! plane's lit pixels inside the pooled result. An iteration over `P` lit
+//! planes therefore costs `2P + 2` 2-D transforms instead of `4P`, a
+//! dark plane costs none, and no full-grid buffer is allocated once the
+//! propagator's buffer pool is warm. The hologram differs from summing the
+//! spatial `DP2HP` results only by floating-point rounding.
 //!
 //! The `2P` per-plane transforms are pruned to what is read. A plane's
 //! field is zero outside its lit rows, so its forward transform skips the
@@ -120,7 +123,8 @@ pub fn run(
 }
 
 /// One depth plane's lit pixels, in ascending pixel order, with their
-/// target amplitudes, adaptive weights and current unit phasors.
+/// target amplitudes, adaptive weights and current unit phasors, and the
+/// last measurement's relative amplitude and `|u|²` per lit pixel.
 struct LitPlane {
     pixels: Vec<usize>,
     /// The contiguous column span holding every lit pixel; empty for a
@@ -129,12 +133,51 @@ struct LitPlane {
     targets: Vec<f64>,
     weights: Vec<f64>,
     phasors: Vec<Complex64>,
+    rels: Vec<f64>,
+    norms: Vec<f64>,
+}
+
+impl LitPlane {
+    /// Measures the plane's lit pixels in `u`, a reconstruction that is
+    /// valid at those pixels: the next phasor, the relative amplitude and
+    /// `|u|²` of each, then the weight update toward the plane's mean
+    /// relative amplitude. Reads nothing outside the lit pixels.
+    fn measure(&mut self, u: &[Complex64], adaptivity: f64) {
+        if self.pixels.is_empty() {
+            return;
+        }
+        let estimates = self.targets.iter().zip(self.phasors.iter_mut());
+        let outputs = self.rels.iter_mut().zip(self.norms.iter_mut());
+        for ((&idx, (&target, phasor)), (rel, norm)) in
+            self.pixels.iter().zip(estimates).zip(outputs)
+        {
+            let v = u[idx];
+            let n = v.norm_sqr();
+            // The next phase estimate; flat where nothing arrived.
+            *phasor = if v == Complex64::ZERO { Complex64::ONE } else { unit(v, n) };
+            // Normalize achieved vs desired so different target amplitudes
+            // compare fairly.
+            *rel = n.sqrt().max(1e-12) / target;
+            *norm = n;
+        }
+        let mean = self.rels.iter().sum::<f64>() / self.rels.len() as f64;
+        for (weight, &rel) in self.weights.iter_mut().zip(&self.rels) {
+            // Standard GSW (adaptivity = 1.0) stays transcendental-free;
+            // IEEE pow(x, 1.0) == x, so the fast path is bit-identical to
+            // the former powf.
+            let gain = if adaptivity == 1.0 {
+                mean / rel
+            } else {
+                // holoar-lint: allow(float-determinism, reason = "a tuned GSW weight exponent requires a real power; the default adaptivity = 1.0 takes the exact division path above")
+                (mean / rel).powf(adaptivity)
+            };
+            *weight *= gain;
+        }
+    }
 }
 
 /// Per-stack mutable state for the lockstep batched GSW loop.
 struct StackState {
-    rows: usize,
-    cols: usize,
     /// Every plane's distance, in plane order.
     zs: Vec<f64>,
     planes: Vec<LitPlane>,
@@ -173,14 +216,14 @@ impl StackState {
                     weights: vec![1.0; n],
                     // Phases start flat.
                     phasors: vec![Complex64::ONE; n],
+                    rels: vec![0.0; n],
+                    norms: vec![0.0; n],
                 }
             })
             .collect();
         let lit: Vec<usize> = (0..planes.len()).filter(|&p| !planes[p].pixels.is_empty()).collect();
         let zs: Vec<f64> = stack.iter().map(|p| p.z).collect();
         StackState {
-            rows,
-            cols,
             lit_zs: lit.iter().map(|&p| -zs[p]).collect(),
             zs,
             planes,
@@ -230,10 +273,11 @@ fn project_phase_only(samples: &mut [Complex64]) {
 /// FFT plans and transfer functions for all their depth planes, instead of
 /// running N separate loops. Each iteration then runs, per stack, one
 /// spectral back-propagation sum ([`Propagator::propagate_sum_from`], which
-/// builds each lit plane's field on the worker that transforms it) and one
-/// shared-spectrum forward sweep ([`Propagator::propagate_batch_window`],
-/// which inverts each plane over its lit columns only). Stacks may differ
-/// in shape and plane count.
+/// builds each lit plane's field on the worker that transforms it, into the
+/// stack's hologram buffer) and one shared-spectrum forward sweep
+/// ([`Propagator::propagate_batch_window`], which inverts each plane over
+/// its lit columns only and measures its lit pixels on the same worker).
+/// Stacks may differ in shape and plane count.
 ///
 /// Each stack's arithmetic is fully independent — field construction, its
 /// own propagation calls and the serial per-stack reductions are exactly
@@ -262,79 +306,56 @@ pub fn run_batch(
     let mut states: Vec<StackState> =
         stacks.iter().map(|stack| StackState::new(stack, optics, config.iterations)).collect();
 
-    // The per-plane relative-amplitude scratch for the weight update,
-    // allocated once and reused.
-    let max_lit =
-        states.iter().flat_map(|st| st.planes.iter().map(|p| p.pixels.len())).max().unwrap_or(0);
-    let mut rels: Vec<f64> = Vec::with_capacity(max_lit);
-
     for _ in 0..config.iterations {
         let _iter_span = holoar_telemetry::span_cat("optics.gsw.iteration", "optics");
         // Backward: superpose each stack's weighted targets on its hologram
-        // plane with one spectral back-propagation sum over its lit planes;
-        // each plane's field is built on the worker that transforms it.
-        // Then the phase-only constraint (SLM projection).
+        // plane with one spectral back-propagation sum over its lit planes,
+        // written over the previous iteration's hologram; each plane's
+        // field is built on the worker that transforms it. Then the
+        // phase-only constraint (SLM projection).
         for st in states.iter_mut() {
             if st.lit.is_empty() {
                 continue;
             }
             let (planes, lit) = (&st.planes, &st.lit);
-            st.hologram =
-                prop.propagate_sum_from(st.rows, st.cols, optics, &st.lit_zs, |j, buf| {
-                    let plane = &planes[lit[j]];
-                    let terms = plane.targets.iter().zip(&plane.weights).zip(&plane.phasors);
-                    for (&idx, ((&target, &weight), &phasor)) in plane.pixels.iter().zip(terms) {
-                        buf[idx] = phasor.scale(target * weight);
-                    }
-                });
+            prop.propagate_sum_from(&st.lit_zs, &mut st.hologram, |j, buf| {
+                let plane = &planes[lit[j]];
+                let terms = plane.targets.iter().zip(&plane.weights).zip(&plane.phasors);
+                for (&idx, ((&target, &weight), &phasor)) in plane.pixels.iter().zip(terms) {
+                    buf[idx] = phasor.scale(target * weight);
+                }
+            });
             project_phase_only(st.hologram.samples_mut());
         }
 
         // Forward: measure achieved amplitudes on each stack's planes from
         // one shared hologram spectrum, inverting each plane only over its
-        // lit columns (dark planes not at all); the measurement loop below
-        // is a reduction and stays serial, per stack, in plane order.
+        // lit columns (dark planes not at all). Each plane measures its lit
+        // pixels inside the pooled result, on the worker that inverted it;
+        // the cross-plane reductions below stay serial, per stack, in plane
+        // and pixel order.
         for st in states.iter_mut() {
-            let planes = &st.planes;
-            let window = |p: usize| planes[p].cols.start..planes[p].cols.end;
-            let recon = prop.propagate_batch_window(&st.hologram, &st.zs, window);
+            let energies = prop.propagate_batch_window(
+                &st.hologram,
+                &st.zs,
+                &mut st.planes,
+                |plane| plane.cols.start..plane.cols.end,
+                true,
+                |plane, energy, u| {
+                    plane.measure(u, config.adaptivity);
+                    energy.unwrap_or_default()
+                },
+            );
             let mut achieved_min = f64::INFINITY;
             let mut achieved_max = 0.0f64;
             let mut on_target = 0.0;
             let mut total = 0.0;
-            for (plane, (energy, u)) in st.planes.iter_mut().zip(&recon) {
+            for (plane, energy) in st.planes.iter().zip(&energies) {
                 total += energy;
-                if plane.pixels.is_empty() {
-                    continue;
-                }
-                rels.clear();
-                let samples = u.samples();
-                for (k, &idx) in plane.pixels.iter().enumerate() {
-                    let v = samples[idx];
-                    let n = v.norm_sqr();
-                    // The next phase estimate; flat where nothing arrived.
-                    plane.phasors[k] =
-                        if v == Complex64::ZERO { Complex64::ONE } else { unit(v, n) };
-                    // Normalize achieved vs desired so different target
-                    // amplitudes compare fairly.
-                    let rel = n.sqrt().max(1e-12) / plane.targets[k];
+                for (&rel, &n) in plane.rels.iter().zip(&plane.norms) {
                     achieved_min = achieved_min.min(rel);
                     achieved_max = achieved_max.max(rel);
-                    rels.push(rel);
                     on_target += n;
-                }
-                let mean = rels.iter().sum::<f64>() / rels.len() as f64;
-                for (weight, &rel) in plane.weights.iter_mut().zip(&rels) {
-                    // Standard GSW (adaptivity = 1.0) stays
-                    // transcendental-free; IEEE pow(x, 1.0) == x, so the
-                    // fast path is bit-identical to the former powf.
-                    let gain = if config.adaptivity == 1.0 {
-                        mean / rel
-                    } else {
-                        // holoar-lint: allow(float-determinism, reason = "a tuned GSW weight exponent requires a real power; the default adaptivity = 1.0 takes the exact division path above")
-                        (mean / rel).powf(config.adaptivity)
-                    };
-                    *weight *= gain;
                 }
             }
             st.final_uniformity = if achieved_max > 0.0 {

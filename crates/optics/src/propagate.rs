@@ -28,14 +28,25 @@
 //!   [`Propagator::propagate_batch_window`] shares its per-distance loop
 //!   for callers that read each result in a window of columns: each
 //!   inverse runs its column pass over the window alone, an empty window
-//!   runs none, and each result carries its energy, taken from the
-//!   spectrum product by Parseval.
+//!   runs none, and a visitor reads the result inside its pooled buffer,
+//!   with the energy, taken from the spectrum product by Parseval, when
+//!   the caller asks for it.
 //! - [`Propagator::propagate_sum`] returns `Σᵢ propagate(fieldsᵢ, zsᵢ)` by
 //!   accumulating the spectrum products and running one inverse transform
 //!   (`n + 1` transforms for `n` fields). It is bit-identical for every
 //!   worker count and matches the spatial sum up to floating-point
 //!   rounding. [`Propagator::propagate_sum_from`] is the same sum over
-//!   fields that a callback writes straight into the transform buffers.
+//!   fields that a callback writes straight into the transform buffers,
+//!   written into a caller's field.
+//!
+//! The sweeps allocate no full-grid buffer in steady state: the source
+//! spectrum, every product and every sum term come from a pool of
+//! full-grid buffers (a [`ScratchArena`] cached per shape next to the
+//! transform) and go back once read. Only [`Propagator::propagate`],
+//! [`Propagator::propagate_batch`] and [`Propagator::propagate_sum`],
+//! whose results the caller keeps, allocate their outputs. A pooled
+//! buffer is read only inside its window and only while its visitor runs;
+//! outside the window it holds stale samples from an earlier plane.
 //!
 //! Sources that are zero outside a few rows, such as depth planes, pay
 //! only for their non-zero rows in the forward row pass
@@ -44,9 +55,9 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use holoar_fft::{Complex64, ExecutionContext, Fft2d, Parallelism};
+use holoar_fft::{Complex64, ExecutionContext, Fft2d, Parallelism, ScratchArena};
 
 use crate::field::{Field, OpticalConfig};
 
@@ -57,8 +68,20 @@ type TransferKey = (usize, usize, u64, u64, u64);
 /// A cached transfer function.
 type Transfer = Arc<Vec<Complex64>>;
 
-/// Shared FFT-plan map.
-type FftMap = Arc<Mutex<HashMap<(usize, usize), Fft2d>>>;
+/// Shared map of planned transforms and their buffer pools, by shape.
+type FftMap = Arc<Mutex<HashMap<(usize, usize), Grid>>>;
+
+/// One grid shape's planned transform and the pool of full-grid buffers
+/// the sweeps over that shape run in: source spectra, per-distance
+/// products and sum terms, all `rows × cols` long. The transform's own
+/// column and row scratch stays in the transform's arena, so buffers of
+/// one length never trade places with scratch of another. Clones share
+/// both.
+#[derive(Debug, Clone)]
+struct Grid {
+    fft: Fft2d,
+    buffers: Arc<ScratchArena>,
+}
 
 /// Shared transfer-function map.
 type TransferMap = Arc<Mutex<HashMap<TransferKey, Transfer>>>;
@@ -150,11 +173,13 @@ impl Propagator {
         }
         let _span = holoar_telemetry::span_cat("optics.propagate", "optics");
         let (rows, cols) = (field.rows(), field.cols());
-        let fft = self.fft(rows, cols);
+        let fft = self.grid(rows, cols).fft;
         let h = self.transfer(rows, cols, field.config(), z);
-        let mut spectrum = spectrum_of(field, &fft);
+        let mut spectrum = field.samples().to_vec();
+        fft.forward(&mut spectrum);
         multiply(&mut spectrum, &h);
-        field_from(spectrum, &fft, rows, cols, field.config())
+        fft.inverse(&mut spectrum);
+        Field::from_data(rows, cols, field.config(), spectrum)
     }
 
     /// Propagates one field to many distances concurrently, returning the
@@ -174,46 +199,63 @@ impl Propagator {
     pub fn propagate_batch(&mut self, field: &Field, zs: &[f64]) -> Vec<Field> {
         let _span = holoar_telemetry::span_cat("optics.propagate_batch", "optics");
         let (rows, cols, cfg) = (field.rows(), field.cols(), field.config());
-        self.map_products(field, zs, |_, fft, product| match product {
+        self.map_products(field, zs, &mut vec![(); zs.len()], |fft, _, product| match product {
             None => field.clone(),
-            Some(product) => field_from(product, fft, rows, cols, cfg),
+            Some(product) => {
+                fft.inverse(product);
+                Field::from_data(rows, cols, cfg, product.to_vec())
+            }
         })
     }
 
     /// [`Propagator::propagate_batch`] for callers that read distance `i`'s
-    /// field only in the columns `window(i)`, paired with the field's total
-    /// energy `Σ|u|²`.
+    /// field only in the columns `window(&states[i])`, and only while a
+    /// visitor runs: each result is handed to `visit` inside a pooled
+    /// transform buffer, and the visitors' values come back in `zs` order.
     ///
-    /// Each non-zero distance inverts its spectrum product over its window
-    /// alone ([`Fft2d::inverse_window`]), so columns inside the window are
-    /// bit-identical to `propagate_batch` and all others are unspecified;
-    /// an empty window runs no inverse. The energy comes from the product
-    /// by Parseval, `Σ|S·H|²/N` for `N = rows·cols`, so it equals the
-    /// spatial sum up to rounding. A zero distance returns the field itself
-    /// and its spatial energy.
+    /// `states` holds one caller value per distance. `visit(&mut states[i],
+    /// energy, samples)` runs once per distance, on the worker that built
+    /// the result; `samples` is its row-major `rows × cols` grid. Each
+    /// non-zero distance inverts its spectrum product over its window alone
+    /// ([`Fft2d::inverse_window`]), so columns inside the window are
+    /// bit-identical to `propagate_batch`. Every other column holds
+    /// whatever the reused buffer held before and must not be read; an
+    /// empty window runs no inverse. The buffer returns to the pool when
+    /// `visit` does. A zero distance visits the field itself.
+    ///
+    /// With `energy` set, `visit` also gets the field's total energy
+    /// `Σ|u|²`: from the product by Parseval, `Σ|S·H|²/N` for
+    /// `N = rows·cols`, so it equals the spatial sum up to rounding, and
+    /// the spatial sum itself for a zero distance. Without it, `visit`
+    /// gets `None` and no energy pass runs.
     ///
     /// # Panics
     ///
-    /// Panics if any distance is not finite or a window is not within
-    /// `0..field.cols()`.
-    pub fn propagate_batch_window<W>(
+    /// Panics if `states` and `zs` differ in length, any distance is not
+    /// finite or a window is not within `0..field.cols()`.
+    pub fn propagate_batch_window<S, T, W, V>(
         &mut self,
         field: &Field,
         zs: &[f64],
+        states: &mut [S],
         window: W,
-    ) -> Vec<(f64, Field)>
+        energy: bool,
+        visit: V,
+    ) -> Vec<T>
     where
-        W: Fn(usize) -> Range<usize> + Sync,
+        S: Send,
+        T: Send,
+        W: Fn(&S) -> Range<usize> + Sync,
+        V: Fn(&mut S, Option<f64>, &[Complex64]) -> T + Sync,
     {
         let _span = holoar_telemetry::span_cat("optics.propagate_batch_window", "optics");
-        let (rows, cols, cfg) = (field.rows(), field.cols(), field.config());
-        let n = (rows * cols) as f64;
-        self.map_products(field, zs, |i, fft, product| match product {
-            None => (field.total_energy(), field.clone()),
-            Some(mut product) => {
-                let energy = product.iter().map(|z| z.norm_sqr()).sum::<f64>() / n;
-                fft.inverse_window(&mut product, window(i));
-                (energy, Field::from_data(rows, cols, cfg, product))
+        let n = (field.rows() * field.cols()) as f64;
+        self.map_products(field, zs, states, |fft, state, product| match product {
+            None => visit(state, energy.then(|| field.total_energy()), field.samples()),
+            Some(product) => {
+                let total = energy.then(|| product.iter().map(|z| z.norm_sqr()).sum::<f64>() / n);
+                fft.inverse_window(product, window(state));
+                visit(state, total, product)
             }
         })
     }
@@ -221,33 +263,54 @@ impl Propagator {
     /// The per-distance loop behind the batch propagations: transforms
     /// `field` once, then hands each distance's spectrum product
     /// `FFT(field) · H(zs[i])` (`None` for a zero distance) to
-    /// `finish(i, fft, product)` on the worker that built it. Transfer
-    /// functions are built (and cached) in `zs` order up front.
-    fn map_products<T, F>(&mut self, field: &Field, zs: &[f64], finish: F) -> Vec<T>
+    /// `finish(fft, &mut states[i], product)` on the worker that built it.
+    /// The spectrum and every product live in buffers from the grid's
+    /// pool, which gets them back once read. Transfer functions are built
+    /// (and cached) in `zs` order up front.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `states` and `zs` differ in length or any distance is not
+    /// finite.
+    fn map_products<S, T, F>(
+        &mut self,
+        field: &Field,
+        zs: &[f64],
+        states: &mut [S],
+        finish: F,
+    ) -> Vec<T>
     where
+        S: Send,
         T: Send,
-        F: Fn(usize, &Fft2d, Option<Vec<Complex64>>) -> T + Sync,
+        F: Fn(&Fft2d, &mut S, Option<&mut [Complex64]>) -> T + Sync,
     {
+        assert_eq!(states.len(), zs.len(), "one state per distance");
         let (rows, cols) = (field.rows(), field.cols());
         // Warm the transfer cache serially so insertion order (and therefore
         // the cache's size) matches the serial loop exactly.
-        let jobs: Vec<(usize, Option<Transfer>)> = zs
+        let mut jobs: Vec<(Option<Transfer>, &mut S)> = zs
             .iter()
-            .enumerate()
-            .map(|(i, &z)| (i, self.transfer_at(rows, cols, field.config(), z)))
+            .map(|&z| self.transfer_at(rows, cols, field.config(), z))
+            .zip(states.iter_mut())
             .collect();
-        let fft = self.fft(rows, cols);
-        let spectrum = if jobs.iter().any(|(_, h)| h.is_some()) {
-            spectrum_of(field, &fft)
-        } else {
-            Vec::new()
-        };
-        self.par.map(&jobs, |(i, h)| {
-            let product = h
-                .as_ref()
-                .map(|h| spectrum.iter().zip(h.iter()).map(|(s, t)| *s * *t).collect());
-            finish(*i, &fft, product)
-        })
+        let Grid { fft, buffers } = self.grid(rows, cols);
+        let mut spectrum = Vec::new();
+        if jobs.iter().any(|(h, _)| h.is_some()) {
+            spectrum = buffers.take_from(field.samples().iter().copied());
+            fft.forward(&mut spectrum);
+        }
+        let results = self.par.map_mut(&mut jobs, |(h, state)| match h {
+            None => finish(&fft, state, None),
+            Some(h) => {
+                let mut product =
+                    buffers.take_from(spectrum.iter().zip(h.iter()).map(|(s, t)| *s * *t));
+                let result = finish(&fft, state, Some(&mut product));
+                buffers.give(product);
+                result
+            }
+        });
+        buffers.give(spectrum);
+        results
     }
 
     /// Sums independent propagations: `Σᵢ propagate(fields[i], zs[i])`.
@@ -285,77 +348,73 @@ impl Propagator {
                 (i, self.transfer_at(rows, cols, field.config(), z))
             })
             .collect();
-        self.sum_products(rows, cols, cfg, &jobs, |i| fields[i].samples().to_vec())
+        let mut sum = Field::zeros(rows, cols, cfg);
+        self.sum_products(&mut sum, &jobs, |i, buf| buf.copy_from_slice(fields[i].samples()));
+        sum
     }
 
-    /// [`Propagator::propagate_sum`] over fields built in place: term `i`
-    /// is whatever `build(i, buf)` writes into a zeroed `rows × cols`
-    /// buffer, which is then transformed where it lies. Every term
-    /// propagates with `cfg`, and the result is bit-identical to
-    /// `propagate_sum` over the same fields. Callers that would otherwise
-    /// fill a [`Field`] only to hand it over save one zeroed field and one
-    /// copy per term.
+    /// [`Propagator::propagate_sum`] over fields built in place, written
+    /// into `out`: term `i` is whatever `build(i, buf)` writes into a
+    /// zeroed buffer of `out`'s shape, which is then transformed where it
+    /// lies. Every term propagates with `out`'s optical configuration, and
+    /// `out` ends up bit-identical to `propagate_sum` over the same fields.
+    /// The term buffers come from the grid's buffer pool, so a caller that
+    /// keeps `out` across calls allocates no full-grid buffer per call.
     ///
     /// # Panics
     ///
     /// Panics if `zs` is empty or any distance is not finite.
-    pub fn propagate_sum_from<F>(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        cfg: OpticalConfig,
-        zs: &[f64],
-        build: F,
-    ) -> Field
+    pub fn propagate_sum_from<F>(&mut self, zs: &[f64], out: &mut Field, build: F)
     where
         F: Fn(usize, &mut [Complex64]) + Sync,
     {
         assert!(!zs.is_empty(), "propagate_sum needs at least one field");
         let _span = holoar_telemetry::span_cat("optics.propagate_sum", "optics");
+        let (rows, cols, cfg) = (out.rows(), out.cols(), out.config());
         let jobs: Vec<(usize, Option<Transfer>)> = zs
             .iter()
             .enumerate()
             .map(|(i, &z)| (i, self.transfer_at(rows, cols, cfg, z)))
             .collect();
-        self.sum_products(rows, cols, cfg, &jobs, |i| {
-            let mut buf = vec![Complex64::ZERO; rows * cols];
-            build(i, &mut buf);
-            buf
-        })
+        self.sum_products(out, &jobs, build);
     }
 
-    /// `IFFT(Σⱼ FFT(source(iⱼ)) · Hⱼ)` over `jobs = [(iⱼ, Hⱼ)]`. Each
-    /// product fans out over the pool; the sum runs serially in job order.
-    fn sum_products<S>(
-        &self,
-        rows: usize,
-        cols: usize,
-        cfg: OpticalConfig,
-        jobs: &[(usize, Option<Transfer>)],
-        source: S,
-    ) -> Field
+    /// Writes `IFFT(Σⱼ FFT(source(j)) · Hⱼ)` over `jobs = [(j, Hⱼ)]` into
+    /// `out`, where `source(j, buf)` fills a zeroed buffer of `out`'s
+    /// shape. Each term fans out over the workers, in a buffer from the
+    /// grid's pool; the sum runs serially in job order. A term is folded
+    /// into `out` as soon as it is ready if every earlier term already is,
+    /// so one worker holds one term buffer at a time; a term that is ready
+    /// early waits in its buffer and is folded in after the fan-out.
+    fn sum_products<S>(&self, out: &mut Field, jobs: &[(usize, Option<Transfer>)], source: S)
     where
-        S: Fn(usize) -> Vec<Complex64> + Sync,
+        S: Fn(usize, &mut [Complex64]) + Sync,
     {
-        let fft = self.fft(rows, cols);
-        let mut products = self
-            .par
-            .map(jobs, |(i, h)| {
-                let mut spectrum = source(*i);
-                fft.forward(&mut spectrum);
-                if let Some(h) = h {
-                    multiply(&mut spectrum, h);
-                }
-                spectrum
-            })
-            .into_iter();
-        let mut sum = products.next().unwrap_or_default();
-        for product in products {
-            for (s, p) in sum.iter_mut().zip(&product) {
-                *s += *p;
+        let Grid { fft, buffers } = self.grid(out.rows(), out.cols());
+        // The number of terms folded so far, and their sum.
+        let fold = Mutex::new((0usize, out.samples_mut()));
+        let early = self.par.map(jobs, |(j, h)| {
+            let mut term = buffers.take(fft.len());
+            source(*j, &mut term);
+            fft.forward(&mut term);
+            if let Some(h) = h {
+                multiply(&mut term, h);
             }
+            let mut sum = holoar_fft::lock_unpoisoned(&fold);
+            if sum.0 != *j {
+                return Some(term);
+            }
+            fold_term(&mut sum, &term);
+            drop(sum);
+            buffers.give(term);
+            None
+        });
+        let mut sum = fold.into_inner().unwrap_or_else(PoisonError::into_inner);
+        for term in early.into_iter().flatten() {
+            fold_term(&mut sum, &term);
+            buffers.give(term);
         }
-        field_from(sum, &fft, rows, cols, cfg)
+        fft.inverse(sum.1);
     }
 
     /// The transfer function for one distance (warming the cache), or
@@ -393,10 +452,11 @@ impl Propagator {
         }
     }
 
-    /// The cached (or newly planned) FFT for a shape. Clones of the cached
-    /// transform share its scratch arena, so every propagator sharing this
-    /// cache recycles one set of buffers per shape.
-    fn fft(&self, rows: usize, cols: usize) -> Fft2d {
+    /// The cached (or newly planned) transform and buffer pool for a
+    /// shape. Clones share the transform's scratch arena and the pool, so
+    /// every propagator sharing this cache recycles one set of buffers per
+    /// shape.
+    fn grid(&self, rows: usize, cols: usize) -> Grid {
         match holoar_fft::lock_unpoisoned(&self.ffts).entry((rows, cols)) {
             std::collections::hash_map::Entry::Occupied(hit) => {
                 holoar_telemetry::counter_add("optics.fft_cache.hit", 1);
@@ -404,17 +464,24 @@ impl Propagator {
             }
             std::collections::hash_map::Entry::Vacant(miss) => {
                 holoar_telemetry::counter_add("optics.fft_cache.miss", 1);
-                miss.insert(Fft2d::new(rows, cols)).clone()
+                let grid = Grid { fft: Fft2d::new(rows, cols), buffers: Arc::default() };
+                miss.insert(grid).clone()
             }
         }
     }
 }
 
-/// `FFT(field)`.
-fn spectrum_of(field: &Field, fft: &Fft2d) -> Vec<Complex64> {
-    let mut spectrum = field.samples().to_vec();
-    fft.forward(&mut spectrum);
-    spectrum
+/// Folds the next term into a running sum `(terms so far, sum)`: the
+/// first term is copied, every later one added sample by sample.
+fn fold_term((count, sum): &mut (usize, &mut [Complex64]), term: &[Complex64]) {
+    if *count == 0 {
+        sum.copy_from_slice(term);
+    } else {
+        for (s, t) in sum.iter_mut().zip(term) {
+            *s += *t;
+        }
+    }
+    *count += 1;
 }
 
 /// Multiplies a spectrum by a transfer function, sample by sample.
@@ -422,18 +489,6 @@ fn multiply(spectrum: &mut [Complex64], h: &[Complex64]) {
     for (s, t) in spectrum.iter_mut().zip(h) {
         *s *= *t;
     }
-}
-
-/// `IFFT(spectrum)` as a field.
-fn field_from(
-    mut spectrum: Vec<Complex64>,
-    fft: &Fft2d,
-    rows: usize,
-    cols: usize,
-    cfg: OpticalConfig,
-) -> Field {
-    fft.inverse(&mut spectrum);
-    Field::from_data(rows, cols, cfg, spectrum)
 }
 
 /// Builds the (band-limited) angular-spectrum transfer function for a
@@ -631,23 +686,51 @@ mod tests {
         let windows = [3..9, 5..6, 0..0, 0..24, 23..24];
         let bits = |z: &Complex64| (z.re.to_bits(), z.im.to_bits());
         let full = Propagator::new().propagate_batch(&f, &zs);
+        // Each energy as an owned product's Parseval sum, `Σ|S·H|²/N`, and
+        // the field's own energy at the zero distance.
+        let oracle = Propagator::new();
+        let mut spectrum = f.samples().to_vec();
+        oracle.grid(24, 24).fft.forward(&mut spectrum);
+        let parseval: Vec<u64> = zs
+            .iter()
+            .map(|&z| match oracle.transfer_at(24, 24, f.config(), z) {
+                None => f.total_energy(),
+                Some(h) => {
+                    let energy = spectrum.iter().zip(h.iter()).map(|(s, t)| (*s * *t).norm_sqr());
+                    energy.sum::<f64>() / (24.0 * 24.0)
+                }
+            })
+            .map(f64::to_bits)
+            .collect();
         for workers in [1usize, 2, 7] {
             let mut p = Propagator::with_parallelism(Parallelism::new(workers));
-            let windowed = p.propagate_batch_window(&f, &zs, |i| windows[i].clone());
-            assert_eq!(windowed.len(), zs.len());
-            assert_eq!(p.cached_transfer_count(), 3, "0.001 and -0.002 and 0.003");
-            for (i, ((energy, u), want)) in windowed.iter().zip(&full).enumerate() {
-                let at = format!("plane {i} workers {workers}");
-                for (got, want) in u.samples().chunks(24).zip(want.samples().chunks(24)) {
-                    let (got, want) = (&got[windows[i].clone()], &want[windows[i].clone()]);
-                    assert!(got.iter().map(bits).eq(want.iter().map(bits)), "{at}");
+            // Each state is a window and the samples its visitor read in it.
+            let mut seen: Vec<(Range<usize>, Vec<Complex64>)> =
+                windows.iter().map(|w| (w.clone(), Vec::new())).collect();
+            // Later rounds run in buffers the earlier ones left stale.
+            for (round, energy) in [true, false, true].into_iter().enumerate() {
+                let at = format!("round {round} workers {workers}");
+                let energies = p.propagate_batch_window(
+                    &f,
+                    &zs,
+                    &mut seen,
+                    |(w, _)| w.clone(),
+                    energy,
+                    |(w, got), energy, u| {
+                        got.clear();
+                        got.extend(u.chunks(24).flat_map(|row| row[w.clone()].to_vec()));
+                        energy.map(f64::to_bits)
+                    },
+                );
+                assert_eq!(p.cached_transfer_count(), 3, "0.001 and -0.002 and 0.003");
+                let want: Vec<Option<u64>> =
+                    parseval.iter().map(|&e| energy.then_some(e)).collect();
+                assert_eq!(energies, want, "{at}");
+                for (i, ((w, got), want)) in seen.iter().zip(&full).enumerate() {
+                    let want = want.samples().chunks(24).flat_map(|row| row[w.clone()].to_vec());
+                    assert!(got.iter().map(bits).eq(want.map(|z| bits(&z))), "plane {i} {at}");
                 }
-                let spatial = want.total_energy();
-                assert!((energy - spatial).abs() <= 1e-12 * spatial, "{at}: {energy} vs {spatial}");
             }
-            // A zero distance is the identity, with the field's own energy.
-            assert_eq!(windowed[1].1.samples(), f.samples());
-            assert_eq!(windowed[1].0.to_bits(), f.total_energy().to_bits());
         }
     }
 

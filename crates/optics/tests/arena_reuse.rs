@@ -1,18 +1,19 @@
 //! Scratch-arena reuse across propagation calls, read off the
 //! `fft.arena.take.alloc` counter.
 //!
-//! `propagate_batch` and `propagate_sum` run every per-plane transform on
-//! clones of the propagator's cached `Fft2d` for the shape; the clones
-//! share one scratch arena, so once the first call has grown the pool,
-//! later calls allocate no scratch. Counter capture is process-wide, so
-//! this check lives in its own test binary and runs as one test.
+//! Every propagation sweep runs its per-plane transforms on clones of the
+//! propagator's cached `Fft2d` for the shape, and draws its full-grid
+//! spectra, products and sum terms from the arena those clones share. Once
+//! the first calls have grown the pool, later calls allocate no scratch.
+//! Counter capture is process-wide, so this check lives in its own test
+//! binary and runs as one test.
 
 use holoar_fft::{Complex64, ExecutionContext};
-use holoar_optics::{Field, OpticalConfig, Propagator};
+use holoar_optics::{gsw, Field, GswConfig, OpticalConfig, Propagator, VirtualObject};
 use holoar_telemetry::TelemetryMode;
 
-fn arena_allocations() -> u64 {
-    holoar_telemetry::collector::with_registry(|r| r.counter("fft.arena.take.alloc"))
+fn arena_takes(outcome: &str) -> u64 {
+    holoar_telemetry::collector::with_registry(|r| r.counter(&format!("fft.arena.take.{outcome}")))
 }
 
 #[test]
@@ -26,15 +27,37 @@ fn repeated_propagations_take_no_new_arena_allocations() {
     let zs = [5e-4, 1e-3, 1.5e-3];
     let planes = vec![source.clone(); zs.len()];
 
-    let mut prop = Propagator::with_context(&ExecutionContext::serial());
-    prop.propagate_batch(&source, &zs);
-    prop.propagate_sum(&planes, &zs);
-    let warm = arena_allocations();
-    assert!(warm > 0, "the first calls must fill the arena");
-    for _ in 0..3 {
+    // A 64×64 plane stack through the pooled sweeps: the windowed visitor,
+    // the in-place spectral sum and the whole GSW loop.
+    let stack = VirtualObject::Dice.render(64, 64, 0.006, 0.002).slice(6, cfg);
+    let stack_zs: Vec<f64> = stack.iter().map(|p| p.z).collect();
+    let mut windows = [3..40, 0..0, 10..11, 0..64, 20..30, 63..64];
+    let mut hologram = Field::zeros(64, 64, cfg);
+    let ctx = ExecutionContext::serial();
+    let mut prop = Propagator::with_context(&ctx);
+    let mut sweep = |prop: &mut Propagator, hologram: &mut Field| {
         prop.propagate_batch(&source, &zs);
         prop.propagate_sum(&planes, &zs);
+        let field = &stack.plane(2).field;
+        prop.propagate_batch_window(field, &stack_zs, &mut windows, |w| w.clone(), true, |w, e, u| {
+            u[w.clone()].len() as f64 + e.unwrap_or_default()
+        });
+        prop.propagate_sum_from(&stack_zs, hologram, |i, buf| {
+            buf.copy_from_slice(stack.plane(i).field.samples());
+        });
+        gsw::run(&stack, cfg, GswConfig::default(), &ctx);
+    };
+    sweep(&mut prop, &mut hologram);
+    let warm = arena_takes("alloc");
+    assert!(warm > 0, "the first calls must fill the arena");
+    let mut reused = Vec::new();
+    for _ in 0..3 {
+        let before = arena_takes("reuse");
+        sweep(&mut prop, &mut hologram);
+        reused.push(arena_takes("reuse") - before);
     }
-    assert_eq!(arena_allocations(), warm, "later calls must reuse the pooled scratch");
+    assert_eq!(arena_takes("alloc"), warm, "later calls must reuse the pooled scratch");
+    // Every sweep draws the same buffers, well over one per plane.
+    assert!(reused.iter().all(|&n| n == reused[0] && n > 6 * 10), "reuses per sweep: {reused:?}");
     holoar_telemetry::set_mode(previous);
 }

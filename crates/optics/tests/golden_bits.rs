@@ -108,9 +108,15 @@ fn propagate_sum_output_is_pinned() {
     for workers in WORKERS {
         let got = samples_digest(propagator(workers).propagate_sum(&fields, &zs).samples());
         assert_eq!(got, want, "propagate_sum at {workers} workers: digest {got:#018x}");
-        // The same sum over fields written straight into the transform buffers.
-        let built = propagator(workers)
-            .propagate_sum_from(64, 64, cfg, &zs, |i, buf| buf.copy_from_slice(fields[i].samples()));
+        // The same sum over fields written straight into the transform
+        // buffers; the second call overwrites the first one's output.
+        let mut built = Field::zeros(64, 64, cfg);
+        let mut prop = propagator(workers);
+        for _ in 0..2 {
+            prop.propagate_sum_from(&zs, &mut built, |i, buf| {
+                buf.copy_from_slice(fields[i].samples());
+            });
+        }
         let got = samples_digest(built.samples());
         assert_eq!(got, want, "propagate_sum_from at {workers} workers: digest {got:#018x}");
     }

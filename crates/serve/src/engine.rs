@@ -206,6 +206,7 @@ struct TickSession {
 /// Returns a description of the first invalid configuration field,
 /// internal model construction failure, or unbalanced book
 /// ([`ServeReport::check`]).
+// holoar-lint: frame-loop
 pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeReport, String> {
     let _span = holoar_telemetry::span_cat("serve.run", "serve");
     config.validate()?;
@@ -241,7 +242,15 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
     // Tick occupancy, memoized for this run only (a memo spanning runs
     // would make replayed populations cheaper than their first run).
     let mut occupancy_memo = OccupancyMemo::new(&pricer);
+    // Per-tick buffers, sized once for the admitted sessions and refilled
+    // every tick.
+    let mut order: Vec<usize> = Vec::with_capacity(admitted);
+    let mut ticks: Vec<TickSession> = Vec::with_capacity(admitted);
+    let mut deferred = vec![false; admitted];
     let mut jobs: Vec<HologramJob> = Vec::with_capacity(admitted);
+    let mut focus: Vec<f64> = Vec::with_capacity(admitted);
+    let mut levels: Vec<usize> = Vec::with_capacity(admitted);
+    let mut eligible: Vec<bool> = Vec::with_capacity(admitted);
     let mut batched_time_total = 0.0;
     let mut sequential_time_total = 0.0;
     let mut occupancy_sum = 0.0;
@@ -256,12 +265,12 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
     // -- tick loop --------------------------------------------------------
     for tick in 0..config.frames {
         let _tick = holoar_telemetry::span_cat("serve.tick", "serve");
-        let order = scheduler.order(tick);
+        scheduler.order_into(tick, &mut order);
 
         // Phase 1: sense, decide, plan — fixed session-id order so every
         // generator and injector advances identically regardless of
         // scheduling history.
-        let mut ticks = Vec::with_capacity(admitted);
+        ticks.clear();
         for state in states.iter_mut() {
             state.generator.step();
             let frame = state.generator.current();
@@ -269,6 +278,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
             let sample = faults.degrade_sensors(&nominal_sample(frame));
             let level = state.ctl.decide(tick);
             state.frames_at_level[level.index()] += 1;
+            // holoar-lint: allow(hot-loop-alloc, reason = "SlidingWindow::new pre-sizes its ring to the capacity and a full push overwrites the oldest sample, so it never grows")
             state.level_window.push(tick, level.index() as f64);
             let (job, reprojecting) = match state.ctl.config_for(&base) {
                 Some(level_cfg) => {
@@ -287,7 +297,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         // fresh session. A deferred session's job is idle. The loop leaves
         // `jobs` final and their price, whose latency is the tick's batch
         // latency.
-        let mut deferred = vec![false; admitted];
+        deferred.fill(false);
         jobs.clear();
         jobs.extend(ticks.iter().map(|t| t.job));
         let batch = loop {
@@ -325,7 +335,9 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         } else {
             0.0
         };
+        // holoar-lint: allow(hot-loop-alloc, reason = "SlidingWindow::new pre-sizes its ring to the capacity and a full push overwrites the oldest sample, so it never grows")
         occupancy_window.push(tick, tick_occupancy);
+        // holoar-lint: allow(hot-loop-alloc, reason = "SlidingWindow::new pre-sizes its ring to the capacity and a full push overwrites the oldest sample, so it never grows")
         queue_window.push(tick, deferred.iter().filter(|&&d| d).count() as f64);
 
         // Sequential baseline: the same (pre-deferral) workload as N
@@ -365,6 +377,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
             // sheds planes and lets the batch (and this session) fit again.
             if fresh {
                 while state.backlog.pop().is_some() {}
+            // holoar-lint: allow(hot-loop-alloc, reason = "BoundedQueue::new pre-sizes its VecDeque to the bound and a full push pops first, so it never grows")
             } else if state.backlog.push(tick).is_some() {
                 state.queue_drops += 1;
             }
@@ -384,6 +397,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
             } else {
                 holoar_telemetry::counter_add("serve.deadline.miss", 1);
             }
+            // holoar-lint: allow(hot-loop-alloc, reason = "SessionState::new pre-sizes latencies to the run's frames, and each tick pushes one")
             state.latencies.push(completion);
             // SLO bookkeeping and the synthesized profile span tree. The
             // stage decomposition partitions `completion` exactly: own batch
@@ -415,6 +429,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
             );
             scheduler.feedback(i, hit);
         }
+        // holoar-lint: allow(hot-loop-alloc, reason = "SlidingWindow::new pre-sizes its ring to the capacity and a full push overwrites the oldest sample, so it never grows")
         hit_window.push(tick, tick_hits as f64 / admitted.max(1) as f64);
 
         // Phase 5: QoS — an overloaded tick steps down the least-focused
@@ -425,16 +440,17 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
             &mut states,
             |s| &mut s.ctl,
             |states| {
-                let focus: Vec<f64> = states.iter().map(|s| s.focus).collect();
-                let eligible: Vec<bool> = (0..admitted)
-                    .map(|i| {
-                        !deferred[i]
-                            && !ticks[i].reprojecting
-                            && states[i].ctl.level() != DegradationLevel::LastGood
-                    })
-                    .collect();
-                let level: Vec<usize> = states.iter().map(|s| s.ctl.level().index()).collect();
-                qos::pick_victim(&focus, &level, &eligible)
+                focus.clear();
+                focus.extend(states.iter().map(|s| s.focus));
+                eligible.clear();
+                eligible.extend((0..admitted).map(|i| {
+                    !deferred[i]
+                        && !ticks[i].reprojecting
+                        && states[i].ctl.level() != DegradationLevel::LastGood
+                }));
+                levels.clear();
+                levels.extend(states.iter().map(|s| s.ctl.level().index()));
+                qos::pick_victim(&focus, &levels, &eligible)
             },
             "qos-batch-overrun",
         );

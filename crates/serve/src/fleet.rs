@@ -378,6 +378,7 @@ impl FleetReport {
 /// Returns a description of the first invalid configuration field,
 /// internal model construction failure, or unbalanced book
 /// ([`FleetReport::check`]).
+// holoar-lint: frame-loop
 pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
     let _span = holoar_telemetry::span_cat("fleet.run", "fleet");
     config.validate()?;
@@ -416,25 +417,37 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
     let mut orphaned = 0u64;
     let mut departed = 0u64;
     let mut reprobes = 0u64;
-    let mut killed: Vec<(usize, u64)> = Vec::new();
+    // Each device dies at most once.
+    let mut killed: Vec<(usize, u64)> = Vec::with_capacity(k);
     let mut migration_events: Vec<MigrationRecord> = Vec::new();
     let mut migration_transitions = 0u64;
     let mut peak_active = 0u32;
     let mut presented = 0u64;
     let mut fresh = 0u64;
     let mut deadline_hits = 0u64;
-    let mut latencies: Vec<f64> = Vec::new();
+    // One latency per presented frame: at most every planned session on
+    // every tick it stays within the run.
+    let presentable: u64 =
+        plans.iter().map(|p| p.depart.min(config.frames).saturating_sub(p.arrive)).sum();
+    let mut latencies: Vec<f64> = Vec::with_capacity(presentable as usize);
+    // Per-tick buffers, allocated once and refilled every tick: the
+    // sessions leaving (departing, or evacuated off a dead device) and the
+    // tenants of an overloaded device, in session-id order, then the
+    // per-device fault stretch, load, fresh count and latency.
+    let mut leaving: Vec<u32> = Vec::new();
+    let mut tenants: Vec<(u32, u64)> = Vec::new();
+    let mut stretch = vec![1.0f64; k];
+    let mut loads = vec![0.0f64; k];
+    let mut fresh_counts = vec![0u32; k];
+    let mut device_latency = vec![0.0f64; k];
 
     for tick in 0..config.frames {
         let _tick = holoar_telemetry::span_cat("fleet.tick", "fleet");
 
         // -- departures ---------------------------------------------------
-        let departing: Vec<u32> = sessions
-            .iter()
-            .filter(|(_, s)| s.departs <= tick)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in departing {
+        leaving.clear();
+        leaving.extend(sessions.iter().filter(|(_, s)| s.departs <= tick).map(|(&id, _)| id));
+        for &id in &leaving {
             if let Some(s) = sessions.remove(&id) {
                 devices[s.device].est_load -= s.cost;
                 devices[s.device].hosted -= 1;
@@ -445,7 +458,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
         }
 
         // -- device faults, deaths, evacuation ----------------------------
-        let mut stretch = vec![1.0f64; k];
+        stretch.fill(1.0);
         for d in 0..k {
             if devices[d].dead {
                 continue;
@@ -461,12 +474,9 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
                 holoar_telemetry::counter_add("fleet.device.killed", 1);
                 // Evacuate in session-id order; each evacuee lands on the
                 // best surviving device (or is orphaned if none remains).
-                let evacuees: Vec<u32> = sessions
-                    .iter()
-                    .filter(|(_, s)| s.device == d)
-                    .map(|(&id, _)| id)
-                    .collect();
-                for id in evacuees {
+                leaving.clear();
+                leaving.extend(sessions.iter().filter(|(_, s)| s.device == d).map(|(&id, _)| id));
+                for &id in &leaving {
                     let Some((video, cost)) = sessions.get(&id).map(|s| (s.spec.video, s.cost))
                     else {
                         continue;
@@ -476,6 +486,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
                         if let Some(s) = sessions.get_mut(&id) {
                             let signal = SIG_DEVICE_KILL;
                             let record = migrate(&mut devices, id, s, target, tick, signal, &ladder);
+                            // holoar-lint: allow(hot-loop-alloc, reason = "one record per migration, a control event that kills and overloads trigger; the log grows with migrations, not with frames")
                             migration_events.push(record);
                         }
                     } else if let Some(s) = sessions.remove(&id) {
@@ -550,8 +561,8 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
         peak_active = peak_active.max(sessions.len() as u32);
 
         // -- advance sessions: sense, decide, load, re-probe --------------
-        let mut loads = vec![0.0f64; k];
-        let mut fresh_counts = vec![0u32; k];
+        loads.fill(0.0);
+        fresh_counts.fill(0);
         for (&id, s) in sessions.iter_mut() {
             let session_faults = s.injector.frame(tick);
             let level = s.ctl.decide(tick);
@@ -586,11 +597,12 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
         }
 
         // -- device latency: batch-discounted sum, fault-stretched --------
-        let mut device_latency = vec![0.0f64; k];
         for d in 0..k {
-            if fresh_counts[d] > 0 {
-                device_latency[d] = loads[d] * amortize(fresh_counts[d]) * stretch[d];
-            }
+            device_latency[d] = if fresh_counts[d] > 0 {
+                loads[d] * amortize(fresh_counts[d]) * stretch[d]
+            } else {
+                0.0
+            };
         }
 
         // -- attribution --------------------------------------------------
@@ -664,11 +676,10 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
             if devices[d].dead || loads[d] <= MIGRATE_FACTOR * devices[d].spec.budget() {
                 continue;
             }
-            let tenants: Vec<(u32, u64)> = sessions
-                .iter()
-                .filter(|(_, s)| s.device == d)
-                .map(|(&id, s)| (id, s.arrived))
-                .collect();
+            tenants.clear();
+            tenants.extend(
+                sessions.iter().filter(|(_, s)| s.device == d).map(|(&id, s)| (id, s.arrived)),
+            );
             let Some(victim) = pick_overload_victim(&tenants) else {
                 continue;
             };
@@ -688,6 +699,7 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
             if let Some(s) = sessions.get_mut(&victim) {
                 let record =
                     migrate(&mut devices, victim, s, target, tick, SIG_DEVICE_OVERLOAD, &ladder);
+                // holoar-lint: allow(hot-loop-alloc, reason = "one record per migration, a control event that kills and overloads trigger; the log grows with migrations, not with frames")
                 migration_events.push(record);
             }
         }

@@ -22,22 +22,24 @@ impl FrameScheduler {
         FrameScheduler { ages: vec![0; n] }
     }
 
-    /// Priority order for this tick: sessions sorted by descending age, ties
-    /// broken by the rotated round-robin position (tick rotates the start),
-    /// then by session index. First in the returned order is served first
-    /// and deferred last.
-    pub fn order(&self, tick: u64) -> Vec<usize> {
+    /// Writes this tick's priority order into `order`, replacing its
+    /// contents: sessions sorted by descending age, ties broken by the
+    /// rotated round-robin position (tick rotates the start), then by
+    /// session index. First in the order is served first and deferred
+    /// last. Every sort key is distinct, so the unstable sort is exact and
+    /// a reused `order` allocates nothing.
+    pub fn order_into(&self, tick: u64, order: &mut Vec<usize>) {
         let n = self.ages.len();
+        order.clear();
         if n == 0 {
-            return Vec::new();
+            return;
         }
         let start = (tick % n as u64) as usize;
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| {
+        order.extend(0..n);
+        order.sort_unstable_by_key(|&i| {
             let rotated = (i + n - start) % n;
             (std::cmp::Reverse(self.ages[i]), rotated, i)
         });
-        order
     }
 
     /// Feedback after the tick: an on-time session resets its age, a missed
@@ -54,6 +56,15 @@ impl FrameScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FrameScheduler {
+        fn order(&self, tick: u64) -> Vec<usize> {
+            // Stale contents, which `order_into` must replace.
+            let mut order = vec![usize::MAX; 9];
+            self.order_into(tick, &mut order);
+            order
+        }
+    }
 
     #[test]
     fn unaged_order_is_a_rotating_round_robin() {
