@@ -55,5 +55,5 @@ pub use complex::Complex64;
 pub use context::{ExecutionContext, ExecutionContextBuilder, Precision};
 pub use fft2d::Fft2d;
 pub use mixed_radix::MixedRadixPlan;
-pub use parallel::{lock_unpoisoned, Parallelism, ScratchArena};
+pub use parallel::{lock_unpoisoned, ArenaCounters, Parallelism, ScratchArena};
 pub use plan::{FftPlan, FftPlanner};

@@ -53,28 +53,59 @@ pub fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Upper bound on buffers the arena retains, to bound memory between bursts.
 const ARENA_POOL_CAP: usize = 64;
 
+/// The telemetry counters a [`ScratchArena`] counts its takes and gives
+/// under, so that each pool's reuse reads apart from every other's.
+#[derive(Debug)]
+pub struct ArenaCounters {
+    /// A take served by a pooled allocation.
+    pub reuse: &'static str,
+    /// A take that had to allocate.
+    pub alloc: &'static str,
+    /// A buffer handed back.
+    pub give: &'static str,
+}
+
+/// The counters of the transforms' own scratch, `fft.arena.*`: what
+/// [`ScratchArena::default`] counts under.
+pub const TRANSFORM_SCRATCH: ArenaCounters = ArenaCounters {
+    reuse: "fft.arena.take.reuse",
+    alloc: "fft.arena.take.alloc",
+    give: "fft.arena.give",
+};
+
 /// A recycling pool of complex scratch buffers.
 ///
 /// Workers [`take`](ScratchArena::take) a zeroed buffer of the length they
 /// need and [`give`](ScratchArena::give) it back when done; the allocation
 /// survives for the next caller. Each [`Fft2d`](crate::Fft2d) owns one
 /// behind an `Arc`, shared by all of that transform's clones.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ScratchArena {
     pool: Mutex<Vec<Vec<Complex64>>>,
+    counters: &'static ArenaCounters,
+}
+
+impl Default for ScratchArena {
+    /// An empty arena counting under [`TRANSFORM_SCRATCH`].
+    fn default() -> Self {
+        Self::counted(&TRANSFORM_SCRATCH)
+    }
 }
 
 impl ScratchArena {
+    /// An empty arena counting its takes and gives under `counters`.
+    pub const fn counted(counters: &'static ArenaCounters) -> Self {
+        ScratchArena { pool: Mutex::new(Vec::new()), counters }
+    }
+
     /// Checks out a buffer of exactly `len` zeros, reusing a pooled
     /// allocation when one is available. A pooled buffer too small for
     /// `len` reallocates, so that take counts as an allocation.
     pub fn take(&self, len: usize) -> Vec<Complex64> {
         let pooled = lock_unpoisoned(&self.pool).pop();
         let reused = pooled.as_ref().is_some_and(|buf| buf.capacity() >= len);
-        holoar_telemetry::counter_add(
-            if reused { "fft.arena.take.reuse" } else { "fft.arena.take.alloc" },
-            1,
-        );
+        let counters = self.counters;
+        holoar_telemetry::counter_add(if reused { counters.reuse } else { counters.alloc }, 1);
         let mut buf = pooled.unwrap_or_default();
         buf.clear();
         buf.resize(len, Complex64::ZERO);
@@ -89,10 +120,9 @@ impl ScratchArena {
         let capacity = buf.capacity();
         buf.clear();
         buf.extend(values);
-        holoar_telemetry::counter_add(
-            if capacity >= buf.len() { "fft.arena.take.reuse" } else { "fft.arena.take.alloc" },
-            1,
-        );
+        let counters = self.counters;
+        let reused = capacity >= buf.len();
+        holoar_telemetry::counter_add(if reused { counters.reuse } else { counters.alloc }, 1);
         buf
     }
 
@@ -101,7 +131,7 @@ impl ScratchArena {
         if buf.capacity() == 0 {
             return;
         }
-        holoar_telemetry::counter_add("fft.arena.give", 1);
+        holoar_telemetry::counter_add(self.counters.give, 1);
         let mut pool = lock_unpoisoned(&self.pool);
         if pool.len() < ARENA_POOL_CAP {
             pool.push(buf);

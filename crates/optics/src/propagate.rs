@@ -57,7 +57,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use holoar_fft::{Complex64, ExecutionContext, Fft2d, Parallelism, ScratchArena};
+use holoar_fft::{ArenaCounters, Complex64, ExecutionContext, Fft2d, Parallelism, ScratchArena};
 
 use crate::field::{Field, OpticalConfig};
 
@@ -82,6 +82,14 @@ struct Grid {
     fft: Fft2d,
     buffers: Arc<ScratchArena>,
 }
+
+/// The counters the sweeps' full-grid pools count under, apart from the
+/// transforms' own `fft.arena.*` scratch.
+const GRID_POOL: ArenaCounters = ArenaCounters {
+    reuse: "optics.pool.take.reuse",
+    alloc: "optics.pool.take.alloc",
+    give: "optics.pool.give",
+};
 
 /// Shared transfer-function map.
 type TransferMap = Arc<Mutex<HashMap<TransferKey, Transfer>>>;
@@ -464,7 +472,8 @@ impl Propagator {
             }
             std::collections::hash_map::Entry::Vacant(miss) => {
                 holoar_telemetry::counter_add("optics.fft_cache.miss", 1);
-                let grid = Grid { fft: Fft2d::new(rows, cols), buffers: Arc::default() };
+                let buffers = Arc::new(ScratchArena::counted(&GRID_POOL));
+                let grid = Grid { fft: Fft2d::new(rows, cols), buffers };
                 miss.insert(grid).clone()
             }
         }
@@ -704,9 +713,10 @@ mod tests {
             .collect();
         for workers in [1usize, 2, 7] {
             let mut p = Propagator::with_parallelism(Parallelism::new(workers));
-            // Each state is a window and the samples its visitor read in it.
-            let mut seen: Vec<(Range<usize>, Vec<Complex64>)> =
-                windows.iter().map(|w| (w.clone(), Vec::new())).collect();
+            // Each state is a window, the samples its visitor read in it and
+            // the whole grid it was handed.
+            let mut seen: Vec<(Range<usize>, Vec<Complex64>, Vec<Complex64>)> =
+                windows.iter().map(|w| (w.clone(), Vec::new(), Vec::new())).collect();
             // Later rounds run in buffers the earlier ones left stale.
             for (round, energy) in [true, false, true].into_iter().enumerate() {
                 let at = format!("round {round} workers {workers}");
@@ -714,11 +724,13 @@ mod tests {
                     &f,
                     &zs,
                     &mut seen,
-                    |(w, _)| w.clone(),
+                    |(w, _, _)| w.clone(),
                     energy,
-                    |(w, got), energy, u| {
+                    |(w, got, whole), energy, u| {
                         got.clear();
                         got.extend(u.chunks(24).flat_map(|row| row[w.clone()].to_vec()));
+                        whole.clear();
+                        whole.extend_from_slice(u);
                         energy.map(f64::to_bits)
                     },
                 );
@@ -726,10 +738,18 @@ mod tests {
                 let want: Vec<Option<u64>> =
                     parseval.iter().map(|&e| energy.then_some(e)).collect();
                 assert_eq!(energies, want, "{at}");
-                for (i, ((w, got), want)) in seen.iter().zip(&full).enumerate() {
+                for (i, ((w, got, _), want)) in seen.iter().zip(&full).enumerate() {
+                    let spatial = want.total_energy();
                     let want = want.samples().chunks(24).flat_map(|row| row[w.clone()].to_vec());
                     assert!(got.iter().map(bits).eq(want.map(|z| bits(&z))), "plane {i} {at}");
+                    // Parseval agrees with the spatial sum up to rounding.
+                    if let Some(energy) = energies[i].map(f64::from_bits) {
+                        let err = (energy - spatial).abs();
+                        assert!(err <= 1e-12 * spatial, "plane {i} {at}: {energy} vs {spatial}");
+                    }
                 }
+                // A zero distance visits the field itself, every sample.
+                assert_eq!(seen[1].2, f.samples(), "{at}");
             }
         }
     }

@@ -1,19 +1,26 @@
-//! Scratch-arena reuse across propagation calls, read off the
-//! `fft.arena.take.alloc` counter.
+//! Buffer reuse across propagation calls, read off the `fft.arena.take.*`
+//! counters of the transforms' scratch and the `optics.pool.take.*`
+//! counters of the sweeps' full-grid pools.
 //!
 //! Every propagation sweep runs its per-plane transforms on clones of the
-//! propagator's cached `Fft2d` for the shape, and draws its full-grid
-//! spectra, products and sum terms from the arena those clones share. Once
-//! the first calls have grown the pool, later calls allocate no scratch.
-//! Counter capture is process-wide, so this check lives in its own test
-//! binary and runs as one test.
+//! propagator's cached `Fft2d` for the shape, which share its scratch
+//! arena, and draws its full-grid spectra, products and sum terms from the
+//! pool cached next to that transform. Once the first calls have grown
+//! both, later calls allocate from neither. Counter capture is
+//! process-wide, so this check lives in its own test binary and runs as
+//! one test.
 
 use holoar_fft::{Complex64, ExecutionContext};
 use holoar_optics::{gsw, Field, GswConfig, OpticalConfig, Propagator, VirtualObject};
 use holoar_telemetry::TelemetryMode;
 
-fn arena_takes(outcome: &str) -> u64 {
-    holoar_telemetry::collector::with_registry(|r| r.counter(&format!("fft.arena.take.{outcome}")))
+/// Takes with `outcome` (`alloc` or `reuse`) from the transforms' scratch
+/// and from the full-grid pools.
+fn takes(outcome: &str) -> (u64, u64) {
+    holoar_telemetry::collector::with_registry(|r| {
+        let count = |pool: &str| r.counter(&format!("{pool}.take.{outcome}"));
+        (count("fft.arena"), count("optics.pool"))
+    })
 }
 
 #[test]
@@ -48,16 +55,21 @@ fn repeated_propagations_take_no_new_arena_allocations() {
         gsw::run(&stack, cfg, GswConfig::default(), &ctx);
     };
     sweep(&mut prop, &mut hologram);
-    let warm = arena_takes("alloc");
-    assert!(warm > 0, "the first calls must fill the arena");
+    let warm = takes("alloc");
+    assert!(warm.0 > 0 && warm.1 > 0, "the first calls must fill both pools: {warm:?}");
     let mut reused = Vec::new();
     for _ in 0..3 {
-        let before = arena_takes("reuse");
+        let before = takes("reuse");
         sweep(&mut prop, &mut hologram);
-        reused.push(arena_takes("reuse") - before);
+        let after = takes("reuse");
+        reused.push((after.0 - before.0, after.1 - before.1));
     }
-    assert_eq!(arena_takes("alloc"), warm, "later calls must reuse the pooled scratch");
-    // Every sweep draws the same buffers, well over one per plane.
-    assert!(reused.iter().all(|&n| n == reused[0] && n > 6 * 10), "reuses per sweep: {reused:?}");
+    assert_eq!(takes("alloc"), warm, "later calls must reuse the pooled buffers");
+    // Every sweep draws the same buffers from each pool, and well over one
+    // full-grid buffer per plane.
+    assert!(
+        reused.iter().all(|&n| n == reused[0] && n.1 > 6 * 10),
+        "reuses per sweep (scratch, grid): {reused:?}"
+    );
     holoar_telemetry::set_mode(previous);
 }
