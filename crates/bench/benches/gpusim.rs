@@ -3,12 +3,12 @@
 //! wall time — wall time here is the simulator's own overhead).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use holoar_gpusim::hologram_kernels::{propagation_kernel, run_job, HologramJob, Step};
+use holoar_gpusim::hologram_kernels::{propagation_kernel, HologramJob, Step};
 use holoar_gpusim::{Device, DeviceSpec, JobPricer};
 use std::hint::black_box;
 
 fn bench_kernel_model(c: &mut Criterion) {
-    let mut device = Device::xavier();
+    let device = Device::xavier();
     let kernel = propagation_kernel(Step::Forward, 512 * 512);
     c.bench_function("gpusim/execute_one_kernel", |b| {
         b.iter(|| device.execute(black_box(&kernel)))
@@ -19,8 +19,8 @@ fn bench_job_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("gpusim_job_planes");
     for planes in [2u32, 8, 16] {
         group.bench_with_input(BenchmarkId::from_parameter(planes), &planes, |b, &p| {
-            let mut device = Device::xavier();
-            b.iter(|| run_job(&mut device, black_box(&HologramJob::full(p))))
+            let device = Device::xavier();
+            b.iter(|| device.pricer().cost(black_box(&HologramJob::full(p))))
         });
     }
     group.finish();

@@ -16,14 +16,8 @@ fn bench_schemes(c: &mut Criterion) {
             &scheme,
             |b, &s| {
                 b.iter(|| {
-                    let mut device = Device::xavier();
-                    evaluation::evaluate_video(
-                        &mut device,
-                        black_box(VideoCategory::Shoe),
-                        s,
-                        20,
-                        9,
-                    )
+                    let device = Device::xavier();
+                    evaluation::evaluate_video(&device, black_box(VideoCategory::Shoe), s, 20, 9)
                 })
             },
         );

@@ -185,7 +185,7 @@ fn main() {
     }
     if let Some(path) = csv_path {
         let matrix = holoar_core::evaluation::evaluate_matrix(
-            &mut holoar_gpusim::Device::xavier(),
+            &holoar_gpusim::Device::xavier(),
             cfg.frames,
             cfg.seed,
         );

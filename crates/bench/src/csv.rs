@@ -14,7 +14,7 @@ use holoar_core::evaluation::EvaluationMatrix;
 /// use holoar_core::evaluation::evaluate_matrix;
 /// use holoar_gpusim::Device;
 ///
-/// let matrix = evaluate_matrix(&mut Device::xavier(), 5, 1);
+/// let matrix = evaluate_matrix(&Device::xavier(), 5, 1);
 /// let csv = matrix_to_csv(&matrix);
 /// assert!(csv.lines().count() == 25); // header + 24 cells
 /// ```
@@ -45,7 +45,7 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_all_cells() {
-        let matrix = evaluate_matrix(&mut Device::xavier(), 4, 9);
+        let matrix = evaluate_matrix(&Device::xavier(), 4, 9);
         let csv = matrix_to_csv(&matrix);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 25);

@@ -50,8 +50,7 @@ pub fn table1(_cfg: &ExperimentConfig) -> String {
 
 /// Fig 2: practical vs ideal latency per pipeline task.
 pub fn fig2(_cfg: &ExperimentConfig) -> String {
-    let mut device = Device::xavier();
-    let rows = characterize(&mut device);
+    let rows = characterize(&Device::xavier());
     let mut t = Table::new(["Task", "Ideal (ms)", "Measured (ms)", "Gap", "Meets?"]);
     for r in &rows {
         t.row([
@@ -119,14 +118,14 @@ pub fn fig3(cfg: &ExperimentConfig) -> String {
 
 /// Fig 4b: hologram latency versus depth-plane count (forward vs backward).
 pub fn fig4(_cfg: &ExperimentConfig) -> String {
-    let mut device = Device::xavier();
+    let device = Device::xavier();
     let mut t =
         Table::new(["Planes", "Forward (ms)", "Backward (ms)", "Total (ms)", "vs 2x planes"]);
     let plane_counts = [2u32, 4, 8, 16, 32];
     let mut totals = Vec::new();
     for &p in &plane_counts {
         let (fwd, bwd) =
-            hologram_kernels::step_latencies(&mut device, calibration::HOLOGRAM_PIXELS, p);
+            hologram_kernels::step_latencies(&device, calibration::HOLOGRAM_PIXELS, p);
         totals.push(fwd + bwd);
         t.row([
             p.to_string(),
@@ -197,7 +196,7 @@ pub fn fig5(_cfg: &ExperimentConfig) -> String {
 
 /// §3's NVPROF profile: SM utilization, L1 hit rate and stall breakdowns.
 pub fn sec3(_cfg: &ExperimentConfig) -> String {
-    let mut device = Device::xavier();
+    let device = Device::xavier();
     let mut profiler = Profiler::new();
     let kernels = hologram_kernels::job_kernels(&HologramJob::full(16));
     for stats in device.execute_all(&kernels) {
@@ -235,8 +234,7 @@ pub fn table2(cfg: &ExperimentConfig) -> String {
 /// Fig 7: power, latency and energy across videos and configurations, plus
 /// the fleet headline numbers.
 pub fn fig7(cfg: &ExperimentConfig) -> String {
-    let mut device = Device::xavier();
-    let matrix = evaluation::evaluate_matrix(&mut device, cfg.frames, cfg.seed);
+    let matrix = evaluation::evaluate_matrix(&Device::xavier(), cfg.frames, cfg.seed);
     let mut out = String::from("== Fig 7: power / latency / energy per video and config ==\n");
     let mut t = Table::new([
         "Video",
@@ -309,8 +307,7 @@ pub fn fig8(cfg: &ExperimentConfig) -> String {
         ]);
     }
 
-    let mut dev = Device::xavier();
-    let matrix = evaluation::evaluate_matrix(&mut dev, cfg.frames, cfg.seed);
+    let matrix = evaluation::evaluate_matrix(&device, cfg.frames, cfg.seed);
     let mut b = Table::new(["Config", "Avg planes/frame", "(paper)"]);
     let paper = [
         (Scheme::Baseline, "23.6"),
@@ -441,8 +438,7 @@ pub fn fig10(cfg: &ExperimentConfig) -> String {
 
 /// §5.3's HORN-8 energy comparison.
 pub fn horn8(cfg: &ExperimentConfig) -> String {
-    let mut device = Device::xavier();
-    let matrix = evaluation::evaluate_matrix(&mut device, cfg.frames, cfg.seed);
+    let matrix = evaluation::evaluate_matrix(&Device::xavier(), cfg.frames, cfg.seed);
     let model = Horn8Model::default();
     let base = matrix.fleet_mean(Scheme::Baseline, |c| c.mean_energy);
     let holoar = matrix.fleet_mean(Scheme::InterIntraHolo, |c| c.mean_energy);
@@ -484,20 +480,20 @@ pub fn hybrid(_cfg: &ExperimentConfig) -> String {
 
 /// Ablation: §5.5's power-gating and DVFS knobs on approximated workloads.
 pub fn gating(_cfg: &ExperimentConfig) -> String {
-    use holoar_gpusim::gating::{dvfs_sweep, run_job_gated, DvfsPoint, GatingPolicy};
+    use holoar_gpusim::gating::{dvfs_sweep, gated_cost, DvfsPoint, GatingPolicy};
 
     // Gating matters for small sub-holograms (approximated or partially
     // visible objects whose grids cannot fill the device).
+    let device = Device::xavier();
+    let pricer = device.pricer();
     let mut t = Table::new(["Workload", "Energy ungated (mJ)", "Energy gated (mJ)", "Savings"]);
     for (name, job) in [
         ("full 16-plane hologram", HologramJob::full(16)),
         ("8-plane hologram", HologramJob::full(8)),
         ("tiny sub-hologram (0.4% aperture)", HologramJob { coverage: 0.004, ..HologramJob::full(4) }),
     ] {
-        let mut d1 = Device::xavier();
-        let plain = hologram_kernels::run_job(&mut d1, &job);
-        let mut d2 = Device::xavier();
-        let gated = run_job_gated(&mut d2, &job, GatingPolicy::default());
+        let plain = pricer.cost(&job);
+        let gated = gated_cost(pricer, &job, GatingPolicy::default());
         t.row([
             name.to_string(),
             format!("{:.2}", plain.energy * 1e3),
@@ -536,7 +532,7 @@ pub fn reuse(cfg: &ExperimentConfig) -> String {
         "Reuse fraction",
         "Latency saved",
     ]);
-    let mut device = Device::xavier();
+    let device = Device::xavier();
     for &scheme in &[Scheme::Baseline, Scheme::InterIntraHolo] {
         let mut sum_with = 0.0;
         let mut sum_without = 0.0;
@@ -544,11 +540,11 @@ pub fn reuse(cfg: &ExperimentConfig) -> String {
         for &v in &VideoCategory::ALL {
             let mut with = Planner::new(HoloArConfig::for_scheme(scheme)).unwrap();
             let r_with = evaluation::evaluate_with_planner(
-                &mut device, &mut with, v, cfg.frames, cfg.seed);
+                &device, &mut with, v, cfg.frames, cfg.seed);
             let mut without =
                 Planner::new(HoloArConfig::for_scheme(scheme).without_reuse()).unwrap();
             let r_without = evaluation::evaluate_with_planner(
-                &mut device, &mut without, v, cfg.frames, cfg.seed);
+                &device, &mut without, v, cfg.frames, cfg.seed);
             sum_with += r_with.mean_latency;
             sum_without += r_without.mean_latency;
             reuse_frac += r_with.reuse_fraction;
@@ -573,7 +569,8 @@ pub fn reuse(cfg: &ExperimentConfig) -> String {
 /// Ablation: kernel fusion versus approximation (the engineering
 /// alternative §3's stall analysis invites).
 pub fn fusion(_cfg: &ExperimentConfig) -> String {
-    let pricer = JobPricer::new(Device::xavier().config());
+    let device = Device::xavier();
+    let pricer = device.pricer();
     let mut t = Table::new(["Planes", "Per-plane kernels (ms)", "Fused (ms)", "Fusion saves"]);
     for planes in [4u32, 8, 16] {
         let job = HologramJob::full(planes);
@@ -805,7 +802,7 @@ pub fn inter_intra(cfg: &ExperimentConfig) -> String {
     let frames = (cfg.frames / 10).clamp(2, 12) as usize;
     let ctx = ExecutionContext::serial();
     let config = HoloArConfig::for_scheme(Scheme::InterIntraHolo);
-    let mut device = Device::xavier();
+    let device = Device::xavier();
     let mut planner = Planner::new(config).unwrap();
     let mut profiler = Profiler::new();
     // Shoe is the busiest category (2.3 objects/frame) — the plan reliably
@@ -826,13 +823,7 @@ pub fn inter_intra(cfg: &ExperimentConfig) -> String {
         // Profile every frame's kernel sequence so the bridged GPU track
         // carries the same workload the executor accounts.
         for item in plan.items.iter().filter(|it| it.needs_compute()) {
-            let job = HologramJob {
-                pixels: calibration::HOLOGRAM_PIXELS,
-                plane_count: item.planes,
-                coverage: item.coverage.clamp(f64::MIN_POSITIVE, 1.0),
-                gsw_iterations: calibration::GSW_ITERATIONS,
-            };
-            for stats in device.execute_all(&hologram_kernels::job_kernels(&job)) {
+            for stats in device.execute_all(&hologram_kernels::job_kernels(&item.job())) {
                 profiler.record(&stats);
             }
         }
@@ -851,7 +842,7 @@ pub fn inter_intra(cfg: &ExperimentConfig) -> String {
             let viewport = view::render_view(&plan.items, &pose.viewing_window(), 32, 48, &ctx);
             view_luminance = viewport.total_luminance();
         }
-        let perf = executor::execute_plan(&mut device, &plan);
+        let perf = executor::execute_plan(&device, &plan);
         latencies.push(FrameLatencies {
             pose: pose.latency,
             eye: 0.0044,
@@ -925,8 +916,8 @@ fn faulted_nominal(frame: &holoar_sensors::objectron::Frame) -> holoar_core::Sen
 }
 
 /// Hologram-stage cost of planning `frame` at `config` on the derated
-/// device: the sum of the simulated kernel latencies, without the fixed
-/// executor overhead (the stage deadline budgets the hologram kernels).
+/// device: the sum of the priced job latencies, without the fixed executor
+/// overhead (the stage deadline budgets the hologram kernels).
 fn faulted_stage_cost(
     config: &HoloArConfig,
     frame: &holoar_sensors::objectron::Frame,
@@ -936,17 +927,10 @@ fn faulted_stage_cost(
 ) -> f64 {
     let mut planner = Planner::new(*config).expect("ladder configs stay valid");
     let plan = planner.plan_frame_with(frame, sample);
-    let mut device =
-        Device::new(flt.derate_device(device_cfg)).expect("derated device stays valid");
+    let pricer = JobPricer::new(&flt.derate_device(device_cfg));
     let mut latency = 0.0;
     for item in plan.items.iter().filter(|it| it.needs_compute()) {
-        let job = HologramJob {
-            pixels: calibration::HOLOGRAM_PIXELS,
-            plane_count: item.planes,
-            coverage: item.coverage.clamp(f64::MIN_POSITIVE, 1.0),
-            gsw_iterations: calibration::GSW_ITERATIONS,
-        };
-        latency += hologram_kernels::run_job(&mut device, &job).latency;
+        latency += pricer.latency(&item.job());
     }
     latency
 }

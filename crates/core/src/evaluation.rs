@@ -48,9 +48,8 @@ pub struct VideoResult {
 /// use holoar_gpusim::Device;
 /// use holoar_sensors::objectron::VideoCategory;
 ///
-/// let mut device = Device::xavier();
 /// let result = evaluation::evaluate_video(
-///     &mut device, VideoCategory::Cup, Scheme::InterIntraHolo, 20, 7);
+///     &Device::xavier(), VideoCategory::Cup, Scheme::InterIntraHolo, 20, 7);
 /// assert!(result.mean_latency > 0.0);
 /// ```
 ///
@@ -58,7 +57,7 @@ pub struct VideoResult {
 ///
 /// Panics if `frames == 0`.
 pub fn evaluate_video(
-    device: &mut Device,
+    device: &Device,
     category: VideoCategory,
     scheme: Scheme,
     frames: u64,
@@ -77,7 +76,7 @@ pub fn evaluate_video(
 ///
 /// Panics if `frames == 0`.
 pub fn evaluate_with_planner(
-    device: &mut Device,
+    device: &Device,
     planner: &mut Planner,
     category: VideoCategory,
     frames: u64,
@@ -264,7 +263,7 @@ impl EvaluationMatrix {
 /// # Panics
 ///
 /// Panics if `frames == 0`.
-pub fn evaluate_matrix(device: &mut Device, frames: u64, seed: u64) -> EvaluationMatrix {
+pub fn evaluate_matrix(device: &Device, frames: u64, seed: u64) -> EvaluationMatrix {
     let mut cells = Vec::with_capacity(24);
     for &category in &VideoCategory::ALL {
         for &scheme in &Scheme::ALL {
@@ -279,7 +278,7 @@ mod tests {
     use super::*;
 
     fn small_matrix() -> EvaluationMatrix {
-        evaluate_matrix(&mut Device::xavier(), 40, 3)
+        evaluate_matrix(&Device::xavier(), 40, 3)
     }
 
     #[test]
@@ -320,10 +319,9 @@ mod tests {
 
     #[test]
     fn evaluation_is_deterministic() {
-        let mut d1 = Device::xavier();
-        let mut d2 = Device::xavier();
-        let a = evaluate_video(&mut d1, VideoCategory::Shoe, Scheme::InterIntraHolo, 25, 9);
-        let b = evaluate_video(&mut d2, VideoCategory::Shoe, Scheme::InterIntraHolo, 25, 9);
+        let (d1, d2) = (Device::xavier(), Device::xavier());
+        let a = evaluate_video(&d1, VideoCategory::Shoe, Scheme::InterIntraHolo, 25, 9);
+        let b = evaluate_video(&d2, VideoCategory::Shoe, Scheme::InterIntraHolo, 25, 9);
         assert_eq!(a, b);
     }
 
@@ -337,6 +335,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one frame")]
     fn zero_frames_panics() {
-        evaluate_video(&mut Device::xavier(), VideoCategory::Cup, Scheme::Baseline, 0, 1);
+        evaluate_video(&Device::xavier(), VideoCategory::Cup, Scheme::Baseline, 0, 1);
     }
 }

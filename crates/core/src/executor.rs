@@ -2,9 +2,8 @@
 //! GPU and accounting latency, power and energy per frame.
 
 use crate::planner::ComputePlan;
-use holoar_gpusim::hologram_kernels::{run_job, HologramJob};
 use holoar_gpusim::power::{Activity, EnergyMeter};
-use holoar_gpusim::{calibration, Device};
+use holoar_gpusim::Device;
 
 /// Host-side per-frame overhead outside the hologram kernels: depthmap
 /// slicing, buffer management, display composition. Calibrated (together
@@ -31,9 +30,11 @@ pub struct FramePerf {
     pub jobs: usize,
 }
 
-/// Executes a plan's hologram jobs on the device and integrates power over
-/// the whole frame (host overhead at host activity, each hologram job at its
-/// plane-count-dependent activity).
+/// Prices a plan's hologram jobs with the device's [`JobPricer`] and
+/// integrates power over the whole frame (host overhead at host activity,
+/// each hologram job at its plane-count-dependent activity).
+///
+/// [`JobPricer`]: holoar_gpusim::JobPricer
 ///
 /// # Examples
 ///
@@ -44,15 +45,15 @@ pub struct FramePerf {
 /// use holoar_sensors::objectron::{FrameGenerator, VideoCategory};
 /// use holoar_sensors::pose::PoseEstimate;
 ///
-/// let mut device = Device::xavier();
+/// let device = Device::xavier();
 /// let mut planner = Planner::new(HoloArConfig::for_scheme(Scheme::Baseline)).unwrap();
 /// let frame = FrameGenerator::new(VideoCategory::Cup, 1).next().unwrap();
 /// let pose = PoseEstimate { orientation: AngularPoint::CENTER, latency: 0.01375 };
 /// let plan = planner.plan_frame(&frame, &pose, AngularPoint::CENTER, 0.0);
-/// let perf = executor::execute_plan(&mut device, &plan);
+/// let perf = executor::execute_plan(&device, &plan);
 /// assert!(perf.latency >= executor::FRAME_OVERHEAD);
 /// ```
-pub fn execute_plan(device: &mut Device, plan: &ComputePlan) -> FramePerf {
+pub fn execute_plan(device: &Device, plan: &ComputePlan) -> FramePerf {
     let _span = holoar_telemetry::span_cat("core.executor.execute_plan", "core");
     let mut meter = EnergyMeter::new();
     let host_rails = device.config().power.rails(HOST_ACTIVITY);
@@ -65,21 +66,12 @@ pub fn execute_plan(device: &mut Device, plan: &ComputePlan) -> FramePerf {
         if !item.needs_compute() {
             continue;
         }
-        let job = HologramJob {
-            pixels: calibration::HOLOGRAM_PIXELS,
-            plane_count: item.planes,
-            coverage: item.coverage.clamp(f64::MIN_POSITIVE, 1.0),
-            gsw_iterations: calibration::GSW_ITERATIONS,
-        };
-        let stats = {
+        let cost = {
             let _job_span = holoar_telemetry::span_cat("core.executor.hologram_job", "core");
-            run_job(device, &job)
+            device.pricer().cost(&item.job())
         };
-        holoar_telemetry::histogram_record_us(
-            "core.executor.sim_latency_us",
-            stats.latency * 1e6,
-        );
-        meter.accumulate(stats.latency, stats.rails);
+        holoar_telemetry::histogram_record_us("core.executor.sim_latency_us", cost.latency * 1e6);
+        meter.accumulate(cost.latency, cost.rails);
         planes += item.planes;
         jobs += 1;
     }
@@ -126,10 +118,9 @@ mod tests {
     }
 
     fn perf_for(scheme: Scheme, objects: Vec<ObjectAnnotation>) -> FramePerf {
-        let mut device = Device::xavier();
         let mut planner = Planner::new(HoloArConfig::for_scheme(scheme)).unwrap();
         let plan = planner.plan_frame(&frame(objects), &pose(), AngularPoint::CENTER, 0.0044);
-        execute_plan(&mut device, &plan)
+        execute_plan(&Device::xavier(), &plan)
     }
 
     #[test]

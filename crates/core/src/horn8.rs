@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn horn8_saves_less_than_holoar() {
-        let matrix = evaluate_matrix(&mut Device::xavier(), 30, 5);
+        let matrix = evaluate_matrix(&Device::xavier(), 30, 5);
         let horn8 = Horn8Model::default();
         let horn8_savings = horn8.energy_savings(&matrix);
         let holoar_savings = matrix.fleet_energy_savings(Scheme::InterIntraHolo);
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn horn8_energy_is_power_scaled_baseline() {
-        let matrix = evaluate_matrix(&mut Device::xavier(), 10, 2);
+        let matrix = evaluate_matrix(&Device::xavier(), 10, 2);
         let base = matrix.fleet_mean(Scheme::Baseline, |c| c.mean_energy);
         let horn8 = Horn8Model::default();
         assert!((horn8.mean_energy(&matrix) - base * 0.52).abs() < 1e-9);

@@ -14,8 +14,9 @@
 //!    from the pose estimate; composed with Inter-Holo as *Inter-Intra-Holo*
 //!    (the full HoloAR).
 //!
-//! [`Planner`] turns sensor inputs into a [`planner::ComputePlan`];
-//! [`executor`] runs plans on the simulated edge GPU for
+//! [`Planner`] turns sensor inputs into a [`planner::ComputePlan`], whose
+//! computed objects map to hologram jobs ([`planner::PlanItem::job`]);
+//! [`executor`] prices plans on the simulated edge GPU's job pricer for
 //! latency/power/energy (Fig 7, Fig 8), [`quality`] runs the same plans
 //! through the real wave-optics engine for PSNR (Fig 10), [`evaluation`]
 //! drives the full 6-video × 4-scheme matrix, and [`horn8`] provides the
@@ -28,11 +29,11 @@
 //! use holoar_gpusim::Device;
 //! use holoar_sensors::objectron::VideoCategory;
 //!
-//! let mut device = Device::xavier();
+//! let device = Device::xavier();
 //! let base = evaluation::evaluate_video(
-//!     &mut device, VideoCategory::Shoe, Scheme::Baseline, 10, 1);
+//!     &device, VideoCategory::Shoe, Scheme::Baseline, 10, 1);
 //! let holoar = evaluation::evaluate_video(
-//!     &mut device, VideoCategory::Shoe, Scheme::InterIntraHolo, 10, 1);
+//!     &device, VideoCategory::Shoe, Scheme::InterIntraHolo, 10, 1);
 //! assert!(holoar.mean_energy < base.mean_energy);
 //! ```
 

@@ -12,6 +12,7 @@ use crate::config::{HoloArConfig, Scheme};
 use crate::rof::RegionOfFocus;
 use crate::sensor_input::{GazeInput, PoseInput, SensorSample};
 use crate::window::{window_status, ReuseTracker};
+use holoar_gpusim::{calibration, HologramJob};
 use holoar_sensors::angles::AngularPoint;
 use holoar_sensors::objectron::{Frame, ObjectAnnotation};
 use holoar_sensors::pose::PoseEstimate;
@@ -37,6 +38,18 @@ impl PlanItem {
     /// Whether this object requires any hologram computation this frame.
     pub fn needs_compute(&self) -> bool {
         self.planes > 0 && !self.reused && self.coverage > 0.0
+    }
+
+    /// The hologram job computing this object at the paper's profiled
+    /// configuration (512², 5 GSW iterations) over its planes and viewing
+    /// window coverage.
+    pub fn job(&self) -> HologramJob {
+        HologramJob {
+            pixels: calibration::HOLOGRAM_PIXELS,
+            plane_count: self.planes,
+            coverage: self.coverage.clamp(f64::MIN_POSITIVE, 1.0),
+            gsw_iterations: calibration::GSW_ITERATIONS,
+        }
     }
 }
 
@@ -256,6 +269,20 @@ mod tests {
         Planner::new(HoloArConfig::for_scheme(scheme))
             .unwrap()
             .plan_frame(frame, &pose(), gaze, 0.0044)
+    }
+
+    #[test]
+    fn items_map_to_jobs_at_the_profiled_configuration() {
+        let f = frame_with(vec![obj(1, 0.0, 0.6, 0.2)]);
+        let item = plan(Scheme::Baseline, &f, AngularPoint::CENTER).items[0];
+        let job = item.job();
+        assert_eq!(job.plane_count, item.planes);
+        assert_eq!(job.coverage, item.coverage);
+        assert_eq!((job.pixels, job.gsw_iterations), (512 * 512, 5));
+        // A skipped object's zero coverage stays a valid job.
+        let skipped = PlanItem { coverage: 0.0, ..item }.job();
+        assert_eq!(skipped.coverage, f64::MIN_POSITIVE);
+        assert!(skipped.validate().is_ok());
     }
 
     #[test]

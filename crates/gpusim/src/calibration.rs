@@ -41,13 +41,14 @@ pub mod stage_latency {
 mod tests {
     use super::*;
     use crate::device::Device;
-    use crate::hologram_kernels::{run_job, HologramJob};
+    use crate::hologram_kernels::HologramJob;
 
     /// The latency the calibrated Xavier-like device models for the
     /// paper's baseline hologram configuration.
     fn baseline_hologram_latency() -> f64 {
-        let mut device = Device::xavier();
-        run_job(&mut device, &HologramJob::full(FULL_PLANES)).latency
+        Device::xavier()
+            .pricer()
+            .latency(&HologramJob::full(FULL_PLANES))
     }
 
     #[test]
@@ -74,9 +75,9 @@ mod tests {
     fn four_planes_fit_realtime_but_not_more() {
         // §3: "a state-of-the-art edge GPU is only able to compute for < 4
         // depth planes in real-time".
-        let mut device = Device::xavier();
-        let t4 = run_job(&mut device, &HologramJob::full(4)).latency;
-        let t8 = run_job(&mut device, &HologramJob::full(8)).latency;
+        let device = Device::xavier();
+        let t4 = device.pricer().latency(&HologramJob::full(4));
+        let t8 = device.pricer().latency(&HologramJob::full(8));
         assert!(t4 < 2.0 * 0.066, "4 planes should be near real-time, got {t4}");
         assert!(t8 > 0.066, "8 planes should miss 30 fps clearly, got {t8}");
     }
@@ -84,7 +85,7 @@ mod tests {
     #[test]
     fn utilization_matches_section3_bands() {
         use crate::hologram_kernels::{propagation_kernel, Step};
-        let mut device = Device::xavier();
+        let device = Device::xavier();
         let fwd = device.execute(&propagation_kernel(Step::Forward, HOLOGRAM_PIXELS));
         let bwd = device.execute(&propagation_kernel(Step::Backward, HOLOGRAM_PIXELS));
         // Paper: 74% forward, 90% backward (±8 pp band).
@@ -105,7 +106,7 @@ mod tests {
     fn stall_leaders_match_section3() {
         use crate::hologram_kernels::{propagation_kernel, Step};
         use crate::stats::StallCategory as C;
-        let mut device = Device::xavier();
+        let device = Device::xavier();
         let fwd = device.execute(&propagation_kernel(Step::Forward, HOLOGRAM_PIXELS));
         let bwd = device.execute(&propagation_kernel(Step::Backward, HOLOGRAM_PIXELS));
         // Forward: Data Request is the top reason; Read-only Loads are minor.

@@ -1,6 +1,7 @@
 //! The simulated device: kernel execution and the launch timeline.
 
 use crate::config::DeviceConfig;
+use crate::hologram_kernels::JobPricer;
 use crate::kernel::KernelDesc;
 use crate::sm::{block_cost, BlockCost};
 use crate::stats::KernelStats;
@@ -17,14 +18,15 @@ impl std::fmt::Display for BuildDeviceError {
 
 impl std::error::Error for BuildDeviceError {}
 
-/// The simulated edge GPU.
+/// The simulated edge GPU: an immutable, validated configuration with the
+/// [`JobPricer`] that prices hologram jobs on it.
 ///
 /// # Examples
 ///
 /// ```
 /// use holoar_gpusim::{Device, InstructionMix, KernelDesc};
 ///
-/// let mut device = Device::xavier();
+/// let device = Device::xavier();
 /// let kernel = KernelDesc::new("axpy", 512, 256, InstructionMix {
 ///     flops: 2.0, loads: 2.0, stores: 1.0, ..Default::default()
 /// });
@@ -34,8 +36,7 @@ impl std::error::Error for BuildDeviceError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Device {
-    config: DeviceConfig,
-    busy_time: f64,
+    pricer: JobPricer,
 }
 
 impl Device {
@@ -47,7 +48,7 @@ impl Device {
     /// invariant (see [`DeviceConfig::validate`]).
     pub fn new(config: DeviceConfig) -> Result<Self, BuildDeviceError> {
         config.validate().map_err(BuildDeviceError)?;
-        Ok(Device { config, busy_time: 0.0 })
+        Ok(Device { pricer: JobPricer::new(&config) })
     }
 
     /// The default Jetson-AGX-Xavier-like device the paper evaluates on.
@@ -57,12 +58,12 @@ impl Device {
 
     /// The device configuration.
     pub fn config(&self) -> &DeviceConfig {
-        &self.config
+        self.pricer.config()
     }
 
-    /// Cumulative kernel execution time in seconds.
-    pub fn busy_time(&self) -> f64 {
-        self.busy_time
+    /// The pricer of hologram jobs on this device, built once with it.
+    pub fn pricer(&self) -> &JobPricer {
+        &self.pricer
     }
 
     /// Executes a kernel and returns its statistics.
@@ -76,8 +77,8 @@ impl Device {
     ///
     /// Panics if the kernel is invalid (validate with
     /// [`KernelDesc::validate`] for a recoverable error).
-    pub fn execute(&mut self, kernel: &KernelDesc) -> KernelStats {
-        let cfg = &self.config;
+    pub fn execute(&self, kernel: &KernelDesc) -> KernelStats {
+        let cfg = self.config();
         let cost = expect_block_cost(kernel, cfg);
         let blocks_per_sm = kernel.grid_blocks.div_ceil(cfg.sm_count) as f64;
         let (sm_cycles, time) = launch_time(kernel.grid_blocks, &cost, cfg);
@@ -90,8 +91,6 @@ impl Device {
         let l1_bytes = kernel.total_threads() as f64 * kernel.mix.bytes();
         let dram_bytes =
             l1_bytes * (1.0 - kernel.l1_hit_rate) * (1.0 - cfg.memory.l2_hit_rate);
-
-        self.busy_time += time;
 
         KernelStats {
             name: kernel.name.clone(),
@@ -107,20 +106,9 @@ impl Device {
     }
 
     /// Executes a sequence of kernels, returning per-kernel statistics.
-    pub fn execute_all(&mut self, kernels: &[KernelDesc]) -> Vec<KernelStats> {
+    pub fn execute_all(&self, kernels: &[KernelDesc]) -> Vec<KernelStats> {
         kernels.iter().map(|k| self.execute(k)).collect()
     }
-}
-
-/// Modeled wall time of one launch of `kernel` on `config`, in seconds:
-/// the [`Device::execute`] time as a pure function of a built kernel.
-///
-/// # Panics
-///
-/// Panics if the kernel is invalid.
-// holoar-lint: allow(unreached, reason = "test oracle: merged_batch_price_is_bit_identical in gpusim tests/properties.rs sums it over merged_session_kernels to check JobPricer::batch, and kernel_time_is_bit_identical pins it to Device::execute")
-pub fn kernel_time(kernel: &KernelDesc, config: &DeviceConfig) -> f64 {
-    launch_time(kernel.grid_blocks, &expect_block_cost(kernel, config), config).1
 }
 
 /// The block cost of a kernel this crate's builders produced.
@@ -164,7 +152,7 @@ mod tests {
 
     #[test]
     fn time_scales_with_grid_size() {
-        let mut d = Device::xavier();
+        let d = Device::xavier();
         let t1 = d.execute(&simple_kernel(80)).time;
         let t2 = d.execute(&simple_kernel(800)).time;
         assert!(t2 > 5.0 * t1, "t1={t1} t2={t2}");
@@ -172,29 +160,21 @@ mod tests {
 
     #[test]
     fn launch_overhead_floors_tiny_kernels() {
-        let mut d = Device::xavier();
+        let d = Device::xavier();
         let t = d.execute(&simple_kernel(1)).time;
         assert!(t >= d.config().launch_overhead);
     }
 
     #[test]
     fn utilization_bounded() {
-        let mut d = Device::xavier();
+        let d = Device::xavier();
         let s = d.execute(&simple_kernel(100));
         assert!(s.sm_utilization > 0.0 && s.sm_utilization <= 1.0);
     }
 
     #[test]
-    fn device_accounts_busy_time() {
-        let mut d = Device::xavier();
-        d.execute(&simple_kernel(10));
-        d.execute(&simple_kernel(10));
-        assert!(d.busy_time() > 0.0);
-    }
-
-    #[test]
     fn traffic_scales_with_threads_and_hit_rate() {
-        let mut d = Device::xavier();
+        let d = Device::xavier();
         let s = d.execute(&simple_kernel(100));
         assert_eq!(s.l1_bytes, 100.0 * 256.0 * 60.0);
         assert!(s.dram_bytes < s.l1_bytes);
@@ -202,19 +182,19 @@ mod tests {
 
     #[test]
     fn slower_clock_is_slower() {
-        let mut fast = Device::xavier();
+        let fast = Device::xavier();
         let cfg = DeviceConfig {
             clock_hz: DeviceConfig::default().clock_hz / 2.0,
             ..DeviceConfig::default()
         };
-        let mut slow = Device::new(cfg).unwrap();
+        let slow = Device::new(cfg).unwrap();
         let k = simple_kernel(400);
         assert!(slow.execute(&k).time > fast.execute(&k).time);
     }
 
     #[test]
     fn execute_all_preserves_order() {
-        let mut d = Device::xavier();
+        let d = Device::xavier();
         let ks = vec![simple_kernel(1), simple_kernel(2)];
         let stats = d.execute_all(&ks);
         assert_eq!(stats.len(), 2);

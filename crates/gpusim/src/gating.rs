@@ -14,8 +14,8 @@
 
 use crate::config::{DeviceConfig, PowerConfig};
 use crate::device::Device;
-use crate::hologram_kernels::{job_kernels, HologramJob, HologramJobStats};
-use crate::power::{Activity, EnergyMeter, RailPower};
+use crate::hologram_kernels::{plane_grid_blocks, HologramJob, JobCost, JobPricer};
+use crate::power::{Activity, RailPower};
 
 /// Gating policy for idle SMs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,56 +60,31 @@ pub fn gated_rails(
     }
 }
 
-/// Runs a hologram job with idle-SM gating applied to the power accounting
-/// (latency is unchanged: gated SMs were idle anyway).
+/// Prices a hologram job with idle-SM gating applied to its power: the
+/// latency is the pricer's (gated SMs were idle anyway). Every launch of a
+/// job has the same grid, so one gated rail set covers the whole job, and
+/// the energy integrates it over the latency exactly as
+/// [`JobPricer::cost`] integrates the ungated rails.
 ///
 /// # Panics
 ///
 /// Panics if the job is invalid.
-pub fn run_job_gated(
-    device: &mut Device,
-    job: &HologramJob,
-    policy: GatingPolicy,
-) -> HologramJobStats {
+pub fn gated_cost(pricer: &JobPricer, job: &HologramJob, policy: GatingPolicy) -> JobCost {
     if job.plane_count == 0 {
-        return HologramJobStats::skipped();
+        return JobCost::default();
     }
-    let kernels = job_kernels(job);
-    let sm_count = device.config().sm_count;
-    let power = device.config().power;
-    let activity = Activity::for_hologram(job.plane_count as f64, &power);
-
-    let mut meter = EnergyMeter::new();
-    let mut stats = Vec::with_capacity(kernels.len());
-    let mut weighted_rails = RailPower::default();
-    let mut total_time = 0.0;
-    for kernel in &kernels {
-        let s = device.execute(kernel);
-        let active = if policy.enabled {
-            sms_needed(kernel.grid_blocks, device.config()).max(policy.min_active_sms)
-        } else {
-            sm_count
-        };
-        let rails = gated_rails(&power, activity, active.min(sm_count), sm_count);
-        meter.accumulate(s.time, rails);
-        weighted_rails.soc += rails.soc * s.time;
-        weighted_rails.cpu += rails.cpu * s.time;
-        weighted_rails.gpu += rails.gpu * s.time;
-        weighted_rails.mem += rails.mem * s.time;
-        total_time += s.time;
-        stats.push(s);
-    }
-    let rails = if total_time > 0.0 {
-        RailPower {
-            soc: weighted_rails.soc / total_time,
-            cpu: weighted_rails.cpu / total_time,
-            gpu: weighted_rails.gpu / total_time,
-            mem: weighted_rails.mem / total_time,
-        }
+    let config = pricer.config();
+    let sm_count = config.sm_count;
+    let active = if policy.enabled {
+        sms_needed(plane_grid_blocks(job.covered_pixels()), config).max(policy.min_active_sms)
     } else {
-        RailPower::default()
+        sm_count
     };
-    HologramJobStats { latency: meter.time, rails, energy: meter.energy.total(), kernels: stats }
+    let activity = Activity::for_hologram(job.plane_count as f64, &config.power);
+    pricer.cost_at(
+        job,
+        gated_rails(&config.power, activity, active.min(sm_count), sm_count),
+    )
 }
 
 /// A DVFS operating point: clock scaled by `frequency_scale`, with voltage
@@ -172,10 +147,9 @@ pub fn dvfs_sweep(base: &DeviceConfig, job: &HologramJob, points: &[DvfsPoint]) 
     points
         .iter()
         .map(|&point| {
-            let cfg = point.apply(base);
-            let mut device = Device::new(cfg).expect("scaled configuration stays valid");
-            let stats = crate::hologram_kernels::run_job(&mut device, job);
-            DvfsOutcome { point, latency: stats.latency, energy: stats.energy }
+            let device = Device::new(point.apply(base)).expect("scaled configuration stays valid");
+            let cost = device.pricer().cost(job);
+            DvfsOutcome { point, latency: cost.latency, energy: cost.energy }
         })
         .collect()
 }
@@ -183,7 +157,6 @@ pub fn dvfs_sweep(base: &DeviceConfig, job: &HologramJob, points: &[DvfsPoint]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hologram_kernels::run_job;
 
     #[test]
     fn sms_needed_saturates_at_device_size() {
@@ -219,32 +192,39 @@ mod tests {
         // A tiny sub-hologram (low coverage) cannot fill the device; gating
         // should cut its energy relative to the ungated run.
         let job = HologramJob { coverage: 0.004, ..HologramJob::full(2) }; // ~4 blocks
-        let mut d1 = Device::xavier();
-        let plain = run_job(&mut d1, &job);
-        let mut d2 = Device::xavier();
-        let gated = run_job_gated(&mut d2, &job, GatingPolicy::default());
-        assert!((gated.latency - plain.latency).abs() < 1e-12, "gating must not slow down");
+        let pricer = JobPricer::new(&DeviceConfig::default());
+        let plain = pricer.cost(&job);
+        let gated = gated_cost(&pricer, &job, GatingPolicy::default());
+        assert_eq!(gated.latency, plain.latency, "gating must not slow down");
         assert!(gated.energy < plain.energy, "gated {} vs {}", gated.energy, plain.energy);
     }
 
     #[test]
     fn full_jobs_see_no_gating_effect() {
         let job = HologramJob::full(16); // 1024 blocks: fills all SMs
-        let mut d1 = Device::xavier();
-        let plain = run_job(&mut d1, &job);
-        let mut d2 = Device::xavier();
-        let gated = run_job_gated(&mut d2, &job, GatingPolicy::default());
-        assert!((gated.energy - plain.energy).abs() / plain.energy < 1e-9);
+        let pricer = JobPricer::new(&DeviceConfig::default());
+        let gated = gated_cost(&pricer, &job, GatingPolicy::default());
+        assert_eq!(gated, pricer.cost(&job));
     }
 
     #[test]
     fn disabled_policy_is_a_noop() {
         let job = HologramJob { coverage: 0.004, ..HologramJob::full(2) };
-        let mut d1 = Device::xavier();
-        let plain = run_job(&mut d1, &job);
-        let mut d2 = Device::xavier();
-        let off = run_job_gated(&mut d2, &job, GatingPolicy { enabled: false, min_active_sms: 1 });
-        assert!((off.energy - plain.energy).abs() / plain.energy < 1e-9);
+        let pricer = JobPricer::new(&DeviceConfig::default());
+        let off = gated_cost(&pricer, &job, GatingPolicy { enabled: false, min_active_sms: 1 });
+        assert_eq!(off, pricer.cost(&job));
+    }
+
+    #[test]
+    fn min_active_sms_floors_the_gated_rails() {
+        let job = HologramJob { coverage: 0.004, ..HologramJob::full(2) };
+        let pricer = JobPricer::new(&DeviceConfig::default());
+        let warm = |min_active_sms| {
+            gated_cost(&pricer, &job, GatingPolicy { enabled: true, min_active_sms })
+        };
+        assert!(warm(1).energy < warm(6).energy, "5 blocks per launch keep 5 SMs busy");
+        assert_eq!(warm(8), pricer.cost(&job), "every SM kept warm gates nothing");
+        assert_eq!(warm(64), pricer.cost(&job), "the floor saturates at the device");
     }
 
     #[test]

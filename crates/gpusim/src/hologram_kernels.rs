@@ -18,7 +18,6 @@ use crate::device::{expect_block_cost, launch_time, Device};
 use crate::kernel::{InstructionMix, KernelDesc};
 use crate::power::{Activity, EnergyMeter, RailPower};
 use crate::sm::BlockCost;
-use crate::stats::KernelStats;
 use crate::timeline::{JobSlots, JobStream};
 
 /// Which half of Algorithm 1 a propagation kernel implements.
@@ -161,36 +160,23 @@ impl HologramJob {
         ((self.pixels as f64 * self.coverage).ceil() as u64).max(1)
     }
 
+    /// Thread blocks one launch of the job's plane sweep covers (one step
+    /// of one GSW iteration over every plane): the plane grid times the
+    /// planes, zero for a job with no planes. A merged launch's grid is the
+    /// sum over its jobs ([`JobPricer::batch`]), and serving attributes the
+    /// batch's latency to each job by its share of that sum.
+    pub fn blocks(&self) -> u64 {
+        if self.plane_count == 0 {
+            return 0;
+        }
+        u64::from(plane_grid_blocks(self.covered_pixels())) * u64::from(self.plane_count)
+    }
+
     /// Panics with the validation error of an invalid job.
     pub(crate) fn expect_valid(&self) {
         if let Err(e) = self.validate() {
             // holoar-lint: allow(no-panic-transitive, reason = "documented contract for hand-built jobs; the serving and evaluation paths derive jobs from validated plans, and HologramJob::validate is the recoverable path")
             panic!("invalid hologram job: {e}");
-        }
-    }
-}
-
-/// Statistics from running one [`HologramJob`] on the device.
-#[derive(Debug, Clone)]
-pub struct HologramJobStats {
-    /// End-to-end job latency, seconds.
-    pub latency: f64,
-    /// Rail power sustained during the job.
-    pub rails: RailPower,
-    /// Total energy, joules.
-    pub energy: f64,
-    /// Per-kernel statistics, in launch order.
-    pub kernels: Vec<KernelStats>,
-}
-
-impl HologramJobStats {
-    /// A zero-work result (skipped object).
-    pub fn skipped() -> Self {
-        HologramJobStats {
-            latency: 0.0,
-            rails: RailPower::default(),
-            energy: 0.0,
-            kernels: Vec::new(),
         }
     }
 }
@@ -263,66 +249,13 @@ pub fn merged_session_kernels(jobs: &[HologramJob]) -> Vec<KernelDesc> {
     kernels
 }
 
-/// Per-job share of a merged batch's work, as a fraction of total grid
-/// blocks in `[0, 1]`. Used to attribute a merged launch's latency back to
-/// the sessions that contributed planes; zero-plane jobs get a zero share.
-pub fn batch_block_shares(jobs: &[HologramJob]) -> Vec<f64> {
-    let per_job: Vec<u64> = jobs
-        .iter()
-        .map(|job| {
-            if job.plane_count == 0 {
-                return 0;
-            }
-            u64::from(plane_grid_blocks(job.covered_pixels())) * u64::from(job.plane_count)
-        })
-        .collect();
-    let total: u64 = per_job.iter().sum();
-    if total == 0 {
-        return vec![0.0; jobs.len()];
-    }
-    per_job.iter().map(|&b| b as f64 / total as f64).collect()
-}
-
-/// Runs a hologram job, returning latency, power and energy.
-///
-/// A job with `plane_count == 0` is a skipped object: zero time, zero energy
-/// (the viewing-window baseline's "outside the window" case).
-///
-/// # Examples
-///
-/// ```
-/// use holoar_gpusim::{hologram_kernels, Device, HologramJob};
-///
-/// let mut device = Device::xavier();
-/// let full = hologram_kernels::run_job(&mut device, &HologramJob::full(16));
-/// let approx = hologram_kernels::run_job(&mut device, &HologramJob::full(8));
-/// assert!(approx.latency < full.latency);
-/// assert!(approx.energy < full.energy);
-/// ```
-///
-/// # Panics
-///
-/// Panics if the job is invalid (non-zero planes with zero pixels/coverage).
-pub fn run_job(device: &mut Device, job: &HologramJob) -> HologramJobStats {
-    if job.plane_count == 0 {
-        return HologramJobStats::skipped();
-    }
-    let kernels = job_kernels(job);
-    let stats = device.execute_all(&kernels);
-    let latency: f64 = stats.iter().map(|s| s.time).sum();
-    let activity = Activity::for_hologram(job.plane_count as f64, &device.config().power);
-    let rails = device.config().power.rails(activity);
-    let mut meter = EnergyMeter::new();
-    meter.accumulate(latency, rails);
-    HologramJobStats { latency, rails, energy: meter.energy.total(), kernels: stats }
-}
-
-/// Prices hologram jobs on one device model: [`run_job`]'s `latency`, the
-/// latency of a merged launch ([`merged_session_kernels`]) and the mean
-/// occupancy of jobs sharing the device
-/// ([`timeline::simulate`](crate::timeline::simulate) of
+/// Prices hologram jobs on one device model: a job's latency, rails and
+/// energy ([`JobPricer::cost`]), the latency of a merged launch
+/// ([`merged_session_kernels`]) and the mean occupancy of jobs sharing the
+/// device ([`timeline::simulate`](crate::timeline::simulate) of
 /// [`session_stream_ops`](crate::timeline::session_stream_ops)) as pure
-/// functions of the configuration.
+/// functions of the configuration. Every [`Device`] holds one
+/// ([`Device::pricer`]).
 ///
 /// A block's cost depends on the kernel's instruction mix and the device,
 /// not on the grid, so the forward and backward block costs, and their
@@ -335,13 +268,16 @@ pub fn run_job(device: &mut Device, job: &HologramJob) -> HologramJobStats {
 /// # Examples
 ///
 /// ```
-/// use holoar_gpusim::{hologram_kernels, Device, HologramJob, JobPricer};
+/// use holoar_gpusim::{hologram_kernels, Device, HologramJob};
 ///
-/// let mut device = Device::xavier();
-/// let pricer = JobPricer::new(device.config());
+/// let device = Device::xavier();
 /// let job = HologramJob::full(8);
-/// let run = hologram_kernels::run_job(&mut device, &job).latency;
-/// assert_eq!(pricer.latency(&job).to_bits(), run.to_bits());
+/// let executed: f64 = device
+///     .execute_all(&hologram_kernels::job_kernels(&job))
+///     .iter()
+///     .map(|stats| stats.time)
+///     .sum();
+/// assert_eq!(device.pricer().latency(&job).to_bits(), executed.to_bits());
 /// ```
 #[derive(Debug, Clone)]
 pub struct JobPricer {
@@ -360,6 +296,46 @@ impl JobPricer {
         JobPricer { config: *config, forward, backward, slots }
     }
 
+    /// The configuration this pricer prices on.
+    pub fn config(&self) -> &DeviceConfig {
+        &self.config
+    }
+
+    /// A job's latency, the rails it sustains and its energy: all zero for a
+    /// job with no planes (a skipped object).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use holoar_gpusim::{Device, HologramJob};
+    ///
+    /// let device = Device::xavier();
+    /// let full = device.pricer().cost(&HologramJob::full(16));
+    /// let approx = device.pricer().cost(&HologramJob::full(8));
+    /// assert!(approx.latency < full.latency);
+    /// assert!(approx.energy < full.energy);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job is invalid (non-zero planes with zero
+    /// pixels/coverage).
+    pub fn cost(&self, job: &HologramJob) -> JobCost {
+        if job.plane_count == 0 {
+            return JobCost::default();
+        }
+        let activity = Activity::for_hologram(job.plane_count as f64, &self.config.power);
+        self.cost_at(job, self.config.power.rails(activity))
+    }
+
+    /// A job with planes priced with every launch drawing `rails`.
+    pub(crate) fn cost_at(&self, job: &HologramJob, rails: RailPower) -> JobCost {
+        let latency = self.latency(job);
+        let mut meter = EnergyMeter::new();
+        meter.accumulate(latency, rails);
+        JobCost { latency, rails, energy: meter.energy.total() }
+    }
+
     /// A job's solo latency: zero for a job with no planes.
     ///
     /// # Panics
@@ -375,6 +351,8 @@ impl JobPricer {
         let grid_blocks = plane_grid_blocks(job.covered_pixels());
         let fwd = launch_time(grid_blocks, &self.forward, &self.config).1;
         let bwd = launch_time(grid_blocks, &self.backward, &self.config).1;
+        // Summed in `job_kernels` order, the order `Device::execute` runs the
+        // job's launches in, so the bits match the executed kernels'.
         let mut latency = 0.0;
         for _ in 0..job.gsw_iterations {
             for _ in 0..job.plane_count {
@@ -399,7 +377,7 @@ impl JobPricer {
     pub fn batch(&self, jobs: &[HologramJob]) -> BatchPrice {
         let _span = holoar_telemetry::span_cat("gpusim.price.batch", "gpusim");
         let mut iterations = None;
-        let mut grid_blocks = 0u32;
+        let mut blocks = 0u64;
         for job in jobs.iter().filter(|j| j.plane_count > 0) {
             job.expect_valid();
             let lockstep = *iterations.get_or_insert(job.gsw_iterations);
@@ -407,13 +385,12 @@ impl JobPricer {
                 job.gsw_iterations, lockstep,
                 "cross-session batching requires lockstep GSW iterations"
             );
-            let per_plane = plane_grid_blocks(job.covered_pixels());
-            grid_blocks = grid_blocks.saturating_add(per_plane.saturating_mul(job.plane_count));
+            blocks = blocks.saturating_add(job.blocks());
         }
         let Some(iterations) = iterations else {
             return BatchPrice { latency: 0.0, launches: 0 };
         };
-        let grid_blocks = grid_blocks.max(1);
+        let grid_blocks = blocks.clamp(1, u64::from(u32::MAX)) as u32;
         let fwd = launch_time(grid_blocks, &self.forward, &self.config).1;
         let bwd = launch_time(grid_blocks, &self.backward, &self.config).1;
         let mut latency = 0.0;
@@ -475,6 +452,17 @@ impl<'a> OccupancyMemo<'a> {
     }
 }
 
+/// A job's price ([`JobPricer::cost`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct JobCost {
+    /// End-to-end job latency, seconds.
+    pub latency: f64,
+    /// Rail power sustained during the job.
+    pub rails: RailPower,
+    /// Total energy, joules.
+    pub energy: f64,
+}
+
 /// A merged batch's price ([`JobPricer::batch`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchPrice {
@@ -487,7 +475,7 @@ pub struct BatchPrice {
 
 /// Latency of the forward and backward halves for one plane count — the
 /// Fig 4b sweep.
-pub fn step_latencies(device: &mut Device, pixels: u64, plane_count: u32) -> (f64, f64) {
+pub fn step_latencies(device: &Device, pixels: u64, plane_count: u32) -> (f64, f64) {
     let mut fwd = 0.0;
     let mut bwd = 0.0;
     for _ in 0..calibration::GSW_ITERATIONS {
@@ -527,29 +515,29 @@ mod tests {
 
     #[test]
     fn latency_roughly_linear_in_planes() {
-        let mut d = Device::xavier();
-        let t8 = run_job(&mut d, &HologramJob::full(8)).latency;
-        let t16 = run_job(&mut d, &HologramJob::full(16)).latency;
+        let d = Device::xavier();
+        let t8 = d.pricer().latency(&HologramJob::full(8));
+        let t16 = d.pricer().latency(&HologramJob::full(16));
         let ratio = t16 / t8;
         assert!((ratio - 2.0).abs() < 0.1, "ratio {ratio}");
     }
 
     #[test]
     fn forward_and_backward_take_similar_time() {
-        let mut d = Device::xavier();
-        let (fwd, bwd) = step_latencies(&mut d, 512 * 512, 4);
+        let (fwd, bwd) = step_latencies(&Device::xavier(), 512 * 512, 4);
         let ratio = fwd / bwd;
         assert!((0.7..1.4).contains(&ratio), "fwd/bwd ratio {ratio}");
     }
 
     #[test]
     fn zero_planes_is_skipped() {
-        let mut d = Device::xavier();
         let job = HologramJob { plane_count: 0, ..HologramJob::full(0) };
-        let stats = run_job(&mut d, &job);
-        assert_eq!(stats.latency, 0.0);
-        assert_eq!(stats.energy, 0.0);
-        assert!(stats.kernels.is_empty());
+        let cost = Device::xavier().pricer().cost(&job);
+        assert_eq!(cost.latency, 0.0);
+        assert_eq!(cost.energy, 0.0);
+        assert_eq!(cost.rails, RailPower::default());
+        assert!(job_kernels(&job).is_empty());
+        assert_eq!(job.blocks(), 0);
     }
 
     #[test]
@@ -605,9 +593,7 @@ mod tests {
         let price = pricer.batch(&jobs);
         assert!(price.latency > 0.0);
         assert_eq!(price.launches, 10, "2 launches × 5 lockstep iterations");
-        let shares = batch_block_shares(&jobs);
-        assert_eq!(shares[1], 0.0);
-        assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert_eq!(jobs.map(|j| j.blocks()), [12 * 16, 0, 20 * 16], "64² → 16 blocks per plane");
         let idle = pricer.batch(&[job(0), job(0)]);
         assert_eq!((idle.latency, idle.launches), (0.0, 0));
         assert_eq!(pricer.batch(&[]).launches, 0);
@@ -627,13 +613,9 @@ mod tests {
         // The serving-layer premise: one launch over the fleet's planes is
         // faster than running each session's per-plane kernels in turn.
         let jobs = vec![HologramJob::full(8); 4];
-        let mut seq_device = Device::xavier();
-        let sequential: f64 = jobs
-            .iter()
-            .map(|j| run_job(&mut seq_device, j).latency)
-            .sum();
-        let mut batch_device = Device::xavier();
-        let batched: f64 = batch_device
+        let device = Device::xavier();
+        let sequential: f64 = jobs.iter().map(|j| device.pricer().latency(j)).sum();
+        let batched: f64 = device
             .execute_all(&merged_session_kernels(&jobs))
             .iter()
             .map(|s| s.time)
@@ -642,18 +624,16 @@ mod tests {
     }
 
     #[test]
-    fn block_shares_are_proportional_and_sum_to_one() {
+    fn job_blocks_sum_to_the_merged_grid() {
         let jobs = [
             HologramJob::full(12),
             HologramJob { plane_count: 0, ..HologramJob::full(0) },
-            HologramJob::full(4),
+            HologramJob { coverage: 0.25, ..HologramJob::full(4) },
         ];
-        let shares = batch_block_shares(&jobs);
-        assert_eq!(shares.len(), 3);
-        assert_eq!(shares[1], 0.0);
-        assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((shares[0] / shares[2] - 3.0).abs() < 1e-9);
-        assert_eq!(batch_block_shares(&[]), Vec::<f64>::new());
+        assert_eq!(jobs.map(|j| j.blocks()), [12 * 1024, 0, 4 * 256]);
+        let total: u64 = jobs.iter().map(HologramJob::blocks).sum();
+        let merged = merged_session_kernels(&jobs);
+        assert!(merged.iter().all(|k| u64::from(k.grid_blocks) == total));
     }
 
     #[test]
@@ -674,9 +654,9 @@ mod tests {
 
     #[test]
     fn fewer_planes_burn_less_power() {
-        let mut d = Device::xavier();
-        let p16 = run_job(&mut d, &HologramJob::full(16)).rails.total();
-        let p4 = run_job(&mut d, &HologramJob::full(4)).rails.total();
+        let d = Device::xavier();
+        let p16 = d.pricer().cost(&HologramJob::full(16)).rails.total();
+        let p4 = d.pricer().cost(&HologramJob::full(4)).rails.total();
         assert!(p4 < p16);
     }
 

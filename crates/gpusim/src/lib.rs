@@ -6,9 +6,11 @@
 //! thread blocks scheduled across SMs, a per-block cycle model with
 //! throughput demands and NVPROF-category stall accounting ([`sm`]), a
 //! four-rail power model ([`power`]), and a mapping from the depthmap
-//! hologram algorithm onto kernel sequences ([`hologram_kernels`]). The
-//! calibration anchors tying it to the paper's measurements live in
-//! [`calibration`].
+//! hologram algorithm onto kernel sequences ([`hologram_kernels`]). A
+//! [`Device`] is an immutable configuration: [`Device::execute`] runs single
+//! kernels for the profiler, and its [`JobPricer`] prices whole hologram jobs
+//! from block costs computed once. The calibration anchors tying it to the
+//! paper's measurements live in [`calibration`].
 //!
 //! # Examples
 //!
@@ -16,11 +18,11 @@
 //! ~10× over its 33 ms deadline:
 //!
 //! ```
-//! use holoar_gpusim::{hologram_kernels, Device, HologramJob};
+//! use holoar_gpusim::{Device, HologramJob};
 //!
-//! let mut device = Device::xavier();
-//! let stats = hologram_kernels::run_job(&mut device, &HologramJob::full(16));
-//! assert!(stats.latency > 0.3, "hologram takes {:.0} ms", stats.latency * 1e3);
+//! let device = Device::xavier();
+//! let cost = device.pricer().cost(&HologramJob::full(16));
+//! assert!(cost.latency > 0.3, "hologram takes {:.0} ms", cost.latency * 1e3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,9 +44,7 @@ pub mod timeline;
 pub use config::{DeviceConfig, MemoryConfig, PowerConfig, SmConfig};
 pub use device::{BuildDeviceError, Device};
 pub use gating::{DvfsOutcome, DvfsPoint, GatingPolicy};
-pub use hologram_kernels::{
-    BatchPrice, HologramJob, HologramJobStats, JobPricer, OccupancyMemo, Step,
-};
+pub use hologram_kernels::{BatchPrice, HologramJob, JobCost, JobPricer, OccupancyMemo, Step};
 pub use kernel::{InstructionMix, KernelDesc};
 pub use power::{Activity, EnergyMeter, RailEnergy, RailPower};
 pub use profiler::{KernelAggregate, Profiler};

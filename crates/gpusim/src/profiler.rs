@@ -73,7 +73,7 @@ impl KernelAggregate {
 /// ```
 /// use holoar_gpusim::{Device, InstructionMix, KernelDesc, Profiler};
 ///
-/// let mut device = Device::xavier();
+/// let device = Device::xavier();
 /// let mut profiler = Profiler::new();
 /// let k = KernelDesc::new("scale", 64, 256, InstructionMix {
 ///     flops: 4.0, loads: 1.0, stores: 1.0, ..Default::default()
@@ -152,7 +152,7 @@ mod tests {
     use crate::kernel::{InstructionMix, KernelDesc};
 
     fn run_one(name: &str) -> KernelStats {
-        let mut d = Device::xavier();
+        let d = Device::xavier();
         d.execute(&KernelDesc::new(
             name,
             32,

@@ -55,7 +55,7 @@ mod tests {
     use crate::kernel::{InstructionMix, KernelDesc};
 
     fn profiler_with(names: &[&str]) -> Profiler {
-        let mut device = Device::xavier();
+        let device = Device::xavier();
         let mut profiler = Profiler::new();
         for name in names {
             let k = KernelDesc::new(

@@ -611,7 +611,7 @@ mod tests {
         assert_eq!(t.spans.len(), 1);
         // Closed form: blocks_per_sm × block_time (+ drain tail); the
         // timeline should land within ~20%.
-        let mut device = Device::new(cfg).unwrap();
+        let device = Device::new(cfg).unwrap();
         let closed = device.execute(&k).time - cfg.launch_overhead;
         let ratio = t.makespan / closed;
         assert!((0.8..1.2).contains(&ratio), "timeline/closed-form ratio {ratio}");

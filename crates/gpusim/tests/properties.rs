@@ -1,15 +1,14 @@
 //! Property tests for the GPU model: accounting identities and
 //! monotonicities that must hold for any kernel shape.
 
-use holoar_gpusim::device::kernel_time;
-use holoar_gpusim::gating::{gated_rails, run_job_gated, GatingPolicy};
+use holoar_gpusim::gating::{gated_cost, gated_rails, GatingPolicy};
 use holoar_gpusim::hologram_kernels::{
-    merged_session_kernels, run_job, HologramJob, JobPricer, OccupancyMemo,
+    job_kernels, merged_session_kernels, HologramJob, JobCost, JobPricer, OccupancyMemo,
 };
 use holoar_gpusim::timeline::session_stream_ops;
 use holoar_gpusim::{
-    simulate, Activity, Device, DeviceConfig, EnergyMeter, InstructionMix, KernelDesc,
-    PowerConfig, RailPower, StallCategory,
+    simulate, Activity, Device, DeviceConfig, DvfsPoint, EnergyMeter, InstructionMix,
+    KernelDesc, PowerConfig, RailPower, StallCategory,
 };
 use proptest::prelude::*;
 
@@ -39,7 +38,7 @@ proptest! {
     /// utilization, and stall fractions sum to one when any stall exists.
     #[test]
     fn execution_invariants(kernel in arb_kernel()) {
-        let mut device = Device::xavier();
+        let device = Device::xavier();
         let stats = device.execute(&kernel);
         prop_assert!(stats.time > 0.0 && stats.time.is_finite());
         prop_assert!(stats.cycles >= 0.0);
@@ -56,7 +55,7 @@ proptest! {
     #[test]
     fn time_monotone_in_grid(mix in arb_mix(), a in 1u32..1000, b in 1u32..1000) {
         let (lo, hi) = (a.min(b), a.max(b));
-        let mut device = Device::xavier();
+        let device = Device::xavier();
         let t_lo = device.execute(&KernelDesc::new("k", lo, 256, mix)).time;
         let t_hi = device.execute(&KernelDesc::new("k", hi, 256, mix)).time;
         prop_assert!(t_hi >= t_lo - 1e-12);
@@ -65,7 +64,7 @@ proptest! {
     /// Worse L1 behaviour never makes a kernel faster.
     #[test]
     fn cache_misses_never_speed_up(mix in arb_mix(), good in 0.5f64..1.0, bad in 0.0f64..0.5) {
-        let mut device = Device::xavier();
+        let device = Device::xavier();
         let fast = device
             .execute(&KernelDesc::new("k", 64, 256, mix).with_l1_hit_rate(good))
             .time;
@@ -103,13 +102,13 @@ proptest! {
     /// monotonically with plane count.
     #[test]
     fn job_energy_identity(planes in 1u32..32) {
-        let mut device = Device::xavier();
-        let stats = run_job(&mut device, &HologramJob::full(planes));
+        let job = HologramJob::full(planes);
+        let cost = Device::xavier().pricer().cost(&job);
         prop_assert!(
-            (stats.energy - stats.latency * stats.rails.total()).abs()
-                < 1e-9 * stats.energy.max(1.0)
+            (cost.energy - cost.latency * cost.rails.total()).abs()
+                < 1e-9 * cost.energy.max(1.0)
         );
-        prop_assert_eq!(stats.kernels.len(), (planes * 5 * 2) as usize);
+        prop_assert_eq!(job_kernels(&job).len(), (planes * 5 * 2) as usize);
     }
 
     /// Gating never increases energy and never changes latency.
@@ -119,12 +118,11 @@ proptest! {
             coverage: coverage_milli as f64 / 1000.0,
             ..HologramJob::full(planes)
         };
-        let mut d1 = Device::xavier();
-        let plain = run_job(&mut d1, &job);
-        let mut d2 = Device::xavier();
-        let gated = run_job_gated(&mut d2, &job, GatingPolicy::default());
-        prop_assert!((gated.latency - plain.latency).abs() < 1e-12);
-        prop_assert!(gated.energy <= plain.energy + 1e-12);
+        let device = Device::xavier();
+        let plain = device.pricer().cost(&job);
+        let gated = gated_cost(device.pricer(), &job, GatingPolicy::default());
+        prop_assert_eq!(gated.latency.to_bits(), plain.latency.to_bits());
+        prop_assert!(gated.energy <= plain.energy);
     }
 
     /// Gated rails interpolate between min and full power as SMs wake up.
@@ -146,10 +144,10 @@ proptest! {
     #[test]
     fn more_sms_never_slower_when_compute_bound(mix in arb_mix(), extra in 1u32..8) {
         let kernel = KernelDesc::new("cb", 512, 256, mix).with_l1_hit_rate(0.995);
-        let mut small = Device::xavier();
+        let small = Device::xavier();
         let big_cfg =
             DeviceConfig { sm_count: 8 + extra, ..DeviceConfig::default() };
-        let mut big = Device::new(big_cfg).unwrap();
+        let big = Device::new(big_cfg).unwrap();
         let t_small = small.execute(&kernel).time;
         let t_big = big.execute(&kernel).time;
         prop_assert!(t_big <= t_small + 1e-12);
@@ -218,16 +216,35 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The pure pricing functions reproduce the kernel-building paths bit
-    /// for bit: solo-job latency, merged batches and single-kernel time.
+    /// A device's pricer reproduces executing the job's kernels bit for
+    /// bit: the latency is the summed `Device::execute` times of
+    /// `job_kernels` in launch order, and the rails and energy are the
+    /// job's hologram activity integrated over that latency. Devices vary in
+    /// SM count and DVFS point; a job with no planes costs nothing.
     #[test]
-    fn job_latency_is_bit_identical(jobs in arb_fleet(), sm_count in arb_sm_count()) {
-        let cfg = DeviceConfig { sm_count, ..DeviceConfig::default() };
-        let mut device = Device::new(cfg).unwrap();
-        let pricer = JobPricer::new(&cfg);
+    fn job_latency_is_bit_identical(
+        jobs in arb_fleet(),
+        sm_count in prop::sample::select(vec![1u32, 2, 4, 8, 32]),
+        frequency_scale in 0.25f64..1.5,
+    ) {
+        let base = DeviceConfig { sm_count, ..DeviceConfig::default() };
+        let cfg = DvfsPoint::new(frequency_scale).apply(&base);
+        let device = Device::new(cfg).unwrap();
         for job in &jobs {
-            let reference = run_job(&mut device, job).latency;
-            prop_assert_eq!(pricer.latency(job).to_bits(), reference.to_bits());
+            let cost = device.pricer().cost(job);
+            prop_assert_eq!(device.pricer().latency(job).to_bits(), cost.latency.to_bits());
+            let kernels = job_kernels(job);
+            if kernels.is_empty() {
+                prop_assert_eq!(cost, JobCost::default());
+                continue;
+            }
+            let latency: f64 = device.execute_all(&kernels).iter().map(|s| s.time).sum();
+            let rails = cfg.power.rails(Activity::for_hologram(job.plane_count as f64, &cfg.power));
+            let mut meter = EnergyMeter::new();
+            meter.accumulate(latency, rails);
+            prop_assert_eq!(cost.latency.to_bits(), latency.to_bits());
+            prop_assert_eq!(cost.rails, rails);
+            prop_assert_eq!(cost.energy.to_bits(), meter.energy.total().to_bits());
         }
     }
 
@@ -238,13 +255,14 @@ proptest! {
     #[test]
     fn merged_batch_price_is_bit_identical(jobs in arb_fleet(), sm_count in arb_sm_count()) {
         let cfg = DeviceConfig { sm_count, ..DeviceConfig::default() };
-        let pricer = JobPricer::new(&cfg);
+        let device = Device::new(cfg).unwrap();
+        let pricer = device.pricer();
         let iterations = jobs[0].gsw_iterations;
         let jobs: Vec<HologramJob> =
             jobs.into_iter().map(|job| HologramJob { gsw_iterations: iterations, ..job }).collect();
         for batch in [&jobs[..], &jobs[..1]] {
             let kernels = merged_session_kernels(batch);
-            let reference: f64 = kernels.iter().map(|k| kernel_time(k, &cfg)).sum();
+            let reference: f64 = device.execute_all(&kernels).iter().map(|s| s.time).sum();
             let price = pricer.batch(batch);
             if kernels.is_empty() {
                 // An empty kernel sum is -0.0; every consumer ignores the sign.
@@ -256,10 +274,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn kernel_time_is_bit_identical(kernel in arb_kernel(), sm_count in arb_sm_count()) {
-        let cfg = DeviceConfig { sm_count, ..DeviceConfig::default() };
-        let reference = Device::new(cfg).unwrap().execute(&kernel).time;
-        prop_assert_eq!(kernel_time(&kernel, &cfg).to_bits(), reference.to_bits());
-    }
 }

@@ -2,8 +2,7 @@
 //! each task on the edge platform versus the Table 1 ideals.
 
 use crate::task::TaskKind;
-use holoar_gpusim::hologram_kernels::{run_job, HologramJob};
-use holoar_gpusim::Device;
+use holoar_gpusim::{Device, HologramJob};
 use holoar_sensors::{eyetrack, pose, scene_reconstruct};
 
 /// One row of the Fig 2 comparison.
@@ -29,7 +28,7 @@ impl TaskCharacterization {
     }
 }
 
-/// Characterizes all four tasks, running the hologram (16 planes, 5 GSW
+/// Characterizes all four tasks, pricing the hologram (16 planes, 5 GSW
 /// iterations) on the device and taking the sensing stages' published
 /// measured latencies from their substitute models.
 ///
@@ -40,11 +39,11 @@ impl TaskCharacterization {
 /// use holoar_pipeline::characterize::characterize;
 /// use holoar_pipeline::task::TaskKind;
 ///
-/// let rows = characterize(&mut Device::xavier());
+/// let rows = characterize(&Device::xavier());
 /// let hologram = rows.iter().find(|r| r.kind == TaskKind::Hologram).unwrap();
 /// assert!(hologram.gap() > 8.0, "the paper's 10x motivating gap");
 /// ```
-pub fn characterize(device: &mut Device) -> Vec<TaskCharacterization> {
+pub fn characterize(device: &Device) -> Vec<TaskCharacterization> {
     TaskKind::ALL
         .iter()
         .map(|&kind| {
@@ -52,7 +51,7 @@ pub fn characterize(device: &mut Device) -> Vec<TaskCharacterization> {
                 TaskKind::PoseEstimate => pose::spec::LATENCY,
                 TaskKind::EyeTrack => eyetrack::spec::LATENCY,
                 TaskKind::SceneReconstruct => scene_reconstruct::spec::LATENCY,
-                TaskKind::Hologram => run_job(device, &HologramJob::full(16)).latency,
+                TaskKind::Hologram => device.pricer().latency(&HologramJob::full(16)),
             };
             TaskCharacterization { kind, ideal: kind.ideal_latency(), measured }
         })
@@ -64,7 +63,7 @@ mod tests {
     use super::*;
 
     fn rows() -> Vec<TaskCharacterization> {
-        characterize(&mut Device::xavier())
+        characterize(&Device::xavier())
     }
 
     #[test]

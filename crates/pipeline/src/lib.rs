@@ -2,7 +2,8 @@
 //!
 //! Covers the paper's pipeline-level analysis: Table 1's task deadlines
 //! ([`task`]), the Fig 2 measured-versus-ideal characterization
-//! ([`mod@characterize`]) and a battery-life model ([`battery`]).
+//! ([`mod@characterize`], pricing the hologram with the device's job pricer)
+//! and a battery-life model ([`battery`]).
 //!
 //! Frames run under exactly two models, over the same cadence-applied
 //! per-frame latencies: the lockstep loop ([`schedule`], the paper's serial
@@ -16,7 +17,7 @@
 //! use holoar_gpusim::Device;
 //! use holoar_pipeline::{characterize::characterize, task::TaskKind};
 //!
-//! let rows = characterize(&mut Device::xavier());
+//! let rows = characterize(&Device::xavier());
 //! let bottleneck = rows
 //!     .iter()
 //!     .max_by(|a, b| a.gap().total_cmp(&b.gap()))

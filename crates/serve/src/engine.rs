@@ -24,7 +24,6 @@ use holoar_core::{
     ExecutionContext, GazeInput, HoloArConfig, Planner, PoseInput, Scheme, SensorSample,
 };
 use holoar_faults::FrameFaults;
-use holoar_gpusim::hologram_kernels::batch_block_shares;
 use holoar_gpusim::{calibration, DeviceSpec, HologramJob, JobPricer, OccupancyMemo};
 use holoar_pipeline::executor::{run_staged, StagedConfig};
 use holoar_pipeline::schedule::FrameLatencies;
@@ -248,9 +247,6 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
     let mut ticks: Vec<TickSession> = Vec::with_capacity(admitted);
     let mut deferred = vec![false; admitted];
     let mut jobs: Vec<HologramJob> = Vec::with_capacity(admitted);
-    let mut focus: Vec<f64> = Vec::with_capacity(admitted);
-    let mut levels: Vec<usize> = Vec::with_capacity(admitted);
-    let mut eligible: Vec<bool> = Vec::with_capacity(admitted);
     let mut batched_time_total = 0.0;
     let mut sequential_time_total = 0.0;
     let mut occupancy_sum = 0.0;
@@ -316,7 +312,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
 
         // Phase 3: batched execution on the shared device, against the
         // launches the per-plane sequential schedule would have used.
-        let shares = batch_block_shares(&jobs);
+        let batch_blocks: u64 = jobs.iter().map(HologramJob::blocks).sum();
         let unbatched_launches: u64 = jobs
             .iter()
             .map(|j| 2 * u64::from(j.gsw_iterations) * u64::from(j.plane_count))
@@ -359,9 +355,16 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
             // observes only this session's attributed cost, so one tenant's
             // bad tick cannot stampede every ladder at once.
             let slowdown = 1.0 / (t.faults.clock_scale * t.faults.dram_scale);
-            let own = shares[i] * batch_latency;
+            // The session's share of the merged launch: its blocks against
+            // the batch's.
+            let share = if batch_blocks == 0 {
+                0.0
+            } else {
+                jobs[i].blocks() as f64 / batch_blocks as f64
+            };
+            let own = share * batch_latency;
             let (completion, observed) = if fresh {
-                let stretch = (slowdown - 1.0) * shares[i] * batch_latency;
+                let stretch = (slowdown - 1.0) * share * batch_latency;
                 let overrun = t.faults.stage_overrun;
                 (batch_latency + stretch + overrun, own * slowdown + overrun)
             } else {
@@ -439,18 +442,16 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
             config.frame_budget(),
             &mut states,
             |s| &mut s.ctl,
-            |states| {
-                focus.clear();
-                focus.extend(states.iter().map(|s| s.focus));
-                eligible.clear();
-                eligible.extend((0..admitted).map(|i| {
-                    !deferred[i]
-                        && !ticks[i].reprojecting
-                        && states[i].ctl.level() != DegradationLevel::LastGood
-                }));
-                levels.clear();
-                levels.extend(states.iter().map(|s| s.ctl.level().index()));
-                qos::pick_victim(&focus, &levels, &eligible)
+            |i, s| {
+                !deferred[i]
+                    && !ticks[i].reprojecting
+                    && s.ctl.level() != DegradationLevel::LastGood
+            },
+            |a, b| {
+                qos::sheds_first(
+                    (a.focus, a.ctl.level().index()),
+                    (b.focus, b.ctl.level().index()),
+                )
             },
             "qos-batch-overrun",
         );

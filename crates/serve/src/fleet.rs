@@ -652,17 +652,12 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetReport, String> {
                 devices[d].spec.budget(),
                 sessions.values_mut().filter(|s| s.device == d),
                 |s| &mut s.ctl,
-                |tenants| {
-                    tenants
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| {
-                            !s.reprojecting && s.ctl.level() != DegradationLevel::LastGood
-                        })
-                        .max_by(|(_, a), (_, b)| {
-                            a.effective.total_cmp(&b.effective).then(b.spec.id.cmp(&a.spec.id))
-                        })
-                        .map(|(i, _)| i)
+                |_, s| !s.reprojecting && s.ctl.level() != DegradationLevel::LastGood,
+                |a, b| {
+                    a.effective
+                        .total_cmp(&b.effective)
+                        .then(b.spec.id.cmp(&a.spec.id))
+                        .is_gt()
                 },
                 "fleet-batch-overrun",
             );

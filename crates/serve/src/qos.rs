@@ -6,7 +6,7 @@
 //! only holds. One victim per tick guarantees a device never degrades in
 //! lockstep: the overload is shed incrementally. Which session is the
 //! victim is the loop's own policy — single-device serving sheds the
-//! least-focused session ([`pick_victim`]), on the paper's premise that
+//! least-focused session (`sheds_first`), on the paper's premise that
 //! quality loss in the periphery is least perceptible, so sessions the user
 //! is actually looking at are the last to lose quality.
 
@@ -19,62 +19,56 @@ use holoar_core::DegradationController;
 pub const HOLD_MARGIN: f64 = 0.85;
 
 /// Answers one device's tick `latency` against its `budget`. Past the
-/// budget, the tenant `pick_victim` names (an index into the collected
-/// `tenants`) steps down with `signal` and every other tenant holds its
-/// level: stepping up against a saturated device would outpace the
-/// one-victim-per-tick shedding. Inside `HOLD_MARGIN × budget` every tenant
-/// holds, so the device settles just under the deadline instead of
-/// oscillating across it. Cooler ticks leave the tenants alone. Returns
-/// the stepped-down victim's index.
+/// budget, one victim steps down with `signal` and every other tenant holds
+/// its level: stepping up against a saturated device would outpace the
+/// one-victim-per-tick shedding. The victim is the first `eligible` tenant
+/// (given its index and itself) that no other eligible tenant comes
+/// `before` (`before(a, b)`: `a` sheds ahead of `b`). Inside
+/// `HOLD_MARGIN × budget` every tenant holds, so the device settles just
+/// under the deadline instead of oscillating across it. Cooler ticks leave
+/// the tenants alone. Returns the stepped-down victim's index.
+///
+/// One pass, allocating nothing: the best candidate so far waits aside and
+/// holds once a better one displaces it.
 pub(crate) fn respond<'a, T: 'a>(
     latency: f64,
     budget: f64,
     tenants: impl IntoIterator<Item = &'a mut T>,
     ctl: impl Fn(&mut T) -> &mut DegradationController,
-    pick_victim: impl FnOnce(&[&'a mut T]) -> Option<usize>,
+    eligible: impl Fn(usize, &T) -> bool,
+    before: impl Fn(&T, &T) -> bool,
     signal: &'static str,
 ) -> Option<usize> {
     if latency <= HOLD_MARGIN * budget {
         return None;
     }
-    let mut tenants: Vec<&mut T> = tenants.into_iter().collect();
-    let victim = if latency > budget { pick_victim(&tenants) } else { None };
-    for (i, tenant) in tenants.iter_mut().enumerate() {
-        if victim == Some(i) {
-            ctl(tenant).request_step_down_with(signal);
-        } else {
+    let overrun = latency > budget;
+    let mut victim: Option<(usize, &mut T)> = None;
+    for (i, tenant) in tenants.into_iter().enumerate() {
+        let candidate = overrun
+            && eligible(i, tenant)
+            && victim.as_ref().is_none_or(|(_, best)| before(tenant, best));
+        if !candidate {
             ctl(tenant).hold_level();
+        } else if let Some((_, displaced)) = victim.replace((i, tenant)) {
+            ctl(displaced).hold_level();
         }
     }
-    victim
+    let (index, tenant) = victim?;
+    ctl(tenant).request_step_down_with(signal);
+    Some(index)
 }
 
-/// Picks the QoS victim for an overloaded tick: the eligible session with
-/// the lowest focus score. Ties break toward the session already at the
-/// deepest degradation level — compounding the shedding where quality was
+/// Single-device serving's victim order: whether a session with focus
+/// score `a.0` at ladder level `a.1` sheds before one at `b`. The lower
+/// focus sheds first; equal focus sheds the session already at the deeper
+/// degradation level, since compounding the shedding where quality was
 /// already sacrificed converges in the fewest victims and leaves the most
-/// sessions pristine — then toward the lower index. Sessions already at the
-/// ladder floor (or deferred/reprojecting this tick) must be marked
-/// ineligible by the caller. Returns `None` when nobody is eligible.
-pub fn pick_victim(focus: &[f64], level: &[usize], eligible: &[bool]) -> Option<usize> {
-    assert_eq!(focus.len(), eligible.len(), "focus/eligible must align");
-    assert_eq!(focus.len(), level.len(), "focus/level must align");
-    let mut victim: Option<usize> = None;
-    for i in 0..focus.len() {
-        if !eligible[i] {
-            continue;
-        }
-        let better = match victim {
-            None => true,
-            Some(v) => {
-                (focus[i], std::cmp::Reverse(level[i])) < (focus[v], std::cmp::Reverse(level[v]))
-            }
-        };
-        if better {
-            victim = Some(i);
-        }
-    }
-    victim
+/// sessions pristine. Equal sessions keep their order, so the lower index
+/// wins. Sessions already at the ladder floor (or deferred/reprojecting this
+/// tick) are not eligible.
+pub(crate) fn sheds_first(a: (f64, usize), b: (f64, usize)) -> bool {
+    (a.0, std::cmp::Reverse(a.1)) < (b.0, std::cmp::Reverse(b.1))
 }
 
 #[cfg(test)]
@@ -86,11 +80,38 @@ mod tests {
         (0..n).map(|_| DegradationController::new(DegradationLadder::default()).unwrap()).collect()
     }
 
+    /// The victim serve's order picks among sessions of the given focus,
+    /// level and eligibility on an overrunning tick.
+    fn pick_victim(focus: &[f64], level: &[usize], eligible: &[bool]) -> Option<usize> {
+        let mut tenants: Vec<(f64, usize, bool, DegradationController)> = controllers(focus.len())
+            .into_iter()
+            .enumerate()
+            .map(|(i, ctl)| (focus[i], level[i], eligible[i], ctl))
+            .collect();
+        respond(
+            2.0,
+            1.0,
+            &mut tenants,
+            |t| &mut t.3,
+            |_, t| t.2,
+            |a, b| sheds_first((a.0, a.1), (b.0, b.1)),
+            "test-overrun",
+        )
+    }
+
     #[test]
     fn an_overrun_steps_down_exactly_the_picked_victim() {
         let mut ctls = controllers(3);
         let budget = 0.011;
-        let victim = respond(budget * 1.2, budget, &mut ctls, |c| c, |_| Some(1), "test-overrun");
+        let victim = respond(
+            budget * 1.2,
+            budget,
+            &mut ctls,
+            |c| c,
+            |i, _| i == 1,
+            |_, _| true,
+            "test-overrun",
+        );
         assert_eq!(victim, Some(1));
         let levels: Vec<DegradationLevel> = ctls.iter_mut().map(|c| c.decide(0)).collect();
         assert_eq!(levels[0], DegradationLevel::Full);
@@ -104,8 +125,15 @@ mod tests {
         let mut ctls = controllers(2);
         let budget = 0.011;
         for latency in [budget * 0.9, budget * 0.5] {
-            let victim =
-                respond(latency, budget, &mut ctls, |c| c, |_| unreachable!(), "test-overrun");
+            let victim = respond(
+                latency,
+                budget,
+                &mut ctls,
+                |c| c,
+                |_, _| unreachable!(),
+                |_, _| unreachable!(),
+                "test-overrun",
+            );
             assert_eq!(victim, None);
         }
         assert!(ctls.iter_mut().all(|c| c.decide(0) == DegradationLevel::Full));

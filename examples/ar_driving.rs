@@ -19,7 +19,7 @@ fn main() {
     let seed = 2026;
     println!("AR driving session: {frames} frames of highway traffic (bike-like statistics)\n");
 
-    let mut device = Device::xavier();
+    let device = Device::xavier();
     let battery = Battery::headset();
     let mut baseline_latency = None;
 
@@ -28,8 +28,7 @@ fn main() {
         "config", "fps", "power W", "energy mJ", "battery h", "speedup"
     );
     for scheme in Scheme::ALL {
-        let result =
-            evaluation::evaluate_video(&mut device, VideoCategory::Bike, scheme, frames, seed);
+        let result = evaluation::evaluate_video(&device, VideoCategory::Bike, scheme, frames, seed);
         let base = *baseline_latency.get_or_insert(result.mean_latency);
         println!(
             "{:<18} {:>8.2} {:>9.2} {:>10.0} {:>10.1} {:>8.2}x",
@@ -50,8 +49,7 @@ fn main() {
         "config", "fps", "power W", "energy mJ", "battery h", "speedup"
     );
     for scheme in Scheme::ALL {
-        let result =
-            evaluation::evaluate_video(&mut device, VideoCategory::Shoe, scheme, frames, seed);
+        let result = evaluation::evaluate_video(&device, VideoCategory::Shoe, scheme, frames, seed);
         let base = *baseline_latency.get_or_insert(result.mean_latency);
         println!(
             "{:<18} {:>8.2} {:>9.2} {:>10.0} {:>10.1} {:>8.2}x",

@@ -9,7 +9,7 @@ use holoar::gpusim::hologram_kernels::{self, HologramJob};
 use holoar::gpusim::{calibration, Activity, Device, Profiler};
 
 fn main() {
-    let mut device = Device::xavier();
+    let device = Device::xavier();
     println!(
         "device: {} SMs x {} cores @ {:.2} GHz (Jetson-AGX-Xavier-class)\n",
         device.config().sm_count,
@@ -30,7 +30,7 @@ fn main() {
     println!("{:<8} {:>12} {:>12} {:>12}", "planes", "forward ms", "backward ms", "total ms");
     for planes in [2u32, 4, 8, 16, 32] {
         let (fwd, bwd) = hologram_kernels::step_latencies(
-            &mut device,
+            &device,
             calibration::HOLOGRAM_PIXELS,
             planes,
         );
@@ -44,7 +44,7 @@ fn main() {
     }
     println!(
         "\n16 planes ≈ {:.0} ms — the paper's 341.7 ms anchor and its ~10x real-time gap.",
-        hologram_kernels::run_job(&mut device, &HologramJob::full(16)).latency * 1e3
+        device.pricer().latency(&HologramJob::full(16)) * 1e3
     );
 
     // --- Fig 8a: power rails vs planes --------------------------------------

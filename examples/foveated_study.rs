@@ -41,17 +41,12 @@ fn main() {
     // --- And the performance side of the same sweep ------------------------
     println!("\nalpha sweep, performance path (shoe video, 80 frames):");
     println!("{:<8} {:>12} {:>12} {:>14}", "alpha", "latency ms", "power W", "energy mJ");
-    let mut device = Device::xavier();
+    let device = Device::xavier();
     for &alpha in &alphas {
         let config = HoloArConfig::for_scheme(Scheme::InterIntraHolo).with_alpha(alpha);
         let mut planner = Planner::new(config).expect("valid configuration");
-        let result = evaluation::evaluate_with_planner(
-            &mut device,
-            &mut planner,
-            VideoCategory::Shoe,
-            80,
-            11,
-        );
+        let result =
+            evaluation::evaluate_with_planner(&device, &mut planner, VideoCategory::Shoe, 80, 11);
         println!(
             "{:<8.3} {:>12.1} {:>12.2} {:>14.0}",
             alpha,

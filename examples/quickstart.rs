@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use holoar::core::{quality, HoloArConfig};
-use holoar::gpusim::{hologram_kernels, Device, HologramJob};
+use holoar::gpusim::{Device, HologramJob};
 use holoar::metrics::ACCEPTABLE_PSNR_DB;
 use holoar::optics::{algorithm1, reconstruct, ExecutionContext, OpticalConfig, Propagator, VirtualObject};
 use holoar::sensors::angles::AngularPoint;
@@ -53,11 +53,11 @@ fn main() {
     }
 
     // --- 5. And what does it buy on the edge GPU? -------------------------
-    let mut device = Device::xavier();
+    let device = Device::xavier();
     println!("\nplane budget -> modeled edge-GPU cost (512², 5 GSW iterations):");
-    let baseline = hologram_kernels::run_job(&mut device, &HologramJob::full(16));
+    let baseline = device.pricer().cost(&HologramJob::full(16));
     for planes in [16u32, 8, 4] {
-        let job = hologram_kernels::run_job(&mut device, &HologramJob::full(planes));
+        let job = device.pricer().cost(&HologramJob::full(planes));
         println!(
             "  {planes:>2} planes: {:>6.1} ms, {:.2} W, {:.0} mJ ({:.2}x speedup)",
             job.latency * 1e3,

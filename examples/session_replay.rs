@@ -37,7 +37,7 @@ fn main() {
         ("eye tracker drops every 3rd frame", true, false),
         ("motion guard active", false, true),
     ] {
-        let mut device = Device::xavier();
+        let device = Device::xavier();
         let mut planner = Planner::new(config).expect("valid configuration");
         let mut guard = MotionGuard::new(30.0);
         let mut total = 0.0;
@@ -60,7 +60,7 @@ fn main() {
                     frame_psnr_count += 1;
                 }
             }
-            let perf = executor::execute_plan(&mut device, &plan);
+            let perf = executor::execute_plan(&device, &plan);
             total += perf.latency;
             energy += perf.energy;
             planes += perf.planes as u64;

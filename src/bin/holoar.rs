@@ -109,10 +109,10 @@ fn cmd_simulate(rest: &[String]) -> Result<(), String> {
     let frames = args.get_u64("frames", 100)?.max(1);
     let seed = args.get_u64("seed", 42)?;
 
-    let mut device = Device::xavier();
+    let device = Device::xavier();
     let baseline =
-        evaluation::evaluate_video(&mut device, video, Scheme::Baseline, frames, seed);
-    let result = evaluation::evaluate_video(&mut device, video, scheme, frames, seed);
+        evaluation::evaluate_video(&device, video, Scheme::Baseline, frames, seed);
+    let result = evaluation::evaluate_video(&device, video, scheme, frames, seed);
     let battery = Battery::headset();
 
     println!("video {} / scheme {} / {} frames (seed {seed})", video.name(), scheme, frames);
@@ -170,14 +170,14 @@ fn cmd_trace(rest: &[String]) -> Result<(), String> {
             let args = Args::parse(&rest[2..])?;
             let scheme = args.scheme()?;
             let trace = load_trace(path)?;
-            let mut device = Device::xavier();
+            let device = Device::xavier();
             let mut planner = Planner::new(HoloArConfig::for_scheme(scheme))
                 .map_err(|e| format!("bad configuration: {e}"))?;
             let mut latency = 0.0;
             let mut energy = 0.0;
             for tf in &trace.frames {
                 let plan = planner.plan_frame(&tf.frame, &tf.pose, tf.gaze, 0.0044);
-                let perf = executor::execute_plan(&mut device, &plan);
+                let perf = executor::execute_plan(&device, &plan);
                 latency += perf.latency;
                 energy += perf.energy;
             }
@@ -203,13 +203,14 @@ fn load_trace(path: &str) -> Result<SessionTrace, String> {
 fn cmd_profile(rest: &[String]) -> Result<(), String> {
     let args = Args::parse(rest)?;
     let planes = args.get_u64("planes", 16)?.clamp(1, 256) as u32;
-    let mut device = Device::xavier();
+    let device = Device::xavier();
     let mut profiler = Profiler::new();
-    let job = HologramJob::full(planes);
-    for stats in device.execute_all(&job_kernels(&job)) {
+    let mut latency = 0.0;
+    for stats in device.execute_all(&job_kernels(&HologramJob::full(planes))) {
+        latency += stats.time;
         profiler.record(&stats);
     }
     print!("{}", profiler.report());
-    println!("total hologram latency: {:.1} ms ({planes} planes, 5 GSW iterations)", device.busy_time() * 1e3);
+    println!("total hologram latency: {:.1} ms ({planes} planes, 5 GSW iterations)", latency * 1e3);
     Ok(())
 }

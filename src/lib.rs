@@ -16,11 +16,11 @@
 //! use holoar::gpusim::Device;
 //! use holoar::sensors::objectron::VideoCategory;
 //!
-//! let mut device = Device::xavier();
+//! let device = Device::xavier();
 //! let baseline = evaluation::evaluate_video(
-//!     &mut device, VideoCategory::Cup, Scheme::Baseline, 20, 42);
+//!     &device, VideoCategory::Cup, Scheme::Baseline, 20, 42);
 //! let holoar = evaluation::evaluate_video(
-//!     &mut device, VideoCategory::Cup, Scheme::InterIntraHolo, 20, 42);
+//!     &device, VideoCategory::Cup, Scheme::InterIntraHolo, 20, 42);
 //! assert!(holoar.mean_energy < 0.6 * baseline.mean_energy);
 //! assert!(holoar.mean_latency < baseline.mean_latency);
 //! ```

@@ -73,8 +73,8 @@ proptest! {
         let scheme = Scheme::ALL[scheme_idx];
         let mut planner = Planner::new(HoloArConfig::for_scheme(scheme)).unwrap();
         let plan = planner.plan_frame(&frame, &pose(), AngularPoint::CENTER, 0.0044);
-        let mut device = Device::xavier();
-        let perf = executor::execute_plan(&mut device, &plan);
+        let device = Device::xavier();
+        let perf = executor::execute_plan(&device, &plan);
         prop_assert!(perf.latency > 0.0 && perf.latency.is_finite());
         prop_assert!(perf.energy > 0.0 && perf.energy.is_finite());
         prop_assert!((perf.energy - perf.avg_power * perf.latency).abs() < 1e-9 * perf.energy.max(1.0));
@@ -84,11 +84,11 @@ proptest! {
     /// More planes never cost less on the device (latency monotonicity).
     #[test]
     fn device_latency_is_monotone_in_planes(a in 1u32..24, b in 1u32..24) {
-        use holoar::gpusim::{hologram_kernels, HologramJob};
+        use holoar::gpusim::HologramJob;
         let (lo, hi) = (a.min(b), a.max(b));
-        let mut device = Device::xavier();
-        let t_lo = hologram_kernels::run_job(&mut device, &HologramJob::full(lo)).latency;
-        let t_hi = hologram_kernels::run_job(&mut device, &HologramJob::full(hi)).latency;
+        let device = Device::xavier();
+        let t_lo = device.pricer().latency(&HologramJob::full(lo));
+        let t_hi = device.pricer().latency(&HologramJob::full(hi));
         prop_assert!(t_hi >= t_lo);
     }
 

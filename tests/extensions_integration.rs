@@ -16,14 +16,14 @@ fn timeline_makespan_is_consistent_with_closed_form_scale() {
     // percent (the timeline has no drain tails between fused waves).
     let cfg = DeviceConfig::default();
     let timeline = simulate(&plane_stream_ops(512 * 512, 16), &cfg);
-    let mut device = Device::xavier();
+    let device = Device::xavier();
     let closed_form: f64 = holoar::gpusim::hologram_kernels::step_latencies(
-        &mut device,
+        &device,
         512 * 512,
         16,
     )
     .0 / 5.0 // one sweep's forward half (step_latencies runs 5 GSW iterations)
-        + holoar::gpusim::hologram_kernels::step_latencies(&mut device, 512 * 512, 16).1 / 5.0;
+        + holoar::gpusim::hologram_kernels::step_latencies(&device, 512 * 512, 16).1 / 5.0;
     let ratio = timeline.makespan / closed_form;
     assert!(
         (0.5..1.5).contains(&ratio),
@@ -61,13 +61,13 @@ fn composed_view_dims_with_approximation_but_never_disappears() {
 fn trace_replay_is_bit_identical_across_runs() {
     let trace = SessionTrace::record(VideoCategory::Laptop, 30, 99);
     let run = |trace: &SessionTrace| {
-        let mut device = Device::xavier();
+        let device = Device::xavier();
         let mut planner =
             Planner::new(HoloArConfig::for_scheme(Scheme::InterIntraHolo)).unwrap();
         let mut total = 0.0;
         for tf in &trace.frames {
             let plan = planner.plan_frame(&tf.frame, &tf.pose, tf.gaze, 0.0044);
-            total += holoar::core::executor::execute_plan(&mut device, &plan).latency;
+            total += holoar::core::executor::execute_plan(&device, &plan).latency;
         }
         total
     };

@@ -7,7 +7,7 @@ use holoar::gpusim::Device;
 use holoar::sensors::objectron::VideoCategory;
 
 fn matrix() -> evaluation::EvaluationMatrix {
-    evaluation::evaluate_matrix(&mut Device::xavier(), 120, 42)
+    evaluation::evaluate_matrix(&Device::xavier(), 120, 42)
 }
 
 #[test]

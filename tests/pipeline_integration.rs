@@ -9,7 +9,7 @@ use holoar::sensors::objectron::VideoCategory;
 
 #[test]
 fn hologram_is_the_pipeline_bottleneck() {
-    let rows = characterize(&mut Device::xavier());
+    let rows = characterize(&Device::xavier());
     let worst = rows.iter().max_by(|a, b| a.gap().total_cmp(&b.gap())).unwrap();
     assert_eq!(worst.kind, TaskKind::Hologram);
     assert!(worst.gap() > 9.0, "gap {:.1}", worst.gap());
@@ -30,8 +30,8 @@ fn hologram_is_the_pipeline_bottleneck() {
 fn holoar_roughly_triples_pipeline_fps() {
     // Feed per-frame hologram latencies from the evaluation into the frame
     // loop and compare achieved fps.
-    let mut device = Device::xavier();
-    let fps_for = |scheme: Scheme, device: &mut Device| {
+    let device = Device::xavier();
+    let fps_for = |scheme: Scheme, device: &Device| {
         let result =
             evaluation::evaluate_video(device, VideoCategory::Shoe, scheme, 60, 11);
         let report = run_loop(60, |_| FrameLatencies {
@@ -46,8 +46,8 @@ fn holoar_roughly_triples_pipeline_fps() {
         });
         report.fps
     };
-    let base_fps = fps_for(Scheme::Baseline, &mut device);
-    let holoar_fps = fps_for(Scheme::InterIntraHolo, &mut device);
+    let base_fps = fps_for(Scheme::Baseline, &device);
+    let holoar_fps = fps_for(Scheme::InterIntraHolo, &device);
     assert!(base_fps < 3.0, "baseline fps {base_fps:.2} should be far from real-time");
     assert!(
         holoar_fps / base_fps > 2.0,
@@ -57,11 +57,11 @@ fn holoar_roughly_triples_pipeline_fps() {
 
 #[test]
 fn battery_life_extends_with_energy_savings() {
-    let mut device = Device::xavier();
+    let device = Device::xavier();
     let base =
-        evaluation::evaluate_video(&mut device, VideoCategory::Cup, Scheme::Baseline, 60, 3);
+        evaluation::evaluate_video(&device, VideoCategory::Cup, Scheme::Baseline, 60, 3);
     let holoar = evaluation::evaluate_video(
-        &mut device,
+        &device,
         VideoCategory::Cup,
         Scheme::InterIntraHolo,
         60,
