@@ -1552,8 +1552,8 @@ fn slo(cfg: &ExperimentConfig, sessions: u32, report: &holoar_serve::ServeReport
     }
     out.push_str(&t.render());
 
-    // Fleet-wide critical-path attribution: per-stage self time summed over
-    // every session's synthesized span trees.
+    // Fleet-wide critical-path attribution: per-stage time summed over
+    // every session's stage rows.
     let mut totals: std::collections::BTreeMap<&str, f64> = std::collections::BTreeMap::new();
     for s in &report.sessions {
         for row in &s.slo.stages {

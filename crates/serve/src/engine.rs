@@ -402,10 +402,10 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
             }
             // holoar-lint: allow(hot-loop-alloc, reason = "SessionState::new pre-sizes latencies to the run's frames, and each tick pushes one")
             state.latencies.push(completion);
-            // SLO bookkeeping and the synthesized profile span tree. The
-            // stage decomposition partitions `completion` exactly: own batch
-            // share + co-tenant queue wait + fault stretch + injected
-            // overrun for fresh frames, reprojection otherwise.
+            // SLO bookkeeping and stage attribution. The stage
+            // decomposition partitions `completion` exactly: own batch share
+            // + co-tenant queue wait + fault stretch + injected overrun for
+            // fresh frames, reprojection otherwise.
             state.slo.observe(tick, hit, completion);
             let mut stages = [(STAGE_REPROJECT, ladder.reproject_latency); 4];
             let mut len = 1;
@@ -423,13 +423,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
                     }
                 }
             }
-            slo::record_frame_spans(
-                &mut state.profile,
-                state.spec.id,
-                tick,
-                config.frame_budget(),
-                &stages[..len],
-            );
+            state.slo.attribute(tick, &stages[..len]);
             scheduler.feedback(i, hit);
         }
         // holoar-lint: allow(hot-loop-alloc, reason = "SlidingWindow::new pre-sizes its ring to the capacity and a full push overwrites the oldest sample, so it never grows")
@@ -542,13 +536,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
             queue_drops: state.queue_drops,
             pipeline_fps: pipeline.throughput_fps,
             pipeline_stale: pipeline.stale_frames,
-            slo: slo::session_slo(
-                &state.slo,
-                &state.profile,
-                state.ctl.transitions(),
-                &state.level_window,
-                config.frame_budget(),
-            ),
+            slo: slo::session_slo(&state.slo, state.ctl.transitions(), &state.level_window),
         });
     }
 
@@ -568,11 +556,7 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         slow_burn_events +=
             state.slo.burn_events().iter().filter(|e| e.window == "slow").count() as u64;
     }
-    let error_budget_remaining = if slo_frames == 0 {
-        1.0
-    } else {
-        1.0 - slo_misses as f64 / ((1.0 - slo::TARGET) * slo_frames as f64)
-    };
+    let error_budget_remaining = slo::budget_remaining(slo_misses, slo_frames);
     let fleet_slo = FleetSlo {
         target: slo::TARGET,
         sketch_alpha: slo::SKETCH_ALPHA,

@@ -21,8 +21,8 @@
 //!   real optics path and compared against the single-session baseline.
 //! - [`slo`] — per-session SLO tracking: mergeable latency quantile
 //!   sketches, error-budget accounting with multi-window burn-rate alerts,
-//!   and synthesized per-frame span trees whose critical path names the
-//!   stage behind every missed deadline.
+//!   and per-stage frame-time attribution that names the stage behind the
+//!   slowest frame.
 //! - [`fleet`] — multiplexes a churning session population across **K**
 //!   devices: least-loaded + locality-aware [`placement`], periodic
 //!   admission re-probing, and live session [`migration`] when a device
@@ -76,9 +76,7 @@ pub use quality::{QualitySampler, PSNR_CAP};
 pub use report::{percentile, ServeReport, SessionReport};
 pub use scheduler::FrameScheduler;
 pub use session::SessionSpec;
-pub use slo::{
-    record_frame_spans, BurnEvent, FleetSlo, SessionSlo, SloTracker, StageBreakdown,
-};
+pub use slo::{BurnEvent, FleetSlo, SessionSlo, SloTracker, StageBreakdown};
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,7 @@ use holoar_core::degrade::{DegradationController, DegradationLadder};
 use holoar_faults::{scenario, FaultInjector};
 use holoar_pipeline::queue::BoundedQueue;
 use holoar_sensors::objectron::{FrameGenerator, VideoCategory};
-use holoar_telemetry::{SlidingWindow, SpanRecord};
+use holoar_telemetry::SlidingWindow;
 
 use crate::engine::SESSION_QUEUE;
 use crate::slo::{self, SloTracker};
@@ -68,10 +68,9 @@ pub(crate) struct SessionState {
     /// Backlog entries displaced by drop-oldest overflow — stale ticks the
     /// session will never catch up on.
     pub queue_drops: u64,
-    /// SLO bookkeeping: latency sketch, error budget, burn alerts.
+    /// SLO bookkeeping: latency sketch, error budget, burn alerts, stage
+    /// attribution.
     pub slo: SloTracker,
-    /// Synthesized per-frame span trees for critical-path attribution.
-    pub profile: Vec<SpanRecord>,
     /// Degradation-level index over the most recent window of ticks (the
     /// per-session quality time-series).
     pub level_window: SlidingWindow,
@@ -94,7 +93,6 @@ impl SessionState {
             backlog: BoundedQueue::new(SESSION_QUEUE),
             queue_drops: 0,
             slo: SloTracker::new(),
-            profile: Vec::with_capacity(frames as usize * 3),
             level_window: SlidingWindow::new(slo::FAST_WINDOW),
         })
     }

@@ -1,6 +1,6 @@
 //! Per-session SLO tracking: latency quantile sketches, error-budget
-//! accounting, multi-window burn-rate alerts, and per-frame critical-path
-//! profiles.
+//! accounting, multi-window burn-rate alerts, and per-stage frame-time
+//! attribution.
 //!
 //! The serving layer's promise is an availability-style SLO — "X% of
 //! frames meet the 90 Hz budget". This module does the bookkeeping the SRE
@@ -17,17 +17,16 @@
 //!   fast/slow-burn paging rules;
 //! - a [`QuantileSketch`] of completion latencies, so per-session p50/p99/
 //!   p99.9 are exact-to-α and *mergeable* into fleet quantiles;
-//! - synthesized per-frame span trees ([`record_frame_spans`]) built from
-//!   the simulated stage timings, so a missed deadline names the stage on
-//!   its critical path (own batch share, co-tenant queue wait, fault
+//! - stage attribution ([`SloTracker::attribute`]): each frame's simulated
+//!   stage times are summed per stage in whole nanoseconds, and the slowest
+//!   frame keeps its longest stage, so a missed deadline names the stage
+//!   that dominated it (own batch share, co-tenant queue wait, fault
 //!   stretch, injected overrun, or reprojection).
 
-use std::borrow::Cow;
-
 use holoar_core::degrade::Transition;
-use holoar_telemetry::{QuantileSketch, SlidingWindow, SpanRecord, SpanTreeAnalysis};
+use holoar_telemetry::{QuantileSketch, SlidingWindow};
 
-/// Synthesized span-tree names: the per-frame root.
+/// The head of every worst-frame path: the frame as a whole.
 pub const PROFILE_FRAME: &str = "profile.frame";
 /// Stage: this session's own share of the merged batch.
 pub const STAGE_BATCH: &str = "profile.stage.batch";
@@ -70,7 +69,8 @@ pub struct BurnEvent {
 }
 
 /// Per-session SLO bookkeeping, advanced once per tick via
-/// [`observe`](SloTracker::observe).
+/// [`observe`](SloTracker::observe) and
+/// [`attribute`](SloTracker::attribute).
 #[derive(Debug, Clone)]
 pub struct SloTracker {
     fast: SlidingWindow,
@@ -81,6 +81,31 @@ pub struct SloTracker {
     events: Vec<BurnEvent>,
     fast_alerting: bool,
     slow_alerting: bool,
+    /// Whole-ns time attributed to each stage, in first-seen order.
+    stage_ns: Vec<(&'static str, u64)>,
+    /// The slowest attributed frame so far.
+    worst: Option<WorstFrame>,
+}
+
+/// The slowest frame a [`SloTracker`] has attributed.
+#[derive(Debug, Clone, Copy)]
+struct WorstFrame {
+    tick: u64,
+    /// Sum of the frame's per-stage whole nanoseconds.
+    total_ns: u64,
+    /// The frame's longest stage and its whole nanoseconds; `None` for a
+    /// frame with no stage.
+    longest: Option<(&'static str, u64)>,
+}
+
+/// Unspent fraction of the error budget after `misses` deadline misses in
+/// `frames` frames: `1 − misses / ((1 − target) × frames)`. `1.0` before
+/// any frame; negative once overdrawn.
+pub(crate) fn budget_remaining(misses: u64, frames: u64) -> f64 {
+    if frames == 0 {
+        return 1.0;
+    }
+    1.0 - misses as f64 / ((1.0 - TARGET) * frames as f64)
 }
 
 impl Default for SloTracker {
@@ -101,6 +126,9 @@ impl SloTracker {
             events: Vec::new(),
             fast_alerting: false,
             slow_alerting: false,
+            // One slot per `STAGE_*` name, so attribution never grows it.
+            stage_ns: Vec::with_capacity(5),
+            worst: None,
         }
     }
 
@@ -132,13 +160,11 @@ impl SloTracker {
             if burn_rate > threshold {
                 if !*alerting {
                     *alerting = true;
-                    let budget_remaining = 1.0
-                        - self.misses as f64 / (budgeted_miss * self.frames as f64);
                     self.events.push(BurnEvent {
                         frame,
                         window: name,
                         burn_rate,
-                        budget_remaining,
+                        budget_remaining: budget_remaining(self.misses, self.frames),
                     });
                     if name == "fast" {
                         holoar_telemetry::counter_add("slo.burn.fast", 1);
@@ -149,6 +175,29 @@ impl SloTracker {
             } else {
                 *alerting = false;
             }
+        }
+    }
+
+    /// Attributes one frame's time to its `(stage, seconds)` components,
+    /// each rounded to whole nanoseconds. The frame's total is the sum of
+    /// its rounded stages; the slowest frame (the earlier tick on a tie)
+    /// keeps its longest stage (the earlier stage on a tie).
+    pub fn attribute(&mut self, tick: u64, stages: &[(&'static str, f64)]) {
+        let mut total_ns = 0;
+        let mut longest: Option<(&'static str, u64)> = None;
+        for &(stage, seconds) in stages {
+            let ns = whole_ns(seconds);
+            total_ns += ns;
+            if longest.is_none_or(|(_, max)| ns > max) {
+                longest = Some((stage, ns));
+            }
+            match self.stage_ns.iter_mut().find(|(name, _)| *name == stage) {
+                Some((_, sum)) => *sum += ns,
+                None => self.stage_ns.push((stage, ns)),
+            }
+        }
+        if self.worst.is_none_or(|w| total_ns > w.total_ns) {
+            self.worst = Some(WorstFrame { tick, total_ns, longest });
         }
     }
 
@@ -165,10 +214,7 @@ impl SloTracker {
     /// Unspent fraction of the error budget: `1 − misses / ((1 − target) ×
     /// frames)`. `1.0` before any frame; negative once overdrawn.
     pub fn error_budget_remaining(&self) -> f64 {
-        if self.frames == 0 {
-            return 1.0;
-        }
-        1.0 - self.misses as f64 / ((1.0 - TARGET) * self.frames as f64)
+        budget_remaining(self.misses, self.frames)
     }
 
     /// Every burn-rate alert recorded, in frame order.
@@ -209,8 +255,8 @@ pub struct SessionSlo {
     pub worst_frame: u64,
     /// The slowest frame's duration, seconds.
     pub worst_frame_latency: f64,
-    /// The slowest frame's critical path: `(stage, seconds)` hops from the
-    /// frame root down the dominating children.
+    /// The slowest frame's path: [`PROFILE_FRAME`] with the frame's total,
+    /// then its longest stage, as `(name, seconds)` hops.
     pub worst_frame_path: Vec<(String, f64)>,
 }
 
@@ -254,73 +300,29 @@ pub struct FleetSlo {
     pub recent_occupancy: f64,
 }
 
-/// Nanoseconds for a span duration in seconds (non-negative, rounded).
-fn span_ns(seconds: f64) -> u64 {
+/// Whole nanoseconds for a stage duration in seconds (non-negative,
+/// rounded).
+fn whole_ns(seconds: f64) -> u64 {
     (seconds.max(0.0) * 1e9).round() as u64
 }
 
-/// Appends the synthesized span tree for one frame: a `profile.frame` root
-/// whose children are the `(stage, seconds)` components, laid out
-/// back-to-back from `tick × budget` so the trace timeline matches the
-/// simulated schedule. The root's duration is the exact sum of its
-/// children, keeping self-times an exact partition. Ids are derived from
-/// the tick, so each session's profile is self-consistent and replayable.
-pub fn record_frame_spans(
-    profile: &mut Vec<SpanRecord>,
-    session: u32,
-    tick: u64,
-    frame_budget: f64,
-    stages: &[(&'static str, f64)],
-) {
-    let start = tick.saturating_mul(span_ns(frame_budget));
-    // Up to 8 spans per tick keeps ids unique and monotone per session.
-    let base_id = (tick.saturating_mul(8) + 1).min(u64::from(u32::MAX)) as u32;
-    let total = stages.iter().map(|&(_, seconds)| span_ns(seconds)).sum();
-    profile.push(SpanRecord {
-        name: Cow::Borrowed(PROFILE_FRAME),
-        cat: "profile",
-        tid: session,
-        id: base_id,
-        parent: None,
-        start_ns: start,
-        dur_ns: total,
-    });
-    let mut cursor = start;
-    for (offset, &(stage, seconds)) in stages.iter().enumerate() {
-        let dur = span_ns(seconds);
-        profile.push(SpanRecord {
-            name: Cow::Borrowed(stage),
-            cat: "profile",
-            tid: session,
-            id: base_id + 1 + offset as u32,
-            parent: Some(base_id),
-            start_ns: cursor,
-            dur_ns: dur,
-        });
-        cursor += dur;
-    }
-}
-
-/// Builds the [`SessionSlo`] summary from a session's tracker, synthesized
-/// profile spans, and recorded controller transitions.
+/// Builds the [`SessionSlo`] summary from a session's tracker and recorded
+/// controller transitions.
 pub(crate) fn session_slo(
     tracker: &SloTracker,
-    profile: &[SpanRecord],
     transitions: &[Transition],
     level_window: &SlidingWindow,
-    frame_budget: f64,
 ) -> SessionSlo {
     let sketch = tracker.latency_sketch();
-    let tree = SpanTreeAnalysis::new(profile);
 
-    // Stage totals: every non-root span is a leaf stage.
-    let mut stages: Vec<StageBreakdown> = tree
-        .self_time_by_name()
+    // Stage rows, heaviest first, by name on ties.
+    let mut totals = tracker.stage_ns.clone();
+    totals.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    let mut stages: Vec<StageBreakdown> = totals
         .into_iter()
-        .filter(|row| row.name != PROFILE_FRAME)
-        .map(|row| StageBreakdown {
-            stage: row.name,
-            total_s: row.self_ns as f64 / 1e9,
+        .map(|(stage, ns)| StageBreakdown {
+            stage: stage.to_string(),
+            total_s: ns as f64 / 1e9,
             share: 0.0,
         })
         .collect();
@@ -329,15 +331,13 @@ pub(crate) fn session_slo(
         s.share = if total > 0.0 { s.total_s / total } else { 0.0 };
     }
 
-    let worst = tree.worst_root(PROFILE_FRAME);
-    let budget_ns = span_ns(frame_budget).max(1);
-    let (worst_frame, worst_frame_latency, worst_frame_path) = match worst {
-        Some(root) => (
-            root.start_ns / budget_ns,
-            root.dur_ns as f64 / 1e9,
-            tree.critical_path(root.id)
-                .into_iter()
-                .map(|s| (s.name.to_string(), s.dur_ns as f64 / 1e9))
+    let (worst_frame, worst_frame_latency, worst_frame_path) = match tracker.worst {
+        Some(w) => (
+            w.tick,
+            w.total_ns as f64 / 1e9,
+            std::iter::once((PROFILE_FRAME, w.total_ns))
+                .chain(w.longest)
+                .map(|(name, ns)| (name.to_string(), ns as f64 / 1e9))
                 .collect(),
         ),
         None => (0, 0.0, Vec::new()),
@@ -432,47 +432,84 @@ mod tests {
         assert!(p999 > p50);
     }
 
+    /// The summary of a tracker that attributed each `(tick, stages)`
+    /// frame, in order.
+    fn attributed(frames: &[(u64, &[(&'static str, f64)])]) -> SessionSlo {
+        let mut t = tracker();
+        for &(tick, stages) in frames {
+            t.attribute(tick, stages);
+        }
+        session_slo(&t, &[], &SlidingWindow::new(8))
+    }
+
+    fn path(slo: &SessionSlo) -> Vec<(&str, f64)> {
+        slo.worst_frame_path.iter().map(|(name, s)| (name.as_str(), *s)).collect()
+    }
+
     #[test]
-    fn frame_spans_partition_and_name_the_critical_stage() {
-        let mut profile = Vec::new();
-        record_frame_spans(
-            &mut profile,
-            3,
-            7,
-            0.011,
-            &[(STAGE_BATCH, 0.004), (STAGE_QUEUE_WAIT, 0.006), (STAGE_OVERRUN, 0.002)],
+    fn a_tie_between_frame_totals_keeps_the_earlier_tick() {
+        let slo = attributed(&[
+            (3, &[(STAGE_BATCH, 0.004)]),
+            (4, &[(STAGE_BATCH, 0.001), (STAGE_QUEUE_WAIT, 0.003)]),
+            (5, &[(STAGE_QUEUE_WAIT, 0.002)]),
+        ]);
+        assert_eq!(slo.worst_frame, 3);
+        assert_eq!(slo.worst_frame_latency, 0.004);
+        assert_eq!(path(&slo), [(PROFILE_FRAME, 0.004), (STAGE_BATCH, 0.004)]);
+    }
+
+    #[test]
+    fn a_tie_between_stages_keeps_the_earlier_stage() {
+        let slo = attributed(&[
+            (0, &[(STAGE_BATCH, 0.001)]),
+            (1, &[(STAGE_BATCH, 0.002), (STAGE_QUEUE_WAIT, 0.003), (STAGE_OVERRUN, 0.003)]),
+        ]);
+        assert_eq!(slo.worst_frame, 1);
+        assert_eq!(path(&slo), [(PROFILE_FRAME, 0.008), (STAGE_QUEUE_WAIT, 0.003)]);
+        // Three rows tied at 3 ms each sort by name; shares split evenly.
+        let rows: Vec<(&str, f64)> =
+            slo.stages.iter().map(|r| (r.stage.as_str(), r.total_s)).collect();
+        assert_eq!(
+            rows,
+            [(STAGE_BATCH, 0.003), (STAGE_OVERRUN, 0.003), (STAGE_QUEUE_WAIT, 0.003)]
         );
-        assert_eq!(profile.len(), 4);
-        let tree = SpanTreeAnalysis::new(&profile);
-        let root = tree.worst_root(PROFILE_FRAME).unwrap();
-        assert_eq!(root.dur_ns, 12_000_000);
-        let path = tree.critical_path(root.id);
-        assert_eq!(path.last().unwrap().name, STAGE_QUEUE_WAIT);
-        // Self-times partition the root exactly.
-        let rows = tree.self_time_by_name();
-        let self_total: u64 = rows.iter().map(|r| r.self_ns).sum();
-        assert_eq!(self_total, root.dur_ns);
+        assert!(slo.stages.iter().all(|r| (r.share - 1.0 / 3.0).abs() < 1e-12));
+    }
+
+    #[test]
+    fn a_stage_that_rounds_to_zero_still_gets_a_row() {
+        let slo = attributed(&[(0, &[(STAGE_BATCH, 0.002), (STAGE_FAULT_STRETCH, 4e-10)])]);
+        let rows: Vec<(&str, f64, f64)> =
+            slo.stages.iter().map(|r| (r.stage.as_str(), r.total_s, r.share)).collect();
+        assert_eq!(rows, [(STAGE_BATCH, 0.002, 1.0), (STAGE_FAULT_STRETCH, 0.0, 0.0)]);
+        assert_eq!(slo.worst_frame_latency, 0.002);
+    }
+
+    #[test]
+    fn a_frame_with_no_stage_has_a_one_element_path() {
+        let slo = attributed(&[(2, &[]), (3, &[])]);
+        assert_eq!(slo.worst_frame, 2);
+        assert_eq!(slo.worst_frame_latency, 0.0);
+        assert_eq!(path(&slo), [(PROFILE_FRAME, 0.0)]);
+        assert!(slo.stages.is_empty());
+        // No frame at all: no worst frame and no path.
+        let empty = attributed(&[]);
+        assert_eq!((empty.worst_frame, empty.worst_frame_latency), (0, 0.0));
+        assert!(empty.worst_frame_path.is_empty());
     }
 
     #[test]
     fn session_slo_summarizes_stages_and_worst_frame() {
         let mut t = tracker();
-        let mut profile = Vec::new();
         let budget = 0.011;
         for tick in 0..20u64 {
             let batch = if tick == 13 { 0.018 } else { 0.006 };
             let hit = batch <= budget;
             t.observe(tick, hit, batch);
-            record_frame_spans(
-                &mut profile,
-                0,
-                tick,
-                budget,
-                &[(STAGE_BATCH, batch * 0.4), (STAGE_QUEUE_WAIT, batch * 0.6)],
-            );
+            t.attribute(tick, &[(STAGE_BATCH, batch * 0.4), (STAGE_QUEUE_WAIT, batch * 0.6)]);
         }
         let window = SlidingWindow::new(8);
-        let slo = session_slo(&t, &profile, &[], &window, budget);
+        let slo = session_slo(&t, &[], &window);
         assert_eq!(slo.worst_frame, 13);
         assert!((slo.worst_frame_latency - 0.018).abs() < 1e-9);
         assert_eq!(slo.worst_frame_path.first().unwrap().0, PROFILE_FRAME);

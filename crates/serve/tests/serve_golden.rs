@@ -29,3 +29,21 @@ fn ci_serve_shape_is_pinned_to_the_bit() {
     );
     assert_eq!(fnv1a(&format!("{report:?}")), 0x25db_67ce_1f4f_ea0a, "report digest drifted");
 }
+
+/// perfbench's `serve` shape: six sessions on a 4-SM edge device for 150
+/// ticks, past the device's knee. The run defers frames and steps sessions
+/// down through QoS, so every SLO stage (own batch share, queue wait, fault
+/// stretch, injected overrun and reprojection) reaches each session's
+/// `SessionSlo` stage breakdown and worst-frame path, and this digest pins
+/// them to the bit.
+#[test]
+fn overloaded_serve_shape_is_pinned_to_the_bit() {
+    let config =
+        ServeConfig::fleet(DeviceSpec::edge().sm_count(4), SessionSpec::fleet(6, 7), 150);
+    let report = run_serve(&config, &ExecutionContext::serial()).expect("fleet config is valid");
+    let deferred: u64 = report.sessions.iter().map(|s| s.deferred).sum();
+    let step_downs: u64 = report.sessions.iter().map(|s| s.qos_step_downs).sum();
+    assert!(deferred > 0, "the overloaded run must defer frames");
+    assert!(step_downs > 0, "the overloaded run must step sessions down");
+    assert_eq!(fnv1a(&format!("{report:?}")), 0x1c40_32db_3f07_5cdb, "report digest drifted");
+}

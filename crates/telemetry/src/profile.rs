@@ -1,17 +1,9 @@
-//! Span-tree aggregation: critical-path attribution and per-name self
-//! time.
+//! Span-tree aggregation: per-name self time.
 //!
-//! Works over any slice of [`SpanRecord`]s — the live collector snapshot or
-//! a synthesized per-frame tree (the serving layer builds one from simulated
-//! stage timings so the analysis stays deterministic). Two questions are
-//! answered:
-//!
-//! 1. **Critical path** — for a given root span, which chain of child spans
-//!    dominated its duration? A missed deadline then *names* the stage that
-//!    caused it instead of reporting a bare number.
-//! 2. **Self time** — per span name, how much duration is the span's own
-//!    (total minus children)? The heaviest stage is then visible without a
-//!    trace viewer.
+//! Works over any slice of [`SpanRecord`]s, such as a collector snapshot.
+//! Per span name, it answers how much duration is the span's own (total
+//! minus children), so the heaviest stage is visible without a trace
+//! viewer.
 
 use std::collections::BTreeMap;
 
@@ -44,23 +36,23 @@ pub struct StageAgg {
 ///     SpanRecord { name: Cow::Borrowed("heavy"), cat: "demo", tid: 0, id: 2,
 ///                  parent: Some(1), start_ns: 0, dur_ns: 80 },
 /// ];
-/// let tree = SpanTreeAnalysis::new(&spans);
-/// let path = tree.critical_path(1);
-/// assert_eq!(path.last().unwrap().name, "heavy");
+/// let rows = SpanTreeAnalysis::new(&spans).self_time_by_name();
+/// assert_eq!(rows[0].name, "heavy");
+/// assert_eq!(rows[0].self_ns, 80);
+/// assert_eq!((rows[1].name.as_str(), rows[1].self_ns), ("frame", 20));
 /// ```
 #[derive(Debug)]
 pub struct SpanTreeAnalysis<'a> {
     spans: &'a [SpanRecord],
     /// Span id → index in `spans`.
     by_id: BTreeMap<u32, usize>,
-    /// Parent id → child indices, sorted by (start, id) for determinism.
+    /// Parent id → child indices.
     children: BTreeMap<u32, Vec<usize>>,
 }
 
 impl<'a> SpanTreeAnalysis<'a> {
     /// Indexes `spans` for tree queries. Duplicate ids keep the first
-    /// occurrence; orphan parents (id not in the slice) make their spans
-    /// roots.
+    /// occurrence; a parent id outside the slice is ignored.
     pub fn new(spans: &'a [SpanRecord]) -> Self {
         let mut by_id = BTreeMap::new();
         let mut children: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
@@ -74,61 +66,7 @@ impl<'a> SpanTreeAnalysis<'a> {
                 }
             }
         }
-        for kids in children.values_mut() {
-            kids.sort_by_key(|&i| (spans[i].start_ns, spans[i].id));
-        }
         SpanTreeAnalysis { spans, by_id, children }
-    }
-
-    /// Indices of root spans (no parent, or a parent outside the slice),
-    /// in slice order.
-    pub fn roots(&self) -> Vec<&SpanRecord> {
-        self.spans
-            .iter()
-            .filter(|s| s.parent.is_none_or(|p| !self.by_id.contains_key(&p)))
-            .collect()
-    }
-
-    /// The longest-duration root span named `name` (ties broken toward the
-    /// smaller id for determinism).
-    pub fn worst_root(&self, name: &str) -> Option<&SpanRecord> {
-        self.roots()
-            .into_iter()
-            .filter(|s| s.name == name)
-            .max_by(|a, b| a.dur_ns.cmp(&b.dur_ns).then(b.id.cmp(&a.id)))
-    }
-
-    /// The critical path from the span with id `root_id`: the chain formed
-    /// by repeatedly descending into the longest-duration child (ties
-    /// toward the smaller id). Returns an empty vector for unknown ids.
-    pub fn critical_path(&self, root_id: u32) -> Vec<&SpanRecord> {
-        let mut path = Vec::new();
-        let mut current = match self.by_id.get(&root_id) {
-            Some(&i) => i,
-            None => return path,
-        };
-        loop {
-            let span = &self.spans[current];
-            path.push(span);
-            let next = self
-                .children
-                .get(&span.id)
-                .and_then(|kids| {
-                    kids.iter()
-                        .copied()
-                        .max_by(|&a, &b| {
-                            self.spans[a]
-                                .dur_ns
-                                .cmp(&self.spans[b].dur_ns)
-                                .then(self.spans[b].id.cmp(&self.spans[a].id))
-                        })
-                });
-            match next {
-                Some(i) => current = i,
-                None => break,
-            }
-        }
-        path
     }
 
     /// Self time of the span at `id`: duration minus the summed durations
@@ -197,15 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_descends_into_the_longest_child() {
-        let spans = demo_tree();
-        let tree = SpanTreeAnalysis::new(&spans);
-        let names: Vec<&str> =
-            tree.critical_path(1).iter().map(|s| s.name.as_ref()).collect();
-        assert_eq!(names, vec!["frame", "optics", "kernel"]);
-    }
-
-    #[test]
     fn self_time_subtracts_children_and_clamps() {
         let spans = demo_tree();
         let tree = SpanTreeAnalysis::new(&spans);
@@ -216,6 +145,11 @@ mod tests {
         let odd = vec![span(1, None, "p", 0, 10), span(2, Some(1), "c", 0, 25)];
         let tree = SpanTreeAnalysis::new(&odd);
         assert_eq!(tree.self_ns(1), 0);
+        // A parent outside the slice leaves the span's own time whole.
+        let orphan = vec![span(9, Some(77), "o", 0, 40)];
+        let tree = SpanTreeAnalysis::new(&orphan);
+        assert_eq!(tree.self_ns(9), 40);
+        assert_eq!(tree.self_ns(77), 0);
     }
 
     #[test]
@@ -227,16 +161,5 @@ mod tests {
         assert_eq!(rows[0].self_ns, 50);
         let total: u64 = rows.iter().map(|r| r.self_ns).sum();
         assert_eq!(total, 100); // self times partition the root duration
-    }
-
-    #[test]
-    fn roots_and_worst_root_handle_orphans() {
-        let mut spans = demo_tree();
-        spans.push(span(9, Some(77), "frame", 200, 300)); // orphan parent
-        let tree = SpanTreeAnalysis::new(&spans);
-        assert_eq!(tree.roots().len(), 2);
-        assert_eq!(tree.worst_root("frame").unwrap().id, 9);
-        assert!(tree.worst_root("absent").is_none());
-        assert!(tree.critical_path(12345).is_empty());
     }
 }
