@@ -6,7 +6,10 @@
 //! `fft_2d` feeds purely real fields, so it times the packed real-row
 //! forward. GSW sweeps mostly run complex forwards and inverses, which
 //! `fft_2d_complex` times at the two shapes the serving and hologram paths
-//! use.
+//! use, together with the two pruned transforms GSW and the quality
+//! composite spend most of their FFT time in: `inverse_window` over a
+//! 15-column window, and `forward_sparse` on a field lit in one band of
+//! rows, whose all-zero rows the row pass skips.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use holoar_fft::{Complex64, Fft2d, FftPlanner};
@@ -46,6 +49,9 @@ fn bench_fft_2d(c: &mut Criterion) {
     group.finish();
 }
 
+/// One timed 2-D transform of a buffer, in place.
+type Transform = fn(&Fft2d, &mut [Complex64]);
+
 fn bench_fft_2d_complex(c: &mut Criterion) {
     let mut group = c.benchmark_group("fft_2d_complex");
     for n in [40usize, 64] {
@@ -53,15 +59,23 @@ fn bench_fft_2d_complex(c: &mut Criterion) {
         let field: Vec<Complex64> = (0..n * n)
             .map(|i| Complex64::new((i as f64 * 0.1).cos(), (i as f64 * 0.3).sin()))
             .collect();
-        for (direction, inverse) in [("forward", false), ("inverse", true)] {
-            group.bench_with_input(BenchmarkId::new(direction, n), &n, |b, _| {
+        let band = n / 4..n / 4 + n / 8;
+        let sparse: Vec<Complex64> = field
+            .iter()
+            .enumerate()
+            .map(|(i, &z)| if band.contains(&(i / n)) { z } else { Complex64::ZERO })
+            .collect();
+        let transforms: [(&str, &[Complex64], Transform); 4] = [
+            ("forward", &field, |fft, buf| fft.forward(buf)),
+            ("inverse", &field, |fft, buf| fft.inverse(buf)),
+            ("inverse_window", &field, |fft, buf| fft.inverse_window(buf, 7..22)),
+            ("forward_sparse", &sparse, |fft, buf| fft.forward(buf)),
+        ];
+        for (name, input, transform) in transforms {
+            group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
                 b.iter(|| {
-                    let mut buf = field.clone();
-                    if inverse {
-                        fft.inverse(black_box(&mut buf));
-                    } else {
-                        fft.forward(black_box(&mut buf));
-                    }
+                    let mut buf = input.to_vec();
+                    transform(&fft, black_box(&mut buf));
                     buf
                 })
             });

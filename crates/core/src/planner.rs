@@ -216,14 +216,20 @@ impl Planner {
                     approx::inter_intra_planes(obj, in_rof, &config)
                 }
             };
-            let reused = config.reuse_enabled
-                && self.reuse.can_reuse(obj, planes, coverage, frame.index);
-            if !reused {
-                self.reuse.record(obj, planes, coverage, frame.index);
+            // The configuration is fixed at `new`, so with reuse off the
+            // tracker is never read and keeps no records.
+            let mut reused = false;
+            if config.reuse_enabled {
+                reused = self.reuse.can_reuse(obj, planes, coverage, frame.index);
+                if !reused {
+                    self.reuse.record(obj, planes, coverage, frame.index);
+                }
             }
             items.push(PlanItem { object: *obj, planes, coverage, in_rof, reused });
         }
-        self.reuse.evict_stale(frame.index);
+        if config.reuse_enabled {
+            self.reuse.evict_stale(frame.index);
+        }
 
         let plan = ComputePlan {
             frame_index: frame.index,
@@ -380,6 +386,8 @@ mod tests {
         let p1 = planner.plan_frame(&f1, &pose(), AngularPoint::CENTER, 0.0);
         assert!(!p1.items[0].reused, "reuse must be off");
         assert_eq!(p1.total_planes(), 16);
+        // With reuse off the tracker keeps no records to reuse from.
+        assert!(!planner.reuse.can_reuse(&o, 16, p1.items[0].coverage, 2));
     }
 
     #[test]

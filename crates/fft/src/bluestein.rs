@@ -97,22 +97,22 @@ impl BluesteinPlan {
             }
         }
         // One borrow of the thread workspace, split in two: the first `m`
-        // samples hold the convolution, the rest are the inner plan's
-        // ping-pong buffer, so the inner transform never borrows it again.
+        // samples hold the convolution, the next `2m` are the inner plan's
+        // pass buffers, so the inner transform never borrows it again.
         with_work(|work| {
-            if work.len() < 2 * m {
-                work.resize(2 * m, Complex64::ZERO);
+            if work.len() < 3 * m {
+                work.resize(3 * m, Complex64::ZERO);
             }
-            let (conv, scratch) = work.split_at_mut(m);
+            let (conv, passes) = work.split_at_mut(m);
             for k in 0..n {
                 conv[k] = buf[k] * self.chirp[k];
             }
             conv[n..].fill(Complex64::ZERO);
-            self.inner.run(conv, scratch, false);
+            self.inner.run(conv, passes, false);
             for (w, k) in conv.iter_mut().zip(&self.kernel_fft) {
                 *w *= *k;
             }
-            self.inner.run(conv, scratch, true);
+            self.inner.run(conv, passes, true);
             for k in 0..n {
                 buf[k] = conv[k] * self.chirp[k];
             }
@@ -186,8 +186,8 @@ mod tests {
 
     #[test]
     fn inner_plans_with_even_and_odd_pass_counts_match_the_reference() {
-        // n = 7 convolves at m = 16 (two radix-4 passes, result lands in
-        // place); n = 17 at m = 64 (three passes, copied back from scratch).
+        // n = 7 convolves at m = 16 (two radix-4 passes) and n = 17 at
+        // m = 64 (three passes): both pass-count parities of the inner plan.
         for (n, m, passes) in [(7usize, 16usize, 2usize), (17, 64, 3)] {
             let plan = BluesteinPlan::new(n);
             assert_eq!((plan.inner.len(), plan.inner.pass_count()), (m, passes));
@@ -210,8 +210,8 @@ mod tests {
         plan.inverse(&mut buf);
         let after = with_work(|w| (w.as_ptr() as usize, w.len()));
         assert_eq!(before, after);
-        // The convolution buffer and the inner plan's ping-pong buffer.
-        assert!(before.1 >= 2 * 64);
+        // The convolution buffer and the inner plan's two pass buffers.
+        assert!(before.1 >= 3 * 64);
     }
 
     #[test]

@@ -1,12 +1,18 @@
 //! Two-dimensional FFT over row-major buffers.
 //!
 //! The 2-D transform is separable: FFT every row, then FFT every column.
+//! The row pass hands all its rows to the row plan at once
+//! (`FftPlan::rows`), which dispatches on its algorithm and borrows the
+//! thread workspace once per pass, not once per row.
+//!
 //! For 2·3·5-smooth column lengths the column pass does not transpose:
 //! each Stockham pass of the column plan runs over whole rows of the
 //! buffer, so every column gets exactly the arithmetic the 1-D plan gives
-//! it. The first pass reads the caller's buffer, later passes ping-pong
+//! it. The first pass reads the caller's buffer and later passes ping-pong
 //! between the two halves of one scratch buffer (borrowed from a
-//! [`ScratchArena`]), and the result is copied back row by row. Bluestein column
+//! [`ScratchArena`]). Over every column the last pass writes the caller's
+//! buffer; over a narrower window it lands in scratch and is copied back
+//! row by row. Bluestein column
 //! lengths (a prime factor above 5; no serving path uses one) gather the
 //! columns transposed in cache-sized tiles (see `gather_transposed`), run
 //! the 1-D plan on each contiguous column, and transpose back.
@@ -142,11 +148,8 @@ impl Fft2d {
                 holoar_telemetry::counter_add("fft.fft2d.real_dispatch", 1);
                 self.real_row_pass(buf, zero);
             } else {
-                for (row, &zero) in buf.chunks_exact_mut(self.cols).zip(zero.iter()) {
-                    if !zero {
-                        self.row_plan.forward(row);
-                    }
-                }
+                let rows = buf.chunks_exact_mut(self.cols).zip(zero.iter());
+                self.row_plan.rows(rows.filter_map(|(row, &zero)| (!zero).then_some(row)), false);
             }
         });
         self.column_pass(buf, 0..self.cols, true);
@@ -213,63 +216,57 @@ impl Fft2d {
     }
 
     fn inverse_rows(&self, buf: &mut [Complex64]) {
-        for row in buf.chunks_exact_mut(self.cols) {
-            self.row_plan.inverse(row);
-        }
+        self.row_plan.rows(buf.chunks_exact_mut(self.cols), true);
     }
 
     /// The forward row pass of a real field, skipping the rows `zero`
     /// flags. Adjacent real rows a, b (rows 2k and 2k+1) transform together
-    /// as z = a + i·b; the Hermitian unpack separates the two spectra. A
-    /// pair whose rows are both zero is skipped.
+    /// as z = a + i·b, packed in place into row a; the Hermitian unpack
+    /// then separates the two spectra into a and b. A pair whose rows are
+    /// both zero is skipped. An odd trailing row has zero imaginary parts,
+    /// so the plain complex transform of it is already the real transform;
+    /// it runs in the same row pass as the packed rows.
     fn real_row_pass(&self, buf: &mut [Complex64], zero: &[bool]) {
         let cols = self.cols;
         let paired = self.rows - self.rows % 2;
         let (pairs, rest) = buf.split_at_mut(paired * cols);
         let (pair_zero, rest_zero) = zero.split_at(paired);
-        if !pairs.is_empty() {
-            let mut packed = self.arena.take(cols);
-            for (pair, zero) in pairs.chunks_exact_mut(2 * cols).zip(pair_zero.chunks_exact(2)) {
-                if zero.iter().all(|&z| z) {
-                    continue;
-                }
-                let (a, b) = pair.split_at_mut(cols);
-                for ((p, za), zb) in packed.iter_mut().zip(a.iter()).zip(b.iter()) {
-                    *p = Complex64::new(za.re, zb.re);
-                }
-                self.row_plan.forward(&mut packed);
-                unpack_pair(&packed, a, b);
+        for (a, b) in live_pairs(pairs, pair_zero, cols) {
+            for (za, zb) in a.iter_mut().zip(b.iter()) {
+                *za = Complex64::new(za.re, zb.re);
             }
-            self.arena.give(packed);
         }
-        // Odd trailing row: its imaginary parts are zero, so the plain
-        // complex transform is already the real transform.
-        for (row, &zero) in rest.chunks_exact_mut(cols).zip(rest_zero) {
-            if !zero {
-                self.row_plan.forward(row);
-            }
+        let packed = live_pairs(pairs, pair_zero, cols).map(|(a, _)| a);
+        let trailing = rest.chunks_exact_mut(cols).zip(rest_zero);
+        let trailing = trailing.filter_map(|(row, &zero)| (!zero).then_some(row));
+        self.row_plan.rows(packed.chain(trailing), false);
+        for (a, b) in live_pairs(pairs, pair_zero, cols) {
+            unpack_pair(a, b);
         }
     }
 
     /// Column pass shared by every forward/inverse variant, over the
-    /// columns in `window`. The column plan reads them straight out of
-    /// `buf` and leaves them transformed, row-major, in the first half of
-    /// one scratch buffer, using the second half as ping-pong space; one
-    /// copy writes them back (one per row for a partial window).
+    /// columns in `window`, in one scratch buffer of twice the window's
+    /// samples (see [`FftPlan::columns`]).
     fn column_pass(&self, buf: &mut [Complex64], window: Range<usize>, forward: bool) {
-        let width = window.len();
-        let mut scratch = self.arena.take(2 * self.rows * width);
-        let (out, work) = scratch.split_at_mut(self.rows * width);
-        self.col_plan.columns(&buf[window.start..], self.cols, out, work, !forward);
-        if width == self.cols {
-            buf.copy_from_slice(out);
-        } else {
-            for (row, strip) in buf.chunks_exact_mut(self.cols).zip(out.chunks_exact(width)) {
-                row[window.clone()].copy_from_slice(strip);
-            }
-        }
+        let mut scratch = self.arena.take(2 * self.rows * window.len());
+        self.col_plan.columns(buf, window, &mut scratch, !forward);
         self.arena.give(scratch);
     }
+}
+
+/// The row pairs `(a, b)` of `pairs` (rows 2k and 2k+1, each `cols` long)
+/// whose rows are not both flagged zero in `zero`.
+fn live_pairs<'a>(
+    pairs: &'a mut [Complex64],
+    zero: &'a [bool],
+    cols: usize,
+) -> impl Iterator<Item = (&'a mut [Complex64], &'a mut [Complex64])> {
+    pairs
+        .chunks_exact_mut(2 * cols)
+        .zip(zero.chunks_exact(2))
+        .filter(|(_, zero)| !zero.iter().all(|&z| z))
+        .map(move |(pair, _)| pair.split_at_mut(cols))
 }
 
 /// Runs `f` over a thread-local flag per row, so the forward scan records
@@ -291,21 +288,25 @@ fn is_zero_bits(z: &Complex64) -> bool {
     z.re.to_bits() | z.im.to_bits() == 0
 }
 
-/// Separates the spectra of two real rows transformed as one packed complex
-/// row: `a ← DFT(re(z))`, `b ← DFT(im(z))` via the Hermitian identities.
-fn unpack_pair(packed: &[Complex64], a: &mut [Complex64], b: &mut [Complex64]) {
-    let n = packed.len();
+/// Separates, in place, the spectra of two real rows transformed as one
+/// packed complex row held in `a`: `a ← DFT(re(z))`, `b ← DFT(im(z))` via
+/// the Hermitian identities. Bins `k` and `n − k` are read together before
+/// either is written.
+fn unpack_pair(a: &mut [Complex64], b: &mut [Complex64]) {
+    let n = a.len();
     // k = 0 is self-conjugate: Z[0] = Â[0] + i·B̂[0] with both DCs real.
-    if let (Some(z0), Some(a0), Some(b0)) = (packed.first(), a.first_mut(), b.first_mut()) {
+    if let (Some(a0), Some(b0)) = (a.first_mut(), b.first_mut()) {
+        let z0 = *a0;
         *a0 = Complex64::new(z0.re, 0.0);
         *b0 = Complex64::new(z0.im, 0.0);
     }
-    for k in 1..n {
+    for k in 1..=n / 2 {
         let j = n - k;
-        let zk = packed[k];
-        let zj = packed[j];
+        let (zk, zj) = (a[k], a[j]);
         a[k] = Complex64::new((zk.re + zj.re) * 0.5, (zk.im - zj.im) * 0.5);
         b[k] = Complex64::new((zk.im + zj.im) * 0.5, (zj.re - zk.re) * 0.5);
+        a[j] = Complex64::new((zj.re + zk.re) * 0.5, (zj.im - zk.im) * 0.5);
+        b[j] = Complex64::new((zj.im + zk.im) * 0.5, (zk.re - zj.re) * 0.5);
     }
 }
 

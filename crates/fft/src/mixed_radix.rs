@@ -11,17 +11,28 @@
 //! `n/R` apart, applies the twiddles `ω_{lR}^{r·k}` (`k = j mod l`) and a
 //! length-`R` DFT, and writes the outputs `l` apart into the other buffer
 //! (Stockham autosort). The output lands in natural order, so no
-//! bit-reversal pass is needed. The buffers ping-pong between the caller's
-//! slice and a thread-local workspace (`with_work`), so a transform
-//! allocates nothing once that workspace has grown to `n`.
-//! Bluestein, which already holds that workspace, passes its own half of it
-//! as the ping-pong buffer instead.
+//! bit-reversal pass is needed. A pass splits its `R` input runs once and
+//! each block's `R` output runs once, then indexes only by `k` inside
+//! slices of known length; the first pass (`l = 1`) has no `k` loop.
+//!
+//! The thread workspace (`with_work`) holds `2n` samples, two buffers `A`
+//! and `B`. The first pass reads the caller's slice into `A`, middle passes
+//! ping-pong `A ↔ B`, and the last pass writes the caller's slice, so the
+//! result is never copied back (a one-pass length, `n ≤ 5`, copies its
+//! input into `A` first). The inverse folds its `1/n` into the last pass's
+//! outputs. A transform allocates nothing once that workspace has grown,
+//! and the 2-D row pass borrows it once for all its rows
+//! (`MixedRadixPlan::run_rows`). Bluestein, which already holds that
+//! workspace, hands its inner plan the `2n` samples after its convolution
+//! buffer, so the inner transform runs the same schedule.
 //!
 //! The 2-D column pass runs the same passes batched over all the
 //! columns of the buffer (`run_columns`): radix `R` after span `l` reads whole rows
 //! `j + k + r·m` and writes rows `q·l·R + k + s·l`, applying one set of
 //! twiddles to every column of the row. Each column therefore gets the
-//! same arithmetic as a 1-D transform of it, bit for bit.
+//! same arithmetic as a 1-D transform of it, bit for bit. Over every
+//! column of the buffer it follows the 1-D schedule above
+//! (`run_columns_in_place`), so its last pass lands in the caller's buffer.
 //!
 //! # Twiddle layout
 //!
@@ -31,7 +42,8 @@
 //! twiddles are all `1` and are not stored: that butterfly skips the
 //! multiply. The inverse direction has its own
 //! pre-conjugated table and butterfly roots, so the hot loop carries no
-//! direction branch; the inverse applies the `1/n` normalization.
+//! direction branch; the inverse's last pass multiplies its outputs by
+//! `1/n` (`scaled`).
 
 use crate::complex::Complex64;
 
@@ -89,10 +101,10 @@ struct Roots {
     w5sq: Complex64,
 }
 
-/// Runs `f` with this thread's 1-D transform workspace: the ping-pong
-/// buffer of [`MixedRadixPlan`], or for [`crate::bluestein`] the
-/// convolution buffer followed by its inner plan's ping-pong buffer.
-/// Bluestein borrows it once and hands the second half to the inner plan
+/// Runs `f` with this thread's 1-D transform workspace: the two `n`-long
+/// pass buffers of [`MixedRadixPlan`], or for [`crate::bluestein`] the
+/// convolution buffer followed by its inner plan's two pass buffers.
+/// Bluestein borrows it once and hands the pass buffers to the inner plan
 /// explicitly, so the borrow never re-enters. Thread-local so shared plans
 /// stay immutable across workers.
 pub(crate) fn with_work<R>(f: impl FnOnce(&mut Vec<Complex64>) -> R) -> R {
@@ -232,7 +244,7 @@ impl MixedRadixPlan {
     ///
     /// Panics if `buf.len() != self.len()`.
     pub fn forward(&self, buf: &mut [Complex64]) {
-        self.transform(buf, false);
+        self.run_rows([buf], false);
     }
 
     /// Inverse transform, in place, including the `1/n` normalization.
@@ -241,55 +253,92 @@ impl MixedRadixPlan {
     ///
     /// Panics if `buf.len() != self.len()`.
     pub fn inverse(&self, buf: &mut [Complex64]) {
-        self.transform(buf, true);
+        self.run_rows([buf], true);
     }
 
-    fn transform(&self, buf: &mut [Complex64], invert: bool) {
+    /// Transforms each of `rows` in place, borrowing the thread workspace
+    /// once for all of them: the 2-D row pass and [`Self::forward`] /
+    /// [`Self::inverse`] both land here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's length is not [`Self::len`].
+    pub(crate) fn run_rows<'a>(
+        &self,
+        rows: impl IntoIterator<Item = &'a mut [Complex64]>,
+        invert: bool,
+    ) {
         with_work(|work| {
-            if work.len() < self.n {
-                work.resize(self.n, Complex64::ZERO);
+            if work.len() < 2 * self.n {
+                work.resize(2 * self.n, Complex64::ZERO);
             }
-            self.run(buf, work, invert);
+            for row in rows {
+                self.run(row, work, invert);
+            }
         });
     }
 
-    /// The transform behind [`Self::forward`] and [`Self::inverse`], with an
-    /// explicit ping-pong buffer of at least `n` samples for callers that
-    /// already hold the thread workspace.
-    pub(crate) fn run(&self, buf: &mut [Complex64], scratch: &mut [Complex64], invert: bool) {
+    /// One transform with a workspace of at least `2n` samples, for
+    /// callers that hold the thread workspace already.
+    pub(crate) fn run(&self, buf: &mut [Complex64], work: &mut [Complex64], invert: bool) {
         let n = self.n;
         assert_eq!(buf.len(), n, "buffer length {} does not match plan length {n}", buf.len());
-        let dir = if invert { &self.inv } else { &self.fwd };
-        let roots = dir.roots;
-        let (mut src, mut dst) = (buf, &mut scratch[..n]);
-        let mut twiddles = dir.twiddles.as_slice();
-        let mut l = 1;
-        for &radix in &self.radices {
-            let (tw, rest) = twiddles.split_at((l - 1) * (radix.size() - 1));
-            twiddles = rest;
-            match radix {
-                Radix::Two => pass(src, dst, l, tw, Roots::radix2),
-                Radix::Three => pass(src, dst, l, tw, |x| roots.radix3(x)),
-                Radix::Four => pass(src, dst, l, tw, |x| roots.radix4(x)),
-                Radix::Five => pass(src, dst, l, tw, |x| roots.radix5(x)),
-            }
-            std::mem::swap(&mut src, &mut dst);
-            l *= radix.size();
+        self.run_through(buf, work, invert, |stage, src, dst| stage.run(src, dst));
+    }
+
+    /// Runs every pass of one direction from `buf` back into `buf` with
+    /// `pass`, through a `work` of at least `2·buf.len()` samples split
+    /// into buffers `A` and `B`: the first pass reads `buf` into `A`,
+    /// middle passes ping-pong `A ↔ B`, and the last writes `buf`, so the
+    /// result lands in place without a copy back. A one-pass plan
+    /// (`n ≤ 5`) copies `buf` into `A` first; `n = 1` is the identity.
+    #[inline(always)]
+    fn run_through(
+        &self,
+        buf: &mut [Complex64],
+        work: &mut [Complex64],
+        invert: bool,
+        pass: impl Fn(&Stage, &[Complex64], &mut [Complex64]),
+    ) {
+        let Some(last) = self.radices.len().checked_sub(1) else { return };
+        let len = buf.len();
+        let (mut src, mut dst) = work[..2 * len].split_at_mut(len);
+        if last == 0 {
+            src.copy_from_slice(buf);
         }
-        // After an odd number of passes the result sits in the scratch
-        // buffer (`src`) and `dst` is the caller's buffer.
-        let out = if self.radices.len() % 2 == 1 {
-            dst.copy_from_slice(src);
-            dst
-        } else {
-            src
-        };
-        if invert {
-            let k = (n as f64).recip();
-            for v in out.iter_mut() {
-                *v = v.scale(k);
+        for (i, stage) in self.stages(invert).enumerate() {
+            if i == last {
+                pass(&stage, src, buf);
+            } else if i == 0 {
+                pass(&stage, buf, src);
+            } else {
+                pass(&stage, src, dst);
+                std::mem::swap(&mut src, &mut dst);
             }
         }
+    }
+
+    /// Transforms every column of the row-major `buf` (`n` rows of
+    /// `buf.len() / n` samples) in place, with a `work` of `2·buf.len()`:
+    /// the batched passes of [`Self::run_columns`] on the schedule of
+    /// [`Self::run`], so the last pass writes `buf` and nothing is copied
+    /// back.
+    pub(crate) fn run_columns_in_place(
+        &self,
+        buf: &mut [Complex64],
+        work: &mut [Complex64],
+        invert: bool,
+    ) {
+        let width = buf.len() / self.n;
+        assert!(
+            width > 0 && buf.len() == self.n * width && work.len() >= 2 * buf.len(),
+            "column buffer of {} samples does not hold whole columns of length {}",
+            buf.len(),
+            self.n
+        );
+        self.run_through(buf, work, invert, |stage, src, dst| {
+            stage.run_columns(src, width, dst, width)
+        });
     }
 
     /// The batched form of [`Self::run`] behind the 2-D column pass:
@@ -323,41 +372,104 @@ impl MixedRadixPlan {
             out.copy_from_slice(&src[..width]);
             return;
         };
-        let dir = if invert { &self.inv } else { &self.fwd };
-        let roots = dir.roots;
-        let inv_n = (n as f64).recip();
         let (mut dst, mut spare) = if last % 2 == 0 { (out, work) } else { (work, out) };
-        let mut twiddles = dir.twiddles.as_slice();
-        let mut l = 1;
-        for (i, &radix) in self.radices.iter().enumerate() {
-            let (tw, rest) = twiddles.split_at((l - 1) * (radix.size() - 1));
-            twiddles = rest;
-            let scale = (invert && i == last).then_some(inv_n);
+        for (i, stage) in self.stages(invert).enumerate() {
             let (from, step) = if i == 0 { (src, stride) } else { (&*spare, width) };
-            let to = &mut *dst;
-            match radix {
-                Radix::Two => {
-                    pass_columns(from, step, to, width, l, tw, scaled(scale, Roots::radix2))
-                }
-                Radix::Three => {
-                    pass_columns(from, step, to, width, l, tw, scaled(scale, |x| roots.radix3(x)))
-                }
-                Radix::Four => {
-                    pass_columns(from, step, to, width, l, tw, scaled(scale, |x| roots.radix4(x)))
-                }
-                Radix::Five => {
-                    pass_columns(from, step, to, width, l, tw, scaled(scale, |x| roots.radix5(x)))
-                }
-            }
+            stage.run_columns(from, step, dst, width);
             std::mem::swap(&mut dst, &mut spare);
-            l *= radix.size();
         }
     }
 
-    /// Number of Stockham passes; odd counts end with a copy back.
+    /// The passes of one direction in execution order, each with its span,
+    /// its slice of the per-stage twiddles and, for the inverse's last
+    /// pass, the `1/n` it folds into its outputs.
+    fn stages(&self, invert: bool) -> impl Iterator<Item = Stage<'_>> {
+        let dir = if invert { &self.inv } else { &self.fwd };
+        let last = self.radices.len().checked_sub(1);
+        let inv_n = (self.n as f64).recip();
+        let mut twiddles = dir.twiddles.as_slice();
+        let mut span = 1;
+        self.radices.iter().enumerate().map(move |(i, &radix)| {
+            let (tw, rest) = twiddles.split_at((span - 1) * (radix.size() - 1));
+            twiddles = rest;
+            let stage = Stage {
+                radix,
+                span,
+                twiddles: tw,
+                roots: dir.roots,
+                scale: (invert && Some(i) == last).then_some(inv_n),
+            };
+            span *= radix.size();
+            stage
+        })
+    }
+
+    /// Number of Stockham passes.
     #[cfg(test)]
     pub(crate) fn pass_count(&self) -> usize {
         self.radices.len()
+    }
+}
+
+/// One Stockham pass of a plan direction, as [`MixedRadixPlan::stages`]
+/// yields it.
+struct Stage<'a> {
+    radix: Radix,
+    /// The span `l` of the transforms this pass combines.
+    span: usize,
+    /// The `(l−1)·(R−1)` twiddles for `k ≥ 1`.
+    twiddles: &'a [Complex64],
+    roots: Roots,
+    /// The inverse's `1/n`, on its last pass only.
+    scale: Option<f64>,
+}
+
+impl Stage<'_> {
+    /// Runs the pass from `src` into `dst` (same length).
+    #[inline(always)]
+    fn run(&self, src: &[Complex64], dst: &mut [Complex64]) {
+        let (l, tw, roots, scale) = (self.span, self.twiddles, self.roots, self.scale);
+        match self.radix {
+            Radix::Two => pass(src, dst, l, tw, scaled(scale, Roots::radix2)),
+            Radix::Three => pass(src, dst, l, tw, scaled(scale, |x| roots.radix3(x))),
+            Radix::Four => pass(src, dst, l, tw, scaled(scale, |x| roots.radix4(x))),
+            Radix::Five => pass(src, dst, l, tw, scaled(scale, |x| roots.radix5(x))),
+        }
+    }
+
+    /// Runs the pass over `width` columns at once (see [`pass_columns`]).
+    #[inline(always)]
+    fn run_columns(&self, src: &[Complex64], stride: usize, dst: &mut [Complex64], width: usize) {
+        let (l, tw, roots, scale) = (self.span, self.twiddles, self.roots, self.scale);
+        match self.radix {
+            Radix::Two => pass_columns(src, stride, dst, width, l, tw, scaled(scale, Roots::radix2)),
+            Radix::Three => {
+                pass_columns(src, stride, dst, width, l, tw, scaled(scale, |x| roots.radix3(x)))
+            }
+            Radix::Four => {
+                pass_columns(src, stride, dst, width, l, tw, scaled(scale, |x| roots.radix4(x)))
+            }
+            Radix::Five => {
+                pass_columns(src, stride, dst, width, l, tw, scaled(scale, |x| roots.radix5(x)))
+            }
+        }
+    }
+}
+
+/// `butterfly` with the inverse's `1/n` multiplied into every output when
+/// `scale` is set (the inverse's last pass): the same multiply a scaling
+/// loop after the pass would make.
+#[inline(always)]
+fn scaled<const R: usize>(
+    scale: Option<f64>,
+    butterfly: impl Fn([Complex64; R]) -> [Complex64; R],
+) -> impl Fn([Complex64; R]) -> [Complex64; R] {
+    move |x| {
+        let y = butterfly(x);
+        match scale {
+            Some(k) => y.map(|v| v.scale(k)),
+            None => y,
+        }
     }
 }
 
@@ -365,6 +477,11 @@ impl MixedRadixPlan {
 /// `q` and offset `k < l`, gathers `src[q·l + k + r·n/R]`, twiddles it,
 /// runs `butterfly`, and scatters the results to `dst[q·l·R + k + s·l]`.
 /// `tw` holds the `(l−1)·(R−1)` twiddles for `k ≥ 1`.
+///
+/// The `R` input runs `src[r·n/R..][..n/R]` are split off once per pass
+/// and, per block, the `R` input and output runs of length `l` once per
+/// block, so the inner loop indexes only by `k` within slices whose length
+/// the compiler knows. The first pass (`l = 1`) has no `k` loop.
 #[inline(always)]
 fn pass<const R: usize>(
     src: &[Complex64],
@@ -374,22 +491,36 @@ fn pass<const R: usize>(
     butterfly: impl Fn([Complex64; R]) -> [Complex64; R],
 ) {
     let m = src.len() / R;
-    for (q, out) in dst.chunks_exact_mut(l * R).enumerate() {
-        let j = q * l;
-        // k = 0: every twiddle is 1.
-        let y = butterfly(std::array::from_fn(|r| src[j + r * m]));
-        for (s, v) in y.into_iter().enumerate() {
-            out[s * l] = v;
+    let ins: [&[Complex64]; R] = std::array::from_fn(|r| &src[r * m..][..m]);
+    if l == 1 {
+        // Every twiddle is 1.
+        for (q, out) in (0..m).zip(dst.chunks_exact_mut(R)) {
+            out.copy_from_slice(&butterfly(std::array::from_fn(|r| ins[r][q])));
         }
+        return;
+    }
+    for (q, out) in dst.chunks_exact_mut(l * R).enumerate() {
+        let xs: [&[Complex64]; R] = std::array::from_fn(|r| &ins[r][q * l..][..l]);
+        let mut rest = out;
+        let mut outs: [&mut [Complex64]; R] = std::array::from_fn(|_| {
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(l);
+            rest = tail;
+            run
+        });
+        let gather = |k: usize| -> [Complex64; R] { std::array::from_fn(|r| xs[r][k]) };
+        let mut scatter = |k: usize, y: [Complex64; R]| {
+            for (o, v) in outs.iter_mut().zip(y) {
+                o[k] = v;
+            }
+        };
+        // k = 0: every twiddle is 1.
+        scatter(0, butterfly(gather(0)));
         for (k, w) in (1..l).zip(tw.chunks_exact(R - 1)) {
-            let mut x: [Complex64; R] = std::array::from_fn(|r| src[j + k + r * m]);
+            let mut x = gather(k);
             for (v, w) in x.iter_mut().skip(1).zip(w) {
                 *v *= *w;
             }
-            let y = butterfly(x);
-            for (s, v) in y.into_iter().enumerate() {
-                out[k + s * l] = v;
-            }
+            scatter(k, butterfly(x));
         }
     }
 }
@@ -434,23 +565,6 @@ fn pass_columns<const R: usize>(
                     o[c] = v;
                 }
             }
-        }
-    }
-}
-
-/// `butterfly` with every output multiplied by `scale` when it is set: the
-/// inverse's `1/n`, applied to the last pass's outputs exactly as
-/// [`MixedRadixPlan::run`] applies it after the last pass.
-#[inline(always)]
-fn scaled<const R: usize>(
-    scale: Option<f64>,
-    butterfly: impl Fn([Complex64; R]) -> [Complex64; R],
-) -> impl Fn([Complex64; R]) -> [Complex64; R] {
-    move |x| {
-        let y = butterfly(x);
-        match scale {
-            Some(k) => y.map(|v| v.scale(k)),
-            None => y,
         }
     }
 }
@@ -575,7 +689,7 @@ mod tests {
         plan.inverse(&mut buf);
         let after = with_work(|w| (w.as_ptr() as usize, w.len()));
         assert_eq!(before, after);
-        assert!(before.1 >= 60);
+        assert!(before.1 >= 2 * 60);
     }
 
     #[test]

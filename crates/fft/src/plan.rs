@@ -6,6 +6,7 @@
 //! of rows/columns of the same length through it.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::bluestein::BluesteinPlan;
@@ -77,36 +78,77 @@ impl FftPlan {
         }
     }
 
-    /// Transforms the `width = out.len() / len` columns of the row-major
-    /// `src`, whose row `i` is `src[i·stride..][..width]`, and writes them
-    /// row-major into `out`; `work` is scratch of the same length. Each
-    /// column's result is bit-identical to [`Self::forward`] /
-    /// [`Self::inverse`] on that column. Mixed-radix lengths run batched
-    /// passes over whole rows ([`MixedRadixPlan`]); Bluestein lengths gather
-    /// the columns transposed into `work`, transform each contiguous column
-    /// and transpose it back.
-    pub(crate) fn columns(
+    /// Transforms each of `rows` in place (the inverse with `invert`), each
+    /// bit-identical to [`Self::forward`] / [`Self::inverse`] on it: the
+    /// 2-D row pass. The algorithm is matched once and, for mixed-radix
+    /// lengths, the thread workspace borrowed once for all the rows, not
+    /// once per row. Callers pick which rows run, so a skipped row costs
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's length is not [`Self::len`].
+    pub(crate) fn rows<'a>(
         &self,
-        src: &[Complex64],
-        stride: usize,
-        out: &mut [Complex64],
-        work: &mut [Complex64],
+        rows: impl IntoIterator<Item = &'a mut [Complex64]>,
         invert: bool,
     ) {
         match &*self.algo {
-            Algo::Mixed(p) => p.run_columns(src, stride, out, work, invert),
+            Algo::Mixed(p) => p.run_rows(rows, invert),
             Algo::Bluestein(p) => {
-                let n = p.len();
-                gather_transposed(src, n, stride, work);
-                for column in work.chunks_exact_mut(n) {
+                for row in rows {
+                    if invert {
+                        p.inverse(row);
+                    } else {
+                        p.forward(row);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Transforms the columns `window` of the row-major `buf`, whose rows
+    /// are `cols = buf.len() / len` samples long, in place; `work` is
+    /// scratch of `2·len·window.len()` samples, and the samples of every
+    /// other column are left as they are. Each column's result is
+    /// bit-identical to [`Self::forward`] / [`Self::inverse`] on that
+    /// column. Mixed-radix lengths run batched passes over whole rows
+    /// ([`MixedRadixPlan`]); over every column the last pass lands in
+    /// `buf`, and over a narrower window it lands in `work` and is copied
+    /// back. Bluestein lengths gather the columns transposed into `work`,
+    /// transform each contiguous column and transpose it back.
+    pub(crate) fn columns(
+        &self,
+        buf: &mut [Complex64],
+        window: Range<usize>,
+        work: &mut [Complex64],
+        invert: bool,
+    ) {
+        let n = self.len();
+        let (cols, width) = (buf.len() / n, window.len());
+        if let Algo::Mixed(p) = &*self.algo {
+            if width == cols {
+                p.run_columns_in_place(buf, work, invert);
+                return;
+            }
+        }
+        let (out, spare) = work.split_at_mut(n * width);
+        match &*self.algo {
+            Algo::Mixed(p) => p.run_columns(&buf[window.start..], cols, out, spare, invert),
+            Algo::Bluestein(p) => {
+                gather_transposed(&buf[window.start..], n, cols, spare);
+                for column in spare.chunks_exact_mut(n) {
                     if invert {
                         p.inverse(column);
                     } else {
                         p.forward(column);
                     }
                 }
-                gather_transposed(work, out.len() / n, n, out);
+                gather_transposed(spare, width, n, out);
             }
+        }
+        for (row, strip) in buf.chunks_exact_mut(cols).zip(out.chunks_exact(width)) {
+            row[window.clone()].copy_from_slice(strip);
         }
     }
 }

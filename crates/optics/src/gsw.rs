@@ -30,9 +30,11 @@
 //! a plane only at its lit pixels, so each plane's inverse runs its column
 //! pass over the contiguous span of its lit columns alone
 //! ([`holoar_fft::Fft2d::inverse_window`]). The energy behind `efficiency`
-//! comes from each plane's spectrum product by Parseval. Neither pruning
-//! moves a bit of the hologram, `uniformity` or the trace; `efficiency`
-//! differs from the spatial energy sum by rounding.
+//! comes from each plane's spectrum product by Parseval, and only in the
+//! last iteration, the one whose `efficiency` is returned; before it a dark
+//! plane builds no spectrum product at all. Neither pruning moves a bit of
+//! the hologram, `uniformity` or the trace; `efficiency` differs from the
+//! spatial energy sum by rounding.
 //!
 //! The loop state is compact and its arithmetic transcendental-free. Each
 //! plane keeps the list of its lit pixels (built once) and, per lit pixel,
@@ -306,7 +308,10 @@ pub fn run_batch(
     let mut states: Vec<StackState> =
         stacks.iter().map(|stack| StackState::new(stack, optics, config.iterations)).collect();
 
-    for _ in 0..config.iterations {
+    for iteration in 0..config.iterations {
+        // Only the last iteration's efficiency is returned, so only it
+        // asks for the planes' energy.
+        let last = iteration + 1 == config.iterations;
         let _iter_span = holoar_telemetry::span_cat("optics.gsw.iteration", "optics");
         // Backward: superpose each stack's weighted targets on its hologram
         // plane with one spectral back-propagation sum over its lit planes,
@@ -340,7 +345,7 @@ pub fn run_batch(
                 &st.zs,
                 &mut st.planes,
                 |plane| plane.cols.start..plane.cols.end,
-                true,
+                last,
                 |plane, energy, u| {
                     plane.measure(u, config.adaptivity);
                     energy.unwrap_or_default()

@@ -207,7 +207,8 @@ impl Propagator {
     pub fn propagate_batch(&mut self, field: &Field, zs: &[f64]) -> Vec<Field> {
         let _span = holoar_telemetry::span_cat("optics.propagate_batch", "optics");
         let (rows, cols, cfg) = (field.rows(), field.cols(), field.config());
-        self.map_products(field, zs, &mut vec![(); zs.len()], |fft, _, product| match product {
+        let states = &mut vec![(); zs.len()];
+        self.map_products(field, zs, states, |_| true, |fft, _, product| match product {
             None => field.clone(),
             Some(product) => {
                 fft.inverse(product);
@@ -228,8 +229,9 @@ impl Propagator {
     /// ([`Fft2d::inverse_window`]), so columns inside the window are
     /// bit-identical to `propagate_batch`. Every other column holds
     /// whatever the reused buffer held before and must not be read; an
-    /// empty window runs no inverse. The buffer returns to the pool when
-    /// `visit` does. A zero distance visits the field itself.
+    /// empty window runs no inverse, and without `energy` builds no
+    /// product either, so its `samples` are empty. The buffer returns to
+    /// the pool when `visit` does. A zero distance visits the field itself.
     ///
     /// With `energy` set, `visit` also gets the field's total energy
     /// `Σ|u|²`: from the product by Parseval, `Σ|S·H|²/N` for
@@ -258,11 +260,17 @@ impl Propagator {
     {
         let _span = holoar_telemetry::span_cat("optics.propagate_batch_window", "optics");
         let n = (field.rows() * field.cols()) as f64;
-        self.map_products(field, zs, states, |fft, state, product| match product {
+        let reads = |state: &S| energy || !window(state).is_empty();
+        self.map_products(field, zs, states, reads, |fft, state, product| match product {
             None => visit(state, energy.then(|| field.total_energy()), field.samples()),
             Some(product) => {
                 let total = energy.then(|| product.iter().map(|z| z.norm_sqr()).sum::<f64>() / n);
-                fft.inverse_window(product, window(state));
+                // A product `reads` rejected is empty and must not reach
+                // the transform's shape check.
+                let cols = window(state);
+                if !cols.is_empty() {
+                    fft.inverse_window(product, cols);
+                }
                 visit(state, total, product)
             }
         })
@@ -272,9 +280,11 @@ impl Propagator {
     /// `field` once, then hands each distance's spectrum product
     /// `FFT(field) · H(zs[i])` (`None` for a zero distance) to
     /// `finish(fft, &mut states[i], product)` on the worker that built it.
-    /// The spectrum and every product live in buffers from the grid's
-    /// pool, which gets them back once read. Transfer functions are built
-    /// (and cached) in `zs` order up front.
+    /// A non-zero distance whose state `reads` rejects gets an empty
+    /// product instead, and no product is built for it. The spectrum and
+    /// every product live in buffers from the grid's pool, which gets them
+    /// back once read. Transfer functions are built (and cached) in `zs`
+    /// order up front.
     ///
     /// # Panics
     ///
@@ -285,6 +295,7 @@ impl Propagator {
         field: &Field,
         zs: &[f64],
         states: &mut [S],
+        reads: impl Fn(&S) -> bool + Sync,
         finish: F,
     ) -> Vec<T>
     where
@@ -303,12 +314,13 @@ impl Propagator {
             .collect();
         let Grid { fft, buffers } = self.grid(rows, cols);
         let mut spectrum = Vec::new();
-        if jobs.iter().any(|(h, _)| h.is_some()) {
+        if jobs.iter().any(|(h, state)| h.is_some() && reads(state)) {
             spectrum = buffers.take_from(field.samples().iter().copied());
             fft.forward(&mut spectrum);
         }
         let results = self.par.map_mut(&mut jobs, |(h, state)| match h {
             None => finish(&fft, state, None),
+            Some(_) if !reads(state) => finish(&fft, state, Some(&mut [])),
             Some(h) => {
                 let mut product =
                     buffers.take_from(spectrum.iter().zip(h.iter()).map(|(s, t)| *s * *t));
@@ -750,6 +762,8 @@ mod tests {
                 }
                 // A zero distance visits the field itself, every sample.
                 assert_eq!(seen[1].2, f.samples(), "{at}");
+                // An empty window builds its product only for the energy.
+                assert_eq!(seen[2].2.len(), if energy { 24 * 24 } else { 0 }, "{at}");
             }
         }
     }
