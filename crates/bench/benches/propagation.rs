@@ -33,14 +33,19 @@ fn bench_propagate(c: &mut Criterion) {
 }
 
 fn bench_transfer_build(c: &mut Criterion) {
-    // First-propagation cost including transfer-function construction.
-    let field = gaussian(128);
-    c.bench_function("propagate/cold_tf_128", |b| {
-        b.iter(|| {
-            let mut prop = Propagator::new();
-            prop.propagate(black_box(&field), 0.0017)
-        })
-    });
+    // First-propagation cost including transfer-function construction, at
+    // the `serve` (40), `hologram` (64) and a larger shape.
+    let mut group = c.benchmark_group("propagate");
+    for n in [40usize, 64, 128] {
+        let field = gaussian(n);
+        group.bench_with_input(BenchmarkId::new("cold_tf", n), &n, |b, _| {
+            b.iter(|| {
+                let mut prop = Propagator::new();
+                prop.propagate(black_box(&field), 0.0017)
+            })
+        });
+    }
+    group.finish();
 }
 
 criterion_group!(benches, bench_propagate, bench_transfer_build);

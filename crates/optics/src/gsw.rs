@@ -204,8 +204,11 @@ impl StackState {
                     .field
                     .samples()
                     .iter()
-                    .map(|s| s.norm())
                     .enumerate()
+                    // Most samples are zero, and `hypot(±0, ±0) = +0` would
+                    // fail the `a > 0` test anyway: skip them before `norm`.
+                    .filter(|(_, s)| s.re != 0.0 || s.im != 0.0)
+                    .map(|(idx, s)| (idx, s.norm()))
                     .filter(|&(_, a)| a > 0.0)
                     .unzip();
                 let n = pixels.len();

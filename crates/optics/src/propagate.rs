@@ -52,6 +52,17 @@
 //! only for their non-zero rows in the forward row pass
 //! ([`Fft2d::forward`] skips all-zero rows); the count of transforms does
 //! not change.
+//!
+//! The transfer-function cache stores one quadrant per table: the
+//! `(rows/2 + 1) × (cols/2 + 1)` samples of non-negative frequency, a
+//! quarter of the full `rows × cols` grid, built with a quarter of the
+//! square roots and `sin`/`cos`/`exp` calls. Every spectral product reads
+//! the quadrant mirrored, and that is exact: the builder reads a bin only
+//! through its signed frequency's square and absolute value, and bins `k`
+//! and `n − k` have frequencies `m·Δf` and `−m·Δf`, both exact negations of
+//! each other (the bin-to-`f64` conversion is exact and `(−x)·y = −(x·y)`).
+//! So bin `k` and bin `n − k` hold the same bits in every row and column,
+//! and the mirrored quadrant is the full table bit for bit.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -65,8 +76,15 @@ use crate::field::{Field, OpticalConfig};
 /// distance, wavelength and pixel pitch that define it.
 type TransferKey = (usize, usize, u64, u64, u64);
 
-/// A cached transfer function.
-type Transfer = Arc<Vec<Complex64>>;
+/// A transfer function on a `rows × cols` grid, stored as its quadrant of
+/// non-negative frequencies (see the module docs for why mirroring it is
+/// exact): `(rows/2 + 1) × (cols/2 + 1)` samples, row-major.
+#[derive(Debug)]
+struct Transfer {
+    rows: usize,
+    cols: usize,
+    quadrant: Vec<Complex64>,
+}
 
 /// Shared map of planned transforms and their buffer pools, by shape.
 type FftMap = Arc<Mutex<HashMap<(usize, usize), Grid>>>;
@@ -92,7 +110,7 @@ const GRID_POOL: ArenaCounters = ArenaCounters {
 };
 
 /// Shared transfer-function map.
-type TransferMap = Arc<Mutex<HashMap<TransferKey, Transfer>>>;
+type TransferMap = Arc<Mutex<HashMap<TransferKey, Arc<Transfer>>>>;
 
 /// The [`ExecutionContext`] shared slot a context-built propagator pulls its
 /// caches from: every propagator constructed from the same context (or a
@@ -185,7 +203,7 @@ impl Propagator {
         let h = self.transfer(rows, cols, field.config(), z);
         let mut spectrum = field.samples().to_vec();
         fft.forward(&mut spectrum);
-        multiply(&mut spectrum, &h);
+        h.multiply(&mut spectrum);
         fft.inverse(&mut spectrum);
         Field::from_data(rows, cols, field.config(), spectrum)
     }
@@ -307,7 +325,7 @@ impl Propagator {
         let (rows, cols) = (field.rows(), field.cols());
         // Warm the transfer cache serially so insertion order (and therefore
         // the cache's size) matches the serial loop exactly.
-        let mut jobs: Vec<(Option<Transfer>, &mut S)> = zs
+        let mut jobs: Vec<(Option<Arc<Transfer>>, &mut S)> = zs
             .iter()
             .map(|&z| self.transfer_at(rows, cols, field.config(), z))
             .zip(states.iter_mut())
@@ -322,8 +340,7 @@ impl Propagator {
             None => finish(&fft, state, None),
             Some(_) if !reads(state) => finish(&fft, state, Some(&mut [])),
             Some(h) => {
-                let mut product =
-                    buffers.take_from(spectrum.iter().zip(h.iter()).map(|(s, t)| *s * *t));
+                let mut product = h.product(&buffers, &spectrum);
                 let result = finish(&fft, state, Some(&mut product));
                 buffers.give(product);
                 result
@@ -355,7 +372,7 @@ impl Propagator {
         let (rows, cols, cfg) = fields
             .first()
             .map_or((0, 0, OpticalConfig::default()), |f| (f.rows(), f.cols(), f.config()));
-        let jobs: Vec<(usize, Option<Transfer>)> = fields
+        let jobs: Vec<(usize, Option<Arc<Transfer>>)> = fields
             .iter()
             .zip(zs)
             .enumerate()
@@ -391,7 +408,7 @@ impl Propagator {
         assert!(!zs.is_empty(), "propagate_sum needs at least one field");
         let _span = holoar_telemetry::span_cat("optics.propagate_sum", "optics");
         let (rows, cols, cfg) = (out.rows(), out.cols(), out.config());
-        let jobs: Vec<(usize, Option<Transfer>)> = zs
+        let jobs: Vec<(usize, Option<Arc<Transfer>>)> = zs
             .iter()
             .enumerate()
             .map(|(i, &z)| (i, self.transfer_at(rows, cols, cfg, z)))
@@ -406,7 +423,7 @@ impl Propagator {
     /// into `out` as soon as it is ready if every earlier term already is,
     /// so one worker holds one term buffer at a time; a term that is ready
     /// early waits in its buffer and is folded in after the fan-out.
-    fn sum_products<S>(&self, out: &mut Field, jobs: &[(usize, Option<Transfer>)], source: S)
+    fn sum_products<S>(&self, out: &mut Field, jobs: &[(usize, Option<Arc<Transfer>>)], source: S)
     where
         S: Fn(usize, &mut [Complex64]) + Sync,
     {
@@ -418,7 +435,7 @@ impl Propagator {
             source(*j, &mut term);
             fft.forward(&mut term);
             if let Some(h) = h {
-                multiply(&mut term, h);
+                h.multiply(&mut term);
             }
             let mut sum = holoar_fft::lock_unpoisoned(&fold);
             if sum.0 != *j {
@@ -443,13 +460,19 @@ impl Propagator {
     /// # Panics
     ///
     /// Panics if `z` is not finite.
-    fn transfer_at(&self, rows: usize, cols: usize, cfg: OpticalConfig, z: f64) -> Option<Transfer> {
+    fn transfer_at(
+        &self,
+        rows: usize,
+        cols: usize,
+        cfg: OpticalConfig,
+        z: f64,
+    ) -> Option<Arc<Transfer>> {
         assert!(z.is_finite(), "propagation distance must be finite");
         (z != 0.0).then(|| self.transfer(rows, cols, cfg, z))
     }
 
     /// The cached (or newly built) transfer function for one distance.
-    fn transfer(&self, rows: usize, cols: usize, cfg: OpticalConfig, z: f64) -> Transfer {
+    fn transfer(&self, rows: usize, cols: usize, cfg: OpticalConfig, z: f64) -> Arc<Transfer> {
         let key =
             (rows, cols, z.to_bits(), cfg.wavelength.to_bits(), cfg.pitch.to_bits());
         match holoar_fft::lock_unpoisoned(&self.transfer).entry(key) {
@@ -460,14 +483,8 @@ impl Propagator {
             std::collections::hash_map::Entry::Vacant(miss) => {
                 holoar_telemetry::counter_add("optics.transfer_cache.miss", 1);
                 let _span = holoar_telemetry::span_cat("optics.transfer.build", "optics");
-                miss.insert(Arc::new(transfer_function(
-                    rows,
-                    cols,
-                    cfg.pitch,
-                    cfg.wavelength,
-                    z,
-                )))
-                .clone()
+                miss.insert(Arc::new(Transfer::new(rows, cols, cfg.pitch, cfg.wavelength, z)))
+                    .clone()
             }
         }
     }
@@ -505,45 +522,82 @@ fn fold_term((count, sum): &mut (usize, &mut [Complex64]), term: &[Complex64]) {
     *count += 1;
 }
 
-/// Multiplies a spectrum by a transfer function, sample by sample.
-fn multiply(spectrum: &mut [Complex64], h: &[Complex64]) {
-    for (s, t) in spectrum.iter_mut().zip(h) {
-        *s *= *t;
+impl Transfer {
+    /// Builds the quadrant of the (band-limited) angular-spectrum transfer
+    /// function for a `rows × cols` grid in FFT (DC-at-corner) index order:
+    /// the bins `0..=rows/2` by `0..=cols/2`, whose signed frequencies are
+    /// the non-negative ones.
+    fn new(rows: usize, cols: usize, pitch: f64, wavelength: f64, z: f64) -> Self {
+        let k = 2.0 * std::f64::consts::PI / wavelength;
+        let dfx = 1.0 / (cols as f64 * pitch);
+        let dfy = 1.0 / (rows as f64 * pitch);
+        // Band limit after Matsushima & Shimobaba (2009): frequencies beyond
+        // `1 / (λ·sqrt((2·Δf·z)² + 1))` alias for the given propagation
+        // distance and aperture, so the transfer function is zeroed there.
+        let fx_max = 1.0 / (wavelength * ((2.0 * dfx * z.abs()).powi(2) + 1.0).sqrt());
+        let fy_max = 1.0 / (wavelength * ((2.0 * dfy * z.abs()).powi(2) + 1.0).sqrt());
+
+        let mut quadrant = Vec::with_capacity((rows / 2 + 1) * (cols / 2 + 1));
+        for r in 0..=rows / 2 {
+            let fr = r as f64 * dfy;
+            for c in 0..=cols / 2 {
+                let fc = c as f64 * dfx;
+                let s = 1.0 - (wavelength * fc).powi(2) - (wavelength * fr).powi(2);
+                let within_band = fc.abs() <= fx_max && fr.abs() <= fy_max;
+                quadrant.push(if s >= 0.0 && within_band {
+                    Complex64::cis(k * z * s.sqrt())
+                } else if s < 0.0 {
+                    // Evanescent: decays as exp(-k|z|·sqrt(-s)).
+                    Complex64::from((-k * z.abs() * (-s).sqrt()).exp())
+                } else {
+                    Complex64::ZERO
+                });
+            }
+        }
+        Transfer { rows, cols, quadrant }
     }
-}
 
-/// Builds the (band-limited) angular-spectrum transfer function for a
-/// `rows × cols` grid in FFT (DC-at-corner) index order.
-fn transfer_function(rows: usize, cols: usize, pitch: f64, wavelength: f64, z: f64) -> Vec<Complex64> {
-    let k = 2.0 * std::f64::consts::PI / wavelength;
-    let dfx = 1.0 / (cols as f64 * pitch);
-    let dfy = 1.0 / (rows as f64 * pitch);
-    // Band limit after Matsushima & Shimobaba (2009): frequencies beyond
-    // `1 / (λ·sqrt((2·Δf·z)² + 1))` alias for the given propagation distance
-    // and aperture, so the transfer function is zeroed there.
-    let fx_max = 1.0 / (wavelength * ((2.0 * dfx * z.abs()).powi(2) + 1.0).sqrt());
-    let fy_max = 1.0 / (wavelength * ((2.0 * dfy * z.abs()).powi(2) + 1.0).sqrt());
-
-    let mut h = Vec::with_capacity(rows * cols);
-    for r in 0..rows {
-        // FFT bin → signed frequency.
-        let fr = if r <= rows / 2 { r as f64 } else { r as f64 - rows as f64 } * dfy;
-        for c in 0..cols {
-            let fc = if c <= cols / 2 { c as f64 } else { c as f64 - cols as f64 } * dfx;
-            let s = 1.0 - (wavelength * fc).powi(2) - (wavelength * fr).powi(2);
-            let within_band = fc.abs() <= fx_max && fr.abs() <= fy_max;
-            if s >= 0.0 && within_band {
-                h.push(Complex64::cis(k * z * s.sqrt()));
-            } else if s < 0.0 {
-                // Evanescent: decays as exp(-k|z|·sqrt(-s)).
-                let decay = (-k * z.abs() * (-s).sqrt()).exp();
-                h.push(Complex64::from(decay));
-            } else {
-                h.push(Complex64::ZERO);
+    /// Multiplies `spectrum` by `H` in place, row by row through
+    /// [`Transfer::halves`].
+    fn multiply(&self, spectrum: &mut [Complex64]) {
+        for (r, row) in spectrum.chunks_exact_mut(self.cols).enumerate() {
+            let (front, mirrored) = self.halves(r);
+            let (head, tail) = row.split_at_mut(front.len());
+            for (s, t) in head.iter_mut().zip(front) {
+                *s *= *t;
+            }
+            for (s, t) in tail.iter_mut().zip(mirrored.iter().rev()) {
+                *s *= *t;
             }
         }
     }
-    h
+
+    /// The product `spectrum · H` in a buffer checked out of `buffers`,
+    /// written row by row through [`Transfer::halves`].
+    fn product(&self, buffers: &ScratchArena, spectrum: &[Complex64]) -> Vec<Complex64> {
+        // An empty checkout counts as a reuse exactly when the pool has a
+        // buffer, and a grid's pool holds only full-grid buffers.
+        let mut product = buffers.take(0);
+        product.reserve(spectrum.len());
+        for (r, row) in spectrum.chunks_exact(self.cols).enumerate() {
+            let (front, mirrored) = self.halves(r);
+            let (head, tail) = row.split_at(front.len());
+            product.extend(head.iter().zip(front).map(|(s, t)| *s * *t));
+            product.extend(tail.iter().zip(mirrored.iter().rev()).map(|(s, t)| *s * *t));
+        }
+        product
+    }
+
+    /// Row `r` of the full table as two quadrant slices: its first
+    /// `cols/2 + 1` samples are `front`, and the rest are `mirrored`
+    /// walked in reverse. Row `r` mirrors quadrant row `min(r, rows − r)`,
+    /// and column `c > cols/2` mirrors quadrant column `cols − c`.
+    fn halves(&self, r: usize) -> (&[Complex64], &[Complex64]) {
+        let width = self.cols / 2 + 1;
+        let q = r.min(self.rows - r);
+        let front = &self.quadrant[q * width..(q + 1) * width];
+        (front, &front[1..self.cols + 1 - width])
+    }
 }
 
 #[cfg(test)]
@@ -555,6 +609,84 @@ mod tests {
         /// Number of cached transfer functions, shared across clones.
         fn cached_transfer_count(&self) -> usize {
             holoar_fft::lock_unpoisoned(&self.transfer).len()
+        }
+
+        /// Number of samples the cached transfer functions hold.
+        fn cached_transfer_samples(&self) -> usize {
+            let cache = holoar_fft::lock_unpoisoned(&self.transfer);
+            cache.values().map(|h| h.quadrant.len()).sum()
+        }
+    }
+
+    /// The full `rows × cols` transfer function evaluated bin by bin, each
+    /// bin from its own signed frequency: the oracle the cached quadrant,
+    /// read mirrored, must equal bit for bit.
+    fn full_grid(rows: usize, cols: usize, pitch: f64, wavelength: f64, z: f64) -> Vec<Complex64> {
+        let k = 2.0 * std::f64::consts::PI / wavelength;
+        let dfx = 1.0 / (cols as f64 * pitch);
+        let dfy = 1.0 / (rows as f64 * pitch);
+        let fx_max = 1.0 / (wavelength * ((2.0 * dfx * z.abs()).powi(2) + 1.0).sqrt());
+        let fy_max = 1.0 / (wavelength * ((2.0 * dfy * z.abs()).powi(2) + 1.0).sqrt());
+        // FFT bin → signed frequency index.
+        let signed =
+            |bin: usize, n: usize| if bin <= n / 2 { bin as f64 } else { bin as f64 - n as f64 };
+        let mut h = Vec::with_capacity(rows * cols);
+        for r in 0..rows {
+            let fr = signed(r, rows) * dfy;
+            for c in 0..cols {
+                let fc = signed(c, cols) * dfx;
+                let s = 1.0 - (wavelength * fc).powi(2) - (wavelength * fr).powi(2);
+                let within_band = fc.abs() <= fx_max && fr.abs() <= fy_max;
+                if s >= 0.0 && within_band {
+                    h.push(Complex64::cis(k * z * s.sqrt()));
+                } else if s < 0.0 {
+                    h.push(Complex64::from((-k * z.abs() * (-s).sqrt()).exp()));
+                } else {
+                    h.push(Complex64::ZERO);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn mirrored_quadrant_is_the_full_grid_bit_for_bit() {
+        let bits = |z: &Complex64| (z.re.to_bits(), z.im.to_bits());
+        let cfg = OpticalConfig::default();
+        // Below λ/2 the outer bins are evanescent (`s < 0`).
+        let fine = cfg.wavelength / 3.0;
+        // At 64×64 and the default pitch, 5 cm zeroes every bin past the
+        // band limit.
+        let zs = [0.002, -0.002, 1e-6, -0.0137, 0.05, -0.05];
+        let shapes = [(64, 64), (40, 40), (24, 24), (5, 7), (7, 5), (1, 8), (8, 1)];
+        let (mut evanescent, mut band_zeroed) = (false, false);
+        for (rows, cols) in shapes {
+            for pitch in [cfg.pitch, fine] {
+                for z in zs {
+                    let h = Transfer::new(rows, cols, pitch, cfg.wavelength, z);
+                    assert_eq!(h.quadrant.len(), (rows / 2 + 1) * (cols / 2 + 1));
+                    let mirrored = (0..rows).flat_map(|r| {
+                        let (front, mirrored) = h.halves(r);
+                        front.iter().chain(mirrored.iter().rev())
+                    });
+                    let want = full_grid(rows, cols, pitch, cfg.wavelength, z);
+                    let at = format!("{rows}x{cols} pitch {pitch:e} z {z}");
+                    assert!(mirrored.map(bits).eq(want.iter().map(bits)), "{at}");
+                    evanescent |= want.iter().any(|t| t.im == 0.0 && t.re > 0.0 && t.re < 1.0);
+                    band_zeroed |= want.contains(&Complex64::ZERO);
+                }
+            }
+        }
+        assert!(evanescent && band_zeroed, "the cases must reach both special bins");
+    }
+
+    #[test]
+    fn cached_tables_hold_one_quadrant() {
+        for (n, quadrant) in [(64, 33 * 33), (40, 21 * 21)] {
+            let mut p = Propagator::new();
+            p.propagate(&point_source(n), 0.001);
+            p.propagate(&point_source(n), -0.001);
+            assert_eq!(p.cached_transfer_samples(), 2 * quadrant, "{n}x{n}");
         }
     }
 
@@ -717,8 +849,9 @@ mod tests {
             .map(|&z| match oracle.transfer_at(24, 24, f.config(), z) {
                 None => f.total_energy(),
                 Some(h) => {
-                    let energy = spectrum.iter().zip(h.iter()).map(|(s, t)| (*s * *t).norm_sqr());
-                    energy.sum::<f64>() / (24.0 * 24.0)
+                    let mut product = spectrum.clone();
+                    h.multiply(&mut product);
+                    product.iter().map(|z| z.norm_sqr()).sum::<f64>() / (24.0 * 24.0)
                 }
             })
             .map(f64::to_bits)
