@@ -25,8 +25,6 @@ use holoar_core::{
 };
 use holoar_faults::FrameFaults;
 use holoar_gpusim::{calibration, DeviceSpec, HologramJob, JobPricer, OccupancyMemo};
-use holoar_pipeline::executor::{run_staged, StagedConfig};
-use holoar_pipeline::schedule::FrameLatencies;
 use holoar_sensors::angles::AngularPoint;
 use holoar_sensors::eyetrack::GazeEstimate;
 use holoar_sensors::objectron::{Frame, FrameGenerator};
@@ -56,9 +54,8 @@ pub const SERVE_FRAME_BUDGET: f64 = holoar_gpusim::EDGE_FRAME_BUDGET;
 /// Deferral trigger as a multiple of the frame budget.
 pub const DEFER_THRESHOLD: f64 = 1.5;
 
-/// Bound of each session's stale-backlog queue (and of the per-session
-/// staged executor's ingest → compute queue): how many ticks of owed fresh
-/// content a session tolerates before saturation forces a
+/// Bound of each session's stale-backlog queue: how many ticks of owed
+/// fresh content a session tolerates before saturation forces a
 /// `"queue-saturated"` step-down.
 pub const SESSION_QUEUE: usize = 3;
 
@@ -198,7 +195,7 @@ struct TickSession {
 /// Runs the multi-session serving loop and reports fleet and per-session
 /// outcomes. Deterministic for a given configuration: identical reports at
 /// any worker count (the only parallel fan-outs are the bit-identical
-/// quality and pipeline evaluations).
+/// quality evaluations).
 ///
 /// # Errors
 ///
@@ -380,9 +377,9 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
             // sheds planes and lets the batch (and this session) fit again.
             if fresh {
                 while state.backlog.pop().is_some() {}
-            // holoar-lint: allow(hot-loop-alloc, reason = "BoundedQueue::new pre-sizes its VecDeque to the bound and a full push pops first, so it never grows")
-            } else if state.backlog.push(tick).is_some() {
-                state.queue_drops += 1;
+            } else {
+                // holoar-lint: allow(hot-loop-alloc, reason = "BoundedQueue::new pre-sizes its VecDeque to the bound and a full push pops first, so it never grows")
+                state.backlog.push(tick);
             }
             state.ctl.observe_queue_depth(state.backlog.len(), state.backlog.bound());
             let hit = !deferred[i] && completion <= config.frame_budget() + 1e-12;
@@ -495,26 +492,6 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
             / config.frames as f64;
 
         let latencies = &state.latencies;
-        // Client-side staged executor: the session's served hologram stream
-        // replayed through the ingest ∥ compute ∥ present pipeline, with the
-        // same queue bound the serving backlog uses. Virtual-time scheduling
-        // keeps this bit-identical at any worker count.
-        let staged_cfg = StagedConfig {
-            compute_queue: SESSION_QUEUE,
-            ..StagedConfig::default()
-        };
-        let pipeline = run_staged(
-            config.frames,
-            &staged_cfg,
-            |i| FrameLatencies {
-                pose: calibration::stage_latency::POSE_ESTIMATE,
-                eye: calibration::stage_latency::EYE_TRACK,
-                scene: 0.0,
-                hologram: latencies[i as usize],
-            },
-            ctx,
-        );
-
         hits_total += state.deadline_hits;
         all_latencies.extend_from_slice(latencies);
         let mean_latency = latencies.iter().sum::<f64>() / latencies.len().max(1) as f64;
@@ -530,12 +507,8 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
             qos_step_downs: state.qos_step_downs,
             max_overruns_without_stepdown: state.ctl.max_overruns_without_stepdown(),
             mean_latency,
-            p99_latency: percentile(latencies, 0.99),
             psnr_weighted,
             psnr_full,
-            queue_drops: state.queue_drops,
-            pipeline_fps: pipeline.throughput_fps,
-            pipeline_stale: pipeline.stale_frames,
             slo: slo::session_slo(&state.slo, state.ctl.transitions(), &state.level_window),
         });
     }

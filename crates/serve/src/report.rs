@@ -29,23 +29,12 @@ pub struct SessionReport {
     pub max_overruns_without_stepdown: u32,
     /// Mean hologram-stage completion latency, seconds.
     pub mean_latency: f64,
-    /// 99th-percentile completion latency, seconds.
-    pub p99_latency: f64,
     /// Occupancy-weighted PSNR across the levels the session visited, dB
     /// (capped at the exact-reconstruction ceiling).
     pub psnr_weighted: f64,
     /// Full-quality PSNR of the same content — the single-session baseline
     /// the weighted figure is compared against.
     pub psnr_full: f64,
-    /// Backlog entries displaced from the session's bounded stale-backlog
-    /// queue — ticks of owed fresh content the session never caught up on.
-    pub queue_drops: u64,
-    /// Client-side staged-executor throughput with the served hologram
-    /// stage (ingest ∥ compute ∥ present), frames per second.
-    pub pipeline_fps: f64,
-    /// Frames of the client-side staged replay that presented as stale
-    /// reprojections (dropped from the executor's compute queue).
-    pub pipeline_stale: u64,
     /// SLO summary: sketch quantiles, error budget, burn alerts, signal-
     /// annotated step-downs and critical-path attribution.
     pub slo: SessionSlo,

@@ -65,9 +65,6 @@ pub(crate) struct SessionState {
     /// without it, a starved session's own frame accounting looks clean
     /// (reprojection is cheap) while its content ages.
     pub backlog: BoundedQueue<u64>,
-    /// Backlog entries displaced by drop-oldest overflow — stale ticks the
-    /// session will never catch up on.
-    pub queue_drops: u64,
     /// SLO bookkeeping: latency sketch, error budget, burn alerts, stage
     /// attribution.
     pub slo: SloTracker,
@@ -91,7 +88,6 @@ impl SessionState {
             qos_step_downs: 0,
             latencies: Vec::with_capacity(frames as usize),
             backlog: BoundedQueue::new(SESSION_QUEUE),
-            queue_drops: 0,
             slo: SloTracker::new(),
             level_window: SlidingWindow::new(slo::FAST_WINDOW),
         })
