@@ -26,9 +26,9 @@ fn bench_job_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// One serve tick's occupancy timeline in perfbench `serve`'s shape: six
-/// 64² sessions on a 4-SM edge device, at full quality, stepped down, and
-/// with half the sessions deferred.
+/// One serve tick's price (latency and occupancy of the merged launches)
+/// in perfbench `serve`'s shape: six 64² sessions on a 4-SM edge device, at
+/// full quality, stepped down, and with half the sessions deferred.
 fn bench_session_occupancy(c: &mut Criterion) {
     let fleet = |planes: [u32; 6], coverage: [f64; 6]| -> Vec<HologramJob> {
         planes
@@ -51,7 +51,7 @@ fn bench_session_occupancy(c: &mut Criterion) {
     let mut group = c.benchmark_group("gpusim/session_occupancy");
     for (name, jobs) in &mixes {
         group.bench_with_input(BenchmarkId::from_parameter(name), jobs, |b, jobs| {
-            b.iter(|| pricer.occupancy(black_box(jobs)))
+            b.iter(|| pricer.batch(black_box(jobs)))
         });
     }
     group.finish();

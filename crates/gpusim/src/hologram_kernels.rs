@@ -10,15 +10,13 @@
 //! through the read-only path (90% utilization, stalls led by Read-only
 //! Loads and Sync).
 
-use std::collections::HashMap;
-
 use crate::calibration;
 use crate::config::DeviceConfig;
 use crate::device::{expect_block_cost, launch_time, Device};
 use crate::kernel::{InstructionMix, KernelDesc};
 use crate::power::{Activity, EnergyMeter, RailPower};
 use crate::sm::BlockCost;
-use crate::timeline::{JobSlots, JobStream};
+use crate::timeline::Slots;
 
 /// Which half of Algorithm 1 a propagation kernel implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -208,7 +206,8 @@ pub fn job_kernels(job: &HologramJob) -> Vec<KernelDesc> {
 /// device: per GSW iteration and step, every job's plane propagations
 /// coalesce into a single grid-wide launch whose grid is the sum of the
 /// per-job plane grids. A batch of one job is that job's fused kernels.
-/// [`JobPricer::batch`] prices this sequence without building it.
+/// [`JobPricer::batch`] prices this sequence, and its occupancy on one
+/// stream, without building it.
 ///
 /// Jobs with `plane_count == 0` contribute nothing. All jobs must agree on
 /// `gsw_iterations` (only lockstep iterations merge).
@@ -219,7 +218,7 @@ pub fn job_kernels(job: &HologramJob) -> Vec<KernelDesc> {
 /// # Panics
 ///
 /// Panics if any job is invalid or if jobs disagree on `gsw_iterations`.
-// holoar-lint: allow(unreached, reason = "test oracle: merged_batch_price_is_bit_identical in gpusim tests/properties.rs and the hologram_kernels unit tests price the kernel-built merged batch against JobPricer::batch")
+// holoar-lint: allow(unreached, reason = "test oracle: merged_batch_price_is_bit_identical and batch_occupancy_matches_the_merged_timeline in gpusim tests/properties.rs and the hologram_kernels unit tests price the kernel-built merged batch against JobPricer::batch")
 pub fn merged_session_kernels(jobs: &[HologramJob]) -> Vec<KernelDesc> {
     let active: Vec<&HologramJob> = jobs.iter().filter(|j| j.plane_count > 0).collect();
     let Some(first) = active.first() else {
@@ -250,20 +249,17 @@ pub fn merged_session_kernels(jobs: &[HologramJob]) -> Vec<KernelDesc> {
 }
 
 /// Prices hologram jobs on one device model: a job's latency, rails and
-/// energy ([`JobPricer::cost`]), the latency of a merged launch
-/// ([`merged_session_kernels`]) and the mean occupancy of jobs sharing the
-/// device ([`timeline::simulate`](crate::timeline::simulate) of
-/// [`session_stream_ops`](crate::timeline::session_stream_ops)) as pure
+/// energy ([`JobPricer::cost`]) and the latency and occupancy of a merged
+/// launch ([`merged_session_kernels`], [`JobPricer::batch`]) as pure
 /// functions of the configuration. Every [`Device`] holds one
 /// ([`Device::pricer`]).
 ///
 /// A block's cost depends on the kernel's instruction mix and the device,
-/// not on the grid, so the forward and backward block costs, and their
-/// block-slot timings, are computed once per device. A job or batch is then
-/// priced from its grid through the launch-time arithmetic
-/// [`Device::execute`] uses, adding the launch times in launch order, and
-/// occupancy runs the timeline's event core on those timings, so each
-/// price is bit-identical to executing or simulating the kernels.
+/// not on the grid, so the forward and backward block costs are computed
+/// once per device. A job or batch is then priced from its grid through the
+/// launch-time arithmetic [`Device::execute`] uses, adding the launch times
+/// in launch order, so each latency is bit-identical to executing the
+/// kernels.
 ///
 /// # Examples
 ///
@@ -284,7 +280,11 @@ pub struct JobPricer {
     config: DeviceConfig,
     forward: BlockCost,
     backward: BlockCost,
-    slots: JobSlots,
+    /// The device's block slots.
+    slots: u64,
+    /// The slots one propagation launch's blocks may hold at once. Both
+    /// steps launch blocks of the same width, so they share it.
+    cap: u64,
 }
 
 impl JobPricer {
@@ -292,8 +292,9 @@ impl JobPricer {
     pub fn new(config: &DeviceConfig) -> Self {
         let cost = |step| expect_block_cost(&propagation_kernel(step, 1), config);
         let (forward, backward) = (cost(Step::Forward), cost(Step::Backward));
-        let slots = JobSlots::new(config, &forward, &backward);
-        JobPricer { config: *config, forward, backward, slots }
+        let slots = Slots::new(config);
+        let cap = slots.cap(&propagation_kernel(Step::Forward, 1), config).min(slots.total);
+        JobPricer { config: *config, forward, backward, slots: slots.total, cap }
     }
 
     /// The configuration this pricer prices on.
@@ -368,7 +369,19 @@ impl JobPricer {
     /// The price of running `jobs` as one merged launch sequence: per GSW
     /// iteration, one forward and one backward launch over the sum of the
     /// jobs' plane grids. Jobs with no planes contribute nothing; a batch
-    /// with no planes at all costs `+0.0` and no launches.
+    /// with no planes at all costs `+0.0`, no launches and no occupancy.
+    ///
+    /// The occupancy is the launches' time-weighted share of the device's
+    /// block slots, the [`Timeline::mean_occupancy`] of
+    /// [`simulate`](crate::timeline::simulate)-ing
+    /// [`merged_session_kernels`] on one stream. A launch of `B` blocks
+    /// whose co-residency cap is `c` of the device's `S` slots runs
+    /// `⌈B / c⌉` waves of one block time, holding `B` blocks' worth of slot
+    /// time in all, so its share is `B / (S · ⌈B / c⌉)` whatever the block
+    /// time. Every launch has the same grid and cap, so that is the whole
+    /// sequence's occupancy.
+    ///
+    /// [`Timeline::mean_occupancy`]: crate::timeline::Timeline::mean_occupancy
     ///
     /// # Panics
     ///
@@ -388,7 +401,7 @@ impl JobPricer {
             blocks = blocks.saturating_add(job.blocks());
         }
         let Some(iterations) = iterations else {
-            return BatchPrice { latency: 0.0, launches: 0 };
+            return BatchPrice { latency: 0.0, launches: 0, occupancy: 0.0 };
         };
         let grid_blocks = blocks.clamp(1, u64::from(u32::MAX)) as u32;
         let fwd = launch_time(grid_blocks, &self.forward, &self.config).1;
@@ -398,57 +411,9 @@ impl JobPricer {
             latency += fwd;
             latency += bwd;
         }
-        BatchPrice { latency, launches: 2 * u64::from(iterations) }
-    }
-
-    /// Time-weighted mean occupancy of `jobs` sharing the device, each job
-    /// with planes on its own stream: bit-identical to
-    /// `simulate(&session_stream_ops(jobs), config).mean_occupancy()`,
-    /// without building the kernels. Jobs with no planes contribute
-    /// nothing; no work at all is zero occupancy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a job with planes is invalid.
-    pub fn occupancy(&self, jobs: &[HologramJob]) -> f64 {
-        let _span = holoar_telemetry::span_cat("gpusim.price.occupancy", "gpusim");
-        self.slots.occupancy(jobs)
-    }
-}
-
-/// Memoizes one [`JobPricer`]'s [`JobPricer::occupancy`] by exactly what
-/// the occupancy timeline reads: each job with planes' plane grid, plane
-/// count and GSW iterations, in job order. A hit returns the bits a fresh
-/// timeline would. Keep one memo per serving run: a memo shared across
-/// runs would make later runs of a replayed population cheaper than the
-/// first.
-#[derive(Debug)]
-pub struct OccupancyMemo<'a> {
-    pricer: &'a JobPricer,
-    prices: HashMap<Vec<JobStream>, f64>,
-    key: Vec<JobStream>,
-}
-
-impl<'a> OccupancyMemo<'a> {
-    /// An empty memo of `pricer`'s occupancy.
-    pub fn new(pricer: &'a JobPricer) -> Self {
-        OccupancyMemo { pricer, prices: HashMap::new(), key: Vec::new() }
-    }
-
-    /// `pricer.occupancy(jobs)`, computed once per distinct key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a job with planes is invalid.
-    pub fn occupancy(&mut self, jobs: &[HologramJob]) -> f64 {
-        self.key.clear();
-        self.key.extend(jobs.iter().filter_map(JobStream::of));
-        if let Some(&occupancy) = self.prices.get(self.key.as_slice()) {
-            return occupancy;
-        }
-        let occupancy = self.pricer.occupancy(jobs);
-        self.prices.insert(self.key.clone(), occupancy);
-        occupancy
+        let blocks = u64::from(grid_blocks);
+        let occupancy = blocks as f64 / (self.slots * blocks.div_ceil(self.cap)) as f64;
+        BatchPrice { latency, launches: 2 * u64::from(iterations), occupancy }
     }
 }
 
@@ -471,6 +436,9 @@ pub struct BatchPrice {
     /// Merged kernel launches: two per GSW iteration when any job has
     /// planes, else zero.
     pub launches: u64,
+    /// Time-weighted mean occupancy of the device's block slots over the
+    /// launches, in `(0, 1]`; zero with no launches.
+    pub occupancy: f64,
 }
 
 /// Latency of the forward and backward halves for one plane count — the
@@ -594,8 +562,9 @@ mod tests {
         assert!(price.latency > 0.0);
         assert_eq!(price.launches, 10, "2 launches × 5 lockstep iterations");
         assert_eq!(jobs.map(|j| j.blocks()), [12 * 16, 0, 20 * 16], "64² → 16 blocks per plane");
+        assert!(price.occupancy > 0.0 && price.occupancy <= 1.0, "{}", price.occupancy);
         let idle = pricer.batch(&[job(0), job(0)]);
-        assert_eq!((idle.latency, idle.launches), (0.0, 0));
+        assert_eq!((idle.latency, idle.launches, idle.occupancy), (0.0, 0, 0.0));
         assert_eq!(pricer.batch(&[]).launches, 0);
     }
 

@@ -44,7 +44,7 @@ pub mod timeline;
 pub use config::{DeviceConfig, MemoryConfig, PowerConfig, SmConfig};
 pub use device::{BuildDeviceError, Device};
 pub use gating::{DvfsOutcome, DvfsPoint, GatingPolicy};
-pub use hologram_kernels::{BatchPrice, HologramJob, JobCost, JobPricer, OccupancyMemo, Step};
+pub use hologram_kernels::{BatchPrice, HologramJob, JobCost, JobPricer, Step};
 pub use kernel::{InstructionMix, KernelDesc};
 pub use power::{Activity, EnergyMeter, RailEnergy, RailPower};
 pub use profiler::{KernelAggregate, Profiler};

@@ -11,19 +11,18 @@
 //! parallelism raises sustained utilization (the Fig 8a activity mechanism)
 //! instead of assuming it.
 //!
-//! One event core serves [`simulate`] and
-//! [`JobPricer::occupancy`](crate::JobPricer::occupancy). It walks each
-//! stream as run-length segments of identical ops with one frontier cursor
-//! per stream (a hologram job's stream is `2 × gsw_iterations` runs of
-//! `plane_count` ops), and keeps in-flight block waves in one FIFO per
-//! distinct block time. Waves of one block time retire in dispatch order,
-//! so each FIFO stays sorted by retire time without a search.
+//! The event core walks each stream's ops with one frontier cursor per
+//! stream, and keeps in-flight block waves in one FIFO per distinct block
+//! time. Waves of one block time retire in dispatch order, so each FIFO
+//! stays sorted by retire time without a search. Serving does not run it:
+//! a serve tick is one stream of equal-grid merged launches, whose
+//! occupancy has a closed form ([`JobPricer::batch`](crate::JobPricer::batch)).
 
 use std::collections::VecDeque;
 
 use crate::config::DeviceConfig;
 use crate::device::expect_block_cost;
-use crate::hologram_kernels::{plane_grid_blocks, propagation_kernel, HologramJob, Step};
+use crate::hologram_kernels::{propagation_kernel, HologramJob, Step};
 use crate::kernel::KernelDesc;
 use crate::sm::{co_resident_blocks, BlockCost};
 
@@ -124,8 +123,8 @@ impl MeanOccupancy {
 /// Panics if any kernel is invalid.
 pub fn simulate(ops: &[StreamOp], config: &DeviceConfig) -> Timeline {
     let slots = Slots::new(config);
-    // Group ops by stream (stable: enqueue order within a stream). Each op
-    // is a one-op segment whose priority is its enqueue index.
+    // Group ops by stream (stable: enqueue order within a stream). An op's
+    // priority is its enqueue index.
     let mut by_stream: Vec<usize> = (0..ops.len()).collect();
     by_stream.sort_by_key(|&i| ops[i].stream);
     let mut engine = Engine::new(slots.total, ops.len());
@@ -137,13 +136,13 @@ pub fn simulate(ops: &[StreamOp], config: &DeviceConfig) -> Timeline {
         }
         let kernel = &ops[i].kernel;
         let timing = slots.timing(kernel, &expect_block_cost(kernel, config), config);
-        engine.push(1, u64::from(kernel.grid_blocks), timing, i);
+        engine.push(u64::from(kernel.grid_blocks), timing, i);
     }
     let mut intervals = vec![(0.0, 0.0); ops.len()];
     let mut occupancy = Vec::new();
     engine.run(
         |s| occupancy.push(s),
-        |segment, start, end| intervals[by_stream[segment]] = (start, end),
+        |op, start, end| intervals[by_stream[op]] = (start, end),
     );
 
     let mut spans: Vec<KernelSpan> = ops
@@ -161,106 +160,31 @@ pub fn simulate(ops: &[StreamOp], config: &DeviceConfig) -> Timeline {
     Timeline { spans, occupancy, makespan }
 }
 
-/// What the occupancy timeline reads of one job with planes: its plane
-/// grid, plane count and GSW iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct JobStream {
-    blocks: u32,
-    planes: u32,
-    iterations: u32,
-}
-
-impl JobStream {
-    /// The job's stream, or `None` for a job with no planes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a job with planes is invalid.
-    pub(crate) fn of(job: &HologramJob) -> Option<Self> {
-        if job.plane_count == 0 {
-            return None;
-        }
-        job.expect_valid();
-        Some(JobStream {
-            blocks: plane_grid_blocks(job.covered_pixels()),
-            planes: job.plane_count,
-            iterations: job.gsw_iterations,
-        })
-    }
-}
-
-/// The slot timings of hologram jobs' two propagation steps on one device:
-/// everything the jobs' occupancy timeline needs besides the jobs.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct JobSlots {
-    total: u64,
-    forward: SlotTiming,
-    backward: SlotTiming,
-}
-
-impl JobSlots {
-    /// The timings on `config`, from the steps' block costs.
-    pub(crate) fn new(config: &DeviceConfig, forward: &BlockCost, backward: &BlockCost) -> Self {
-        let slots = Slots::new(config);
-        let timing = |step, cost| slots.timing(&propagation_kernel(step, 1), cost, config);
-        JobSlots {
-            total: slots.total,
-            forward: timing(Step::Forward, forward),
-            backward: timing(Step::Backward, backward),
-        }
-    }
-
-    /// Time-weighted mean occupancy of `jobs` sharing the device:
-    /// bit-identical to
-    /// `simulate(&session_stream_ops(jobs), config).mean_occupancy()`.
-    /// Each job with planes is one stream of `2 × gsw_iterations` segments
-    /// of `plane_count` identical ops, forward then backward; no work at all
-    /// is zero occupancy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job with planes is invalid.
-    pub(crate) fn occupancy(&self, jobs: &[HologramJob]) -> f64 {
-        let segments = jobs.iter().map(|j| 2 * j.gsw_iterations as usize).sum();
-        let mut engine = Engine::new(self.total, segments);
-        // Each stream's ops were enqueued after every op of the streams
-        // before it, so the stream index orders frontiers as enqueue
-        // indices did.
-        for (key, stream) in jobs.iter().filter_map(JobStream::of).enumerate() {
-            engine.open_stream();
-            for _ in 0..stream.iterations {
-                for timing in [self.forward, self.backward] {
-                    engine.push(u64::from(stream.planes), u64::from(stream.blocks), timing, key);
-                }
-            }
-        }
-        let mut mean = MeanOccupancy::default();
-        engine.run(|s| mean.add(&s), |_, _, _| {});
-        mean.value()
-    }
-}
-
 /// The device's block slots.
-struct Slots {
+pub(crate) struct Slots {
     per_sm: u64,
-    total: u64,
+    pub(crate) total: u64,
 }
 
 impl Slots {
-    fn new(config: &DeviceConfig) -> Self {
+    pub(crate) fn new(config: &DeviceConfig) -> Self {
         let per_sm =
             (u64::from(config.sm.max_resident_warps) * u64::from(config.sm.warp_size) / 256).max(1);
         Slots { per_sm, total: per_sm * u64::from(config.sm_count) }
+    }
+
+    /// The slots `kernel`'s blocks may hold at once: its co-resident blocks
+    /// per SM on every SM.
+    pub(crate) fn cap(&self, kernel: &KernelDesc, config: &DeviceConfig) -> u64 {
+        let per_sm = (co_resident_blocks(kernel, config) as u64).max(1);
+        per_sm.saturating_mul(u64::from(config.sm_count))
     }
 
     /// The slot timing of `kernel`, whose block cost is `cost`.
     fn timing(&self, kernel: &KernelDesc, cost: &BlockCost, config: &DeviceConfig) -> SlotTiming {
         let block_time =
             cost.total_cycles() / config.kernel_efficiency / config.clock_hz * self.per_sm as f64;
-        let cap = (co_resident_blocks(kernel, config) as u64)
-            .max(1)
-            .saturating_mul(u64::from(config.sm_count));
-        SlotTiming { block_time, cap }
+        SlotTiming { block_time, cap: self.cap(kernel, config) }
     }
 }
 
@@ -272,12 +196,9 @@ struct SlotTiming {
     cap: u64,
 }
 
-/// A run of identical ops on one stream.
+/// One op on a stream.
 #[derive(Clone, Copy)]
-struct Segment {
-    /// Ops in the run (a cursor counts its frontier segment's down).
-    ops: u64,
-    /// Blocks per op.
+struct Op {
     blocks: u64,
     timing: SlotTiming,
     /// Index of the wave FIFO of `timing.block_time`.
@@ -287,12 +208,12 @@ struct Segment {
     key: usize,
 }
 
-/// One stream's frontier op, the first unfinished op of its segments.
+/// One stream's frontier op, its first unfinished op.
 struct Cursor {
-    frontier: Segment,
-    /// Index of the frontier's segment in [`Engine::segments`].
-    segment: usize,
-    /// One past the stream's last segment.
+    frontier: Op,
+    /// Index of the frontier in [`Engine::ops`].
+    op: usize,
+    /// One past the stream's last op.
     end: usize,
     blocks_left: u64,
     in_flight: u64,
@@ -300,29 +221,19 @@ struct Cursor {
 }
 
 impl Cursor {
-    fn at(segments: &[Segment], segment: usize, end: usize) -> Self {
-        let frontier = segments[segment];
-        Cursor {
-            frontier,
-            segment,
-            end,
-            blocks_left: frontier.blocks,
-            in_flight: 0,
-            started_at: 0.0,
-        }
+    fn at(ops: &[Op], op: usize, end: usize) -> Self {
+        let frontier = ops[op];
+        Cursor { frontier, op, end, blocks_left: frontier.blocks, in_flight: 0, started_at: 0.0 }
     }
 
     /// Moves past the finished frontier op. When the stream has no op
-    /// left, `segment` reaches `end` and no blocks are left to dispatch.
-    fn advance(&mut self, segments: &[Segment]) {
-        self.frontier.ops -= 1;
-        if self.frontier.ops == 0 {
-            self.segment += 1;
-            if self.segment == self.end {
-                return;
-            }
-            self.frontier = segments[self.segment];
+    /// left, `op` reaches `end` and no blocks are left to dispatch.
+    fn advance(&mut self, ops: &[Op]) {
+        self.op += 1;
+        if self.op == self.end {
+            return;
         }
+        self.frontier = ops[self.op];
         self.blocks_left = self.frontier.blocks;
     }
 }
@@ -336,12 +247,11 @@ struct Wave {
     count: u64,
 }
 
-/// The event core shared by [`simulate`] and [`JobSlots::occupancy`]:
-/// streams of run-length segments, walked by one frontier cursor per
-/// stream.
+/// The event core behind [`simulate`]: streams of ops, walked by one
+/// frontier cursor per stream.
 struct Engine {
-    segments: Vec<Segment>,
-    /// Each stream's segments, `segments[start..end]`, in enqueue order.
+    ops: Vec<Op>,
+    /// Each stream's ops, `ops[start..end]`, in enqueue order.
     streams: Vec<(usize, usize)>,
     /// Block time of each wave class, one per distinct bit pattern.
     block_times: Vec<f64>,
@@ -349,9 +259,9 @@ struct Engine {
 }
 
 impl Engine {
-    fn new(total_slots: u64, segments: usize) -> Self {
+    fn new(total_slots: u64, ops: usize) -> Self {
         Engine {
-            segments: Vec::with_capacity(segments),
+            ops: Vec::with_capacity(ops),
             streams: Vec::new(),
             block_times: Vec::new(),
             total_slots,
@@ -360,13 +270,12 @@ impl Engine {
 
     /// Starts a new stream; later [`Engine::push`]es enqueue on it.
     fn open_stream(&mut self) {
-        let at = self.segments.len();
+        let at = self.ops.len();
         self.streams.push((at, at));
     }
 
-    /// Enqueues `ops` (at least one) ops of `blocks` blocks each on the
-    /// newest stream.
-    fn push(&mut self, ops: u64, blocks: u64, timing: SlotTiming, key: usize) {
+    /// Enqueues an op of `blocks` blocks on the newest stream.
+    fn push(&mut self, blocks: u64, timing: SlotTiming, key: usize) {
         let Some(stream) = self.streams.last_mut() else {
             return;
         };
@@ -378,13 +287,13 @@ impl Engine {
                 self.block_times.len() - 1
             }
         };
-        self.segments.push(Segment { ops, blocks, timing, class, key });
-        stream.1 = self.segments.len();
+        self.ops.push(Op { blocks, timing, class, key });
+        stream.1 = self.ops.len();
     }
 
     /// Runs every op to completion, reporting each inter-event interval's
     /// occupancy to `sample` in time order and each finished op to
-    /// `finished` as `(segment, start, end)`. Allocates nothing per event.
+    /// `finished` as `(op, start, end)`. Allocates nothing per event.
     ///
     /// In-flight waves wait in one FIFO per block time. A wave dispatched at
     /// `now` retires at `now + block_time` and `now` never decreases, so
@@ -395,19 +304,18 @@ impl Engine {
         mut sample: impl FnMut(OccupancySample),
         mut finished: impl FnMut(usize, f64, f64),
     ) {
-        let Engine { segments, streams, block_times, total_slots } = self;
+        let Engine { ops, streams, block_times, total_slots } = self;
         let total_slots = *total_slots;
         let mut cursors: Vec<Cursor> = streams
             .iter()
             .filter(|&&(start, end)| start < end)
-            .map(|&(start, end)| Cursor::at(segments, start, end))
+            .map(|&(start, end)| Cursor::at(ops, start, end))
             .collect();
         // A wave holds at least one in-flight block, so no FIFO outgrows
         // its class's blocks or the device's slots.
         let mut class_blocks = vec![0u64; block_times.len()];
-        for segment in segments {
-            let blocks = segment.ops.saturating_mul(segment.blocks);
-            class_blocks[segment.class] = class_blocks[segment.class].saturating_add(blocks);
+        for op in ops {
+            class_blocks[op.class] = class_blocks[op.class].saturating_add(op.blocks);
         }
         let mut waves: Vec<VecDeque<Wave>> = class_blocks
             .iter()
@@ -449,15 +357,14 @@ impl Engine {
                     cursor.in_flight -= w.count;
                     in_flight -= w.count;
                     if cursor.blocks_left == 0 && cursor.in_flight == 0 {
-                        finished(cursor.segment, cursor.started_at, now);
-                        let key = cursor.frontier.key;
-                        cursor.advance(segments);
-                        reorder |= cursor.segment == cursor.end || cursor.frontier.key != key;
+                        finished(cursor.op, cursor.started_at, now);
+                        cursor.advance(ops);
+                        reorder = true;
                     }
                 }
             }
             if reorder {
-                order.retain(|&i| cursors[i].segment < cursors[i].end);
+                order.retain(|&i| cursors[i].op < cursors[i].end);
                 order.sort_unstable_by_key(|&i| cursors[i].frontier.key);
             }
         }
@@ -562,7 +469,7 @@ pub fn plane_stream_ops(pixels: u64, planes: u32) -> Vec<StreamOp> {
 /// # Panics
 ///
 /// Panics if any job with planes is invalid.
-// holoar-lint: allow(unreached, reason = "test oracle: session_occupancy_is_bit_identical in gpusim tests/properties.rs and the timeline unit tests price the kernel-built stream workload against JobPricer::occupancy")
+// holoar-lint: allow(unreached, reason = "test workload: session_timelines_match_the_linear_scan_oracle in gpusim tests/timeline_oracle.rs and the timeline unit tests simulate multi-stream session timelines with it")
 pub fn session_stream_ops(jobs: &[HologramJob]) -> Vec<StreamOp> {
     use crate::hologram_kernels::job_kernels;
     let mut ops = Vec::new();

@@ -3,12 +3,11 @@
 
 use holoar_gpusim::gating::{gated_cost, gated_rails, GatingPolicy};
 use holoar_gpusim::hologram_kernels::{
-    job_kernels, merged_session_kernels, HologramJob, JobCost, JobPricer, OccupancyMemo,
+    job_kernels, merged_session_kernels, HologramJob, JobCost, JobPricer,
 };
-use holoar_gpusim::timeline::session_stream_ops;
 use holoar_gpusim::{
     simulate, Activity, Device, DeviceConfig, DvfsPoint, EnergyMeter, InstructionMix,
-    KernelDesc, PowerConfig, RailPower, StallCategory,
+    KernelDesc, PowerConfig, RailPower, SmConfig, StallCategory, StreamOp,
 };
 use proptest::prelude::*;
 
@@ -172,43 +171,50 @@ fn arb_sm_count() -> impl Strategy<Value = u32> {
     prop::sample::select(vec![1u32, 4, 32])
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The pricer's occupancy reproduces the kernel-built session timeline
-    /// bit for bit, also on the 2- and 8-SM devices between the shared
-    /// SM counts.
-    #[test]
-    fn session_occupancy_is_bit_identical(
-        jobs in arb_fleet(),
-        sm_count in prop::sample::select(vec![1u32, 2, 4, 8, 32]),
-    ) {
-        let cfg = DeviceConfig { sm_count, ..DeviceConfig::default() };
-        let reference = simulate(&session_stream_ops(&jobs), &cfg).mean_occupancy();
-        prop_assert_eq!(JobPricer::new(&cfg).occupancy(&jobs).to_bits(), reference.to_bits());
-    }
+/// One tick's jobs: 0–12 sessions of 0–24 planes at coverage in (0, 1]
+/// on one of three hologram sizes, all at one GSW iteration count (1–5),
+/// as lockstep merging requires.
+fn arb_tick() -> impl Strategy<Value = Vec<HologramJob>> {
+    (1u32..6).prop_flat_map(|gsw_iterations| {
+        let pixels = prop::sample::select(vec![16u64 * 16, 64 * 64, 96 * 96]);
+        let job = (pixels, 0u32..25, 0.0f64..1.0).prop_map(move |(pixels, plane_count, x)| {
+            HologramJob { pixels, plane_count, coverage: 1.0 - x, gsw_iterations }
+        });
+        prop::collection::vec(job, 0..13)
+    })
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The occupancy memo returns the bits a fresh timeline would: for
-    /// fleets seen before, and for fleets that share a key because their
-    /// coverage moved without changing a plane grid.
+    /// A batch's occupancy is the mean occupancy of its merged kernels
+    /// simulated on one stream, up to the event core's summation rounding,
+    /// on devices of 1 to 32 SMs, also with 192-warp SMs, whose 16-block
+    /// co-residency cap binds below their 24 block slots; a batch with no
+    /// planes has none.
     #[test]
-    fn occupancy_memo_is_bit_identical(
-        fleets in prop::collection::vec(arb_fleet(), 1..5),
-        sm_count in arb_sm_count(),
+    fn batch_occupancy_matches_the_merged_timeline(
+        jobs in arb_tick(),
+        sm_count in prop::sample::select(vec![1u32, 2, 4, 8, 32]),
+        max_resident_warps in prop::sample::select(vec![64u32, 192]),
     ) {
-        let cfg = DeviceConfig { sm_count, ..DeviceConfig::default() };
-        let pricer = JobPricer::new(&cfg);
-        let mut memo = OccupancyMemo::new(&pricer);
-        for jobs in fleets.iter().chain(&fleets) {
-            let nudged: Vec<HologramJob> =
-                jobs.iter().map(|j| HologramJob { coverage: j.coverage * 0.999, ..*j }).collect();
-            for jobs in [jobs, &nudged] {
-                prop_assert_eq!(memo.occupancy(jobs).to_bits(), pricer.occupancy(jobs).to_bits());
-            }
+        let defaults = DeviceConfig::default();
+        let sm = SmConfig { max_resident_warps, ..defaults.sm };
+        let cfg = DeviceConfig { sm_count, sm, ..defaults };
+        let ops: Vec<StreamOp> = merged_session_kernels(&jobs)
+            .into_iter()
+            .map(|kernel| StreamOp { stream: 0, kernel })
+            .collect();
+        let reference = simulate(&ops, &cfg).mean_occupancy();
+        let occupancy = JobPricer::new(&cfg).batch(&jobs).occupancy;
+        if ops.is_empty() {
+            prop_assert_eq!(occupancy, 0.0);
+        } else {
+            prop_assert!(occupancy > 0.0 && occupancy <= 1.0, "occupancy {}", occupancy);
+            prop_assert!(
+                (occupancy - reference).abs() <= 1e-12 * reference,
+                "closed form {} vs timeline {}", occupancy, reference
+            );
         }
     }
 }

@@ -24,7 +24,7 @@ use holoar_core::{
     ExecutionContext, GazeInput, HoloArConfig, Planner, PoseInput, Scheme, SensorSample,
 };
 use holoar_faults::FrameFaults;
-use holoar_gpusim::{calibration, DeviceSpec, HologramJob, JobPricer, OccupancyMemo};
+use holoar_gpusim::{calibration, DeviceSpec, HologramJob, JobPricer};
 use holoar_sensors::angles::AngularPoint;
 use holoar_sensors::eyetrack::GazeEstimate;
 use holoar_sensors::objectron::{Frame, FrameGenerator};
@@ -86,10 +86,12 @@ pub(crate) fn solo_cost(pricer: &JobPricer, job: &HologramJob, ladder: &Degradat
 ///
 /// The shared device is a [`DeviceSpec`]: [`DeviceSpec::edge`] is the
 /// serving default — Xavier-class SMs, but 32 of them, an edge-server
-/// accelerator rather than a headset SoC. Per-session 64² plane kernels
-/// span 16 blocks, so a single session leaves most of the device idle;
-/// cross-session batching is what fills it — and a ~16-session fleet
-/// saturates it, exercising the QoS and deferral layers.
+/// accelerator rather than a headset SoC. A 64² plane spans 16 blocks and
+/// the device holds 256 at once, so one session's merged launch fills
+/// under half of it (mean occupancy about 0.4 in `repro serve`'s 1-session
+/// row); cross-session batching is what fills it — and a fleet of 16–24
+/// sessions reaches the frame budget, exercising the QoS and deferral
+/// layers.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Requested sessions, in admission-priority order.
@@ -235,9 +237,6 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         states.push(SessionState::new(*spec, ladder, config.frames)?);
     }
     let mut scheduler = FrameScheduler::new(admitted);
-    // Tick occupancy, memoized for this run only (a memo spanning runs
-    // would make replayed populations cheaper than their first run).
-    let mut occupancy_memo = OccupancyMemo::new(&pricer);
     // Per-tick buffers, sized once for the admitted sessions and refilled
     // every tick.
     let mut order: Vec<usize> = Vec::with_capacity(admitted);
@@ -288,8 +287,8 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         // Phase 2: deferral — shed from the back of the priority order until
         // the batch fits the deferral threshold, always keeping at least one
         // fresh session. A deferred session's job is idle. The loop leaves
-        // `jobs` final and their price, whose latency is the tick's batch
-        // latency.
+        // `jobs` final and their price, whose latency and occupancy are the
+        // tick's.
         deferred.fill(false);
         jobs.clear();
         jobs.extend(ticks.iter().map(|t| t.job));
@@ -319,17 +318,13 @@ pub fn run_serve(config: &ServeConfig, ctx: &ExecutionContext) -> Result<ServeRe
         holoar_telemetry::counter_add("serve.batch.launches_saved", saved);
         merged_launches += batch.launches;
         launches_saved += saved;
-        let tick_occupancy = if batch.launches > 0 {
-            let occupancy = occupancy_memo.occupancy(&jobs);
-            occupancy_sum += occupancy;
+        if batch.launches > 0 {
+            occupancy_sum += batch.occupancy;
             occupancy_ticks += 1;
-            holoar_telemetry::gauge_set("serve.tick.occupancy", occupancy);
-            occupancy
-        } else {
-            0.0
-        };
+            holoar_telemetry::gauge_set("serve.tick.occupancy", batch.occupancy);
+        }
         // holoar-lint: allow(hot-loop-alloc, reason = "SlidingWindow::new pre-sizes its ring to the capacity and a full push overwrites the oldest sample, so it never grows")
-        occupancy_window.push(tick, tick_occupancy);
+        occupancy_window.push(tick, batch.occupancy);
         // holoar-lint: allow(hot-loop-alloc, reason = "SlidingWindow::new pre-sizes its ring to the capacity and a full push overwrites the oldest sample, so it never grows")
         queue_window.push(tick, deferred.iter().filter(|&&d| d).count() as f64);
 

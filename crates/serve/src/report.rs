@@ -63,7 +63,9 @@ pub struct ServeReport {
     pub latency_p50: f64,
     /// 99th-percentile completion latency, seconds.
     pub latency_p99: f64,
-    /// Mean SM occupancy of the interleaved session timelines.
+    /// Mean block-slot occupancy of the device over the ticks that launched
+    /// work: each tick's merged launches'
+    /// [`BatchPrice::occupancy`](holoar_gpusim::BatchPrice::occupancy).
     pub mean_occupancy: f64,
     /// Merged kernel launches issued.
     pub merged_launches: u64,

@@ -296,7 +296,10 @@ pub struct FleetSlo {
     pub recent_hit_rate: f64,
     /// Mean deferred-session count over the most recent window of ticks.
     pub recent_queue_depth: f64,
-    /// Mean device occupancy over the most recent window of ticks.
+    /// Mean of each tick's merged-launch occupancy
+    /// ([`BatchPrice::occupancy`](holoar_gpusim::BatchPrice::occupancy))
+    /// over the most recent window of ticks; a tick that launched nothing
+    /// counts as zero.
     pub recent_occupancy: f64,
 }
 

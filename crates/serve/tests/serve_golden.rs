@@ -1,8 +1,7 @@
 //! Full-bit pin of one serving run: CI's `repro serve --sessions 4
 //! --frames 30 --seed 11` shape. The checked-in artifacts print six
-//! decimals; this pins every bit of the report, so a change to the
-//! occupancy engine or the tick's arithmetic that moves a low-order bit
-//! fails here.
+//! decimals; this pins every bit of the report, so a change to the batch
+//! pricer or the tick's arithmetic that moves a low-order bit fails here.
 
 use holoar_core::ExecutionContext;
 use holoar_serve::{run_serve, DeviceSpec, ServeConfig, SessionSpec};
@@ -21,13 +20,13 @@ fn fnv1a(text: &str) -> u64 {
 fn ci_serve_shape_is_pinned_to_the_bit() {
     let config = ServeConfig::fleet(DeviceSpec::edge(), SessionSpec::fleet(4, 11), 30);
     let report = run_serve(&config, &ExecutionContext::serial()).expect("fleet config is valid");
-    assert_eq!(report.mean_occupancy.to_bits(), 0x3fc2_ef53_0eca_8641, "mean_occupancy drifted");
+    assert_eq!(report.mean_occupancy.to_bits(), 0x3fe4_6f77_7777_7777, "mean_occupancy drifted");
     assert_eq!(
         report.slo.recent_occupancy.to_bits(),
-        0x3fc4_4611_1111_110f,
+        0x3fe5_0d00_0000_0000,
         "recent_occupancy drifted"
     );
-    assert_eq!(fnv1a(&format!("{report:?}")), 0xc53b_93d5_ef53_8476, "report digest drifted");
+    assert_eq!(fnv1a(&format!("{report:?}")), 0x981f_6628_3726_b88e, "report digest drifted");
 }
 
 /// perfbench's `serve` shape: six sessions on a 4-SM edge device for 150
@@ -45,5 +44,5 @@ fn overloaded_serve_shape_is_pinned_to_the_bit() {
     let step_downs: u64 = report.sessions.iter().map(|s| s.qos_step_downs).sum();
     assert!(deferred > 0, "the overloaded run must defer frames");
     assert!(step_downs > 0, "the overloaded run must step sessions down");
-    assert_eq!(fnv1a(&format!("{report:?}")), 0x526b_83cb_ed87_4e85, "report digest drifted");
+    assert_eq!(fnv1a(&format!("{report:?}")), 0xcfbd_f0bf_42b6_1cde, "report digest drifted");
 }

@@ -57,6 +57,28 @@ fn eight_sessions_meet_the_acceptance_targets() {
     assert!(report.launches_saved > 0, "batching must eliminate per-plane launches");
 }
 
+/// `repro serve`'s sweep (the BENCH_serve.json rows: 1–24 sessions, seed
+/// 42, the edge device) at a short frame count: every row's occupancy is a
+/// share of the device's block slots, and batching the largest fleet fills
+/// more of the device than one session does.
+#[test]
+fn batching_fills_the_device_across_the_serve_sweep() {
+    const SWEEP: [u32; 7] = [1, 2, 4, 8, 12, 16, 24];
+    let ctx = ExecutionContext::serial();
+    let occupancy: Vec<f64> = SWEEP
+        .into_iter()
+        .map(|n| {
+            let config = ServeConfig::fleet(DeviceSpec::edge(), SessionSpec::fleet(n, 42), 20);
+            run_serve(&config, &ctx).expect("fleet config is valid").mean_occupancy
+        })
+        .collect();
+    for (&value, n) in occupancy.iter().zip(SWEEP) {
+        assert!(value > 0.0 && value <= 1.0, "{n} sessions: occupancy {value}");
+    }
+    let (one, largest) = (occupancy[0], occupancy[occupancy.len() - 1]);
+    assert!(largest > one, "24 sessions occupy {largest}, no more than one session's {one}");
+}
+
 #[test]
 fn oversubscription_degrades_incrementally_never_in_lockstep() {
     // 24 sessions oversubscribe the 90 Hz budget, so QoS must engage.
