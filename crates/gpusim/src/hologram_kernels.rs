@@ -292,9 +292,9 @@ impl JobPricer {
     pub fn new(config: &DeviceConfig) -> Self {
         let cost = |step| expect_block_cost(&propagation_kernel(step, 1), config);
         let (forward, backward) = (cost(Step::Forward), cost(Step::Backward));
-        let slots = Slots::new(config);
-        let cap = slots.cap(&propagation_kernel(Step::Forward, 1), config).min(slots.total);
-        JobPricer { config: *config, forward, backward, slots: slots.total, cap }
+        let slots = Slots::new(config).total;
+        let cap = Slots::cap(&propagation_kernel(Step::Forward, 1), config).min(slots);
+        JobPricer { config: *config, forward, backward, slots, cap }
     }
 
     /// The configuration this pricer prices on.

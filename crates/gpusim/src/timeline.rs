@@ -75,31 +75,14 @@ pub struct Timeline {
 impl Timeline {
     /// Time-weighted mean occupancy over the whole run.
     pub fn mean_occupancy(&self) -> f64 {
-        let mut mean = MeanOccupancy::default();
+        let (mut weighted, mut total) = (0.0, 0.0);
         for s in &self.occupancy {
-            mean.add(s);
+            let dt = s.end - s.start;
+            weighted += s.occupancy * dt;
+            total += dt;
         }
-        mean.value()
-    }
-}
-
-/// Running time-weighted mean of occupancy samples, in sample order.
-#[derive(Default)]
-struct MeanOccupancy {
-    weighted: f64,
-    total: f64,
-}
-
-impl MeanOccupancy {
-    fn add(&mut self, s: &OccupancySample) {
-        let dt = s.end - s.start;
-        self.weighted += s.occupancy * dt;
-        self.total += dt;
-    }
-
-    fn value(&self) -> f64 {
-        if self.total > 0.0 {
-            self.weighted / self.total
+        if total > 0.0 {
+            weighted / total
         } else {
             0.0
         }
@@ -175,7 +158,7 @@ impl Slots {
 
     /// The slots `kernel`'s blocks may hold at once: its co-resident blocks
     /// per SM on every SM.
-    pub(crate) fn cap(&self, kernel: &KernelDesc, config: &DeviceConfig) -> u64 {
+    pub(crate) fn cap(kernel: &KernelDesc, config: &DeviceConfig) -> u64 {
         let per_sm = (co_resident_blocks(kernel, config) as u64).max(1);
         per_sm.saturating_mul(u64::from(config.sm_count))
     }
@@ -184,7 +167,7 @@ impl Slots {
     fn timing(&self, kernel: &KernelDesc, cost: &BlockCost, config: &DeviceConfig) -> SlotTiming {
         let block_time =
             cost.total_cycles() / config.kernel_efficiency / config.clock_hz * self.per_sm as f64;
-        SlotTiming { block_time, cap: self.cap(kernel, config) }
+        SlotTiming { block_time, cap: Slots::cap(kernel, config) }
     }
 }
 
